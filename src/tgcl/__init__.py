@@ -21,9 +21,9 @@ from .graph import (
     save_graph,
     split_period,
 )
-from .kernels import KernelParams, kernel_bound_check, j_mmd, median_heuristic_gamma, mmd_sq, rbf
+from .kernels import KernelParams, kernel_bound_check, median_heuristic_gamma, mmd_sq
 from .backbone import Backbone, NodeContext, Snapshot, classify, embed, loss_and_grads, snapshot
-from .selector import ReplayBuffer, SelectionConfig, baseline_select, brute_force_select, select
+from .selector import ReplayBuffer, SelectionConfig, baseline_select, select
 from .trainer import TrainConfig, l_dst, run_strategy, train_period
 from .metrics import RunRecord, af, ap, precision_per_set, time_per_epoch
 
@@ -40,10 +40,8 @@ __all__ = [
     "split_period",
     "KernelParams",
     "kernel_bound_check",
-    "j_mmd",
     "median_heuristic_gamma",
     "mmd_sq",
-    "rbf",
     "Backbone",
     "NodeContext",
     "Snapshot",
@@ -54,7 +52,6 @@ __all__ = [
     "ReplayBuffer",
     "SelectionConfig",
     "baseline_select",
-    "brute_force_select",
     "select",
     "TrainConfig",
     "l_dst",

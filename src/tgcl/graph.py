@@ -222,6 +222,11 @@ def _validate_graph(g: TemporalGraph) -> None:
             raise ValueError(
                 f"node {v}: class {rec.class_id} not in period {rec.birth_period} classes"
             )
+    if g.nodes:
+        finite = np.isfinite(np.stack([rec.feature for rec in g.nodes.values()])).all(axis=1)
+        if not finite.all():
+            bad = list(g.nodes)[int(np.argmin(finite))]
+            raise ValueError(f"node {bad}: feature has non-finite values")
 
     prev_t = -math.inf
     for e in g.events:
@@ -592,6 +597,8 @@ def _load_nodes(path: Path) -> dict[int, NodeRecord]:
                 feat = np.array([float(x) for x in row[3:]], dtype=float)
             except ValueError as exc:
                 raise GraphFormatError(f"{path}:{lineno}: malformed node row: {exc}") from exc
+            if not np.isfinite(feat).all():
+                raise GraphFormatError(f"{path}:{lineno}: node {vid} has a non-finite feature")
             if vid in nodes:
                 raise GraphFormatError(f"{path}:{lineno}: duplicate node id {vid}")
             nodes[vid] = NodeRecord(id=vid, class_id=cls, birth_period=birth, feature=feat)

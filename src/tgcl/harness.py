@@ -434,9 +434,10 @@ def execute(
 ) -> list[RunRecord]:
     """Execute all planned runs and write the aggregated artifacts.
 
-    With ``resume=True`` runs whose ``record.json`` already exists are
-    skipped, so a partially completed output directory is finished rather
-    than redone.
+    With ``resume=True`` runs whose ``record.json`` already exists with
+    the current config hash are skipped, so a partially completed output
+    directory is finished rather than redone. A record left by a different
+    config is stale: that run is rerun.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -446,11 +447,15 @@ def execute(
 
     specs = plan_runs(cfg)
     payloads = [_payload(cfg, s, out, chash) for s in specs]
-    pending = [
-        p for p in payloads if not (resume and (Path(p["run_dir"]) / "record.json").exists())
-    ]
+    recorded = {}
+    if resume:
+        recorded = {p["run_id"]: _recorded_hash(Path(p["run_dir"])) for p in payloads}
+    pending = [p for p in payloads if recorded.get(p["run_id"]) != chash]
+    stale = sum(h not in (None, chash) for h in recorded.values())
     if echo:
         echo(f"{len(specs)} runs planned, {len(pending)} to execute (resume={resume})")
+        if stale:
+            echo(f"{stale} stale runs from another config hash will be rerun")
 
     if jobs > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -475,6 +480,12 @@ def execute(
     _write_timing(records, extras, out / "timing.jsonl")
     (out / "summary.txt").write_text(render_table(records) + "\n")
     return records
+
+
+def _recorded_hash(run_dir: Path) -> str | None:
+    """Config hash of a run's ``record.json``; ``None`` when there is none."""
+    path = run_dir / "record.json"
+    return json.loads(path.read_text()).get("config_hash") if path.exists() else None
 
 
 def _fill_af(records: Sequence[RunRecord]) -> None:

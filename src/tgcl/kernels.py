@@ -1,4 +1,5 @@
-"""RBF kernel, biased squared-MMD estimator, and greedy witness scores.
+"""RBF kernel matrices, the biased squared-MMD estimator, and the kernel
+bound check.
 
 The kernel is ``exp(-gamma * ||x - y||)`` on the *unsquared* Euclidean
 distance. Set ``squared=True`` on :class:`KernelParams` for the
@@ -41,20 +42,6 @@ def kernel_matrix(x, y, params: KernelParams) -> np.ndarray:
     return np.exp(-params.gamma * cdist(xp, yp, metric))
 
 
-def rbf(x, y, params: KernelParams) -> float:
-    """Kernel value for a single pair of vectors; lies in (0, 1]."""
-    xv = np.asarray(x, dtype=float).ravel()
-    yv = np.asarray(y, dtype=float).ravel()
-    if xv.shape != yv.shape:
-        raise ValueError(f"dimension mismatch: {xv.shape} vs {yv.shape}")
-    if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
-        raise ValueError("non-finite input")
-    d = float(np.linalg.norm(xv - yv))
-    if params.squared:
-        d = d * d
-    return float(np.exp(-params.gamma * d))
-
-
 def mmd_sq(a, b, params: KernelParams) -> float:
     """Biased V-statistic estimate of the squared MMD between two samples.
 
@@ -69,26 +56,6 @@ def mmd_sq(a, b, params: KernelParams) -> float:
     kbb = float(kernel_matrix(bp, bp, params).mean())
     kab = float(kernel_matrix(ap, bp, params).mean())
     return kaa + kbb - 2.0 * kab
-
-
-def j_mmd(v, sub, old, params: KernelParams) -> float:
-    """Greedy witness score of candidate ``v`` against the growing subset.
-
-    ``(2/|sub|) sum_{u in sub} k(v,u) - (2/|old|) sum_{u in old} k(v,u)``;
-    the first term is defined as 0 when the subset is still empty, which
-    makes the first greedy pick the kernel-herding step.
-    """
-    old_pts = _as_points(old, "old")
-    if old_pts.shape[0] == 0:
-        raise ValueError("j_mmd requires a nonempty reference set")
-    vv = np.asarray(v, dtype=float).reshape(1, -1)
-    term_old = 2.0 * float(kernel_matrix(vv, old_pts, params).mean())
-    sub_pts = np.asarray(sub, dtype=float)
-    if sub_pts.size == 0:
-        term_sub = 0.0
-    else:
-        term_sub = 2.0 * float(kernel_matrix(vv, _as_points(sub, "sub"), params).mean())
-    return term_sub - term_old
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,25 @@ training nodes, scored under the frozen previous-period model:
 Scoring runs in ``witness`` mode (the cheap cached-sum witness) or
 ``exact-marginal`` mode (the true objective increase, used as the
 verification oracle). Random, k-means, and hierarchical partitioners are
-provided, along with random and herding baseline selectors and a
-brute-force enumerator for tiny instances.
+provided, along with random and herding baseline selectors.
+
+Each part's kernel is evaluated at most once and never held whole. Both
+scoring modes need only the column means of the part's kernel, its
+diagonal (exactly 1 for both kernel variants) and one kernel column per
+pick. ``select`` computes the column means in one pass over the
+``_BLOCK`` x ``_BLOCK`` blocks on and above the diagonal (the kernel is
+symmetric bit for bit, so each block serves two column blocks), shares
+them between the rehearsal and anchor greedy calls and the per-part MMD
+metadata, and fetches a column per pick, so selection memory is
+O(n + _BLOCK^2) rather than O(n^2). Every column sum is accumulated in row
+order, one row at a time, because that is how numpy sums the full matrix
+down axis 0: the means then equal ``k.mean(axis=0)`` bit for bit and the
+picks match the full-matrix greedy exactly. Summing each row block on its
+own and adding the block sums would round differently.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -41,6 +53,10 @@ BASELINE_KINDS = ("random", "herding")
 
 _STREAM_PARTITION = 1
 _STREAM_BASELINE = 2
+
+# Block width of the per-part kernel pass (a fixed constant, not a knob:
+# the picks do not depend on it).
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -345,16 +361,77 @@ def _check_terms(terms: Sequence[str]) -> tuple[bool, bool]:
     return "err" in terms, "dist" in terms
 
 
+def _block_edges(n: int) -> list[int]:
+    """Bounds of at most ``_BLOCK``-wide blocks over ``range(n)``, as even as
+    possible: numpy would sum a one-column block pairwise, not row by row."""
+    nb = -(-n // _BLOCK)
+    return [i * n // nb for i in range(nb + 1)]
+
+
+def _add_rows(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``acc + rows[0] + rows[1] + ...`` per column, added in that order:
+    numpy sums a C-ordered array down axis 0 one row at a time."""
+    stacked = np.empty((len(rows) + 1, len(acc)))
+    stacked[0] = acc
+    stacked[1:] = rows
+    return stacked.sum(axis=0)
+
+
+def _col_mean(pool: SelectionPool) -> np.ndarray:
+    """Mean of each kernel column over the part, from one pass over the
+    blocks on and above the diagonal of the kernel.
+
+    Each block ``K[I, J]`` adds rows ``I`` to the sums of columns ``J`` and,
+    transposed (the kernel is symmetric bit for bit), rows ``J`` to those of
+    columns ``I``. Blocks arrive in row order for every column and are added
+    row by row, so each sum is the same sequential sum down axis 0 as
+    ``k.mean(axis=0)`` of the full matrix, bit for bit.
+    """
+    emb, edges = pool.emb, _block_edges(len(pool.ids))
+    sums = [np.zeros(hi - lo) for lo, hi in zip(edges, edges[1:])]
+    for i in range(len(sums)):
+        for j in range(i, len(sums)):
+            k = kernel_matrix(emb[edges[i] : edges[i + 1]], emb[edges[j] : edges[j + 1]], pool.kp)
+            sums[j] = _add_rows(sums[j], k)
+            if j > i:
+                sums[i] = _add_rows(sums[i], k.T)
+    return np.concatenate(sums) / len(pool.ids)
+
+
+def _kernel_col(pool: SelectionPool, row: int) -> np.ndarray:
+    """Kernel values between every candidate and the candidate at ``row``."""
+    return kernel_matrix(pool.emb, pool.emb[row : row + 1], pool.kp)[:, 0]
+
+
+class _Picks(NamedTuple):
+    rows: list[int]  # picked rows of the pool, in selection order
+    pair_sum: float  # sum of k over picked x picked, diagonal included
+
+
 def _greedy(
     pool: SelectionPool,
     budget: int,
     alpha: float,
     terms: Sequence[str],
     mode: str,
-) -> list[int]:
+    col_mean: np.ndarray | None = None,
+) -> _Picks:
+    """Greedy picks from one part without ever holding the n x n kernel.
+
+    Both scoring modes need only the kernel column means ``col_mean``, the
+    diagonal (exactly 1: ``cdist(x, x)`` is 0 there for both kernel
+    variants) and one kernel column per pick, fetched on demand. Memory is
+    O(n) beyond the block pass behind ``col_mean``. ``select`` shares one
+    ``col_mean`` between its two calls and the part metadata; called on its
+    own, ``_greedy`` computes it. That pass sums every column in row order,
+    one row at a time, so its means equal the full matrix's
+    ``k.mean(axis=0)`` bit for bit (row blocks summed on their own and then
+    added would round differently), and the picks equal those of the
+    full-matrix greedy. Ties break to the smallest node id.
+    """
     n = len(pool.ids)
     if budget == 0:
-        return []
+        return _Picks([], 0.0)
     if n == 0:
         raise ValueError("empty part")
     if budget > n:
@@ -362,15 +439,14 @@ def _greedy(
     use_err, use_dist = _check_terms(terms)
 
     ids = np.array(pool.ids)
-    k = kernel_matrix(pool.emb, pool.emb, pool.kp)
-    diag = np.diag(k).copy()
-    col_mean = k.mean(axis=0)
+    if col_mean is None:
+        col_mean = _col_mean(pool)
     err_score = alpha * pool.jcls if use_err else np.zeros(n)
 
     sub_sum = np.zeros(n)  # sum_{u in selected} k(v, u), per candidate v
     mask = np.zeros(n, dtype=bool)
     selected: list[int] = []
-    kaa_mean = float(k.mean())
+    kaa_mean = float(col_mean.mean())
     s_pair = 0.0  # sum over selected x selected of k (incl. diagonal)
     s_col = 0.0  # sum over selected of their column sums
     s_err = 0.0
@@ -389,7 +465,7 @@ def _greedy(
             if use_err:
                 score += alpha * (s_err + pool.jcls) / (s + 1)
             if use_dist:
-                pair_new = s_pair + 2.0 * sub_sum + diag
+                pair_new = s_pair + 2.0 * sub_sum + 1.0
                 col_new = s_col + col_mean * n
                 score += kaa_mean + pair_new / (s + 1) ** 2 - 2.0 * col_new / (n * (s + 1))
         score[mask] = np.inf
@@ -397,13 +473,28 @@ def _greedy(
         tied = np.flatnonzero(score == best)
         pick = int(tied[np.argmin(ids[tied])])
 
-        s_pair += 2.0 * sub_sum[pick] + diag[pick]
+        s_pair += 2.0 * sub_sum[pick] + 1.0
         s_col += col_mean[pick] * n
         s_err += float(pool.jcls[pick])
-        sub_sum += k[:, pick]
+        sub_sum += _kernel_col(pool, pick)
         mask[pick] = True
         selected.append(pick)
-    return [int(ids[i]) for i in selected]
+    return _Picks(selected, s_pair)
+
+
+def _mmd_from_col_mean(col_mean: np.ndarray, picks: _Picks) -> float:
+    """MMD^2 between the part and its picks, from the shared column means:
+    ``mean(K) + mean(K_sub,sub) - 2 mean(col_mean[sub])``; 0 when empty."""
+    s = len(picks.rows)
+    if not s:
+        return 0.0
+    return float(
+        col_mean.mean() + picks.pair_sum / s**2 - 2.0 * col_mean[picks.rows].mean()
+    )
+
+
+def _ids_of(pool: SelectionPool, rows: Sequence[int]) -> list[int]:
+    return [int(pool.ids[r]) for r in rows]
 
 
 def greedy_select_sub(
@@ -414,12 +505,12 @@ def greedy_select_sub(
 ) -> list[int]:
     """Greedy rehearsal picks from one part: argmin of the combined score,
     ties broken by smallest node id, in selection order."""
-    return _greedy(pool, budget_w, cfg.alpha, terms, cfg.scoring_mode)
+    return _ids_of(pool, _greedy(pool, budget_w, cfg.alpha, terms, cfg.scoring_mode).rows)
 
 
 def greedy_select_sim(pool: SelectionPool, budget_w: int, cfg: SelectionConfig) -> list[int]:
     """Greedy anchor picks: distribution term only (kernel herding)."""
-    return _greedy(pool, budget_w, 0.0, ("dist",), cfg.scoring_mode)
+    return _ids_of(pool, _greedy(pool, budget_w, 0.0, ("dist",), cfg.scoring_mode).rows)
 
 
 def select(
@@ -472,13 +563,20 @@ def select(
     for w, part in enumerate(parts):
         part_pool = pool.take(part)
         t0 = perf_counter()
-        chosen = _greedy(part_pool, quotas_sub[w], cfg.alpha, terms, cfg.scoring_mode)
+        # one blocked kernel pass per part, shared by both greedy calls and
+        # the metadata below
+        col_mean = _col_mean(part_pool) if quotas_sub[w] or quotas_sim[w] else None
+        sub = _greedy(part_pool, quotas_sub[w], cfg.alpha, terms, cfg.scoring_mode, col_mean)
+        sim = _greedy(part_pool, quotas_sim[w], 0.0, ("dist",), cfg.scoring_mode, col_mean)
         part_ms.append((perf_counter() - t0) * 1000.0)
-        sub_ids.extend(chosen)
-        obj = subset_objective(part_pool, part_pool.rows_of(chosen), cfg.alpha, terms)
-        part_objectives.append({"err": obj.err, "mmd": obj.dist})
-        if quotas_sim[w] > 0:
-            sim_ids.extend(_greedy(part_pool, quotas_sim[w], 0.0, ("dist",), cfg.scoring_mode))
+        sub_ids.extend(_ids_of(part_pool, sub.rows))
+        sim_ids.extend(_ids_of(part_pool, sim.rows))
+        part_objectives.append({
+            "err": float(np.mean(part_pool.jcls[sub.rows])) if sub.rows else 0.0,
+            "mmd": _mmd_from_col_mean(col_mean, sub),
+            "mmd_sim": _mmd_from_col_mean(col_mean, sim),
+            "overlap": len(set(sub.rows) & set(sim.rows)),
+        })
 
     rows = pool.rows_of(sub_ids)
     sub_entries = [
@@ -501,30 +599,6 @@ def select(
         "part_objectives": part_objectives,
     }
     return ReplayBuffer(period_built=view.period_index, sub=sub_entries, sim=sim_ids, meta=meta)
-
-
-def brute_force_select(
-    pool: SelectionPool,
-    budget: int,
-    cfg: SelectionConfig,
-    terms: Sequence[str] = SCORE_TERMS,
-) -> tuple[tuple[int, ...], float]:
-    """Exhaustive minimizer of the subset objective on tiny instances."""
-    n = len(pool.ids)
-    if n > 16 or budget > 5:
-        raise ValueError(f"instance too large to enumerate (n={n}, budget={budget})")
-    if budget > n:
-        raise ValueError(f"budget {budget} exceeds candidate count {n}")
-    best_ids: tuple[int, ...] | None = None
-    best_val = np.inf
-    for comb in itertools.combinations(range(n), budget):
-        val = subset_objective(pool, comb, cfg.alpha, terms).total
-        ids = tuple(sorted(pool.ids[i] for i in comb))
-        if val < best_val or (val == best_val and (best_ids is None or ids < best_ids)):
-            best_val = val
-            best_ids = ids
-    assert best_ids is not None
-    return best_ids, float(best_val)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,136 @@
+"""Reference implementations the library is checked against.
+
+These are deliberately direct: a single-pair kernel, the per-candidate
+greedy witness, the full n x n matrix greedy and exhaustive subset
+enumeration. None of them is used by the pipeline.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Sequence
+
+import numpy as np
+
+from tgcl.kernels import KernelParams, _as_points, kernel_matrix
+from tgcl.selector import SCORE_TERMS, SelectionConfig, SelectionPool, subset_objective
+
+
+def rbf(x, y, params: KernelParams) -> float:
+    """Kernel value for a single pair of vectors; lies in (0, 1]."""
+    xv = np.asarray(x, dtype=float).ravel()
+    yv = np.asarray(y, dtype=float).ravel()
+    if xv.shape != yv.shape:
+        raise ValueError(f"dimension mismatch: {xv.shape} vs {yv.shape}")
+    if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
+        raise ValueError("non-finite input")
+    d = float(np.linalg.norm(xv - yv))
+    if params.squared:
+        d = d * d
+    return float(np.exp(-params.gamma * d))
+
+
+def j_mmd(v, sub, old, params: KernelParams) -> float:
+    """Greedy witness score of candidate ``v`` against the growing subset.
+
+    ``(2/|sub|) sum_{u in sub} k(v,u) - (2/|old|) sum_{u in old} k(v,u)``;
+    the first term is defined as 0 when the subset is still empty, which
+    makes the first greedy pick the kernel-herding step.
+    """
+    old_pts = _as_points(old, "old")
+    if old_pts.shape[0] == 0:
+        raise ValueError("j_mmd requires a nonempty reference set")
+    vv = np.asarray(v, dtype=float).reshape(1, -1)
+    term_old = 2.0 * float(kernel_matrix(vv, old_pts, params).mean())
+    sub_pts = np.asarray(sub, dtype=float)
+    if sub_pts.size == 0:
+        term_sub = 0.0
+    else:
+        term_sub = 2.0 * float(kernel_matrix(vv, _as_points(sub, "sub"), params).mean())
+    return term_sub - term_old
+
+
+def greedy_reference(
+    pool: SelectionPool,
+    budget: int,
+    alpha: float,
+    terms: Sequence[str],
+    mode: str,
+) -> list[int]:
+    """Greedy picks (node ids, in order) from the full n x n kernel matrix.
+
+    Same scores and tie-break as ``tgcl.selector._greedy``, but with the
+    whole matrix in memory and its diagonal and means read off it.
+    """
+    n = len(pool.ids)
+    if budget == 0:
+        return []
+    use_err, use_dist = "err" in terms, "dist" in terms
+
+    ids = np.array(pool.ids)
+    k = kernel_matrix(pool.emb, pool.emb, pool.kp)
+    diag = np.diag(k).copy()
+    col_mean = k.mean(axis=0)
+    err_score = alpha * pool.jcls if use_err else np.zeros(n)
+
+    sub_sum = np.zeros(n)
+    mask = np.zeros(n, dtype=bool)
+    selected: list[int] = []
+    kaa_mean = float(k.mean())
+    s_pair = 0.0
+    s_col = 0.0
+    s_err = 0.0
+
+    for _ in range(budget):
+        s = len(selected)
+        if mode == "witness":
+            score = err_score.astype(float).copy()
+            if use_dist:
+                if s:
+                    score += 2.0 * sub_sum / s - 2.0 * col_mean
+                else:
+                    score -= 2.0 * col_mean
+        else:
+            score = np.zeros(n)
+            if use_err:
+                score += alpha * (s_err + pool.jcls) / (s + 1)
+            if use_dist:
+                pair_new = s_pair + 2.0 * sub_sum + diag
+                col_new = s_col + col_mean * n
+                score += kaa_mean + pair_new / (s + 1) ** 2 - 2.0 * col_new / (n * (s + 1))
+        score[mask] = np.inf
+        best = score.min()
+        tied = np.flatnonzero(score == best)
+        pick = int(tied[np.argmin(ids[tied])])
+
+        s_pair += 2.0 * sub_sum[pick] + diag[pick]
+        s_col += col_mean[pick] * n
+        s_err += float(pool.jcls[pick])
+        sub_sum += k[:, pick]
+        mask[pick] = True
+        selected.append(pick)
+    return [int(ids[i]) for i in selected]
+
+
+def brute_force_select(
+    pool: SelectionPool,
+    budget: int,
+    cfg: SelectionConfig,
+    terms: Sequence[str] = SCORE_TERMS,
+) -> tuple[tuple[int, ...], float]:
+    """Exhaustive minimizer of the subset objective on tiny instances."""
+    n = len(pool.ids)
+    if n > 16 or budget > 5:
+        raise ValueError(f"instance too large to enumerate (n={n}, budget={budget})")
+    if budget > n:
+        raise ValueError(f"budget {budget} exceeds candidate count {n}")
+    best_ids: tuple[int, ...] | None = None
+    best_val = np.inf
+    for comb in itertools.combinations(range(n), budget):
+        val = subset_objective(pool, comb, cfg.alpha, terms).total
+        ids = tuple(sorted(pool.ids[i] for i in comb))
+        if val < best_val or (val == best_val and (best_ids is None or ids < best_ids)):
+            best_val = val
+            best_ids = ids
+    assert best_ids is not None
+    return best_ids, float(best_val)

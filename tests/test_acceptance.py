@@ -29,7 +29,6 @@ from tgcl.metrics import precision_per_set
 from tgcl.selector import (
     SelectionConfig,
     SelectionPool,
-    brute_force_select,
     build_pool,
     greedy_select_sim,
     greedy_select_sub,
@@ -39,6 +38,7 @@ from tgcl.selector import (
 from tgcl.trainer import TrainConfig, l_dst, l_dst_terms, train_period
 
 from conftest import finite_difference_grads, max_rel_error
+from oracles import brute_force_select
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 

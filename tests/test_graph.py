@@ -50,6 +50,16 @@ class TestTypes:
         with pytest.raises(ValueError, match="unknown node"):
             TemporalGraph.from_parts(nodes, [Event(0, 9, 0.5)], periods)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected(self, bad):
+        periods = [PeriodSpec(1, 0.0, 1.0, (0, 1))]
+        nodes = [
+            NodeRecord(id=0, class_id=0, birth_period=1, feature=np.zeros(2)),
+            NodeRecord(id=7, class_id=1, birth_period=1, feature=np.array([1.0, bad])),
+        ]
+        with pytest.raises(ValueError, match="node 7: feature has non-finite"):
+            TemporalGraph.from_parts(nodes, [], periods)
+
     def test_feature_dim_must_agree(self):
         periods = [PeriodSpec(1, 0.0, 1.0, (0, 1))]
         nodes = [
@@ -224,6 +234,15 @@ class TestPersistence:
         lines[2] = lines[2] + ",9.9"  # node on line 3 gains an extra feature
         paths["nodes"].write_text("\n".join(lines) + "\n")
         with pytest.raises(GraphFormatError, match=r"nodes\.csv:3"):
+            load_graph(paths["nodes"], paths["events"], paths["periods"])
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_line(self, tmp_path, two_period_graph, bad):
+        paths = save_graph(two_period_graph, tmp_path)
+        lines = paths["nodes"].read_text().splitlines()
+        lines[3] = ",".join(lines[3].split(",")[:-1] + [bad])
+        paths["nodes"].write_text("\n".join(lines) + "\n")
+        with pytest.raises(GraphFormatError, match=r"nodes\.csv:4: node \d+ has a non-finite"):
             load_graph(paths["nodes"], paths["events"], paths["periods"])
 
     def test_malformed_row_names_line(self, tmp_path, two_period_graph):

@@ -216,6 +216,23 @@ class TestExecution:
             else:
                 assert (rd / "record.json").stat().st_mtime_ns == mtimes[rd.name]
 
+    def test_resume_reruns_records_of_another_config(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, TINY))
+        out = tmp_path / "out"
+        execute(cfg, out)
+        changed = load_config(
+            write_config(tmp_path, {**TINY, "train": {**TINY["train"], "epochs": 3}}, "c2.json")
+        )
+        assert config_hash(changed) != config_hash(cfg)
+        lines: list[str] = []
+        execute(changed, out, resume=True, echo=lines.append)
+        assert "2 stale runs from another config hash will be rerun" in lines
+        rows = read_rows(out)
+        assert rows and all(r["config_hash"] == config_hash(changed) for r in rows)
+        for rd in (out / "runs").iterdir():
+            record = json.loads((rd / "record.json").read_text())
+            assert record["config_hash"] == config_hash(changed)
+
     def test_deterministic_csv(self, tiny_results, tmp_path):
         out, cfg, _ = tiny_results
         out2 = tmp_path / "again"

@@ -4,16 +4,19 @@ import math
 import numpy as np
 import pytest
 
+import tgcl.selector as selector_module
 from tgcl.backbone import Backbone, NodeContext, snapshot
 from tgcl.graph import NodeRecord, SynthConfig, generate_synthetic, split_period
-from tgcl.kernels import KernelParams, kernel_bound_check, mmd_sq
+from tgcl.kernels import KernelParams, kernel_bound_check, kernel_matrix, mmd_sq
 from tgcl.selector import (
+    SCORE_TERMS,
+    SCORING_MODES,
+    _BLOCK,
     ReplayBuffer,
     SelectionConfig,
     SelectionPool,
     _share,
     baseline_select,
-    brute_force_select,
     build_pool,
     greedy_select_sim,
     greedy_select_sub,
@@ -24,6 +27,7 @@ from tgcl.selector import (
 )
 
 from conftest import trained_toy_snapshot
+from oracles import brute_force_select, greedy_reference
 
 
 def make_pool(rng, n, dim=2, gamma=1.0, jcls=None, ids=None):
@@ -266,6 +270,91 @@ class TestGreedy:
             greedy_select_sub(pool, 1, self.cfg())
 
 
+def pool_with_duplicates(rng, n, squared, dim=3):
+    """Random pool in which about a third of the points (and their losses)
+    repeat earlier ones, so candidates tie exactly."""
+    emb = rng.normal(size=(n, dim))
+    jc = np.abs(rng.normal(size=n)) + 0.01
+    dup = rng.choice(n, size=n // 3, replace=False)
+    src = rng.integers(0, n, size=n // 3)
+    emb[dup], jc[dup] = emb[src], jc[src]
+    ids = tuple(int(v) for v in rng.permutation(10 * n)[:n])
+    gamma = float(rng.uniform(0.3, 2.0))
+    return SelectionPool(ids=ids, emb=emb, jcls=jc, kp=KernelParams(gamma, squared=squared))
+
+
+class TestOnePassGreedy:
+    """The blocked one-pass greedy against the full-matrix reference."""
+
+    @pytest.mark.parametrize("squared", [False, True])
+    @pytest.mark.parametrize("mode", SCORING_MODES)
+    @pytest.mark.parametrize("terms", [SCORE_TERMS, ("dist",), ("err",)])
+    def test_picks_equal_full_matrix_reference(self, squared, mode, terms):
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 40))
+            pool = pool_with_duplicates(rng, n, squared)
+            alpha = float(rng.uniform(0.0, 2.0))
+            for budget in sorted({1, n // 2, n - 1, n} - {0}):
+                cfg = SelectionConfig(alpha=alpha, m=1, p=n + 1, scoring_mode=mode)
+                got = greedy_select_sub(pool, budget, cfg, terms)
+                assert got == greedy_reference(pool, budget, alpha, terms, mode), (seed, budget)
+
+    @pytest.mark.parametrize("mode", SCORING_MODES)
+    def test_picks_equal_reference_across_blocks(self, mode):
+        rng = np.random.default_rng(7)
+        pool = pool_with_duplicates(rng, 2 * _BLOCK + 37, squared=False, dim=4)
+        cfg = SelectionConfig(alpha=0.3, m=1, p=len(pool.ids) + 1, scoring_mode=mode)
+        assert greedy_select_sub(pool, 40, cfg) == greedy_reference(
+            pool, 40, 0.3, SCORE_TERMS, mode
+        )
+        assert greedy_select_sim(pool, 40, cfg) == greedy_reference(
+            pool, 40, 0.0, ("dist",), mode
+        )
+
+    @pytest.mark.parametrize("squared", [False, True])
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, _BLOCK, _BLOCK + 1, _BLOCK + 5, 2 * _BLOCK + 1, 3 * _BLOCK + 37]
+    )
+    def test_column_means_bit_identical_to_full_matrix(self, n, squared):
+        pool = pool_with_duplicates(np.random.default_rng(n), n, squared=squared, dim=8)
+        full = kernel_matrix(pool.emb, pool.emb, pool.kp).mean(axis=0)
+        assert np.array_equal(selector_module._col_mean(pool), full)
+
+
+class TestSelectMemory:
+    def test_no_call_holds_a_full_kernel(self, monkeypatch):
+        graph = generate_synthetic(
+            SynthConfig(
+                num_periods=2,
+                classes_per_period=3,
+                nodes_per_class_per_period=625,
+                events_per_node=2,
+                seed=4,
+            )
+        )
+        view = split_period(graph, 2)
+        n = len(view.nodes_of("old", "train"))
+        assert 2500 <= n <= 3500
+        model = Backbone(graph.nodes[0].feature.shape[0], hidden_dim=16, seed=0)
+        model.grow_head(sorted(graph.period(1).classes))
+        model.grow_head(sorted(graph.period(2).classes))
+
+        sizes: list[int] = []
+
+        def recording_kernel_matrix(x, y, params):
+            k = kernel_matrix(x, y, params)
+            sizes.append(k.size)
+            return k
+
+        monkeypatch.setattr(selector_module, "kernel_matrix", recording_kernel_matrix)
+        cfg = SelectionConfig(alpha=0.005, m=30, m_prime=200, p=n + 1, seed=0)
+        buffer = select(graph, view, snapshot(model), cfg)
+        assert buffer.meta["part_sizes"] == [n]
+        assert max(sizes) <= n * _BLOCK
+        assert sum(sizes) <= 1.2 * n * n
+
+
 class TestBruteForce:
     def test_full_budget_returns_all(self):
         rng = np.random.default_rng(4)
@@ -343,6 +432,34 @@ class TestSelect:
         da, db = a.to_json_dict(), b.to_json_dict()
         da["config"].pop("part_ms"), db["config"].pop("part_ms")
         assert da == db
+
+    def test_part_objectives_match_oracles(self, sel_setting):
+        graph, view, prev = sel_setting
+        cfg = SelectionConfig(alpha=0.5, m=8, m_prime=6, p=30, seed=7)
+        buffer = select(graph, view, prev, cfg)
+        pool = build_pool(graph, view, list(view.nodes_of("old", "train")), prev, gamma_seed=7)
+        parts = partition(list(view.nodes_of("old", "train")), cfg, embeddings=pool.emb)
+        objectives = buffer.meta["part_objectives"]
+        assert len(objectives) == len(parts) == len(buffer.meta["part_ms"])
+        sub, sim = set(buffer.sub_ids), set(buffer.sim)
+        for part, obj in zip(parts, objectives):
+            part_pool = pool.take(part)
+            sub_rows = part_pool.rows_of([v for v in part if v in sub])
+            sim_rows = part_pool.rows_of([v for v in part if v in sim])
+            expected = subset_objective(part_pool, sub_rows, cfg.alpha)
+            assert obj["err"] == pytest.approx(expected.err, rel=1e-12)
+            assert obj["mmd"] == pytest.approx(expected.dist, rel=1e-10, abs=1e-14)
+            assert obj["mmd_sim"] == pytest.approx(
+                mmd_sq(part_pool.emb, part_pool.emb[sim_rows], pool.kp), rel=1e-10, abs=1e-14
+            )
+            assert obj["overlap"] == len(sub & sim & set(part))
+        assert all(ms > 0 for ms in buffer.meta["part_ms"])
+
+    def test_part_objectives_zero_without_anchors(self, sel_setting):
+        graph, view, prev = sel_setting
+        buffer = select(graph, view, prev, SelectionConfig(m=4, m_prime=0, p=30, seed=1))
+        for obj in buffer.meta["part_objectives"]:
+            assert obj["mmd_sim"] == 0.0 and obj["overlap"] == 0
 
     def test_frozen_jcls_scores_valid(self, sel_setting):
         graph, view, prev = sel_setting
