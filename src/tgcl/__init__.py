@@ -25,7 +25,7 @@ from .kernels import KernelParams, kernel_bound_check, median_heuristic_gamma, m
 from .backbone import Backbone, NodeContext, Snapshot, classify, embed, loss_and_grads, snapshot
 from .selector import ReplayBuffer, SelectionConfig, baseline_select, select
 from .trainer import TrainConfig, l_dst, run_strategy, train_period
-from .metrics import RunRecord, af, ap, precision_per_set, time_per_epoch
+from .metrics import RunRecord, af, ap, precision_per_set
 
 __all__ = [
     "Event",
@@ -61,5 +61,4 @@ __all__ = [
     "af",
     "ap",
     "precision_per_set",
-    "time_per_epoch",
 ]

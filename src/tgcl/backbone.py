@@ -7,6 +7,11 @@ Two rectified linear layers produce the embedding; a per-class weight row
 produces each logit. The head grows as new class sets arrive, leaving
 existing rows untouched.
 
+:func:`node_inputs` is the one path from a graph to model inputs: it
+builds each node's input once per ``(graph, eval_time)``, keeps the rows
+on the graph and hands out copies of them, bit-identical to
+``build_inputs(build_contexts(...))``.
+
 All gradients are hand-derived closed forms; the test suite checks every
 parameter tensor against central finite differences.
 """
@@ -84,6 +89,42 @@ def build_inputs(ctxs: Sequence[NodeContext], k: int = K_NEIGHBORS) -> np.ndarra
     if not ctxs:
         return np.zeros((0, 1))
     return np.stack([input_vector(c, k) for c in ctxs])
+
+
+def node_inputs(graph: TemporalGraph, node_ids: Sequence[int], eval_time: float) -> np.ndarray:
+    """Model inputs of ``node_ids`` at ``eval_time``: one row per id, in order.
+
+    This is the one input path of training, validation, selection and
+    scoring. Each node's row is built once per ``(graph, eval_time)`` and
+    kept in ``graph.__dict__``: per ``eval_time`` an ``(N, input_dim)``
+    matrix with rows in sorted node-id order, plus a mask of the rows built
+    so far. A call builds only its missing rows, through
+    :func:`build_contexts` and :func:`build_inputs`, and returns copies of
+    the requested rows, so every row equals
+    ``build_inputs(build_contexts(graph, [v], eval_time))[0]`` bit for bit.
+    Empty ``node_ids`` give shape ``(0, input_dim)``; an unknown id raises
+    ``KeyError``.
+    """
+    ids = graph.__dict__.get("_input_ids")
+    if ids is None:
+        ids = graph.__dict__["_input_ids"] = np.array(sorted(graph.nodes), dtype=int)
+    per_time = graph.__dict__.setdefault("_input_cache", {})
+    if eval_time not in per_time:
+        width = input_dim(graph.feature_dim)
+        per_time[eval_time] = (np.zeros((len(ids), width)), np.zeros(len(ids), dtype=bool))
+    z, built = per_time[eval_time]
+
+    want = np.asarray(node_ids, dtype=int)
+    rows = np.searchsorted(ids, want)
+    known = rows < len(ids)
+    known[known] = ids[rows[known]] == want[known]
+    if not known.all():
+        raise KeyError(int(want[np.argmin(known)]))
+    missing = np.unique(rows[~built[rows]])
+    if len(missing):
+        z[missing] = build_inputs(build_contexts(graph, ids[missing].tolist(), eval_time))
+        built[missing] = True
+    return z[rows]
 
 
 class Backbone:

@@ -120,6 +120,13 @@ class TemporalGraph:
     def num_periods(self) -> int:
         return len(self.periods)
 
+    @property
+    def feature_dim(self) -> int:
+        """Length of every node's feature vector (0 for a graph without nodes)."""
+        for rec in self.nodes.values():
+            return int(rec.feature.shape[0])
+        return 0
+
     def period(self, n: int) -> PeriodSpec:
         if not 1 <= n <= len(self.periods):
             raise ValueError(f"unknown period index {n} (have 1..{len(self.periods)})")
@@ -194,6 +201,8 @@ def _validate_graph(g: TemporalGraph) -> None:
     for i, p in enumerate(g.periods):
         if p.index != i + 1:
             raise ValueError(f"period indices must be 1..P in order, got {p.index} at position {i}")
+        if not (math.isfinite(p.t_start) and math.isfinite(p.t_end)):
+            raise ValueError(f"period {p.index} has non-finite bounds [{p.t_start}, {p.t_end}]")
         if not p.t_start < p.t_end:
             raise ValueError(f"period {p.index} has empty time span")
         if i > 0 and p.t_start != g.periods[i - 1].t_end:
@@ -278,8 +287,17 @@ def split_period(graph: TemporalGraph, n: int, split_seed: int = 0) -> PeriodVie
     Membership is decided by class set; only nodes incident to at least one
     event inside the period's time span are considered active. Node splits
     are stratified by class at 80/10/10 and deterministic given
-    ``(graph, n, split_seed)``.
+    ``(graph, n, split_seed)``. The view is built once per
+    ``(n, split_seed)`` and kept on the graph, next to :func:`node_splits`'
+    cache; views are frozen, so every caller can share one.
     """
+    cache: dict[tuple[int, int], PeriodView] = graph.__dict__.setdefault("_view_cache", {})
+    if (n, split_seed) not in cache:
+        cache[(n, split_seed)] = _build_view(graph, n, split_seed)
+    return cache[(n, split_seed)]
+
+
+def _build_view(graph: TemporalGraph, n: int, split_seed: int) -> PeriodView:
     spec = graph.period(n)
     events = graph.events_in_period(n)
     if not events:
@@ -497,7 +515,7 @@ def save_graph(graph: TemporalGraph, out_dir: str | Path) -> dict[str, Path]:
     event_path = out / EVENT_BASENAME
     period_path = out / PERIOD_BASENAME
 
-    dim = _feature_dim(graph)
+    dim = graph.feature_dim
     with node_path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["id", "class", "period"] + [f"f{i}" for i in range(dim)])
@@ -537,15 +555,9 @@ def load_graph(
     period_path = Path(period_file) if period_file else node_path.parent / PERIOD_BASENAME
 
     periods = _load_periods(period_path)
-    nodes = _load_nodes(node_path)
+    nodes = _load_nodes(node_path, periods)
     events = _load_events(event_path, nodes, periods)
     return TemporalGraph.from_parts(nodes.values(), events, periods)
-
-
-def _feature_dim(graph: TemporalGraph) -> int:
-    for rec in graph.nodes.values():
-        return int(rec.feature.shape[0])
-    return 0
 
 
 def _load_periods(path: Path) -> tuple[PeriodSpec, ...]:
@@ -555,23 +567,44 @@ def _load_periods(path: Path) -> tuple[PeriodSpec, ...]:
         raise GraphFormatError(f"{path}: cannot parse period sidecar: {exc}") from exc
     if not isinstance(raw, list):
         raise GraphFormatError(f"{path}: period sidecar must be a list")
-    specs = []
+    specs: list[PeriodSpec] = []
+    seen_classes: set[int] = set()
     for i, d in enumerate(raw):
         try:
-            specs.append(
-                PeriodSpec(
-                    index=int(d["index"]),
-                    t_start=float(d["t_start"]),
-                    t_end=float(d["t_end"]),
-                    classes=tuple(int(c) for c in d["classes"]),
-                )
+            spec = PeriodSpec(
+                index=int(d["index"]),
+                t_start=float(d["t_start"]),
+                t_end=float(d["t_end"]),
+                classes=tuple(int(c) for c in d["classes"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphFormatError(f"{path}: period entry {i} is malformed: {exc}") from exc
+        if spec.index != i + 1:
+            raise GraphFormatError(f"{path}: entry {i}: index {spec.index} != {i + 1}")
+        for name, t in (("t_start", spec.t_start), ("t_end", spec.t_end)):
+            if not math.isfinite(t):
+                raise GraphFormatError(f"{path}: entry {i}: {name} {t} is not finite")
+        if not spec.t_start < spec.t_end:
+            raise GraphFormatError(
+                f"{path}: entry {i}: t_end {spec.t_end} must exceed t_start {spec.t_start}"
+            )
+        if specs and spec.t_start != specs[-1].t_end:
+            raise GraphFormatError(
+                f"{path}: entry {i}: t_start {spec.t_start} != previous t_end {specs[-1].t_end}"
+            )
+        if not spec.classes:
+            raise GraphFormatError(f"{path}: entry {i}: classes is empty")
+        repeated = seen_classes.intersection(spec.classes)
+        if repeated:
+            raise GraphFormatError(
+                f"{path}: entry {i}: classes {sorted(repeated)} appear in an earlier entry"
+            )
+        seen_classes.update(spec.classes)
+        specs.append(spec)
     return tuple(specs)
 
 
-def _load_nodes(path: Path) -> dict[int, NodeRecord]:
+def _load_nodes(path: Path, periods: tuple[PeriodSpec, ...]) -> dict[int, NodeRecord]:
     nodes: dict[int, NodeRecord] = {}
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -599,6 +632,15 @@ def _load_nodes(path: Path) -> dict[int, NodeRecord]:
                 raise GraphFormatError(f"{path}:{lineno}: malformed node row: {exc}") from exc
             if not np.isfinite(feat).all():
                 raise GraphFormatError(f"{path}:{lineno}: node {vid} has a non-finite feature")
+            if not 1 <= birth <= len(periods):
+                raise GraphFormatError(
+                    f"{path}:{lineno}: period {birth} of node {vid} is unknown"
+                    f" (have 1..{len(periods)})"
+                )
+            if cls not in periods[birth - 1].classes:
+                raise GraphFormatError(
+                    f"{path}:{lineno}: class {cls} of node {vid} not in period {birth} classes"
+                )
             if vid in nodes:
                 raise GraphFormatError(f"{path}:{lineno}: duplicate node id {vid}")
             nodes[vid] = NodeRecord(id=vid, class_id=cls, birth_period=birth, feature=feat)
@@ -640,15 +682,3 @@ def _load_events(
                 raise GraphFormatError(f"{path}:{lineno}: {exc}") from exc
     return events
 
-
-def graphs_equal(a: TemporalGraph, b: TemporalGraph) -> bool:
-    """Exact equality of all records, events, and period specs."""
-    if a.periods != b.periods or set(a.nodes) != set(b.nodes):
-        return False
-    for v, ra in a.nodes.items():
-        rb = b.nodes[v]
-        if (ra.class_id, ra.birth_period) != (rb.class_id, rb.birth_period):
-            return False
-        if ra.feature.shape != rb.feature.shape or not np.array_equal(ra.feature, rb.feature):
-            return False
-    return a.events == b.events

@@ -348,13 +348,25 @@ def load_data(data_cfg: dict) -> TemporalGraph:
     return load_graph(files["nodes"], files["events"], files.get("periods"))
 
 
-def _execute_run(payload: dict) -> str:
+#: The graph of a pool worker, loaded once by :func:`_init_worker`.
+_WORKER_GRAPH: TemporalGraph | None = None
+
+
+def _init_worker(data_cfg: dict) -> None:
+    global _WORKER_GRAPH
+    _WORKER_GRAPH = load_data(data_cfg)
+
+
+def _execute_in_worker(payload: dict) -> str:
+    return _execute_run(payload, _WORKER_GRAPH)
+
+
+def _execute_run(payload: dict, graph: TemporalGraph) -> str:
     run_dir = Path(payload["run_dir"])
     run_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
     t0 = perf_counter()
 
-    graph = load_data(payload["data"])
     sel_cfg = SelectionConfig(**payload["sel"])
     train_cfg = TrainConfig(**payload["train"])
     outcomes = run_strategy(
@@ -413,7 +425,6 @@ def _payload(cfg: dict, spec: RunSpec, out_dir: Path, chash: str) -> dict:
     return {
         "run_id": spec.run_id,
         "run_dir": str(out_dir / "runs" / spec.run_id),
-        "data": cfg["data"],
         "strategy": spec.strategy,
         "variant": spec.variant,
         "seed": spec.seed,
@@ -433,6 +444,15 @@ def execute(
     echo=None,
 ) -> list[RunRecord]:
     """Execute all planned runs and write the aggregated artifacts.
+
+    The graph is built once per call, and only when runs are pending: the
+    serial path hands one graph to every run, and a process pool loads it
+    once per worker. Runs sharing a graph share its caches, among them the
+    period views of :func:`tgcl.graph.split_period` and the per-period
+    input rows of :func:`tgcl.backbone.node_inputs`, so each node's model
+    input is built once per period end. A run's ``total_s`` in
+    ``record.json`` therefore leaves out the graph load. Graphs are not
+    cached across calls, because data files may change between them.
 
     With ``resume=True`` runs whose ``record.json`` already exists with
     the current config hash are skipped, so a partially completed output
@@ -458,13 +478,16 @@ def execute(
             echo(f"{stale} stale runs from another config hash will be rerun")
 
     if jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for run_id in pool.map(_execute_run, pending):
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker, initargs=(cfg["data"],)
+        ) as pool:
+            for run_id in pool.map(_execute_in_worker, pending):
                 if echo:
                     echo(f"done {run_id}")
-    else:
+    elif pending:
+        graph = load_data(cfg["data"])
         for p in pending:
-            _execute_run(p)
+            _execute_run(p, graph)
             if echo:
                 echo(f"done {p['run_id']}")
 

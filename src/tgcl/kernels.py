@@ -38,6 +38,12 @@ def kernel_matrix(x, y, params: KernelParams) -> np.ndarray:
     yp = _as_points(y, "y")
     if xp.shape[1] != yp.shape[1]:
         raise ValueError(f"dimension mismatch: {xp.shape[1]} vs {yp.shape[1]}")
+    return _kernel(xp, yp, params)
+
+
+def _kernel(xp: np.ndarray, yp: np.ndarray, params: KernelParams) -> np.ndarray:
+    """:func:`kernel_matrix` without its checks, for 2-d float arrays that a
+    checked call has already seen."""
     metric = "sqeuclidean" if params.squared else "euclidean"
     return np.exp(-params.gamma * cdist(xp, yp, metric))
 

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .backbone import Model, build_contexts, build_inputs, classify_batch
+from .backbone import Model, classify_batch, node_inputs
 from .graph import TEST, PeriodView, TemporalGraph
 
 
@@ -44,8 +44,7 @@ def predict_nodes(
     """Argmax class ids (over all known classes) for the given nodes."""
     if not node_ids:
         return []
-    eval_time = graph.period(view.period_index).t_end
-    z = build_inputs(build_contexts(graph, node_ids, eval_time))
+    z = node_inputs(graph, node_ids, graph.period(view.period_index).t_end)
     probs = classify_batch(model, z)
     return [model.classes[i] for i in probs.argmax(axis=1)]
 
@@ -106,15 +105,6 @@ def af(
     if not gaps:
         raise ValueError("no old class set has defined precisions on both sides")
     return float(np.mean(gaps))
-
-
-def time_per_epoch(epoch_log: Sequence[Mapping]) -> float:
-    """Mean wall ms per epoch at the final period present in the log."""
-    if not epoch_log:
-        raise ValueError("empty epoch log")
-    last = max(int(e["period"]) for e in epoch_log)
-    times = [float(e["wall_ms"]) for e in epoch_log if int(e["period"]) == last]
-    return float(np.mean(times))
 
 
 # ---------------------------------------------------------------------------

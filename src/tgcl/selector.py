@@ -42,9 +42,9 @@ import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import cdist
 
-from .backbone import Model, NodeContext, build_contexts, build_inputs, classify, classify_batch, embed_batch
+from .backbone import Model, NodeContext, classify, classify_batch, embed_batch, node_inputs
 from .graph import TRAIN, PeriodView, TemporalGraph
-from .kernels import KernelParams, kernel_matrix, median_heuristic_gamma, mmd_sq
+from .kernels import KernelParams, _kernel, kernel_matrix, median_heuristic_gamma, mmd_sq
 
 PARTITIONERS = ("random", "kmeans", "hierarchical")
 SCORING_MODES = ("witness", "exact-marginal")
@@ -185,9 +185,7 @@ def build_pool(
     """
     if not node_ids:
         raise ValueError("empty candidate set")
-    eval_time = graph.period(view.period_index).t_end
-    ctxs = build_contexts(graph, node_ids, eval_time)
-    z = build_inputs(ctxs)
+    z = node_inputs(graph, node_ids, graph.period(view.period_index).t_end)
     emb = embed_batch(prev, z)
     probs = classify_batch(prev, z)
     y = np.array([prev.class_index(graph.nodes[v].class_id) for v in node_ids], dtype=int)
@@ -399,8 +397,14 @@ def _col_mean(pool: SelectionPool) -> np.ndarray:
 
 
 def _kernel_col(pool: SelectionPool, row: int) -> np.ndarray:
-    """Kernel values between every candidate and the candidate at ``row``."""
-    return kernel_matrix(pool.emb, pool.emb[row : row + 1], pool.kp)[:, 0]
+    """Kernel values between every candidate and the candidate at ``row``.
+
+    Unchecked: every pick follows the :func:`_col_mean` pass over the same
+    part, whose checked :func:`kernel_matrix` blocks cover every row, so
+    scanning the whole part for non-finite values again on each pick would
+    only repeat that check.
+    """
+    return _kernel(pool.emb, pool.emb[row : row + 1], pool.kp)[:, 0]
 
 
 class _Picks(NamedTuple):
@@ -495,22 +499,6 @@ def _mmd_from_col_mean(col_mean: np.ndarray, picks: _Picks) -> float:
 
 def _ids_of(pool: SelectionPool, rows: Sequence[int]) -> list[int]:
     return [int(pool.ids[r]) for r in rows]
-
-
-def greedy_select_sub(
-    pool: SelectionPool,
-    budget_w: int,
-    cfg: SelectionConfig,
-    terms: Sequence[str] = SCORE_TERMS,
-) -> list[int]:
-    """Greedy rehearsal picks from one part: argmin of the combined score,
-    ties broken by smallest node id, in selection order."""
-    return _ids_of(pool, _greedy(pool, budget_w, cfg.alpha, terms, cfg.scoring_mode).rows)
-
-
-def greedy_select_sim(pool: SelectionPool, budget_w: int, cfg: SelectionConfig) -> list[int]:
-    """Greedy anchor picks: distribution term only (kernel herding)."""
-    return _ids_of(pool, _greedy(pool, budget_w, 0.0, ("dist",), cfg.scoring_mode).rows)
 
 
 def select(

@@ -28,12 +28,14 @@ from .backbone import (
     Model,
     Snapshot,
     NodeContext,
+    # unused here: perfbench/tests/test_perfbench.py reads tgcl.trainer.build_contexts
     build_contexts,
     build_inputs,
     embed_batch,
     embedding_grads,
     classify_batch,
     loss_and_grads_from_inputs,
+    node_inputs,
     snapshot,
 )
 from .graph import TRAIN, VAL, TEST, PeriodView, TemporalGraph, split_period
@@ -149,8 +151,7 @@ class TrainResult:
 
 
 def _node_inputs(graph: TemporalGraph, view: PeriodView, ids: Sequence[int], model: Model):
-    eval_time = graph.period(view.period_index).t_end
-    z = build_inputs(build_contexts(graph, ids, eval_time))
+    z = node_inputs(graph, ids, graph.period(view.period_index).t_end)
     y = np.array([model.class_index(graph.nodes[v].class_id) for v in ids], dtype=int)
     return z, y
 
@@ -216,9 +217,7 @@ def train_period(
 
     # validation contexts, grouped into class sets for the AP early stop
     val_ids = view.nodes_of("all", VAL)
-    z_val = build_inputs(
-        build_contexts(graph, val_ids, graph.period(n).t_end)
-    ) if val_ids else None
+    z_val = node_inputs(graph, val_ids, graph.period(n).t_end) if val_ids else None
     val_labels = np.array([graph.nodes[v].class_id for v in val_ids], dtype=int)
     set_masks = []
     for i in range(1, n + 1):
@@ -355,8 +354,7 @@ def run_strategy(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     cfg = replace(train_cfg, strategy=strategy)
-    feature_dim = next(iter(graph.nodes.values())).feature.shape[0]
-    model = Backbone(feature_dim, hidden_dim=hidden_dim, seed=cfg.seed)
+    model = Backbone(graph.feature_dim, hidden_dim=hidden_dim, seed=cfg.seed)
 
     prev: Snapshot | None = None
     outcomes: list[PeriodOutcome] = []

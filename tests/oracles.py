@@ -2,18 +2,28 @@
 
 These are deliberately direct: a single-pair kernel, the per-candidate
 greedy witness, the full n x n matrix greedy and exhaustive subset
-enumeration. None of them is used by the pipeline.
+enumeration. None of them is used by the pipeline. The module also holds
+helpers only tests use: greedy picks of one part by node id, exact graph
+equality and the mean epoch time of a log.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from tgcl.graph import TemporalGraph
 from tgcl.kernels import KernelParams, _as_points, kernel_matrix
-from tgcl.selector import SCORE_TERMS, SelectionConfig, SelectionPool, subset_objective
+from tgcl.selector import (
+    SCORE_TERMS,
+    SelectionConfig,
+    SelectionPool,
+    _greedy,
+    _ids_of,
+    subset_objective,
+)
 
 
 def rbf(x, y, params: KernelParams) -> float:
@@ -134,3 +144,41 @@ def brute_force_select(
             best_ids = ids
     assert best_ids is not None
     return best_ids, float(best_val)
+
+
+def greedy_select_sub(
+    pool: SelectionPool,
+    budget_w: int,
+    cfg: SelectionConfig,
+    terms: Sequence[str] = SCORE_TERMS,
+) -> list[int]:
+    """Greedy rehearsal picks from one part: argmin of the combined score,
+    ties broken by smallest node id, in selection order."""
+    return _ids_of(pool, _greedy(pool, budget_w, cfg.alpha, terms, cfg.scoring_mode).rows)
+
+
+def greedy_select_sim(pool: SelectionPool, budget_w: int, cfg: SelectionConfig) -> list[int]:
+    """Greedy anchor picks: distribution term only (kernel herding)."""
+    return _ids_of(pool, _greedy(pool, budget_w, 0.0, ("dist",), cfg.scoring_mode).rows)
+
+
+def graphs_equal(a: TemporalGraph, b: TemporalGraph) -> bool:
+    """Exact equality of all records, events, and period specs."""
+    if a.periods != b.periods or set(a.nodes) != set(b.nodes):
+        return False
+    for v, ra in a.nodes.items():
+        rb = b.nodes[v]
+        if (ra.class_id, ra.birth_period) != (rb.class_id, rb.birth_period):
+            return False
+        if ra.feature.shape != rb.feature.shape or not np.array_equal(ra.feature, rb.feature):
+            return False
+    return a.events == b.events
+
+
+def time_per_epoch(epoch_log: Sequence[Mapping]) -> float:
+    """Mean wall ms per epoch at the final period present in the log."""
+    if not epoch_log:
+        raise ValueError("empty epoch log")
+    last = max(int(e["period"]) for e in epoch_log)
+    times = [float(e["wall_ms"]) for e in epoch_log if int(e["period"]) == last]
+    return float(np.mean(times))

@@ -30,15 +30,13 @@ from tgcl.selector import (
     SelectionConfig,
     SelectionPool,
     build_pool,
-    greedy_select_sim,
-    greedy_select_sub,
     select,
     subset_objective,
 )
 from tgcl.trainer import TrainConfig, l_dst, l_dst_terms, train_period
 
 from conftest import finite_difference_grads, max_rel_error
-from oracles import brute_force_select
+from oracles import brute_force_select, greedy_select_sim, greedy_select_sub
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 

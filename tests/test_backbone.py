@@ -18,13 +18,16 @@ from tgcl.backbone import (
     from_checkpoint_dict,
     checkpoint_dict,
     input_vector,
+    input_dim,
     load_checkpoint,
     loss_and_grads,
     loss_and_grads_from_inputs,
+    node_inputs,
     save_checkpoint,
     snapshot,
 )
-from tgcl.graph import SynthConfig, generate_synthetic, split_period
+import tgcl.backbone as backbone_module
+from tgcl.graph import Event, NodeRecord, PeriodSpec, SynthConfig, TemporalGraph, generate_synthetic, split_period
 
 from conftest import finite_difference_grads, max_rel_error, toy_model
 
@@ -66,6 +69,98 @@ def random_ctx(rng, feature_dim=3, n_neighbors=2):
         for _ in range(n_neighbors)
     )
     return NodeContext(node=rec, neighbors=nbrs)
+
+
+def random_graph(rng, n=40, dim=3, silent=5, n_events=150):
+    """Two periods, node ids 1, 4, 7, ..., event times on a coarse grid (so
+    times tie) and ``silent`` nodes without any event."""
+    ids = [1 + 3 * i for i in range(n)]
+    nodes = []
+    for v in ids:
+        birth = int(rng.integers(1, 3))
+        cls = 2 * (birth - 1) + int(rng.integers(0, 2))
+        nodes.append(NodeRecord(id=v, class_id=cls, birth_period=birth, feature=rng.normal(size=dim)))
+    active = ids[silent:]
+    events = []
+    while len(events) < n_events:
+        a, b = rng.choice(len(active), size=2, replace=False)
+        events.append(Event(active[a], active[b], float(rng.integers(0, 9)) / 4))
+    periods = [PeriodSpec(1, 0.0, 1.0, (0, 1)), PeriodSpec(2, 1.0, 2.0, (2, 3))]
+    return TemporalGraph.from_parts(nodes, events, periods)
+
+
+def oracle_inputs(graph, ids, eval_time):
+    return build_inputs(build_contexts(graph, list(ids), eval_time))
+
+
+class TestNodeInputs:
+    EVAL_TIMES = (0.0, 0.5, 1.0, 1.3, 2.0)
+
+    def test_matches_oracle_over_interleaved_partial_fills(self):
+        rng = np.random.default_rng(0)
+        graph = random_graph(rng)
+        ids = sorted(graph.nodes)
+        for _ in range(30):
+            t = self.EVAL_TIMES[int(rng.integers(len(self.EVAL_TIMES)))]
+            want = [ids[i] for i in rng.choice(len(ids), size=int(rng.integers(1, 25)), replace=True)]
+            got = node_inputs(graph, want, t)
+            assert got.shape == (len(want), input_dim(3))
+            assert np.array_equal(got, oracle_inputs(graph, want, t))
+        for t in self.EVAL_TIMES:  # every row, in reverse id order
+            assert np.array_equal(node_inputs(graph, ids[::-1], t), oracle_inputs(graph, ids[::-1], t))
+
+    def test_nodes_without_events_get_own_feature_only(self):
+        graph = random_graph(np.random.default_rng(1))
+        silent = sorted(graph.nodes)[:5]
+        z = node_inputs(graph, silent, 2.0)
+        assert np.array_equal(z, oracle_inputs(graph, silent, 2.0))
+        assert np.array_equal(z[:, :3], np.stack([graph.nodes[v].feature for v in silent]))
+        assert not z[:, 3:].any()
+
+    def test_each_row_built_once_per_eval_time(self, monkeypatch):
+        graph = random_graph(np.random.default_rng(2))
+        ids = sorted(graph.nodes)
+        built = []
+
+        def counting(g, node_ids, eval_time, k=K_NEIGHBORS):
+            built.extend((v, eval_time) for v in node_ids)
+            return build_contexts(g, node_ids, eval_time, k)
+
+        monkeypatch.setattr(backbone_module, "build_contexts", counting)
+        node_inputs(graph, ids[:10] + ids[:3], 1.0)
+        node_inputs(graph, ids[5:20], 1.0)
+        node_inputs(graph, ids[5:20], 2.0)
+        node_inputs(graph, ids[:20], 1.0)
+        assert sorted(built) == sorted({(v, 1.0) for v in ids[:20]} | {(v, 2.0) for v in ids[5:20]})
+
+    def test_graphs_sharing_node_ids_do_not_share_rows(self):
+        a = random_graph(np.random.default_rng(3))
+        b = random_graph(np.random.default_rng(4))
+        assert set(a.nodes) == set(b.nodes)
+        ids = sorted(a.nodes)
+        za = node_inputs(a, ids, 2.0)
+        zb = node_inputs(b, ids, 2.0)
+        assert np.array_equal(zb, oracle_inputs(b, ids, 2.0))
+        assert np.array_equal(node_inputs(a, ids, 2.0), za)
+        assert not np.array_equal(za, zb)
+
+    def test_empty_ids(self):
+        graph = random_graph(np.random.default_rng(5))
+        assert node_inputs(graph, [], 1.0).shape == (0, input_dim(3))
+        assert node_inputs(graph, (), 1.0).shape == (0, input_dim(3))
+
+    def test_unknown_id_raises(self):
+        graph = random_graph(np.random.default_rng(6))
+        for bad in (0, 2, 10**6, -5):
+            with pytest.raises(KeyError):
+                node_inputs(graph, [1, bad], 1.0)
+
+    def test_returned_rows_are_copies(self):
+        graph = random_graph(np.random.default_rng(7))
+        ids = sorted(graph.nodes)[5:9]
+        z = node_inputs(graph, ids, 2.0)
+        z[:] = 0.0
+        assert np.array_equal(node_inputs(graph, ids, 2.0), oracle_inputs(graph, ids, 2.0))
 
 
 class TestContexts:

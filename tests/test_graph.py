@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,13 @@ from tgcl.graph import (
     SynthConfig,
     TemporalGraph,
     generate_synthetic,
-    graphs_equal,
     load_graph,
     save_graph,
     split_period,
 )
 
 from conftest import make_two_period_graph
+from oracles import graphs_equal
 
 
 class TestTypes:
@@ -127,6 +129,14 @@ class TestSplitPeriod:
         a = split_period(small_synth, 2, split_seed=5)
         b = split_period(small_synth, 2, split_seed=5)
         assert a.splits == b.splits and a.old_nodes == b.old_nodes
+
+    def test_view_built_once_per_period_and_seed(self, two_period_graph):
+        view = split_period(two_period_graph, 2, split_seed=5)
+        assert split_period(two_period_graph, 2, split_seed=5) is view
+        assert split_period(two_period_graph, 2, split_seed=6) is not view
+        assert split_period(two_period_graph, 1, split_seed=5) is not view
+        other = split_period(make_two_period_graph(), 2, split_seed=5)
+        assert other is not view and other == view
 
     def test_split_assignment_stable_across_periods(self, small_synth):
         # a node active in several periods keeps one assignment: no node
@@ -282,3 +292,45 @@ class TestPersistence:
         paths["nodes"].write_text("\n".join(lines) + "\n")
         with pytest.raises(GraphFormatError, match="duplicate node id"):
             load_graph(paths["nodes"], paths["events"], paths["periods"])
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (1, "99", r"nodes\.csv:3: class 99 of node 1 not in period 1 classes"),
+            (2, "7", r"nodes\.csv:3: period 7 of node 1 is unknown \(have 1\.\.2\)"),
+        ],
+    )
+    def test_bad_node_label_names_line(self, tmp_path, two_period_graph, column, value, message):
+        paths = save_graph(two_period_graph, tmp_path)
+        lines = paths["nodes"].read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[column] = value
+        lines[2] = ",".join(cells)
+        paths["nodes"].write_text("\n".join(lines) + "\n")
+        with pytest.raises(GraphFormatError, match=message):
+            load_graph(paths["nodes"], paths["events"], paths["periods"])
+
+    @pytest.mark.parametrize(
+        "entry, field, value, message",
+        [
+            (0, "t_end", "NaN", r"periods\.json: entry 0: t_end nan is not finite"),
+            (0, "t_start", "-Infinity", r"periods\.json: entry 0: t_start -inf is not finite"),
+            (1, "t_end", "1.0", r"periods\.json: entry 1: t_end 1\.0 must exceed t_start 1\.0"),
+            (1, "t_start", "0.5", r"periods\.json: entry 1: t_start 0\.5 != previous t_end 1\.0"),
+            (1, "index", "3", r"periods\.json: entry 1: index 3 != 2"),
+            (1, "classes", "[]", r"periods\.json: entry 1: classes is empty"),
+            (1, "classes", "[1, 0]", r"periods\.json: entry 1: classes \[0\] appear in an earlier entry"),
+        ],
+    )
+    def test_bad_period_entry_names_entry(self, tmp_path, two_period_graph, entry, field, value, message):
+        paths = save_graph(two_period_graph, tmp_path)
+        raw = json.loads(paths["periods"].read_text())
+        raw[entry][field] = f"@{field}@"
+        paths["periods"].write_text(json.dumps(raw).replace(f'"@{field}@"', value))
+        with pytest.raises(GraphFormatError, match=message):
+            load_graph(paths["nodes"], paths["events"], paths["periods"])
+
+    def test_non_finite_period_bound_rejected_by_graph(self, two_period_graph):
+        periods = (PeriodSpec(1, -np.inf, 1.0, (0,)),) + two_period_graph.periods[1:]
+        with pytest.raises(ValueError, match="period 1 has non-finite bounds"):
+            TemporalGraph.from_parts(two_period_graph.nodes.values(), two_period_graph.events, periods)

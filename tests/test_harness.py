@@ -363,3 +363,25 @@ def test_parallel_jobs_match_serial(tmp_path):
     execute(cfg, out_serial, jobs=1)
     execute(cfg, out_par, jobs=2)
     assert (out_serial / "results.csv").read_bytes() == (out_par / "results.csv").read_bytes()
+
+
+def test_execute_builds_the_graph_once_and_not_for_a_finished_resume(tmp_path, monkeypatch):
+    from tgcl import harness
+
+    calls = []
+    real = harness.load_data
+
+    def counting(data_cfg):
+        calls.append(data_cfg)
+        return real(data_cfg)
+
+    monkeypatch.setattr(harness, "load_data", counting)
+    cfg = load_config_dict({**TINY, "strategies": ["finetune", "er"], "seeds": [0, 1]})
+    out = tmp_path / "out"
+    execute(cfg, out, jobs=1)
+    assert len(plan_runs(cfg)) == 6 and len(calls) == 1
+    first = (out / "results.csv").read_bytes()
+    execute(cfg, out, jobs=1, resume=True)
+    execute(cfg, out, jobs=2, resume=True)
+    assert len(calls) == 1
+    assert (out / "results.csv").read_bytes() == first

@@ -13,11 +13,11 @@ from tgcl.metrics import (
     per_set_accuracy,
     precision_per_set,
     summarize,
-    time_per_epoch,
     write_results_csv,
 )
 
 from conftest import trained_toy_snapshot
+from oracles import time_per_epoch
 
 
 class TestPerSetAccuracy:

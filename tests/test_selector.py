@@ -18,8 +18,6 @@ from tgcl.selector import (
     _share,
     baseline_select,
     build_pool,
-    greedy_select_sim,
-    greedy_select_sub,
     j_cls,
     partition,
     select,
@@ -27,7 +25,7 @@ from tgcl.selector import (
 )
 
 from conftest import trained_toy_snapshot
-from oracles import brute_force_select, greedy_reference
+from oracles import brute_force_select, greedy_reference, greedy_select_sim, greedy_select_sub
 
 
 def make_pool(rng, n, dim=2, gamma=1.0, jcls=None, ids=None):
