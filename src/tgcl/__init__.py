@@ -22,9 +22,9 @@ from .graph import (
     split_period,
 )
 from .kernels import KernelParams, kernel_bound_check, median_heuristic_gamma, mmd_sq
-from .backbone import Backbone, NodeContext, Snapshot, classify, embed, loss_and_grads, snapshot
+from .backbone import Backbone, Snapshot, snapshot
 from .selector import ReplayBuffer, SelectionConfig, baseline_select, select
-from .trainer import TrainConfig, l_dst, run_strategy, train_period
+from .trainer import TrainConfig, run_strategy, train_period
 from .metrics import RunRecord, af, ap, precision_per_set
 
 __all__ = [
@@ -43,18 +43,13 @@ __all__ = [
     "median_heuristic_gamma",
     "mmd_sq",
     "Backbone",
-    "NodeContext",
     "Snapshot",
-    "classify",
-    "embed",
-    "loss_and_grads",
     "snapshot",
     "ReplayBuffer",
     "SelectionConfig",
     "baseline_select",
     "select",
     "TrainConfig",
-    "l_dst",
     "run_strategy",
     "train_period",
     "RunRecord",

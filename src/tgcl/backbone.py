@@ -7,10 +7,14 @@ Two rectified linear layers produce the embedding; a per-class weight row
 produces each logit. The head grows as new class sets arrive, leaving
 existing rows untouched.
 
-:func:`node_inputs` is the one path from a graph to model inputs: it
-builds each node's input once per ``(graph, eval_time)``, keeps the rows
-on the graph and hands out copies of them, bit-identical to
-``build_inputs(build_contexts(...))``.
+Inputs are built from the graph's CSR neighbour index
+(``TemporalGraph.neighbor_index``) in two array stages.
+:func:`build_contexts` gathers, per node, its row and the rows and ages
+``dt`` of its ``k`` most recent neighbours, newest first, with empty slots
+marked. :func:`build_inputs` pools them into input rows.
+:func:`node_inputs` is the one path from a graph to model inputs: per
+``(graph, eval_time)`` it builds every node's row once and keeps the
+matrix on the graph.
 
 All gradients are hand-derived closed forms; the test suite checks every
 parameter tensor against central finite differences.
@@ -19,13 +23,12 @@ parameter tensor against central finite differences.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import NodeRecord, TemporalGraph
+from .graph import TemporalGraph
 
 #: neighbor slots per context; missing slots are zero-feature, dt = 0
 K_NEIGHBORS = 10
@@ -35,96 +38,76 @@ PARAM_NAMES = ("w_agg", "w_hid", "b_hid", "w_head")
 AuxTerm = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 
-@dataclass(frozen=True)
-class NeighborInfo:
-    feature: np.ndarray
-    dt: float
+class Contexts(NamedTuple):
+    """Model-input ingredients of ``n`` nodes at one evaluation time."""
 
-
-@dataclass(frozen=True)
-class NodeContext:
-    """A node plus its most recent temporal neighbors at evaluation time."""
-
-    node: NodeRecord
-    neighbors: tuple[NeighborInfo, ...]
-
-
-def build_context(
-    graph: TemporalGraph, node_id: int, eval_time: float, k: int = K_NEIGHBORS
-) -> NodeContext:
-    """Context of ``node_id``: up to ``k`` freshest events at or before ``eval_time``."""
-    rec = graph.nodes[node_id]
-    times, nbrs = graph.adjacency.get(node_id, (np.empty(0), np.empty(0, dtype=int)))
-    hi = int(np.searchsorted(times, eval_time, side="right"))
-    lo = max(0, hi - k)
-    infos = tuple(
-        NeighborInfo(feature=graph.nodes[int(nbrs[i])].feature, dt=float(eval_time - times[i]))
-        for i in range(hi - 1, lo - 1, -1)
-    )
-    return NodeContext(node=rec, neighbors=infos)
+    features: np.ndarray  # (N, d) feature matrix of the graph's neighbour index
+    rows: np.ndarray  # (n,) each node's row in ``features``
+    nbrs: np.ndarray  # (n, k) neighbour rows, newest first; -1 marks an empty slot
+    dt: np.ndarray  # (n, k) eval_time minus event time; 0.0 in empty slots
 
 
 def build_contexts(
     graph: TemporalGraph, node_ids: Sequence[int], eval_time: float, k: int = K_NEIGHBORS
-) -> list[NodeContext]:
-    return [build_context(graph, v, eval_time, k) for v in node_ids]
+) -> Contexts:
+    """Up to ``k`` freshest incident events at or before ``eval_time``, per node.
+
+    Each node's CSR slice is time-sorted, so a prefix count of
+    ``times <= eval_time`` gives its cut-off ``hi``, and slot ``q`` holds
+    entry ``hi - 1 - q``: the newest first. An unknown id raises
+    ``KeyError``.
+    """
+    index = graph.neighbor_index
+    rows = index.rows_of(node_ids)
+    seen = np.concatenate([[0], np.cumsum(index.times <= eval_time)])
+    lo = index.indptr[rows]
+    hi = lo + seen[index.indptr[rows + 1]] - seen[lo]
+    pos = hi[:, None] - 1 - np.arange(k)
+    full = pos >= lo[:, None]
+    nbrs = np.full(pos.shape, -1)
+    nbrs[full] = index.nbr[pos[full]]
+    dt = np.zeros(pos.shape)
+    dt[full] = eval_time - index.times[pos[full]]
+    return Contexts(features=index.features, rows=rows, nbrs=nbrs, dt=dt)
 
 
 def input_dim(feature_dim: int) -> int:
     return 2 * feature_dim + 1
 
 
-def input_vector(ctx: NodeContext, k: int = K_NEIGHBORS) -> np.ndarray:
-    """Assemble [own feature; mean neighbor feature; mean log(1+dt)]."""
-    x = ctx.node.feature
-    nbr = np.zeros_like(x)
-    dt_acc = 0.0
-    for info in ctx.neighbors[:k]:
-        nbr = nbr + info.feature
-        dt_acc += np.log1p(info.dt)
-    return np.concatenate([x, nbr / k, [dt_acc / k]])
+def build_inputs(ctxs: Contexts, k: int = K_NEIGHBORS) -> np.ndarray:
+    """Rows ``[own feature; sum of neighbour features / k; sum of log(1+dt) / k]``.
 
-
-def build_inputs(ctxs: Sequence[NodeContext], k: int = K_NEIGHBORS) -> np.ndarray:
-    if not ctxs:
-        return np.zeros((0, 1))
-    return np.stack([input_vector(c, k) for c in ctxs])
+    The slots are added one at a time, newest first, and empty slots add
+    exactly 0.0, so each row equals the per-node loop over its neighbours
+    bit for bit (a pairwise ``.sum(axis=1)`` would round differently).
+    """
+    f = ctxs.features
+    nbr_sum = np.zeros((len(ctxs.rows), f.shape[1]))
+    dt_sum = np.zeros(len(ctxs.rows))
+    log_dt = np.log1p(ctxs.dt)
+    for q in range(min(k, ctxs.nbrs.shape[1])):
+        full = ctxs.nbrs[:, q] >= 0
+        nbr_sum = nbr_sum + np.where(full[:, None], f[ctxs.nbrs[:, q]], 0.0)
+        dt_sum = dt_sum + log_dt[:, q]
+    return np.concatenate([f[ctxs.rows], nbr_sum / k, (dt_sum / k)[:, None]], axis=1)
 
 
 def node_inputs(graph: TemporalGraph, node_ids: Sequence[int], eval_time: float) -> np.ndarray:
     """Model inputs of ``node_ids`` at ``eval_time``: one row per id, in order.
 
     This is the one input path of training, validation, selection and
-    scoring. Each node's row is built once per ``(graph, eval_time)`` and
-    kept in ``graph.__dict__``: per ``eval_time`` an ``(N, input_dim)``
-    matrix with rows in sorted node-id order, plus a mask of the rows built
-    so far. A call builds only its missing rows, through
-    :func:`build_contexts` and :func:`build_inputs`, and returns copies of
-    the requested rows, so every row equals
-    ``build_inputs(build_contexts(graph, [v], eval_time))[0]`` bit for bit.
-    Empty ``node_ids`` give shape ``(0, input_dim)``; an unknown id raises
-    ``KeyError``.
+    scoring. The first call per ``(graph, eval_time)`` builds every node's
+    row with one ``build_inputs(build_contexts(...))`` call and keeps the
+    matrix in ``graph.__dict__``; each call returns copies of the requested
+    rows. Empty ``node_ids`` give shape ``(0, input_dim)``; an unknown id
+    raises ``KeyError``.
     """
-    ids = graph.__dict__.get("_input_ids")
-    if ids is None:
-        ids = graph.__dict__["_input_ids"] = np.array(sorted(graph.nodes), dtype=int)
+    index = graph.neighbor_index
     per_time = graph.__dict__.setdefault("_input_cache", {})
     if eval_time not in per_time:
-        width = input_dim(graph.feature_dim)
-        per_time[eval_time] = (np.zeros((len(ids), width)), np.zeros(len(ids), dtype=bool))
-    z, built = per_time[eval_time]
-
-    want = np.asarray(node_ids, dtype=int)
-    rows = np.searchsorted(ids, want)
-    known = rows < len(ids)
-    known[known] = ids[rows[known]] == want[known]
-    if not known.all():
-        raise KeyError(int(want[np.argmin(known)]))
-    missing = np.unique(rows[~built[rows]])
-    if len(missing):
-        z[missing] = build_inputs(build_contexts(graph, ids[missing].tolist(), eval_time))
-        built[missing] = True
-    return z[rows]
+        per_time[eval_time] = build_inputs(build_contexts(graph, index.ids, eval_time))
+    return per_time[eval_time][index.rows_of(node_ids)]
 
 
 class Backbone:
@@ -257,15 +240,6 @@ def embed_batch(model: Model, z: np.ndarray) -> np.ndarray:
     return _forward(model, z)[3]
 
 
-def embed(model: Model, ctx: NodeContext) -> np.ndarray:
-    """Deterministic embedding of one node context (dim = hidden size)."""
-    if ctx.node.feature.shape[0] != model.feature_dim:
-        raise ValueError(
-            f"feature dim {ctx.node.feature.shape[0]} != model dim {model.feature_dim}"
-        )
-    return embed_batch(model, input_vector(ctx)[None, :])[0]
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -277,11 +251,6 @@ def classify_batch(model: Model, z: np.ndarray) -> np.ndarray:
         raise ValueError("classifier head is empty")
     emb = embed_batch(model, z)
     return _softmax(emb @ model.w_head.T)
-
-
-def classify(model: Model, ctx: NodeContext) -> np.ndarray:
-    """Probability vector over the classes known to the model's head."""
-    return classify_batch(model, input_vector(ctx)[None, :])[0]
 
 
 def zero_grads(model: Model) -> dict[str, np.ndarray]:
@@ -346,19 +315,6 @@ def loss_and_grads_from_inputs(
     d_a1p = d_a1 * (a1p > 0.0)
     g_agg = d_a1p.T @ z
     return loss, {"w_agg": g_agg, "w_hid": g_hid, "b_hid": g_bhid, "w_head": g_head}
-
-
-def loss_and_grads(
-    model: Model,
-    batch: Sequence[tuple[NodeContext, int]],
-    aux: AuxTerm | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Context-level wrapper over :func:`loss_and_grads_from_inputs`."""
-    if not batch:
-        return 0.0, zero_grads(model)
-    z = build_inputs([ctx for ctx, _ in batch])
-    y = np.array([model.class_index(label) for _, label in batch], dtype=int)
-    return loss_and_grads_from_inputs(model, z, y, aux=aux)
 
 
 # ---------------------------------------------------------------------------

@@ -57,8 +57,7 @@ def _cmd_select(args) -> int:
         prev = snapshot(load_checkpoint(args.model))
     else:
         # untrained scoring model: useful for inspecting selection mechanics
-        feature_dim = next(iter(graph.nodes.values())).feature.shape[0]
-        model = Backbone(feature_dim, seed=args.seed)
+        model = Backbone(graph.feature_dim, seed=args.seed)
         for i in range(1, args.period):
             model.grow_head(sorted(graph.period(i).classes))
         prev = snapshot(model)

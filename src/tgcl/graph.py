@@ -9,6 +9,12 @@ introduced before ``n``) and "new" nodes (classes introduced at ``n``).
 This module provides the immutable data types, the per-period old/new
 split with stratified train/val/test assignment, a synthetic generator
 with controllable per-class feature drift, and CSV/JSON persistence.
+
+Each graph also builds, once and on first use, a CSR neighbour index
+(:class:`NeighborIndex`): node rows in sorted-id order with their feature
+matrix, and per row the incident events as (other endpoint's row, time)
+entries, sorted by time with ties in event order. It is the only structure
+model inputs are built from.
 """
 
 from __future__ import annotations
@@ -85,6 +91,33 @@ class PeriodSpec:
         if last:
             return self.t_start <= t <= self.t_end
         return self.t_start <= t < self.t_end
+
+
+@dataclass(frozen=True, eq=False)
+class NeighborIndex:
+    """Incident events of every node in CSR form (see ``neighbor_index``).
+
+    Row ``r`` is node ``ids[r]`` (ids sorted) with feature ``features[r]``.
+    Its incident events are entries ``indptr[r]:indptr[r + 1]`` of ``nbr``
+    (the other endpoint's row) and ``times`` (the event time), sorted by
+    time with ties in event order.
+    """
+
+    ids: np.ndarray
+    features: np.ndarray
+    indptr: np.ndarray
+    nbr: np.ndarray
+    times: np.ndarray
+
+    def rows_of(self, node_ids: Sequence[int]) -> np.ndarray:
+        """Row of each id, in order; an unknown id raises ``KeyError``."""
+        want = np.asarray(node_ids, dtype=int)
+        rows = np.searchsorted(self.ids, want)
+        known = rows < len(self.ids)
+        known[known] = self.ids[rows[known]] == want[known]
+        if not known.all():
+            raise KeyError(int(want[np.argmin(known)]))
+        return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,21 +199,28 @@ class TemporalGraph:
         return [e.t for e in self.events]
 
     @cached_property
-    def adjacency(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Per-node ``(times, neighbor_ids)`` arrays sorted by event time.
+    def neighbor_index(self) -> NeighborIndex:
+        """CSR index of every node's incident events, built once per graph.
 
-        Ties in time keep event order, so "most recent" is well defined.
+        Each event adds one entry to both endpoints' slices. Events are
+        time-sorted, so a stable argsort of the interleaved ``src``/``dst``
+        endpoints leaves every slice sorted by time, with ties in event
+        order, which makes "most recent" well defined.
         """
-        lists: dict[int, list[tuple[float, int]]] = {v: [] for v in self.nodes}
-        for e in self.events:
-            lists[e.src].append((e.t, e.dst))
-            lists[e.dst].append((e.t, e.src))
-        out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for v, pairs in lists.items():
-            ts = np.array([p[0] for p in pairs], dtype=float)
-            nb = np.array([p[1] for p in pairs], dtype=int)
-            out[v] = (ts, nb)
-        return out
+        ids = np.array(sorted(self.nodes), dtype=int)
+        features = np.array([self.nodes[v].feature for v in ids.tolist()], dtype=float)
+        features = features.reshape(len(ids), self.feature_dim)
+        features.setflags(write=False)
+        # rows of src0, dst0, src1, dst1, ...: entry j's other end is entry j ^ 1
+        ends = np.array([e.endpoints() for e in self.events], dtype=int).ravel()
+        ends = np.searchsorted(ids, ends)
+        order = np.argsort(ends, kind="stable")
+        indptr = np.zeros(len(ids) + 1, dtype=int)
+        np.cumsum(np.bincount(ends, minlength=len(ids)), out=indptr[1:])
+        times = np.array([e.t for e in self.events], dtype=float)
+        return NeighborIndex(
+            ids=ids, features=features, indptr=indptr, nbr=ends[order ^ 1], times=times[order // 2]
+        )
 
     @cached_property
     def debut_period(self) -> dict[int, int]:
@@ -555,8 +595,8 @@ def load_graph(
     period_path = Path(period_file) if period_file else node_path.parent / PERIOD_BASENAME
 
     periods = _load_periods(period_path)
-    nodes = _load_nodes(node_path, periods)
-    events = _load_events(event_path, nodes, periods)
+    nodes = _load_nodes(node_path, periods, period_path)
+    events = _load_events(event_path, nodes, node_path, periods, period_path)
     return TemporalGraph.from_parts(nodes.values(), events, periods)
 
 
@@ -577,7 +617,7 @@ def _load_periods(path: Path) -> tuple[PeriodSpec, ...]:
                 t_end=float(d["t_end"]),
                 classes=tuple(int(c) for c in d["classes"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise GraphFormatError(f"{path}: period entry {i} is malformed: {exc}") from exc
         if spec.index != i + 1:
             raise GraphFormatError(f"{path}: entry {i}: index {spec.index} != {i + 1}")
@@ -604,18 +644,30 @@ def _load_periods(path: Path) -> tuple[PeriodSpec, ...]:
     return tuple(specs)
 
 
-def _load_nodes(path: Path, periods: tuple[PeriodSpec, ...]) -> dict[int, NodeRecord]:
+def _csv_rows(fh):
+    """Yield ``(line, row)`` per CSV row, ``line`` being the row's first
+    physical line (a quoted cell may span several)."""
+    reader = csv.reader(fh)
+    line = 1
+    for row in reader:
+        yield line, row
+        line = reader.line_num + 1
+
+
+def _load_nodes(
+    path: Path, periods: tuple[PeriodSpec, ...], period_path: Path
+) -> dict[int, NodeRecord]:
     nodes: dict[int, NodeRecord] = {}
+    line_of: dict[int, int] = {}
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise GraphFormatError(f"{path}:1: empty node file") from None
+        rows = _csv_rows(fh)
+        _, header = next(rows, (1, None))
+        if header is None:
+            raise GraphFormatError(f"{path}:1: empty node file")
         if header[:3] != ["id", "class", "period"]:
             raise GraphFormatError(f"{path}:1: node header must start with id,class,period")
         dim = len(header) - 3
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in rows:
             if not row:
                 continue
             if len(row) != 3 + dim:
@@ -635,33 +687,40 @@ def _load_nodes(path: Path, periods: tuple[PeriodSpec, ...]) -> dict[int, NodeRe
             if not 1 <= birth <= len(periods):
                 raise GraphFormatError(
                     f"{path}:{lineno}: period {birth} of node {vid} is unknown"
-                    f" (have 1..{len(periods)})"
+                    f" (have 1..{len(periods)}) in {period_path}"
                 )
             if cls not in periods[birth - 1].classes:
                 raise GraphFormatError(
                     f"{path}:{lineno}: class {cls} of node {vid} not in period {birth} classes"
+                    f" of {period_path}"
                 )
             if vid in nodes:
-                raise GraphFormatError(f"{path}:{lineno}: duplicate node id {vid}")
+                raise GraphFormatError(
+                    f"{path}:{lineno}: duplicate node id {vid}, first at {path.name}:{line_of[vid]}"
+                )
             nodes[vid] = NodeRecord(id=vid, class_id=cls, birth_period=birth, feature=feat)
+            line_of[vid] = lineno
     return nodes
 
 
 def _load_events(
-    path: Path, nodes: Mapping[int, NodeRecord], periods: tuple[PeriodSpec, ...]
+    path: Path,
+    nodes: Mapping[int, NodeRecord],
+    node_path: Path,
+    periods: tuple[PeriodSpec, ...],
+    period_path: Path,
 ) -> list[Event]:
     t_lo = periods[0].t_start if periods else 0.0
     t_hi = periods[-1].t_end if periods else 0.0
     events: list[Event] = []
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise GraphFormatError(f"{path}:1: empty event file (need a src,dst,t header)") from None
+        rows = _csv_rows(fh)
+        _, header = next(rows, (1, None))
+        if header is None:
+            raise GraphFormatError(f"{path}:1: empty event file (need a src,dst,t header)")
         if header != ["src", "dst", "t"]:
             raise GraphFormatError(f"{path}:1: event header must be src,dst,t")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in rows:
             if not row:
                 continue
             if len(row) != 3:
@@ -670,11 +729,15 @@ def _load_events(
                 src, dst, t = int(row[0]), int(row[1]), float(row[2])
             except ValueError as exc:
                 raise GraphFormatError(f"{path}:{lineno}: malformed event row: {exc}") from exc
-            if src not in nodes or dst not in nodes:
-                raise GraphFormatError(f"{path}:{lineno}: event references unknown node")
+            for v in (src, dst):
+                if v not in nodes:
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: event references unknown node {v} (not in {node_path})"
+                    )
             if not t_lo <= t <= t_hi:
                 raise GraphFormatError(
                     f"{path}:{lineno}: timestamp {t} outside all periods [{t_lo}, {t_hi}]"
+                    f" of {period_path}"
                 )
             try:
                 events.append(Event(src=src, dst=dst, t=t))

@@ -30,7 +30,7 @@ own and adding the block sums would round differently.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from time import perf_counter
@@ -42,7 +42,7 @@ import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import cdist
 
-from .backbone import Model, NodeContext, classify, classify_batch, embed_batch, node_inputs
+from .backbone import Model, classify_batch, embed_batch, node_inputs
 from .graph import TRAIN, PeriodView, TemporalGraph
 from .kernels import KernelParams, _kernel, kernel_matrix, median_heuristic_gamma, mmd_sq
 
@@ -138,21 +138,18 @@ class ReplayBuffer:
 # Scoring inputs
 # ---------------------------------------------------------------------------
 
-def j_cls(prev: Model, ctx: NodeContext) -> float:
-    """Cross-entropy of the frozen model's prediction against the true label."""
-    probs = classify(prev, ctx)
-    idx = prev.class_index(ctx.node.class_id)
-    return float(-np.log(np.clip(probs[idx], 1e-300, None)))
-
-
 @dataclass(frozen=True, eq=False)
 class SelectionPool:
-    """Candidates with frozen scoring inputs (embeddings and per-node loss)."""
+    """Candidates with frozen scoring inputs (embeddings and per-node loss).
+
+    ``kp`` is the kernel of the kernel-based selector; the baselines never
+    read it and leave it unset.
+    """
 
     ids: tuple[int, ...]
     emb: np.ndarray
     jcls: np.ndarray
-    kp: KernelParams
+    kp: KernelParams | None = None
 
     @cached_property
     def _row(self) -> dict[int, int]:
@@ -173,16 +170,8 @@ def build_pool(
     view: PeriodView,
     node_ids: Sequence[int],
     prev: Model,
-    kp: KernelParams | None = None,
-    gamma_seed: int = 0,
-    squared_kernel: bool = False,
 ) -> SelectionPool:
-    """Embed the candidates under ``prev`` and freeze their losses.
-
-    When ``kp`` is not given, the kernel bandwidth comes from the median
-    heuristic on these embeddings (recomputed per period by the caller);
-    ``squared_kernel`` switches to the squared-distance kernel variant.
-    """
+    """Embed the candidates under ``prev`` and freeze their losses."""
     if not node_ids:
         raise ValueError("empty candidate set")
     z = node_inputs(graph, node_ids, graph.period(view.period_index).t_end)
@@ -190,12 +179,7 @@ def build_pool(
     probs = classify_batch(prev, z)
     y = np.array([prev.class_index(graph.nodes[v].class_id) for v in node_ids], dtype=int)
     jc = -np.log(np.clip(probs[np.arange(len(node_ids)), y], 1e-300, None))
-    if kp is None:
-        if len(node_ids) >= 2:
-            kp = median_heuristic_gamma(emb, seed=gamma_seed, squared=squared_kernel)
-        else:
-            kp = KernelParams(gamma=1.0, squared=squared_kernel)
-    return SelectionPool(ids=tuple(node_ids), emb=emb, jcls=jc, kp=kp)
+    return SelectionPool(ids=tuple(node_ids), emb=emb, jcls=jc)
 
 
 class SubsetObjective(NamedTuple):
@@ -516,7 +500,9 @@ def select(
 
     Budgets larger than the candidate count are clamped with a warning.
     Per-part selections are independent; the result is deterministic given
-    (graph, snapshot, config).
+    (graph, snapshot, config). When ``kp`` is not given, the kernel
+    bandwidth comes from the median heuristic on the candidates'
+    embeddings; ``squared_kernel`` switches to the squared-distance kernel.
     """
     old_train = list(view.nodes_of("old", TRAIN))
     if not old_train:
@@ -536,9 +522,13 @@ def select(
         )
         m_prime = len(old_train)
 
-    pool = build_pool(
-        graph, view, old_train, prev, kp=kp, gamma_seed=cfg.seed, squared_kernel=squared_kernel
-    )
+    pool = build_pool(graph, view, old_train, prev)
+    if kp is None:
+        if len(old_train) >= 2:
+            kp = median_heuristic_gamma(pool.emb, seed=cfg.seed, squared=squared_kernel)
+        else:
+            kp = KernelParams(gamma=1.0, squared=squared_kernel)
+    pool = replace(pool, kp=kp)
     parts = partition(old_train, cfg, embeddings=pool.emb)
     sizes = [len(p) for p in parts]
     quotas_sub = _share(m, sizes)

@@ -27,12 +27,9 @@ from .backbone import (
     Backbone,
     Model,
     Snapshot,
-    NodeContext,
     # unused here: perfbench/tests/test_perfbench.py reads tgcl.trainer.build_contexts
     build_contexts,
-    build_inputs,
     embed_batch,
-    embedding_grads,
     classify_batch,
     loss_and_grads_from_inputs,
     node_inputs,
@@ -121,21 +118,6 @@ def l_dst_terms(
         value = -s * float(k.sum())
         grad = s * kp.gamma * (sub * w.sum(axis=1, keepdims=True) - w @ sim)
     return value, grad
-
-
-def l_dst(
-    model: Model,
-    sub_ctxs: Sequence[NodeContext],
-    sim_embeddings: np.ndarray,
-    kp: KernelParams,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Alignment loss for live contexts, with gradients w.r.t. the model."""
-    if not sub_ctxs:
-        raise ValueError("alignment loss requires nonempty subsets on both sides")
-    z = build_inputs(sub_ctxs)
-    emb = embed_batch(model, z)
-    value, d_emb = l_dst_terms(emb, sim_embeddings, kp)
-    return value, embedding_grads(model, z, d_emb)
 
 
 # ---------------------------------------------------------------------------

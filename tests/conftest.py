@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tgcl.backbone import Backbone, build_context, snapshot
+from tgcl.backbone import Backbone, snapshot
 from tgcl.graph import Event, NodeRecord, PeriodSpec, SynthConfig, TemporalGraph, generate_synthetic
 
 
@@ -53,10 +53,6 @@ def toy_model(feature_dim=3, hidden_dim=5, classes=(0, 1, 2), seed=0):
     return model
 
 
-def random_context(graph, node_id, eval_time):
-    return build_context(graph, node_id, eval_time)
-
-
 def finite_difference_grads(loss_fn, model, eps=1e-5):
     """Central finite differences of loss_fn() w.r.t. every model parameter."""
     grads = {}
@@ -92,8 +88,7 @@ def trained_toy_snapshot(graph, view, seed=0, steps=40, lr=0.2, hidden_dim=16):
     """Quickly fit a model on a view's training nodes; return its snapshot."""
     from tgcl.backbone import build_contexts, build_inputs, loss_and_grads_from_inputs
 
-    feature_dim = next(iter(graph.nodes.values())).feature.shape[0]
-    model = Backbone(feature_dim, hidden_dim=hidden_dim, seed=seed)
+    model = Backbone(graph.feature_dim, hidden_dim=hidden_dim, seed=seed)
     classes = sorted({graph.nodes[v].class_id for v in view.nodes_of("all")})
     model.grow_head(classes)
     ids = view.nodes_of("all", "train")

@@ -2,9 +2,11 @@
 
 These are deliberately direct: a single-pair kernel, the per-candidate
 greedy witness, the full n x n matrix greedy and exhaustive subset
-enumeration. None of them is used by the pipeline. The module also holds
-helpers only tests use: greedy picks of one part by node id, exact graph
-equality and the mean epoch time of a log.
+enumeration, the per-node model-input loop, the per-node frozen loss and
+the alignment loss with model gradients. None of them is used by the
+pipeline. The module also holds helpers only tests use: greedy picks of
+one part by node id, exact graph equality and the mean epoch time of a
+log.
 """
 
 from __future__ import annotations
@@ -14,6 +16,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from tgcl.backbone import (
+    K_NEIGHBORS,
+    Model,
+    classify_batch,
+    embed_batch,
+    embedding_grads,
+    input_dim,
+)
 from tgcl.graph import TemporalGraph
 from tgcl.kernels import KernelParams, _as_points, kernel_matrix
 from tgcl.selector import (
@@ -24,6 +34,55 @@ from tgcl.selector import (
     _ids_of,
     subset_objective,
 )
+from tgcl.trainer import l_dst_terms
+
+
+def reference_inputs(
+    graph: TemporalGraph, node_ids: Sequence[int], eval_time: float, k: int = K_NEIGHBORS
+) -> np.ndarray:
+    """Model inputs node by node, read straight off ``graph.events``.
+
+    Per node: its own feature, then the sum of its ``k`` most recent
+    neighbours' features (events at or before ``eval_time``; among equal
+    times the later event is the more recent) and of ``log1p(dt)``, both
+    taken newest first and divided by ``k``.
+    """
+    rows = []
+    for v in node_ids:
+        x = graph.nodes[v].feature
+        seen = [
+            (e.t, e.dst if e.src == v else e.src)
+            for e in graph.events
+            if v in (e.src, e.dst) and e.t <= eval_time
+        ]
+        nbr = np.zeros_like(x)
+        dt_acc = 0.0
+        for t, u in reversed(seen[max(0, len(seen) - k) :]):
+            nbr = nbr + graph.nodes[u].feature
+            dt_acc += np.log1p(float(eval_time - t))
+        rows.append(np.concatenate([x, nbr / k, [dt_acc / k]]))
+    if not rows:
+        return np.zeros((0, input_dim(graph.feature_dim)))
+    return np.stack(rows)
+
+
+def j_cls(prev: Model, z: np.ndarray, class_id: int) -> float:
+    """Cross-entropy of the frozen model's prediction for one input row."""
+    probs = classify_batch(prev, np.asarray(z, dtype=float)[None, :])[0]
+    idx = prev.class_index(class_id)
+    return float(-np.log(np.clip(probs[idx], 1e-300, None)))
+
+
+def l_dst(
+    model: Model, z_sub: np.ndarray, sim_embeddings: np.ndarray, kp: KernelParams
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Alignment loss of live input rows against frozen anchor embeddings,
+    with its gradients w.r.t. the model parameters."""
+    if len(z_sub) == 0:
+        raise ValueError("alignment loss requires nonempty subsets on both sides")
+    emb = embed_batch(model, z_sub)
+    value, d_emb = l_dst_terms(emb, sim_embeddings, kp)
+    return value, embedding_grads(model, z_sub, d_emb)
 
 
 def rbf(x, y, params: KernelParams) -> float:

@@ -33,10 +33,10 @@ from tgcl.selector import (
     select,
     subset_objective,
 )
-from tgcl.trainer import TrainConfig, l_dst, l_dst_terms, train_period
+from tgcl.trainer import TrainConfig, l_dst_terms, train_period
 
 from conftest import finite_difference_grads, max_rel_error
-from oracles import brute_force_select, greedy_select_sim, greedy_select_sub
+from oracles import brute_force_select, greedy_select_sim, greedy_select_sub, l_dst
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -205,8 +205,7 @@ def test_criterion_05_gradient_correctness():
     for seed in range(20):
         graph, model, ids = _toy_instance(seed)
         rng = np.random.default_rng(seed)
-        ctxs = build_contexts(graph, ids[:5], 1.0)
-        z = build_inputs(ctxs)
+        z = build_inputs(build_contexts(graph, ids[:5], 1.0))
         y = np.array([model.class_index(graph.nodes[v].class_id) for v in ids[:5]])
         _, analytic = loss_and_grads_from_inputs(model, z, y)
         numeric = finite_difference_grads(
@@ -214,12 +213,11 @@ def test_criterion_05_gradient_correctness():
         )
         worst = max(worst, max_rel_error(analytic, numeric))
 
-        sim_ctxs = build_contexts(graph, ids[5:10], 1.0)
-        sim_emb = embed_batch(model, build_inputs(sim_ctxs))
+        sim_emb = embed_batch(model, build_inputs(build_contexts(graph, ids[5:10], 1.0)))
         kp = KernelParams(1.2)
-        _, analytic = l_dst(model, ctxs, sim_emb, kp)
+        _, analytic = l_dst(model, z, sim_emb, kp)
         numeric = finite_difference_grads(
-            lambda: l_dst(model, ctxs, sim_emb, kp)[0], model, eps=1e-5
+            lambda: l_dst(model, z, sim_emb, kp)[0], model, eps=1e-5
         )
         worst = max(worst, max_rel_error(analytic, numeric))
     elapsed = time.perf_counter() - t0
@@ -430,9 +428,7 @@ def test_criterion_10_partition_study(partition_results):
     cfg = load_config(None, preset="main")
     graph = generate_synthetic(SynthConfig.from_dict(cfg["data"]["synthetic"]))
     view1 = split_period(graph, 1, split_seed=0)
-    model = Backbone(
-        next(iter(graph.nodes.values())).feature.shape[0], hidden_dim=64, seed=0
-    )
+    model = Backbone(graph.feature_dim, hidden_dim=64, seed=0)
     model.grow_head(sorted(graph.period(1).classes))
     model.grow_head(sorted(graph.period(2).classes))
     prev = snapshot(model)

@@ -6,21 +6,15 @@ import pytest
 from tgcl.backbone import (
     Backbone,
     K_NEIGHBORS,
-    NodeContext,
     Snapshot,
-    build_context,
     build_contexts,
     build_inputs,
-    classify,
     classify_batch,
-    embed,
     embed_batch,
     from_checkpoint_dict,
     checkpoint_dict,
-    input_vector,
     input_dim,
     load_checkpoint,
-    loss_and_grads,
     loss_and_grads_from_inputs,
     node_inputs,
     save_checkpoint,
@@ -30,6 +24,7 @@ import tgcl.backbone as backbone_module
 from tgcl.graph import Event, NodeRecord, PeriodSpec, SynthConfig, TemporalGraph, generate_synthetic, split_period
 
 from conftest import finite_difference_grads, max_rel_error, toy_model
+from oracles import reference_inputs
 
 
 def manual_forward(model, z):
@@ -59,16 +54,12 @@ def manual_classify(model, z):
     return np.array([e / total for e in exps])
 
 
-def random_ctx(rng, feature_dim=3, n_neighbors=2):
-    from tgcl.backbone import NeighborInfo
-    from tgcl.graph import NodeRecord
-
-    rec = NodeRecord(id=0, class_id=0, birth_period=1, feature=rng.normal(size=feature_dim))
-    nbrs = tuple(
-        NeighborInfo(feature=rng.normal(size=feature_dim), dt=float(rng.uniform(0, 3)))
-        for _ in range(n_neighbors)
-    )
-    return NodeContext(node=rec, neighbors=nbrs)
+def random_inputs(rng, n=1, feature_dim=3):
+    """``n`` model input rows: own and neighbour-mean features, then a
+    nonnegative recency column."""
+    z = rng.normal(size=(n, input_dim(feature_dim)))
+    z[:, -1] = np.abs(z[:, -1])
+    return z
 
 
 def random_graph(rng, n=40, dim=3, silent=5, n_events=150):
@@ -89,8 +80,69 @@ def random_graph(rng, n=40, dim=3, silent=5, n_events=150):
     return TemporalGraph.from_parts(nodes, events, periods)
 
 
-def oracle_inputs(graph, ids, eval_time):
-    return build_inputs(build_contexts(graph, list(ids), eval_time))
+class TestBuildInputs:
+    EVAL_TIMES = (-1.0, 0.0, 0.25, 0.5, 1.0, 1.3, 2.0)
+
+    def test_equals_reference_on_random_graphs(self):
+        # sparse graphs leave most nodes fewer than k neighbours; dense ones
+        # exceed k; every graph has time ties and silent nodes
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            graph = random_graph(rng, n=30, n_events=int(rng.choice([0, 20, 60, 300])))
+            ids = sorted(graph.nodes)
+            want = [ids[i] for i in rng.choice(len(ids), size=45, replace=True)]  # repeats, unsorted
+            for t in self.EVAL_TIMES:
+                got = build_inputs(build_contexts(graph, want, t))
+                assert np.array_equal(got, reference_inputs(graph, want, t)), (seed, t)
+                assert np.array_equal(node_inputs(graph, want, t), got), (seed, t)
+
+    @pytest.mark.parametrize("k", [1, 3, K_NEIGHBORS + 5])
+    def test_equals_reference_for_other_slot_counts(self, k):
+        graph = random_graph(np.random.default_rng(k), n_events=200)
+        ids = sorted(graph.nodes)[::-1]
+        for t in (0.5, 2.0):
+            got = build_inputs(build_contexts(graph, ids, t, k), k)
+            assert np.array_equal(got, reference_inputs(graph, ids, t, k))
+
+    def test_equals_reference_on_synthetic_graph(self, small_synth):
+        ids = sorted(small_synth.nodes)
+        for t in (0.0, 1.0, 1.5, 3.0):
+            assert np.array_equal(
+                build_inputs(build_contexts(small_synth, ids, t)), reference_inputs(small_synth, ids, t)
+            )
+
+    def test_empty_ids(self, small_synth):
+        assert build_inputs(build_contexts(small_synth, [], 1.0)).shape == (0, input_dim(4))
+
+    def test_graph_without_events(self):
+        graph = random_graph(np.random.default_rng(0), n_events=0)
+        ids = sorted(graph.nodes)
+        ctxs = build_contexts(graph, ids, 2.0)
+        assert (ctxs.nbrs == -1).all() and not ctxs.dt.any()
+        assert np.array_equal(build_inputs(ctxs), reference_inputs(graph, ids, 2.0))
+
+
+class TestNeighborIndex:
+    def test_entries_ordered_by_time_then_event_order(self):
+        graph = random_graph(np.random.default_rng(0), n_events=400)
+        index = graph.neighbor_index
+        assert list(index.ids) == sorted(graph.nodes)
+        assert np.array_equal(index.features, np.stack([graph.nodes[v].feature for v in index.ids]))
+        assert index.indptr[0] == 0 and index.indptr[-1] == 2 * len(graph.events)
+        for r, v in enumerate(index.ids):
+            lo, hi = index.indptr[r], index.indptr[r + 1]
+            got = list(zip(index.times[lo:hi].tolist(), index.ids[index.nbr[lo:hi]].tolist()))
+            want = [(e.t, e.dst if e.src == v else e.src) for e in graph.events if v in (e.src, e.dst)]
+            assert got == want, v
+            assert (np.diff(index.times[lo:hi]) >= 0).all()
+
+    def test_rows_of(self):
+        graph = random_graph(np.random.default_rng(1))
+        index = graph.neighbor_index
+        assert index.rows_of([7, 1, 7]).tolist() == [2, 0, 2]
+        assert index.rows_of([]).shape == (0,)
+        with pytest.raises(KeyError):
+            index.rows_of([1, 2])
 
 
 class TestNodeInputs:
@@ -105,25 +157,25 @@ class TestNodeInputs:
             want = [ids[i] for i in rng.choice(len(ids), size=int(rng.integers(1, 25)), replace=True)]
             got = node_inputs(graph, want, t)
             assert got.shape == (len(want), input_dim(3))
-            assert np.array_equal(got, oracle_inputs(graph, want, t))
+            assert np.array_equal(got, reference_inputs(graph, want, t))
         for t in self.EVAL_TIMES:  # every row, in reverse id order
-            assert np.array_equal(node_inputs(graph, ids[::-1], t), oracle_inputs(graph, ids[::-1], t))
+            assert np.array_equal(node_inputs(graph, ids[::-1], t), reference_inputs(graph, ids[::-1], t))
 
     def test_nodes_without_events_get_own_feature_only(self):
         graph = random_graph(np.random.default_rng(1))
         silent = sorted(graph.nodes)[:5]
         z = node_inputs(graph, silent, 2.0)
-        assert np.array_equal(z, oracle_inputs(graph, silent, 2.0))
+        assert np.array_equal(z, reference_inputs(graph, silent, 2.0))
         assert np.array_equal(z[:, :3], np.stack([graph.nodes[v].feature for v in silent]))
         assert not z[:, 3:].any()
 
     def test_each_row_built_once_per_eval_time(self, monkeypatch):
         graph = random_graph(np.random.default_rng(2))
         ids = sorted(graph.nodes)
-        built = []
+        calls = []
 
         def counting(g, node_ids, eval_time, k=K_NEIGHBORS):
-            built.extend((v, eval_time) for v in node_ids)
+            calls.append((list(node_ids), eval_time))
             return build_contexts(g, node_ids, eval_time, k)
 
         monkeypatch.setattr(backbone_module, "build_contexts", counting)
@@ -131,7 +183,8 @@ class TestNodeInputs:
         node_inputs(graph, ids[5:20], 1.0)
         node_inputs(graph, ids[5:20], 2.0)
         node_inputs(graph, ids[:20], 1.0)
-        assert sorted(built) == sorted({(v, 1.0) for v in ids[:20]} | {(v, 2.0) for v in ids[5:20]})
+        node_inputs(graph, ids[::-1], 2.0)
+        assert calls == [(ids, 1.0), (ids, 2.0)]
 
     def test_graphs_sharing_node_ids_do_not_share_rows(self):
         a = random_graph(np.random.default_rng(3))
@@ -140,7 +193,7 @@ class TestNodeInputs:
         ids = sorted(a.nodes)
         za = node_inputs(a, ids, 2.0)
         zb = node_inputs(b, ids, 2.0)
-        assert np.array_equal(zb, oracle_inputs(b, ids, 2.0))
+        assert np.array_equal(zb, reference_inputs(b, ids, 2.0))
         assert np.array_equal(node_inputs(a, ids, 2.0), za)
         assert not np.array_equal(za, zb)
 
@@ -154,33 +207,43 @@ class TestNodeInputs:
         for bad in (0, 2, 10**6, -5):
             with pytest.raises(KeyError):
                 node_inputs(graph, [1, bad], 1.0)
+            with pytest.raises(KeyError):
+                build_contexts(graph, [1, bad], 1.0)
 
     def test_returned_rows_are_copies(self):
         graph = random_graph(np.random.default_rng(7))
         ids = sorted(graph.nodes)[5:9]
         z = node_inputs(graph, ids, 2.0)
         z[:] = 0.0
-        assert np.array_equal(node_inputs(graph, ids, 2.0), oracle_inputs(graph, ids, 2.0))
+        assert np.array_equal(node_inputs(graph, ids, 2.0), reference_inputs(graph, ids, 2.0))
 
 
 class TestContexts:
     def test_most_recent_neighbors_first(self, two_period_graph):
-        ctx = build_context(two_period_graph, 0, eval_time=2.0)
-        # node 0 touches events at t=0.5, 1.2, 1.5 -> dt 0.5, 0.8, 1.5
-        assert [round(n.dt, 6) for n in ctx.neighbors] == [0.5, 0.8, 1.5]
+        ctxs = build_contexts(two_period_graph, [0], eval_time=2.0)
+        ids = two_period_graph.neighbor_index.ids
+        # node 0 touches events at t=0.5 (node 1), 1.2 (node 1), 1.5 (node 2)
+        assert np.round(ctxs.dt[0, :3], 6).tolist() == [0.5, 0.8, 1.5]
+        assert ids[ctxs.nbrs[0, :3]].tolist() == [2, 1, 1]
+        assert (ctxs.nbrs[0, 3:] == -1).all() and not ctxs.dt[0, 3:].any()
 
     def test_neighbor_cap(self, small_synth):
-        for v in list(small_synth.nodes)[:20]:
-            ctx = build_context(small_synth, v, eval_time=3.0)
-            assert len(ctx.neighbors) <= K_NEIGHBORS
+        ids = list(small_synth.nodes)[:20]
+        ctxs = build_contexts(small_synth, ids, eval_time=3.0)
+        assert ctxs.nbrs.shape == ctxs.dt.shape == (20, K_NEIGHBORS)
+        for v, row in zip(ids, ctxs.nbrs):
+            incident = sum(v in (e.src, e.dst) for e in small_synth.events)
+            assert (row >= 0).sum() == min(incident, K_NEIGHBORS)
 
     def test_future_events_excluded(self, two_period_graph):
-        ctx = build_context(two_period_graph, 0, eval_time=1.0)
-        assert [round(n.dt, 6) for n in ctx.neighbors] == [0.5]
+        ctxs = build_contexts(two_period_graph, [0], eval_time=1.0)
+        assert np.round(ctxs.dt[0, :1], 6).tolist() == [0.5]
+        assert (ctxs.nbrs[0, 1:] == -1).all()
 
     def test_isolated_node_gets_zero_slots(self, two_period_graph):
-        ctx = build_context(two_period_graph, 3, eval_time=1.0)  # first event at 1.8
-        z = input_vector(ctx)
+        ctxs = build_contexts(two_period_graph, [3], eval_time=1.0)  # first event at 1.8
+        assert (ctxs.nbrs == -1).all()
+        z = build_inputs(ctxs)[0]
         f = two_period_graph.nodes[3].feature
         assert np.array_equal(z[: len(f)], f)
         assert np.all(z[len(f) :] == 0.0)
@@ -191,84 +254,85 @@ class TestEmbed:
         model = toy_model()
         model.w_agg[:] = 0.0
         model.w_hid[:] = 0.0
-        rng = np.random.default_rng(0)
-        ctx = random_ctx(rng)
-        assert np.all(embed(model, ctx) == 0.0)
+        z = random_inputs(np.random.default_rng(0), n=4)
+        assert np.all(embed_batch(model, z) == 0.0)
 
     def test_deterministic(self):
         model = toy_model(seed=1)
-        ctx = random_ctx(np.random.default_rng(1))
-        assert np.array_equal(embed(model, ctx), embed(model, ctx))
+        z = random_inputs(np.random.default_rng(1), n=4)
+        assert np.array_equal(embed_batch(model, z), embed_batch(model, z))
 
     def test_matches_manual_recompute(self):
         rng = np.random.default_rng(2)
         model = toy_model(feature_dim=3, hidden_dim=4, seed=2)
-        for _ in range(5):
-            ctx = random_ctx(rng)
-            z = input_vector(ctx)
-            assert embed(model, ctx) == pytest.approx(manual_forward(model, z), abs=1e-12)
+        z = random_inputs(rng, n=5)
+        emb = embed_batch(model, z)
+        for i in range(5):
+            assert emb[i] == pytest.approx(manual_forward(model, z[i]), abs=1e-12)
+            assert embed_batch(model, z[i]) == pytest.approx(emb[i : i + 1], abs=1e-12)
 
     def test_dim_mismatch(self):
         model = toy_model(feature_dim=5)
-        ctx = random_ctx(np.random.default_rng(3), feature_dim=3)
+        z = random_inputs(np.random.default_rng(3), feature_dim=3)
         with pytest.raises(ValueError):
-            embed(model, ctx)
+            embed_batch(model, z)
 
 
 class TestClassify:
     def test_single_class_head(self):
         model = toy_model(classes=(7,))
-        ctx = random_ctx(np.random.default_rng(4))
-        probs = classify(model, ctx)
-        assert probs.shape == (1,) and probs[0] == 1.0
+        probs = classify_batch(model, random_inputs(np.random.default_rng(4), n=3))
+        assert probs.shape == (3, 1) and (probs == 1.0).all()
 
     def test_uniform_for_zero_logits(self):
         model = toy_model(classes=(0, 1, 2, 3))
         model.w_head[:] = 0.0
-        probs = classify(model, random_ctx(np.random.default_rng(5)))
-        assert probs == pytest.approx(np.full(4, 0.25), abs=1e-12)
+        probs = classify_batch(model, random_inputs(np.random.default_rng(5), n=3))
+        assert probs == pytest.approx(np.full((3, 4), 0.25), abs=1e-12)
 
     def test_matches_manual_recompute(self):
         rng = np.random.default_rng(6)
         model = toy_model(feature_dim=3, hidden_dim=4, seed=6)
-        ctx = random_ctx(rng)
-        z = input_vector(ctx)
-        assert classify(model, ctx) == pytest.approx(manual_classify(model, z), abs=1e-12)
+        z = random_inputs(rng, n=3)
+        probs = classify_batch(model, z)
+        for i in range(3):
+            assert probs[i] == pytest.approx(manual_classify(model, z[i]), abs=1e-12)
 
     def test_simplex(self):
         rng = np.random.default_rng(7)
         model = toy_model(seed=7)
-        for _ in range(25):
-            probs = classify(model, random_ctx(rng))
-            assert (probs >= 0).all()
-            assert abs(probs.sum() - 1.0) <= 1e-9
+        probs = classify_batch(model, random_inputs(rng, n=25))
+        assert (probs >= 0).all()
+        assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-9
 
     def test_empty_head(self):
         model = Backbone(3)
         with pytest.raises(ValueError, match="empty"):
-            classify(model, random_ctx(np.random.default_rng(8)))
+            classify_batch(model, random_inputs(np.random.default_rng(8)))
 
 
 class TestLossAndGrads:
     def test_empty_batch(self):
         model = toy_model()
-        loss, grads = loss_and_grads(model, [])
+        loss, grads = loss_and_grads_from_inputs(model, np.zeros((0, input_dim(3))), np.zeros(0, int))
         assert loss == 0.0
         assert all(np.all(g == 0.0) for g in grads.values())
 
     def test_duplicated_batch_same_loss(self):
         rng = np.random.default_rng(9)
         model = toy_model(seed=9)
-        batch = [(random_ctx(rng), i % 3) for i in range(4)]
-        loss_once, _ = loss_and_grads(model, batch)
-        loss_twice, _ = loss_and_grads(model, batch + batch)
+        z = random_inputs(rng, n=4)
+        y = np.arange(4) % 3
+        loss_once, _ = loss_and_grads_from_inputs(model, z, y)
+        loss_twice, _ = loss_and_grads_from_inputs(model, np.vstack([z, z]), np.concatenate([y, y]))
         assert loss_twice == pytest.approx(loss_once, abs=1e-12)
 
     def test_label_out_of_range(self):
         model = toy_model(classes=(0, 1))
-        rng = np.random.default_rng(10)
-        with pytest.raises(ValueError):
-            loss_and_grads(model, [(random_ctx(rng), 5)])
+        z = random_inputs(np.random.default_rng(10))
+        for bad in (2, 5, -1):
+            with pytest.raises(ValueError):
+                loss_and_grads_from_inputs(model, z, np.array([bad]))
 
     def test_gradients_match_finite_differences(self):
         for seed in range(20):
@@ -278,9 +342,8 @@ class TestLossAndGrads:
             # pre-activations on the rectifier kink, where central
             # differences straddle the subgradient
             model.b_hid = rng.normal(0.0, 0.05, size=model.b_hid.shape)
-            batch = [(random_ctx(rng), int(rng.integers(0, 3))) for _ in range(5)]
-            z = build_inputs([c for c, _ in batch])
-            y = np.array([model.class_index(l) for _, l in batch])
+            z = random_inputs(rng, n=5)
+            y = rng.integers(0, 3, size=5)
             _, analytic = loss_and_grads_from_inputs(model, z, y)
             numeric = finite_difference_grads(
                 lambda: loss_and_grads_from_inputs(model, z, y)[0], model
@@ -323,23 +386,24 @@ class TestSnapshot:
         rng = np.random.default_rng(11)
         model = toy_model(seed=11)
         model.b_hid += 0.5  # keep the probe's embedding path live
-        ctx = random_ctx(rng)
-        batch = [(random_ctx(rng), int(rng.integers(0, 3))) for _ in range(6)]
+        probe = random_inputs(rng)
+        z = random_inputs(rng, n=6)
+        y = rng.integers(0, 3, size=6)
         snap = snapshot(model)
-        ref = embed(snap, ctx).copy()
+        ref = embed_batch(snap, probe).copy()
         assert np.any(ref != 0.0)
         for _ in range(10):
-            _, grads = loss_and_grads(model, batch)
+            _, grads = loss_and_grads_from_inputs(model, z, y)
             model.apply_gradients(grads, 0.1)
-        assert np.array_equal(embed(snap, ctx), ref)
-        assert not np.array_equal(embed(model, ctx), ref)
+        assert np.array_equal(embed_batch(snap, probe), ref)
+        assert not np.array_equal(embed_batch(model, probe), ref)
 
     def test_snapshot_of_snapshot(self):
         model = toy_model(seed=12)
-        ctx = random_ctx(np.random.default_rng(12))
+        z = random_inputs(np.random.default_rng(12), n=4)
         s1 = snapshot(model)
         s2 = snapshot(s1)
-        assert np.array_equal(embed(s1, ctx), embed(s2, ctx))
+        assert np.array_equal(embed_batch(s1, z), embed_batch(s2, z))
 
     def test_snapshot_params_readonly(self):
         snap = snapshot(toy_model())
@@ -353,9 +417,8 @@ class TestSnapshot:
         save_checkpoint(snap, path)
         loaded = load_checkpoint(path)
         assert isinstance(loaded, Snapshot)
-        for _ in range(100):
-            ctx = random_ctx(rng)
-            assert np.array_equal(embed(snap, ctx), embed(loaded, ctx))
+        z = random_inputs(rng, n=100)
+        assert np.array_equal(embed_batch(snap, z), embed_batch(loaded, z))
 
     def test_backbone_checkpoint_preserves_grow_stream(self, tmp_path):
         a = Backbone(3, hidden_dim=4, seed=21)

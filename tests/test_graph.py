@@ -1,7 +1,14 @@
+import csv
 import json
+import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tgcl.graph import (
     Event,
@@ -285,6 +292,18 @@ class TestPersistence:
         loaded = load_graph(paths["nodes"], paths["events"], paths["periods"])
         assert graphs_equal(two_period_graph, loaded)
 
+    def test_line_numbers_count_physical_lines(self, tmp_path, two_period_graph):
+        # a quoted cell spanning two lines shifts every later row by one line
+        paths = save_graph(two_period_graph, tmp_path)
+        lines = paths["nodes"].read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[-1] = f'"{cells[-1]}\n"'  # float() accepts the trailing newline
+        lines[1] = ",".join(cells)
+        lines[3] = lines[3].replace(",2,", ",7,", 1)  # now on physical line 5
+        paths["nodes"].write_text("\n".join(lines) + "\n")
+        with pytest.raises(GraphFormatError, match=r"nodes\.csv:5: period 7 of node 2"):
+            load_graph(paths["nodes"], paths["events"], paths["periods"])
+
     def test_duplicate_node_id(self, tmp_path, two_period_graph):
         paths = save_graph(two_period_graph, tmp_path)
         lines = paths["nodes"].read_text().splitlines()
@@ -334,3 +353,91 @@ class TestPersistence:
         periods = (PeriodSpec(1, -np.inf, 1.0, (0,)),) + two_period_graph.periods[1:]
         with pytest.raises(ValueError, match="period 1 has non-finite bounds"):
             TemporalGraph.from_parts(two_period_graph.nodes.values(), two_period_graph.events, periods)
+
+
+def _mutation_graph():
+    """A small graph whose files have every kind of cell: ids, labels,
+    periods, features, times, bounds and class lists."""
+    return generate_synthetic(
+        SynthConfig(num_periods=2, classes_per_period=2, nodes_per_class_per_period=3,
+                    feature_dim=2, events_per_node=1, seed=4)
+    )
+
+
+#: replacement cell values: numbers near the valid ones, non-finite and
+#: out-of-range numbers, and arbitrary text
+_CSV_VALUES = st.one_of(
+    st.integers(-3, 20).map(str),
+    st.floats(-1.0, 3.0).map(repr),
+    st.sampled_from(["", "nan", "inf", "-inf", "1e400", "-0", " 1", "1.5", "0x10", "1_0"]),
+    st.text(max_size=6),
+)
+_JSON_VALUES = st.one_of(
+    st.integers(-3, 20),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.lists(st.integers(-1, 6), max_size=3),
+)
+
+
+class TestLoaderProperty:
+    """Mutate one cell of a saved graph: it either loads, or the loader
+    raises ``GraphFormatError`` naming the mutated file (and, for a CSV
+    file, a line of it, which must be the mutated one)."""
+
+    @staticmethod
+    def check(paths, mutated: Path, line: int | None) -> None:
+        try:
+            load_graph(paths["nodes"], paths["events"], paths["periods"])
+        except GraphFormatError as exc:
+            msg = str(exc)
+            assert mutated.name in msg, msg
+            if line is not None:
+                # a fault found in another file (say, an event naming a node
+                # id that the mutated nodes.csv no longer defines) carries that
+                # file's line; a fault placed in the mutated file names its line
+                lines = [int(n) for n in re.findall(rf"{re.escape(mutated.name)}:(\d+)", msg)]
+                assert not lines or line in lines, msg
+                assert re.search(r"\.csv:\d+", msg), msg
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["nodes", "events"]),
+        row=st.integers(0, 10**6),
+        col=st.integers(0, 10**6),
+        value=_CSV_VALUES,
+    )
+    @example(kind="nodes", row=1, col=0, value="1")  # duplicate id, first seen a line later
+    @example(kind="nodes", row=1, col=0, value="99")  # events still name node 0
+    def test_csv_cell(self, kind, row, col, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = save_graph(_mutation_graph(), tmp)
+            with paths[kind].open(newline="") as fh:
+                rows = list(csv.reader(fh))
+            r = row % len(rows)
+            rows[r][col % len(rows[r])] = value
+            with paths[kind].open("w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+            self.check(paths, paths[kind], r + 1)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        entry=st.integers(0, 1),
+        field=st.sampled_from(["index", "t_start", "t_end", "classes", "class"]),
+        pick=st.integers(0, 10),
+        value=_JSON_VALUES,
+    )
+    @example(entry=0, field="index", pick=0, value=math.inf)
+    def test_period_cell(self, entry, field, pick, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = save_graph(_mutation_graph(), tmp)
+            raw = json.loads(paths["periods"].read_text())
+            if field == "class":  # one element of the class list
+                classes = raw[entry]["classes"]
+                classes[pick % len(classes)] = value
+            else:
+                raw[entry][field] = value
+            paths["periods"].write_text(json.dumps(raw))
+            self.check(paths, paths["periods"], None)

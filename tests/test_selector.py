@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import tgcl.selector as selector_module
-from tgcl.backbone import Backbone, NodeContext, snapshot
-from tgcl.graph import NodeRecord, SynthConfig, generate_synthetic, split_period
-from tgcl.kernels import KernelParams, kernel_bound_check, kernel_matrix, mmd_sq
+from tgcl.backbone import Backbone, input_dim, node_inputs, snapshot
+from tgcl.graph import SynthConfig, generate_synthetic, split_period
+from tgcl.kernels import KernelParams, kernel_bound_check, kernel_matrix, median_heuristic_gamma, mmd_sq
 from tgcl.selector import (
     SCORE_TERMS,
     SCORING_MODES,
@@ -18,14 +18,13 @@ from tgcl.selector import (
     _share,
     baseline_select,
     build_pool,
-    j_cls,
     partition,
     select,
     subset_objective,
 )
 
 from conftest import trained_toy_snapshot
-from oracles import brute_force_select, greedy_reference, greedy_select_sim, greedy_select_sub
+from oracles import brute_force_select, greedy_reference, greedy_select_sim, greedy_select_sub, j_cls
 
 
 def make_pool(rng, n, dim=2, gamma=1.0, jcls=None, ids=None):
@@ -46,20 +45,20 @@ def flat_model(feature_dim=2, hidden_dim=4, classes=(0, 1, 2)):
     return model
 
 
-def ctx_for_class(c, feature_dim=2):
-    rec = NodeRecord(id=0, class_id=c, birth_period=1, feature=np.zeros(feature_dim))
-    return NodeContext(node=rec, neighbors=())
+def zero_input(feature_dim=2):
+    """Input row of a node with a zero feature and no neighbours."""
+    return np.zeros(input_dim(feature_dim))
 
 
 class TestJCls:
     def test_perfect_prediction_zero_loss(self):
         model = flat_model()
         model.w_head[0, :] = 25.0  # logit 100 for class 0, 0 elsewhere
-        assert j_cls(snapshot(model), ctx_for_class(0)) == pytest.approx(0.0, abs=1e-12)
+        assert j_cls(snapshot(model), zero_input(), 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_prediction_log_c(self):
         model = flat_model(classes=(0, 1, 2))
-        assert j_cls(snapshot(model), ctx_for_class(1)) == pytest.approx(math.log(3), abs=1e-12)
+        assert j_cls(snapshot(model), zero_input(), 1) == pytest.approx(math.log(3), abs=1e-12)
 
     def test_matches_hand_log_loss(self):
         model = flat_model(classes=(0, 1, 2))
@@ -68,12 +67,12 @@ class TestJCls:
         logits = model.w_head.sum(axis=1)  # embedding is all ones
         exps = [math.exp(l - max(logits)) for l in logits]
         expected = -math.log(exps[2] / sum(exps))
-        assert j_cls(snapshot(model), ctx_for_class(2)) == pytest.approx(expected, abs=1e-12)
+        assert j_cls(snapshot(model), zero_input(), 2) == pytest.approx(expected, abs=1e-12)
 
     def test_unknown_label_rejected(self):
         model = flat_model(classes=(0, 1))
         with pytest.raises(ValueError, match="unknown"):
-            j_cls(snapshot(model), ctx_for_class(9))
+            j_cls(snapshot(model), zero_input(), 9)
 
 
 class TestPartition:
@@ -334,7 +333,7 @@ class TestSelectMemory:
         view = split_period(graph, 2)
         n = len(view.nodes_of("old", "train"))
         assert 2500 <= n <= 3500
-        model = Backbone(graph.nodes[0].feature.shape[0], hidden_dim=16, seed=0)
+        model = Backbone(graph.feature_dim, hidden_dim=16, seed=0)
         model.grow_head(sorted(graph.period(1).classes))
         model.grow_head(sorted(graph.period(2).classes))
 
@@ -376,6 +375,11 @@ class TestBruteForce:
             brute_force_select(pool, 2, SelectionConfig(m=2, p=100))
 
 
+def with_median_kernel(pool, seed):
+    """The pool with the kernel ``select`` gives it: median-heuristic bandwidth."""
+    return SelectionPool(pool.ids, pool.emb, pool.jcls, median_heuristic_gamma(pool.emb, seed=seed))
+
+
 @pytest.fixture(scope="module")
 def sel_setting():
     graph = generate_synthetic(
@@ -392,13 +396,40 @@ def sel_setting():
     return graph, view, prev
 
 
+class TestBuildPool:
+    def test_jcls_matches_per_node_oracle(self, sel_setting):
+        graph, view, prev = sel_setting
+        old_train = list(view.nodes_of("old", "train"))
+        pool = build_pool(graph, view, old_train, prev)
+        z = node_inputs(graph, old_train, graph.period(2).t_end)
+        assert len(pool.jcls) == len(old_train)
+        for v, row, jc in zip(old_train, z, pool.jcls):
+            assert jc == pytest.approx(j_cls(prev, row, graph.nodes[v].class_id), rel=1e-12, abs=1e-15)
+
+    def test_bandwidth_computed_only_by_select(self, sel_setting, monkeypatch):
+        graph, view, prev = sel_setting
+        old_train = list(view.nodes_of("old", "train"))
+        assert build_pool(graph, view, old_train, prev).kp is None
+        cfg = SelectionConfig(m=6, m_prime=4, p=30, seed=3)
+        buffer = select(graph, view, prev, cfg)
+        pool = with_median_kernel(build_pool(graph, view, old_train, prev), cfg.seed)
+        assert buffer.meta["gamma"] == pool.kp.gamma
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("baselines do not use a kernel bandwidth")
+
+        monkeypatch.setattr(selector_module, "median_heuristic_gamma", forbidden)
+        for kind in ("random", "herding"):
+            assert len(baseline_select(kind, graph, view, prev, 6, seed=0).sub) == 6
+
+
 class TestSelect:
     def test_single_partition_matches_direct_greedy(self, sel_setting):
         graph, view, prev = sel_setting
         old_train = list(view.nodes_of("old", "train"))
         cfg = SelectionConfig(m=6, m_prime=4, p=len(old_train) + 1, seed=1)
         buffer = select(graph, view, prev, cfg)
-        pool = build_pool(graph, view, old_train, prev, gamma_seed=cfg.seed)
+        pool = with_median_kernel(build_pool(graph, view, old_train, prev), cfg.seed)
         direct = greedy_select_sub(pool, 6, cfg)
         assert buffer.sub_ids == direct
         assert buffer.sim == greedy_select_sim(pool, 4, cfg)
@@ -435,7 +466,7 @@ class TestSelect:
         graph, view, prev = sel_setting
         cfg = SelectionConfig(alpha=0.5, m=8, m_prime=6, p=30, seed=7)
         buffer = select(graph, view, prev, cfg)
-        pool = build_pool(graph, view, list(view.nodes_of("old", "train")), prev, gamma_seed=7)
+        pool = with_median_kernel(build_pool(graph, view, list(view.nodes_of("old", "train")), prev), 7)
         parts = partition(list(view.nodes_of("old", "train")), cfg, embeddings=pool.emb)
         objectives = buffer.meta["part_objectives"]
         assert len(objectives) == len(parts) == len(buffer.meta["part_ms"])

@@ -15,13 +15,13 @@ from tgcl.selector import SelectionConfig, select
 from tgcl.trainer import (
     TrainConfig,
     ablation_terms,
-    l_dst,
     l_dst_terms,
     run_strategy,
     train_period,
 )
 
 from conftest import finite_difference_grads, max_rel_error, trained_toy_snapshot
+from oracles import l_dst
 
 
 @pytest.fixture(scope="module")
@@ -42,8 +42,7 @@ def setting():
 
 
 def grown_model(graph, through_period, seed=0, hidden_dim=12):
-    feature_dim = next(iter(graph.nodes.values())).feature.shape[0]
-    model = Backbone(feature_dim, hidden_dim=hidden_dim, seed=seed)
+    model = Backbone(graph.feature_dim, hidden_dim=hidden_dim, seed=seed)
     for i in range(1, through_period + 1):
         model.grow_head(sorted(graph.period(i).classes))
     return model
@@ -121,34 +120,53 @@ class TestLdstModelGrads:
         model = grown_model(graph, 1, seed=seed, hidden_dim=6)
         model.b_hid = rng.normal(0.0, 0.05, size=model.b_hid.shape)
         ids = view.nodes_of("all", "train")
-        ctxs = build_contexts(graph, ids[:4], 1.0)
-        sim_ctxs = build_contexts(graph, ids[4:9], 1.0)
-        sim_emb = embed_batch(model, build_inputs(sim_ctxs))
-        return model, ctxs, sim_ctxs, sim_emb
+        z_sub = build_inputs(build_contexts(graph, ids[:4], 1.0))
+        z_sim = build_inputs(build_contexts(graph, ids[4:9], 1.0))
+        sim_emb = embed_batch(model, z_sim)
+        return model, z_sub, z_sim, sim_emb
 
     def test_matches_fd_with_sim_frozen(self):
         kp = KernelParams(1.2)
         for seed in range(20):
-            model, ctxs, _, sim_emb = self.make_toy(seed)
-            _, analytic = l_dst(model, ctxs, sim_emb, kp)
+            model, z_sub, _, sim_emb = self.make_toy(seed)
+            _, analytic = l_dst(model, z_sub, sim_emb, kp)
             numeric = finite_difference_grads(
-                lambda: l_dst(model, ctxs, sim_emb, kp)[0], model
+                lambda: l_dst(model, z_sub, sim_emb, kp)[0], model
             )
             assert max_rel_error(analytic, numeric) < 1e-4, f"seed {seed}"
+
+    def test_training_aux_term_adds_l_dst(self):
+        # train_period passes the alignment loss to the CE step as ``aux``;
+        # its value and gradients must be the oracle's, scaled by beta
+        kp, beta = KernelParams(1.2), 0.7
+        for seed in range(5):
+            model, z_sub, _, sim_emb = self.make_toy(seed)
+            y = np.arange(len(z_sub)) % model.num_classes
+
+            def aux(e):
+                val, g = l_dst_terms(e, sim_emb, kp)
+                return beta * val, beta * g
+
+            total, grads = loss_and_grads_from_inputs(model, z_sub, y, aux=aux)
+            ce, ce_grads = loss_and_grads_from_inputs(model, z_sub, y)
+            ld, ld_grads = l_dst(model, z_sub, sim_emb, kp)
+            assert total == pytest.approx(ce + beta * ld, rel=1e-12)
+            for name in grads:
+                want = ce_grads[name] + beta * ld_grads[name]
+                assert np.allclose(grads[name], want, rtol=1e-10, atol=1e-12), name
 
     def test_stop_gradient_differs_from_live_sim(self):
         # when the anchor side is allowed to move with the parameters, the
         # finite-difference gradient picks up extra terms
         kp = KernelParams(1.2)
-        model, ctxs, sim_ctxs, _ = self.make_toy(1)
-        z_sim = build_inputs(sim_ctxs)
+        model, z_sub, z_sim, _ = self.make_toy(1)
 
         def live_loss():
             sim_now = embed_batch(model, z_sim)
-            sub_now = embed_batch(model, build_inputs(ctxs))
+            sub_now = embed_batch(model, z_sub)
             return l_dst_terms(sub_now, sim_now, kp)[0]
 
-        _, analytic = l_dst(model, ctxs, embed_batch(model, z_sim), kp)
+        _, analytic = l_dst(model, z_sub, embed_batch(model, z_sim), kp)
         live_fd = finite_difference_grads(live_loss, model)
         assert max_rel_error(analytic, live_fd) > 1e-3
 
