@@ -59,9 +59,8 @@ def build_contexts(
     """
     index = graph.neighbor_index
     rows = index.rows_of(node_ids)
-    seen = np.concatenate([[0], np.cumsum(index.times <= eval_time)])
     lo = index.indptr[rows]
-    hi = lo + seen[index.indptr[rows + 1]] - seen[lo]
+    hi = lo + index.row_counts(index.times <= eval_time)[rows]
     pos = hi[:, None] - 1 - np.arange(k)
     full = pos >= lo[:, None]
     nbrs = np.full(pos.shape, -1)

@@ -13,8 +13,12 @@ with controllable per-class feature drift, and CSV/JSON persistence.
 Each graph also builds, once and on first use, a CSR neighbour index
 (:class:`NeighborIndex`): node rows in sorted-id order with their feature
 matrix, and per row the incident events as (other endpoint's row, time)
-entries, sorted by time with ties in event order. It is the only structure
-model inputs are built from.
+entries, sorted by time with ties in event order. Model inputs, period
+views and debut periods are all read from it.
+
+Each validity rule is written once, in a check of one period entry, node
+record or event. Every graph runs them; :func:`load_graph` parses its files
+and runs the same checks row by row, naming file, line or entry, and field.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, asdict
+import sys
+from dataclasses import dataclass, asdict
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -87,11 +91,6 @@ class PeriodSpec:
     t_end: float
     classes: tuple[int, ...]
 
-    def contains(self, t: float, last: bool = False) -> bool:
-        if last:
-            return self.t_start <= t <= self.t_end
-        return self.t_start <= t < self.t_end
-
 
 @dataclass(frozen=True, eq=False)
 class NeighborIndex:
@@ -118,6 +117,11 @@ class NeighborIndex:
         if not known.all():
             raise KeyError(int(want[np.argmin(known)]))
         return rows
+
+    def row_counts(self, mask: np.ndarray) -> np.ndarray:
+        """Per row, how many of its entries ``mask`` (one flag per entry) sets."""
+        seen = np.concatenate([[0], np.cumsum(mask)])
+        return seen[self.indptr[1:]] - seen[self.indptr[:-1]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,14 +169,6 @@ class TemporalGraph:
             raise ValueError(f"unknown period index {n} (have 1..{len(self.periods)})")
         return self.periods[n - 1]
 
-    def period_of(self, t: float) -> int:
-        """Index of the unique period containing timestamp ``t``."""
-        starts = [p.t_start for p in self.periods]
-        i = bisect_right(starts, t) - 1
-        if i >= 0 and self.periods[i].contains(t, last=(i == len(self.periods) - 1)):
-            return self.periods[i].index
-        raise ValueError(f"timestamp {t} lies outside all periods")
-
     def classes_before(self, n: int) -> frozenset[int]:
         """Union of class sets introduced strictly before period ``n``."""
         out: set[int] = set()
@@ -180,23 +176,7 @@ class TemporalGraph:
             out.update(p.classes)
         return frozenset(out)
 
-    def events_in_period(self, n: int) -> tuple[Event, ...]:
-        spec = self.period(n)
-        ts = self._event_times
-        lo = bisect_left(ts, spec.t_start)
-        hi = bisect_right(ts, spec.t_end)
-        out = [
-            e
-            for e in self.events[lo:hi]
-            if spec.contains(e.t, last=(n == len(self.periods)))
-        ]
-        return tuple(out)
-
     # -- cached structure --------------------------------------------------
-
-    @cached_property
-    def _event_times(self) -> list[float]:
-        return [e.t for e in self.events]
 
     @cached_property
     def neighbor_index(self) -> NeighborIndex:
@@ -225,66 +205,98 @@ class TemporalGraph:
     @cached_property
     def debut_period(self) -> dict[int, int]:
         """First period each node is active in (has an event); nodes with no
-        events are absent."""
-        out: dict[int, int] = {}
-        for e in self.events:  # events are time-sorted, first hit wins
-            for v in (e.src, e.dst):
-                if v not in out:
-                    out[v] = self.period_of(e.t)
-        return out
+        events are absent. A node's first index entry is its earliest event."""
+        index = self.neighbor_index
+        active = np.flatnonzero(np.diff(index.indptr))
+        first = index.times[index.indptr[active]]
+        debut = np.searchsorted([p.t_start for p in self.periods], first, side="right")  # 1-based
+        return dict(zip(index.ids[active].tolist(), debut.tolist()))
+
+
+# ---------------------------------------------------------------------------
+# Validity rules. Each check returns what is wrong, or None; a node or event
+# fault also names the part it was checked against ("nodes", "periods" or
+# None), so the loader can name that part's file.
+# ---------------------------------------------------------------------------
+
+_Fault = tuple[str, str | None]
+
+
+def _period_fault(i: int, p: PeriodSpec, earlier: Sequence[PeriodSpec]) -> str | None:
+    """What is wrong with period entry ``i``, given the entries before it."""
+    if p.index != i + 1:
+        return f"index {p.index} != {i + 1}"
+    for name, t in (("t_start", p.t_start), ("t_end", p.t_end)):
+        if not math.isfinite(t):
+            return f"{name} {t} is not finite"
+    if not p.t_start < p.t_end:
+        return f"t_end {p.t_end} must exceed t_start {p.t_start}"
+    if earlier and p.t_start != earlier[-1].t_end:
+        return f"t_start {p.t_start} != previous t_end {earlier[-1].t_end}"
+    if not p.classes:
+        return "classes is empty"
+    wide = [c for c in p.classes if not -(2**63) <= c < 2**63]  # labels become int64 arrays
+    if wide:
+        return f"classes {wide} do not fit in int64"
+    repeated = set(p.classes).intersection(c for q in earlier for c in q.classes)
+    if repeated:
+        return f"classes {sorted(repeated)} appear in an earlier entry"
+    return None
+
+
+def _node_fault(rec: NodeRecord, periods: Sequence[PeriodSpec], dim: int) -> _Fault | None:
+    """What is wrong with one node record of a graph whose features have ``dim`` entries."""
+    v = rec.id
+    if not -(2**63) <= v < 2**63:  # ids become int64 arrays
+        return f"node id {v} does not fit in int64", None
+    if rec.feature.shape != (dim,):
+        return f"feature dimension of node {v}: shape {rec.feature.shape} != ({dim},)", None
+    if not np.isfinite(rec.feature).all():
+        return f"node {v} has a non-finite feature", None
+    if not 1 <= rec.birth_period <= len(periods):
+        return f"period {rec.birth_period} of node {v} is unknown (have 1..{len(periods)})", "periods"
+    birth = periods[rec.birth_period - 1]
+    if rec.class_id not in birth.classes:
+        return f"class {rec.class_id} of node {v} not in period {rec.birth_period} classes", "periods"
+    return None
+
+
+def _event_fault(
+    e: Event, nodes: Mapping[int, NodeRecord], periods: Sequence[PeriodSpec]
+) -> _Fault | None:
+    """What is wrong with one event. The periods are contiguous (their own
+    rule says so), so a range check places every event in one of them."""
+    for v in e.endpoints():
+        if v not in nodes:
+            return f"event references unknown node {v}", "nodes"
+    t_lo, t_hi = periods[0].t_start, periods[-1].t_end
+    if not t_lo <= e.t <= t_hi:
+        return f"timestamp {e.t} outside all periods [{t_lo}, {t_hi}]", "periods"
+    return None
 
 
 def _validate_graph(g: TemporalGraph) -> None:
     if not g.periods:
         raise ValueError("graph has no periods")
-    seen_classes: set[int] = set()
     for i, p in enumerate(g.periods):
-        if p.index != i + 1:
-            raise ValueError(f"period indices must be 1..P in order, got {p.index} at position {i}")
-        if not (math.isfinite(p.t_start) and math.isfinite(p.t_end)):
-            raise ValueError(f"period {p.index} has non-finite bounds [{p.t_start}, {p.t_end}]")
-        if not p.t_start < p.t_end:
-            raise ValueError(f"period {p.index} has empty time span")
-        if i > 0 and p.t_start != g.periods[i - 1].t_end:
-            raise ValueError(f"period {p.index} is not contiguous with period {p.index - 1}")
-        if not p.classes:
-            raise ValueError(f"period {p.index} has an empty class set")
-        overlap = seen_classes.intersection(p.classes)
-        if overlap:
-            raise ValueError(f"classes {sorted(overlap)} appear in more than one period")
-        seen_classes.update(p.classes)
-
-    dim = None
+        fault = _period_fault(i, p, g.periods[:i])
+        if fault:
+            raise ValueError(f"period {i + 1}: {fault}")
+    dim = next(iter(g.nodes.values())).feature.size if g.nodes else 0
     for v, rec in g.nodes.items():
         if rec.id != v:
             raise ValueError(f"node map key {v} does not match record id {rec.id}")
-        if rec.feature.ndim != 1:
-            raise ValueError(f"node {v}: feature must be a flat vector")
-        if dim is None:
-            dim = rec.feature.shape[0]
-        elif rec.feature.shape[0] != dim:
-            raise ValueError(
-                f"node {v}: feature dimension {rec.feature.shape[0]} != {dim}"
-            )
-        spec = g.period(rec.birth_period)
-        if rec.class_id not in spec.classes:
-            raise ValueError(
-                f"node {v}: class {rec.class_id} not in period {rec.birth_period} classes"
-            )
-    if g.nodes:
-        finite = np.isfinite(np.stack([rec.feature for rec in g.nodes.values()])).all(axis=1)
-        if not finite.all():
-            bad = list(g.nodes)[int(np.argmin(finite))]
-            raise ValueError(f"node {bad}: feature has non-finite values")
-
+        fault = _node_fault(rec, g.periods, dim)
+        if fault:
+            raise ValueError(fault[0])
     prev_t = -math.inf
     for e in g.events:
-        if e.src not in g.nodes or e.dst not in g.nodes:
-            raise ValueError(f"event ({e.src},{e.dst},{e.t}) references an unknown node")
+        fault = _event_fault(e, g.nodes, g.periods)
+        if fault:
+            raise ValueError(fault[0])
         if e.t < prev_t:
             raise ValueError("events are not sorted by time")
         prev_t = e.t
-        g.period_of(e.t)  # raises if outside all periods
 
 
 @dataclass(frozen=True)
@@ -293,15 +305,12 @@ class PeriodView:
 
     ``old_nodes`` and ``new_nodes`` are the nodes of previously-introduced
     and newly-introduced classes that are active (incident to at least one
-    event) in the period. The two event sets overlap exactly at events
-    joining an old node to a new node.
+    event) in the period.
     """
 
     period_index: int
     old_nodes: tuple[int, ...]
     new_nodes: tuple[int, ...]
-    events_old: tuple[Event, ...]
-    events_new: tuple[Event, ...]
     splits: Mapping[int, str]
 
     def nodes_of(self, group: str = "all", split: str | None = None) -> tuple[int, ...]:
@@ -313,7 +322,7 @@ class PeriodView:
         elif group == "all":
             ids = tuple(sorted(self.old_nodes + self.new_nodes))
         else:
-            raise ValueError(f"unknown node group {group!r}")
+            raise ValueError(f"unknown group {group!r} (want 'old', 'new' or 'all')")
         if split is None:
             return tuple(ids)
         if split not in SPLIT_NAMES:
@@ -339,34 +348,20 @@ def split_period(graph: TemporalGraph, n: int, split_seed: int = 0) -> PeriodVie
 
 def _build_view(graph: TemporalGraph, n: int, split_seed: int) -> PeriodView:
     spec = graph.period(n)
-    events = graph.events_in_period(n)
-    if not events:
+    index = graph.neighbor_index
+    t = index.times  # spans are half-open, except that the last period holds its t_end
+    before_end = t <= spec.t_end if n == graph.num_periods else t < spec.t_end
+    active = index.ids[index.row_counts((t >= spec.t_start) & before_end) > 0].tolist()
+    if not active:
         raise ValueError(f"period {n} has no events")
     old_classes = graph.classes_before(n)
     new_classes = frozenset(spec.classes)
-
-    active: set[int] = set()
-    for e in events:
-        active.add(e.src)
-        active.add(e.dst)
-    old_nodes = tuple(sorted(v for v in active if graph.nodes[v].class_id in old_classes))
-    new_nodes = tuple(sorted(v for v in active if graph.nodes[v].class_id in new_classes))
-
-    old_set = frozenset(old_nodes)
-    new_set = frozenset(new_nodes)
-    events_old = tuple(e for e in events if e.src in old_set or e.dst in old_set)
-    events_new = tuple(e for e in events if e.src in new_set or e.dst in new_set)
+    old_nodes = tuple(v for v in active if graph.nodes[v].class_id in old_classes)
+    new_nodes = tuple(v for v in active if graph.nodes[v].class_id in new_classes)
 
     assignment = node_splits(graph, split_seed)
     splits = {v: assignment[v] for v in old_nodes + new_nodes}
-    return PeriodView(
-        period_index=n,
-        old_nodes=old_nodes,
-        new_nodes=new_nodes,
-        events_old=events_old,
-        events_new=events_new,
-        splits=splits,
-    )
+    return PeriodView(period_index=n, old_nodes=old_nodes, new_nodes=new_nodes, splits=splits)
 
 
 def node_splits(graph: TemporalGraph, split_seed: int = 0) -> dict[int, str]:
@@ -593,11 +588,28 @@ def load_graph(
     node_path = Path(node_file)
     event_path = Path(event_file)
     period_path = Path(period_file) if period_file else node_path.parent / PERIOD_BASENAME
+    sources = {"nodes": node_path, "periods": period_path}
 
     periods = _load_periods(period_path)
-    nodes = _load_nodes(node_path, periods, period_path)
-    events = _load_events(event_path, nodes, node_path, periods, period_path)
+    nodes = _load_nodes(node_path, periods, sources)
+    events = _load_events(event_path, nodes, periods, sources)
     return TemporalGraph.from_parts(nodes.values(), events, periods)
+
+
+def _located(place: str, fault: _Fault, sources: Mapping[str, Path]) -> GraphFormatError:
+    """``fault`` found at ``place``, naming the file of the part it was checked against."""
+    text, other = fault
+    return GraphFormatError(f"{place}: {text}" + (f" (see {sources[other]})" if other else ""))
+
+
+#: a JSON number that ``float()`` takes (``type(x) is int`` leaves out JSON booleans)
+_NUMBER = ("a number", lambda x: type(x) is float or type(x) is int and abs(x) <= sys.float_info.max)
+_PERIOD_FIELDS = {
+    "index": ("an integer", lambda x: type(x) is int),
+    "t_start": _NUMBER,
+    "t_end": _NUMBER,
+    "classes": ("a list of integers", lambda x: type(x) is list and all(type(c) is int for c in x)),
+}
 
 
 def _load_periods(path: Path) -> tuple[PeriodSpec, ...]:
@@ -607,141 +619,90 @@ def _load_periods(path: Path) -> tuple[PeriodSpec, ...]:
         raise GraphFormatError(f"{path}: cannot parse period sidecar: {exc}") from exc
     if not isinstance(raw, list):
         raise GraphFormatError(f"{path}: period sidecar must be a list")
+    if not raw:
+        raise GraphFormatError(f"{path}: no period entries")
     specs: list[PeriodSpec] = []
-    seen_classes: set[int] = set()
     for i, d in enumerate(raw):
-        try:
-            spec = PeriodSpec(
-                index=int(d["index"]),
-                t_start=float(d["t_start"]),
-                t_end=float(d["t_end"]),
-                classes=tuple(int(c) for c in d["classes"]),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise GraphFormatError(f"{path}: period entry {i} is malformed: {exc}") from exc
-        if spec.index != i + 1:
-            raise GraphFormatError(f"{path}: entry {i}: index {spec.index} != {i + 1}")
-        for name, t in (("t_start", spec.t_start), ("t_end", spec.t_end)):
-            if not math.isfinite(t):
-                raise GraphFormatError(f"{path}: entry {i}: {name} {t} is not finite")
-        if not spec.t_start < spec.t_end:
-            raise GraphFormatError(
-                f"{path}: entry {i}: t_end {spec.t_end} must exceed t_start {spec.t_start}"
-            )
-        if specs and spec.t_start != specs[-1].t_end:
-            raise GraphFormatError(
-                f"{path}: entry {i}: t_start {spec.t_start} != previous t_end {specs[-1].t_end}"
-            )
-        if not spec.classes:
-            raise GraphFormatError(f"{path}: entry {i}: classes is empty")
-        repeated = seen_classes.intersection(spec.classes)
-        if repeated:
-            raise GraphFormatError(
-                f"{path}: entry {i}: classes {sorted(repeated)} appear in an earlier entry"
-            )
-        seen_classes.update(spec.classes)
+        where = f"{path}: entry {i}"
+        for name, (kind, ok) in _PERIOD_FIELDS.items():
+            if not isinstance(d, dict) or name not in d:
+                raise GraphFormatError(f"{where}: {name} is missing")
+            if not ok(d[name]):
+                raise GraphFormatError(f"{where}: {name} {d[name]!r} is not {kind}")
+        spec = PeriodSpec(d["index"], float(d["t_start"]), float(d["t_end"]), tuple(d["classes"]))
+        fault = _period_fault(i, spec, specs)
+        if fault:
+            raise GraphFormatError(f"{where}: {fault}")
         specs.append(spec)
     return tuple(specs)
 
 
 def _csv_rows(fh):
-    """Yield ``(line, row)`` per CSV row, ``line`` being the row's first
-    physical line (a quoted cell may span several)."""
+    """Yield ``(line, row)`` per non-blank CSV row, ``line`` being the row's
+    first physical line (a quoted cell may span several)."""
     reader = csv.reader(fh)
     line = 1
     for row in reader:
-        yield line, row
+        if row:
+            yield line, row
         line = reader.line_num + 1
 
 
 def _load_nodes(
-    path: Path, periods: tuple[PeriodSpec, ...], period_path: Path
+    path: Path, periods: tuple[PeriodSpec, ...], sources: Mapping[str, Path]
 ) -> dict[int, NodeRecord]:
     nodes: dict[int, NodeRecord] = {}
     line_of: dict[int, int] = {}
     with path.open(newline="") as fh:
         rows = _csv_rows(fh)
-        _, header = next(rows, (1, None))
+        line, header = next(rows, (1, None))
         if header is None:
             raise GraphFormatError(f"{path}:1: empty node file")
         if header[:3] != ["id", "class", "period"]:
-            raise GraphFormatError(f"{path}:1: node header must start with id,class,period")
+            raise GraphFormatError(f"{path}:{line}: node header must start with id,class,period")
         dim = len(header) - 3
         for lineno, row in rows:
-            if not row:
-                continue
             if len(row) != 3 + dim:
                 raise GraphFormatError(
                     f"{path}:{lineno}: expected {3 + dim} columns, got {len(row)}"
                     " (feature dimension mismatch)"
                 )
             try:
-                vid = int(row[0])
-                cls = int(row[1])
-                birth = int(row[2])
-                feat = np.array([float(x) for x in row[3:]], dtype=float)
+                rec = NodeRecord(int(row[0]), int(row[1]), int(row[2]), [float(x) for x in row[3:]])
             except ValueError as exc:
                 raise GraphFormatError(f"{path}:{lineno}: malformed node row: {exc}") from exc
-            if not np.isfinite(feat).all():
-                raise GraphFormatError(f"{path}:{lineno}: node {vid} has a non-finite feature")
-            if not 1 <= birth <= len(periods):
+            if rec.id in nodes:
                 raise GraphFormatError(
-                    f"{path}:{lineno}: period {birth} of node {vid} is unknown"
-                    f" (have 1..{len(periods)}) in {period_path}"
+                    f"{path}:{lineno}: duplicate node id {rec.id}, first at {path.name}:{line_of[rec.id]}"
                 )
-            if cls not in periods[birth - 1].classes:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: class {cls} of node {vid} not in period {birth} classes"
-                    f" of {period_path}"
-                )
-            if vid in nodes:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: duplicate node id {vid}, first at {path.name}:{line_of[vid]}"
-                )
-            nodes[vid] = NodeRecord(id=vid, class_id=cls, birth_period=birth, feature=feat)
-            line_of[vid] = lineno
+            fault = _node_fault(rec, periods, dim)
+            if fault:
+                raise _located(f"{path}:{lineno}", fault, sources)
+            nodes[rec.id] = rec
+            line_of[rec.id] = lineno
     return nodes
 
 
 def _load_events(
-    path: Path,
-    nodes: Mapping[int, NodeRecord],
-    node_path: Path,
-    periods: tuple[PeriodSpec, ...],
-    period_path: Path,
+    path: Path, nodes: Mapping[int, NodeRecord], periods: tuple[PeriodSpec, ...], sources: Mapping[str, Path]
 ) -> list[Event]:
-    t_lo = periods[0].t_start if periods else 0.0
-    t_hi = periods[-1].t_end if periods else 0.0
     events: list[Event] = []
     with path.open(newline="") as fh:
         rows = _csv_rows(fh)
-        _, header = next(rows, (1, None))
+        line, header = next(rows, (1, None))
         if header is None:
             raise GraphFormatError(f"{path}:1: empty event file (need a src,dst,t header)")
         if header != ["src", "dst", "t"]:
-            raise GraphFormatError(f"{path}:1: event header must be src,dst,t")
+            raise GraphFormatError(f"{path}:{line}: event header must be src,dst,t")
         for lineno, row in rows:
-            if not row:
-                continue
             if len(row) != 3:
                 raise GraphFormatError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            try:
-                src, dst, t = int(row[0]), int(row[1]), float(row[2])
+            try:  # a self-loop is a ValueError of Event
+                e = Event(src=int(row[0]), dst=int(row[1]), t=float(row[2]))
             except ValueError as exc:
                 raise GraphFormatError(f"{path}:{lineno}: malformed event row: {exc}") from exc
-            for v in (src, dst):
-                if v not in nodes:
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: event references unknown node {v} (not in {node_path})"
-                    )
-            if not t_lo <= t <= t_hi:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: timestamp {t} outside all periods [{t_lo}, {t_hi}]"
-                    f" of {period_path}"
-                )
-            try:
-                events.append(Event(src=src, dst=dst, t=t))
-            except ValueError as exc:
-                raise GraphFormatError(f"{path}:{lineno}: {exc}") from exc
+            fault = _event_fault(e, nodes, periods)
+            if fault:
+                raise _located(f"{path}:{lineno}", fault, sources)
+            events.append(e)
     return events
-

@@ -136,7 +136,7 @@ DEFAULT_CONFIG = {
 }
 
 _SEL_KEYS = {"alpha", "m", "m_prime", "p", "partitioner", "scoring_mode"}
-_TRAIN_KEYS = {"beta", "lr", "epochs", "batch_size", "patience", "ablation", "sim_refresh"}
+_TRAIN_KEYS = {"beta", "lr", "epochs", "batch_size", "patience", "ablation"}
 
 
 def deep_merge(base: dict, override: dict) -> dict:
@@ -224,13 +224,16 @@ def validate_config(cfg: dict) -> None:
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds: duplicate seeds")
     try:
-        SelectionConfig(**{**cfg.get("sel", {}), "seed": 0})
+        SelectionConfig(**cfg.get("sel", {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"sel: {exc}") from exc
     try:
-        TrainConfig(**{**cfg.get("train", {}), "seed": 0})
+        TrainConfig(**cfg.get("train", {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"train: {exc}") from exc
+    for section, key in (("sel", "seed"), ("train", "seed"), ("train", "strategy")):
+        if key in cfg.get(section, {}):
+            raise ConfigError(f"{section}.{key}: each run sets it from 'seeds' or 'strategies'; remove it")
     sweeps = cfg.get("sweeps")
     if sweeps is not None:
         if not isinstance(sweeps, dict):

@@ -49,7 +49,6 @@ from .selector import (
 STRATEGIES = ("joint", "finetune", "er", "icarl", "ltf")
 REPLAY_STRATEGIES = ("er", "icarl", "ltf")
 ABLATIONS = ("err_only", "dist_only", "both", "both_plus_ldst")
-SIM_REFRESH = ("epoch", "step")
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,6 @@ class TrainConfig:
     seed: int = 0
     strategy: str = "ltf"
     ablation: str = "both_plus_ldst"
-    sim_refresh: str = "epoch"
 
     def __post_init__(self):
         if self.beta < 0:
@@ -75,8 +73,6 @@ class TrainConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"unknown ablation {self.ablation!r}")
-        if self.sim_refresh not in SIM_REFRESH:
-            raise ValueError(f"unknown sim_refresh {self.sim_refresh!r}")
 
 
 def ablation_terms(ablation: str) -> tuple[str, ...]:
@@ -218,7 +214,7 @@ def train_period(
 
     for epoch in range(cfg.epochs):
         t0 = perf_counter()
-        if use_ldst and cfg.sim_refresh == "epoch":
+        if use_ldst:  # the anchors are re-embedded once per epoch
             sim_emb = embed_batch(model, z_sim)
         perm = rng.permutation(n_main)
         if replay_active:
@@ -239,8 +235,6 @@ def train_period(
                 sub_ptr = (sub_ptr + take) % n_sub
                 aux = None
                 if use_ldst:
-                    if cfg.sim_refresh == "step":
-                        sim_emb = embed_batch(model, z_sim)
                     cell: list[float] = []
 
                     def aux(e, _sim=sim_emb, _cell=cell):

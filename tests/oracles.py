@@ -2,8 +2,9 @@
 
 These are deliberately direct: a single-pair kernel, the per-candidate
 greedy witness, the full n x n matrix greedy and exhaustive subset
-enumeration, the per-node model-input loop, the per-node frozen loss and
-the alignment loss with model gradients. None of them is used by the
+enumeration, the per-node model-input loop, the per-node frozen loss,
+the alignment loss with model gradients, and a period's events and each
+node's debut period by a scan of the events. None of them is used by the
 pipeline. The module also holds helpers only tests use: greedy picks of
 one part by node id, exact graph equality and the mean epoch time of a
 log.
@@ -24,7 +25,7 @@ from tgcl.backbone import (
     embedding_grads,
     input_dim,
 )
-from tgcl.graph import TemporalGraph
+from tgcl.graph import Event, TemporalGraph
 from tgcl.kernels import KernelParams, _as_points, kernel_matrix
 from tgcl.selector import (
     SCORE_TERMS,
@@ -232,6 +233,24 @@ def graphs_equal(a: TemporalGraph, b: TemporalGraph) -> bool:
         if ra.feature.shape != rb.feature.shape or not np.array_equal(ra.feature, rb.feature):
             return False
     return a.events == b.events
+
+
+def period_events(graph: TemporalGraph, n: int) -> list[Event]:
+    """Events of period ``n``, scanned from ``graph.events``: those with
+    ``t_start <= t < t_end``, plus those at ``t_end`` in the last period."""
+    p = graph.periods[n - 1]
+    last = n == len(graph.periods)
+    return [e for e in graph.events if p.t_start <= e.t < p.t_end or (last and e.t == p.t_end)]
+
+
+def debut_periods(graph: TemporalGraph) -> dict[int, int]:
+    """First period in which each node has an event, from :func:`period_events`."""
+    out: dict[int, int] = {}
+    for n in range(1, len(graph.periods) + 1):
+        for e in period_events(graph, n):
+            for v in e.endpoints():
+                out.setdefault(v, n)
+    return out
 
 
 def time_per_epoch(epoch_log: Sequence[Mapping]) -> float:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -19,12 +20,13 @@ from tgcl.graph import (
     TemporalGraph,
     generate_synthetic,
     load_graph,
+    node_splits,
     save_graph,
     split_period,
 )
 
 from conftest import make_two_period_graph
-from oracles import graphs_equal
+from oracles import debut_periods, graphs_equal, period_events
 
 
 class TestTypes:
@@ -45,12 +47,12 @@ class TestTypes:
 
     def test_disjoint_class_sets_enforced(self):
         periods = [PeriodSpec(1, 0.0, 1.0, (0,)), PeriodSpec(2, 1.0, 2.0, (0,))]
-        with pytest.raises(ValueError, match="more than one period"):
+        with pytest.raises(ValueError, match=r"period 2: classes \[0\] appear in an earlier entry"):
             TemporalGraph.from_parts([], [], periods)
 
     def test_non_contiguous_periods_rejected(self):
         periods = [PeriodSpec(1, 0.0, 1.0, (0,)), PeriodSpec(2, 1.5, 2.0, (1,))]
-        with pytest.raises(ValueError, match="contiguous"):
+        with pytest.raises(ValueError, match=r"period 2: t_start 1\.5 != previous t_end 1\.0"):
             TemporalGraph.from_parts([], [], periods)
 
     def test_event_with_unknown_endpoint_rejected(self):
@@ -66,7 +68,7 @@ class TestTypes:
             NodeRecord(id=0, class_id=0, birth_period=1, feature=np.zeros(2)),
             NodeRecord(id=7, class_id=1, birth_period=1, feature=np.array([1.0, bad])),
         ]
-        with pytest.raises(ValueError, match="node 7: feature has non-finite"):
+        with pytest.raises(ValueError, match="node 7 has a non-finite feature"):
             TemporalGraph.from_parts(nodes, [], periods)
 
     def test_feature_dim_must_agree(self):
@@ -83,17 +85,7 @@ class TestSplitPeriod:
     def test_first_period_has_no_old(self, two_period_graph):
         view = split_period(two_period_graph, 1)
         assert view.old_nodes == ()
-        assert view.events_old == ()
         assert view.new_nodes == (0, 1)
-
-    def test_endpoint_membership_rule(self, two_period_graph):
-        view = split_period(two_period_graph, 2)
-        assert len(view.events_old) == 2  # old-old and old-new
-        assert len(view.events_new) == 2  # old-new and new-new
-        overlap = set(view.events_old) & set(view.events_new)
-        assert len(overlap) == 1
-        (cross,) = overlap
-        assert {cross.src, cross.dst} == {0, 2}
 
     def test_old_class_count_on_synthetic(self):
         cfg = SynthConfig(num_periods=3, classes_per_period=3, nodes_per_class_per_period=10, seed=7)
@@ -109,7 +101,7 @@ class TestSplitPeriod:
             view = split_period(graph, n)
             old_classes = graph.classes_before(n)
             active = set()
-            for e in graph.events_in_period(n):
+            for e in period_events(graph, n):
                 active.update(e.endpoints())
             expected = sorted(
                 v for v in active if graph.nodes[v].class_id in old_classes
@@ -168,6 +160,57 @@ class TestSplitPeriod:
         with pytest.raises(ValueError, match="no events"):
             split_period(graph, 2)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_views_and_debuts_match_an_event_scan(self, seed):
+        graph = _boundary_graph(seed)
+        assert graph.debut_period == debut_periods(graph)
+        for n in range(1, graph.num_periods + 1):
+            active = {v for e in period_events(graph, n) for v in e.endpoints()}
+            if not active:
+                with pytest.raises(ValueError, match="no events"):
+                    split_period(graph, n, split_seed=seed)
+                continue
+            view = split_period(graph, n, split_seed=seed)
+            old, new = graph.classes_before(n), set(graph.period(n).classes)
+            assert view.old_nodes == tuple(sorted(v for v in active if graph.nodes[v].class_id in old))
+            assert view.new_nodes == tuple(sorted(v for v in active if graph.nodes[v].class_id in new))
+            assignment = node_splits(graph, seed)
+            assert view.splits == {v: assignment[v] for v in view.old_nodes + view.new_nodes}
+
+    def test_boundary_events_belong_to_the_later_period(self):
+        # events at t_start, at the inner boundary and at the last t_end;
+        # node 4 is silent and node 3 first becomes active in period 2
+        periods = [PeriodSpec(1, 0.0, 1.0, (0,)), PeriodSpec(2, 1.0, 2.0, (1,))]
+        nodes = [NodeRecord(v, c, c + 1, np.zeros(1)) for v, c in enumerate([0, 0, 1, 0, 1])]
+        events = [Event(0, 1, 0.0), Event(1, 2, 1.0), Event(3, 2, 2.0)]
+        graph = TemporalGraph.from_parts(nodes, events, periods)
+        assert graph.debut_period == {0: 1, 1: 1, 2: 2, 3: 2}
+        assert split_period(graph, 1).new_nodes == (0, 1)
+        view = split_period(graph, 2)
+        assert view.old_nodes == (1, 3) and view.new_nodes == (2,)
+
+
+def _boundary_graph(seed: int) -> TemporalGraph:
+    """A random graph whose event times fall on period boundaries as often
+    as inside them, with silent nodes and nodes that debut late."""
+    rng = np.random.default_rng(seed)
+    n_periods = int(rng.integers(1, 5))
+    bounds = np.cumsum(np.r_[rng.uniform(-2.0, 2.0), rng.uniform(0.25, 2.0, n_periods)]).tolist()
+    periods = [PeriodSpec(i + 1, bounds[i], bounds[i + 1], (2 * i, 2 * i + 1)) for i in range(n_periods)]
+    n_nodes = int(rng.integers(2, 30))
+    classes = rng.integers(0, 2 * n_periods, n_nodes).tolist()
+    nodes = [NodeRecord(v, c, c // 2 + 1, np.zeros(1)) for v, c in enumerate(classes)]
+    events = []
+    for _ in range(int(rng.integers(0, 60))):
+        u, w = rng.choice(n_nodes, 2, replace=False).tolist()
+        i = int(rng.integers(0, n_periods))
+        on_bound = rng.random() < 0.5
+        t = bounds[i + int(rng.integers(0, 2))] if on_bound else float(rng.uniform(bounds[i], bounds[i + 1]))
+        # nodes of a class introduced after period i stay silent until then
+        if max(classes[u], classes[w]) // 2 <= i:
+            events.append(Event(u, w, t))
+    return TemporalGraph.from_parts(nodes, events, periods)
+
 
 class TestGenerateSynthetic:
     def test_deterministic_given_seed(self):
@@ -186,7 +229,7 @@ class TestGenerateSynthetic:
         assert debut_counts == {1: 600, 2: 1200, 3: 1800}
         # nodes persist, so the active population accumulates
         active3 = set()
-        for e in graph.events_in_period(3):
+        for e in period_events(graph, 3):
             active3.update(e.endpoints())
         assert len(active3) == 3600
 
@@ -339,6 +382,13 @@ class TestPersistence:
             (1, "index", "3", r"periods\.json: entry 1: index 3 != 2"),
             (1, "classes", "[]", r"periods\.json: entry 1: classes is empty"),
             (1, "classes", "[1, 0]", r"periods\.json: entry 1: classes \[0\] appear in an earlier entry"),
+            (1, "index", "true", r"periods\.json: entry 1: index True is not an integer"),
+            (1, "index", "2.0", r"periods\.json: entry 1: index 2\.0 is not an integer"),
+            (1, "classes", "[0, 1.7]", r"periods\.json: entry 1: classes \[0, 1\.7\] is not a list of integers"),
+            (1, "classes", '"01"', r"periods\.json: entry 1: classes '01' is not a list of integers"),
+            (1, "t_end", '"2"', r"periods\.json: entry 1: t_end '2' is not a number"),
+            (0, "t_start", "false", r"periods\.json: entry 0: t_start False is not a number"),
+            (0, "t_start", "1" + "0" * 400, r"periods\.json: entry 0: t_start 10+ is not a number"),
         ],
     )
     def test_bad_period_entry_names_entry(self, tmp_path, two_period_graph, entry, field, value, message):
@@ -349,10 +399,156 @@ class TestPersistence:
         with pytest.raises(GraphFormatError, match=message):
             load_graph(paths["nodes"], paths["events"], paths["periods"])
 
+    def test_empty_period_list_names_file(self, tmp_path):
+        (tmp_path / "nodes.csv").write_text("id,class,period\n")
+        (tmp_path / "events.csv").write_text("src,dst,t\n")
+        (tmp_path / "periods.json").write_text("[]\n")
+        with pytest.raises(GraphFormatError, match=r"periods\.json: no period entries"):
+            load_graph(tmp_path / "nodes.csv", tmp_path / "events.csv")
+
     def test_non_finite_period_bound_rejected_by_graph(self, two_period_graph):
         periods = (PeriodSpec(1, -np.inf, 1.0, (0,)),) + two_period_graph.periods[1:]
-        with pytest.raises(ValueError, match="period 1 has non-finite bounds"):
+        with pytest.raises(ValueError, match=r"period 1: t_start -inf is not finite"):
             TemporalGraph.from_parts(two_period_graph.nodes.values(), two_period_graph.events, periods)
+
+
+def _two_period_parts():
+    g = make_two_period_graph()
+    return list(g.nodes.values()), list(g.events), list(g.periods)
+
+
+def _with(items, i, **changes):
+    """``items`` with element ``i`` replaced by a copy carrying ``changes``."""
+    out = list(items)
+    out[i] = dataclasses.replace(out[i], **changes)
+    return out
+
+
+def _write_parts(out_dir: Path, nodes, events, periods) -> dict[str, Path]:
+    """The files ``save_graph`` would write for these parts, valid or not."""
+    paths = {kind: out_dir / name for kind, name in
+             (("nodes", "nodes.csv"), ("events", "events.csv"), ("periods", "periods.json"))}
+    dim = len(nodes[0].feature)
+    with paths["nodes"].open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["id", "class", "period"] + [f"f{i}" for i in range(dim)])
+        w.writerows([r.id, r.class_id, r.birth_period] + [repr(float(x)) for x in r.feature] for r in nodes)
+    with paths["events"].open("w", newline="") as fh:
+        csv.writer(fh).writerows([["src", "dst", "t"]] + [[e.src, e.dst, repr(e.t)] for e in events])
+    paths["periods"].write_text(json.dumps([
+        {"index": p.index, "t_start": p.t_start, "t_end": p.t_end, "classes": list(p.classes)}
+        for p in periods
+    ]))
+    return paths
+
+
+def _edit_periods(i, **changes):
+    return lambda nodes, events, periods: (nodes, events, _with(periods, i, **changes))
+
+
+def _edit_nodes(i, **changes):
+    return lambda nodes, events, periods: (_with(nodes, i, **changes), events, periods)
+
+
+def _add_event(event):
+    return lambda nodes, events, periods: (nodes, events + [event], periods)
+
+
+#: one case per rule: a change to the two-period graph's parts, the rule's
+#: text, and where the loader must place it (file, plus line or entry)
+_RULE_CASES = {
+    "index": (_edit_periods(1, index=3), r"index 3 != 2", r"periods\.json: entry 1"),
+    "finite": (
+        _edit_periods(1, t_end=math.nan), r"t_end nan is not finite", r"periods\.json: entry 1"
+    ),
+    "span": (
+        _edit_periods(1, t_end=1.0),
+        r"t_end 1\.0 must exceed t_start 1\.0",
+        r"periods\.json: entry 1",
+    ),
+    "contiguous": (
+        _edit_periods(1, t_start=1.5),
+        r"t_start 1\.5 != previous t_end 1\.0",
+        r"periods\.json: entry 1",
+    ),
+    "empty classes": (_edit_periods(1, classes=()), r"classes is empty", r"periods\.json: entry 1"),
+    "class int64": (
+        _edit_periods(1, classes=(1, 10**20)),
+        r"classes \[100000000000000000000\] do not fit in int64",
+        r"periods\.json: entry 1",
+    ),
+    "repeated class": (
+        _edit_periods(1, classes=(1, 0)),
+        r"classes \[0\] appear in an earlier entry",
+        r"periods\.json: entry 1",
+    ),
+    "node int64": (
+        _edit_nodes(3, id=2**63),
+        r"node id 9223372036854775808 does not fit in int64",
+        r"nodes\.csv:5",
+    ),
+    "non-finite feature": (
+        _edit_nodes(1, feature=np.array([0.0, np.inf])),
+        r"node 1 has a non-finite feature",
+        r"nodes\.csv:3",
+    ),
+    "unknown period": (
+        _edit_nodes(1, birth_period=3),
+        r"period 3 of node 1 is unknown \(have 1\.\.2\)",
+        r"nodes\.csv:3",
+    ),
+    "class not in period": (
+        _edit_nodes(1, class_id=1), r"class 1 of node 1 not in period 1 classes", r"nodes\.csv:3"
+    ),
+    "unknown node": (
+        _add_event(Event(0, 9, 1.9)), r"event references unknown node 9", r"events\.csv:6"
+    ),
+    "outside": (
+        _add_event(Event(0, 1, 2.5)),
+        r"timestamp 2\.5 outside all periods \[0\.0, 2\.0\]",
+        r"events\.csv:6",
+    ),
+}
+
+#: the rules that check one part against another, and that part's file
+_OTHER_FILE = {
+    "unknown period": "periods",
+    "class not in period": "periods",
+    "unknown node": "nodes",
+    "outside": "periods",
+}
+
+
+class TestRules:
+    """Each rule rejects the same fault whether the graph is built from
+    parts or loaded; the loader adds the file and the line or entry, and the
+    other file when the rule checks one part against another."""
+
+    @pytest.mark.parametrize("case", sorted(_RULE_CASES))
+    def test_from_parts(self, case):
+        change, text, place = _RULE_CASES[case]
+        nodes, events, periods = change(*_two_period_parts())
+        if place.startswith("periods"):
+            text = f"period 2: {text}"
+        with pytest.raises(ValueError, match=text):
+            TemporalGraph.from_parts(nodes, events, periods)
+
+    @pytest.mark.parametrize("case", sorted(_RULE_CASES))
+    def test_load_graph(self, tmp_path, case):
+        change, text, place = _RULE_CASES[case]
+        paths = _write_parts(tmp_path, *change(*_two_period_parts()))
+        with pytest.raises(GraphFormatError, match=f"{place}: {text}") as info:
+            load_graph(paths["nodes"], paths["events"], paths["periods"])
+        other = _OTHER_FILE.get(case)
+        if other:
+            assert str(info.value).endswith(f" (see {paths[other]})")
+        else:
+            assert "(see" not in str(info.value)
+
+    def test_parts_load_when_unchanged(self, tmp_path):
+        paths = _write_parts(tmp_path, *_two_period_parts())
+        loaded = load_graph(paths["nodes"], paths["events"], paths["periods"])
+        assert graphs_equal(loaded, make_two_period_graph())
 
 
 def _mutation_graph():
@@ -430,6 +626,12 @@ class TestLoaderProperty:
         value=_JSON_VALUES,
     )
     @example(entry=0, field="index", pick=0, value=math.inf)
+    # JSON values that int() or float() would turn into the unedited cell
+    @example(entry=0, field="index", pick=0, value=True)
+    @example(entry=1, field="index", pick=0, value=2.0)
+    @example(entry=0, field="class", pick=1, value=1.7)
+    @example(entry=0, field="classes", pick=0, value="01")
+    @example(entry=1, field="t_end", pick=0, value="2")
     def test_period_cell(self, entry, field, pick, value):
         with tempfile.TemporaryDirectory() as tmp:
             paths = save_graph(_mutation_graph(), tmp)

@@ -86,6 +86,15 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="sel"):
             load_config(write_config(tmp_path, bad))
 
+    @pytest.mark.parametrize(
+        "section, key, value", [("sel", "seed", 5), ("train", "seed", 5), ("train", "strategy", "ltf")]
+    )
+    def test_per_run_keys_rejected(self, tmp_path, section, key, value):
+        # each run takes its seed and strategy from "seeds" and "strategies"
+        bad = {**TINY, section: {**TINY[section], key: value}}
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}"):
+            load_config(write_config(tmp_path, bad))
+
     def test_bad_sweep_param(self, tmp_path):
         bad = {**TINY, "sweeps": {"params": {"learning": [1]}}}
         with pytest.raises(ConfigError, match="sweeps.params.learning"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -238,14 +240,7 @@ class TestTrainPeriod:
 
     def test_empty_new_train_rejected(self, setting):
         graph, _, view2, _ = setting
-        empty_view = type(view2)(
-            period_index=view2.period_index,
-            old_nodes=view2.old_nodes,
-            new_nodes=(),
-            events_old=view2.events_old,
-            events_new=view2.events_new,
-            splits=view2.splits,
-        )
+        empty_view = dataclasses.replace(view2, new_nodes=())
         cfg = TrainConfig(strategy="finetune", epochs=2, seed=0)
         with pytest.raises(ValueError, match="no new-class training nodes"):
             train_period(grown_model(graph, 2), graph, empty_view, None, cfg)
@@ -368,5 +363,3 @@ class TestTrainConfigValidation:
             TrainConfig(strategy="none")
         with pytest.raises(ValueError):
             TrainConfig(ablation="all")
-        with pytest.raises(ValueError):
-            TrainConfig(sim_refresh="never")
