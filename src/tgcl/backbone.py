@@ -256,22 +256,6 @@ def zero_grads(model: Model) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(getattr(model, name)) for name in PARAM_NAMES}
 
 
-def embedding_grads(model: Model, z: np.ndarray, d_emb: np.ndarray) -> dict[str, np.ndarray]:
-    """Backpropagate a gradient w.r.t. the embeddings into parameter space."""
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    a1p, a1, ep, _ = _forward(model, z)
-    d_ep = d_emb * (ep > 0.0)
-    grads = {
-        "w_hid": d_ep.T @ a1,
-        "b_hid": d_ep.sum(axis=0),
-    }
-    d_a1 = d_ep @ model.w_hid
-    d_a1p = d_a1 * (a1p > 0.0)
-    grads["w_agg"] = d_a1p.T @ z
-    grads["w_head"] = np.zeros_like(model.w_head)
-    return grads
-
-
 def loss_and_grads_from_inputs(
     model: Model,
     z: np.ndarray,

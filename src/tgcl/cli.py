@@ -61,10 +61,8 @@ def _cmd_select(args) -> int:
         for i in range(1, args.period):
             model.grow_head(sorted(graph.period(i).classes))
         prev = snapshot(model)
-    cfg = SelectionConfig(
-        alpha=args.alpha, m=args.m, m_prime=args.m_prime, p=args.p, seed=args.seed
-    )
-    buffer = select(graph, view, prev, cfg)
+    cfg = SelectionConfig(alpha=args.alpha, m=args.m, m_prime=args.m_prime, p=args.p)
+    buffer = select(graph, view, prev, cfg, seed=args.seed)
     payload = json.dumps(buffer.to_json_dict(), indent=2)
     if args.out:
         Path(args.out).write_text(payload + "\n")

@@ -8,6 +8,23 @@ own directory; completed runs leave a ``record.json`` marker so an
 interrupted invocation can resume. The aggregated ``results.csv`` and
 ``summary.json`` are byte-deterministic for fixed config and seeds; wall
 times go to ``timing.jsonl`` instead.
+
+Config keys, each checked at load; any other key, also inside ``sel``,
+``train``, ``kernel`` or ``sweeps``, is rejected by name. Integers and
+numbers are JSON integers and numbers, never booleans.
+
+* ``data``: exactly one of ``synthetic`` (:class:`SynthConfig` fields) or
+  ``files`` (paths ``nodes``, ``events``, optional ``periods``).
+* ``strategies``: a nonempty list of ``trainer.STRATEGIES`` names.
+* ``sel``, ``train``: fields of :class:`SelectionConfig` and
+  :class:`TrainConfig`; an ``int`` field takes an integer, a ``float``
+  field a number and a ``str`` field a name (ranges: ``__post_init__``).
+* ``sweeps``: null, or ``mode`` (``grid`` or ``axes``) and ``params``,
+  mapping ``sel``/``train`` fields to nonempty lists of values.
+* ``seeds``: a nonempty list of distinct integers >= 0.
+* ``hidden_dim``: an integer >= 1.
+* ``kernel``: ``squared_distance``, a boolean.
+* ``output_dir``: a path string, left out of the config hash.
 """
 
 from __future__ import annotations
@@ -16,7 +33,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from time import perf_counter
@@ -124,19 +141,20 @@ PRESETS: dict[str, dict] = {
     },
 }
 
-DEFAULT_CONFIG = {
-    "data": _BENCH_DATA,
-    "strategies": ["ltf"],
-    "sel": {},
-    "train": {},
-    "sweeps": None,
-    "seeds": [0, 1, 2],
-    "hidden_dim": 64,
-    "kernel": {"squared_distance": False},
-}
+DEFAULT_CONFIG = {**_BENCH_BASE, "strategies": ["ltf"], "sel": {}, "train": {}, "sweeps": None}
 
-_SEL_KEYS = {"alpha", "m", "m_prime", "p", "partitioner", "scoring_mode"}
-_TRAIN_KEYS = {"beta", "lr", "epochs", "batch_size", "patience", "ablation"}
+#: The config sections that hold the fields of one dataclass each, and their keys.
+_SECTIONS = {"sel": SelectionConfig, "train": TrainConfig}
+_KEYS = {section: [f.name for f in fields(cls)] for section, cls in _SECTIONS.items()}
+
+
+def _check_keys(where: str, body, known: Sequence[str]) -> None:
+    """Reject a ``body`` that is not an object or holds a key not in ``known``."""
+    if not isinstance(body, dict):
+        raise ConfigError(f"{where.rstrip('.') or 'config root'}: must be an object")
+    for key in body:
+        if key not in known:
+            raise ConfigError(f"{where}{key}: unknown key (known: {', '.join(known)})")
 
 
 def deep_merge(base: dict, override: dict) -> dict:
@@ -199,6 +217,9 @@ def load_config(path: str | Path | None = None, preset: str | None = None) -> di
 
 
 def validate_config(cfg: dict) -> None:
+    """Check a resolved config, building the configs of every planned run;
+    :class:`ConfigError` names the field at fault."""
+    _check_keys("", cfg, [*DEFAULT_CONFIG, "output_dir"])
     data = cfg.get("data")
     if not isinstance(data, dict) or len(set(data) & {"synthetic", "files"}) != 1:
         raise ConfigError("data: need exactly one of 'synthetic' or 'files'")
@@ -219,38 +240,31 @@ def validate_config(cfg: dict) -> None:
         if s not in STRATEGIES:
             raise ConfigError(f"strategies: unknown strategy {s!r}")
     seeds = cfg.get("seeds")
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(x, int) and x >= 0 for x in seeds):
-        raise ConfigError("seeds: need a nonempty list of nonnegative integers")
+    if not isinstance(seeds, list) or not seeds or not all(type(x) is int and x >= 0 for x in seeds):
+        raise ConfigError(f"seeds: need a nonempty list of nonnegative integers, got {seeds!r}")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds: duplicate seeds")
-    try:
-        SelectionConfig(**cfg.get("sel", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"sel: {exc}") from exc
-    try:
-        TrainConfig(**cfg.get("train", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"train: {exc}") from exc
-    for section, key in (("sel", "seed"), ("train", "seed"), ("train", "strategy")):
-        if key in cfg.get(section, {}):
-            raise ConfigError(f"{section}.{key}: each run sets it from 'seeds' or 'strategies'; remove it")
     sweeps = cfg.get("sweeps")
     if sweeps is not None:
-        if not isinstance(sweeps, dict):
-            raise ConfigError("sweeps: must be an object")
+        _check_keys("sweeps.", sweeps, ["mode", "params"])
         if sweeps.get("mode", "grid") not in ("grid", "axes"):
             raise ConfigError(f"sweeps.mode: must be 'grid' or 'axes'")
         params = sweeps.get("params", {})
+        _check_keys("sweeps.params.", params, _KEYS["sel"] + _KEYS["train"])
         for k, vals in params.items():
-            if k not in _SEL_KEYS | _TRAIN_KEYS:
-                raise ConfigError(f"sweeps.params.{k}: unknown sweep parameter")
             if not isinstance(vals, list) or not vals:
                 raise ConfigError(f"sweeps.params.{k}: need a nonempty list of values")
-    if not isinstance(cfg.get("hidden_dim", 64), int) or cfg.get("hidden_dim", 64) < 1:
-        raise ConfigError("hidden_dim: must be a positive integer")
+    hidden_dim = cfg.get("hidden_dim", 64)
+    if type(hidden_dim) is not int or hidden_dim < 1:
+        raise ConfigError(f"hidden_dim: must be a positive integer, got {hidden_dim!r}")
     kernel = cfg.get("kernel", {})
-    if not isinstance(kernel, dict) or not isinstance(kernel.get("squared_distance", False), bool):
+    _check_keys("kernel.", kernel, ["squared_distance"])
+    if not isinstance(kernel.get("squared_distance", False), bool):
         raise ConfigError("kernel.squared_distance: must be a boolean")
+    if not isinstance(cfg.get("output_dir", ""), str):
+        raise ConfigError("output_dir: must be a path string")
+    for spec in plan_runs(cfg):
+        run_configs(cfg, spec)
 
 
 def config_hash(cfg: dict) -> str:
@@ -277,10 +291,6 @@ class RunSpec:
         return f"{self.strategy}{mid}__seed{self.seed}".replace("/", "_").replace(" ", "")
 
 
-def _fmt_value(v) -> str:
-    return str(v)
-
-
 def expand_sweeps(sweeps: dict | None) -> list[tuple[str, dict]]:
     """Sweep points as (label, overrides). ``axes`` varies one parameter at
     a time; ``grid`` takes the full product."""
@@ -292,14 +302,14 @@ def expand_sweeps(sweeps: dict | None) -> list[tuple[str, dict]]:
     if mode == "axes":
         for k, vals in params.items():
             for v in vals:
-                points.append((f"{k}={_fmt_value(v)}", {k: v}))
+                points.append((f"{k}={v}", {k: v}))
         return points
     keys = list(params)
     combos: list[dict] = [{}]
     for k in keys:
         combos = [dict(c, **{k: v}) for c in combos for v in params[k]]
     for c in combos:
-        label = ",".join(f"{k}={_fmt_value(c[k])}" for k in keys)
+        label = ",".join(f"{k}={c[k]}" for k in keys)
         points.append((label, c))
     return points
 
@@ -315,8 +325,8 @@ def plan_runs(cfg: dict) -> list[RunSpec]:
     for strategy in strategies:
         strategy_points = points if strategy != "joint" else [("", {})]
         for label, overrides in strategy_points:
-            sel_over = tuple(sorted((k, v) for k, v in overrides.items() if k in _SEL_KEYS))
-            train_over = tuple(sorted((k, v) for k, v in overrides.items() if k in _TRAIN_KEYS))
+            sel_over = tuple(sorted((k, v) for k, v in overrides.items() if k in _KEYS["sel"]))
+            train_over = tuple(sorted((k, v) for k, v in overrides.items() if k not in _KEYS["sel"]))
             for seed in cfg["seeds"]:
                 specs.append(
                     RunSpec(
@@ -335,6 +345,28 @@ def plan_runs(cfg: dict) -> list[RunSpec]:
             seen.add(s.run_id)
             unique.append(s)
     return unique
+
+
+def run_configs(cfg: dict, spec: RunSpec) -> tuple[SelectionConfig, TrainConfig]:
+    """One run's ``sel`` and ``train`` sections with its sweep overrides
+    applied. A fault is named by its section (``sel: ...``, ``sel.seed:
+    ...``) or by the run's sweep values (``sweeps.params.p=2: ...``)."""
+    built = []
+    for section, cls in _SECTIONS.items():
+        body = cfg.get(section, {})
+        _check_keys(f"{section}.", body, _KEYS[section])
+        try:
+            built.append(cls(**body))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{section}: {exc}") from exc
+    sel, train = built
+    try:
+        return replace(sel, **dict(spec.sel_overrides)), replace(train, **dict(spec.train_overrides))
+    except (TypeError, ValueError) as exc:
+        point = ", ".join(
+            f"sweeps.params.{k}={v!r}" for k, v in spec.sel_overrides + spec.train_overrides
+        )
+        raise ConfigError(f"{point}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -365,27 +397,26 @@ def _execute_in_worker(payload: dict) -> str:
 
 
 def _execute_run(payload: dict, graph: TemporalGraph) -> str:
+    spec: RunSpec = payload["spec"]
     run_dir = Path(payload["run_dir"])
     run_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
     t0 = perf_counter()
 
-    sel_cfg = SelectionConfig(**payload["sel"])
-    train_cfg = TrainConfig(**payload["train"])
     outcomes = run_strategy(
         graph,
-        payload["strategy"],
-        sel_cfg,
-        train_cfg,
-        split_seed=payload["seed"],
+        spec.strategy,
+        payload["sel"],
+        payload["train"],
+        seed=spec.seed,
         hidden_dim=payload["hidden_dim"],
-        kernel_squared=payload.get("kernel_squared", False),
+        kernel_squared=payload["kernel_squared"],
     )
 
     record = RunRecord(
-        strategy=payload["strategy"],
-        variant=payload["variant"],
-        seed=payload["seed"],
+        strategy=spec.strategy,
+        variant=spec.variant,
+        seed=spec.seed,
         config_hash=payload["config_hash"],
         periods=[
             PeriodMetrics(
@@ -414,23 +445,14 @@ def _execute_run(payload: dict, graph: TemporalGraph) -> str:
     tmp = run_dir / "record.json.tmp"
     tmp.write_text(json.dumps(obj, indent=2) + "\n")
     tmp.rename(run_dir / "record.json")
-    return payload["run_id"]
+    return spec.run_id
 
 
 def _payload(cfg: dict, spec: RunSpec, out_dir: Path, chash: str) -> dict:
-    sel = {**cfg.get("sel", {}), **dict(spec.sel_overrides), "seed": spec.seed}
-    train = {
-        **cfg.get("train", {}),
-        **dict(spec.train_overrides),
-        "seed": spec.seed,
-        "strategy": spec.strategy,
-    }
+    sel, train = run_configs(cfg, spec)
     return {
-        "run_id": spec.run_id,
+        "spec": spec,
         "run_dir": str(out_dir / "runs" / spec.run_id),
-        "strategy": spec.strategy,
-        "variant": spec.variant,
-        "seed": spec.seed,
         "sel": sel,
         "train": train,
         "hidden_dim": cfg.get("hidden_dim", 64),
@@ -472,8 +494,8 @@ def execute(
     payloads = [_payload(cfg, s, out, chash) for s in specs]
     recorded = {}
     if resume:
-        recorded = {p["run_id"]: _recorded_hash(Path(p["run_dir"])) for p in payloads}
-    pending = [p for p in payloads if recorded.get(p["run_id"]) != chash]
+        recorded = {p["spec"].run_id: _recorded_hash(Path(p["run_dir"])) for p in payloads}
+    pending = [p for p in payloads if recorded.get(p["spec"].run_id) != chash]
     stale = sum(h not in (None, chash) for h in recorded.values())
     if echo:
         echo(f"{len(specs)} runs planned, {len(pending)} to execute (resume={resume})")
@@ -492,7 +514,7 @@ def execute(
         for p in pending:
             _execute_run(p, graph)
             if echo:
-                echo(f"done {p['run_id']}")
+                echo(f"done {p['spec'].run_id}")
 
     records, extras = [], []
     for p in payloads:

@@ -73,15 +73,14 @@ class SelectionConfig:
     p: int = 250
     partitioner: str = "random"
     scoring_mode: str = "witness"
-    seed: int = 0
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if self.m_prime < 0:
-            raise ValueError("m_prime must be >= 0")
+        if type(self.alpha) not in (int, float) or self.alpha < 0:
+            raise ValueError(f"alpha must be a number >= 0, got {self.alpha!r}")
+        for name, low in (("m", 1), ("m_prime", 0), ("p", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.p <= self.m:
             raise ValueError(f"partition size p={self.p} must exceed budget m={self.m}")
         if self.partitioner not in PARTITIONERS:
@@ -220,6 +219,8 @@ def _even_sizes(n: int, w: int) -> list[int]:
 def partition(
     old_nodes: Sequence[int],
     cfg: SelectionConfig,
+    *,
+    seed: int,
     embeddings: np.ndarray | None = None,
 ) -> list[list[int]]:
     """Split candidates into ``ceil(n / p)`` parts.
@@ -227,7 +228,8 @@ def partition(
     ``random`` shuffles then chunks evenly (size difference at most 1);
     ``kmeans`` and ``hierarchical`` cluster on the given embeddings, keeping
     natural cluster sizes but spilling members beyond ``p`` to the nearest
-    cluster with room. Deterministic given the config seed.
+    cluster with room. Deterministic given ``seed``, which keys the stream
+    ``(seed, _STREAM_PARTITION)``.
     """
     ids = list(old_nodes)
     if not ids:
@@ -237,7 +239,7 @@ def partition(
     if w == 1:
         return [sorted(ids)]
     sizes = _even_sizes(n, w)
-    rng = np.random.default_rng((cfg.seed, _STREAM_PARTITION))
+    rng = np.random.default_rng((seed, _STREAM_PARTITION))
     if cfg.partitioner == "random":
         perm = rng.permutation(np.array(sorted(ids)))
         parts, pos = [], 0
@@ -490,6 +492,8 @@ def select(
     view: PeriodView,
     prev: Model,
     cfg: SelectionConfig,
+    *,
+    seed: int,
     kp: KernelParams | None = None,
     terms: Sequence[str] = SCORE_TERMS,
     with_sim: bool = True,
@@ -500,9 +504,10 @@ def select(
 
     Budgets larger than the candidate count are clamped with a warning.
     Per-part selections are independent; the result is deterministic given
-    (graph, snapshot, config). When ``kp`` is not given, the kernel
-    bandwidth comes from the median heuristic on the candidates'
-    embeddings; ``squared_kernel`` switches to the squared-distance kernel.
+    (graph, snapshot, config, seed). ``seed`` keys the partition stream
+    ``(seed, _STREAM_PARTITION)`` and the median heuristic's sample, which
+    sets the bandwidth unless ``kp`` is given; ``squared_kernel`` switches
+    to the squared-distance kernel.
     """
     old_train = list(view.nodes_of("old", TRAIN))
     if not old_train:
@@ -525,11 +530,11 @@ def select(
     pool = build_pool(graph, view, old_train, prev)
     if kp is None:
         if len(old_train) >= 2:
-            kp = median_heuristic_gamma(pool.emb, seed=cfg.seed, squared=squared_kernel)
+            kp = median_heuristic_gamma(pool.emb, seed=seed, squared=squared_kernel)
         else:
             kp = KernelParams(gamma=1.0, squared=squared_kernel)
     pool = replace(pool, kp=kp)
-    parts = partition(old_train, cfg, embeddings=pool.emb)
+    parts = partition(old_train, cfg, seed=seed, embeddings=pool.emb)
     sizes = [len(p) for p in parts]
     quotas_sub = _share(m, sizes)
     quotas_sim = _share(m_prime, sizes)
@@ -571,7 +576,7 @@ def select(
         "partitioner": cfg.partitioner,
         "scoring_mode": cfg.scoring_mode,
         "terms": list(terms),
-        "seed": cfg.seed,
+        "seed": seed,
         "part_sizes": sizes,
         "part_ms": part_ms,
         "part_objectives": part_objectives,
@@ -593,7 +598,8 @@ def baseline_select(
 ) -> ReplayBuffer:
     """Class-balanced baseline buffers: seeded ``random`` or mean-matching
     ``herding`` (iteratively pick the node keeping the running embedding
-    mean closest to the class mean)."""
+    mean closest to the class mean). ``random`` draws from the stream
+    ``(seed, period, _STREAM_BASELINE)``."""
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind {kind!r}")
     old_train = list(view.nodes_of("old", TRAIN))

@@ -16,7 +16,7 @@ are stopped on the anchor side). Strategies:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Sequence
 
@@ -58,19 +58,17 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 600
     patience: int = 20
-    seed: int = 0
-    strategy: str = "ltf"
     ablation: str = "both_plus_ldst"
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
-        if not self.lr > 0:
-            raise ValueError("lr must be > 0")
-        if self.epochs < 1 or self.batch_size < 1 or self.patience < 1:
-            raise ValueError("epochs, batch_size and patience must be >= 1")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+        if type(self.beta) not in (int, float) or self.beta < 0:
+            raise ValueError(f"beta must be a number >= 0, got {self.beta!r}")
+        if type(self.lr) not in (int, float) or not self.lr > 0:
+            raise ValueError(f"lr must be a number > 0, got {self.lr!r}")
+        for name in ("epochs", "batch_size", "patience"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"unknown ablation {self.ablation!r}")
 
@@ -144,6 +142,9 @@ def train_period(
     view: PeriodView,
     buffer: ReplayBuffer | None,
     cfg: TrainConfig,
+    *,
+    strategy: str,
+    seed: int,
     kp: KernelParams | None = None,
 ) -> TrainResult:
     """Minimize the period objective by seeded mini-batch descent.
@@ -151,24 +152,29 @@ def train_period(
     Every step pairs one batch of the main data with one cyclically
     upsampled batch of the replay subset (when present); validation AP over
     all classes seen so far drives early stopping, and the returned model
-    carries the best-validation parameters, not the last ones.
+    carries the best-validation parameters, not the last ones. ``strategy``
+    picks the main data and whether a buffer is replayed; ``seed`` is the
+    run's seed, and the batch order of period ``n`` draws from the stream
+    ``(seed, n)``.
     """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
     n = view.period_index
-    replay = cfg.strategy in REPLAY_STRATEGIES
+    replay = strategy in REPLAY_STRATEGIES
     if buffer is not None:
         if not replay:
-            raise ValueError(f"strategy {cfg.strategy!r} does not use a replay buffer")
+            raise ValueError(f"strategy {strategy!r} does not use a replay buffer")
         if buffer.period_built != n:
             raise ValueError(
                 f"buffer was built for period {buffer.period_built}, training period {n}"
             )
     if replay and buffer is None and view.old_nodes:
-        raise ValueError(f"strategy {cfg.strategy!r} requires a replay buffer at period {n}")
+        raise ValueError(f"strategy {strategy!r} requires a replay buffer at period {n}")
 
     new_train = view.nodes_of("new", TRAIN)
     if not new_train:
         raise ValueError(f"period {n} has no new-class training nodes")
-    if cfg.strategy == "joint":
+    if strategy == "joint":
         main_ids = tuple(sorted(view.nodes_of("old", TRAIN) + new_train))
     else:
         main_ids = new_train
@@ -183,7 +189,7 @@ def train_period(
         n_sub = len(sub_ids)
     use_ldst = (
         replay_active
-        and cfg.strategy == "ltf"
+        and strategy == "ltf"
         and cfg.ablation == "both_plus_ldst"
         and cfg.beta > 0
         and bool(buffer.sim)
@@ -206,7 +212,7 @@ def train_period(
     if not set_masks:
         warnings.warn(f"period {n} has no validation nodes; early stopping is inert", stacklevel=2)
 
-    rng = np.random.default_rng((cfg.seed, n))
+    rng = np.random.default_rng((seed, n))
     result = TrainResult()
     best_params = model.parameters()
     best_ap = -np.inf
@@ -316,7 +322,8 @@ def run_strategy(
     strategy: str,
     sel_cfg: SelectionConfig,
     train_cfg: TrainConfig,
-    split_seed: int = 0,
+    *,
+    seed: int,
     hidden_dim: int = 64,
     keep_snapshots: bool = False,
     kernel_squared: bool = False,
@@ -326,16 +333,18 @@ def run_strategy(
     Replay buffers are always built from the *current* period's old-class
     data, scored by the model snapshot frozen at the end of the previous
     period. Selection wall time is recorded separately from epoch time.
+
+    ``seed`` is the run's one seed: the split seed of :func:`split_period`,
+    the seed of the model's initialization and head growth, and the seed
+    passed to :func:`select`, :func:`baseline_select` and
+    :func:`train_period`, which say which streams it keys.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    cfg = replace(train_cfg, strategy=strategy)
-    model = Backbone(graph.feature_dim, hidden_dim=hidden_dim, seed=cfg.seed)
+    model = Backbone(graph.feature_dim, hidden_dim=hidden_dim, seed=seed)
 
     prev: Snapshot | None = None
     outcomes: list[PeriodOutcome] = []
     for n in range(1, graph.num_periods + 1):
-        view = split_period(graph, n, split_seed)
+        view = split_period(graph, n, seed)
         model.grow_head(sorted(graph.period(n).classes))
 
         buffer: ReplayBuffer | None = None
@@ -345,12 +354,14 @@ def run_strategy(
             assert prev is not None
             t0 = perf_counter()
             if strategy == "ltf":
-                terms = ablation_terms(cfg.ablation)
+                terms = ablation_terms(train_cfg.ablation)
                 with_sim = (
-                    cfg.ablation == "both_plus_ldst" and cfg.beta > 0 and sel_cfg.m_prime > 0
+                    train_cfg.ablation == "both_plus_ldst"
+                    and train_cfg.beta > 0
+                    and sel_cfg.m_prime > 0
                 )
                 buffer = select(
-                    graph, view, prev, sel_cfg,
+                    graph, view, prev, sel_cfg, seed=seed,
                     terms=terms, with_sim=with_sim, squared_kernel=kernel_squared,
                 )
                 kp = KernelParams(
@@ -358,10 +369,12 @@ def run_strategy(
                 )
             else:
                 kind = "random" if strategy == "er" else "herding"
-                buffer = baseline_select(kind, graph, view, prev, sel_cfg.m, seed=sel_cfg.seed)
+                buffer = baseline_select(kind, graph, view, prev, sel_cfg.m, seed=seed)
             sel_ms = (perf_counter() - t0) * 1000.0
 
-        result = train_period(model, graph, view, buffer, cfg, kp=kp)
+        result = train_period(
+            model, graph, view, buffer, train_cfg, strategy=strategy, seed=seed, kp=kp
+        )
         precisions = [
             precision_per_set(model, graph, view, graph.period(i).classes, TEST)
             for i in range(1, n + 1)

@@ -3,7 +3,8 @@
 These are deliberately direct: a single-pair kernel, the per-candidate
 greedy witness, the full n x n matrix greedy and exhaustive subset
 enumeration, the per-node model-input loop, the per-node frozen loss,
-the alignment loss with model gradients, and a period's events and each
+the alignment loss with model gradients (backpropagated from the
+embeddings on their own), and a period's events and each
 node's debut period by a scan of the events. None of them is used by the
 pipeline. The module also holds helpers only tests use: greedy picks of
 one part by node id, exact graph equality and the mean epoch time of a
@@ -20,9 +21,9 @@ import numpy as np
 from tgcl.backbone import (
     K_NEIGHBORS,
     Model,
+    _forward,
     classify_batch,
     embed_batch,
-    embedding_grads,
     input_dim,
 )
 from tgcl.graph import Event, TemporalGraph
@@ -72,6 +73,22 @@ def j_cls(prev: Model, z: np.ndarray, class_id: int) -> float:
     probs = classify_batch(prev, np.asarray(z, dtype=float)[None, :])[0]
     idx = prev.class_index(class_id)
     return float(-np.log(np.clip(probs[idx], 1e-300, None)))
+
+
+def embedding_grads(model: Model, z: np.ndarray, d_emb: np.ndarray) -> dict[str, np.ndarray]:
+    """Backpropagate a gradient w.r.t. the embeddings into parameter space."""
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    a1p, a1, ep, _ = _forward(model, z)
+    d_ep = d_emb * (ep > 0.0)
+    grads = {
+        "w_hid": d_ep.T @ a1,
+        "b_hid": d_ep.sum(axis=0),
+    }
+    d_a1 = d_ep @ model.w_hid
+    d_a1p = d_a1 * (a1p > 0.0)
+    grads["w_agg"] = d_a1p.T @ z
+    grads["w_head"] = np.zeros_like(model.w_head)
+    return grads
 
 
 def l_dst(

@@ -258,17 +258,17 @@ def test_criterion_06_ldst_reconstruction_and_zero_beta():
 
     prev_model = fresh_model()
     prev = snapshot(prev_model)
-    buffer = select(graph, view2, prev, SelectionConfig(m=8, m_prime=6, p=60, seed=0))
+    buffer = select(graph, view2, prev, SelectionConfig(m=8, m_prime=6, p=60), seed=0)
     kp = KernelParams(buffer.meta["gamma"])
     params, logs = {}, {}
     for name, cfg in {
-        "beta0": TrainConfig(strategy="ltf", ablation="both_plus_ldst", beta=0.0,
-                             lr=0.05, epochs=6, batch_size=16, patience=5, seed=5),
-        "both": TrainConfig(strategy="ltf", ablation="both", beta=0.7,
-                            lr=0.05, epochs=6, batch_size=16, patience=5, seed=5),
+        "beta0": TrainConfig(ablation="both_plus_ldst", beta=0.0,
+                             lr=0.05, epochs=6, batch_size=16, patience=5),
+        "both": TrainConfig(ablation="both", beta=0.7,
+                            lr=0.05, epochs=6, batch_size=16, patience=5),
     }.items():
         model = fresh_model()
-        result = train_period(model, graph, view2, buffer, cfg, kp=kp)
+        result = train_period(model, graph, view2, buffer, cfg, strategy="ltf", seed=5, kp=kp)
         params[name] = model.parameters()
         logs[name] = [(e["loss_new"], e["loss_sub"], e["val_ap"]) for e in result.log]
     identical = all(
@@ -441,7 +441,7 @@ def test_criterion_10_partition_study(partition_results):
         for _ in range(3):
             buf = select(
                 graph, view3, prev,
-                SelectionConfig(alpha=0.005, m=24, m_prime=240, p=p_size, seed=0),
+                SelectionConfig(alpha=0.005, m=24, m_prime=240, p=p_size), seed=0,
             )
             reps.append(float(np.mean(buf.meta["part_ms"])))
         means.append(float(np.mean(reps)))

@@ -16,6 +16,7 @@ from tgcl.harness import (
     load_records,
     plan_runs,
     render_table,
+    run_configs,
 )
 
 TINY_DATA = {
@@ -95,6 +96,44 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=rf"{section}\.{key}"):
             load_config(write_config(tmp_path, bad))
 
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [("p", 2, r"sweeps\.params\.p=2: .*p=2"), ("ablation", "bogus", r"sweeps\.params\.ablation='bogus'")],
+    )
+    def test_bad_sweep_value_rejected_at_load(self, tmp_path, key, value, match):
+        bad = {**TINY, "sweeps": {"params": {key: [value]}}}
+        with pytest.raises(ConfigError, match=match):
+            load_config(write_config(tmp_path, bad))
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, "seeds", [True]),
+            (None, "seeds", [1.0]),
+            (None, "hidden_dim", True),
+            (None, "hidden_dim", 8.0),
+            *[("sel", k, v) for k in ("m", "m_prime", "p") for v in (True, 4.5, 4.0, "4")],
+            *[("train", k, v) for k in ("epochs", "batch_size", "patience") for v in (True, 4.5, 4.0)],
+            *[(section, k, True) for section, k in (("sel", "alpha"), ("train", "beta"), ("train", "lr"))],
+            ("train", "lr", "0.1"),
+        ],
+    )
+    def test_integer_and_number_fields_typed(self, tmp_path, section, key, value):
+        if section is None:
+            bad, where = {**TINY, key: value}, rf"^{key}: "
+        else:
+            bad, where = {**TINY, section: {**TINY[section], key: value}}, rf"^{section}: {key} must be"
+        with pytest.raises(ConfigError, match=where):
+            load_config(write_config(tmp_path, bad))
+
+    @pytest.mark.parametrize(
+        "extra, match",
+        [({"seed": 3}, r"^seed: unknown key"), ({"kernel": {"squared": True}}, r"^kernel\.squared: unknown key")],
+    )
+    def test_unknown_keys_rejected_by_name(self, tmp_path, extra, match):
+        with pytest.raises(ConfigError, match=match):
+            load_config(write_config(tmp_path, {**TINY, **extra}))
+
     def test_bad_sweep_param(self, tmp_path):
         bad = {**TINY, "sweeps": {"params": {"learning": [1]}}}
         with pytest.raises(ConfigError, match="sweeps.params.learning"):
@@ -119,6 +158,33 @@ class TestConfigLoading:
         b = config_hash({**TINY, "output_dir": "/tmp/b"})
         assert a == b
         assert a != config_hash({**TINY, "seeds": [1]})
+
+
+#: Each shipped preset's config hash (a column of results.csv); a change
+#: here means the resolved config format changed.
+PRESET_HASHES = {
+    "main": "e4d1244e95b5",
+    "ablation": "e50d0a1a096a",
+    "sensitivity": "476820d52896",
+    "partition": "925beb63a6fd",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_presets_resolve_build_and_keep_their_hash(preset, monkeypatch):
+    monkeypatch.delenv("TGCL_SEED", raising=False)
+    cfg = load_config(preset=preset)
+    assert config_hash(cfg) == PRESET_HASHES[preset]
+    for spec in plan_runs(cfg):
+        sel, train = run_configs(cfg, spec)
+        for key, value in spec.sel_overrides:
+            assert getattr(sel, key) == value
+        for key, value in spec.train_overrides:
+            assert getattr(train, key) == value
+        for key, value in cfg["sel"].items():
+            assert getattr(sel, key) == dict(spec.sel_overrides).get(key, value)
+        for key, value in cfg["train"].items():
+            assert getattr(train, key) == dict(spec.train_overrides).get(key, value)
 
 
 class TestPlanning:

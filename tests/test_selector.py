@@ -76,15 +76,15 @@ class TestJCls:
 
 
 class TestPartition:
-    def cfg(self, p, partitioner="random", seed=0, m=1):
-        return SelectionConfig(m=m, m_prime=0, p=p, partitioner=partitioner, seed=seed)
+    def cfg(self, p, partitioner="random", m=1):
+        return SelectionConfig(m=m, m_prime=0, p=p, partitioner=partitioner)
 
     def test_single_part_when_small(self):
-        parts = partition(list(range(8)), self.cfg(p=10))
+        parts = partition(list(range(8)), self.cfg(p=10), seed=0)
         assert parts == [list(range(8))]
 
     def test_even_chunking_25_by_10(self):
-        parts = partition(list(range(25)), self.cfg(p=10))
+        parts = partition(list(range(25)), self.cfg(p=10), seed=0)
         assert sorted(len(p) for p in parts) == [8, 8, 9]
         assert sorted(v for part in parts for v in part) == list(range(25))
 
@@ -102,8 +102,8 @@ class TestPartition:
         view = split_period(graph, 2)
         old_train = list(view.nodes_of("old", "train"))
         assert len(old_train) >= 2304
-        cfg = self.cfg(p=(len(old_train) + 1) // 2, seed=4)
-        parts = partition(old_train, cfg)
+        cfg = self.cfg(p=(len(old_train) + 1) // 2)
+        parts = partition(old_train, cfg, seed=4)
         assert all(len(p) >= 1152 for p in parts)
         classes = sorted({graph.nodes[v].class_id for v in old_train})
         overall = {
@@ -120,24 +120,24 @@ class TestPartition:
         rng = np.random.default_rng(5)
         ids = list(range(40))
         emb = rng.normal(size=(40, 3))
-        cfg = self.cfg(p=12, partitioner=method, seed=5)
-        parts = partition(ids, cfg, embeddings=emb)
+        cfg = self.cfg(p=12, partitioner=method)
+        parts = partition(ids, cfg, seed=5, embeddings=emb)
         sizes = [len(p) for p in parts]
         assert sum(sizes) == 40
         assert max(sizes) <= 12  # capped at p, natural sizes below the cap
         assert sorted(v for part in parts for v in part) == ids
-        again = partition(ids, cfg, embeddings=emb)
+        again = partition(ids, cfg, seed=5, embeddings=emb)
         assert parts == again
 
     def test_clustering_requires_embeddings(self):
         with pytest.raises(ValueError, match="embeddings"):
-            partition(list(range(30)), self.cfg(p=10, partitioner="kmeans"))
+            partition(list(range(30)), self.cfg(p=10, partitioner="kmeans"), seed=0)
 
     def test_deterministic_given_seed(self):
         ids = list(range(30))
-        a = partition(ids, self.cfg(p=7, seed=9))
-        b = partition(ids, self.cfg(p=7, seed=9))
-        c = partition(ids, self.cfg(p=7, seed=10))
+        a = partition(ids, self.cfg(p=7), seed=9)
+        b = partition(ids, self.cfg(p=7), seed=9)
+        c = partition(ids, self.cfg(p=7), seed=10)
         assert a == b
         assert a != c
 
@@ -161,7 +161,7 @@ class TestShare:
 
 class TestGreedy:
     def cfg(self, **kw):
-        base = dict(alpha=1.0, m=3, m_prime=3, p=100, seed=0)
+        base = dict(alpha=1.0, m=3, m_prime=3, p=100)
         base.update(kw)
         return SelectionConfig(**base)
 
@@ -345,8 +345,8 @@ class TestSelectMemory:
             return k
 
         monkeypatch.setattr(selector_module, "kernel_matrix", recording_kernel_matrix)
-        cfg = SelectionConfig(alpha=0.005, m=30, m_prime=200, p=n + 1, seed=0)
-        buffer = select(graph, view, snapshot(model), cfg)
+        cfg = SelectionConfig(alpha=0.005, m=30, m_prime=200, p=n + 1)
+        buffer = select(graph, view, snapshot(model), cfg, seed=0)
         assert buffer.meta["part_sizes"] == [n]
         assert max(sizes) <= n * _BLOCK
         assert sum(sizes) <= 1.2 * n * n
@@ -361,7 +361,7 @@ class TestBruteForce:
         assert obj == pytest.approx(1.0 * float(pool.jcls.mean()), abs=1e-12)
 
     def test_optimum_bounds_greedy(self):
-        cfg = SelectionConfig(alpha=1.0, m=2, p=100, seed=0)
+        cfg = SelectionConfig(alpha=1.0, m=2, p=100)
         for seed in range(20):
             pool = make_pool(np.random.default_rng(seed), 6)
             _, best = brute_force_select(pool, 2, cfg)
@@ -410,9 +410,9 @@ class TestBuildPool:
         graph, view, prev = sel_setting
         old_train = list(view.nodes_of("old", "train"))
         assert build_pool(graph, view, old_train, prev).kp is None
-        cfg = SelectionConfig(m=6, m_prime=4, p=30, seed=3)
-        buffer = select(graph, view, prev, cfg)
-        pool = with_median_kernel(build_pool(graph, view, old_train, prev), cfg.seed)
+        cfg = SelectionConfig(m=6, m_prime=4, p=30)
+        buffer = select(graph, view, prev, cfg, seed=3)
+        pool = with_median_kernel(build_pool(graph, view, old_train, prev), 3)
         assert buffer.meta["gamma"] == pool.kp.gamma
 
         def forbidden(*args, **kwargs):
@@ -427,9 +427,9 @@ class TestSelect:
     def test_single_partition_matches_direct_greedy(self, sel_setting):
         graph, view, prev = sel_setting
         old_train = list(view.nodes_of("old", "train"))
-        cfg = SelectionConfig(m=6, m_prime=4, p=len(old_train) + 1, seed=1)
-        buffer = select(graph, view, prev, cfg)
-        pool = with_median_kernel(build_pool(graph, view, old_train, prev), cfg.seed)
+        cfg = SelectionConfig(m=6, m_prime=4, p=len(old_train) + 1)
+        buffer = select(graph, view, prev, cfg, seed=1)
+        pool = with_median_kernel(build_pool(graph, view, old_train, prev), 1)
         direct = greedy_select_sub(pool, 6, cfg)
         assert buffer.sub_ids == direct
         assert buffer.sim == greedy_select_sim(pool, 4, cfg)
@@ -437,8 +437,8 @@ class TestSelect:
     def test_budget_exactness_and_quota_split(self, sel_setting):
         graph, view, prev = sel_setting
         n_old = len(view.nodes_of("old", "train"))
-        cfg = SelectionConfig(m=10, m_prime=7, p=(n_old + 2) // 3, seed=2)
-        buffer = select(graph, view, prev, cfg)
+        cfg = SelectionConfig(m=10, m_prime=7, p=(n_old + 2) // 3)
+        buffer = select(graph, view, prev, cfg, seed=2)
         assert len(buffer.sub) == 10
         assert len(buffer.sim) == 7
         assert len(buffer.meta["part_sizes"]) == 3
@@ -448,26 +448,26 @@ class TestSelect:
     def test_clamped_with_warning(self, sel_setting):
         graph, view, prev = sel_setting
         n_old = len(view.nodes_of("old", "train"))
-        cfg = SelectionConfig(m=n_old + 50, m_prime=0, p=n_old + 100, seed=3)
+        cfg = SelectionConfig(m=n_old + 50, m_prime=0, p=n_old + 100)
         with pytest.warns(UserWarning, match="clamping"):
-            buffer = select(graph, view, prev, cfg, with_sim=False)
+            buffer = select(graph, view, prev, cfg, seed=3, with_sim=False)
         assert len(buffer.sub) == n_old
 
     def test_deterministic(self, sel_setting):
         graph, view, prev = sel_setting
-        cfg = SelectionConfig(m=8, m_prime=5, p=30, seed=4)
-        a = select(graph, view, prev, cfg)
-        b = select(graph, view, prev, cfg)
+        cfg = SelectionConfig(m=8, m_prime=5, p=30)
+        a = select(graph, view, prev, cfg, seed=4)
+        b = select(graph, view, prev, cfg, seed=4)
         da, db = a.to_json_dict(), b.to_json_dict()
         da["config"].pop("part_ms"), db["config"].pop("part_ms")
         assert da == db
 
     def test_part_objectives_match_oracles(self, sel_setting):
         graph, view, prev = sel_setting
-        cfg = SelectionConfig(alpha=0.5, m=8, m_prime=6, p=30, seed=7)
-        buffer = select(graph, view, prev, cfg)
+        cfg = SelectionConfig(alpha=0.5, m=8, m_prime=6, p=30)
+        buffer = select(graph, view, prev, cfg, seed=7)
         pool = with_median_kernel(build_pool(graph, view, list(view.nodes_of("old", "train")), prev), 7)
-        parts = partition(list(view.nodes_of("old", "train")), cfg, embeddings=pool.emb)
+        parts = partition(list(view.nodes_of("old", "train")), cfg, seed=7, embeddings=pool.emb)
         objectives = buffer.meta["part_objectives"]
         assert len(objectives) == len(parts) == len(buffer.meta["part_ms"])
         sub, sim = set(buffer.sub_ids), set(buffer.sim)
@@ -486,22 +486,22 @@ class TestSelect:
 
     def test_part_objectives_zero_without_anchors(self, sel_setting):
         graph, view, prev = sel_setting
-        buffer = select(graph, view, prev, SelectionConfig(m=4, m_prime=0, p=30, seed=1))
+        buffer = select(graph, view, prev, SelectionConfig(m=4, m_prime=0, p=30), seed=1)
         for obj in buffer.meta["part_objectives"]:
             assert obj["mmd_sim"] == 0.0 and obj["overlap"] == 0
 
     def test_frozen_jcls_scores_valid(self, sel_setting):
         graph, view, prev = sel_setting
-        cfg = SelectionConfig(m=8, m_prime=0, p=30, seed=5)
-        buffer = select(graph, view, prev, cfg, with_sim=False)
+        cfg = SelectionConfig(m=8, m_prime=0, p=30)
+        buffer = select(graph, view, prev, cfg, seed=5, with_sim=False)
         for entry in buffer.sub:
             assert entry.j_cls >= 0.0
             assert graph.nodes[entry.node_id].class_id == entry.label
 
     def test_json_round_trip(self, sel_setting, tmp_path):
         graph, view, prev = sel_setting
-        cfg = SelectionConfig(m=5, m_prime=3, p=30, seed=6)
-        buffer = select(graph, view, prev, cfg)
+        cfg = SelectionConfig(m=5, m_prime=3, p=30)
+        buffer = select(graph, view, prev, cfg, seed=6)
         path = tmp_path / "buffer.json"
         buffer.save(path)
         loaded = ReplayBuffer.load(path)
@@ -513,7 +513,7 @@ class TestSelect:
         graph, _, prev = sel_setting
         view1 = split_period(graph, 1)
         with pytest.raises(ValueError, match="no old-class"):
-            select(graph, view1, prev, SelectionConfig(m=2, p=10))
+            select(graph, view1, prev, SelectionConfig(m=2, p=10), seed=0)
 
 
 class TestBaselines:

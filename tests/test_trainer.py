@@ -174,8 +174,8 @@ class TestLdstModelGrads:
 
 
 def ltf_buffer(graph, view, prev, m=8, m_prime=6, seed=0):
-    cfg = SelectionConfig(m=m, m_prime=m_prime, p=m + m_prime + 50, seed=seed)
-    return select(graph, view, prev, cfg), cfg
+    cfg = SelectionConfig(m=m, m_prime=m_prime, p=m + m_prime + 50)
+    return select(graph, view, prev, cfg, seed=seed), cfg
 
 
 class TestTrainPeriod:
@@ -185,13 +185,13 @@ class TestTrainPeriod:
         kp = KernelParams(buffer.meta["gamma"])
         runs = {}
         for name, cfg in {
-            "beta0": TrainConfig(strategy="ltf", ablation="both_plus_ldst", beta=0.0,
-                                 lr=0.05, epochs=6, batch_size=16, patience=5, seed=5),
-            "both": TrainConfig(strategy="ltf", ablation="both", beta=0.7,
-                                lr=0.05, epochs=6, batch_size=16, patience=5, seed=5),
+            "beta0": TrainConfig(ablation="both_plus_ldst", beta=0.0,
+                                 lr=0.05, epochs=6, batch_size=16, patience=5),
+            "both": TrainConfig(ablation="both", beta=0.7,
+                                lr=0.05, epochs=6, batch_size=16, patience=5),
         }.items():
             model = grown_model(graph, 2, seed=5)
-            result = train_period(model, graph, view2, buffer, cfg, kp=kp)
+            result = train_period(model, graph, view2, buffer, cfg, strategy="ltf", seed=5, kp=kp)
             runs[name] = (model.parameters(), result.log)
         pa, la = runs["beta0"]
         pb, lb = runs["both"]
@@ -205,10 +205,9 @@ class TestTrainPeriod:
         graph, _, view2, prev = setting
         buffer, _ = ltf_buffer(graph, view2, prev)
         kp = KernelParams(buffer.meta["gamma"])
-        cfg = TrainConfig(strategy="ltf", beta=0.7, lr=0.05, epochs=5,
-                          batch_size=16, patience=5, seed=6)
+        cfg = TrainConfig(beta=0.7, lr=0.05, epochs=5, batch_size=16, patience=5)
         model = grown_model(graph, 2, seed=6)
-        result = train_period(model, graph, view2, buffer, cfg, kp=kp)
+        result = train_period(model, graph, view2, buffer, cfg, strategy="ltf", seed=6, kp=kp)
         for entry in result.log:
             recomposed = entry["loss_new"] + entry["loss_sub"] + cfg.beta * entry["l_dst"]
             assert entry["l_tot"] == pytest.approx(recomposed, abs=1e-10)
@@ -216,10 +215,9 @@ class TestTrainPeriod:
 
     def test_early_stopping_and_best_checkpoint(self, setting):
         graph, _, view2, prev = setting
-        cfg = TrainConfig(strategy="finetune", lr=0.2, epochs=60, batch_size=16,
-                          patience=4, seed=7)
+        cfg = TrainConfig(lr=0.2, epochs=60, batch_size=16, patience=4)
         model = grown_model(graph, 2, seed=7)
-        result = train_period(model, graph, view2, None, cfg)
+        result = train_period(model, graph, view2, None, cfg, strategy="finetune", seed=7)
         assert result.epochs_ran <= cfg.epochs
         assert result.epochs_ran - 1 - result.best_epoch <= cfg.patience
         logged_best = max(e["val_ap"] for e in result.log)
@@ -241,30 +239,32 @@ class TestTrainPeriod:
     def test_empty_new_train_rejected(self, setting):
         graph, _, view2, _ = setting
         empty_view = dataclasses.replace(view2, new_nodes=())
-        cfg = TrainConfig(strategy="finetune", epochs=2, seed=0)
+        cfg = TrainConfig(epochs=2)
         with pytest.raises(ValueError, match="no new-class training nodes"):
-            train_period(grown_model(graph, 2), graph, empty_view, None, cfg)
+            train_period(grown_model(graph, 2), graph, empty_view, None, cfg,
+                         strategy="finetune", seed=0)
 
     def test_wrong_period_buffer_rejected(self, setting):
         graph, _, view2, prev = setting
         buffer, _ = ltf_buffer(graph, view2, prev)
         buffer.period_built = 9
-        cfg = TrainConfig(strategy="ltf", epochs=2, seed=0)
+        cfg = TrainConfig(epochs=2)
         with pytest.raises(ValueError, match="built for period"):
-            train_period(grown_model(graph, 2), graph, view2, buffer, cfg)
+            train_period(grown_model(graph, 2), graph, view2, buffer, cfg, strategy="ltf", seed=0)
 
     def test_buffer_without_replay_strategy_rejected(self, setting):
         graph, _, view2, prev = setting
         buffer, _ = ltf_buffer(graph, view2, prev)
-        cfg = TrainConfig(strategy="finetune", epochs=2, seed=0)
+        cfg = TrainConfig(epochs=2)
         with pytest.raises(ValueError, match="does not use"):
-            train_period(grown_model(graph, 2), graph, view2, buffer, cfg)
+            train_period(grown_model(graph, 2), graph, view2, buffer, cfg,
+                         strategy="finetune", seed=0)
 
     def test_missing_buffer_for_replay_rejected(self, setting):
         graph, _, view2, _ = setting
-        cfg = TrainConfig(strategy="er", epochs=2, seed=0)
+        cfg = TrainConfig(epochs=2)
         with pytest.raises(ValueError, match="requires a replay buffer"):
-            train_period(grown_model(graph, 2), graph, view2, None, cfg)
+            train_period(grown_model(graph, 2), graph, view2, None, cfg, strategy="er", seed=0)
 
 
 class TestAblationTerms:
@@ -290,8 +290,8 @@ def drift_graph():
     )
 
 
-def quick_train_cfg(seed=3, **kw):
-    base = dict(lr=0.15, epochs=25, batch_size=64, patience=8, seed=seed)
+def quick_train_cfg(**kw):
+    base = dict(lr=0.15, epochs=25, batch_size=64, patience=8)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -301,25 +301,25 @@ class TestRunStrategy:
         graph = generate_synthetic(
             SynthConfig(num_periods=1, classes_per_period=2, nodes_per_class_per_period=20, seed=9)
         )
-        sel = SelectionConfig(m=4, m_prime=4, p=30, seed=9)
+        sel = SelectionConfig(m=4, m_prime=4, p=30)
         aps = {}
         for strategy in ("joint", "finetune", "er", "ltf"):
-            out = run_strategy(graph, strategy, sel, quick_train_cfg(seed=9), split_seed=9)
+            out = run_strategy(graph, strategy, sel, quick_train_cfg(), seed=9)
             aps[strategy] = out[0].ap
         assert len(set(aps.values())) == 1
 
     def test_buffer_nodes_are_current_period_old_nodes(self, drift_graph):
-        sel = SelectionConfig(m=8, m_prime=6, p=40, seed=3)
-        out = run_strategy(drift_graph, "ltf", sel, quick_train_cfg(epochs=4), split_seed=3)
+        sel = SelectionConfig(m=8, m_prime=6, p=40)
+        out = run_strategy(drift_graph, "ltf", sel, quick_train_cfg(epochs=4), seed=3)
         for outcome in out[1:]:
             view = split_period(drift_graph, outcome.period, split_seed=3)
             assert set(outcome.buffer.sub_ids) <= set(view.nodes_of("old", "train"))
             assert set(outcome.buffer.sim) <= set(view.nodes_of("old", "train"))
 
     def test_finetune_forgets_vs_joint(self, drift_graph):
-        sel = SelectionConfig(m=8, m_prime=6, p=40, seed=3)
-        joint = run_strategy(drift_graph, "joint", sel, quick_train_cfg(), split_seed=3)
-        fine = run_strategy(drift_graph, "finetune", sel, quick_train_cfg(), split_seed=3)
+        sel = SelectionConfig(m=8, m_prime=6, p=40)
+        joint = run_strategy(drift_graph, "joint", sel, quick_train_cfg(), seed=3)
+        fine = run_strategy(drift_graph, "finetune", sel, quick_train_cfg(), seed=3)
         n = drift_graph.num_periods
         old_joint = np.mean([p for p in joint[-1].precisions[: n - 1] if p is not None])
         old_fine = np.mean([p for p in fine[-1].precisions[: n - 1] if p is not None])
@@ -328,14 +328,14 @@ class TestRunStrategy:
 
     def test_joint_train_loss_not_worse_on_union(self, drift_graph):
         graph = drift_graph
-        sel = SelectionConfig(m=8, m_prime=6, p=40, seed=3)
+        sel = SelectionConfig(m=8, m_prime=6, p=40)
         view2 = split_period(graph, 2, split_seed=3)
         union_ids = view2.nodes_of("all", "train")
         z = build_inputs(build_contexts(graph, union_ids, graph.period(2).t_end))
 
         losses = {}
         for strategy in ("joint", "finetune"):
-            out = run_strategy(graph, strategy, sel, quick_train_cfg(), split_seed=3,
+            out = run_strategy(graph, strategy, sel, quick_train_cfg(), seed=3,
                                keep_snapshots=True)
             model = out[1].model_snapshot
             y = np.array([model.class_index(graph.nodes[v].class_id) for v in union_ids])
@@ -343,14 +343,14 @@ class TestRunStrategy:
         assert losses["joint"] <= losses["finetune"]
 
     def test_selection_time_excluded_from_epoch_time(self, drift_graph):
-        sel = SelectionConfig(m=8, m_prime=6, p=40, seed=3)
-        out = run_strategy(drift_graph, "ltf", sel, quick_train_cfg(epochs=3), split_seed=3)
+        sel = SelectionConfig(m=8, m_prime=6, p=40)
+        out = run_strategy(drift_graph, "ltf", sel, quick_train_cfg(epochs=3), seed=3)
         assert out[1].selection_ms > 0.0
         assert all(e["wall_ms"] > 0.0 for o in out for e in o.epoch_log)
 
     def test_unknown_strategy(self, drift_graph):
         with pytest.raises(ValueError, match="unknown strategy"):
-            run_strategy(drift_graph, "magic", SelectionConfig(m=2, p=10), quick_train_cfg())
+            run_strategy(drift_graph, "magic", SelectionConfig(m=2, p=10), quick_train_cfg(), seed=0)
 
 
 class TestTrainConfigValidation:
@@ -359,7 +359,5 @@ class TestTrainConfigValidation:
             TrainConfig(beta=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(lr=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(strategy="none")
         with pytest.raises(ValueError):
             TrainConfig(ablation="all")
