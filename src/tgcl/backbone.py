@@ -18,13 +18,20 @@ matrix on the graph.
 
 All gradients are hand-derived closed forms; the test suite checks every
 parameter tensor against central finite differences.
+:func:`loss_and_grads_from_inputs` is the one forward/backward. It writes
+the gradients into a :class:`Grads`: one flat float64 vector with a named
+view per parameter tensor. Passing ``out=`` reuses a buffer across steps
+(the trainer keeps two per period); without it each call allocates a fresh
+one, so results never alias. :meth:`Backbone.apply_gradients` checks the
+whole gradient before it updates the parameters in place.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -179,12 +186,21 @@ class Backbone:
                 raise ValueError(f"shape mismatch for {name}: {new.shape} vs {cur.shape}")
             setattr(self, name, new.copy())
 
-    def apply_gradients(self, grads: dict[str, np.ndarray], lr: float) -> None:
+    def apply_gradients(self, grads: Grads, lr: float) -> None:
+        """One descent step, ``param -= lr * grad``, in place per tensor.
+
+        All or nothing: the whole gradient is checked before any parameter
+        changes. A buffer built for other shapes raises ``ValueError``; a
+        non-finite entry raises ``FloatingPointError`` naming the first bad
+        tensor in ``PARAM_NAMES`` order.
+        """
+        grads.check_fits(self)
+        if not np.isfinite(grads.flat).all():
+            bad = next(name for name in PARAM_NAMES if not np.isfinite(grads[name]).all())
+            raise FloatingPointError(f"non-finite gradient for {bad}")
         for name in PARAM_NAMES:
-            g = grads[name]
-            if not np.isfinite(g).all():
-                raise FloatingPointError(f"non-finite gradient for {name}")
-            setattr(self, name, getattr(self, name) - lr * g)
+            param = getattr(self, name)
+            param -= lr * grads[name]
 
 
 class Snapshot:
@@ -222,12 +238,15 @@ Model = Backbone | Snapshot
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-def _forward(model: Model, z: np.ndarray):
-    a1p = z @ model.w_agg.T
-    a1 = np.maximum(a1p, 0.0)
-    ep = a1 @ model.w_hid.T + model.b_hid
-    emb = np.maximum(ep, 0.0)
-    return a1p, a1, ep, emb
+def _forward(model: Model, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations and embeddings; each rectifier acts in place, so
+    a unit's mask ``act > 0`` equals ``pre-activation > 0``."""
+    a1 = z @ model.w_agg.T
+    np.maximum(a1, 0.0, out=a1)
+    emb = a1 @ model.w_hid.T
+    emb += model.b_hid
+    np.maximum(emb, 0.0, out=emb)
+    return a1, emb
 
 
 def embed_batch(model: Model, z: np.ndarray) -> np.ndarray:
@@ -236,24 +255,54 @@ def embed_batch(model: Model, z: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"input dim {z.shape[1]} != expected {input_dim(model.feature_dim)}"
         )
-    return _forward(model, z)[3]
+    return _forward(model, z)[1]
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax_inplace(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, overwriting and returning ``logits``."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 def classify_batch(model: Model, z: np.ndarray) -> np.ndarray:
     if model.num_classes == 0:
         raise ValueError("classifier head is empty")
     emb = embed_batch(model, z)
-    return _softmax(emb @ model.w_head.T)
+    return _softmax_inplace(emb @ model.w_head.T)
 
 
-def zero_grads(model: Model) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(getattr(model, name)) for name in PARAM_NAMES}
+class Grads(Mapping):
+    """Gradients of every parameter tensor in one flat float64 vector.
+
+    ``grads[name]`` is a view of ``flat`` shaped like the parameter
+    ``name``, in ``PARAM_NAMES`` order; a new buffer is all zeros.
+    """
+
+    def __init__(self, model: Model):
+        self.shapes = tuple(getattr(model, name).shape for name in PARAM_NAMES)
+        self.flat = np.zeros(sum(int(np.prod(shape)) for shape in self.shapes))
+        self._views, lo = {}, 0
+        for name, shape in zip(PARAM_NAMES, self.shapes):
+            hi = lo + int(np.prod(shape))
+            self._views[name] = self.flat[lo:hi].reshape(shape)
+            lo = hi
+
+    def check_fits(self, model: Model) -> None:
+        """Raise ``ValueError`` unless ``model``'s parameters have these shapes."""
+        shapes = tuple(getattr(model, name).shape for name in PARAM_NAMES)
+        if shapes != self.shapes:
+            raise ValueError(f"gradient shapes {self.shapes} do not match the model's {shapes}")
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
 
 
 def loss_and_grads_from_inputs(
@@ -261,43 +310,58 @@ def loss_and_grads_from_inputs(
     z: np.ndarray,
     labels_idx: np.ndarray,
     aux: AuxTerm | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
+    out: Grads | None = None,
+) -> tuple[float, Grads]:
     """Mean cross-entropy (plus optional embedding-space aux term) and grads.
 
     ``aux``, when given, maps the batch embeddings to an extra scalar loss
     and its gradient w.r.t. those embeddings; the extra gradient flows back
     through the shared layers.
+
+    The gradients are written into ``out`` and returned in it; ``out`` must
+    have been built for a model of the same parameter shapes. Without
+    ``out`` a fresh :class:`Grads` is returned. The matrix products keep
+    their operand forms; the softmax, the bias add, both rectifier masks
+    and the logit gradient work in place on the products' results.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
+    if out is None:
+        out = Grads(model)
+    else:
+        out.check_fits(model)
     n = z.shape[0]
     if n == 0:
-        return 0.0, zero_grads(model)
+        out.flat.fill(0.0)
+        return 0.0, out
     y = np.asarray(labels_idx, dtype=int)
     if y.min() < 0 or y.max() >= model.num_classes:
         raise ValueError("label index out of head range")
 
-    a1p, a1, ep, emb = _forward(model, z)
-    probs = _softmax(emb @ model.w_head.T)
-    loss = float(-np.mean(np.log(np.clip(probs[np.arange(n), y], 1e-300, None))))
+    a1, emb = _forward(model, z)
+    rows = np.arange(n)
+    d_logits = _softmax_inplace(emb @ model.w_head.T)
+    picked = d_logits[rows, y]
+    # np.add.reduce(x) / n is what np.mean computes
+    loss = float(-(np.add.reduce(np.log(np.maximum(picked, 1e-300))) / n))
 
-    d_logits = probs.copy()
-    d_logits[np.arange(n), y] -= 1.0
+    picked -= 1.0
+    d_logits[rows, y] = picked
     d_logits /= n
-    g_head = d_logits.T @ emb
+    np.matmul(d_logits.T, emb, out=out["w_head"])
     d_emb = d_logits @ model.w_head
 
     if aux is not None:
         aux_val, aux_d_emb = aux(emb)
         loss += float(aux_val)
-        d_emb = d_emb + aux_d_emb
+        d_emb += aux_d_emb
 
-    d_ep = d_emb * (ep > 0.0)
-    g_hid = d_ep.T @ a1
-    g_bhid = d_ep.sum(axis=0)
-    d_a1 = d_ep @ model.w_hid
-    d_a1p = d_a1 * (a1p > 0.0)
-    g_agg = d_a1p.T @ z
-    return loss, {"w_agg": g_agg, "w_hid": g_hid, "b_hid": g_bhid, "w_head": g_head}
+    d_emb *= emb > 0.0
+    np.matmul(d_emb.T, a1, out=out["w_hid"])
+    np.add.reduce(d_emb, axis=0, out=out["b_hid"])
+    d_a1 = d_emb @ model.w_hid
+    d_a1 *= a1 > 0.0
+    np.matmul(d_a1.T, z, out=out["w_agg"])
+    return loss, out
 
 
 # ---------------------------------------------------------------------------

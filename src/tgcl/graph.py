@@ -425,22 +425,36 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_periods < 1:
-            raise ValueError("num_periods must be >= 1")
-        if self.classes_per_period < 1 or self.nodes_per_class_per_period < 1:
-            raise ValueError("need at least one class and one node per class per period")
-        if self.feature_dim < 1:
-            raise ValueError("feature_dim must be >= 1")
+        """Each message starts with the name of the field at fault."""
+        for name, low in (
+            ("num_periods", 1),
+            ("classes_per_period", 1),
+            ("nodes_per_class_per_period", 1),
+            ("feature_dim", 1),
+            ("events_per_node", 0),
+            ("seed", 0),
+        ):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in (
+            "class_center_scale",
+            "drift_step",
+            "noise_sigma",
+            "intra_class_edge_prob",
+            "inter_class_edge_prob",
+        ):
+            value = getattr(self, name)
+            if type(value) not in (int, float):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.drift_step < 0:
-            raise ValueError("drift_step must be >= 0")
+            raise ValueError(f"drift_step must be >= 0, got {self.drift_step!r}")
         if not self.noise_sigma > 0:
-            raise ValueError("noise_sigma must be > 0")
+            raise ValueError(f"noise_sigma must be > 0, got {self.noise_sigma!r}")
         for name in ("intra_class_edge_prob", "inter_class_edge_prob"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if self.events_per_node < 0:
-            raise ValueError("events_per_node must be >= 0")
+                raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

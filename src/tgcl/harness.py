@@ -224,10 +224,12 @@ def validate_config(cfg: dict) -> None:
     if not isinstance(data, dict) or len(set(data) & {"synthetic", "files"}) != 1:
         raise ConfigError("data: need exactly one of 'synthetic' or 'files'")
     if "synthetic" in data:
+        synth = data["synthetic"]
+        _check_keys("data.synthetic.", synth, [f.name for f in fields(SynthConfig)])
         try:
-            SynthConfig.from_dict(data["synthetic"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"data.synthetic: {exc}") from exc
+            SynthConfig.from_dict(synth)
+        except ValueError as exc:  # the message starts with the field's name
+            raise ConfigError(f"data.synthetic.{exc}") from exc
     else:
         files = data["files"]
         for key in ("nodes", "events"):

@@ -388,9 +388,11 @@ def _kernel_col(pool: SelectionPool, row: int) -> np.ndarray:
     Unchecked: every pick follows the :func:`_col_mean` pass over the same
     part, whose checked :func:`kernel_matrix` blocks cover every row, so
     scanning the whole part for non-finite values again on each pick would
-    only repeat that check.
+    only repeat that check. The pick goes first: cdist adds each pair's
+    squared differences in index order whichever operand comes first, so
+    the 1 x n call returns the n x 1 column's values, and it is faster.
     """
-    return _kernel(pool.emb, pool.emb[row : row + 1], pool.kp)[:, 0]
+    return _kernel(pool.emb[row : row + 1], pool.emb, pool.kp)[0]
 
 
 class _Picks(NamedTuple):

@@ -25,6 +25,7 @@ from scipy.spatial.distance import cdist
 
 from .backbone import (
     Backbone,
+    Grads,
     Model,
     Snapshot,
     # unused here: perfbench/tests/test_perfbench.py reads tgcl.trainer.build_contexts
@@ -132,10 +133,6 @@ def _node_inputs(graph: TemporalGraph, view: PeriodView, ids: Sequence[int], mod
     return z, y
 
 
-def _sum_grads(a: dict, b: dict) -> dict:
-    return {k: a[k] + b[k] for k in a}
-
-
 def train_period(
     model: Backbone,
     graph: TemporalGraph,
@@ -181,12 +178,14 @@ def train_period(
 
     z_main, y_main = _node_inputs(graph, view, main_ids, model)
     n_main = len(main_ids)
+    n_steps = -(-n_main // cfg.batch_size)
 
     replay_active = replay and buffer is not None and buffer.sub
     if replay_active:
         sub_ids = buffer.sub_ids
         z_sub, y_sub = _node_inputs(graph, view, sub_ids, model)
         n_sub = len(sub_ids)
+        take = min(cfg.batch_size, n_sub)
     use_ldst = (
         replay_active
         and strategy == "ltf"
@@ -213,6 +212,8 @@ def train_period(
         warnings.warn(f"period {n} has no validation nodes; early stopping is inert", stacklevel=2)
 
     rng = np.random.default_rng((seed, n))
+    grads = Grads(model)  # the step's gradient; the replay batch's is added into it
+    sub_grads = Grads(model) if replay_active else None
     result = TrainResult()
     best_params = model.parameters()
     best_ap = -np.inf
@@ -223,22 +224,23 @@ def train_period(
         if use_ldst:  # the anchors are re-embedded once per epoch
             sim_emb = embed_batch(model, z_sim)
         perm = rng.permutation(n_main)
+        z_epoch, y_epoch = z_main[perm], y_main[perm]
         if replay_active:
-            sub_perm = rng.permutation(n_sub)
-            sub_ptr = 0
+            # step k replays rows k*take .. (k+1)*take - 1 of the replay
+            # permutation repeated cyclically
+            order = rng.permutation(n_sub)[np.arange(n_steps * take) % n_sub]
+            z_rep, y_rep = z_sub[order], y_sub[order]
 
         acc_new = acc_sub = acc_ldst = acc_tot = 0.0
-        steps = 0
-        for start in range(0, n_main, cfg.batch_size):
-            bidx = perm[start : start + cfg.batch_size]
-            loss_new, grads = loss_and_grads_from_inputs(model, z_main[bidx], y_main[bidx])
+        for k in range(n_steps):
+            batch = slice(k * cfg.batch_size, (k + 1) * cfg.batch_size)
+            loss_new, _ = loss_and_grads_from_inputs(
+                model, z_epoch[batch], y_epoch[batch], out=grads
+            )
             step_tot = loss_new
             ce_sub = 0.0
             raw_ldst = 0.0
             if replay_active:
-                take = min(cfg.batch_size, n_sub)
-                sidx = sub_perm[(sub_ptr + np.arange(take)) % n_sub]
-                sub_ptr = (sub_ptr + take) % n_sub
                 aux = None
                 if use_ldst:
                     cell: list[float] = []
@@ -248,11 +250,14 @@ def train_period(
                         _cell.append(val)
                         return cfg.beta * val, cfg.beta * g
 
-                loss_sub, g_sub = loss_and_grads_from_inputs(model, z_sub[sidx], y_sub[sidx], aux=aux)
+                rep = slice(k * take, (k + 1) * take)
+                loss_sub, _ = loss_and_grads_from_inputs(
+                    model, z_rep[rep], y_rep[rep], aux=aux, out=sub_grads
+                )
                 if use_ldst:
                     raw_ldst = cell[0]
                 ce_sub = loss_sub - cfg.beta * raw_ldst
-                grads = _sum_grads(grads, g_sub)
+                grads.flat += sub_grads.flat
                 step_tot += loss_sub
             if not np.isfinite(step_tot):
                 raise FloatingPointError(f"non-finite loss at period {n} epoch {epoch}")
@@ -261,7 +266,6 @@ def train_period(
             acc_sub += ce_sub
             acc_ldst += raw_ldst
             acc_tot += step_tot
-            steps += 1
 
         val_ap = _validation_ap(model, z_val, val_labels, set_masks)
         wall_ms = (perf_counter() - t0) * 1000.0
@@ -269,10 +273,10 @@ def train_period(
             {
                 "period": n,
                 "epoch": epoch,
-                "loss_new": acc_new / steps,
-                "loss_sub": acc_sub / steps,
-                "l_dst": acc_ldst / steps,
-                "l_tot": acc_tot / steps,
+                "loss_new": acc_new / n_steps,
+                "loss_sub": acc_sub / n_steps,
+                "l_dst": acc_ldst / n_steps,
+                "l_tot": acc_tot / n_steps,
                 "val_ap": val_ap,
                 "wall_ms": wall_ms,
             }
@@ -295,7 +299,7 @@ def _validation_ap(model, z_val, val_labels, set_masks) -> float:
     if z_val is None or not set_masks:
         return 0.0
     probs = classify_batch(model, z_val)
-    preds = np.array([model.classes[i] for i in probs.argmax(axis=1)])
+    preds = np.asarray(model.classes)[probs.argmax(axis=1)]
     accs = [float(np.mean(preds[m] == val_labels[m])) for m in set_masks]
     return float(np.mean(accs))
 

@@ -3,6 +3,8 @@
 These are deliberately direct: a single-pair kernel, the per-candidate
 greedy witness, the full n x n matrix greedy and exhaustive subset
 enumeration, the per-node model-input loop, the per-node frozen loss,
+the training step's loss and gradients with a new array per
+intermediate, validation AP with a per-prediction class lookup,
 the alignment loss with model gradients (backpropagated from the
 embeddings on their own), and a period's events and each
 node's debut period by a scan of the events. None of them is used by the
@@ -20,8 +22,9 @@ import numpy as np
 
 from tgcl.backbone import (
     K_NEIGHBORS,
+    PARAM_NAMES,
+    AuxTerm,
     Model,
-    _forward,
     classify_batch,
     embed_batch,
     input_dim,
@@ -75,10 +78,75 @@ def j_cls(prev: Model, z: np.ndarray, class_id: int) -> float:
     return float(-np.log(np.clip(probs[idx], 1e-300, None)))
 
 
+def reference_forward(model: Model, z: np.ndarray):
+    """Pre-activations and activations of both layers, each a new array."""
+    a1p = z @ model.w_agg.T
+    a1 = np.maximum(a1p, 0.0)
+    ep = a1 @ model.w_hid.T + model.b_hid
+    emb = np.maximum(ep, 0.0)
+    return a1p, a1, ep, emb
+
+
+def reference_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_loss_and_grads(
+    model: Model,
+    z: np.ndarray,
+    labels_idx: np.ndarray,
+    aux: AuxTerm | None = None,
+) -> tuple[float, dict[str, np.ndarray]]:
+    """The training step's loss and gradients with a new array per
+    intermediate and the mean and clip wrappers, for bitwise comparison."""
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    n = z.shape[0]
+    if n == 0:
+        return 0.0, {name: np.zeros_like(getattr(model, name)) for name in PARAM_NAMES}
+    y = np.asarray(labels_idx, dtype=int)
+    if y.min() < 0 or y.max() >= model.num_classes:
+        raise ValueError("label index out of head range")
+
+    a1p, a1, ep, emb = reference_forward(model, z)
+    probs = reference_softmax(emb @ model.w_head.T)
+    loss = float(-np.mean(np.log(np.clip(probs[np.arange(n), y], 1e-300, None))))
+
+    d_logits = probs.copy()
+    d_logits[np.arange(n), y] -= 1.0
+    d_logits /= n
+    g_head = d_logits.T @ emb
+    d_emb = d_logits @ model.w_head
+
+    if aux is not None:
+        aux_val, aux_d_emb = aux(emb)
+        loss += float(aux_val)
+        d_emb = d_emb + aux_d_emb
+
+    d_ep = d_emb * (ep > 0.0)
+    g_hid = d_ep.T @ a1
+    g_bhid = d_ep.sum(axis=0)
+    d_a1 = d_ep @ model.w_hid
+    d_a1p = d_a1 * (a1p > 0.0)
+    g_agg = d_a1p.T @ z
+    return loss, {"w_agg": g_agg, "w_hid": g_hid, "b_hid": g_bhid, "w_head": g_head}
+
+
+def reference_validation_ap(model: Model, z_val, val_labels, set_masks) -> float:
+    """Validation AP with class ids looked up one prediction at a time."""
+    if z_val is None or not set_masks:
+        return 0.0
+    probs = classify_batch(model, z_val)
+    preds = np.array([model.classes[i] for i in probs.argmax(axis=1)])
+    accs = [float(np.mean(preds[m] == val_labels[m])) for m in set_masks]
+    return float(np.mean(accs))
+
+
 def embedding_grads(model: Model, z: np.ndarray, d_emb: np.ndarray) -> dict[str, np.ndarray]:
     """Backpropagate a gradient w.r.t. the embeddings into parameter space."""
     z = np.atleast_2d(np.asarray(z, dtype=float))
-    a1p, a1, ep, _ = _forward(model, z)
+    a1p, a1, ep, _ = reference_forward(model, z)
     d_ep = d_emb * (ep > 0.0)
     grads = {
         "w_hid": d_ep.T @ a1,

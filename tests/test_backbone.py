@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from tgcl.backbone import (
+    PARAM_NAMES,
     Backbone,
+    Grads,
     K_NEIGHBORS,
     Snapshot,
     build_contexts,
@@ -22,9 +24,11 @@ from tgcl.backbone import (
 )
 import tgcl.backbone as backbone_module
 from tgcl.graph import Event, NodeRecord, PeriodSpec, SynthConfig, TemporalGraph, generate_synthetic, split_period
+from tgcl.kernels import KernelParams
+from tgcl.trainer import l_dst_terms
 
 from conftest import finite_difference_grads, max_rel_error, toy_model
-from oracles import reference_inputs
+from oracles import reference_inputs, reference_loss_and_grads
 
 
 def manual_forward(model, z):
@@ -314,9 +318,62 @@ class TestClassify:
 class TestLossAndGrads:
     def test_empty_batch(self):
         model = toy_model()
-        loss, grads = loss_and_grads_from_inputs(model, np.zeros((0, input_dim(3))), np.zeros(0, int))
-        assert loss == 0.0
-        assert all(np.all(g == 0.0) for g in grads.values())
+        used = Grads(model)
+        used.flat[:] = 1.0
+        for out in (None, used):
+            loss, grads = loss_and_grads_from_inputs(
+                model, np.zeros((0, input_dim(3))), np.zeros(0, int), out=out
+            )
+            assert loss == 0.0
+            assert all(np.all(g == 0.0) for g in grads.values())
+
+    @pytest.mark.parametrize("reuse", [False, True])
+    @pytest.mark.parametrize("with_aux", [False, True])
+    @pytest.mark.parametrize("n", [1, 7, 128])
+    def test_steps_equal_reference_bit_for_bit(self, n, with_aux, reuse):
+        # 50 successive descent steps at the trainer's sizes, each compared
+        # with the allocate-per-intermediate reference before it is applied
+        rng = np.random.default_rng(n)
+        model = toy_model(feature_dim=8, hidden_dim=64, classes=range(9), seed=n)
+        sim_emb = rng.uniform(0.0, 1.0, size=(12, 64))
+        kp = KernelParams(0.3)
+
+        def aux(e):
+            val, g = l_dst_terms(e, sim_emb, kp)
+            return 0.5 * val, 0.5 * g
+
+        out = Grads(model) if reuse else None
+        for step in range(50):
+            z = random_inputs(rng, n=n, feature_dim=8)
+            y = rng.integers(0, model.num_classes, size=n)
+            want_loss, want = reference_loss_and_grads(model, z, y, aux=aux if with_aux else None)
+            loss, grads = loss_and_grads_from_inputs(
+                model, z, y, aux=aux if with_aux else None, out=out
+            )
+            assert loss == want_loss, step
+            for name in PARAM_NAMES:
+                assert np.array_equal(grads[name], want[name]), (step, name)
+            assert grads is out if reuse else isinstance(grads, Grads)
+            model.apply_gradients(grads, 0.05)
+
+    def test_fresh_buffers_do_not_alias(self):
+        model = toy_model(seed=4)
+        z = random_inputs(np.random.default_rng(4), n=3)
+        y = np.array([0, 1, 2])
+        _, a = loss_and_grads_from_inputs(model, z, y)
+        _, b = loss_and_grads_from_inputs(model, z, y)
+        assert not np.shares_memory(a.flat, b.flat)
+        for name in PARAM_NAMES:
+            assert a[name] is not b[name]
+            assert np.shares_memory(a[name], a.flat)
+
+    def test_buffer_of_other_shapes_rejected(self):
+        model = toy_model(classes=(0, 1))
+        out = Grads(model)
+        model.grow_head([2])
+        z = random_inputs(np.random.default_rng(5))
+        with pytest.raises(ValueError, match="do not match"):
+            loss_and_grads_from_inputs(model, z, np.array([2]), out=out)
 
     def test_duplicated_batch_same_loss(self):
         rng = np.random.default_rng(9)
@@ -349,6 +406,50 @@ class TestLossAndGrads:
                 lambda: loss_and_grads_from_inputs(model, z, y)[0], model
             )
             assert max_rel_error(analytic, numeric) < 1e-4, f"seed {seed}"
+
+
+class TestApplyGradients:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", PARAM_NAMES)
+    def test_non_finite_gradient_changes_nothing(self, name, bad):
+        model = toy_model(seed=6)
+        before = model.parameters()
+        grads = Grads(model)
+        grads.flat[:] = 1.0
+        grads[name].flat[-1] = bad
+        with pytest.raises(FloatingPointError, match=f"non-finite gradient for {name}$"):
+            model.apply_gradients(grads, 0.1)
+        after = model.parameters()
+        assert all(np.array_equal(before[k], after[k]) for k in PARAM_NAMES)
+
+    def test_first_bad_tensor_named(self):
+        model = toy_model(seed=6)
+        grads = Grads(model)
+        grads["w_head"][0, 0] = np.nan
+        grads["w_hid"][0, 0] = np.inf
+        with pytest.raises(FloatingPointError, match="for w_hid$"):
+            model.apply_gradients(grads, 0.1)
+
+    def test_shape_mismatch_changes_nothing(self):
+        model = toy_model(classes=(0, 1), seed=6)
+        grads = Grads(model)
+        model.grow_head([2])
+        before = model.parameters()
+        with pytest.raises(ValueError, match="do not match"):
+            model.apply_gradients(grads, 0.1)
+        after = model.parameters()
+        assert all(np.array_equal(before[k], after[k]) for k in PARAM_NAMES)
+
+    def test_step_updates_in_place(self):
+        model = toy_model(seed=6)
+        arrays = [getattr(model, name) for name in PARAM_NAMES]
+        want = {name: getattr(model, name) - 0.1 * 2.0 for name in PARAM_NAMES}
+        grads = Grads(model)
+        grads.flat[:] = 2.0
+        model.apply_gradients(grads, 0.1)
+        for name, arr in zip(PARAM_NAMES, arrays):
+            assert getattr(model, name) is arr
+            assert np.array_equal(arr, want[name])
 
 
 class TestGrowHead:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 
 import pytest
 
@@ -126,9 +127,31 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=where):
             load_config(write_config(tmp_path, bad))
 
+    @pytest.mark.parametrize("value", [True, 20.5, "4"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "num_periods",
+            "classes_per_period",
+            "nodes_per_class_per_period",
+            "feature_dim",
+            "events_per_node",
+            "seed",
+        ],
+    )
+    def test_synthetic_integer_fields_typed(self, tmp_path, key, value):
+        bad = {**TINY, "data": {"synthetic": {**TINY_DATA["synthetic"], key: value}}}
+        where = rf"^data\.synthetic\.{key} must be an integer >= \d, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigError, match=where):
+            load_config(write_config(tmp_path, bad))
+
     @pytest.mark.parametrize(
         "extra, match",
-        [({"seed": 3}, r"^seed: unknown key"), ({"kernel": {"squared": True}}, r"^kernel\.squared: unknown key")],
+        [
+            ({"seed": 3}, r"^seed: unknown key"),
+            ({"kernel": {"squared": True}}, r"^kernel\.squared: unknown key"),
+            ({"data": {"synthetic": {"periods": 2}}}, r"^data\.synthetic\.periods: unknown key"),
+        ],
     )
     def test_unknown_keys_rejected_by_name(self, tmp_path, extra, match):
         with pytest.raises(ConfigError, match=match):

@@ -15,6 +15,7 @@ from tgcl.selector import (
     ReplayBuffer,
     SelectionConfig,
     SelectionPool,
+    _kernel_col,
     _share,
     baseline_select,
     build_pool,
@@ -278,6 +279,17 @@ def pool_with_duplicates(rng, n, squared, dim=3):
     ids = tuple(int(v) for v in rng.permutation(10 * n)[:n])
     gamma = float(rng.uniform(0.3, 2.0))
     return SelectionPool(ids=ids, emb=emb, jcls=jc, kp=KernelParams(gamma, squared=squared))
+
+
+class TestKernelColumn:
+    @pytest.mark.parametrize("squared", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 257])
+    def test_equals_kernel_matrix_column(self, n, squared):
+        pool = pool_with_duplicates(np.random.default_rng(n), n, squared)
+        pool.emb[-1] = pool.emb[0]  # a duplicate at every size but 1
+        for row in range(n):
+            want = kernel_matrix(pool.emb, pool.emb[row : row + 1], pool.kp)[:, 0]
+            assert np.array_equal(_kernel_col(pool, row), want), row
 
 
 class TestOnePassGreedy:

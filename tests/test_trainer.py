@@ -16,6 +16,7 @@ from tgcl.kernels import KernelParams, mmd_sq
 from tgcl.selector import SelectionConfig, select
 from tgcl.trainer import (
     TrainConfig,
+    _validation_ap,
     ablation_terms,
     l_dst_terms,
     run_strategy,
@@ -23,7 +24,7 @@ from tgcl.trainer import (
 )
 
 from conftest import finite_difference_grads, max_rel_error, trained_toy_snapshot
-from oracles import l_dst
+from oracles import l_dst, reference_validation_ap
 
 
 @pytest.fixture(scope="module")
@@ -223,8 +224,6 @@ class TestTrainPeriod:
         logged_best = max(e["val_ap"] for e in result.log)
         assert result.best_val_ap == logged_best
         # returned parameters reproduce the best validation AP, not the last
-        from tgcl.trainer import _validation_ap
-
         val_ids = view2.nodes_of("all", "val")
         z_val = build_inputs(build_contexts(graph, val_ids, graph.period(2).t_end))
         val_labels = np.array([graph.nodes[v].class_id for v in val_ids])
@@ -235,6 +234,20 @@ class TestTrainPeriod:
             if mask.any():
                 masks.append(mask)
         assert _validation_ap(model, z_val, val_labels, masks) == pytest.approx(logged_best)
+
+    def test_validation_ap_equals_per_prediction_lookup(self):
+        rng = np.random.default_rng(8)
+        classes = [7, 2, 11, 4]  # head rows out of class-id order
+        model = Backbone(3, hidden_dim=8, seed=8)
+        model.grow_head(classes)
+        model.b_hid += 0.5
+        model.w_head = rng.normal(size=model.w_head.shape)
+        z_val = rng.normal(size=(60, 7))
+        labels = rng.choice(classes, size=60)
+        masks = [np.isin(labels, [7, 2]), np.isin(labels, [11, 4])]
+        for args in ((z_val, labels, masks), (z_val, labels, masks[:1]), (None, labels, masks), (z_val, labels, [])):
+            assert _validation_ap(model, *args) == reference_validation_ap(model, *args)
+        assert 0.0 < _validation_ap(model, z_val, labels, masks) < 1.0
 
     def test_empty_new_train_rejected(self, setting):
         graph, _, view2, _ = setting
