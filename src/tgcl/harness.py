@@ -9,12 +9,13 @@ interrupted invocation can resume. The aggregated ``results.csv`` and
 ``summary.json`` are byte-deterministic for fixed config and seeds; wall
 times go to ``timing.jsonl`` instead.
 
-Config keys, each checked at load; any other key, also inside ``sel``,
-``train``, ``kernel`` or ``sweeps``, is rejected by name. Integers and
-numbers are JSON integers and numbers, never booleans.
+Config keys, each checked at load; any other key, also inside ``data``,
+``sel``, ``train``, ``kernel`` or ``sweeps``, is rejected by name.
+Integers and numbers are JSON integers and numbers, never booleans.
 
 * ``data``: exactly one of ``synthetic`` (:class:`SynthConfig` fields) or
-  ``files`` (paths ``nodes``, ``events``, optional ``periods``).
+  ``files`` (path strings ``nodes`` and ``events``, and ``periods``, a
+  path string or null, which may be left out).
 * ``strategies``: a nonempty list of ``trainer.STRATEGIES`` names.
 * ``sel``, ``train``: fields of :class:`SelectionConfig` and
   :class:`TrainConfig`; an ``int`` field takes an integer, a ``float``
@@ -173,7 +174,8 @@ def merge_config(base: dict, override: dict) -> dict:
     out = deep_merge(base, override)
     named = {"synthetic", "files"} & set(override.get("data", {}))
     if named:
-        out["data"] = {k: v for k, v in out["data"].items() if k in named}
+        other = {"synthetic", "files"} - named
+        out["data"] = {k: v for k, v in out["data"].items() if k not in other}
     return out
 
 
@@ -221,7 +223,8 @@ def validate_config(cfg: dict) -> None:
     :class:`ConfigError` names the field at fault."""
     _check_keys("", cfg, [*DEFAULT_CONFIG, "output_dir"])
     data = cfg.get("data")
-    if not isinstance(data, dict) or len(set(data) & {"synthetic", "files"}) != 1:
+    _check_keys("data.", data, ["synthetic", "files"])
+    if len(data) != 1:
         raise ConfigError("data: need exactly one of 'synthetic' or 'files'")
     if "synthetic" in data:
         synth = data["synthetic"]
@@ -232,9 +235,13 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError(f"data.synthetic.{exc}") from exc
     else:
         files = data["files"]
+        _check_keys("data.files.", files, ["nodes", "events", "periods"])
         for key in ("nodes", "events"):
             if key not in files:
                 raise ConfigError(f"data.files.{key}: required path missing")
+        for key, value in files.items():
+            if not isinstance(value, str) and not (key == "periods" and value is None):
+                raise ConfigError(f"data.files.{key}: must be a path string, got {value!r}")
     strategies = cfg.get("strategies")
     if not isinstance(strategies, list) or not strategies:
         raise ConfigError("strategies: need a nonempty list")

@@ -18,49 +18,40 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .backbone import Model, classify_batch, node_inputs
-from .graph import TEST, PeriodView, TemporalGraph
+from .backbone import Model, classify_batch
 
 
 def per_set_accuracy(
-    labels: Sequence[int], predictions: Sequence[int], class_set: Sequence[int]
-) -> float | None:
-    """Fraction of samples with true label in ``class_set`` predicted exactly.
+    labels: np.ndarray, predictions: np.ndarray, class_sets: Sequence[Sequence[int]]
+) -> list[float | None]:
+    """Per class set, the fraction of rows with true label in the set that
+    are predicted exactly: an integer hit count over an integer total.
 
-    Returns None (with a warning) when the set has no samples.
+    A set with no rows gives None, with a warning.
     """
-    cs = set(class_set)
-    idx = [i for i, y in enumerate(labels) if y in cs]
-    if not idx:
-        warnings.warn(f"no samples for class set {sorted(cs)}; precision undefined", stacklevel=2)
-        return None
-    hits = sum(1 for i in idx if predictions[i] == labels[i])
-    return hits / len(idx)
-
-
-def predict_nodes(
-    model: Model, graph: TemporalGraph, view: PeriodView, node_ids: Sequence[int]
-) -> list[int]:
-    """Argmax class ids (over all known classes) for the given nodes."""
-    if not node_ids:
-        return []
-    z = node_inputs(graph, node_ids, graph.period(view.period_index).t_end)
-    probs = classify_batch(model, z)
-    return [model.classes[i] for i in probs.argmax(axis=1)]
+    labels = np.asarray(labels)
+    hits = np.asarray(predictions) == labels
+    out: list[float | None] = []
+    for cs in class_sets:
+        rows = np.zeros(labels.shape, dtype=bool)
+        for c in cs:  # np.isin costs more for sets of a few classes
+            rows |= labels == c
+        total = int(np.count_nonzero(rows))
+        if not total:
+            warnings.warn(f"no samples for class set {sorted(cs)}; precision undefined", stacklevel=3)
+            out.append(None)
+        else:
+            out.append(int(np.count_nonzero(hits & rows)) / total)
+    return out
 
 
 def precision_per_set(
-    model: Model,
-    graph: TemporalGraph,
-    view: PeriodView,
-    class_set: Sequence[int],
-    split: str = TEST,
-) -> float | None:
-    """Per-set accuracy on one split of the period, argmax over all classes."""
-    ids = view.nodes_of("all", split)
-    labels = [graph.nodes[v].class_id for v in ids]
-    preds = predict_nodes(model, graph, view, ids)
-    return per_set_accuracy(labels, preds, class_set)
+    model: Model, z: np.ndarray, labels: Sequence[int], class_sets: Sequence[Sequence[int]]
+) -> list[float | None]:
+    """Per-set accuracy of the rows ``z`` (true class ids ``labels``), with
+    one argmax over all known classes for every set."""
+    predictions = np.asarray(model.classes)[classify_batch(model, z).argmax(axis=1)]
+    return per_set_accuracy(labels, predictions, class_sets)
 
 
 def ap(precisions: Sequence[float | None]) -> float:

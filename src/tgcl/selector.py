@@ -496,7 +496,6 @@ def select(
     cfg: SelectionConfig,
     *,
     seed: int,
-    kp: KernelParams | None = None,
     terms: Sequence[str] = SCORE_TERMS,
     with_sim: bool = True,
     squared_kernel: bool = False,
@@ -507,9 +506,9 @@ def select(
     Budgets larger than the candidate count are clamped with a warning.
     Per-part selections are independent; the result is deterministic given
     (graph, snapshot, config, seed). ``seed`` keys the partition stream
-    ``(seed, _STREAM_PARTITION)`` and the median heuristic's sample, which
-    sets the bandwidth unless ``kp`` is given; ``squared_kernel`` switches
-    to the squared-distance kernel.
+    ``(seed, _STREAM_PARTITION)`` and the sample of the median heuristic,
+    which sets the kernel bandwidth (``gamma=1.0`` for a single
+    candidate); ``squared_kernel`` switches to the squared-distance kernel.
     """
     old_train = list(view.nodes_of("old", TRAIN))
     if not old_train:
@@ -530,11 +529,10 @@ def select(
         m_prime = len(old_train)
 
     pool = build_pool(graph, view, old_train, prev)
-    if kp is None:
-        if len(old_train) >= 2:
-            kp = median_heuristic_gamma(pool.emb, seed=seed, squared=squared_kernel)
-        else:
-            kp = KernelParams(gamma=1.0, squared=squared_kernel)
+    if len(old_train) >= 2:
+        kp = median_heuristic_gamma(pool.emb, seed=seed, squared=squared_kernel)
+    else:
+        kp = KernelParams(gamma=1.0, squared=squared_kernel)
     pool = replace(pool, kp=kp)
     parts = partition(old_train, cfg, seed=seed, embeddings=pool.emb)
     sizes = [len(p) for p in parts]

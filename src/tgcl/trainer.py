@@ -1,16 +1,18 @@
 """Per-period continual training and strategy orchestration.
 
-The per-period objective is ``CE(new) + CE(replayed subset) + beta *
+The per-period objective is ``CE(main) + CE(replayed subset) + beta *
 alignment``, where the alignment term pulls the live embeddings of the
 rehearsal subset toward frozen embeddings of the anchor subset (gradients
-are stopped on the anchor side). Strategies:
+are stopped on the anchor side). A period's update is fully set by a
+:class:`PeriodPlan` of three node subsets (main, replay and anchor ids),
+which :func:`plan_period` builds from the strategy:
 
 * ``joint``    - train on all of the period's data (reference, slowest)
 * ``finetune`` - new classes only (fastest, forgets)
 * ``er``       - replay a random class-balanced subset of current old data
 * ``icarl``    - replay a herding-selected subset
-* ``ltf``      - replay the greedy error+distribution subset, optionally
-  with the alignment term (ablation ``both_plus_ldst``)
+* ``ltf``      - replay the greedy error+distribution subset, with anchors
+  for the alignment term under ablation ``both_plus_ldst`` and ``beta > 0``
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .backbone import (
     # unused here: perfbench/tests/test_perfbench.py reads tgcl.trainer.build_contexts
     build_contexts,
     embed_batch,
-    classify_batch,
     loss_and_grads_from_inputs,
     node_inputs,
     snapshot,
@@ -127,6 +128,70 @@ class TrainResult:
     epochs_ran: int = 0
 
 
+@dataclass(frozen=True)
+class PeriodPlan:
+    """The node subsets of one period's update.
+
+    ``main_ids`` are trained on every step, ``replay_ids`` are replayed
+    beside them, and ``anchor_ids`` are the frozen side of the alignment
+    term, whose kernel is ``kp`` (set exactly when there are anchors).
+    """
+
+    main_ids: tuple[int, ...]
+    replay_ids: tuple[int, ...] = ()
+    anchor_ids: tuple[int, ...] = ()
+    kp: KernelParams | None = None
+
+
+def plan_period(
+    graph: TemporalGraph,
+    view: PeriodView,
+    prev: Model | None,
+    strategy: str,
+    sel_cfg: SelectionConfig,
+    train_cfg: TrainConfig,
+    *,
+    seed: int,
+    kernel_squared: bool = False,
+) -> tuple[PeriodPlan, ReplayBuffer | None, float]:
+    """Decide a period's training data under ``strategy``.
+
+    A replay strategy selects its buffer from the period's old-class
+    training nodes, scored by ``prev`` (the model frozen at the end of the
+    previous period), when there are any. Returns the plan, that buffer (or
+    None) and the selection wall time in ms. ``seed`` is passed to
+    :func:`select` and :func:`baseline_select`, which say which streams it
+    keys.
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    n = view.period_index
+    new_train = view.nodes_of("new", TRAIN)
+    if not new_train:
+        raise ValueError(f"period {n} has no new-class training nodes")
+    old_train = view.nodes_of("old", TRAIN)
+    main_ids = tuple(sorted(old_train + new_train)) if strategy == "joint" else new_train
+    if strategy not in REPLAY_STRATEGIES or not old_train:
+        return PeriodPlan(main_ids), None, 0.0
+
+    t0 = perf_counter()
+    if strategy == "ltf":
+        align = train_cfg.ablation == "both_plus_ldst" and train_cfg.beta > 0
+        buffer = select(
+            graph, view, prev, sel_cfg, seed=seed, terms=ablation_terms(train_cfg.ablation),
+            with_sim=align, squared_kernel=kernel_squared,
+        )
+    else:
+        kind = "random" if strategy == "er" else "herding"
+        buffer = baseline_select(kind, graph, view, prev, sel_cfg.m, seed=seed)
+    sel_ms = (perf_counter() - t0) * 1000.0
+    kp = None
+    if buffer.sim:
+        kp = KernelParams(gamma=buffer.meta["gamma"], squared=buffer.meta["squared_kernel"])
+    plan = PeriodPlan(main_ids, tuple(buffer.sub_ids), tuple(buffer.sim), kp)
+    return plan, buffer, sel_ms
+
+
 def _node_inputs(graph: TemporalGraph, view: PeriodView, ids: Sequence[int], model: Model):
     z = node_inputs(graph, ids, graph.period(view.period_index).t_end)
     y = np.array([model.class_index(graph.nodes[v].class_id) for v in ids], dtype=int)
@@ -137,83 +202,47 @@ def train_period(
     model: Backbone,
     graph: TemporalGraph,
     view: PeriodView,
-    buffer: ReplayBuffer | None,
+    plan: PeriodPlan,
     cfg: TrainConfig,
     *,
-    strategy: str,
     seed: int,
-    kp: KernelParams | None = None,
 ) -> TrainResult:
     """Minimize the period objective by seeded mini-batch descent.
 
-    Every step pairs one batch of the main data with one cyclically
-    upsampled batch of the replay subset (when present); validation AP over
-    all classes seen so far drives early stopping, and the returned model
-    carries the best-validation parameters, not the last ones. ``strategy``
-    picks the main data and whether a buffer is replayed; ``seed`` is the
-    run's seed, and the batch order of period ``n`` draws from the stream
-    ``(seed, n)``.
+    Every step pairs one batch of ``plan.main_ids`` with one cyclically
+    upsampled batch of ``plan.replay_ids`` (when there are any), whose loss
+    carries the alignment term against ``plan.anchor_ids`` (when there are
+    any). Validation AP over all classes seen so far drives early stopping,
+    and the returned model carries the best-validation parameters, not the
+    last ones. ``seed`` is the run's seed: the batch order of period ``n``
+    draws from the stream ``(seed, n)``.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
     n = view.period_index
-    replay = strategy in REPLAY_STRATEGIES
-    if buffer is not None:
-        if not replay:
-            raise ValueError(f"strategy {strategy!r} does not use a replay buffer")
-        if buffer.period_built != n:
-            raise ValueError(
-                f"buffer was built for period {buffer.period_built}, training period {n}"
-            )
-    if replay and buffer is None and view.old_nodes:
-        raise ValueError(f"strategy {strategy!r} requires a replay buffer at period {n}")
-
-    new_train = view.nodes_of("new", TRAIN)
-    if not new_train:
-        raise ValueError(f"period {n} has no new-class training nodes")
-    if strategy == "joint":
-        main_ids = tuple(sorted(view.nodes_of("old", TRAIN) + new_train))
-    else:
-        main_ids = new_train
-
-    z_main, y_main = _node_inputs(graph, view, main_ids, model)
-    n_main = len(main_ids)
+    z_main, y_main = _node_inputs(graph, view, plan.main_ids, model)
+    n_main = len(plan.main_ids)
     n_steps = -(-n_main // cfg.batch_size)
 
-    replay_active = replay and buffer is not None and buffer.sub
-    if replay_active:
-        sub_ids = buffer.sub_ids
-        z_sub, y_sub = _node_inputs(graph, view, sub_ids, model)
-        n_sub = len(sub_ids)
+    if plan.replay_ids:
+        z_sub, y_sub = _node_inputs(graph, view, plan.replay_ids, model)
+        n_sub = len(plan.replay_ids)
         take = min(cfg.batch_size, n_sub)
-    use_ldst = (
-        replay_active
-        and strategy == "ltf"
-        and cfg.ablation == "both_plus_ldst"
-        and cfg.beta > 0
-        and bool(buffer.sim)
-    )
-    if use_ldst:
-        if kp is None:
-            raise ValueError("alignment loss needs kernel parameters")
-        z_sim, _ = _node_inputs(graph, view, buffer.sim, model)
+    if plan.anchor_ids:
+        z_sim, _ = _node_inputs(graph, view, plan.anchor_ids, model)
 
-    # validation contexts, grouped into class sets for the AP early stop
+    # validation inputs, and the class sets seen so far that have any
     val_ids = view.nodes_of("all", VAL)
-    z_val = node_inputs(graph, val_ids, graph.period(n).t_end) if val_ids else None
+    z_val = node_inputs(graph, val_ids, graph.period(n).t_end)
     val_labels = np.array([graph.nodes[v].class_id for v in val_ids], dtype=int)
-    set_masks = []
-    for i in range(1, n + 1):
-        cs = set(graph.period(i).classes)
-        mask = np.array([y in cs for y in val_labels], dtype=bool)
-        if mask.any():
-            set_masks.append(mask)
-    if not set_masks:
+    val_sets = [
+        cs for cs in (graph.period(i).classes for i in range(1, n + 1))
+        if np.isin(val_labels, list(cs)).any()
+    ]
+    if not val_sets:
         warnings.warn(f"period {n} has no validation nodes; early stopping is inert", stacklevel=2)
 
     rng = np.random.default_rng((seed, n))
     grads = Grads(model)  # the step's gradient; the replay batch's is added into it
-    sub_grads = Grads(model) if replay_active else None
+    sub_grads = Grads(model) if plan.replay_ids else None
     result = TrainResult()
     best_params = model.parameters()
     best_ap = -np.inf
@@ -221,11 +250,11 @@ def train_period(
 
     for epoch in range(cfg.epochs):
         t0 = perf_counter()
-        if use_ldst:  # the anchors are re-embedded once per epoch
+        if plan.anchor_ids:  # the anchors are re-embedded once per epoch
             sim_emb = embed_batch(model, z_sim)
         perm = rng.permutation(n_main)
         z_epoch, y_epoch = z_main[perm], y_main[perm]
-        if replay_active:
+        if plan.replay_ids:
             # step k replays rows k*take .. (k+1)*take - 1 of the replay
             # permutation repeated cyclically
             order = rng.permutation(n_sub)[np.arange(n_steps * take) % n_sub]
@@ -240,13 +269,13 @@ def train_period(
             step_tot = loss_new
             ce_sub = 0.0
             raw_ldst = 0.0
-            if replay_active:
+            if plan.replay_ids:
                 aux = None
-                if use_ldst:
+                if plan.anchor_ids:
                     cell: list[float] = []
 
                     def aux(e, _sim=sim_emb, _cell=cell):
-                        val, g = l_dst_terms(e, _sim, kp)
+                        val, g = l_dst_terms(e, _sim, plan.kp)
                         _cell.append(val)
                         return cfg.beta * val, cfg.beta * g
 
@@ -254,7 +283,7 @@ def train_period(
                 loss_sub, _ = loss_and_grads_from_inputs(
                     model, z_rep[rep], y_rep[rep], aux=aux, out=sub_grads
                 )
-                if use_ldst:
+                if plan.anchor_ids:
                     raw_ldst = cell[0]
                 ce_sub = loss_sub - cfg.beta * raw_ldst
                 grads.flat += sub_grads.flat
@@ -267,7 +296,9 @@ def train_period(
             acc_ldst += raw_ldst
             acc_tot += step_tot
 
-        val_ap = _validation_ap(model, z_val, val_labels, set_masks)
+        val_ap = 0.0
+        if val_sets:
+            val_ap = float(np.mean(precision_per_set(model, z_val, val_labels, val_sets)))
         wall_ms = (perf_counter() - t0) * 1000.0
         result.log.append(
             {
@@ -295,15 +326,6 @@ def train_period(
     return result
 
 
-def _validation_ap(model, z_val, val_labels, set_masks) -> float:
-    if z_val is None or not set_masks:
-        return 0.0
-    probs = classify_batch(model, z_val)
-    preds = np.asarray(model.classes)[probs.argmax(axis=1)]
-    accs = [float(np.mean(preds[m] == val_labels[m])) for m in set_masks]
-    return float(np.mean(accs))
-
-
 # ---------------------------------------------------------------------------
 # Full multi-period runs
 # ---------------------------------------------------------------------------
@@ -317,8 +339,8 @@ class PeriodOutcome:
     selection_ms: float
     epochs_ran: int
     best_epoch: int
-    buffer: ReplayBuffer | None = None
-    model_snapshot: Snapshot | None = None
+    buffer: ReplayBuffer | None
+    model_snapshot: Snapshot
 
 
 def run_strategy(
@@ -329,19 +351,21 @@ def run_strategy(
     *,
     seed: int,
     hidden_dim: int = 64,
-    keep_snapshots: bool = False,
     kernel_squared: bool = False,
 ) -> list[PeriodOutcome]:
     """Run one strategy over all periods and score each period's test split.
 
-    Replay buffers are always built from the *current* period's old-class
-    data, scored by the model snapshot frozen at the end of the previous
-    period. Selection wall time is recorded separately from epoch time.
+    Each period is planned once by :func:`plan_period`, whose replay
+    buffer is built from the *current* period's old-class data, scored by
+    the model snapshot frozen at the end of the previous period, and then
+    trained by :func:`train_period`. Selection wall time is recorded
+    separately from epoch time, and each outcome keeps its period-end
+    snapshot.
 
     ``seed`` is the run's one seed: the split seed of :func:`split_period`,
     the seed of the model's initialization and head growth, and the seed
-    passed to :func:`select`, :func:`baseline_select` and
-    :func:`train_period`, which say which streams it keys.
+    passed to :func:`plan_period` and :func:`train_period`, which say which
+    streams it keys.
     """
     model = Backbone(graph.feature_dim, hidden_dim=hidden_dim, seed=seed)
 
@@ -350,39 +374,19 @@ def run_strategy(
     for n in range(1, graph.num_periods + 1):
         view = split_period(graph, n, seed)
         model.grow_head(sorted(graph.period(n).classes))
-
-        buffer: ReplayBuffer | None = None
-        kp: KernelParams | None = None
-        sel_ms = 0.0
-        if n >= 2 and strategy in REPLAY_STRATEGIES and view.old_nodes:
-            assert prev is not None
-            t0 = perf_counter()
-            if strategy == "ltf":
-                terms = ablation_terms(train_cfg.ablation)
-                with_sim = (
-                    train_cfg.ablation == "both_plus_ldst"
-                    and train_cfg.beta > 0
-                    and sel_cfg.m_prime > 0
-                )
-                buffer = select(
-                    graph, view, prev, sel_cfg, seed=seed,
-                    terms=terms, with_sim=with_sim, squared_kernel=kernel_squared,
-                )
-                kp = KernelParams(
-                    gamma=buffer.meta["gamma"], squared=buffer.meta["squared_kernel"]
-                )
-            else:
-                kind = "random" if strategy == "er" else "herding"
-                buffer = baseline_select(kind, graph, view, prev, sel_cfg.m, seed=seed)
-            sel_ms = (perf_counter() - t0) * 1000.0
-
-        result = train_period(
-            model, graph, view, buffer, train_cfg, strategy=strategy, seed=seed, kp=kp
+        plan, buffer, sel_ms = plan_period(
+            graph, view, prev, strategy, sel_cfg, train_cfg,
+            seed=seed, kernel_squared=kernel_squared,
         )
-        precisions = [
-            precision_per_set(model, graph, view, graph.period(i).classes, TEST)
-            for i in range(1, n + 1)
-        ]
+        result = train_period(model, graph, view, plan, train_cfg, seed=seed)
+        test_ids = view.nodes_of("all", TEST)
+        precisions = precision_per_set(
+            model,
+            node_inputs(graph, test_ids, graph.period(n).t_end),
+            [graph.nodes[v].class_id for v in test_ids],
+            [graph.period(i).classes for i in range(1, n + 1)],
+        )
+        prev = snapshot(model)
         outcomes.append(
             PeriodOutcome(
                 period=n,
@@ -393,10 +397,7 @@ def run_strategy(
                 epochs_ran=result.epochs_ran,
                 best_epoch=result.best_epoch,
                 buffer=buffer,
-                model_snapshot=None,
+                model_snapshot=prev,
             )
         )
-        prev = snapshot(model)
-        if keep_snapshots:
-            outcomes[-1].model_snapshot = prev
     return outcomes

@@ -4,7 +4,7 @@ These are deliberately direct: a single-pair kernel, the per-candidate
 greedy witness, the full n x n matrix greedy and exhaustive subset
 enumeration, the per-node model-input loop, the per-node frozen loss,
 the training step's loss and gradients with a new array per
-intermediate, validation AP with a per-prediction class lookup,
+intermediate, per-set precision with a per-prediction class lookup,
 the alignment loss with model gradients (backpropagated from the
 embeddings on their own), and a period's events and each
 node's debut period by a scan of the events. None of them is used by the
@@ -16,6 +16,7 @@ log.
 from __future__ import annotations
 
 import itertools
+import warnings
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -133,14 +134,20 @@ def reference_loss_and_grads(
     return loss, {"w_agg": g_agg, "w_hid": g_hid, "b_hid": g_bhid, "w_head": g_head}
 
 
-def reference_validation_ap(model: Model, z_val, val_labels, set_masks) -> float:
-    """Validation AP with class ids looked up one prediction at a time."""
-    if z_val is None or not set_masks:
-        return 0.0
-    probs = classify_batch(model, z_val)
-    preds = np.array([model.classes[i] for i in probs.argmax(axis=1)])
-    accs = [float(np.mean(preds[m] == val_labels[m])) for m in set_masks]
-    return float(np.mean(accs))
+def reference_precision_per_set(
+    model: Model, z: np.ndarray, labels: Sequence[int], class_set: Sequence[int]
+) -> float | None:
+    """Per-set accuracy of one class set, with the class id of each argmax
+    looked up one prediction at a time and the set's members listed one
+    by one; None, with a warning, for a set with no rows."""
+    preds = [model.classes[i] for i in classify_batch(model, z).argmax(axis=1)]
+    cs = set(class_set)
+    idx = [i for i, y in enumerate(labels) if y in cs]
+    if not idx:
+        warnings.warn(f"no samples for class set {sorted(cs)}; precision undefined", stacklevel=2)
+        return None
+    hits = sum(1 for i in idx if preds[i] == labels[i])
+    return hits / len(idx)
 
 
 def embedding_grads(model: Model, z: np.ndarray, d_emb: np.ndarray) -> dict[str, np.ndarray]:

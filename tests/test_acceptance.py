@@ -18,6 +18,7 @@ from tgcl.backbone import (
     build_contexts,
     build_inputs,
     embed_batch,
+    node_inputs,
     snapshot,
 )
 from tgcl.graph import SynthConfig, generate_synthetic, split_period
@@ -33,7 +34,7 @@ from tgcl.selector import (
     select,
     subset_objective,
 )
-from tgcl.trainer import TrainConfig, l_dst_terms, train_period
+from tgcl.trainer import TrainConfig, l_dst_terms, plan_period, train_period
 
 from conftest import finite_difference_grads, max_rel_error
 from oracles import brute_force_select, greedy_select_sim, greedy_select_sub, l_dst
@@ -258,8 +259,7 @@ def test_criterion_06_ldst_reconstruction_and_zero_beta():
 
     prev_model = fresh_model()
     prev = snapshot(prev_model)
-    buffer = select(graph, view2, prev, SelectionConfig(m=8, m_prime=6, p=60), seed=0)
-    kp = KernelParams(buffer.meta["gamma"])
+    sel_cfg = SelectionConfig(m=8, m_prime=6, p=60)
     params, logs = {}, {}
     for name, cfg in {
         "beta0": TrainConfig(ablation="both_plus_ldst", beta=0.0,
@@ -267,8 +267,9 @@ def test_criterion_06_ldst_reconstruction_and_zero_beta():
         "both": TrainConfig(ablation="both", beta=0.7,
                             lr=0.05, epochs=6, batch_size=16, patience=5),
     }.items():
+        plan, _, _ = plan_period(graph, view2, prev, "ltf", sel_cfg, cfg, seed=0)
         model = fresh_model()
-        result = train_period(model, graph, view2, buffer, cfg, strategy="ltf", seed=5, kp=kp)
+        result = train_period(model, graph, view2, plan, cfg, seed=5)
         params[name] = model.parameters()
         logs[name] = [(e["loss_new"], e["loss_sub"], e["val_ap"]) for e in result.log]
     identical = all(
@@ -303,8 +304,13 @@ def test_criterion_07_metric_identities():
     model.grow_head([0, 1])
     model.w_head[:] = 0.0
     model.w_head[0, :] = 5.0  # constant class-0 predictor
-    p1 = precision_per_set(model, graph, view, graph.period(1).classes)
-    p2 = precision_per_set(model, graph, view, graph.period(2).classes)
+    test_ids = view.nodes_of("all", "test")
+    p1, p2 = precision_per_set(
+        model,
+        node_inputs(graph, test_ids, graph.period(2).t_end),
+        [graph.nodes[v].class_id for v in test_ids],
+        [graph.period(1).classes, graph.period(2).classes],
+    )
     assert p1 == 1.0 and p2 == 0.0
     assert ap_metric([p1, p2]) == 0.5
     # Reference precisions are dyadic, so the gap is exact in binary: the

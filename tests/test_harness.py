@@ -167,6 +167,34 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="data"):
             load_config(write_config(tmp_path, {**TINY, "data": both}))
 
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            ({"files": "nodes,events"}, r"^data\.files: must be an object$"),
+            (
+                {"files": {"nodes": 5, "events": "e.csv"}},
+                r"^data\.files\.nodes: must be a path string, got 5$",
+            ),
+            (
+                {"files": {"nodes": "n.csv", "events": "e.csv", "periods": 3}},
+                r"^data\.files\.periods: must be a path string, got 3$",
+            ),
+            (
+                {"files": {"nodes": "n.csv", "events": "e.csv", "bogus": 1}},
+                r"^data\.files\.bogus: unknown key",
+            ),
+            ({**TINY_DATA, "extra": 1}, r"^data\.extra: unknown key"),
+        ],
+    )
+    def test_malformed_data_rejected_by_name(self, tmp_path, data, match):
+        with pytest.raises(ConfigError, match=match):
+            load_config(write_config(tmp_path, {**TINY, "data": data}))
+
+    def test_files_periods_may_be_null(self, tmp_path):
+        files = {"nodes": "n.csv", "events": "e.csv", "periods": None}
+        cfg = load_config(write_config(tmp_path, {**TINY, "data": {"files": files}}))
+        assert cfg["data"] == {"files": files}
+
     def test_files_data_replaces_default_synthetic(self, tmp_path):
         cfg = load_config(
             write_config(

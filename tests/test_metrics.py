@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from tgcl.backbone import snapshot
+from tgcl.backbone import Backbone, node_inputs, snapshot
 from tgcl.graph import SynthConfig, generate_synthetic, split_period
 from tgcl.metrics import (
     PeriodMetrics,
@@ -17,34 +17,32 @@ from tgcl.metrics import (
 )
 
 from conftest import trained_toy_snapshot
-from oracles import time_per_epoch
+from oracles import reference_precision_per_set, time_per_epoch
 
 
 class TestPerSetAccuracy:
     def test_perfect_classifier(self):
         labels = [0, 0, 1, 1, 2]
-        assert per_set_accuracy(labels, labels, [0, 1, 2]) == 1.0
+        assert per_set_accuracy(labels, labels, [[0, 1, 2]]) == [1.0]
 
     def test_constant_predictor(self):
         labels = [0, 0, 1, 1, 2, 2]
         preds = [0] * 6
-        assert per_set_accuracy(labels, preds, [0]) == 1.0
-        assert per_set_accuracy(labels, preds, [1]) == 0.0
-        assert per_set_accuracy(labels, preds, [2]) == 0.0
+        assert per_set_accuracy(labels, preds, [[0], [1], [2]]) == [1.0, 0.0, 0.0]
 
     def test_matches_hand_count(self):
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 4, size=50).tolist()
         preds = rng.integers(0, 4, size=50).tolist()
-        for cs in ([0], [1, 2], [0, 1, 2, 3]):
-            got = per_set_accuracy(labels, preds, cs)
+        sets = ([0], [1, 2], [0, 1, 2, 3])
+        for cs, got in zip(sets, per_set_accuracy(labels, preds, sets)):
             members = [i for i, y in enumerate(labels) if y in cs]
             expected = sum(preds[i] == labels[i] for i in members) / len(members)
             assert got == expected
 
     def test_empty_set_warns_none(self):
         with pytest.warns(UserWarning, match="undefined"):
-            assert per_set_accuracy([0, 0], [0, 0], [5]) is None
+            assert per_set_accuracy([0, 0], [0, 0], [[5], [0]]) == [None, 1.0]
 
 
 class TestAp:
@@ -127,6 +125,12 @@ class TestTimePerEpoch:
             time_per_epoch([])
 
 
+def split_inputs(graph, view, split="test"):
+    ids = view.nodes_of("all", split)
+    z = node_inputs(graph, ids, graph.period(view.period_index).t_end)
+    return z, [graph.nodes[v].class_id for v in ids]
+
+
 class TestPrecisionPerSet:
     def test_trained_model_on_test_split(self):
         graph = generate_synthetic(
@@ -134,7 +138,7 @@ class TestPrecisionPerSet:
         )
         view = split_period(graph, 1)
         snap = trained_toy_snapshot(graph, view, seed=6, steps=80)
-        value = precision_per_set(snap, graph, view, graph.period(1).classes)
+        [value] = precision_per_set(snap, *split_inputs(graph, view), [graph.period(1).classes])
         assert value is not None and 0.0 <= value <= 1.0
         assert value > 0.5  # separable clusters should be mostly learned
 
@@ -142,8 +146,28 @@ class TestPrecisionPerSet:
         view = split_period(two_period_graph, 2)
         snap = trained_toy_snapshot(two_period_graph, view, seed=0, steps=5)
         # 4-node toy: the stratified split has no test nodes at all
+        z, labels = split_inputs(two_period_graph, view)
         with pytest.warns(UserWarning):
-            assert precision_per_set(snap, two_period_graph, view, (0,)) is None
+            assert precision_per_set(snap, z, labels, [(0,)]) == [None]
+
+    def test_equals_list_oracle(self):
+        rng = np.random.default_rng(8)
+        classes = [7, 2, 11, 4, 9]  # head rows out of class-id order
+        model = Backbone(3, hidden_dim=8, seed=8)
+        model.grow_head(classes)
+        model.b_hid += 0.5
+        model.w_head = rng.normal(size=model.w_head.shape)
+        sets = [(7, 2), (11,), (4, 9), (5,), (2, 4, 7, 9, 11), ()]
+        for trial in range(20):
+            n = int(rng.integers(0, 80))
+            z = rng.normal(size=(n, 7))
+            labels = rng.choice([7, 2, 11, 4], size=n).tolist()  # class 9 never occurs
+            with pytest.warns(UserWarning, match="undefined"):
+                got = precision_per_set(model, z, labels, sets)
+            with pytest.warns(UserWarning, match="undefined"):
+                want = [reference_precision_per_set(model, z, labels, cs) for cs in sets]
+            assert got == want, trial
+            assert all(type(g) is float or g is None for g in got)
 
 
 def make_record(strategy, seed, aps, afs=None, variant=""):

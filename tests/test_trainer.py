@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -13,18 +14,21 @@ from tgcl.backbone import (
 )
 from tgcl.graph import SynthConfig, generate_synthetic, split_period
 from tgcl.kernels import KernelParams, mmd_sq
-from tgcl.selector import SelectionConfig, select
+from tgcl.metrics import precision_per_set
+from tgcl.selector import SelectionConfig
 from tgcl.trainer import (
+    ABLATIONS,
+    STRATEGIES,
     TrainConfig,
-    _validation_ap,
     ablation_terms,
     l_dst_terms,
+    plan_period,
     run_strategy,
     train_period,
 )
 
 from conftest import finite_difference_grads, max_rel_error, trained_toy_snapshot
-from oracles import l_dst, reference_validation_ap
+from oracles import l_dst
 
 
 @pytest.fixture(scope="module")
@@ -174,16 +178,18 @@ class TestLdstModelGrads:
         assert max_rel_error(analytic, live_fd) > 1e-3
 
 
-def ltf_buffer(graph, view, prev, m=8, m_prime=6, seed=0):
-    cfg = SelectionConfig(m=m, m_prime=m_prime, p=m + m_prime + 50)
-    return select(graph, view, prev, cfg, seed=seed), cfg
+LTF_SEL = SelectionConfig(m=8, m_prime=6, p=64)
+
+
+def ltf_plan(setting, cfg, seed=0):
+    graph, _, view2, prev = setting
+    plan, _, _ = plan_period(graph, view2, prev, "ltf", LTF_SEL, cfg, seed=seed)
+    return plan
 
 
 class TestTrainPeriod:
     def test_zero_beta_matches_both_ablation(self, setting):
         graph, _, view2, prev = setting
-        buffer, _ = ltf_buffer(graph, view2, prev)
-        kp = KernelParams(buffer.meta["gamma"])
         runs = {}
         for name, cfg in {
             "beta0": TrainConfig(ablation="both_plus_ldst", beta=0.0,
@@ -192,7 +198,7 @@ class TestTrainPeriod:
                                 lr=0.05, epochs=6, batch_size=16, patience=5),
         }.items():
             model = grown_model(graph, 2, seed=5)
-            result = train_period(model, graph, view2, buffer, cfg, strategy="ltf", seed=5, kp=kp)
+            result = train_period(model, graph, view2, ltf_plan(setting, cfg), cfg, seed=5)
             runs[name] = (model.parameters(), result.log)
         pa, la = runs["beta0"]
         pb, lb = runs["both"]
@@ -204,11 +210,9 @@ class TestTrainPeriod:
 
     def test_loss_decomposition_identity(self, setting):
         graph, _, view2, prev = setting
-        buffer, _ = ltf_buffer(graph, view2, prev)
-        kp = KernelParams(buffer.meta["gamma"])
         cfg = TrainConfig(beta=0.7, lr=0.05, epochs=5, batch_size=16, patience=5)
         model = grown_model(graph, 2, seed=6)
-        result = train_period(model, graph, view2, buffer, cfg, strategy="ltf", seed=6, kp=kp)
+        result = train_period(model, graph, view2, ltf_plan(setting, cfg), cfg, seed=6)
         for entry in result.log:
             recomposed = entry["loss_new"] + entry["loss_sub"] + cfg.beta * entry["l_dst"]
             assert entry["l_tot"] == pytest.approx(recomposed, abs=1e-10)
@@ -218,7 +222,8 @@ class TestTrainPeriod:
         graph, _, view2, prev = setting
         cfg = TrainConfig(lr=0.2, epochs=60, batch_size=16, patience=4)
         model = grown_model(graph, 2, seed=7)
-        result = train_period(model, graph, view2, None, cfg, strategy="finetune", seed=7)
+        plan, _, _ = plan_period(graph, view2, prev, "finetune", LTF_SEL, cfg, seed=7)
+        result = train_period(model, graph, view2, plan, cfg, seed=7)
         assert result.epochs_ran <= cfg.epochs
         assert result.epochs_ran - 1 - result.best_epoch <= cfg.patience
         logged_best = max(e["val_ap"] for e in result.log)
@@ -226,58 +231,54 @@ class TestTrainPeriod:
         # returned parameters reproduce the best validation AP, not the last
         val_ids = view2.nodes_of("all", "val")
         z_val = build_inputs(build_contexts(graph, val_ids, graph.period(2).t_end))
-        val_labels = np.array([graph.nodes[v].class_id for v in val_ids])
-        masks = []
-        for i in (1, 2):
-            cs = set(graph.period(i).classes)
-            mask = np.array([y in cs for y in val_labels])
-            if mask.any():
-                masks.append(mask)
-        assert _validation_ap(model, z_val, val_labels, masks) == pytest.approx(logged_best)
-
-    def test_validation_ap_equals_per_prediction_lookup(self):
-        rng = np.random.default_rng(8)
-        classes = [7, 2, 11, 4]  # head rows out of class-id order
-        model = Backbone(3, hidden_dim=8, seed=8)
-        model.grow_head(classes)
-        model.b_hid += 0.5
-        model.w_head = rng.normal(size=model.w_head.shape)
-        z_val = rng.normal(size=(60, 7))
-        labels = rng.choice(classes, size=60)
-        masks = [np.isin(labels, [7, 2]), np.isin(labels, [11, 4])]
-        for args in ((z_val, labels, masks), (z_val, labels, masks[:1]), (None, labels, masks), (z_val, labels, [])):
-            assert _validation_ap(model, *args) == reference_validation_ap(model, *args)
-        assert 0.0 < _validation_ap(model, z_val, labels, masks) < 1.0
+        val_labels = [graph.nodes[v].class_id for v in val_ids]
+        class_sets = [graph.period(i).classes for i in (1, 2)]
+        precisions = precision_per_set(model, z_val, val_labels, class_sets)
+        assert np.mean(precisions) == pytest.approx(logged_best)
 
     def test_empty_new_train_rejected(self, setting):
-        graph, _, view2, _ = setting
+        graph, _, view2, prev = setting
         empty_view = dataclasses.replace(view2, new_nodes=())
         cfg = TrainConfig(epochs=2)
         with pytest.raises(ValueError, match="no new-class training nodes"):
-            train_period(grown_model(graph, 2), graph, empty_view, None, cfg,
-                         strategy="finetune", seed=0)
+            plan_period(graph, empty_view, prev, "finetune", LTF_SEL, cfg, seed=0)
 
-    def test_wrong_period_buffer_rejected(self, setting):
-        graph, _, view2, prev = setting
-        buffer, _ = ltf_buffer(graph, view2, prev)
-        buffer.period_built = 9
-        cfg = TrainConfig(epochs=2)
-        with pytest.raises(ValueError, match="built for period"):
-            train_period(grown_model(graph, 2), graph, view2, buffer, cfg, strategy="ltf", seed=0)
 
-    def test_buffer_without_replay_strategy_rejected(self, setting):
-        graph, _, view2, prev = setting
-        buffer, _ = ltf_buffer(graph, view2, prev)
-        cfg = TrainConfig(epochs=2)
-        with pytest.raises(ValueError, match="does not use"):
-            train_period(grown_model(graph, 2), graph, view2, buffer, cfg,
-                         strategy="finetune", seed=0)
-
-    def test_missing_buffer_for_replay_rejected(self, setting):
-        graph, _, view2, _ = setting
-        cfg = TrainConfig(epochs=2)
-        with pytest.raises(ValueError, match="requires a replay buffer"):
-            train_period(grown_model(graph, 2), graph, view2, None, cfg, strategy="er", seed=0)
+class TestPlanPeriod:
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_plan_table(self, setting, strategy, ablation):
+        graph, view1, view2, prev = setting
+        kinds = {"er": "random", "icarl": "herding"}
+        for beta, m_prime, view in itertools.product((0.0, 0.5), (0, 6), (view1, view2)):
+            case = f"beta={beta} m_prime={m_prime} period={view.period_index}"
+            sel = SelectionConfig(m=8, m_prime=m_prime, p=64)
+            cfg = TrainConfig(ablation=ablation, beta=beta)
+            plan, buffer, sel_ms = plan_period(
+                graph, view, prev if view is view2 else None, strategy, sel, cfg, seed=0
+            )
+            old, new = view.nodes_of("old", "train"), view.nodes_of("new", "train")
+            want_main = tuple(sorted(old + new)) if strategy == "joint" else new
+            assert plan.main_ids == want_main, case
+            selects = strategy in ("er", "icarl", "ltf") and view is view2
+            assert (buffer is not None) == selects == (sel_ms > 0.0), case
+            if selects:
+                assert plan.replay_ids == tuple(buffer.sub_ids) and plan.replay_ids, case
+                if strategy == "ltf":
+                    assert buffer.meta["terms"] == list(ablation_terms(ablation)), case
+                else:
+                    assert buffer.meta["kind"] == kinds[strategy], case
+            else:
+                assert plan.replay_ids == (), case
+            aligns = (
+                strategy == "ltf" and ablation == "both_plus_ldst" and beta > 0
+                and m_prime > 0 and view is view2
+            )
+            assert bool(plan.anchor_ids) == aligns, case
+            assert (plan.kp is not None) == aligns, case
+            if aligns:
+                assert plan.anchor_ids == tuple(buffer.sim), case
+                assert plan.kp == KernelParams(buffer.meta["gamma"]), case
 
 
 class TestAblationTerms:
@@ -348,8 +349,7 @@ class TestRunStrategy:
 
         losses = {}
         for strategy in ("joint", "finetune"):
-            out = run_strategy(graph, strategy, sel, quick_train_cfg(), seed=3,
-                               keep_snapshots=True)
+            out = run_strategy(graph, strategy, sel, quick_train_cfg(), seed=3)
             model = out[1].model_snapshot
             y = np.array([model.class_index(graph.nodes[v].class_id) for v in union_ids])
             losses[strategy], _ = loss_and_grads_from_inputs(model, z, y)
