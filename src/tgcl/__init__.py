@@ -10,7 +10,6 @@ training and strategies), :mod:`tgcl.metrics` (AP/AF), and
 __version__ = "0.1.0"
 
 from .graph import (
-    Event,
     NodeRecord,
     PeriodSpec,
     PeriodView,
@@ -28,7 +27,6 @@ from .trainer import TrainConfig, run_strategy, train_period
 from .metrics import RunRecord, af, ap, precision_per_set
 
 __all__ = [
-    "Event",
     "NodeRecord",
     "PeriodSpec",
     "PeriodView",

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import harness
 from .backbone import Backbone, load_checkpoint, snapshot
-from .graph import SynthConfig, generate_synthetic, load_graph, save_graph, split_period
+from .graph import generate_synthetic, load_graph, save_graph, split_period
 from .selector import SelectionConfig, select
 
 
@@ -39,7 +39,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    cfg = SynthConfig.from_dict(json.loads(Path(args.synth_config).read_text()))
+    try:
+        cfg = harness.synth_config(json.loads(Path(args.synth_config).read_text()))
+    except harness.ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     graph = generate_synthetic(cfg)
     paths = save_graph(graph, args.out)
     for kind, path in paths.items():

@@ -10,15 +10,19 @@ This module provides the immutable data types, the per-period old/new
 split with stratified train/val/test assignment, a synthetic generator
 with controllable per-class feature drift, and CSV/JSON persistence.
 
-Each graph also builds, once and on first use, a CSR neighbour index
-(:class:`NeighborIndex`): node rows in sorted-id order with their feature
-matrix, and per row the incident events as (other endpoint's row, time)
-entries, sorted by time with ties in event order. Model inputs, period
-views and debut periods are all read from it.
+A graph's events are one read-only columnar table (:class:`EventTable`):
+int64 endpoints ``src`` and ``dst`` and float64 times ``t``, sorted by
+time with ties in the order given; there is no per-event object. Each
+graph also builds, once and on first use, a CSR neighbour index
+(:class:`NeighborIndex`) from those columns: node rows in sorted-id order
+with their feature matrix, and per row the incident events as (other
+endpoint's row, time) entries, sorted by time with ties in event order.
+Model inputs, period views and debut periods are all read from it.
 
-Each validity rule is written once, in a check of one period entry, node
-record or event. Every graph runs them; :func:`load_graph` parses its files
-and runs the same checks row by row, naming file, line or entry, and field.
+Each validity rule is written once: a check of one period entry, or one
+mask over all node or event rows. A graph reports the first row at fault
+by part and position; :func:`load_graph` only parses its files and maps
+that position to a file and a line or entry.
 """
 
 from __future__ import annotations
@@ -47,20 +51,29 @@ class GraphFormatError(ValueError):
     """A graph file violates the on-disk format (message carries file:line)."""
 
 
-@dataclass(frozen=True)
-class Event:
-    """One interaction between two distinct nodes at time ``t``."""
+@dataclass(frozen=True, eq=False)
+class EventTable:
+    """Interaction events as read-only copies of three columns, one row per
+    event: endpoints ``src`` and ``dst`` (int64) and time ``t`` (float64)."""
 
-    src: int
-    dst: int
-    t: float
+    src: np.ndarray
+    dst: np.ndarray
+    t: np.ndarray
 
     def __post_init__(self):
-        if self.src == self.dst:
-            raise ValueError(f"self-loop event on node {self.src} at t={self.t}")
+        for name, dtype in (("src", np.int64), ("dst", np.int64), ("t", np.float64)):
+            col = np.asarray(getattr(self, name))
+            if col.size and not np.can_cast(col.dtype, dtype):  # no float ids, no ids beyond int64
+                raise ValueError(f"event column {name} holds {col.dtype}, not {np.dtype(dtype)}")
+            col = col.astype(dtype)  # a copy, so the caller's array stays writable and ours cannot change
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+        shapes = (self.src.shape, self.dst.shape, self.t.shape)
+        if set(shapes) != {(self.t.size,)}:
+            raise ValueError(f"event columns must be 1-d and of one length, got shapes {shapes}")
 
-    def endpoints(self) -> tuple[int, int]:
-        return (self.src, self.dst)
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,10 +139,11 @@ class NeighborIndex:
 
 @dataclass(frozen=True, eq=False)
 class TemporalGraph:
-    """Immutable temporal graph: nodes, time-sorted events, period specs."""
+    """Immutable temporal graph: node records, an event table sorted by
+    time (:meth:`from_parts` sorts it) and period specs."""
 
     nodes: Mapping[int, NodeRecord]
-    events: tuple[Event, ...]
+    events: EventTable
     periods: tuple[PeriodSpec, ...]
 
     def __post_init__(self):
@@ -139,17 +153,25 @@ class TemporalGraph:
     def from_parts(
         cls,
         nodes: Iterable[NodeRecord],
-        events: Iterable[Event],
+        events: EventTable | Sequence,
         periods: Iterable[PeriodSpec],
     ) -> "TemporalGraph":
-        """Build a graph from loose parts; events are sorted by time."""
+        """Build a graph from loose parts; ``events`` is an :class:`EventTable`
+        or its ``(src, dst, t)`` columns. Rows are sorted by time (ties keep
+        their order); an event fault names its row as given."""
         node_map: dict[int, NodeRecord] = {}
         for rec in nodes:
             if rec.id in node_map:
                 raise ValueError(f"duplicate node id {rec.id}")
             node_map[rec.id] = rec
-        evs = tuple(sorted(events, key=lambda e: e.t))
-        return cls(nodes=node_map, events=evs, periods=tuple(periods))
+        given = events if isinstance(events, EventTable) else EventTable(*events)
+        order = np.argsort(given.t, kind="stable")
+        try:
+            return cls(node_map, EventTable(given.src[order], given.dst[order], given.t[order]), tuple(periods))
+        except _Fault as fault:
+            if fault.part == "events":
+                fault.pos = int(order[fault.pos])
+            raise
 
     # -- period helpers ----------------------------------------------------
 
@@ -192,14 +214,12 @@ class TemporalGraph:
         features = features.reshape(len(ids), self.feature_dim)
         features.setflags(write=False)
         # rows of src0, dst0, src1, dst1, ...: entry j's other end is entry j ^ 1
-        ends = np.array([e.endpoints() for e in self.events], dtype=int).ravel()
-        ends = np.searchsorted(ids, ends)
+        ends = np.searchsorted(ids, np.column_stack([self.events.src, self.events.dst]).ravel())
         order = np.argsort(ends, kind="stable")
         indptr = np.zeros(len(ids) + 1, dtype=int)
         np.cumsum(np.bincount(ends, minlength=len(ids)), out=indptr[1:])
-        times = np.array([e.t for e in self.events], dtype=float)
         return NeighborIndex(
-            ids=ids, features=features, indptr=indptr, nbr=ends[order ^ 1], times=times[order // 2]
+            ids=ids, features=features, indptr=indptr, nbr=ends[order ^ 1], times=self.events.t[order // 2]
         )
 
     @cached_property
@@ -214,12 +234,33 @@ class TemporalGraph:
 
 
 # ---------------------------------------------------------------------------
-# Validity rules. Each check returns what is wrong, or None; a node or event
-# fault also names the part it was checked against ("nodes", "periods" or
-# None), so the loader can name that part's file.
+# Validity rules: a check of one period entry, or a mask over all node or
+# event rows. A fault names its part, its position, and the part it was
+# checked against, so the loader can name that part's file.
 # ---------------------------------------------------------------------------
 
-_Fault = tuple[str, str | None]
+
+class _Fault(ValueError):
+    """Rule text ``text`` broken at row ``pos`` of ``part`` ("periods",
+    "nodes" or "events"), checked against part ``other`` if not None."""
+
+    def __init__(self, text: str, other: str | None, part: str, pos: int):
+        super().__init__(f"period {pos + 1}: {text}" if part == "periods" else text)
+        self.text, self.other, self.part, self.pos = text, other, part, pos
+
+
+def _first_fault(part: str, rules: Sequence[tuple], rows: Mapping[str, Sequence], **consts) -> _Fault | None:
+    """The first row any rule's mask flags, as the first rule to flag it (in
+    the order they apply to a row) describes it: a rule is ``(mask, text,
+    other)``, and ``text`` is formatted with the row's entry of each of
+    ``rows`` and with ``consts``."""
+    bad = np.array([mask for mask, _, _ in rules], dtype=bool)  # rules x rows
+    hit = np.flatnonzero(bad.any(axis=0))
+    if not hit.size:
+        return None
+    row = int(hit[0])
+    _, text, other = rules[int(bad[:, row].argmax())]
+    return _Fault(text.format(**{k: col[row] for k, col in rows.items()}, **consts), other, part, row)
 
 
 def _period_fault(i: int, p: PeriodSpec, earlier: Sequence[PeriodSpec]) -> str | None:
@@ -244,35 +285,45 @@ def _period_fault(i: int, p: PeriodSpec, earlier: Sequence[PeriodSpec]) -> str |
     return None
 
 
-def _node_fault(rec: NodeRecord, periods: Sequence[PeriodSpec], dim: int) -> _Fault | None:
-    """What is wrong with one node record of a graph whose features have ``dim`` entries."""
-    v = rec.id
-    if not -(2**63) <= v < 2**63:  # ids become int64 arrays
-        return f"node id {v} does not fit in int64", None
-    if rec.feature.shape != (dim,):
-        return f"feature dimension of node {v}: shape {rec.feature.shape} != ({dim},)", None
-    if not np.isfinite(rec.feature).all():
-        return f"node {v} has a non-finite feature", None
-    if not 1 <= rec.birth_period <= len(periods):
-        return f"period {rec.birth_period} of node {v} is unknown (have 1..{len(periods)})", "periods"
-    birth = periods[rec.birth_period - 1]
-    if rec.class_id not in birth.classes:
-        return f"class {rec.class_id} of node {v} not in period {rec.birth_period} classes", "periods"
-    return None
+def _node_fault(nodes: Mapping[int, NodeRecord], periods: Sequence[PeriodSpec]) -> _Fault | None:
+    """The first faulty node record, given valid periods."""
+    recs = list(nodes.values())
+    dim = recs[0].feature.size if recs else 0
+    shaped = np.array([rec.feature.shape == (dim,) for rec in recs], dtype=bool)
+    k = len(recs) if shaped.all() else int(shaped.argmin())  # no first fault lies past row k
+    finite = np.ones(len(recs), dtype=bool)
+    finite[:k] = np.isfinite(np.array([rec.feature for rec in recs[:k]]).reshape(k, dim)).all(axis=1)
+    known = np.array([1 <= rec.birth_period <= len(periods) for rec in recs], dtype=bool)
+    owner = {c: p.index for p in periods for c in p.classes}  # classes are disjoint
+    return _first_fault("nodes", [
+        (np.array([v != rec.id for v, rec in nodes.items()], dtype=bool),
+         "node map key {key} does not match record id {rec.id}", None),
+        (np.array([not -(2**63) <= rec.id < 2**63 for rec in recs], dtype=bool),  # ids become int64
+         "node id {rec.id} does not fit in int64", None),
+        (~shaped, "feature dimension of node {rec.id}: shape {rec.feature.shape} != ({dim},)", None),
+        (~finite, "node {rec.id} has a non-finite feature", None),
+        (~known, "period {rec.birth_period} of node {rec.id} is unknown (have 1..{n})", "periods"),
+        (known & np.array([owner.get(rec.class_id) != rec.birth_period for rec in recs], dtype=bool),
+         "class {rec.class_id} of node {rec.id} not in period {rec.birth_period} classes", "periods"),
+    ], dict(key=list(nodes), rec=recs), dim=dim, n=len(periods))
 
 
-def _event_fault(
-    e: Event, nodes: Mapping[int, NodeRecord], periods: Sequence[PeriodSpec]
-) -> _Fault | None:
-    """What is wrong with one event. The periods are contiguous (their own
-    rule says so), so a range check places every event in one of them."""
-    for v in e.endpoints():
-        if v not in nodes:
-            return f"event references unknown node {v}", "nodes"
-    t_lo, t_hi = periods[0].t_start, periods[-1].t_end
-    if not t_lo <= e.t <= t_hi:
-        return f"timestamp {e.t} outside all periods [{t_lo}, {t_hi}]", "periods"
-    return None
+def _event_fault(g: TemporalGraph) -> _Fault | None:
+    """The first faulty event row, given valid periods and nodes. The periods
+    are contiguous (their own rule says so), so a range check places every
+    event in one of them."""
+    ids = np.fromiter(g.nodes, dtype=np.int64, count=len(g.nodes))
+    src, dst, t = g.events.src, g.events.dst, g.events.t
+    t_lo, t_hi = g.periods[0].t_start, g.periods[-1].t_end
+    unsorted = np.zeros(len(t), dtype=bool)
+    unsorted[1:] = t[1:] < t[:-1]
+    return _first_fault("events", [
+        (src == dst, "self-loop event on node {src} at t={t}", None),
+        (~np.isin(src, ids), "event references unknown node {src}", "nodes"),
+        (~np.isin(dst, ids), "event references unknown node {dst}", "nodes"),
+        (~((t >= t_lo) & (t <= t_hi)), "timestamp {t} outside all periods [{t_lo}, {t_hi}]", "periods"),
+        (unsorted, "events are not sorted by time", None),
+    ], dict(src=src, dst=dst, t=t), t_lo=t_lo, t_hi=t_hi)
 
 
 def _validate_graph(g: TemporalGraph) -> None:
@@ -281,22 +332,10 @@ def _validate_graph(g: TemporalGraph) -> None:
     for i, p in enumerate(g.periods):
         fault = _period_fault(i, p, g.periods[:i])
         if fault:
-            raise ValueError(f"period {i + 1}: {fault}")
-    dim = next(iter(g.nodes.values())).feature.size if g.nodes else 0
-    for v, rec in g.nodes.items():
-        if rec.id != v:
-            raise ValueError(f"node map key {v} does not match record id {rec.id}")
-        fault = _node_fault(rec, g.periods, dim)
-        if fault:
-            raise ValueError(fault[0])
-    prev_t = -math.inf
-    for e in g.events:
-        fault = _event_fault(e, g.nodes, g.periods)
-        if fault:
-            raise ValueError(fault[0])
-        if e.t < prev_t:
-            raise ValueError("events are not sorted by time")
-        prev_t = e.t
+            raise _Fault(fault, None, "periods", i)
+    fault = _node_fault(g.nodes, g.periods) or _event_fault(g)
+    if fault:
+        raise fault
 
 
 @dataclass(frozen=True)
@@ -455,6 +494,10 @@ class SynthConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
+        if self.events_per_node > 0 and self.intra_class_edge_prob + self.inter_class_edge_prob == 0:
+            raise ValueError(
+                "intra_class_edge_prob and inter_class_edge_prob cannot both be 0 when events_per_node > 0"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -491,13 +534,11 @@ def generate_synthetic(cfg: SynthConfig) -> TemporalGraph:
     drift_dir: dict[int, np.ndarray] = {}
     class_period: dict[int, int] = {}
     records: list[NodeRecord] = []
-    events: list[Event] = []
+    src, dst, times = [], [], []  # the event columns
     next_id = 0
 
     w_intra = cfg.intra_class_edge_prob
     w_inter = cfg.inter_class_edge_prob
-    if cfg.events_per_node > 0 and w_intra + w_inter == 0.0:
-        raise ValueError("intra and inter edge probabilities cannot both be zero")
     q_intra = w_intra / (w_intra + w_inter) if (w_intra + w_inter) > 0 else 0.0
 
     alive: list[tuple[int, int]] = []  # (node id, class id), persists across periods
@@ -525,7 +566,9 @@ def generate_synthetic(cfg: SynthConfig) -> TemporalGraph:
         for v, c in alive:
             by_class.setdefault(c, []).append(v)
         others = {c: [v for v, cc in alive if cc != c] for c in by_class}
-        t_hi = np.nextafter(spec.t_end, spec.t_start)  # keep events inside the period
+        # rng.uniform(t_start, t_end) as numpy computes it, kept inside the period
+        t_start, t_span = spec.t_start, spec.t_end - spec.t_start
+        t_hi = math.nextafter(spec.t_end, spec.t_start)
         for u, c in alive:
             same = by_class[c]
             for _ in range(cfg.events_per_node):
@@ -541,10 +584,11 @@ def generate_synthetic(cfg: SynthConfig) -> TemporalGraph:
                 partner = pool[idx]
                 if partner == u:  # same-class pool contains u; deterministic re-pick
                     partner = pool[(idx + 1) % len(pool)]
-                t = min(float(rng.uniform(spec.t_start, spec.t_end)), t_hi)
-                events.append(Event(src=u, dst=partner, t=t))
+                src.append(u)
+                dst.append(partner)
+                times.append(min(t_start + t_span * rng.random(), t_hi))
 
-    return TemporalGraph.from_parts(records, events, periods)
+    return TemporalGraph.from_parts(records, (src, dst, times), periods)
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +621,8 @@ def save_graph(graph: TemporalGraph, out_dir: str | Path) -> dict[str, Path]:
     with event_path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["src", "dst", "t"])
-        for e in graph.events:
-            w.writerow([e.src, e.dst, repr(e.t)])
+        ev = graph.events
+        w.writerows(zip(ev.src.tolist(), ev.dst.tolist(), map(repr, ev.t.tolist())))
 
     with period_path.open("w") as fh:
         json.dump(
@@ -598,22 +642,23 @@ def load_graph(
     event_file: str | Path,
     period_file: str | Path | None = None,
 ) -> TemporalGraph:
-    """Load and validate a graph; errors name the offending file and line."""
+    """Load and validate a graph; errors name the offending file and line.
+    The loader only parses; the graph's rules place the first fault."""
     node_path = Path(node_file)
     event_path = Path(event_file)
     period_path = Path(period_file) if period_file else node_path.parent / PERIOD_BASENAME
-    sources = {"nodes": node_path, "periods": period_path}
+    sources = {"nodes": node_path, "events": event_path, "periods": period_path}
 
     periods = _load_periods(period_path)
-    nodes = _load_nodes(node_path, periods, sources)
-    events = _load_events(event_path, nodes, periods, sources)
-    return TemporalGraph.from_parts(nodes.values(), events, periods)
-
-
-def _located(place: str, fault: _Fault, sources: Mapping[str, Path]) -> GraphFormatError:
-    """``fault`` found at ``place``, naming the file of the part it was checked against."""
-    text, other = fault
-    return GraphFormatError(f"{place}: {text}" + (f" (see {sources[other]})" if other else ""))
+    nodes, node_lines = _load_nodes(node_path)
+    events, event_lines = _load_events(event_path)
+    try:
+        return TemporalGraph.from_parts(nodes, events, periods)
+    except _Fault as fault:
+        lines = {"nodes": node_lines, "events": event_lines}.get(fault.part)
+        place = f"{sources[fault.part]}" + (f":{lines[fault.pos]}" if lines else f": entry {fault.pos}")
+        see = f" (see {sources[fault.other]})" if fault.other else ""
+        raise GraphFormatError(f"{place}: {fault.text}{see}") from None
 
 
 #: a JSON number that ``float()`` takes (``type(x) is int`` leaves out JSON booleans)
@@ -643,11 +688,7 @@ def _load_periods(path: Path) -> tuple[PeriodSpec, ...]:
                 raise GraphFormatError(f"{where}: {name} is missing")
             if not ok(d[name]):
                 raise GraphFormatError(f"{where}: {name} {d[name]!r} is not {kind}")
-        spec = PeriodSpec(d["index"], float(d["t_start"]), float(d["t_end"]), tuple(d["classes"]))
-        fault = _period_fault(i, spec, specs)
-        if fault:
-            raise GraphFormatError(f"{where}: {fault}")
-        specs.append(spec)
+        specs.append(PeriodSpec(d["index"], float(d["t_start"]), float(d["t_end"]), tuple(d["classes"])))
     return tuple(specs)
 
 
@@ -662,10 +703,9 @@ def _csv_rows(fh):
         line = reader.line_num + 1
 
 
-def _load_nodes(
-    path: Path, periods: tuple[PeriodSpec, ...], sources: Mapping[str, Path]
-) -> dict[int, NodeRecord]:
-    nodes: dict[int, NodeRecord] = {}
+def _load_nodes(path: Path) -> tuple[list[NodeRecord], list[int]]:
+    """The node records in file order, and the line of each."""
+    records: list[NodeRecord] = []
     line_of: dict[int, int] = {}
     with path.open(newline="") as fh:
         rows = _csv_rows(fh)
@@ -685,22 +725,27 @@ def _load_nodes(
                 rec = NodeRecord(int(row[0]), int(row[1]), int(row[2]), [float(x) for x in row[3:]])
             except ValueError as exc:
                 raise GraphFormatError(f"{path}:{lineno}: malformed node row: {exc}") from exc
-            if rec.id in nodes:
+            if rec.id in line_of:
                 raise GraphFormatError(
                     f"{path}:{lineno}: duplicate node id {rec.id}, first at {path.name}:{line_of[rec.id]}"
                 )
-            fault = _node_fault(rec, periods, dim)
-            if fault:
-                raise _located(f"{path}:{lineno}", fault, sources)
-            nodes[rec.id] = rec
+            records.append(rec)
             line_of[rec.id] = lineno
-    return nodes
+    return records, list(line_of.values())
 
 
-def _load_events(
-    path: Path, nodes: Mapping[int, NodeRecord], periods: tuple[PeriodSpec, ...], sources: Mapping[str, Path]
-) -> list[Event]:
-    events: list[Event] = []
+def _endpoint(cell: str) -> int:
+    """An event endpoint cell, which must fit the int64 ``src``/``dst`` columns."""
+    v = int(cell)
+    if not -(2**63) <= v < 2**63:
+        raise ValueError(f"node id {v} does not fit in int64")
+    return v
+
+
+def _load_events(path: Path) -> tuple[tuple[list, ...], list[int]]:
+    """The ``(src, dst, t)`` columns in file order, and the line of each row."""
+    rows_out: list[tuple[int, int, float]] = []
+    lines: list[int] = []
     with path.open(newline="") as fh:
         rows = _csv_rows(fh)
         line, header = next(rows, (1, None))
@@ -711,12 +756,9 @@ def _load_events(
         for lineno, row in rows:
             if len(row) != 3:
                 raise GraphFormatError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            try:  # a self-loop is a ValueError of Event
-                e = Event(src=int(row[0]), dst=int(row[1]), t=float(row[2]))
+            try:
+                rows_out.append((_endpoint(row[0]), _endpoint(row[1]), float(row[2])))
             except ValueError as exc:
                 raise GraphFormatError(f"{path}:{lineno}: malformed event row: {exc}") from exc
-            fault = _event_fault(e, nodes, periods)
-            if fault:
-                raise _located(f"{path}:{lineno}", fault, sources)
-            events.append(e)
-    return events
+            lines.append(lineno)
+    return tuple(map(list, zip(*rows_out))) or ([], [], []), lines

@@ -218,6 +218,16 @@ def load_config(path: str | Path | None = None, preset: str | None = None) -> di
     return resolved
 
 
+def synth_config(body, where: str = "") -> SynthConfig:
+    """The generator config that ``body`` describes; :class:`ConfigError`
+    names the field at fault, after the prefix ``where``."""
+    _check_keys(where, body, [f.name for f in fields(SynthConfig)])
+    try:
+        return SynthConfig.from_dict(body)
+    except ValueError as exc:  # the message starts with the field's name
+        raise ConfigError(f"{where}{exc}") from exc
+
+
 def validate_config(cfg: dict) -> None:
     """Check a resolved config, building the configs of every planned run;
     :class:`ConfigError` names the field at fault."""
@@ -227,12 +237,7 @@ def validate_config(cfg: dict) -> None:
     if len(data) != 1:
         raise ConfigError("data: need exactly one of 'synthetic' or 'files'")
     if "synthetic" in data:
-        synth = data["synthetic"]
-        _check_keys("data.synthetic.", synth, [f.name for f in fields(SynthConfig)])
-        try:
-            SynthConfig.from_dict(synth)
-        except ValueError as exc:  # the message starts with the field's name
-            raise ConfigError(f"data.synthetic.{exc}") from exc
+        synth_config(data["synthetic"], "data.synthetic.")
     else:
         files = data["files"]
         _check_keys("data.files.", files, ["nodes", "events", "periods"])

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from tgcl.backbone import Backbone, snapshot
-from tgcl.graph import Event, NodeRecord, PeriodSpec, SynthConfig, TemporalGraph, generate_synthetic
+from tgcl.graph import NodeRecord, PeriodSpec, SynthConfig, TemporalGraph, generate_synthetic
+
+from oracles import Event, event_columns
 
 
 def make_two_period_graph():
@@ -26,7 +28,7 @@ def make_two_period_graph():
         PeriodSpec(index=1, t_start=0.0, t_end=1.0, classes=(0,)),
         PeriodSpec(index=2, t_start=1.0, t_end=2.0, classes=(1,)),
     ]
-    return TemporalGraph.from_parts(nodes, events, periods)
+    return TemporalGraph.from_parts(nodes, event_columns(events), periods)
 
 
 @pytest.fixture

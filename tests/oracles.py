@@ -6,17 +6,20 @@ enumeration, the per-node model-input loop, the per-node frozen loss,
 the training step's loss and gradients with a new array per
 intermediate, per-set precision with a per-prediction class lookup,
 the alignment loss with model gradients (backpropagated from the
-embeddings on their own), and a period's events and each
-node's debut period by a scan of the events. None of them is used by the
-pipeline. The module also holds helpers only tests use: greedy picks of
-one part by node id, exact graph equality and the mean epoch time of a
-log.
+embeddings on their own), a period's events and each node's debut period
+by a scan of the events, the synthetic generator with one object per
+event and ``rng.uniform`` times, and the graph rules checked row by row.
+None of them is used by the pipeline. The module also holds helpers only
+tests use: events as row objects and back, greedy picks of one part by
+node id, exact graph equality and the mean epoch time of a log.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -30,7 +33,7 @@ from tgcl.backbone import (
     embed_batch,
     input_dim,
 )
-from tgcl.graph import Event, TemporalGraph
+from tgcl.graph import NodeRecord, PeriodSpec, SynthConfig, TemporalGraph, _period_fault
 from tgcl.kernels import KernelParams, _as_points, kernel_matrix
 from tgcl.selector import (
     SCORE_TERMS,
@@ -41,6 +44,29 @@ from tgcl.selector import (
     subset_objective,
 )
 from tgcl.trainer import l_dst_terms
+
+
+@dataclass(frozen=True)
+class Event:
+    """One interaction between two nodes at time ``t``, as a row object."""
+
+    src: int
+    dst: int
+    t: float
+
+    def endpoints(self) -> tuple[int, int]:
+        return (self.src, self.dst)
+
+
+def events_of(graph: TemporalGraph) -> list[Event]:
+    """The rows of ``graph.events`` as objects, in table order."""
+    ev = graph.events
+    return [Event(*row) for row in zip(ev.src.tolist(), ev.dst.tolist(), ev.t.tolist())]
+
+
+def event_columns(events: Sequence[Event]) -> tuple[list[int], list[int], list[float]]:
+    """The ``(src, dst, t)`` columns of row objects, for ``TemporalGraph.from_parts``."""
+    return [e.src for e in events], [e.dst for e in events], [e.t for e in events]
 
 
 def reference_inputs(
@@ -54,11 +80,12 @@ def reference_inputs(
     taken newest first and divided by ``k``.
     """
     rows = []
+    events = events_of(graph)
     for v in node_ids:
         x = graph.nodes[v].feature
         seen = [
             (e.t, e.dst if e.src == v else e.src)
-            for e in graph.events
+            for e in events
             if v in (e.src, e.dst) and e.t <= eval_time
         ]
         nbr = np.zeros_like(x)
@@ -324,7 +351,9 @@ def graphs_equal(a: TemporalGraph, b: TemporalGraph) -> bool:
             return False
         if ra.feature.shape != rb.feature.shape or not np.array_equal(ra.feature, rb.feature):
             return False
-    return a.events == b.events
+    return all(
+        np.array_equal(getattr(a.events, col), getattr(b.events, col)) for col in ("src", "dst", "t")
+    )
 
 
 def period_events(graph: TemporalGraph, n: int) -> list[Event]:
@@ -332,7 +361,7 @@ def period_events(graph: TemporalGraph, n: int) -> list[Event]:
     ``t_start <= t < t_end``, plus those at ``t_end`` in the last period."""
     p = graph.periods[n - 1]
     last = n == len(graph.periods)
-    return [e for e in graph.events if p.t_start <= e.t < p.t_end or (last and e.t == p.t_end)]
+    return [e for e in events_of(graph) if p.t_start <= e.t < p.t_end or (last and e.t == p.t_end)]
 
 
 def debut_periods(graph: TemporalGraph) -> dict[int, int]:
@@ -343,6 +372,122 @@ def debut_periods(graph: TemporalGraph) -> dict[int, int]:
             for v in e.endpoints():
                 out.setdefault(v, n)
     return out
+
+
+def reference_generate_synthetic(
+    cfg: SynthConfig,
+) -> tuple[list[NodeRecord], list[Event], tuple[PeriodSpec, ...]]:
+    """The drifting-cluster generator with one object per event and times
+    drawn by ``rng.uniform``: its node records, its events in the order
+    they were drawn (not sorted by time) and its periods."""
+    rng = np.random.default_rng(cfg.seed)
+    n_per = cfg.nodes_per_class_per_period
+    dim = cfg.feature_dim
+    periods = tuple(
+        PeriodSpec(
+            index=p,
+            t_start=float(p - 1),
+            t_end=float(p),
+            classes=tuple(range((p - 1) * cfg.classes_per_period, p * cfg.classes_per_period)),
+        )
+        for p in range(1, cfg.num_periods + 1)
+    )
+
+    centers: dict[int, np.ndarray] = {}
+    drift_dir: dict[int, np.ndarray] = {}
+    class_period: dict[int, int] = {}
+    records: list[NodeRecord] = []
+    events: list[Event] = []
+    next_id = 0
+
+    w_intra = cfg.intra_class_edge_prob
+    w_inter = cfg.inter_class_edge_prob
+    q_intra = w_intra / (w_intra + w_inter) if (w_intra + w_inter) > 0 else 0.0
+
+    alive: list[tuple[int, int]] = []
+    for spec in periods:
+        p = spec.index
+        for c in spec.classes:
+            centers[c] = rng.normal(0.0, cfg.class_center_scale, size=dim)
+            v = rng.normal(0.0, 1.0, size=dim)
+            drift_dir[c] = v / max(float(np.linalg.norm(v)), 1e-12)
+            class_period[c] = p
+
+        for c in sorted(class_period):
+            mean = centers[c] + (p - class_period[c]) * cfg.drift_step * drift_dir[c]
+            feats = mean + rng.normal(0.0, cfg.noise_sigma, size=(n_per, dim))
+            for i in range(n_per):
+                records.append(
+                    NodeRecord(id=next_id, class_id=c, birth_period=class_period[c], feature=feats[i])
+                )
+                alive.append((next_id, c))
+                next_id += 1
+
+        by_class: dict[int, list[int]] = {}
+        for v, c in alive:
+            by_class.setdefault(c, []).append(v)
+        others = {c: [v for v, cc in alive if cc != c] for c in by_class}
+        t_hi = np.nextafter(spec.t_end, spec.t_start)
+        for u, c in alive:
+            same = by_class[c]
+            for _ in range(cfg.events_per_node):
+                want_intra = rng.random() < q_intra
+                pool = same if want_intra else others[c]
+                if want_intra and len(same) <= 1:
+                    pool = others[c]
+                elif not want_intra and not others[c]:
+                    pool = same
+                if not pool or (pool is same and len(same) <= 1):
+                    continue
+                idx = int(rng.integers(0, len(pool)))
+                partner = pool[idx]
+                if partner == u:
+                    partner = pool[(idx + 1) % len(pool)]
+                t = min(float(rng.uniform(spec.t_start, spec.t_end)), t_hi)
+                events.append(Event(src=u, dst=partner, t=t))
+    return records, events, periods
+
+
+def reference_graph_fault(
+    nodes: Sequence[NodeRecord], events: Sequence[Event], periods: Sequence[PeriodSpec]
+) -> str | None:
+    """The message of the first broken graph rule, checked row by row: the
+    period entries, then each node record and then each event in order
+    (``events`` as stored, so unsorted rows break the order rule)."""
+    if not periods:
+        return "graph has no periods"
+    for i, p in enumerate(periods):
+        fault = _period_fault(i, p, periods[:i])
+        if fault:
+            return f"period {i + 1}: {fault}"
+    dim = nodes[0].feature.size if nodes else 0
+    for rec in nodes:
+        v = rec.id
+        if not -(2**63) <= v < 2**63:
+            return f"node id {v} does not fit in int64"
+        if rec.feature.shape != (dim,):
+            return f"feature dimension of node {v}: shape {rec.feature.shape} != ({dim},)"
+        if not np.isfinite(rec.feature).all():
+            return f"node {v} has a non-finite feature"
+        if not 1 <= rec.birth_period <= len(periods):
+            return f"period {rec.birth_period} of node {v} is unknown (have 1..{len(periods)})"
+        if rec.class_id not in periods[rec.birth_period - 1].classes:
+            return f"class {rec.class_id} of node {v} not in period {rec.birth_period} classes"
+    ids = {rec.id for rec in nodes}
+    t_lo, t_hi = periods[0].t_start, periods[-1].t_end
+    prev_t = -math.inf
+    for e in events:
+        if e.src == e.dst:
+            return f"self-loop event on node {e.src} at t={e.t}"
+        for v in e.endpoints():
+            if v not in ids:
+                return f"event references unknown node {v}"
+        if not t_lo <= e.t <= t_hi:
+            return f"timestamp {e.t} outside all periods [{t_lo}, {t_hi}]"
+        if e.t < prev_t:
+            return "events are not sorted by time"
+        prev_t = e.t
+    return None
 
 
 def time_per_epoch(epoch_log: Sequence[Mapping]) -> float:

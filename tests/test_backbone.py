@@ -23,12 +23,12 @@ from tgcl.backbone import (
     snapshot,
 )
 import tgcl.backbone as backbone_module
-from tgcl.graph import Event, NodeRecord, PeriodSpec, SynthConfig, TemporalGraph, generate_synthetic, split_period
+from tgcl.graph import NodeRecord, PeriodSpec, TemporalGraph, split_period
 from tgcl.kernels import KernelParams
 from tgcl.trainer import l_dst_terms
 
 from conftest import finite_difference_grads, max_rel_error, toy_model
-from oracles import reference_inputs, reference_loss_and_grads
+from oracles import Event, event_columns, events_of, reference_inputs, reference_loss_and_grads
 
 
 def manual_forward(model, z):
@@ -81,7 +81,7 @@ def random_graph(rng, n=40, dim=3, silent=5, n_events=150):
         a, b = rng.choice(len(active), size=2, replace=False)
         events.append(Event(active[a], active[b], float(rng.integers(0, 9)) / 4))
     periods = [PeriodSpec(1, 0.0, 1.0, (0, 1)), PeriodSpec(2, 1.0, 2.0, (2, 3))]
-    return TemporalGraph.from_parts(nodes, events, periods)
+    return TemporalGraph.from_parts(nodes, event_columns(events), periods)
 
 
 class TestBuildInputs:
@@ -136,7 +136,7 @@ class TestNeighborIndex:
         for r, v in enumerate(index.ids):
             lo, hi = index.indptr[r], index.indptr[r + 1]
             got = list(zip(index.times[lo:hi].tolist(), index.ids[index.nbr[lo:hi]].tolist()))
-            want = [(e.t, e.dst if e.src == v else e.src) for e in graph.events if v in (e.src, e.dst)]
+            want = [(e.t, e.dst if e.src == v else e.src) for e in events_of(graph) if v in (e.src, e.dst)]
             assert got == want, v
             assert (np.diff(index.times[lo:hi]) >= 0).all()
 
@@ -236,7 +236,7 @@ class TestContexts:
         ctxs = build_contexts(small_synth, ids, eval_time=3.0)
         assert ctxs.nbrs.shape == ctxs.dt.shape == (20, K_NEIGHBORS)
         for v, row in zip(ids, ctxs.nbrs):
-            incident = sum(v in (e.src, e.dst) for e in small_synth.events)
+            incident = sum(v in (e.src, e.dst) for e in events_of(small_synth))
             assert (row >= 0).sum() == min(incident, K_NEIGHBORS)
 
     def test_future_events_excluded(self, two_period_graph):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tgcl.graph import (
-    Event,
+    EventTable,
     GraphFormatError,
     NodeRecord,
     PeriodSpec,
@@ -24,15 +24,27 @@ from tgcl.graph import (
     save_graph,
     split_period,
 )
+from tgcl.harness import resolve_config
 
 from conftest import make_two_period_graph
-from oracles import debut_periods, graphs_equal, period_events
+from oracles import (
+    Event,
+    debut_periods,
+    event_columns,
+    events_of,
+    graphs_equal,
+    period_events,
+    reference_generate_synthetic,
+    reference_graph_fault,
+)
 
 
 class TestTypes:
     def test_self_loop_rejected(self):
+        periods = [PeriodSpec(1, 0.0, 1.0, (0,))]
+        nodes = [NodeRecord(id=1, class_id=0, birth_period=1, feature=np.zeros(1))]
         with pytest.raises(ValueError):
-            Event(1, 1, 0.5)
+            TemporalGraph.from_parts(nodes, event_columns([Event(1, 1, 0.5)]), periods)
 
     def test_node_feature_readonly(self):
         rec = NodeRecord(id=0, class_id=0, birth_period=1, feature=np.array([1.0, 2.0]))
@@ -43,23 +55,23 @@ class TestTypes:
         periods = [PeriodSpec(1, 0.0, 1.0, (0,)), PeriodSpec(2, 1.0, 2.0, (1,))]
         nodes = [NodeRecord(id=0, class_id=1, birth_period=1, feature=np.zeros(2))]
         with pytest.raises(ValueError, match="not in period"):
-            TemporalGraph.from_parts(nodes, [], periods)
+            TemporalGraph.from_parts(nodes, event_columns([]), periods)
 
     def test_disjoint_class_sets_enforced(self):
         periods = [PeriodSpec(1, 0.0, 1.0, (0,)), PeriodSpec(2, 1.0, 2.0, (0,))]
         with pytest.raises(ValueError, match=r"period 2: classes \[0\] appear in an earlier entry"):
-            TemporalGraph.from_parts([], [], periods)
+            TemporalGraph.from_parts([], event_columns([]), periods)
 
     def test_non_contiguous_periods_rejected(self):
         periods = [PeriodSpec(1, 0.0, 1.0, (0,)), PeriodSpec(2, 1.5, 2.0, (1,))]
         with pytest.raises(ValueError, match=r"period 2: t_start 1\.5 != previous t_end 1\.0"):
-            TemporalGraph.from_parts([], [], periods)
+            TemporalGraph.from_parts([], event_columns([]), periods)
 
     def test_event_with_unknown_endpoint_rejected(self):
         periods = [PeriodSpec(1, 0.0, 1.0, (0,))]
         nodes = [NodeRecord(id=0, class_id=0, birth_period=1, feature=np.zeros(1))]
         with pytest.raises(ValueError, match="unknown node"):
-            TemporalGraph.from_parts(nodes, [Event(0, 9, 0.5)], periods)
+            TemporalGraph.from_parts(nodes, event_columns([Event(0, 9, 0.5)]), periods)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_feature_rejected(self, bad):
@@ -69,7 +81,7 @@ class TestTypes:
             NodeRecord(id=7, class_id=1, birth_period=1, feature=np.array([1.0, bad])),
         ]
         with pytest.raises(ValueError, match="node 7 has a non-finite feature"):
-            TemporalGraph.from_parts(nodes, [], periods)
+            TemporalGraph.from_parts(nodes, event_columns([]), periods)
 
     def test_feature_dim_must_agree(self):
         periods = [PeriodSpec(1, 0.0, 1.0, (0, 1))]
@@ -78,7 +90,7 @@ class TestTypes:
             NodeRecord(id=1, class_id=1, birth_period=1, feature=np.zeros(3)),
         ]
         with pytest.raises(ValueError, match="dimension"):
-            TemporalGraph.from_parts(nodes, [], periods)
+            TemporalGraph.from_parts(nodes, event_columns([]), periods)
 
 
 class TestSplitPeriod:
@@ -156,7 +168,7 @@ class TestSplitPeriod:
             NodeRecord(id=0, class_id=0, birth_period=1, feature=np.zeros(1)),
             NodeRecord(id=1, class_id=0, birth_period=1, feature=np.zeros(1)),
         ]
-        graph = TemporalGraph.from_parts(nodes, [Event(0, 1, 0.5)], periods)
+        graph = TemporalGraph.from_parts(nodes, event_columns([Event(0, 1, 0.5)]), periods)
         with pytest.raises(ValueError, match="no events"):
             split_period(graph, 2)
 
@@ -183,7 +195,7 @@ class TestSplitPeriod:
         periods = [PeriodSpec(1, 0.0, 1.0, (0,)), PeriodSpec(2, 1.0, 2.0, (1,))]
         nodes = [NodeRecord(v, c, c + 1, np.zeros(1)) for v, c in enumerate([0, 0, 1, 0, 1])]
         events = [Event(0, 1, 0.0), Event(1, 2, 1.0), Event(3, 2, 2.0)]
-        graph = TemporalGraph.from_parts(nodes, events, periods)
+        graph = TemporalGraph.from_parts(nodes, event_columns(events), periods)
         assert graph.debut_period == {0: 1, 1: 1, 2: 2, 3: 2}
         assert split_period(graph, 1).new_nodes == (0, 1)
         view = split_period(graph, 2)
@@ -209,10 +221,52 @@ def _boundary_graph(seed: int) -> TemporalGraph:
         # nodes of a class introduced after period i stay silent until then
         if max(classes[u], classes[w]) // 2 <= i:
             events.append(Event(u, w, t))
-    return TemporalGraph.from_parts(nodes, events, periods)
+    return TemporalGraph.from_parts(nodes, event_columns(events), periods)
+
+
+#: the shipped ``main`` data, its ``scale-select`` variant (4 periods of 200
+#: nodes per class) and degenerate configs on a small base
+_MAIN_SYNTH = resolve_config({"include": "main"})["data"]["synthetic"]
+_SMALL_SYNTH = dict(num_periods=3, classes_per_period=2, nodes_per_class_per_period=6, feature_dim=3, seed=9)
+_GENERATOR_CASES = {
+    "main": _MAIN_SYNTH,
+    "scale-select": {**_MAIN_SYNTH, "num_periods": 4, "nodes_per_class_per_period": 200},
+    "one node per class": {**_SMALL_SYNTH, "nodes_per_class_per_period": 1},
+    "one class per period": {**_SMALL_SYNTH, "classes_per_period": 1},
+    "one node, one class": {**_SMALL_SYNTH, "nodes_per_class_per_period": 1, "classes_per_period": 1},
+    "no intra-class edges": {**_SMALL_SYNTH, "intra_class_edge_prob": 0.0},
+    "no inter-class edges": {**_SMALL_SYNTH, "inter_class_edge_prob": 0.0},
+    "no events": {**_SMALL_SYNTH, "events_per_node": 0},
+}
 
 
 class TestGenerateSynthetic:
+    @pytest.mark.parametrize("case", sorted(_GENERATOR_CASES))
+    def test_matches_reference_generator(self, case):
+        # the reference draws times with rng.uniform and sorts its event
+        # objects by time; the columns must hold the same rows in that order
+        cfg = SynthConfig.from_dict(_GENERATOR_CASES[case])
+        graph = generate_synthetic(cfg)
+        records, events, periods = reference_generate_synthetic(cfg)
+        assert graph.periods == periods
+        assert list(graph.nodes) == [rec.id for rec in records]
+        for rec in records:
+            got = graph.nodes[rec.id]
+            assert (got.class_id, got.birth_period) == (rec.class_id, rec.birth_period)
+            assert np.array_equal(got.feature, rec.feature)
+        want = sorted(events, key=lambda e: e.t)
+        assert graph.events.src.tolist() == [e.src for e in want]
+        assert graph.events.dst.tolist() == [e.dst for e in want]
+        assert graph.events.t.tolist() == [e.t for e in want]
+
+    def test_events_are_read_only_typed_columns(self, small_synth):
+        ev = small_synth.events
+        assert (ev.src.dtype, ev.dst.dtype, ev.t.dtype) == (np.int64, np.int64, np.float64)
+        assert len(ev) == len(ev.src) == len(ev.dst) == len(ev.t) > 0
+        for col in (ev.src, ev.dst, ev.t):
+            with pytest.raises(ValueError):
+                col[0] = 0
+
     def test_deterministic_given_seed(self):
         cfg = SynthConfig(num_periods=2, classes_per_period=2, nodes_per_class_per_period=15, seed=42)
         assert graphs_equal(generate_synthetic(cfg), generate_synthetic(cfg))
@@ -269,6 +323,14 @@ class TestGenerateSynthetic:
             SynthConfig(noise_sigma=0.0)
         with pytest.raises(ValueError):
             SynthConfig(intra_class_edge_prob=1.5)
+
+    def test_zero_edge_probabilities_need_zero_events(self):
+        with pytest.raises(ValueError, match=r"^intra_class_edge_prob and inter_class_edge_prob cannot both be 0"):
+            SynthConfig(intra_class_edge_prob=0.0, inter_class_edge_prob=0, events_per_node=1)
+        graph = generate_synthetic(
+            SynthConfig(intra_class_edge_prob=0.0, inter_class_edge_prob=0.0, events_per_node=0)
+        )
+        assert len(graph.events) == 0
 
 
 class TestPersistence:
@@ -414,7 +476,7 @@ class TestPersistence:
 
 def _two_period_parts():
     g = make_two_period_graph()
-    return list(g.nodes.values()), list(g.events), list(g.periods)
+    return list(g.nodes.values()), events_of(g), list(g.periods)
 
 
 def _with(items, i, **changes):
@@ -531,7 +593,7 @@ class TestRules:
         if place.startswith("periods"):
             text = f"period 2: {text}"
         with pytest.raises(ValueError, match=text):
-            TemporalGraph.from_parts(nodes, events, periods)
+            TemporalGraph.from_parts(nodes, event_columns(events), periods)
 
     @pytest.mark.parametrize("case", sorted(_RULE_CASES))
     def test_load_graph(self, tmp_path, case):
@@ -549,6 +611,141 @@ class TestRules:
         paths = _write_parts(tmp_path, *_two_period_parts())
         loaded = load_graph(paths["nodes"], paths["events"], paths["periods"])
         assert graphs_equal(loaded, make_two_period_graph())
+
+
+def _valid_parts(rng):
+    """Random valid parts: 1 to 3 periods with random bounds, scattered node
+    ids, and event times inside the periods or on their bounds."""
+    n_periods = int(rng.integers(1, 4))
+    bounds = np.cumsum(np.r_[rng.uniform(-2.0, 2.0), rng.uniform(0.25, 2.0, n_periods)]).tolist()
+    periods = [PeriodSpec(i + 1, bounds[i], bounds[i + 1], (2 * i, 2 * i + 1)) for i in range(n_periods)]
+    n_nodes = int(rng.integers(2, 25))
+    ids = (rng.choice(1000, n_nodes, replace=False) - 500).tolist()
+    classes = rng.integers(0, 2 * n_periods, n_nodes).tolist()
+    nodes = [NodeRecord(v, c, c // 2 + 1, rng.normal(size=3)) for v, c in zip(ids, classes)]
+    events = []
+    for _ in range(int(rng.integers(1, 40))):
+        u, w = rng.choice(ids, 2, replace=False).tolist()
+        on_bound = rng.random() < 0.2
+        t = bounds[int(rng.integers(0, n_periods + 1))] if on_bound else float(rng.uniform(bounds[0], bounds[-1]))
+        events.append(Event(u, w, t))
+    return nodes, events, periods
+
+
+def _time_sorted(events):
+    return [events[k] for k in np.argsort([e.t for e in events], kind="stable")]
+
+
+def _inject(kind, rng, nodes, events, periods):
+    """``nodes`` and ``events`` with one fault of ``kind``."""
+    nodes, events = list(nodes), list(events)
+    i, j = int(rng.integers(0, len(events))), int(rng.integers(0, len(nodes)))
+    e, rec = events[i], nodes[j]
+    t_lo, t_hi = periods[0].t_start, periods[-1].t_end
+    pick = lambda options: options[int(rng.integers(0, len(options)))]
+    if kind == "self-loop":
+        events[i] = Event(e.dst, e.dst, e.t)
+    elif kind == "unknown endpoint":
+        events[i] = Event(e.src, max(r.id for r in nodes) + 1, e.t)
+    elif kind == "time outside periods":
+        events[i] = Event(e.src, e.dst, pick([t_lo - 0.5, t_hi + 1e-9, math.inf, -math.inf]))
+    elif kind == "NaN time":
+        events[i] = Event(e.src, e.dst, math.nan)
+    elif kind == "unsorted times":  # time-sorted rows with a later row moved first
+        u, w = e.endpoints()
+        events = _time_sorted(events + [Event(u, w, t_lo), Event(w, u, t_hi)])
+        events.insert(0, events.pop())
+    elif kind == "non-finite feature":
+        feat = rec.feature.copy()
+        feat[int(rng.integers(0, feat.size))] = pick([math.nan, math.inf, -math.inf])
+        nodes[j] = dataclasses.replace(rec, feature=feat)
+    elif kind == "feature shape":
+        nodes[j] = dataclasses.replace(rec, feature=pick([np.zeros(4), np.zeros(2), np.zeros((1, 3))]))
+    elif kind == "unknown birth period":
+        nodes[j] = dataclasses.replace(rec, birth_period=pick([0, -1, len(periods) + 1, 2**64]))
+    elif kind == "class not in birth period":
+        other = (rec.class_id + 2) % (2 * len(periods)) if len(periods) > 1 else 2
+        nodes[j] = dataclasses.replace(rec, class_id=pick([other, -1, 2**70]))
+    elif kind == "id beyond int64":
+        nodes[j] = dataclasses.replace(rec, id=pick([2**63, -(2**63) - 1, 10**20]))
+    else:
+        raise AssertionError(kind)
+    return nodes, events
+
+
+#: each kind of injected fault, and a piece of the message it must raise
+_FAULT_KINDS = {
+    "self-loop": "self-loop event on node",
+    "unknown endpoint": "event references unknown node",
+    "time outside periods": "outside all periods",
+    "NaN time": "timestamp nan outside all periods",
+    "unsorted times": "events are not sorted by time",
+    "non-finite feature": "has a non-finite feature",
+    "feature shape": "feature dimension of node",
+    "unknown birth period": "is unknown (have 1..",
+    "class not in birth period": "classes",
+    "id beyond int64": "does not fit in int64",
+}
+
+
+class TestRulesMatchRowByRow:
+    """The array rules raise what the row-by-row oracle says, on random
+    graphs with one injected fault each."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_valid_graph_passes(self, seed):
+        nodes, events, periods = _valid_parts(np.random.default_rng(seed))
+        assert reference_graph_fault(nodes, _time_sorted(events), periods) is None
+        graph = TemporalGraph.from_parts(nodes, event_columns(events), periods)
+        assert events_of(graph) == _time_sorted(events)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind", sorted(_FAULT_KINDS))
+    def test_same_message(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        nodes, events, periods = _valid_parts(rng)
+        nodes, events = _inject(kind, rng, nodes, events, periods)
+        if kind == "unsorted times":  # from_parts would sort them
+            want = reference_graph_fault(nodes, events, periods)
+            with pytest.raises(ValueError) as info:
+                TemporalGraph({r.id: r for r in nodes}, EventTable(*event_columns(events)), tuple(periods))
+        else:
+            want = reference_graph_fault(nodes, _time_sorted(events), periods)
+            with pytest.raises(ValueError) as info:
+                TemporalGraph.from_parts(nodes, event_columns(events), periods)
+        assert want is not None and _FAULT_KINDS[kind] in want
+        assert str(info.value) == want
+
+    def test_loader_names_the_line_of_a_later_time(self, tmp_path):
+        # the faulty row is first in the file but last in time
+        paths = save_graph(make_two_period_graph(), tmp_path)
+        header, *rows = paths["events"].read_text().splitlines()
+        paths["events"].write_text("\n".join([header, "0,9,1.9", *rows]) + "\n")
+        with pytest.raises(GraphFormatError, match=r"events\.csv:2: event references unknown node 9 \(see "):
+            load_graph(paths["nodes"], paths["events"], paths["periods"])
+
+    @pytest.mark.parametrize("wide", [2**63, -(2**63) - 1, 10**20])
+    def test_loader_names_the_line_of_an_endpoint_beyond_int64(self, tmp_path, wide):
+        paths = save_graph(make_two_period_graph(), tmp_path)
+        with paths["events"].open("a") as fh:
+            fh.write(f"0,{wide},1.9\n")
+        with pytest.raises(GraphFormatError, match=rf"events\.csv:6: malformed event row: node id {wide} does not"):
+            load_graph(paths["nodes"], paths["events"], paths["periods"])
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (([0, 1], [1, 0], [0.5]), r"must be 1-d and of one length"),
+            (([[0, 1]], [[1, 0]], [[0.5, 0.6]]), r"must be 1-d and of one length"),
+            (([0.0], [1], [0.5]), r"event column src holds float64, not int64"),
+            (([0], [2**63], [0.5]), r"event column dst holds uint64, not int64"),
+            (([0], [10**20], [0.5]), r"event column dst holds object, not int64"),
+            (([0], [1], ["0.5"]), r"event column t holds <U3, not float64"),
+        ],
+    )
+    def test_event_columns_are_checked(self, columns, message):
+        with pytest.raises(ValueError, match=message):
+            EventTable(*columns)
 
 
 def _mutation_graph():

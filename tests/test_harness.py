@@ -145,6 +145,12 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=where):
             load_config(write_config(tmp_path, bad))
 
+    def test_zero_edge_probabilities_rejected_at_load(self, tmp_path):
+        synth = {**TINY_DATA["synthetic"], "intra_class_edge_prob": 0.0, "inter_class_edge_prob": 0.0}
+        where = r"^data\.synthetic\.intra_class_edge_prob and inter_class_edge_prob cannot both be 0"
+        with pytest.raises(ConfigError, match=where):
+            load_config(write_config(tmp_path, {**TINY, "data": {"synthetic": synth}}))
+
     @pytest.mark.parametrize(
         "extra, match",
         [
@@ -416,6 +422,19 @@ class TestCli:
         cfg_path = write_config(tmp_path, {**TINY, "strategies": ["sgd"]})
         assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
         assert "strategies" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "synth, message",
+        [
+            ({"bogus": 1}, "config error: bogus: unknown key (known: num_periods, "),
+            ({"num_periods": True}, "config error: num_periods must be an integer >= 1, got True\n"),
+        ],
+    )
+    def test_gen_invalid_config_exit_2(self, tmp_path, capsys, synth, message):
+        path = write_config(tmp_path, synth, "synth.json")
+        assert cli.main(["gen", str(path), "--out", str(tmp_path / "data")]) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "data").exists()
 
     def test_run_requires_output_dir(self, tmp_path):
         cfg_path = write_config(tmp_path, TINY)
