@@ -116,7 +116,22 @@ def node_inputs(graph: TemporalGraph, node_ids: Sequence[int], eval_time: float)
     return per_time[eval_time][index.rows_of(node_ids)]
 
 
-class Backbone:
+class _Head:
+    """Class lookups of a live or frozen model, from its ``classes`` (in
+    head-row order) and ``_class_index`` (each class's row)."""
+
+    @property
+    def num_classes(self) -> int:
+        return len(self.classes)
+
+    def class_index(self, class_id: int) -> int:
+        try:
+            return self._class_index[class_id]
+        except KeyError:
+            raise ValueError(f"class {class_id} unknown to this head") from None
+
+
+class Backbone(_Head):
     """Trainable embedding + class-incremental classifier.
 
     The head starts empty and is grown with :meth:`grow_head` as class
@@ -144,18 +159,6 @@ class Backbone:
         self.w_head = np.zeros((0, self.hidden_dim))
         self.classes: list[int] = []
         self._class_index: dict[int, int] = {}
-
-    # -- class bookkeeping ---------------------------------------------------
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.classes)
-
-    def class_index(self, class_id: int) -> int:
-        try:
-            return self._class_index[class_id]
-        except KeyError:
-            raise ValueError(f"class {class_id} unknown to this head") from None
 
     def grow_head(self, new_classes: Iterable[int]) -> None:
         """Append one seeded small-uniform row per class; old rows untouched."""
@@ -203,7 +206,7 @@ class Backbone:
             param -= lr * grads[name]
 
 
-class Snapshot:
+class Snapshot(_Head):
     """Frozen, read-only copy of a model's parameters and class list."""
 
     def __init__(self, src: "Backbone | Snapshot"):
@@ -215,16 +218,6 @@ class Snapshot:
         self._class_index = {c: i for i, c in enumerate(self.classes)}
         self.feature_dim = src.feature_dim
         self.hidden_dim = src.hidden_dim
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.classes)
-
-    def class_index(self, class_id: int) -> int:
-        try:
-            return self._class_index[class_id]
-        except KeyError:
-            raise ValueError(f"class {class_id} unknown to this head") from None
 
 
 def snapshot(model: Backbone | Snapshot) -> Snapshot:
@@ -407,10 +400,8 @@ def from_checkpoint_dict(d: dict) -> Model:
         hidden_dim=d["hidden_dim"],
         head_init_scale=d.get("head_init_scale", 0.01),
     )
-    model.w_agg = _unpack(d["params"]["w_agg"])
-    model.w_hid = _unpack(d["params"]["w_hid"])
-    model.b_hid = _unpack(d["params"]["b_hid"])
-    model.w_head = _unpack(d["params"]["w_head"])
+    for name in PARAM_NAMES:
+        setattr(model, name, _unpack(d["params"][name]))
     model.classes = [int(c) for c in d["classes"]]
     model._class_index = {c: i for i, c in enumerate(model.classes)}
     if d["kind"] == "snapshot":

@@ -4,8 +4,14 @@ Subcommands:
 
 * ``tgcl run <config.json> [--preset NAME] [--out DIR] [--jobs K] [--resume]``
 * ``tgcl gen <synth.json> --out DIR``  - emit graph files from a generator config
-* ``tgcl select ...``                  - run subset selection only, dump buffer JSON
+* ``tgcl select <config.json> [--preset NAME] --run ID --period N --model CKPT [--out FILE]``
+  - rebuild run ``ID``'s period-N buffer through ``trainer.plan_period``
 * ``tgcl report <DIR>``                - re-render the summary table from results
+
+``select`` loads the config as ``run`` does (``TGCL_SEED`` too), so a run's
+``<out>/resolved_config.json`` will do; ``CKPT`` is the model frozen after
+period N-1 (``backbone.save_checkpoint``). A user error prints one
+``<kind> error: ...`` line and exits with status 2.
 """
 
 from __future__ import annotations
@@ -13,24 +19,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import harness
-from .backbone import Backbone, load_checkpoint, snapshot
-from .graph import generate_synthetic, load_graph, save_graph, split_period
-from .selector import SelectionConfig, select
+from .backbone import load_checkpoint, snapshot
+from .graph import GraphFormatError, generate_synthetic, save_graph, split_period
+from .trainer import plan_period, selects
+
+
+def _fail(kind: str, message) -> int:
+    print(f"{kind} error: {message}", file=sys.stderr)
+    return 2
 
 
 def _cmd_run(args) -> int:
-    try:
-        cfg = harness.load_config(args.config, preset=args.preset)
-    except harness.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    cfg = harness.load_config(args.config, preset=args.preset)
     out_dir = args.out or cfg.get("output_dir")
     if not out_dir:
-        print("config error: output_dir: set it in the config or pass --out", file=sys.stderr)
-        return 2
+        return _fail("config", "output_dir: set it in the config or pass --out")
     echo = print if not args.quiet else None
     records = harness.execute(cfg, out_dir, jobs=args.jobs, resume=args.resume, echo=echo)
     print(harness.render_table(records))
@@ -39,12 +44,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        cfg = harness.synth_config(json.loads(Path(args.synth_config).read_text()))
-    except harness.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    graph = generate_synthetic(cfg)
+    graph = generate_synthetic(harness.synth_config(harness.read_config_file(args.synth_config)))
     paths = save_graph(graph, args.out)
     for kind, path in paths.items():
         print(f"{kind}: {path}")
@@ -52,32 +52,45 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    data_dir = Path(args.data)
-    graph = load_graph(
-        data_dir / "nodes.csv", data_dir / "events.csv", data_dir / "periods.json"
-    )
-    view = split_period(graph, args.period, split_seed=args.seed)
-    if args.model:
+    cfg = harness.load_config(args.config, preset=args.preset)
+    specs = {s.run_id: s for s in harness.plan_runs(cfg)}
+    spec = specs.get(args.run)
+    if spec is None:
+        return _fail("select", f"--run {args.run}: not planned by the config (planned: {', '.join(specs)})")
+    settings = harness.run_settings(cfg, spec)
+    graph = harness.load_data(cfg["data"])
+    n = args.period
+    if not 1 <= n <= graph.num_periods:
+        return _fail("select", f"--period {n}: outside 1..{graph.num_periods}")
+    view = split_period(graph, n, spec.seed)
+    if not selects(spec.strategy, view):
+        return _fail("select", f"run {spec.run_id} selects nothing at period {n}")
+    try:
         prev = snapshot(load_checkpoint(args.model))
-    else:
-        # untrained scoring model: useful for inspecting selection mechanics
-        model = Backbone(graph.feature_dim, seed=args.seed)
-        for i in range(1, args.period):
-            model.grow_head(sorted(graph.period(i).classes))
-        prev = snapshot(model)
-    cfg = SelectionConfig(alpha=args.alpha, m=args.m, m_prime=args.m_prime, p=args.p)
-    buffer = select(graph, view, prev, cfg, seed=args.seed)
-    payload = json.dumps(buffer.to_json_dict(), indent=2)
+    except (OSError, ValueError) as exc:
+        return _fail("select", f"{args.model}: cannot load the model checkpoint: {exc}")
+    want = [c for i in range(1, n) for c in sorted(graph.period(i).classes)]
+    if list(prev.classes) != want:
+        return _fail(
+            "select", f"{args.model}: classes {list(prev.classes)} are not those of periods 1..{n - 1}: {want}"
+        )
+    _, buffer, _ = plan_period(
+        graph, view, prev, spec.strategy, settings["sel"], settings["train"],
+        seed=spec.seed, kernel_squared=settings["kernel_squared"],
+    )
     if args.out:
-        Path(args.out).write_text(payload + "\n")
+        buffer.save(args.out)
         print(f"buffer written to {args.out}")
     else:
-        print(payload)
+        print(json.dumps(buffer.to_json_dict(), indent=2))
     return 0
 
 
 def _cmd_report(args) -> int:
-    records = harness.load_records(args.results_dir)
+    try:
+        records = harness.load_records(args.results_dir)
+    except FileNotFoundError as exc:
+        return _fail("report", exc)
     print(harness.render_table(records))
     return 0
 
@@ -100,15 +113,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.set_defaults(func=_cmd_gen)
 
-    p_sel = sub.add_parser("select", help="run subset selection, dump buffer JSON")
-    p_sel.add_argument("--data", required=True, help="directory with nodes/events/periods files")
-    p_sel.add_argument("--period", type=int, required=True)
-    p_sel.add_argument("--model", default=None, help="model checkpoint for scoring")
-    p_sel.add_argument("--m", type=int, default=50)
-    p_sel.add_argument("--m-prime", dest="m_prime", type=int, default=50)
-    p_sel.add_argument("--alpha", type=float, default=1.0)
-    p_sel.add_argument("--p", type=int, default=250)
-    p_sel.add_argument("--seed", type=int, default=0)
+    p_sel = sub.add_parser(
+        "select", help="rebuild a planned run's replay buffer at one period, as JSON"
+    )
+    p_sel.add_argument(
+        "config", nargs="?", default=None,
+        help="JSON config path, e.g. a run's resolved_config.json (TGCL_SEED applies, as for run)",
+    )
+    p_sel.add_argument("--preset", choices=sorted(harness.PRESETS), default=None)
+    p_sel.add_argument("--run", required=True, help="run id, e.g. ltf__seed0")
+    p_sel.add_argument("--period", type=int, required=True, help="period n of the buffer")
+    p_sel.add_argument("--model", required=True, help="checkpoint of the model frozen after period n-1")
     p_sel.add_argument("--out", default=None, help="write the buffer JSON here")
     p_sel.set_defaults(func=_cmd_select)
 
@@ -120,7 +135,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except harness.ConfigError as exc:
+        return _fail("config", exc)
+    except GraphFormatError as exc:
+        return _fail("data", exc)
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -499,9 +499,6 @@ class SynthConfig:
                 "intra_class_edge_prob and inter_class_edge_prob cannot both be 0 when events_per_node > 0"
             )
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: Mapping) -> "SynthConfig":
         return cls(**dict(d))
@@ -650,8 +647,11 @@ def load_graph(
     sources = {"nodes": node_path, "events": event_path, "periods": period_path}
 
     periods = _load_periods(period_path)
-    nodes, node_lines = _load_nodes(node_path)
-    events, event_lines = _load_events(event_path)
+    try:
+        nodes, node_lines = _load_nodes(node_path)
+        events, event_lines = _load_events(event_path)
+    except OSError as exc:
+        raise GraphFormatError(f"{exc.filename}: cannot read: {exc.strerror or exc}") from exc
     try:
         return TemporalGraph.from_parts(nodes, events, periods)
     except _Fault as fault:

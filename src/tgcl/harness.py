@@ -179,12 +179,23 @@ def merge_config(base: dict, override: dict) -> dict:
     return out
 
 
+def read_config_file(path: str | Path) -> dict:
+    """The JSON object in a config file; :class:`ConfigError` names the file
+    when it cannot be read, is not JSON or its root is not an object."""
+    try:
+        body = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+        raise ConfigError(f"{path}: {exc.strerror if isinstance(exc, OSError) else exc}") from None
+    if not isinstance(body, dict):
+        raise ConfigError(f"{path}: root must be a JSON object")
+    return body
+
+
 def _load_include(name) -> dict:
     if isinstance(name, str) and name in PRESETS:
         return PRESETS[name]
-    path = Path(name)
-    if path.exists():
-        return json.loads(path.read_text())
+    if isinstance(name, str) and Path(name).exists():
+        return read_config_file(name)
     raise ConfigError(f"include: unknown preset or missing file {name!r}")
 
 
@@ -201,10 +212,7 @@ def load_config(path: str | Path | None = None, preset: str | None = None) -> di
     Precedence, lowest first: built-in defaults, preset, the file's own
     includes, the file itself. ``TGCL_SEED`` overrides the seed list.
     """
-    file_cfg = json.loads(Path(path).read_text()) if path else {}
-    if not isinstance(file_cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    resolved = resolve_config(file_cfg)
+    resolved = resolve_config(read_config_file(path) if path else {})
     if preset:
         resolved = merge_config(resolve_config({"include": preset}), resolved)
     resolved = merge_config(DEFAULT_CONFIG, resolved)
@@ -351,14 +359,10 @@ def plan_runs(cfg: dict) -> list[RunSpec]:
                         train_overrides=train_over,
                     )
                 )
-    # drop duplicates (e.g. joint listed and auto-added)
-    seen: set[str] = set()
-    unique: list[RunSpec] = []
+    unique: dict[str, RunSpec] = {}  # the first of each run id (e.g. joint listed and auto-added)
     for s in specs:
-        if s.run_id not in seen:
-            seen.add(s.run_id)
-            unique.append(s)
-    return unique
+        unique.setdefault(s.run_id, s)
+    return list(unique.values())
 
 
 def run_configs(cfg: dict, spec: RunSpec) -> tuple[SelectionConfig, TrainConfig]:
@@ -397,13 +401,13 @@ def load_data(data_cfg: dict) -> TemporalGraph:
     return load_graph(files["nodes"], files["events"], files.get("periods"))
 
 
-#: The graph of a pool worker, loaded once by :func:`_init_worker`.
+#: The graph of a pool worker, handed over once by :func:`_init_worker`.
 _WORKER_GRAPH: TemporalGraph | None = None
 
 
-def _init_worker(data_cfg: dict) -> None:
+def _init_worker(graph: TemporalGraph) -> None:
     global _WORKER_GRAPH
-    _WORKER_GRAPH = load_data(data_cfg)
+    _WORKER_GRAPH = graph
 
 
 def _execute_in_worker(payload: dict) -> str:
@@ -462,17 +466,21 @@ def _execute_run(payload: dict, graph: TemporalGraph) -> str:
     return spec.run_id
 
 
-def _payload(cfg: dict, spec: RunSpec, out_dir: Path, chash: str) -> dict:
+def run_settings(cfg: dict, spec: RunSpec) -> dict:
+    """What one run is given besides the graph and its seed: ``sel`` and
+    ``train`` (see :func:`run_configs`), ``hidden_dim`` and ``kernel_squared``."""
     sel, train = run_configs(cfg, spec)
     return {
-        "spec": spec,
-        "run_dir": str(out_dir / "runs" / spec.run_id),
         "sel": sel,
         "train": train,
         "hidden_dim": cfg.get("hidden_dim", 64),
         "kernel_squared": cfg.get("kernel", {}).get("squared_distance", False),
-        "config_hash": chash,
     }
+
+
+def _payload(cfg: dict, spec: RunSpec, out_dir: Path, chash: str) -> dict:
+    run_dir = str(out_dir / "runs" / spec.run_id)
+    return {"spec": spec, "run_dir": run_dir, **run_settings(cfg, spec), "config_hash": chash}
 
 
 def execute(
@@ -484,9 +492,10 @@ def execute(
 ) -> list[RunRecord]:
     """Execute all planned runs and write the aggregated artifacts.
 
-    The graph is built once per call, and only when runs are pending: the
-    serial path hands one graph to every run, and a process pool loads it
-    once per worker. Runs sharing a graph share its caches, among them the
+    The graph is built once per call, in the caller and only when runs are
+    pending, so a data error is raised before any run starts. The serial
+    path hands that graph to every run, and a process pool to each worker's
+    initializer. Runs sharing a graph share its caches, among them the
     period views of :func:`tgcl.graph.split_period` and the per-period
     input rows of :func:`tgcl.backbone.node_inputs`, so each node's model
     input is built once per period end. A run's ``total_s`` in
@@ -516,15 +525,13 @@ def execute(
         if stale:
             echo(f"{stale} stale runs from another config hash will be rerun")
 
+    graph = load_data(cfg["data"]) if pending else None
     if jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(cfg["data"],)
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(graph,)) as pool:
             for run_id in pool.map(_execute_in_worker, pending):
                 if echo:
                     echo(f"done {run_id}")
-    elif pending:
-        graph = load_data(cfg["data"])
+    else:
         for p in pending:
             _execute_run(p, graph)
             if echo:
@@ -555,43 +562,31 @@ def _fill_af(records: Sequence[RunRecord]) -> None:
         rec.seed: rec for rec in records if rec.strategy == "joint" and rec.variant == ""
     }
     for rec in records:
-        if rec.strategy == "joint":
-            continue
         ref = joint.get(rec.seed)
-        if ref is None:
+        if rec.strategy == "joint" or ref is None:
             continue
         for pm in rec.periods:
             if pm.period < 2:
                 continue
             try:
-                ref_pm = ref.period_metrics(pm.period)
-                pm.af = af_metric(pm.precisions, ref_pm.precisions)
+                pm.af = af_metric(pm.precisions, ref.period_metrics(pm.period).precisions)
             except (KeyError, ValueError):
                 pm.af = None
+
+
+def _final_epoch_ms(rec: RunRecord) -> float | None:
+    """Mean epoch wall time of a run's final period; None without epochs."""
+    ms = rec.final.epoch_wall_ms
+    return sum(ms) / len(ms) if ms else None
 
 
 def _write_timing(records, extras, path: Path) -> None:
     with path.open("w") as fh:
         for rec, extra in zip(records, extras):
-            final = rec.final
-            fh.write(
-                json.dumps(
-                    {
-                        "strategy": rec.strategy,
-                        "variant": rec.variant,
-                        "seed": rec.seed,
-                        "started_at": extra["started_at"],
-                        "total_s": extra["total_s"],
-                        "final_epoch_ms_mean": (
-                            sum(final.epoch_wall_ms) / len(final.epoch_wall_ms)
-                            if final.epoch_wall_ms
-                            else None
-                        ),
-                        "selection_ms_per_period": [pm.selection_ms for pm in rec.periods],
-                    }
-                )
-                + "\n"
-            )
+            row = {"strategy": rec.strategy, "variant": rec.variant, "seed": rec.seed, **extra}
+            row["final_epoch_ms_mean"] = _final_epoch_ms(rec)
+            row["selection_ms_per_period"] = [pm.selection_ms for pm in rec.periods]
+            fh.write(json.dumps(row) + "\n")
 
 
 def group_timings(records: Sequence[RunRecord]) -> dict[str, float]:
@@ -599,9 +594,7 @@ def group_timings(records: Sequence[RunRecord]) -> dict[str, float]:
     for rec in records:
         key = rec.strategy if not rec.variant else f"{rec.strategy}|{rec.variant}"
         if rec.final.epoch_wall_ms:
-            groups.setdefault(key, []).append(
-                sum(rec.final.epoch_wall_ms) / len(rec.final.epoch_wall_ms)
-            )
+            groups.setdefault(key, []).append(_final_epoch_ms(rec))
     return {k: sum(v) / len(v) for k, v in groups.items()}
 
 

@@ -44,8 +44,12 @@ def kernel_matrix(x, y, params: KernelParams) -> np.ndarray:
 def _kernel(xp: np.ndarray, yp: np.ndarray, params: KernelParams) -> np.ndarray:
     """:func:`kernel_matrix` without its checks, for 2-d float arrays that a
     checked call has already seen."""
-    metric = "sqeuclidean" if params.squared else "euclidean"
-    return np.exp(-params.gamma * cdist(xp, yp, metric))
+    return np.exp(-params.gamma * _distances(xp, yp, params.squared))
+
+
+def _distances(xp: np.ndarray, yp: np.ndarray, squared: bool) -> np.ndarray:
+    """The pairwise distances that the kernel exponentiates."""
+    return cdist(xp, yp, "sqeuclidean" if squared else "euclidean")
 
 
 def mmd_sq(a, b, params: KernelParams) -> float:

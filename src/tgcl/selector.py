@@ -97,12 +97,15 @@ class SubEntry(NamedTuple):
 
 @dataclass
 class ReplayBuffer:
-    """Selected subsets with frozen selection-time scores and metadata."""
+    """Selected subsets with frozen selection-time scores and metadata.
+    ``kp`` is the anchors' kernel (None without anchors); ``meta`` records
+    it as ``gamma`` and ``squared_kernel``."""
 
     period_built: int
     sub: list[SubEntry]
     sim: list[int]
     meta: dict = field(default_factory=dict)
+    kp: KernelParams | None = None
 
     @property
     def sub_ids(self) -> list[int]:
@@ -123,6 +126,7 @@ class ReplayBuffer:
             sub=[SubEntry(int(e["id"]), int(e["label"]), float(e["j_cls"])) for e in d["sub"]],
             sim=[int(v) for v in d["sim"]],
             meta=dict(d.get("config", {})),
+            kp=KernelParams(d["config"]["gamma"], d["config"]["squared_kernel"]) if d["sim"] else None,
         )
 
     def save(self, path: str | Path) -> None:
@@ -371,6 +375,8 @@ def _col_mean(pool: SelectionPool) -> np.ndarray:
     row by row, so each sum is the same sequential sum down axis 0 as
     ``k.mean(axis=0)`` of the full matrix, bit for bit.
     """
+    if not pool.ids:
+        raise ValueError("empty part")
     emb, edges = pool.emb, _block_edges(len(pool.ids))
     sums = [np.zeros(hi - lo) for lo, hi in zip(edges, edges[1:])]
     for i in range(len(sums)):
@@ -406,33 +412,27 @@ def _greedy(
     alpha: float,
     terms: Sequence[str],
     mode: str,
-    col_mean: np.ndarray | None = None,
+    col_mean: np.ndarray | None,
 ) -> _Picks:
     """Greedy picks from one part without ever holding the n x n kernel.
 
-    Both scoring modes need only the kernel column means ``col_mean``, the
+    Both scoring modes need only the part's kernel column means
+    ``col_mean`` (from :func:`_col_mean`, which ``select`` shares between
+    its two calls and the part metadata; None only for a zero budget), the
     diagonal (exactly 1: ``cdist(x, x)`` is 0 there for both kernel
-    variants) and one kernel column per pick, fetched on demand. Memory is
-    O(n) beyond the block pass behind ``col_mean``. ``select`` shares one
-    ``col_mean`` between its two calls and the part metadata; called on its
-    own, ``_greedy`` computes it. That pass sums every column in row order,
-    one row at a time, so its means equal the full matrix's
-    ``k.mean(axis=0)`` bit for bit (row blocks summed on their own and then
-    added would round differently), and the picks equal those of the
-    full-matrix greedy. Ties break to the smallest node id.
+    variants) and one kernel column per pick, fetched on demand, so memory
+    is O(n). Those means equal the full matrix's ``k.mean(axis=0)`` bit for
+    bit, so the picks equal those of the full-matrix greedy. Ties break to
+    the smallest node id.
     """
     n = len(pool.ids)
     if budget == 0:
         return _Picks([], 0.0)
-    if n == 0:
-        raise ValueError("empty part")
     if budget > n:
         raise ValueError(f"budget {budget} exceeds part size {n}")
     use_err, use_dist = _check_terms(terms)
 
     ids = np.array(pool.ids)
-    if col_mean is None:
-        col_mean = _col_mean(pool)
     err_score = alpha * pool.jcls if use_err else np.zeros(n)
 
     sub_sum = np.zeros(n)  # sum_{u in selected} k(v, u), per candidate v
@@ -489,6 +489,28 @@ def _ids_of(pool: SelectionPool, rows: Sequence[int]) -> list[int]:
     return [int(pool.ids[r]) for r in rows]
 
 
+def _candidate_pool(graph: TemporalGraph, view: PeriodView, prev: Model) -> SelectionPool:
+    """What every selector draws from: the period's old-class training nodes."""
+    old_train = list(view.nodes_of("old", TRAIN))
+    if not old_train:
+        raise ValueError(f"period {view.period_index} has no old-class training nodes")
+    return build_pool(graph, view, old_train, prev)
+
+
+def _clamp(name: str, budget: int, n: int) -> int:
+    """``budget`` capped at the ``n`` candidates, with a warning when capped."""
+    if budget > n:
+        warnings.warn(f"budget {name}={budget} exceeds {n} candidates; clamping", stacklevel=3)
+    return min(budget, n)
+
+
+def _entries(graph: TemporalGraph, pool: SelectionPool, node_ids: Sequence[int]) -> list[SubEntry]:
+    return [
+        SubEntry(node_id=v, label=graph.nodes[v].class_id, j_cls=float(pool.jcls[r]))
+        for v, r in zip(node_ids, pool.rows_of(node_ids))
+    ]
+
+
 def select(
     graph: TemporalGraph,
     view: PeriodView,
@@ -497,44 +519,28 @@ def select(
     *,
     seed: int,
     terms: Sequence[str] = SCORE_TERMS,
-    with_sim: bool = True,
     squared_kernel: bool = False,
 ) -> ReplayBuffer:
     """Partition the period's old-class training nodes and select both
     subsets, with per-part quotas summing exactly to the budgets.
 
-    Budgets larger than the candidate count are clamped with a warning.
-    Per-part selections are independent; the result is deterministic given
-    (graph, snapshot, config, seed). ``seed`` keys the partition stream
-    ``(seed, _STREAM_PARTITION)`` and the sample of the median heuristic,
-    which sets the kernel bandwidth (``gamma=1.0`` for a single
-    candidate); ``squared_kernel`` switches to the squared-distance kernel.
+    Budgets larger than the candidate count are clamped with a warning;
+    ``m_prime=0`` selects no anchors. Per-part selections are independent;
+    the result is deterministic given (graph, snapshot, config, seed).
+    ``seed`` keys the partition stream ``(seed, _STREAM_PARTITION)`` and
+    the sample of the median heuristic, which sets the kernel bandwidth
+    (``gamma=1.0`` for a single candidate); ``squared_kernel`` switches to
+    the squared-distance kernel.
     """
-    old_train = list(view.nodes_of("old", TRAIN))
-    if not old_train:
-        raise ValueError(f"period {view.period_index} has no old-class training nodes")
-    m = cfg.m
-    if m > len(old_train):
-        warnings.warn(
-            f"budget m={m} exceeds {len(old_train)} old-class training nodes; clamping",
-            stacklevel=2,
-        )
-        m = len(old_train)
-    m_prime = cfg.m_prime if with_sim else 0
-    if m_prime > len(old_train):
-        warnings.warn(
-            f"budget m_prime={m_prime} exceeds {len(old_train)} candidates; clamping",
-            stacklevel=2,
-        )
-        m_prime = len(old_train)
-
-    pool = build_pool(graph, view, old_train, prev)
-    if len(old_train) >= 2:
+    pool = _candidate_pool(graph, view, prev)
+    n = len(pool.ids)
+    m, m_prime = _clamp("m", cfg.m, n), _clamp("m_prime", cfg.m_prime, n)
+    if n >= 2:
         kp = median_heuristic_gamma(pool.emb, seed=seed, squared=squared_kernel)
     else:
         kp = KernelParams(gamma=1.0, squared=squared_kernel)
     pool = replace(pool, kp=kp)
-    parts = partition(old_train, cfg, seed=seed, embeddings=pool.emb)
+    parts = partition(pool.ids, cfg, seed=seed, embeddings=pool.emb)
     sizes = [len(p) for p in parts]
     quotas_sub = _share(m, sizes)
     quotas_sim = _share(m_prime, sizes)
@@ -561,14 +567,9 @@ def select(
             "overlap": len(set(sub.rows) & set(sim.rows)),
         })
 
-    rows = pool.rows_of(sub_ids)
-    sub_entries = [
-        SubEntry(node_id=v, label=graph.nodes[v].class_id, j_cls=float(pool.jcls[r]))
-        for v, r in zip(sub_ids, rows)
-    ]
     meta = {
-        "gamma": pool.kp.gamma,
-        "squared_kernel": pool.kp.squared,
+        "gamma": kp.gamma,
+        "squared_kernel": kp.squared,
         "alpha": cfg.alpha,
         "m": m,
         "m_prime": m_prime,
@@ -581,7 +582,8 @@ def select(
         "part_ms": part_ms,
         "part_objectives": part_objectives,
     }
-    return ReplayBuffer(period_built=view.period_index, sub=sub_entries, sim=sim_ids, meta=meta)
+    entries = _entries(graph, pool, sub_ids)
+    return ReplayBuffer(view.period_index, entries, sim_ids, meta, kp if sim_ids else None)
 
 
 # ---------------------------------------------------------------------------
@@ -602,17 +604,10 @@ def baseline_select(
     ``(seed, period, _STREAM_BASELINE)``."""
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind {kind!r}")
-    old_train = list(view.nodes_of("old", TRAIN))
-    if not old_train:
-        raise ValueError(f"period {view.period_index} has no old-class training nodes")
-    m_eff = m
-    if m_eff > len(old_train):
-        warnings.warn(f"budget m={m} exceeds {len(old_train)} candidates; clamping", stacklevel=2)
-        m_eff = len(old_train)
-
-    pool = build_pool(graph, view, old_train, prev)
+    pool = _candidate_pool(graph, view, prev)
+    m_eff = _clamp("m", m, len(pool.ids))
     by_class: dict[int, list[int]] = {}
-    for v in old_train:
+    for v in pool.ids:
         by_class.setdefault(graph.nodes[v].class_id, []).append(v)
     classes = sorted(by_class)
     quotas = _share(m_eff, [len(by_class[c]) for c in classes])
@@ -629,13 +624,8 @@ def baseline_select(
         else:
             chosen.extend(_herd_class(pool, ids, quota))
 
-    rows = pool.rows_of(chosen)
-    entries = [
-        SubEntry(node_id=v, label=graph.nodes[v].class_id, j_cls=float(pool.jcls[r]))
-        for v, r in zip(chosen, rows)
-    ]
     meta = {"kind": kind, "m": m_eff, "seed": seed}
-    return ReplayBuffer(period_built=view.period_index, sub=entries, sim=[], meta=meta)
+    return ReplayBuffer(view.period_index, _entries(graph, pool, chosen), [], meta)
 
 
 def _herd_class(pool: SelectionPool, ids: list[int], quota: int) -> list[int]:

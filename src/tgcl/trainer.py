@@ -18,12 +18,11 @@ which :func:`plan_period` builds from the strategy:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .backbone import (
     Backbone,
@@ -38,7 +37,7 @@ from .backbone import (
     snapshot,
 )
 from .graph import TRAIN, VAL, TEST, PeriodView, TemporalGraph, split_period
-from .kernels import KernelParams
+from .kernels import KernelParams, _distances
 from .metrics import ap as ap_metric
 from .metrics import precision_per_set
 from .selector import (
@@ -103,16 +102,12 @@ def l_dst_terms(
     if sub.shape[0] == 0 or sim.shape[0] == 0:
         raise ValueError("alignment loss requires nonempty subsets on both sides")
     s = 2.0 / (sub.shape[0] * sim.shape[0])
-    if kp.squared:
-        k = np.exp(-kp.gamma * cdist(sub, sim, "sqeuclidean"))
-        value = -s * float(k.sum())
-        grad = s * 2.0 * kp.gamma * (sub * k.sum(axis=1, keepdims=True) - k @ sim)
-    else:
-        d = cdist(sub, sim, "euclidean")
-        k = np.exp(-kp.gamma * d)
-        w = np.where(d > 0.0, k / np.where(d > 0.0, d, 1.0), 0.0)
-        value = -s * float(k.sum())
-        grad = s * kp.gamma * (sub * w.sum(axis=1, keepdims=True) - w @ sim)
+    d = _distances(sub, sim, kp.squared)
+    k = np.exp(-kp.gamma * d)
+    # d k / d sub = -gamma * w * (sub - sim): w = 2k squared, k / d (0 at d = 0) unsquared
+    w = 2.0 * k if kp.squared else np.where(d > 0.0, k / np.where(d > 0.0, d, 1.0), 0.0)
+    value = -s * float(k.sum())
+    grad = s * kp.gamma * (sub * w.sum(axis=1, keepdims=True) - w @ sim)
     return value, grad
 
 
@@ -143,6 +138,11 @@ class PeriodPlan:
     kp: KernelParams | None = None
 
 
+def selects(strategy: str, view: PeriodView) -> bool:
+    """Whether ``strategy`` selects a buffer at ``view`` (a replay strategy, old-class nodes)."""
+    return strategy in REPLAY_STRATEGIES and bool(view.nodes_of("old", TRAIN))
+
+
 def plan_period(
     graph: TemporalGraph,
     view: PeriodView,
@@ -154,14 +154,16 @@ def plan_period(
     seed: int,
     kernel_squared: bool = False,
 ) -> tuple[PeriodPlan, ReplayBuffer | None, float]:
-    """Decide a period's training data under ``strategy``.
+    """Decide a period's training data under ``strategy``: the one code
+    that decides what a period selects, which ``tgcl select`` reruns.
 
     A replay strategy selects its buffer from the period's old-class
     training nodes, scored by ``prev`` (the model frozen at the end of the
-    previous period), when there are any. Returns the plan, that buffer (or
-    None) and the selection wall time in ms. ``seed`` is passed to
-    :func:`select` and :func:`baseline_select`, which say which streams it
-    keys.
+    previous period), when there are any; ``ltf`` selects anchors only for
+    the alignment term, with ``m_prime=0`` otherwise. Returns the plan,
+    that buffer (or None) and the selection wall time in ms. ``seed`` is
+    passed to :func:`select` and :func:`baseline_select`, which say which
+    streams it keys.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -171,24 +173,22 @@ def plan_period(
         raise ValueError(f"period {n} has no new-class training nodes")
     old_train = view.nodes_of("old", TRAIN)
     main_ids = tuple(sorted(old_train + new_train)) if strategy == "joint" else new_train
-    if strategy not in REPLAY_STRATEGIES or not old_train:
+    if not selects(strategy, view):
         return PeriodPlan(main_ids), None, 0.0
 
     t0 = perf_counter()
     if strategy == "ltf":
-        align = train_cfg.ablation == "both_plus_ldst" and train_cfg.beta > 0
+        if not (train_cfg.ablation == "both_plus_ldst" and train_cfg.beta > 0):
+            sel_cfg = replace(sel_cfg, m_prime=0)  # no alignment term, so no anchors
         buffer = select(
             graph, view, prev, sel_cfg, seed=seed, terms=ablation_terms(train_cfg.ablation),
-            with_sim=align, squared_kernel=kernel_squared,
+            squared_kernel=kernel_squared,
         )
     else:
         kind = "random" if strategy == "er" else "herding"
         buffer = baseline_select(kind, graph, view, prev, sel_cfg.m, seed=seed)
     sel_ms = (perf_counter() - t0) * 1000.0
-    kp = None
-    if buffer.sim:
-        kp = KernelParams(gamma=buffer.meta["gamma"], squared=buffer.meta["squared_kernel"])
-    plan = PeriodPlan(main_ids, tuple(buffer.sub_ids), tuple(buffer.sim), kp)
+    plan = PeriodPlan(main_ids, tuple(buffer.sub_ids), tuple(buffer.sim), buffer.kp)
     return plan, buffer, sel_ms
 
 

@@ -39,6 +39,7 @@ from tgcl.selector import (
     SCORE_TERMS,
     SelectionConfig,
     SelectionPool,
+    _col_mean,
     _greedy,
     _ids_of,
     subset_objective,
@@ -333,12 +334,13 @@ def greedy_select_sub(
 ) -> list[int]:
     """Greedy rehearsal picks from one part: argmin of the combined score,
     ties broken by smallest node id, in selection order."""
-    return _ids_of(pool, _greedy(pool, budget_w, cfg.alpha, terms, cfg.scoring_mode).rows)
+    picks = _greedy(pool, budget_w, cfg.alpha, terms, cfg.scoring_mode, _col_mean(pool))
+    return _ids_of(pool, picks.rows)
 
 
 def greedy_select_sim(pool: SelectionPool, budget_w: int, cfg: SelectionConfig) -> list[int]:
     """Greedy anchor picks: distribution term only (kernel herding)."""
-    return _ids_of(pool, _greedy(pool, budget_w, 0.0, ("dist",), cfg.scoring_mode).rows)
+    return _ids_of(pool, _greedy(pool, budget_w, 0.0, ("dist",), cfg.scoring_mode, _col_mean(pool)).rows)
 
 
 def graphs_equal(a: TemporalGraph, b: TemporalGraph) -> bool:

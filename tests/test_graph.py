@@ -350,6 +350,14 @@ class TestPersistence:
         loaded = load_graph(paths["nodes"], paths["events"], paths["periods"])
         assert len(loaded.events) == 0 and len(loaded.nodes) == 4
 
+    @pytest.mark.parametrize("kind", ["nodes", "events"])
+    def test_missing_file_is_named(self, tmp_path, two_period_graph, kind):
+        paths = save_graph(two_period_graph, tmp_path)
+        paths[kind].unlink()
+        with pytest.raises(GraphFormatError) as info:
+            load_graph(paths["nodes"], paths["events"], paths["periods"])
+        assert str(info.value) == f"{paths[kind]}: cannot read: No such file or directory"
+
     def test_dimension_mismatch_names_line(self, tmp_path, two_period_graph):
         paths = save_graph(two_period_graph, tmp_path)
         lines = paths["nodes"].read_text().splitlines()

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from tgcl import cli
+from tgcl.backbone import Backbone, save_checkpoint, snapshot
 from tgcl.harness import (
     ConfigError,
     PRESETS,
@@ -14,11 +15,14 @@ from tgcl.harness import (
     execute,
     expand_sweeps,
     load_config,
+    load_data,
     load_records,
     plan_runs,
     render_table,
     run_configs,
+    run_settings,
 )
+from tgcl.trainer import run_strategy
 
 TINY_DATA = {
     "synthetic": {
@@ -38,6 +42,16 @@ TINY = {
     "train": {"epochs": 2, "batch_size": 32, "patience": 2, "lr": 0.1},
     "seeds": [0],
 }
+
+
+FILE_KINDS = (("nodes", "csv"), ("events", "csv"), ("periods", "json"))
+
+
+def period_one_scorer(graph):
+    """An untrained model with the head of period 1: a scorer for period 2."""
+    model = Backbone(graph.feature_dim, seed=0)
+    model.grow_head(sorted(graph.period(1).classes))
+    return snapshot(model)
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -446,23 +460,14 @@ class TestCli:
         assert cli.main(["gen", str(synth), "--out", str(data_dir)]) == 0
         assert (data_dir / "nodes.csv").exists()
 
+        files = {kind: str(data_dir / f"{kind}.{ext}") for kind, ext in FILE_KINDS}
+        cfg_path = write_config(tmp_path, {**TINY, "data": {"files": files}, "strategies": ["ltf"]})
+        scorer = tmp_path / "model_p1.json"
+        save_checkpoint(period_one_scorer(load_data({"files": files})), scorer)
         buf_path = tmp_path / "buffer.json"
         code = cli.main(
-            [
-                "select",
-                "--data",
-                str(data_dir),
-                "--period",
-                "2",
-                "--m",
-                "3",
-                "--m-prime",
-                "2",
-                "--p",
-                "8",
-                "--out",
-                str(buf_path),
-            ]
+            ["select", str(cfg_path), "--run", "ltf__seed0", "--period", "2",
+             "--model", str(scorer), "--out", str(buf_path)]
         )
         assert code == 0
         buf = json.loads(buf_path.read_text())
@@ -474,6 +479,103 @@ class TestCli:
         capsys.readouterr()
         assert cli.main(["report", str(out)]) == 0
         assert "finetune" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command, fault, via_include",
+        [
+            ("run", "missing", False),
+            ("gen", "missing", False),
+            ("run", "not_json", False),
+            ("gen", "not_json", False),
+            ("run", "missing", True),
+            ("run", "not_json", True),
+            ("run", "list_root", True),
+        ],
+    )
+    def test_unreadable_config_file_exit_2(self, tmp_path, capsys, command, fault, via_include):
+        bad = tmp_path / "bad.json"
+        body = {"missing": None, "not_json": '{"num_periods": 2,', "list_root": "[1, 2]"}[fault]
+        if body is not None:
+            bad.write_text(body)
+        path = write_config(tmp_path, {"include": str(bad)}) if via_include else bad
+        out = tmp_path / "out"
+        assert cli.main([command, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert str(bad) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--jobs", "1"],
+            ["run", "--jobs", "2"],
+            ["select", "--run", "er__seed0", "--period", "2", "--model", "model_p1.json"],
+        ],
+    )
+    def test_missing_data_file_is_named_before_any_run(self, tmp_path, capsys, argv):
+        synth = write_config(tmp_path, TINY_DATA["synthetic"], "synth.json")
+        data_dir = tmp_path / "data"
+        assert cli.main(["gen", str(synth), "--out", str(data_dir)]) == 0
+        files = {kind: str(data_dir / f"{kind}.{ext}") for kind, ext in FILE_KINDS}
+        files["nodes"] = str(tmp_path / "no_nodes.csv")
+        cfg = {**TINY, "data": {"files": files}, "strategies": ["finetune", "er"]}
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, {**cfg, "output_dir": str(out)})
+        assert cli.main([argv[0], str(cfg_path), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {files['nodes']}: ") and err.count("\n") == 1
+        assert not (out / "runs").exists()
+
+    @pytest.mark.parametrize(
+        "run_id, period, message",
+        [
+            ("er__seed0", 2, "--run er__seed0: not planned by the config (planned: joint__seed0, "),
+            ("joint__seed0", 2, "run joint__seed0 selects nothing at period 2\n"),
+            ("finetune__seed0", 2, "run finetune__seed0 selects nothing at period 2\n"),
+            ("ltf__seed0", 1, "run ltf__seed0 selects nothing at period 1\n"),
+            ("ltf__seed0", 0, "--period 0: outside 1..2\n"),
+            ("ltf__seed0", 3, "--period 3: outside 1..2\n"),
+        ],
+    )
+    def test_select_user_errors_exit_2(self, tmp_path, capsys, run_id, period, message):
+        cfg_path = write_config(tmp_path, {**TINY, "strategies": ["finetune", "ltf"]})
+        scorer = tmp_path / "model_p1.json"
+        save_checkpoint(period_one_scorer(load_data(TINY_DATA)), scorer)
+        code = cli.main(
+            ["select", str(cfg_path), "--run", run_id, "--period", str(period), "--model", str(scorer)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"select error: {message}") and err.count("\n") == 1
+
+    def test_select_rejects_a_checkpoint_of_other_classes_before_selecting(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cfg_path = write_config(tmp_path, {**TINY, "strategies": ["ltf"]})
+        graph = load_data(TINY_DATA)
+        model = Backbone(graph.feature_dim, seed=0)
+        model.grow_head(sorted(graph.period(1).classes, reverse=True))  # periods sort their classes
+        scorer = tmp_path / "model_p1.json"
+        save_checkpoint(snapshot(model), scorer)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the checkpoint is checked before selecting")
+
+        monkeypatch.setattr(cli, "plan_period", forbidden)
+        code = cli.main(
+            ["select", str(cfg_path), "--run", "ltf__seed0", "--period", "2", "--model", str(scorer)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        want = sorted(graph.period(1).classes)
+        assert err == (
+            f"select error: {scorer}: classes {want[::-1]} are not those of periods 1..1: {want}\n"
+        )
+
+    def test_report_without_records_exit_2(self, tmp_path, capsys):
+        assert cli.main(["report", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"report error: no run records under {tmp_path}\n"
 
     def test_file_data_round_trip(self, tmp_path):
         synth = write_config(tmp_path, TINY_DATA["synthetic"], "synth.json")
@@ -530,3 +632,48 @@ def test_execute_builds_the_graph_once_and_not_for_a_finished_resume(tmp_path, m
     execute(cfg, out, jobs=2, resume=True)
     assert len(calls) == 1
     assert (out / "results.csv").read_bytes() == first
+
+
+def test_select_reproduces_every_buffer_of_a_run(tmp_path, monkeypatch):
+    monkeypatch.delenv("TGCL_SEED", raising=False)
+    cfg = load_config_dict(
+        {
+            **TINY,
+            "data": {"synthetic": {**TINY_DATA["synthetic"], "num_periods": 3}},
+            "strategies": ["ltf", "icarl"],
+            "sel": {"m": 3, "m_prime": 2, "p": 8, "partitioner": "kmeans"},
+            "sweeps": {"mode": "grid", "params": {"ablation": ["dist_only", "both_plus_ldst"]}},
+            "kernel": {"squared_distance": True},
+        }
+    )
+    out = tmp_path / "out"
+    execute(cfg, out)
+    graph = load_data(cfg["data"])
+    reselected = []
+    for spec in plan_runs(cfg):
+        if spec.strategy == "joint":
+            continue
+        settings = run_settings(cfg, spec)
+        outcomes = run_strategy(
+            graph, spec.strategy, settings["sel"], settings["train"], seed=spec.seed,
+            hidden_dim=settings["hidden_dim"], kernel_squared=settings["kernel_squared"],
+        )
+        for n in (2, 3):
+            scorer = tmp_path / f"{spec.run_id}_model_p{n - 1}.json"
+            save_checkpoint(outcomes[n - 2].model_snapshot, scorer)
+            got_path = tmp_path / f"{spec.run_id}_buffer_p{n}.json"
+            argv = [
+                "select", str(out / "resolved_config.json"), "--run", spec.run_id,
+                "--period", str(n), "--model", str(scorer), "--out", str(got_path),
+            ]
+            assert cli.main(argv) == 0
+            got = json.loads(got_path.read_text())
+            want = json.loads((out / "runs" / spec.run_id / f"buffer_p{n}.json").read_text())
+            got["config"].pop("part_ms", None)
+            want["config"].pop("part_ms", None)
+            assert got == want, (spec.run_id, n)
+            reselected.append(want)
+    assert len(reselected) == 8
+    ltf = [b for b in reselected if "part_sizes" in b["config"]]
+    assert len(ltf) == 4 and all(len(b["config"]["part_sizes"]) > 1 for b in ltf)
+    assert all(b["config"]["squared_kernel"] for b in ltf) and any(b["sim"] for b in ltf)

@@ -462,7 +462,7 @@ class TestSelect:
         n_old = len(view.nodes_of("old", "train"))
         cfg = SelectionConfig(m=n_old + 50, m_prime=0, p=n_old + 100)
         with pytest.warns(UserWarning, match="clamping"):
-            buffer = select(graph, view, prev, cfg, seed=3, with_sim=False)
+            buffer = select(graph, view, prev, cfg, seed=3)
         assert len(buffer.sub) == n_old
 
     def test_deterministic(self, sel_setting):
@@ -505,7 +505,7 @@ class TestSelect:
     def test_frozen_jcls_scores_valid(self, sel_setting):
         graph, view, prev = sel_setting
         cfg = SelectionConfig(m=8, m_prime=0, p=30)
-        buffer = select(graph, view, prev, cfg, seed=5, with_sim=False)
+        buffer = select(graph, view, prev, cfg, seed=5)
         for entry in buffer.sub:
             assert entry.j_cls >= 0.0
             assert graph.nodes[entry.node_id].class_id == entry.label
