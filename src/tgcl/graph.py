@@ -28,6 +28,7 @@ that position to a file and a line or entry.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import sys
@@ -640,7 +641,16 @@ def load_graph(
     period_file: str | Path | None = None,
 ) -> TemporalGraph:
     """Load and validate a graph; errors name the offending file and line.
-    The loader only parses; the graph's rules place the first fault."""
+    The loader only parses; the graph's rules place the first fault.
+
+    Files are read as UTF-8. A loaded graph with events must hold at least
+    one in every period's span (``[t_start, t_end)``, the last period
+    including its ``t_end``): a period without events is rejected as
+    ``<periods file>: entry i: ...``, because no run could train on it. An
+    event file with only its header still loads, as a graph without
+    events. Graphs built in memory may have empty periods, and
+    :func:`split_period` raises on them.
+    """
     node_path = Path(node_file)
     event_path = Path(event_file)
     period_path = Path(period_file) if period_file else node_path.parent / PERIOD_BASENAME
@@ -653,12 +663,25 @@ def load_graph(
     except OSError as exc:
         raise GraphFormatError(f"{exc.filename}: cannot read: {exc.strerror or exc}") from exc
     try:
-        return TemporalGraph.from_parts(nodes, events, periods)
+        graph = TemporalGraph.from_parts(nodes, events, periods)
     except _Fault as fault:
         lines = {"nodes": node_lines, "events": event_lines}.get(fault.part)
         place = f"{sources[fault.part]}" + (f":{lines[fault.pos]}" if lines else f": entry {fault.pos}")
         see = f" (see {sources[fault.other]})" if fault.other else ""
         raise GraphFormatError(f"{place}: {fault.text}{see}") from None
+    t = graph.events.t
+    first = np.searchsorted(t, [p.t_start for p in periods])
+    end = np.searchsorted(t, [p.t_end for p in periods])
+    end[-1] = len(t)  # every event lies at or before the last t_end
+    empty = np.flatnonzero(end == first)
+    if len(t) and empty.size:  # a graph without events is valid
+        i = int(empty[0])
+        p = periods[i]
+        raise GraphFormatError(
+            f"{period_path}: entry {i}: no events in period {p.index}'s span"
+            f" [{p.t_start}, {p.t_end}{']' if i == len(periods) - 1 else ')'} (see {event_path})"
+        )
+    return graph
 
 
 #: a JSON number that ``float()`` takes (``type(x) is int`` leaves out JSON booleans)
@@ -671,9 +694,20 @@ _PERIOD_FIELDS = {
 }
 
 
+def _read_text(path: Path) -> str:
+    """A graph file's text; bytes that are not UTF-8 raise
+    :class:`GraphFormatError` naming the file and their line."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise GraphFormatError(f"{path}:{line}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
 def _load_periods(path: Path) -> tuple[PeriodSpec, ...]:
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(_read_text(path))
     except (OSError, json.JSONDecodeError) as exc:
         raise GraphFormatError(f"{path}: cannot parse period sidecar: {exc}") from exc
     if not isinstance(raw, list):
@@ -707,7 +741,7 @@ def _load_nodes(path: Path) -> tuple[list[NodeRecord], list[int]]:
     """The node records in file order, and the line of each."""
     records: list[NodeRecord] = []
     line_of: dict[int, int] = {}
-    with path.open(newline="") as fh:
+    with io.StringIO(_read_text(path), newline="") as fh:
         rows = _csv_rows(fh)
         line, header = next(rows, (1, None))
         if header is None:
@@ -746,7 +780,7 @@ def _load_events(path: Path) -> tuple[tuple[list, ...], list[int]]:
     """The ``(src, dst, t)`` columns in file order, and the line of each row."""
     rows_out: list[tuple[int, int, float]] = []
     lines: list[int] = []
-    with path.open(newline="") as fh:
+    with io.StringIO(_read_text(path), newline="") as fh:
         rows = _csv_rows(fh)
         line, header = next(rows, (1, None))
         if header is None:

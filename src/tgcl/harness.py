@@ -191,18 +191,25 @@ def read_config_file(path: str | Path) -> dict:
     return body
 
 
-def _load_include(name) -> dict:
+def _load_include(name, base_dir: Path | None) -> dict:
+    """The resolved config that an ``include`` value names: a preset, or a
+    file, whose relative path is read against ``base_dir`` (the including
+    file's directory) when there is one."""
     if isinstance(name, str) and name in PRESETS:
-        return PRESETS[name]
-    if isinstance(name, str) and Path(name).exists():
-        return read_config_file(name)
-    raise ConfigError(f"include: unknown preset or missing file {name!r}")
+        return resolve_config(PRESETS[name])
+    path = Path(name) if isinstance(name, str) else None
+    if path is not None and base_dir is not None and not path.is_absolute():
+        path = base_dir / path
+    if path is None or not path.exists():
+        raise ConfigError(f"include: unknown preset or missing file {name!r}")
+    return resolve_config(read_config_file(path), path.parent)
 
 
-def resolve_config(raw: dict) -> dict:
+def resolve_config(raw: dict, base_dir: Path | None = None) -> dict:
+    """``raw`` layered over what its ``include`` names, recursively."""
     raw = dict(raw)
     inc = raw.pop("include", None)
-    base = resolve_config(_load_include(inc)) if inc is not None else {}
+    base = _load_include(inc, base_dir) if inc is not None else {}
     return merge_config(base, raw)
 
 
@@ -210,9 +217,11 @@ def load_config(path: str | Path | None = None, preset: str | None = None) -> di
     """Load and resolve a config file, optionally layered over a preset.
 
     Precedence, lowest first: built-in defaults, preset, the file's own
-    includes, the file itself. ``TGCL_SEED`` overrides the seed list.
+    includes, the file itself. ``TGCL_SEED`` overrides the seed list. An
+    ``include`` is a preset name or a path; a relative path is read against
+    the directory of the file that holds it.
     """
-    resolved = resolve_config(read_config_file(path) if path else {})
+    resolved = resolve_config(read_config_file(path), Path(path).parent) if path else {}
     if preset:
         resolved = merge_config(resolve_config({"include": preset}), resolved)
     resolved = merge_config(DEFAULT_CONFIG, resolved)
@@ -401,20 +410,22 @@ def load_data(data_cfg: dict) -> TemporalGraph:
     return load_graph(files["nodes"], files["events"], files.get("periods"))
 
 
-#: The graph of a pool worker, handed over once by :func:`_init_worker`.
+#: The graph of a pool worker, handed over once by :func:`_init_worker`,
+#: and the worker's period memo (see :func:`tgcl.trainer.run_strategy`).
 _WORKER_GRAPH: TemporalGraph | None = None
+_WORKER_MEMO: dict = {}
 
 
 def _init_worker(graph: TemporalGraph) -> None:
-    global _WORKER_GRAPH
-    _WORKER_GRAPH = graph
+    global _WORKER_GRAPH, _WORKER_MEMO
+    _WORKER_GRAPH, _WORKER_MEMO = graph, {}
 
 
 def _execute_in_worker(payload: dict) -> str:
-    return _execute_run(payload, _WORKER_GRAPH)
+    return _execute_run(payload, _WORKER_GRAPH, _WORKER_MEMO)
 
 
-def _execute_run(payload: dict, graph: TemporalGraph) -> str:
+def _execute_run(payload: dict, graph: TemporalGraph, memo: dict) -> str:
     spec: RunSpec = payload["spec"]
     run_dir = Path(payload["run_dir"])
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -429,6 +440,7 @@ def _execute_run(payload: dict, graph: TemporalGraph) -> str:
         seed=spec.seed,
         hidden_dim=payload["hidden_dim"],
         kernel_squared=payload["kernel_squared"],
+        memo=memo,
     )
 
     record = RunRecord(
@@ -459,7 +471,12 @@ def _execute_run(payload: dict, graph: TemporalGraph) -> str:
         if o.buffer is not None:
             o.buffer.save(run_dir / f"buffer_p{o.period}.json")
 
-    obj = {**record.to_dict(), "started_at": started, "total_s": perf_counter() - t0}
+    obj = {
+        **record.to_dict(),
+        "started_at": started,
+        "total_s": perf_counter() - t0,
+        "reused_periods": [o.period for o in outcomes if o.reused],
+    }
     tmp = run_dir / "record.json.tmp"
     tmp.write_text(json.dumps(obj, indent=2) + "\n")
     tmp.rename(run_dir / "record.json")
@@ -502,6 +519,16 @@ def execute(
     ``record.json`` therefore leaves out the graph load. Graphs are not
     cached across calls, because data files may change between them.
 
+    Runs also share one period memo per call (one per worker with
+    ``jobs > 1``), so a period that several runs train identically, such
+    as period 1 of every strategy of a seed, is trained and scored once
+    (see :func:`tgcl.trainer.run_strategy`). Outputs are the same as
+    without it, except for timing fields: a reused period copies the epoch
+    log of the run that trained it, ``wall_ms`` included, and repeats none
+    of its training warnings, and a run with reused periods has a shorter
+    ``total_s``. ``timing.jsonl`` lists each run's ``reused_periods``;
+    which runs reuse a period may vary with ``jobs``.
+
     With ``resume=True`` runs whose ``record.json`` already exists with
     the current config hash are skipped, so a partially completed output
     directory is finished rather than redone. A record left by a different
@@ -526,6 +553,7 @@ def execute(
             echo(f"{stale} stale runs from another config hash will be rerun")
 
     graph = load_data(cfg["data"]) if pending else None
+    memo: dict = {}
     if jobs > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(graph,)) as pool:
             for run_id in pool.map(_execute_in_worker, pending):
@@ -533,7 +561,7 @@ def execute(
                     echo(f"done {run_id}")
     else:
         for p in pending:
-            _execute_run(p, graph)
+            _execute_run(p, graph, memo)
             if echo:
                 echo(f"done {p['spec'].run_id}")
 
@@ -541,7 +569,7 @@ def execute(
     for p in payloads:
         obj = json.loads((Path(p["run_dir"]) / "record.json").read_text())
         records.append(RunRecord.from_dict(obj))
-        extras.append({"started_at": obj.get("started_at"), "total_s": obj.get("total_s")})
+        extras.append({key: obj.get(key) for key in ("started_at", "total_s", "reused_periods")})
 
     _fill_af(records)
     write_results_csv(records, out / "results.csv")

@@ -29,6 +29,7 @@ own and adding the block sums would round differently.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -75,8 +76,8 @@ class SelectionConfig:
     scoring_mode: str = "witness"
 
     def __post_init__(self):
-        if type(self.alpha) not in (int, float) or self.alpha < 0:
-            raise ValueError(f"alpha must be a number >= 0, got {self.alpha!r}")
+        if type(self.alpha) not in (int, float) or not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be a finite number >= 0, got {self.alpha!r}")
         for name, low in (("m", 1), ("m_prime", 0), ("p", 1)):
             value = getattr(self, name)
             if type(value) is not int or value < low:

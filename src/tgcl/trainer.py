@@ -13,10 +13,18 @@ which :func:`plan_period` builds from the strategy:
 * ``icarl``    - replay a herding-selected subset
 * ``ltf``      - replay the greedy error+distribution subset, with anchors
   for the alignment term under ablation ``both_plus_ldst`` and ``beta > 0``
+
+Since a period's update is set by the model it starts from and its plan,
+:func:`run_strategy` can take a memo shared by the runs of one graph and
+train each distinct period once.
 """
 
 from __future__ import annotations
 
+import copy
+import hashlib
+import json
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from time import perf_counter
@@ -25,6 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .backbone import (
+    PARAM_NAMES,
     Backbone,
     Grads,
     Model,
@@ -62,8 +71,8 @@ class TrainConfig:
     ablation: str = "both_plus_ldst"
 
     def __post_init__(self):
-        if type(self.beta) not in (int, float) or self.beta < 0:
-            raise ValueError(f"beta must be a number >= 0, got {self.beta!r}")
+        if type(self.beta) not in (int, float) or not 0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be a finite number >= 0, got {self.beta!r}")
         if type(self.lr) not in (int, float) or not self.lr > 0:
             raise ValueError(f"lr must be a number > 0, got {self.lr!r}")
         for name in ("epochs", "batch_size", "patience"):
@@ -341,6 +350,28 @@ class PeriodOutcome:
     best_epoch: int
     buffer: ReplayBuffer | None
     model_snapshot: Snapshot
+    reused: bool = False  # trained and scored by an earlier run sharing the memo
+
+
+def _memo_key(model: Backbone, view: PeriodView, plan: PeriodPlan, cfg: TrainConfig, *, seed: int) -> tuple:
+    """Everything that :func:`train_period` and the test scoring of period
+    ``view.period_index`` read, besides the graph: the period and the run's
+    seed (which fix the view and the batch order), a digest of the live
+    model (parameters, classes and head-growth stream), the plan and the
+    step settings. ``beta`` counts only with anchors: without them the
+    alignment term is not computed."""
+    digest = hashlib.sha256()
+    for name in PARAM_NAMES:
+        param = getattr(model, name)
+        digest.update(f"{name}{param.shape}{param.dtype}".encode())
+        digest.update(param.tobytes())
+    digest.update(repr(model.classes).encode())
+    digest.update(json.dumps(model._rng.bit_generator.state, sort_keys=True).encode())
+    return (
+        view.period_index, seed, digest.hexdigest(), plan,
+        cfg.lr, cfg.epochs, cfg.batch_size, cfg.patience,
+        cfg.beta if plan.anchor_ids else None,
+    )
 
 
 def run_strategy(
@@ -352,6 +383,7 @@ def run_strategy(
     seed: int,
     hidden_dim: int = 64,
     kernel_squared: bool = False,
+    memo: dict | None = None,
 ) -> list[PeriodOutcome]:
     """Run one strategy over all periods and score each period's test split.
 
@@ -366,6 +398,17 @@ def run_strategy(
     the seed of the model's initialization and head growth, and the seed
     passed to :func:`plan_period` and :func:`train_period`, which say which
     streams it keys.
+
+    ``memo`` (a dict, empty at first) lets runs on the same ``graph`` share
+    periods: a period whose live model, plan, seed and step settings an
+    earlier run already met (see :func:`_memo_key`) is not trained again.
+    The model takes that run's best-validation parameters, and the outcome
+    copies of its training result and test precisions, marked ``reused``.
+    Selection still runs in every run. A reused period copies the other
+    run's epoch log, ``wall_ms`` included, and emits none of
+    :func:`train_period`'s warnings, so a run with reused periods takes
+    less time than its epoch log shows. ``memo`` holds no graph: pass one
+    memo only to runs on one graph. Without it, every period is trained.
     """
     model = Backbone(graph.feature_dim, hidden_dim=hidden_dim, seed=seed)
 
@@ -378,14 +421,22 @@ def run_strategy(
             graph, view, prev, strategy, sel_cfg, train_cfg,
             seed=seed, kernel_squared=kernel_squared,
         )
-        result = train_period(model, graph, view, plan, train_cfg, seed=seed)
-        test_ids = view.nodes_of("all", TEST)
-        precisions = precision_per_set(
-            model,
-            node_inputs(graph, test_ids, graph.period(n).t_end),
-            [graph.nodes[v].class_id for v in test_ids],
-            [graph.period(i).classes for i in range(1, n + 1)],
-        )
+        key = _memo_key(model, view, plan, train_cfg, seed=seed) if memo is not None else None
+        reused = key is not None and key in memo
+        if reused:
+            params, result, precisions = copy.deepcopy(memo[key])
+            model.set_parameters(params)
+        else:
+            result = train_period(model, graph, view, plan, train_cfg, seed=seed)
+            test_ids = view.nodes_of("all", TEST)
+            precisions = precision_per_set(
+                model,
+                node_inputs(graph, test_ids, graph.period(n).t_end),
+                [graph.nodes[v].class_id for v in test_ids],
+                [graph.period(i).classes for i in range(1, n + 1)],
+            )
+            if key is not None:
+                memo[key] = copy.deepcopy((model.parameters(), result, precisions))
         prev = snapshot(model)
         outcomes.append(
             PeriodOutcome(
@@ -398,6 +449,7 @@ def run_strategy(
                 best_epoch=result.best_epoch,
                 buffer=buffer,
                 model_snapshot=prev,
+                reused=reused,
             )
         )
     return outcomes

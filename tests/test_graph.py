@@ -350,6 +350,32 @@ class TestPersistence:
         loaded = load_graph(paths["nodes"], paths["events"], paths["periods"])
         assert len(loaded.events) == 0 and len(loaded.nodes) == 4
 
+    @pytest.mark.parametrize(
+        "events, entry, span",
+        [([Event(0, 1, 0.5)], 1, "[1.0, 2.0]"), ([Event(2, 3, 1.8), Event(0, 2, 2.0)], 0, "[0.0, 1.0)")],
+    )
+    def test_period_without_events_rejected(self, tmp_path, two_period_graph, events, entry, span):
+        graph = TemporalGraph.from_parts(
+            two_period_graph.nodes.values(), event_columns(events), two_period_graph.periods
+        )
+        paths = save_graph(graph, tmp_path)
+        with pytest.raises(GraphFormatError) as info:
+            load_graph(paths["nodes"], paths["events"], paths["periods"])
+        assert str(info.value) == (
+            f"{paths['periods']}: entry {entry}: no events in period {entry + 1}'s span {span}"
+            f" (see {paths['events']})"
+        )
+
+    @pytest.mark.parametrize("kind, line", [("nodes", 3), ("events", 2), ("periods", 1)])
+    def test_bytes_that_are_not_utf8_are_named(self, tmp_path, two_period_graph, kind, line):
+        paths = save_graph(two_period_graph, tmp_path)
+        lines = paths[kind].read_bytes().split(b"\n")
+        lines[line - 1] += b"\xff\xfe"
+        paths[kind].write_bytes(b"\n".join(lines))
+        with pytest.raises(GraphFormatError) as info:
+            load_graph(paths["nodes"], paths["events"], paths["periods"])
+        assert str(info.value).startswith(f"{paths[kind]}:{line}: not valid UTF-8 (invalid start byte at byte ")
+
     @pytest.mark.parametrize("kind", ["nodes", "events"])
     def test_missing_file_is_named(self, tmp_path, two_period_graph, kind):
         paths = save_graph(two_period_graph, tmp_path)

@@ -22,7 +22,11 @@ from tgcl.harness import (
     run_configs,
     run_settings,
 )
+from tgcl.graph import TemporalGraph, save_graph
 from tgcl.trainer import run_strategy
+
+from conftest import make_two_period_graph
+from oracles import Event, event_columns
 
 TINY_DATA = {
     "synthetic": {
@@ -82,6 +86,20 @@ class TestConfigLoading:
         assert cfg["strategies"] == ["finetune"]
         assert cfg["seeds"] == [4]
 
+    def test_relative_include_is_read_against_the_including_file(self, tmp_path, monkeypatch):
+        cfgs = tmp_path / "cfgs"
+        (cfgs / "sub").mkdir(parents=True)
+        write_config(cfgs, {"include": "sub/mid.json", "seeds": [4]}, "top.json")
+        write_config(cfgs / "sub", {"include": "base.json", "sel": {"m": 5}}, "mid.json")
+        write_config(cfgs / "sub", {"include": "main", "sel": {"m": 6, "p": 30}}, "base.json")
+        for decoy in (tmp_path, cfgs):  # a base.json beside the caller or the top file is not read
+            write_config(decoy, {"strategies": ["joint"]}, "base.json")
+        for cwd, path in ((tmp_path, "cfgs/top.json"), (cfgs / "sub", cfgs / "top.json")):
+            monkeypatch.chdir(cwd)
+            cfg = load_config(path)
+            assert cfg["strategies"] == PRESETS["main"]["strategies"]
+            assert (cfg["seeds"], cfg["sel"]["m"], cfg["sel"]["p"]) == ([4], 5, 30)
+
     def test_preset_flag_lower_precedence_than_file(self, tmp_path):
         path = write_config(tmp_path, {"strategies": ["ltf"]})
         cfg = load_config(path, preset="main")
@@ -119,6 +137,17 @@ class TestConfigLoading:
         bad = {**TINY, "sweeps": {"params": {key: [value]}}}
         with pytest.raises(ConfigError, match=match):
             load_config(write_config(tmp_path, bad))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("section, key", [("sel", "alpha"), ("train", "beta")])
+    def test_non_finite_weights_rejected_at_load(self, tmp_path, section, key, value):
+        # json reads a bare NaN or Infinity
+        bad = {**TINY, "strategies": ["ltf"], section: {**TINY[section], key: value}}
+        with pytest.raises(ConfigError, match=rf"^{section}: {key} must be a finite number >= 0, got {value!r}$"):
+            load_config(write_config(tmp_path, bad))
+        sweep = {**TINY, "strategies": ["ltf"], "sweeps": {"params": {key: [0.5, value]}}}
+        with pytest.raises(ConfigError, match=rf"^sweeps\.params\.{key}={value!r}: {key} must be a finite"):
+            load_config(write_config(tmp_path, sweep))
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -527,6 +556,32 @@ class TestCli:
         assert err.startswith(f"data error: {files['nodes']}: ") and err.count("\n") == 1
         assert not (out / "runs").exists()
 
+    @pytest.mark.parametrize("fault", ["not_utf8", "empty_period"])
+    def test_bad_graph_file_is_a_data_error(self, tmp_path, capsys, fault):
+        graph = make_two_period_graph()
+        if fault == "empty_period":  # only period 1 holds events
+            graph = TemporalGraph.from_parts(graph.nodes.values(), event_columns([Event(0, 1, 0.5)]), graph.periods)
+        paths = save_graph(graph, tmp_path / "data")
+        if fault == "not_utf8":
+            paths["nodes"].write_bytes(paths["nodes"].read_bytes().replace(b"\n", b"\n\xff\xfe", 1))
+        files = {kind: str(path) for kind, path in paths.items()}
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, {**TINY, "data": {"files": files}, "output_dir": str(out)})
+        assert cli.main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        want = {
+            "not_utf8": f"data error: {paths['nodes']}:2: not valid UTF-8 (",
+            "empty_period": f"data error: {paths['periods']}: entry 1: no events in period 2's span",
+        }[fault]
+        assert err.startswith(want) and err.count("\n") == 1
+        assert not (out / "runs").exists()
+
+    def test_run_rejects_non_finite_alpha(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**TINY, "strategies": ["ltf"]})[:-1] + ', "sel": {"alpha": NaN}}')
+        assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "config error: sel: alpha must be a finite number >= 0, got nan\n"
+
     @pytest.mark.parametrize(
         "run_id, period, message",
         [
@@ -677,3 +732,74 @@ def test_select_reproduces_every_buffer_of_a_run(tmp_path, monkeypatch):
     ltf = [b for b in reselected if "part_sizes" in b["config"]]
     assert len(ltf) == 4 and all(len(b["config"]["part_sizes"]) > 1 for b in ltf)
     assert all(b["config"]["squared_kernel"] for b in ltf) and any(b["sim"] for b in ltf)
+
+
+def memo_outputs(out):
+    """What the period memo must leave as it is: the aggregate files byte for
+    byte, every buffer but its ``part_ms`` and every epoch log but its
+    ``wall_ms``."""
+    got = {}
+    for path in sorted(out.rglob("*")):
+        rel = path.relative_to(out).as_posix()
+        if path.name in ("results.csv", "summary.json", "resolved_config.json", "config_hash.txt"):
+            got[rel] = path.read_bytes()
+        elif path.name.startswith("buffer_p"):
+            buf = json.loads(path.read_text())
+            buf["config"].pop("part_ms", None)
+            got[rel] = buf
+        elif path.name == "epochs.jsonl":
+            got[rel] = [
+                {k: v for k, v in json.loads(line).items() if k != "wall_ms"}
+                for line in path.read_text().splitlines()
+            ]
+    return got
+
+
+def reused_periods(out):
+    rows = [json.loads(line) for line in (out / "timing.jsonl").read_text().splitlines()]
+    return {(r["strategy"], r["variant"]): r["reused_periods"] for r in rows}
+
+
+#: strategies that share period 1, and ``ltf`` partitions that share period 2
+#: at ``p=64``, where its 25 candidates make one part
+MEMO_CONFIGS = {
+    "strategies": {
+        **TINY,
+        "data": {"synthetic": {**TINY_DATA["synthetic"], "num_periods": 3}},
+        "strategies": ["finetune", "er", "ltf"],
+    },
+    "partition": {
+        **TINY,
+        "strategies": ["ltf"],
+        "sweeps": {"mode": "grid", "params": {"partitioner": ["random", "kmeans"], "p": [8, 64]}},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_CONFIGS))
+def test_period_memo_leaves_outputs_as_a_fresh_memo_per_run(tmp_path, monkeypatch, name):
+    from tgcl import harness
+
+    cfg = load_config_dict(MEMO_CONFIGS[name])
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    execute(cfg, shared)
+    real = harness._execute_run
+    monkeypatch.setattr(harness, "_execute_run", lambda payload, graph, memo: real(payload, graph, {}))
+    execute(cfg, fresh)
+    assert memo_outputs(shared) == memo_outputs(fresh)
+    assert set(map(tuple, reused_periods(fresh).values())) == {()}
+    reused = reused_periods(shared)
+    assert reused[("joint", "")] == []
+    if name == "strategies":
+        assert reused[("finetune", "")] == reused[("er", "")] == reused[("ltf", "")] == [1]
+    else:
+        assert reused[("ltf", "partitioner=random,p=8")] == [1]
+        assert reused[("ltf", "partitioner=kmeans,p=64")] == [1, 2]
+
+
+def test_period_memo_outputs_do_not_depend_on_jobs(tmp_path):
+    cfg = load_config_dict(MEMO_CONFIGS["strategies"])
+    execute(cfg, tmp_path / "serial", jobs=1)
+    execute(cfg, tmp_path / "pool", jobs=2)
+    assert memo_outputs(tmp_path / "serial") == memo_outputs(tmp_path / "pool")
+    assert all(set(r) <= {1} for r in reused_periods(tmp_path / "pool").values())

@@ -16,10 +16,13 @@ from tgcl.graph import SynthConfig, generate_synthetic, split_period
 from tgcl.kernels import KernelParams, mmd_sq
 from tgcl.metrics import precision_per_set
 from tgcl.selector import SelectionConfig
+from tgcl import trainer
 from tgcl.trainer import (
     ABLATIONS,
     STRATEGIES,
+    PeriodPlan,
     TrainConfig,
+    _memo_key,
     ablation_terms,
     l_dst_terms,
     plan_period,
@@ -366,6 +369,144 @@ class TestRunStrategy:
             run_strategy(drift_graph, "magic", SelectionConfig(m=2, p=10), quick_train_cfg(), seed=0)
 
 
+def without_wall_ms(epoch_log):
+    return [{k: v for k, v in e.items() if k != "wall_ms"} for e in epoch_log]
+
+
+def assert_same_outcomes(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.precisions == w.precisions and g.ap == w.ap
+        assert without_wall_ms(g.epoch_log) == without_wall_ms(w.epoch_log)
+        assert (g.epochs_ran, g.best_epoch) == (w.epochs_ran, w.best_epoch)
+        assert (g.buffer is None) == (w.buffer is None)
+        if g.buffer is not None:
+            assert (g.buffer.sub_ids, g.buffer.sim) == (w.buffer.sub_ids, w.buffer.sim)
+        for name in ("w_agg", "w_hid", "b_hid", "w_head"):
+            assert np.array_equal(getattr(g.model_snapshot, name), getattr(w.model_snapshot, name))
+
+
+@pytest.fixture
+def train_calls(monkeypatch):
+    """The number of ``train_period`` calls so far."""
+    calls = []
+    real = trainer.train_period
+
+    def counting(*args, **kwargs):
+        calls.append(args[2].period_index)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "train_period", counting)
+    return calls
+
+
+class TestPeriodMemo:
+    SEL = SelectionConfig(m=8, m_prime=6, p=40)
+
+    def test_without_memo_every_period_is_trained(self, drift_graph, train_calls):
+        for strategy in ("finetune", "er"):
+            out = run_strategy(drift_graph, strategy, self.SEL, quick_train_cfg(epochs=3), seed=3)
+            assert not any(o.reused for o in out)
+        assert train_calls == [1, 2, 3, 1, 2, 3]
+
+    def test_shared_period_is_trained_once_with_the_same_outcomes(self, drift_graph, train_calls):
+        cfg = quick_train_cfg(epochs=4)
+        memo: dict = {}
+        shared = {
+            s: run_strategy(drift_graph, s, self.SEL, cfg, seed=3, memo=memo)
+            for s in ("finetune", "er", "ltf")
+        }
+        # period 1 has no old classes, so every strategy trains the same model
+        assert train_calls == [1, 2, 3, 2, 3, 2, 3]
+        assert [[o.reused for o in out] for out in shared.values()] == [
+            [False, False, False], [True, False, False], [True, False, False]
+        ]
+        for strategy, out in shared.items():
+            assert_same_outcomes(out, run_strategy(drift_graph, strategy, self.SEL, cfg, seed=3))
+        # a reused period is a copy: changing one run's outcome leaves the memo as it was
+        shared["er"][0].epoch_log.clear()
+        shared["er"][0].precisions[0] = -1.0
+        again = run_strategy(drift_graph, "ltf", self.SEL, cfg, seed=3, memo=memo)
+        assert_same_outcomes(again, shared["ltf"])
+        assert all(o.reused for o in again)
+
+    def test_other_seed_misses(self, drift_graph, train_calls):
+        memo: dict = {}
+        for seed in (3, 4):
+            run_strategy(drift_graph, "finetune", self.SEL, quick_train_cfg(epochs=2), seed=seed, memo=memo)
+        assert train_calls == [1, 2, 3, 1, 2, 3]
+
+
+class TestMemoKey:
+    """Changing any one input of a period's training or test scoring misses."""
+
+    @pytest.fixture
+    def inputs(self, setting):
+        graph, _, view2, prev = setting
+        cfg = TrainConfig(beta=0.7, lr=0.05, epochs=5, batch_size=16, patience=5)
+        plan = ltf_plan(setting, cfg)
+        assert plan.replay_ids and plan.anchor_ids and plan.kp is not None
+        return graph, view2, plan, cfg
+
+    @staticmethod
+    def key(graph, view, plan, cfg, seed=0, model=None):
+        return _memo_key(model or grown_model(graph, 2), view, plan, cfg, seed=seed)
+
+    def test_same_inputs_hit(self, inputs):
+        graph, view, plan, cfg = inputs
+        assert self.key(*inputs) == self.key(graph, view, dataclasses.replace(plan), dataclasses.replace(cfg))
+
+    def test_period_and_seed(self, inputs, setting):
+        graph, view, plan, cfg = inputs
+        base = self.key(*inputs)
+        assert self.key(graph, setting[1], plan, cfg) != base
+        assert self.key(graph, view, plan, cfg, seed=1) != base
+
+    @pytest.mark.parametrize("name", ["w_agg", "w_hid", "b_hid", "w_head"])
+    def test_one_parameter_bit(self, inputs, name):
+        graph = inputs[0]
+        model = grown_model(graph, 2)
+        getattr(model, name).reshape(-1)[1:2].view(np.int64)[0] ^= 1
+        assert self.key(*inputs, model=model) != self.key(*inputs)
+
+    def test_classes_and_head_growth_stream(self, inputs):
+        graph = inputs[0]
+        base = self.key(*inputs)
+        model = grown_model(graph, 2)
+        model.classes = model.classes[::-1]  # same parameters, other head order
+        assert self.key(*inputs, model=model) != base
+        model = grown_model(graph, 2)
+        model._rng.random()
+        assert self.key(*inputs, model=model) != base
+
+    @pytest.mark.parametrize("field", ["main_ids", "replay_ids", "anchor_ids", "kp"])
+    def test_each_plan_field(self, inputs, field):
+        graph, view, plan, cfg = inputs
+        value = getattr(plan, field)
+        other = KernelParams(value.gamma * 2, value.squared) if field == "kp" else value[:-1]
+        assert self.key(graph, view, dataclasses.replace(plan, **{field: other}), cfg) != self.key(*inputs)
+        if field == "kp":
+            squared = KernelParams(value.gamma, not value.squared)
+            assert self.key(graph, view, dataclasses.replace(plan, kp=squared), cfg) != self.key(*inputs)
+
+    @pytest.mark.parametrize("field, value", [("lr", 0.06), ("epochs", 6), ("batch_size", 17), ("patience", 4)])
+    def test_each_step_setting(self, inputs, field, value):
+        graph, view, plan, cfg = inputs
+        assert self.key(graph, view, plan, dataclasses.replace(cfg, **{field: value})) != self.key(*inputs)
+
+    def test_beta_counts_only_with_anchors(self, inputs):
+        graph, view, plan, cfg = inputs
+        other = dataclasses.replace(cfg, beta=0.8)
+        assert self.key(graph, view, plan, other) != self.key(graph, view, plan, cfg)
+        no_anchors = PeriodPlan(plan.main_ids, plan.replay_ids)
+        assert self.key(graph, view, no_anchors, other) == self.key(graph, view, no_anchors, cfg)
+
+    def test_ablation_alone_does_not_count(self, inputs):
+        # the ablation acts through the plan (the selection terms), which the key holds
+        graph, view, plan, cfg = inputs
+        assert self.key(graph, view, plan, dataclasses.replace(cfg, ablation="both")) == self.key(*inputs)
+
+
 class TestTrainConfigValidation:
     def test_bad_values(self):
         with pytest.raises(ValueError):
@@ -374,3 +515,8 @@ class TestTrainConfigValidation:
             TrainConfig(lr=0.0)
         with pytest.raises(ValueError):
             TrainConfig(ablation="all")
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    def test_non_finite_beta_rejected(self, beta):
+        with pytest.raises(ValueError, match=r"^beta must be a finite number >= 0, got (nan|inf)$"):
+            TrainConfig(beta=beta)
