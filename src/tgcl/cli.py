@@ -32,6 +32,8 @@ def _fail(kind: str, message) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.jobs < 1:
+        return _fail("run", f"--jobs {args.jobs}: must be at least 1")
     cfg = harness.load_config(args.config, preset=args.preset)
     out_dir = args.out or cfg.get("output_dir")
     if not out_dir:
@@ -57,7 +59,6 @@ def _cmd_select(args) -> int:
     spec = specs.get(args.run)
     if spec is None:
         return _fail("select", f"--run {args.run}: not planned by the config (planned: {', '.join(specs)})")
-    settings = harness.run_settings(cfg, spec)
     graph = harness.load_data(cfg["data"])
     n = args.period
     if not 1 <= n <= graph.num_periods:
@@ -75,8 +76,8 @@ def _cmd_select(args) -> int:
             "select", f"{args.model}: classes {list(prev.classes)} are not those of periods 1..{n - 1}: {want}"
         )
     _, buffer, _ = plan_period(
-        graph, view, prev, spec.strategy, settings["sel"], settings["train"],
-        seed=spec.seed, kernel_squared=settings["kernel_squared"],
+        graph, view, prev, spec.strategy, spec.sel, spec.train,
+        seed=spec.seed, kernel_squared=spec.kernel_squared,
     )
     if args.out:
         buffer.save(args.out)

@@ -643,12 +643,11 @@ def load_graph(
     """Load and validate a graph; errors name the offending file and line.
     The loader only parses; the graph's rules place the first fault.
 
-    Files are read as UTF-8. A loaded graph with events must hold at least
-    one in every period's span (``[t_start, t_end)``, the last period
+    Files are read as UTF-8. A loaded graph must hold at least one event
+    in every period's span (``[t_start, t_end)``, the last period
     including its ``t_end``): a period without events is rejected as
-    ``<periods file>: entry i: ...``, because no run could train on it. An
-    event file with only its header still loads, as a graph without
-    events. Graphs built in memory may have empty periods, and
+    ``<periods file>: entry i: ...``, because no run could train on it.
+    Graphs built in memory may have empty periods, and
     :func:`split_period` raises on them.
     """
     node_path = Path(node_file)
@@ -674,7 +673,7 @@ def load_graph(
     end = np.searchsorted(t, [p.t_end for p in periods])
     end[-1] = len(t)  # every event lies at or before the last t_end
     empty = np.flatnonzero(end == first)
-    if len(t) and empty.size:  # a graph without events is valid
+    if empty.size:
         i = int(empty[0])
         p = periods[i]
         raise GraphFormatError(

@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
@@ -246,7 +247,7 @@ def synth_config(body, where: str = "") -> SynthConfig:
 
 
 def validate_config(cfg: dict) -> None:
-    """Check a resolved config, building the configs of every planned run;
+    """Check a resolved config, planning every run (see :func:`plan_runs`);
     :class:`ConfigError` names the field at fault."""
     _check_keys("", cfg, [*DEFAULT_CONFIG, "output_dir"])
     data = cfg.get("data")
@@ -294,8 +295,7 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("kernel.squared_distance: must be a boolean")
     if not isinstance(cfg.get("output_dir", ""), str):
         raise ConfigError("output_dir: must be a path string")
-    for spec in plan_runs(cfg):
-        run_configs(cfg, spec)
+    plan_runs(cfg)
 
 
 def config_hash(cfg: dict) -> str:
@@ -310,11 +310,19 @@ def config_hash(cfg: dict) -> str:
 
 @dataclass(frozen=True)
 class RunSpec:
+    """One planned run and all it is given besides the graph: ``sel`` and
+    ``train`` are the config's sections with the overrides of its sweep
+    point (``variant``) applied, ``kernel_squared`` is ``kernel.squared_distance``."""
+
     strategy: str
     variant: str
     seed: int
     sel_overrides: tuple[tuple[str, object], ...]
     train_overrides: tuple[tuple[str, object], ...]
+    sel: SelectionConfig
+    train: TrainConfig
+    hidden_dim: int
+    kernel_squared: bool
 
     @property
     def run_id(self) -> str:
@@ -347,53 +355,39 @@ def expand_sweeps(sweeps: dict | None) -> list[tuple[str, dict]]:
 
 def plan_runs(cfg: dict) -> list[RunSpec]:
     """All (strategy x sweep-point x seed) runs, plus the reference ``joint``
-    run per seed whenever another strategy will need forgetting scores."""
-    points = expand_sweeps(cfg.get("sweeps"))
-    specs: list[RunSpec] = []
-    strategies = list(cfg["strategies"])
-    if any(s != "joint" for s in strategies) and "joint" not in strategies:
-        strategies.insert(0, "joint")
-    for strategy in strategies:
-        strategy_points = points if strategy != "joint" else [("", {})]
-        for label, overrides in strategy_points:
-            sel_over = tuple(sorted((k, v) for k, v in overrides.items() if k in _KEYS["sel"]))
-            train_over = tuple(sorted((k, v) for k, v in overrides.items() if k not in _KEYS["sel"]))
-            for seed in cfg["seeds"]:
-                specs.append(
-                    RunSpec(
-                        strategy=strategy,
-                        variant=label,
-                        seed=seed,
-                        sel_overrides=sel_over,
-                        train_overrides=train_over,
-                    )
-                )
-    unique: dict[str, RunSpec] = {}  # the first of each run id (e.g. joint listed and auto-added)
-    for s in specs:
-        unique.setdefault(s.run_id, s)
-    return list(unique.values())
-
-
-def run_configs(cfg: dict, spec: RunSpec) -> tuple[SelectionConfig, TrainConfig]:
-    """One run's ``sel`` and ``train`` sections with its sweep overrides
-    applied. A fault is named by its section (``sel: ...``, ``sel.seed:
-    ...``) or by the run's sweep values (``sweeps.params.p=2: ...``)."""
-    built = []
+    run per seed whenever another strategy will need forgetting scores: the
+    one place that builds a run's configs. A :class:`ConfigError` names a
+    fault by its section (``sel: ...``, ``sel.foo: unknown key ...``) or by
+    the run's sweep values (``sweeps.params.p=2: ...``)."""
+    base = {}
     for section, cls in _SECTIONS.items():
         body = cfg.get(section, {})
         _check_keys(f"{section}.", body, _KEYS[section])
         try:
-            built.append(cls(**body))
+            base[section] = cls(**body)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{section}: {exc}") from exc
-    sel, train = built
-    try:
-        return replace(sel, **dict(spec.sel_overrides)), replace(train, **dict(spec.train_overrides))
-    except (TypeError, ValueError) as exc:
-        point = ", ".join(
-            f"sweeps.params.{k}={v!r}" for k, v in spec.sel_overrides + spec.train_overrides
-        )
-        raise ConfigError(f"{point}: {exc}") from exc
+    hidden_dim = cfg.get("hidden_dim", 64)
+    kernel_squared = cfg.get("kernel", {}).get("squared_distance", False)
+    points = expand_sweeps(cfg.get("sweeps"))
+    strategies = list(cfg["strategies"])
+    if any(s != "joint" for s in strategies) and "joint" not in strategies:
+        strategies.insert(0, "joint")
+    specs: dict[str, RunSpec] = {}  # the first of each run id (e.g. joint listed and auto-added)
+    for strategy in strategies:
+        for label, overrides in points if strategy != "joint" else [("", {})]:
+            sel_over = tuple(sorted((k, v) for k, v in overrides.items() if k in _KEYS["sel"]))
+            train_over = tuple(sorted((k, v) for k, v in overrides.items() if k not in _KEYS["sel"]))
+            try:
+                sel = replace(base["sel"], **dict(sel_over))
+                train = replace(base["train"], **dict(train_over))
+            except (TypeError, ValueError) as exc:
+                point = ", ".join(f"sweeps.params.{k}={v!r}" for k, v in sel_over + train_over)
+                raise ConfigError(f"{point}: {exc}") from exc
+            for seed in cfg["seeds"]:
+                spec = RunSpec(strategy, label, seed, sel_over, train_over, sel, train, hidden_dim, kernel_squared)
+                specs.setdefault(spec.run_id, spec)
+    return list(specs.values())
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +415,13 @@ def _init_worker(graph: TemporalGraph) -> None:
     _WORKER_GRAPH, _WORKER_MEMO = graph, {}
 
 
-def _execute_in_worker(payload: dict) -> str:
-    return _execute_run(payload, _WORKER_GRAPH, _WORKER_MEMO)
+def _execute_in_worker(run: tuple[RunSpec, Path, str]) -> str:
+    return _execute_run(run, _WORKER_GRAPH, _WORKER_MEMO)
 
 
-def _execute_run(payload: dict, graph: TemporalGraph, memo: dict) -> str:
-    spec: RunSpec = payload["spec"]
-    run_dir = Path(payload["run_dir"])
+def _execute_run(run: tuple[RunSpec, Path, str], graph: TemporalGraph, memo: dict) -> str:
+    """Run ``spec`` of ``run = (spec, run_dir, config_hash)``; ``record.json`` is written last."""
+    spec, run_dir, chash = run
     run_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
     t0 = perf_counter()
@@ -435,11 +429,11 @@ def _execute_run(payload: dict, graph: TemporalGraph, memo: dict) -> str:
     outcomes = run_strategy(
         graph,
         spec.strategy,
-        payload["sel"],
-        payload["train"],
+        spec.sel,
+        spec.train,
         seed=spec.seed,
-        hidden_dim=payload["hidden_dim"],
-        kernel_squared=payload["kernel_squared"],
+        hidden_dim=spec.hidden_dim,
+        kernel_squared=spec.kernel_squared,
         memo=memo,
     )
 
@@ -447,7 +441,7 @@ def _execute_run(payload: dict, graph: TemporalGraph, memo: dict) -> str:
         strategy=spec.strategy,
         variant=spec.variant,
         seed=spec.seed,
-        config_hash=payload["config_hash"],
+        config_hash=chash,
         periods=[
             PeriodMetrics(
                 period=o.period,
@@ -483,23 +477,6 @@ def _execute_run(payload: dict, graph: TemporalGraph, memo: dict) -> str:
     return spec.run_id
 
 
-def run_settings(cfg: dict, spec: RunSpec) -> dict:
-    """What one run is given besides the graph and its seed: ``sel`` and
-    ``train`` (see :func:`run_configs`), ``hidden_dim`` and ``kernel_squared``."""
-    sel, train = run_configs(cfg, spec)
-    return {
-        "sel": sel,
-        "train": train,
-        "hidden_dim": cfg.get("hidden_dim", 64),
-        "kernel_squared": cfg.get("kernel", {}).get("squared_distance", False),
-    }
-
-
-def _payload(cfg: dict, spec: RunSpec, out_dir: Path, chash: str) -> dict:
-    run_dir = str(out_dir / "runs" / spec.run_id)
-    return {"spec": spec, "run_dir": run_dir, **run_settings(cfg, spec), "config_hash": chash}
-
-
 def execute(
     cfg: dict,
     out_dir: str | Path,
@@ -532,23 +509,23 @@ def execute(
     With ``resume=True`` runs whose ``record.json`` already exists with
     the current config hash are skipped, so a partially completed output
     directory is finished rather than redone. A record left by a different
-    config is stale: that run is rerun.
+    config, or one that is not a JSON object, is stale: that run is rerun.
+    ``jobs`` below 1 raises ``ValueError``.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
     (out / "resolved_config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
     (out / "config_hash.txt").write_text(chash + "\n")
 
-    specs = plan_runs(cfg)
-    payloads = [_payload(cfg, s, out, chash) for s in specs]
-    recorded = {}
-    if resume:
-        recorded = {p["spec"].run_id: _recorded_hash(Path(p["run_dir"])) for p in payloads}
-    pending = [p for p in payloads if recorded.get(p["spec"].run_id) != chash]
-    stale = sum(h not in (None, chash) for h in recorded.values())
+    runs = [(spec, out / "runs" / spec.run_id, chash) for spec in plan_runs(cfg)]
+    recorded = [_recorded_hash(run_dir) if resume else None for _, run_dir, _ in runs]
+    pending = [run for run, h in zip(runs, recorded) if h != chash]
+    stale = sum(h not in (None, chash) for h in recorded)
     if echo:
-        echo(f"{len(specs)} runs planned, {len(pending)} to execute (resume={resume})")
+        echo(f"{len(runs)} runs planned, {len(pending)} to execute (resume={resume})")
         if stale:
             echo(f"{stale} stale runs from another config hash will be rerun")
 
@@ -560,14 +537,14 @@ def execute(
                 if echo:
                     echo(f"done {run_id}")
     else:
-        for p in pending:
-            _execute_run(p, graph, memo)
+        for run in pending:
+            run_id = _execute_run(run, graph, memo)
             if echo:
-                echo(f"done {p['spec'].run_id}")
+                echo(f"done {run_id}")
 
     records, extras = [], []
-    for p in payloads:
-        obj = json.loads((Path(p["run_dir"]) / "record.json").read_text())
+    for _, run_dir, _ in runs:
+        obj = json.loads((run_dir / "record.json").read_text())
         records.append(RunRecord.from_dict(obj))
         extras.append({key: obj.get(key) for key in ("started_at", "total_s", "reused_periods")})
 
@@ -580,9 +557,13 @@ def execute(
 
 
 def _recorded_hash(run_dir: Path) -> str | None:
-    """Config hash of a run's ``record.json``; ``None`` when there is none."""
+    """Config hash of a run's ``record.json``: ``None`` when there is none,
+    and ``""`` (a stale run) when it is not a JSON object."""
     path = run_dir / "record.json"
-    return json.loads(path.read_text()).get("config_hash") if path.exists() else None
+    try:
+        return (json.loads(path.read_text()).get("config_hash") or "") if path.exists() else None
+    except (ValueError, AttributeError):  # not UTF-8, not JSON or not an object
+        return ""
 
 
 def _fill_af(records: Sequence[RunRecord]) -> None:
@@ -631,11 +612,21 @@ def render_table(records: Sequence[RunRecord]) -> str:
 
 
 def load_records(out_dir: str | Path) -> list[RunRecord]:
-    """Rebuild records from a results directory's per-run record files."""
+    """Rebuild records from a results directory's per-run record files: only
+    those of its ``config_hash.txt``, when it has one; a warning names the
+    runs that another config left in the directory."""
     out = Path(out_dir)
-    records = []
+    hash_file = out / "config_hash.txt"
+    chash = hash_file.read_text().strip() if hash_file.exists() else None
+    records, stale = [], []
     for path in sorted(out.glob("runs/*/record.json")):
-        records.append(RunRecord.from_dict(json.loads(path.read_text())))
+        obj = json.loads(path.read_text())
+        if chash is None or obj.get("config_hash") == chash:
+            records.append(RunRecord.from_dict(obj))
+        else:
+            stale.append(path.parent.name)
+    if stale:
+        warnings.warn(f"{out}: skipped runs of a config other than {chash}: {', '.join(stale)}", stacklevel=2)
     if not records:
         raise FileNotFoundError(f"no run records under {out}")
     _fill_af(records)

@@ -73,8 +73,8 @@ class TrainConfig:
     def __post_init__(self):
         if type(self.beta) not in (int, float) or not 0 <= self.beta < math.inf:
             raise ValueError(f"beta must be a finite number >= 0, got {self.beta!r}")
-        if type(self.lr) not in (int, float) or not self.lr > 0:
-            raise ValueError(f"lr must be a number > 0, got {self.lr!r}")
+        if type(self.lr) not in (int, float) or not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be a finite number > 0, got {self.lr!r}")
         for name in ("epochs", "batch_size", "patience"):
             value = getattr(self, name)
             if type(value) is not int or value < 1:
@@ -408,8 +408,10 @@ def run_strategy(
     run's epoch log, ``wall_ms`` included, and emits none of
     :func:`train_period`'s warnings, so a run with reused periods takes
     less time than its epoch log shows. ``memo`` holds no graph: pass one
-    memo only to runs on one graph. Without it, every period is trained.
+    memo only to runs on one graph. Without one, the call keeps its own,
+    which never hits, since a run's periods never repeat.
     """
+    memo = {} if memo is None else memo
     model = Backbone(graph.feature_dim, hidden_dim=hidden_dim, seed=seed)
 
     prev: Snapshot | None = None
@@ -421,8 +423,8 @@ def run_strategy(
             graph, view, prev, strategy, sel_cfg, train_cfg,
             seed=seed, kernel_squared=kernel_squared,
         )
-        key = _memo_key(model, view, plan, train_cfg, seed=seed) if memo is not None else None
-        reused = key is not None and key in memo
+        key = _memo_key(model, view, plan, train_cfg, seed=seed)
+        reused = key in memo
         if reused:
             params, result, precisions = copy.deepcopy(memo[key])
             model.set_parameters(params)
@@ -435,8 +437,7 @@ def run_strategy(
                 [graph.nodes[v].class_id for v in test_ids],
                 [graph.period(i).classes for i in range(1, n + 1)],
             )
-            if key is not None:
-                memo[key] = copy.deepcopy((model.parameters(), result, precisions))
+            memo[key] = copy.deepcopy((model.parameters(), result, precisions))
         prev = snapshot(model)
         outcomes.append(
             PeriodOutcome(

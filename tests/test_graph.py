@@ -344,11 +344,15 @@ class TestPersistence:
         loaded = load_graph(paths["nodes"], paths["events"])
         assert graphs_equal(small_synth, loaded)
 
-    def test_empty_event_file_is_valid(self, tmp_path, two_period_graph):
+    def test_empty_event_file_rejected(self, tmp_path, two_period_graph):
+        # no run can train on a graph without events, so it fails at load
         paths = save_graph(two_period_graph, tmp_path)
         paths["events"].write_text("src,dst,t\n")
-        loaded = load_graph(paths["nodes"], paths["events"], paths["periods"])
-        assert len(loaded.events) == 0 and len(loaded.nodes) == 4
+        with pytest.raises(GraphFormatError) as info:
+            load_graph(paths["nodes"], paths["events"], paths["periods"])
+        assert str(info.value) == (
+            f"{paths['periods']}: entry 0: no events in period 1's span [0.0, 1.0) (see {paths['events']})"
+        )
 
     @pytest.mark.parametrize(
         "events, entry, span",

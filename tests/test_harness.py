@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 
@@ -19,8 +20,6 @@ from tgcl.harness import (
     load_records,
     plan_runs,
     render_table,
-    run_configs,
-    run_settings,
 )
 from tgcl.graph import TemporalGraph, save_graph
 from tgcl.trainer import run_strategy
@@ -276,7 +275,7 @@ def test_presets_resolve_build_and_keep_their_hash(preset, monkeypatch):
     cfg = load_config(preset=preset)
     assert config_hash(cfg) == PRESET_HASHES[preset]
     for spec in plan_runs(cfg):
-        sel, train = run_configs(cfg, spec)
+        sel, train = spec.sel, spec.train
         for key, value in spec.sel_overrides:
             assert getattr(sel, key) == value
         for key, value in spec.train_overrides:
@@ -407,6 +406,31 @@ class TestExecution:
         for rd in (out / "runs").iterdir():
             record = json.loads((rd / "record.json").read_text())
             assert record["config_hash"] == config_hash(changed)
+
+    def test_resume_reruns_a_record_that_is_not_json(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, TINY))
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        execute(cfg, out)
+        execute(cfg, fresh)
+        victim = out / "runs" / "finetune__seed0" / "record.json"
+        victim.write_text('{"strategy": "finetune", "config')
+        other = out / "runs" / "joint__seed0" / "record.json"
+        kept = other.stat().st_mtime_ns
+        lines: list[str] = []
+        execute(cfg, out, resume=True, echo=lines.append)
+        assert lines[:2] == [
+            "2 runs planned, 1 to execute (resume=True)",
+            "1 stale runs from another config hash will be rerun",
+        ]
+        assert json.loads(victim.read_text())["config_hash"] == config_hash(cfg)
+        assert other.stat().st_mtime_ns == kept
+        assert (out / "results.csv").read_bytes() == (fresh / "results.csv").read_bytes()
+
+    def test_jobs_below_one_rejected(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, TINY))
+        with pytest.raises(ValueError, match="jobs must be an integer >= 1, got 0"):
+            execute(cfg, tmp_path / "out", jobs=0)
+        assert not (tmp_path / "out").exists()
 
     def test_deterministic_csv(self, tiny_results, tmp_path):
         out, cfg, _ = tiny_results
@@ -583,6 +607,55 @@ class TestCli:
         assert capsys.readouterr().err == "config error: sel: alpha must be a finite number >= 0, got nan\n"
 
     @pytest.mark.parametrize(
+        "extra, where",
+        [
+            ({"train": {**TINY["train"], "lr": math.inf}}, "train"),
+            ({"sweeps": {"mode": "grid", "params": {"lr": [0.1, math.inf]}}}, "sweeps.params.lr=inf"),
+        ],
+    )
+    def test_run_rejects_infinite_lr(self, tmp_path, capsys, extra, where):
+        cfg_path = write_config(tmp_path, {**TINY, **extra})
+        assert "Infinity" in cfg_path.read_text()
+        assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {where}: lr must be a finite number > 0, got inf\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_run_rejects_a_graph_without_events(self, tmp_path, capsys):
+        paths = save_graph(make_two_period_graph(), tmp_path / "data")
+        paths["events"].write_text("src,dst,t\n")
+        files = {kind: str(path) for kind, path in paths.items()}
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, {**TINY, "data": {"files": files}, "output_dir": str(out)})
+        assert cli.main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"data error: {paths['periods']}: entry 0: no events in period 1's span [0.0, 1.0)"
+            f" (see {paths['events']})\n"
+        )
+        assert not (out / "runs").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_run_rejects_jobs_below_one(self, tmp_path, capsys, jobs):
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, TINY)
+        assert cli.main(["run", str(cfg_path), "--out", str(out), "--jobs", jobs]) == 2
+        assert capsys.readouterr().err == f"run error: --jobs {jobs}: must be at least 1\n"
+        assert not out.exists()
+
+    def test_report_reads_only_the_runs_of_the_directory_config(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for seeds, name in (([0, 1], "two.json"), ([0], "one.json")):
+            cfg_path = write_config(tmp_path, {**TINY, "seeds": seeds}, name)
+            capsys.readouterr()
+            assert cli.main(["run", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+        ran = capsys.readouterr().out
+        assert len(list((out / "runs").iterdir())) == 4  # seed 1's runs are left over
+        with pytest.warns(UserWarning, match="finetune__seed1, joint__seed1$"):
+            assert cli.main(["report", str(out)]) == 0
+        table = capsys.readouterr().out
+        assert ran == f"{table}results written to {out}\n"
+
+    @pytest.mark.parametrize(
         "run_id, period, message",
         [
             ("er__seed0", 2, "--run er__seed0: not planned by the config (planned: joint__seed0, "),
@@ -708,10 +781,9 @@ def test_select_reproduces_every_buffer_of_a_run(tmp_path, monkeypatch):
     for spec in plan_runs(cfg):
         if spec.strategy == "joint":
             continue
-        settings = run_settings(cfg, spec)
         outcomes = run_strategy(
-            graph, spec.strategy, settings["sel"], settings["train"], seed=spec.seed,
-            hidden_dim=settings["hidden_dim"], kernel_squared=settings["kernel_squared"],
+            graph, spec.strategy, spec.sel, spec.train, seed=spec.seed,
+            hidden_dim=spec.hidden_dim, kernel_squared=spec.kernel_squared,
         )
         for n in (2, 3):
             scorer = tmp_path / f"{spec.run_id}_model_p{n - 1}.json"
