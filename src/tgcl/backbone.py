@@ -8,10 +8,12 @@ produces each logit. The head grows as new class sets arrive, leaving
 existing rows untouched.
 
 Inputs are built from the graph's CSR neighbour index
-(``TemporalGraph.neighbor_index``) in two array stages.
-:func:`build_contexts` gathers, per node, its row and the rows and ages
-``dt`` of its ``k`` most recent neighbours, newest first, with empty slots
-marked. :func:`build_inputs` pools them into input rows.
+(``TemporalGraph.neighbor_index``) and its node table (``graph.nodes``)
+in two array stages. :func:`build_contexts` gathers, per node, its row of
+the node table and the rows and ages ``dt`` of its ``k`` most recent
+neighbours, newest first, with empty slots marked. :func:`build_inputs`
+pools them into input rows, reading features from the node table's
+feature matrix.
 :func:`node_inputs` is the one path from a graph to model inputs: per
 ``(graph, eval_time)`` it builds every node's row once and keeps the
 matrix on the graph.
@@ -48,7 +50,7 @@ AuxTerm = Callable[[np.ndarray], tuple[float, np.ndarray]]
 class Contexts(NamedTuple):
     """Model-input ingredients of ``n`` nodes at one evaluation time."""
 
-    features: np.ndarray  # (N, d) feature matrix of the graph's neighbour index
+    features: np.ndarray  # (N, d) feature matrix of the graph's node table
     rows: np.ndarray  # (n,) each node's row in ``features``
     nbrs: np.ndarray  # (n, k) neighbour rows, newest first; -1 marks an empty slot
     dt: np.ndarray  # (n, k) eval_time minus event time; 0.0 in empty slots
@@ -65,7 +67,7 @@ def build_contexts(
     ``KeyError``.
     """
     index = graph.neighbor_index
-    rows = index.rows_of(node_ids)
+    rows = graph.nodes.rows_of(node_ids)
     lo = index.indptr[rows]
     hi = lo + index.row_counts(index.times <= eval_time)[rows]
     pos = hi[:, None] - 1 - np.arange(k)
@@ -74,7 +76,7 @@ def build_contexts(
     nbrs[full] = index.nbr[pos[full]]
     dt = np.zeros(pos.shape)
     dt[full] = eval_time - index.times[pos[full]]
-    return Contexts(features=index.features, rows=rows, nbrs=nbrs, dt=dt)
+    return Contexts(features=graph.nodes.features, rows=rows, nbrs=nbrs, dt=dt)
 
 
 def input_dim(feature_dim: int) -> int:
@@ -109,11 +111,10 @@ def node_inputs(graph: TemporalGraph, node_ids: Sequence[int], eval_time: float)
     rows. Empty ``node_ids`` give shape ``(0, input_dim)``; an unknown id
     raises ``KeyError``.
     """
-    index = graph.neighbor_index
     per_time = graph.__dict__.setdefault("_input_cache", {})
     if eval_time not in per_time:
-        per_time[eval_time] = build_inputs(build_contexts(graph, index.ids, eval_time))
-    return per_time[eval_time][index.rows_of(node_ids)]
+        per_time[eval_time] = build_inputs(build_contexts(graph, graph.nodes.id, eval_time))
+    return per_time[eval_time][graph.nodes.rows_of(node_ids)]
 
 
 class _Head:
@@ -259,11 +260,16 @@ def _softmax_inplace(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def classify_batch(model: Model, z: np.ndarray) -> np.ndarray:
+def classify_embeddings(model: Model, emb: np.ndarray) -> np.ndarray:
+    """Class probabilities of embedding rows ``emb`` (from :func:`embed_batch`),
+    so a caller that needs both runs the forward once."""
     if model.num_classes == 0:
         raise ValueError("classifier head is empty")
-    emb = embed_batch(model, z)
     return _softmax_inplace(emb @ model.w_head.T)
+
+
+def classify_batch(model: Model, z: np.ndarray) -> np.ndarray:
+    return classify_embeddings(model, embed_batch(model, z))
 
 
 class Grads(Mapping):

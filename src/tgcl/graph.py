@@ -10,19 +10,26 @@ This module provides the immutable data types, the per-period old/new
 split with stratified train/val/test assignment, a synthetic generator
 with controllable per-class feature drift, and CSV/JSON persistence.
 
-A graph's events are one read-only columnar table (:class:`EventTable`):
-int64 endpoints ``src`` and ``dst`` and float64 times ``t``, sorted by
-time with ties in the order given; there is no per-event object. Each
+A graph's nodes and events are read-only columnar tables; there is no
+per-node or per-event object. The node table (:class:`NodeTable`) holds
+int64 ``id``, ``class_id`` and ``birth_period`` and a float64 feature
+matrix, one row per node, sorted by id: it is the one home of node ids,
+labels and features, and maps ids to rows. The event table
+(:class:`EventTable`) holds int64 endpoints ``src`` and ``dst`` and
+float64 times ``t``, sorted by time with ties in the order given. Each
 graph also builds, once and on first use, a CSR neighbour index
-(:class:`NeighborIndex`) from those columns: node rows in sorted-id order
-with their feature matrix, and per row the incident events as (other
+(:class:`NeighborIndex`) from the event columns, which holds only
+neighbour entries: per node row, the incident events as (other
 endpoint's row, time) entries, sorted by time with ties in event order.
-Model inputs, period views and debut periods are all read from it.
+Model inputs, period views and debut periods are all read from it and
+the node table.
 
 Each validity rule is written once: a check of one period entry, or one
 mask over all node or event rows. A graph reports the first row at fault
 by part and position; :func:`load_graph` only parses its files and maps
-that position to a file and a line or entry.
+that position to a file and a line or entry. Column types (int64 ids and
+labels, an n x d float64 feature matrix) are enforced by the tables, and
+the loader checks them while parsing.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -52,6 +59,21 @@ class GraphFormatError(ValueError):
     """A graph file violates the on-disk format (message carries file:line)."""
 
 
+def _frozen_column(table, kind: str, name: str, dtype) -> None:
+    """Set column ``name`` of a frozen ``kind`` table to a read-only copy of
+    itself cast to ``dtype``; a cast that is not safe raises ``ValueError``
+    (no float ids, no ids beyond int64, no text times)."""
+    try:
+        col = np.asarray(getattr(table, name))
+    except ValueError:  # numpy refuses rows of unequal length
+        raise ValueError(f"{kind} column {name} holds rows of different dimensions") from None
+    if col.size and not np.can_cast(col.dtype, dtype):
+        raise ValueError(f"{kind} column {name} holds {col.dtype}, not {np.dtype(dtype)}")
+    col = col.astype(dtype)  # a copy, so the caller's array stays writable and ours cannot change
+    col.setflags(write=False)
+    object.__setattr__(table, name, col)
+
+
 @dataclass(frozen=True, eq=False)
 class EventTable:
     """Interaction events as read-only copies of three columns, one row per
@@ -63,12 +85,7 @@ class EventTable:
 
     def __post_init__(self):
         for name, dtype in (("src", np.int64), ("dst", np.int64), ("t", np.float64)):
-            col = np.asarray(getattr(self, name))
-            if col.size and not np.can_cast(col.dtype, dtype):  # no float ids, no ids beyond int64
-                raise ValueError(f"event column {name} holds {col.dtype}, not {np.dtype(dtype)}")
-            col = col.astype(dtype)  # a copy, so the caller's array stays writable and ours cannot change
-            col.setflags(write=False)
-            object.__setattr__(self, name, col)
+            _frozen_column(self, "event", name, dtype)
         shapes = (self.src.shape, self.dst.shape, self.t.shape)
         if set(shapes) != {(self.t.size,)}:
             raise ValueError(f"event columns must be 1-d and of one length, got shapes {shapes}")
@@ -78,22 +95,43 @@ class EventTable:
 
 
 @dataclass(frozen=True, eq=False)
-class NodeRecord:
-    """A node with its class label, class-introduction period, and feature.
+class NodeTable:
+    """Nodes as read-only copies of four columns, one row per node: ``id``,
+    ``class_id`` and ``birth_period`` (int64) and ``features`` (float64,
+    one n x d matrix). ``birth_period`` is the period whose class set holds
+    ``class_id``; a node's presence in a period is set by its events.
 
-    ``birth_period`` is the period whose class set contains ``class_id``;
-    a node's actual presence in any period is determined by its events.
+    A graph's table is sorted by id (:meth:`TemporalGraph.from_parts` sorts
+    it), which :meth:`rows_of` relies on.
     """
 
-    id: int
-    class_id: int
-    birth_period: int
-    feature: np.ndarray
+    id: np.ndarray
+    class_id: np.ndarray
+    birth_period: np.ndarray
+    features: np.ndarray
 
     def __post_init__(self):
-        feat = np.asarray(self.feature, dtype=float)
-        feat.setflags(write=False)
-        object.__setattr__(self, "feature", feat)
+        for name in ("id", "class_id", "birth_period"):
+            _frozen_column(self, "node", name, np.int64)
+        _frozen_column(self, "node", "features", np.float64)
+        shapes = (self.id.shape, self.class_id.shape, self.birth_period.shape, self.features.shape)
+        if self.features.ndim != 2 or set(shapes[:3]) != {self.features.shape[:1]}:
+            raise ValueError(
+                f"node columns must be 1-d and an n x d feature matrix of n rows, got shapes {shapes}"
+            )
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def rows_of(self, node_ids: Sequence[int]) -> np.ndarray:
+        """Row of each id, in order; an unknown id raises ``KeyError``."""
+        want = np.asarray(node_ids, dtype=np.int64)
+        rows = np.searchsorted(self.id, want)
+        known = rows < len(self.id)
+        known[known] = self.id[rows[known]] == want[known]
+        if not known.all():
+            raise KeyError(int(want[np.argmin(known)]))
+        return rows
 
 
 @dataclass(frozen=True)
@@ -110,27 +148,15 @@ class PeriodSpec:
 class NeighborIndex:
     """Incident events of every node in CSR form (see ``neighbor_index``).
 
-    Row ``r`` is node ``ids[r]`` (ids sorted) with feature ``features[r]``.
-    Its incident events are entries ``indptr[r]:indptr[r + 1]`` of ``nbr``
-    (the other endpoint's row) and ``times`` (the event time), sorted by
-    time with ties in event order.
+    Row ``r`` is row ``r`` of the graph's node table. Its incident events
+    are entries ``indptr[r]:indptr[r + 1]`` of ``nbr`` (the other
+    endpoint's row) and ``times`` (the event time), sorted by time with ties
+    in event order.
     """
 
-    ids: np.ndarray
-    features: np.ndarray
     indptr: np.ndarray
     nbr: np.ndarray
     times: np.ndarray
-
-    def rows_of(self, node_ids: Sequence[int]) -> np.ndarray:
-        """Row of each id, in order; an unknown id raises ``KeyError``."""
-        want = np.asarray(node_ids, dtype=int)
-        rows = np.searchsorted(self.ids, want)
-        known = rows < len(self.ids)
-        known[known] = self.ids[rows[known]] == want[known]
-        if not known.all():
-            raise KeyError(int(want[np.argmin(known)]))
-        return rows
 
     def row_counts(self, mask: np.ndarray) -> np.ndarray:
         """Per row, how many of its entries ``mask`` (one flag per entry) sets."""
@@ -140,10 +166,10 @@ class NeighborIndex:
 
 @dataclass(frozen=True, eq=False)
 class TemporalGraph:
-    """Immutable temporal graph: node records, an event table sorted by
-    time (:meth:`from_parts` sorts it) and period specs."""
+    """Immutable temporal graph: a node table sorted by id, an event table
+    sorted by time (:meth:`from_parts` sorts both) and period specs."""
 
-    nodes: Mapping[int, NodeRecord]
+    nodes: NodeTable
     events: EventTable
     periods: tuple[PeriodSpec, ...]
 
@@ -153,25 +179,30 @@ class TemporalGraph:
     @classmethod
     def from_parts(
         cls,
-        nodes: Iterable[NodeRecord],
+        nodes: NodeTable | Sequence,
         events: EventTable | Sequence,
         periods: Iterable[PeriodSpec],
     ) -> "TemporalGraph":
-        """Build a graph from loose parts; ``events`` is an :class:`EventTable`
-        or its ``(src, dst, t)`` columns. Rows are sorted by time (ties keep
-        their order); an event fault names its row as given."""
-        node_map: dict[int, NodeRecord] = {}
-        for rec in nodes:
-            if rec.id in node_map:
-                raise ValueError(f"duplicate node id {rec.id}")
-            node_map[rec.id] = rec
-        given = events if isinstance(events, EventTable) else EventTable(*events)
-        order = np.argsort(given.t, kind="stable")
+        """Build a graph from loose parts; ``nodes`` is a :class:`NodeTable`
+        or its ``(id, class_id, birth_period, features)`` columns, and
+        ``events`` an :class:`EventTable` or its ``(src, dst, t)`` columns.
+        Nodes are sorted by id and events by time (ties keep their order);
+        a node or event fault names its row as given."""
+        given_nodes = nodes if isinstance(nodes, NodeTable) else NodeTable(*nodes)
+        given_events = events if isinstance(events, EventTable) else EventTable(*events)
+        node_order = np.argsort(given_nodes.id, kind="stable")
+        event_order = np.argsort(given_events.t, kind="stable")
         try:
-            return cls(node_map, EventTable(given.src[order], given.dst[order], given.t[order]), tuple(periods))
+            return cls(
+                NodeTable(*(getattr(given_nodes, f.name)[node_order] for f in fields(NodeTable))),
+                EventTable(*(getattr(given_events, f.name)[event_order] for f in fields(EventTable))),
+                tuple(periods),
+            )
         except _Fault as fault:
-            if fault.part == "events":
+            order = {"nodes": node_order, "events": event_order}.get(fault.part)
+            if order is not None:
                 fault.pos = int(order[fault.pos])
+                fault.first = None if fault.first is None else int(order[fault.first])
             raise
 
     # -- period helpers ----------------------------------------------------
@@ -182,10 +213,12 @@ class TemporalGraph:
 
     @property
     def feature_dim(self) -> int:
-        """Length of every node's feature vector (0 for a graph without nodes)."""
-        for rec in self.nodes.values():
-            return int(rec.feature.shape[0])
-        return 0
+        """Length of every node's feature vector."""
+        return self.nodes.features.shape[1]
+
+    def labels(self, node_ids: Sequence[int]) -> np.ndarray:
+        """Class of each id, in order; an unknown id raises ``KeyError``."""
+        return self.nodes.class_id[self.nodes.rows_of(node_ids)]
 
     def period(self, n: int) -> PeriodSpec:
         if not 1 <= n <= len(self.periods):
@@ -210,18 +243,13 @@ class TemporalGraph:
         endpoints leaves every slice sorted by time, with ties in event
         order, which makes "most recent" well defined.
         """
-        ids = np.array(sorted(self.nodes), dtype=int)
-        features = np.array([self.nodes[v].feature for v in ids.tolist()], dtype=float)
-        features = features.reshape(len(ids), self.feature_dim)
-        features.setflags(write=False)
+        n = len(self.nodes)
         # rows of src0, dst0, src1, dst1, ...: entry j's other end is entry j ^ 1
-        ends = np.searchsorted(ids, np.column_stack([self.events.src, self.events.dst]).ravel())
+        ends = np.searchsorted(self.nodes.id, np.column_stack([self.events.src, self.events.dst]).ravel())
         order = np.argsort(ends, kind="stable")
-        indptr = np.zeros(len(ids) + 1, dtype=int)
-        np.cumsum(np.bincount(ends, minlength=len(ids)), out=indptr[1:])
-        return NeighborIndex(
-            ids=ids, features=features, indptr=indptr, nbr=ends[order ^ 1], times=self.events.t[order // 2]
-        )
+        indptr = np.zeros(n + 1, dtype=int)
+        np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
+        return NeighborIndex(indptr=indptr, nbr=ends[order ^ 1], times=self.events.t[order // 2])
 
     @cached_property
     def debut_period(self) -> dict[int, int]:
@@ -231,7 +259,7 @@ class TemporalGraph:
         active = np.flatnonzero(np.diff(index.indptr))
         first = index.times[index.indptr[active]]
         debut = np.searchsorted([p.t_start for p in self.periods], first, side="right")  # 1-based
-        return dict(zip(index.ids[active].tolist(), debut.tolist()))
+        return dict(zip(self.nodes.id[active].tolist(), debut.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +271,12 @@ class TemporalGraph:
 
 class _Fault(ValueError):
     """Rule text ``text`` broken at row ``pos`` of ``part`` ("periods",
-    "nodes" or "events"), checked against part ``other`` if not None."""
+    "nodes" or "events"), checked against part ``other`` if not None;
+    ``first`` is the earlier row that row ``pos`` repeats, if any."""
 
-    def __init__(self, text: str, other: str | None, part: str, pos: int):
+    def __init__(self, text: str, other: str | None, part: str, pos: int, first: int | None = None):
         super().__init__(f"period {pos + 1}: {text}" if part == "periods" else text)
-        self.text, self.other, self.part, self.pos = text, other, part, pos
+        self.text, self.other, self.part, self.pos, self.first = text, other, part, pos, first
 
 
 def _first_fault(part: str, rules: Sequence[tuple], rows: Mapping[str, Sequence], **consts) -> _Fault | None:
@@ -286,34 +315,34 @@ def _period_fault(i: int, p: PeriodSpec, earlier: Sequence[PeriodSpec]) -> str |
     return None
 
 
-def _node_fault(nodes: Mapping[int, NodeRecord], periods: Sequence[PeriodSpec]) -> _Fault | None:
-    """The first faulty node record, given valid periods."""
-    recs = list(nodes.values())
-    dim = recs[0].feature.size if recs else 0
-    shaped = np.array([rec.feature.shape == (dim,) for rec in recs], dtype=bool)
-    k = len(recs) if shaped.all() else int(shaped.argmin())  # no first fault lies past row k
-    finite = np.ones(len(recs), dtype=bool)
-    finite[:k] = np.isfinite(np.array([rec.feature for rec in recs[:k]]).reshape(k, dim)).all(axis=1)
-    known = np.array([1 <= rec.birth_period <= len(periods) for rec in recs], dtype=bool)
-    owner = {c: p.index for p in periods for c in p.classes}  # classes are disjoint
-    return _first_fault("nodes", [
-        (np.array([v != rec.id for v, rec in nodes.items()], dtype=bool),
-         "node map key {key} does not match record id {rec.id}", None),
-        (np.array([not -(2**63) <= rec.id < 2**63 for rec in recs], dtype=bool),  # ids become int64
-         "node id {rec.id} does not fit in int64", None),
-        (~shaped, "feature dimension of node {rec.id}: shape {rec.feature.shape} != ({dim},)", None),
-        (~finite, "node {rec.id} has a non-finite feature", None),
-        (~known, "period {rec.birth_period} of node {rec.id} is unknown (have 1..{n})", "periods"),
-        (known & np.array([owner.get(rec.class_id) != rec.birth_period for rec in recs], dtype=bool),
-         "class {rec.class_id} of node {rec.id} not in period {rec.birth_period} classes", "periods"),
-    ], dict(key=list(nodes), rec=recs), dim=dim, n=len(periods))
+def _node_fault(nodes: NodeTable, periods: Sequence[PeriodSpec]) -> _Fault | None:
+    """The first faulty node row, given valid periods. Ids must be strictly
+    increasing: a repeat is a duplicate, a decrease a table not sorted."""
+    ids, cls, birth = nodes.id, nodes.class_id, nodes.birth_period
+    before = np.roll(ids, 1)
+    later = np.arange(len(ids)) > 0
+    repeat = later & (ids == before)
+    known = (birth >= 1) & (birth <= len(periods))
+    owner = np.zeros(len(ids), dtype=np.int64)
+    for p in periods:
+        owner[np.isin(cls, p.classes)] = p.index  # classes are disjoint
+    fault = _first_fault("nodes", [
+        (repeat, "duplicate node id {id}", None),
+        (later & (ids < before), "node ids are not sorted: {id} follows {before}", None),
+        (~np.isfinite(nodes.features).all(axis=1), "node {id} has a non-finite feature", None),
+        (~known, "period {birth} of node {id} is unknown (have 1..{n})", "periods"),
+        (known & (owner != birth), "class {cls} of node {id} not in period {birth} classes", "periods"),
+    ], dict(id=ids, before=before, cls=cls, birth=birth), n=len(periods))
+    if fault is not None and repeat[fault.pos]:
+        fault.first = fault.pos - 1
+    return fault
 
 
 def _event_fault(g: TemporalGraph) -> _Fault | None:
     """The first faulty event row, given valid periods and nodes. The periods
     are contiguous (their own rule says so), so a range check places every
     event in one of them."""
-    ids = np.fromiter(g.nodes, dtype=np.int64, count=len(g.nodes))
+    ids = g.nodes.id
     src, dst, t = g.events.src, g.events.dst, g.events.t
     t_lo, t_hi = g.periods[0].t_start, g.periods[-1].t_end
     unsorted = np.zeros(len(t), dtype=bool)
@@ -391,13 +420,12 @@ def _build_view(graph: TemporalGraph, n: int, split_seed: int) -> PeriodView:
     index = graph.neighbor_index
     t = index.times  # spans are half-open, except that the last period holds its t_end
     before_end = t <= spec.t_end if n == graph.num_periods else t < spec.t_end
-    active = index.ids[index.row_counts((t >= spec.t_start) & before_end) > 0].tolist()
-    if not active:
+    active = np.flatnonzero(index.row_counts((t >= spec.t_start) & before_end) > 0)
+    if not active.size:
         raise ValueError(f"period {n} has no events")
-    old_classes = graph.classes_before(n)
-    new_classes = frozenset(spec.classes)
-    old_nodes = tuple(v for v in active if graph.nodes[v].class_id in old_classes)
-    new_nodes = tuple(v for v in active if graph.nodes[v].class_id in new_classes)
+    ids, labels = graph.nodes.id[active], graph.nodes.class_id[active]
+    old_nodes = tuple(ids[np.isin(labels, list(graph.classes_before(n)))].tolist())
+    new_nodes = tuple(ids[np.isin(labels, spec.classes)].tolist())
 
     assignment = node_splits(graph, split_seed)
     splits = {v: assignment[v] for v in old_nodes + new_nodes}
@@ -416,8 +444,9 @@ def node_splits(graph: TemporalGraph, split_seed: int = 0) -> dict[int, str]:
     if split_seed in cache:
         return cache[split_seed]
     cohorts: dict[int, dict[int, list[int]]] = {}
-    for v, debut in graph.debut_period.items():
-        cohorts.setdefault(debut, {}).setdefault(graph.nodes[v].class_id, []).append(v)
+    debuts = graph.debut_period
+    for (v, debut), c in zip(debuts.items(), graph.labels(list(debuts)).tolist()):
+        cohorts.setdefault(debut, {}).setdefault(c, []).append(v)
     out: dict[int, str] = {}
     for debut in sorted(cohorts):
         rng = np.random.default_rng((split_seed, debut))
@@ -531,15 +560,13 @@ def generate_synthetic(cfg: SynthConfig) -> TemporalGraph:
     centers: dict[int, np.ndarray] = {}
     drift_dir: dict[int, np.ndarray] = {}
     class_period: dict[int, int] = {}
-    records: list[NodeRecord] = []
+    classes, births, features = [], [], []  # node columns but the ids, one cohort at a time
     src, dst, times = [], [], []  # the event columns
-    next_id = 0
 
     w_intra = cfg.intra_class_edge_prob
     w_inter = cfg.inter_class_edge_prob
     q_intra = w_intra / (w_intra + w_inter) if (w_intra + w_inter) > 0 else 0.0
 
-    alive: list[tuple[int, int]] = []  # (node id, class id), persists across periods
     for spec in periods:
         p = spec.index
         for c in spec.classes:
@@ -551,30 +578,29 @@ def generate_synthetic(cfg: SynthConfig) -> TemporalGraph:
         for c in sorted(class_period):
             mean = centers[c] + (p - class_period[c]) * cfg.drift_step * drift_dir[c]
             feats = mean + rng.normal(0.0, cfg.noise_sigma, size=(n_per, dim))
-            for i in range(n_per):
-                records.append(
-                    NodeRecord(id=next_id, class_id=c, birth_period=class_period[c], feature=feats[i])
-                )
-                alive.append((next_id, c))
-                next_id += 1
+            classes.append(np.full(n_per, c))
+            births.append(np.full(n_per, class_period[c]))
+            features.append(feats)
 
         # every node created so far stays active: old-class data at a later
-        # period mixes fresh drifted cohorts with earlier ones
-        by_class: dict[int, list[int]] = {}
-        for v, c in alive:
-            by_class.setdefault(c, []).append(v)
-        others = {c: [v for v, cc in alive if cc != c] for c in by_class}
+        # period mixes fresh drifted cohorts with earlier ones; ids count up
+        # from 0 in cohort order
+        alive_class = np.concatenate(classes)
+        alive = np.arange(len(alive_class))
+        partners = {  # each class's intra and inter partner pools, in id order
+            c: (alive[alive_class == c].tolist(), alive[alive_class != c].tolist()) for c in class_period
+        }
         # rng.uniform(t_start, t_end) as numpy computes it, kept inside the period
         t_start, t_span = spec.t_start, spec.t_end - spec.t_start
         t_hi = math.nextafter(spec.t_end, spec.t_start)
-        for u, c in alive:
-            same = by_class[c]
+        for u, c in zip(alive.tolist(), alive_class.tolist()):
+            same, others = partners[c]
             for _ in range(cfg.events_per_node):
                 want_intra = rng.random() < q_intra
-                pool = same if want_intra else others[c]
+                pool = same if want_intra else others
                 if want_intra and len(same) <= 1:
-                    pool = others[c]
-                elif not want_intra and not others[c]:
+                    pool = others
+                elif not want_intra and not others:
                     pool = same
                 if not pool or (pool is same and len(same) <= 1):
                     continue
@@ -586,7 +612,8 @@ def generate_synthetic(cfg: SynthConfig) -> TemporalGraph:
                 dst.append(partner)
                 times.append(min(t_start + t_span * rng.random(), t_hi))
 
-    return TemporalGraph.from_parts(records, (src, dst, times), periods)
+    nodes = (alive, alive_class, np.concatenate(births), np.concatenate(features))
+    return TemporalGraph.from_parts(nodes, (src, dst, times), periods)
 
 
 # ---------------------------------------------------------------------------
@@ -610,11 +637,9 @@ def save_graph(graph: TemporalGraph, out_dir: str | Path) -> dict[str, Path]:
     with node_path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["id", "class", "period"] + [f"f{i}" for i in range(dim)])
-        for v in sorted(graph.nodes):
-            rec = graph.nodes[v]
-            w.writerow(
-                [rec.id, rec.class_id, rec.birth_period] + [repr(float(x)) for x in rec.feature]
-            )
+        nodes = graph.nodes
+        rows = zip(nodes.id.tolist(), nodes.class_id.tolist(), nodes.birth_period.tolist(), nodes.features.tolist())
+        w.writerows([v, c, p, *map(repr, feature)] for v, c, p, feature in rows)
 
     with event_path.open("w", newline="") as fh:
         w = csv.writer(fh)
@@ -666,8 +691,9 @@ def load_graph(
     except _Fault as fault:
         lines = {"nodes": node_lines, "events": event_lines}.get(fault.part)
         place = f"{sources[fault.part]}" + (f":{lines[fault.pos]}" if lines else f": entry {fault.pos}")
+        first = "" if fault.first is None else f", first at {sources[fault.part].name}:{lines[fault.first]}"
         see = f" (see {sources[fault.other]})" if fault.other else ""
-        raise GraphFormatError(f"{place}: {fault.text}{see}") from None
+        raise GraphFormatError(f"{place}: {fault.text}{first}{see}") from None
     t = graph.events.t
     first = np.searchsorted(t, [p.t_start for p in periods])
     end = np.searchsorted(t, [p.t_end for p in periods])
@@ -736,10 +762,11 @@ def _csv_rows(fh):
         line = reader.line_num + 1
 
 
-def _load_nodes(path: Path) -> tuple[list[NodeRecord], list[int]]:
-    """The node records in file order, and the line of each."""
-    records: list[NodeRecord] = []
-    line_of: dict[int, int] = {}
+def _load_nodes(path: Path) -> tuple[tuple, list[int]]:
+    """The ``(id, class_id, birth_period, features)`` columns in file order,
+    and the line of each row."""
+    rows_out: list[tuple[int, int, int, list[float]]] = []
+    lines: list[int] = []
     with io.StringIO(_read_text(path), newline="") as fh:
         rows = _csv_rows(fh)
         line, header = next(rows, (1, None))
@@ -755,23 +782,20 @@ def _load_nodes(path: Path) -> tuple[list[NodeRecord], list[int]]:
                     " (feature dimension mismatch)"
                 )
             try:
-                rec = NodeRecord(int(row[0]), int(row[1]), int(row[2]), [float(x) for x in row[3:]])
+                labels = (_int64(row[0], "node id"), _int64(row[1], "class"), _int64(row[2], "period"))
+                rows_out.append((*labels, [float(x) for x in row[3:]]))
             except ValueError as exc:
                 raise GraphFormatError(f"{path}:{lineno}: malformed node row: {exc}") from exc
-            if rec.id in line_of:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: duplicate node id {rec.id}, first at {path.name}:{line_of[rec.id]}"
-                )
-            records.append(rec)
-            line_of[rec.id] = lineno
-    return records, list(line_of.values())
+            lines.append(lineno)
+    ids, classes, births, features = tuple(map(list, zip(*rows_out))) or ([], [], [], [])
+    return (ids, classes, births, np.array(features, dtype=float).reshape(len(features), dim)), lines
 
 
-def _endpoint(cell: str) -> int:
-    """An event endpoint cell, which must fit the int64 ``src``/``dst`` columns."""
+def _int64(cell: str, what: str) -> int:
+    """An integer cell, which must fit its int64 column."""
     v = int(cell)
     if not -(2**63) <= v < 2**63:
-        raise ValueError(f"node id {v} does not fit in int64")
+        raise ValueError(f"{what} {v} does not fit in int64")
     return v
 
 
@@ -790,7 +814,7 @@ def _load_events(path: Path) -> tuple[tuple[list, ...], list[int]]:
             if len(row) != 3:
                 raise GraphFormatError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
             try:
-                rows_out.append((_endpoint(row[0]), _endpoint(row[1]), float(row[2])))
+                rows_out.append((_int64(row[0], "node id"), _int64(row[1], "node id"), float(row[2])))
             except ValueError as exc:
                 raise GraphFormatError(f"{path}:{lineno}: malformed event row: {exc}") from exc
             lines.append(lineno)

@@ -510,7 +510,8 @@ def execute(
     the current config hash are skipped, so a partially completed output
     directory is finished rather than redone. A record left by a different
     config, or one that is not a JSON object, is stale: that run is rerun.
-    ``jobs`` below 1 raises ``ValueError``.
+    Run directories that this config does not plan are left in place, and
+    ``echo`` names them. ``jobs`` below 1 raises ``ValueError``.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
@@ -528,6 +529,11 @@ def execute(
         echo(f"{len(runs)} runs planned, {len(pending)} to execute (resume={resume})")
         if stale:
             echo(f"{stale} stale runs from another config hash will be rerun")
+        planned = {run_dir.name for _, run_dir, _ in runs}
+        unplanned = sorted(d.name for d in (out / "runs").glob("*") if d.is_dir() and d.name not in planned)
+        if unplanned:
+            echo(f"{len(unplanned)} run directories not planned by this config were left in place: "
+                 + ", ".join(unplanned))
 
     graph = load_data(cfg["data"]) if pending else None
     memo: dict = {}
@@ -556,14 +562,23 @@ def execute(
     return records
 
 
+def _read_record(path: Path) -> dict | None:
+    """The JSON object in a ``record.json``; None when it is not one (not
+    UTF-8, not JSON or not an object)."""
+    try:
+        obj = json.loads(path.read_text())
+    except ValueError:
+        return None
+    return obj if isinstance(obj, dict) else None
+
+
 def _recorded_hash(run_dir: Path) -> str | None:
     """Config hash of a run's ``record.json``: ``None`` when there is none,
     and ``""`` (a stale run) when it is not a JSON object."""
     path = run_dir / "record.json"
-    try:
-        return (json.loads(path.read_text()).get("config_hash") or "") if path.exists() else None
-    except (ValueError, AttributeError):  # not UTF-8, not JSON or not an object
-        return ""
+    if not path.exists():
+        return None
+    return (_read_record(path) or {}).get("config_hash") or ""
 
 
 def _fill_af(records: Sequence[RunRecord]) -> None:
@@ -613,20 +628,25 @@ def render_table(records: Sequence[RunRecord]) -> str:
 
 def load_records(out_dir: str | Path) -> list[RunRecord]:
     """Rebuild records from a results directory's per-run record files: only
-    those of its ``config_hash.txt``, when it has one; a warning names the
-    runs that another config left in the directory."""
+    those of its ``config_hash.txt``, when it has one. One warning names the
+    runs skipped, whose record is not a JSON object (read as
+    :func:`execute` reads it on resume) or is another config's."""
     out = Path(out_dir)
     hash_file = out / "config_hash.txt"
     chash = hash_file.read_text().strip() if hash_file.exists() else None
-    records, stale = [], []
+    records, skipped = [], []
     for path in sorted(out.glob("runs/*/record.json")):
-        obj = json.loads(path.read_text())
-        if chash is None or obj.get("config_hash") == chash:
+        obj = _read_record(path)
+        if obj is not None and (chash is None or obj.get("config_hash") == chash):
             records.append(RunRecord.from_dict(obj))
         else:
-            stale.append(path.parent.name)
-    if stale:
-        warnings.warn(f"{out}: skipped runs of a config other than {chash}: {', '.join(stale)}", stacklevel=2)
+            skipped.append(path.parent.name)
+    if skipped:
+        warnings.warn(
+            f"{out}: skipped runs whose record is not a JSON object or is of a config other than {chash}:"
+            f" {', '.join(skipped)}",
+            stacklevel=2,
+        )
     if not records:
         raise FileNotFoundError(f"no run records under {out}")
     _fill_af(records)

@@ -118,6 +118,8 @@ def median_heuristic_gamma(
         rng = np.random.default_rng(seed)
         idx = rng.choice(pts.shape[0], size=sample_cap, replace=False)
         pts = pts[np.sort(idx)]
-    med = float(np.median(pdist(pts)))
+    # the distances are ours alone, so the median may partition them in
+    # place instead of a copy: the same value, half the peak memory
+    med = float(np.median(pdist(pts), overwrite_input=True))
     gamma = 1.0 / med if med > 0 else 1.0
     return KernelParams(gamma=gamma, squared=squared)

@@ -43,7 +43,7 @@ import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import cdist
 
-from .backbone import Model, classify_batch, embed_batch, node_inputs
+from .backbone import Model, classify_embeddings, embed_batch, node_inputs
 from .graph import TRAIN, PeriodView, TemporalGraph
 from .kernels import KernelParams, _kernel, kernel_matrix, median_heuristic_gamma, mmd_sq
 
@@ -180,8 +180,8 @@ def build_pool(
         raise ValueError("empty candidate set")
     z = node_inputs(graph, node_ids, graph.period(view.period_index).t_end)
     emb = embed_batch(prev, z)
-    probs = classify_batch(prev, z)
-    y = np.array([prev.class_index(graph.nodes[v].class_id) for v in node_ids], dtype=int)
+    probs = classify_embeddings(prev, emb)
+    y = np.array([prev.class_index(c) for c in graph.labels(node_ids).tolist()], dtype=int)
     jc = -np.log(np.clip(probs[np.arange(len(node_ids)), y], 1e-300, None))
     return SelectionPool(ids=tuple(node_ids), emb=emb, jcls=jc)
 
@@ -507,8 +507,8 @@ def _clamp(name: str, budget: int, n: int) -> int:
 
 def _entries(graph: TemporalGraph, pool: SelectionPool, node_ids: Sequence[int]) -> list[SubEntry]:
     return [
-        SubEntry(node_id=v, label=graph.nodes[v].class_id, j_cls=float(pool.jcls[r]))
-        for v, r in zip(node_ids, pool.rows_of(node_ids))
+        SubEntry(node_id=v, label=c, j_cls=float(pool.jcls[r]))
+        for v, c, r in zip(node_ids, graph.labels(node_ids).tolist(), pool.rows_of(node_ids))
     ]
 
 
@@ -608,8 +608,8 @@ def baseline_select(
     pool = _candidate_pool(graph, view, prev)
     m_eff = _clamp("m", m, len(pool.ids))
     by_class: dict[int, list[int]] = {}
-    for v in pool.ids:
-        by_class.setdefault(graph.nodes[v].class_id, []).append(v)
+    for v, c in zip(pool.ids, graph.labels(pool.ids).tolist()):
+        by_class.setdefault(c, []).append(v)
     classes = sorted(by_class)
     quotas = _share(m_eff, [len(by_class[c]) for c in classes])
 

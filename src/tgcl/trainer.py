@@ -203,7 +203,7 @@ def plan_period(
 
 def _node_inputs(graph: TemporalGraph, view: PeriodView, ids: Sequence[int], model: Model):
     z = node_inputs(graph, ids, graph.period(view.period_index).t_end)
-    y = np.array([model.class_index(graph.nodes[v].class_id) for v in ids], dtype=int)
+    y = np.array([model.class_index(c) for c in graph.labels(ids).tolist()], dtype=int)
     return z, y
 
 
@@ -241,7 +241,7 @@ def train_period(
     # validation inputs, and the class sets seen so far that have any
     val_ids = view.nodes_of("all", VAL)
     z_val = node_inputs(graph, val_ids, graph.period(n).t_end)
-    val_labels = np.array([graph.nodes[v].class_id for v in val_ids], dtype=int)
+    val_labels = graph.labels(val_ids)
     val_sets = [
         cs for cs in (graph.period(i).classes for i in range(1, n + 1))
         if np.isin(val_labels, list(cs)).any()
@@ -434,7 +434,7 @@ def run_strategy(
             precisions = precision_per_set(
                 model,
                 node_inputs(graph, test_ids, graph.period(n).t_end),
-                [graph.nodes[v].class_id for v in test_ids],
+                graph.labels(test_ids).tolist(),
                 [graph.period(i).classes for i in range(1, n + 1)],
             )
             memo[key] = copy.deepcopy((model.parameters(), result, precisions))

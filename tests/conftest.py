@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from tgcl.backbone import Backbone, snapshot
-from tgcl.graph import NodeRecord, PeriodSpec, SynthConfig, TemporalGraph, generate_synthetic
+from tgcl.graph import PeriodSpec, SynthConfig, TemporalGraph, generate_synthetic
 
-from oracles import Event, event_columns
+from oracles import Event, NodeRecord, event_columns, node_columns
 
 
 def make_two_period_graph():
@@ -28,7 +28,7 @@ def make_two_period_graph():
         PeriodSpec(index=1, t_start=0.0, t_end=1.0, classes=(0,)),
         PeriodSpec(index=2, t_start=1.0, t_end=2.0, classes=(1,)),
     ]
-    return TemporalGraph.from_parts(nodes, event_columns(events), periods)
+    return TemporalGraph.from_parts(node_columns(nodes), event_columns(events), periods)
 
 
 @pytest.fixture
@@ -91,12 +91,12 @@ def trained_toy_snapshot(graph, view, seed=0, steps=40, lr=0.2, hidden_dim=16):
     from tgcl.backbone import build_contexts, build_inputs, loss_and_grads_from_inputs
 
     model = Backbone(graph.feature_dim, hidden_dim=hidden_dim, seed=seed)
-    classes = sorted({graph.nodes[v].class_id for v in view.nodes_of("all")})
+    classes = sorted(set(graph.labels(view.nodes_of("all")).tolist()))
     model.grow_head(classes)
     ids = view.nodes_of("all", "train")
     eval_t = graph.period(view.period_index).t_end
     z = build_inputs(build_contexts(graph, ids, eval_t))
-    y = np.array([model.class_index(graph.nodes[v].class_id) for v in ids])
+    y = np.array([model.class_index(c) for c in graph.labels(ids).tolist()])
     for _ in range(steps):
         _, grads = loss_and_grads_from_inputs(model, z, y)
         model.apply_gradients(grads, lr)

@@ -3,15 +3,18 @@
 These are deliberately direct: a single-pair kernel, the per-candidate
 greedy witness, the full n x n matrix greedy and exhaustive subset
 enumeration, the per-node model-input loop, the per-node frozen loss,
-the training step's loss and gradients with a new array per
-intermediate, per-set precision with a per-prediction class lookup,
-the alignment loss with model gradients (backpropagated from the
-embeddings on their own), a period's events and each node's debut period
-by a scan of the events, the synthetic generator with one object per
-event and ``rng.uniform`` times, and the graph rules checked row by row.
-None of them is used by the pipeline. The module also holds helpers only
-tests use: events as row objects and back, greedy picks of one part by
-node id, exact graph equality and the mean epoch time of a log.
+the frozen scoring of a selection pool with one forward for its
+embeddings and another for its losses, the bandwidth median of a copy of
+the pairwise distances, the training step's loss and gradients with a
+new array per intermediate, per-set precision with a per-prediction
+class lookup, the alignment loss with model gradients (backpropagated
+from the embeddings on their own), a period's events and each node's
+debut period by a scan of the events, the synthetic generator with one
+object per node and per event and ``rng.uniform`` times, and the graph
+rules checked row by row. None of them is used by the pipeline. The
+module also holds helpers only tests use: nodes and events as row
+objects and back, greedy picks of one part by node id, exact graph
+equality and the mean epoch time of a log.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from scipy.spatial.distance import pdist
+
 from tgcl.backbone import (
     K_NEIGHBORS,
     PARAM_NAMES,
@@ -32,8 +37,9 @@ from tgcl.backbone import (
     classify_batch,
     embed_batch,
     input_dim,
+    node_inputs,
 )
-from tgcl.graph import NodeRecord, PeriodSpec, SynthConfig, TemporalGraph, _period_fault
+from tgcl.graph import PeriodSpec, SynthConfig, TemporalGraph, _period_fault
 from tgcl.kernels import KernelParams, _as_points, kernel_matrix
 from tgcl.selector import (
     SCORE_TERMS,
@@ -45,6 +51,31 @@ from tgcl.selector import (
     subset_objective,
 )
 from tgcl.trainer import l_dst_terms
+
+
+@dataclass(frozen=True, eq=False)
+class NodeRecord:
+    """One node as a row object: its id, class, class-introduction period
+    and feature vector."""
+
+    id: int
+    class_id: int
+    birth_period: int
+    feature: np.ndarray
+
+
+def node_columns(nodes: Sequence[NodeRecord]) -> tuple[list, list, list, list]:
+    """The ``(id, class_id, birth_period, features)`` columns of row objects,
+    for ``TemporalGraph.from_parts``."""
+    features = [r.feature for r in nodes] if nodes else np.zeros((0, 0))
+    return [r.id for r in nodes], [r.class_id for r in nodes], [r.birth_period for r in nodes], features
+
+
+def nodes_of(graph: TemporalGraph) -> list[NodeRecord]:
+    """The rows of ``graph.nodes`` as objects, in table (id) order."""
+    t = graph.nodes
+    rows = zip(t.id.tolist(), t.class_id.tolist(), t.birth_period.tolist(), t.features)
+    return [NodeRecord(*row) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -82,8 +113,9 @@ def reference_inputs(
     """
     rows = []
     events = events_of(graph)
+    feature = {rec.id: rec.feature for rec in nodes_of(graph)}
     for v in node_ids:
-        x = graph.nodes[v].feature
+        x = feature[v]
         seen = [
             (e.t, e.dst if e.src == v else e.src)
             for e in events
@@ -92,7 +124,7 @@ def reference_inputs(
         nbr = np.zeros_like(x)
         dt_acc = 0.0
         for t, u in reversed(seen[max(0, len(seen) - k) :]):
-            nbr = nbr + graph.nodes[u].feature
+            nbr = nbr + feature[u]
             dt_acc += np.log1p(float(eval_time - t))
         rows.append(np.concatenate([x, nbr / k, [dt_acc / k]]))
     if not rows:
@@ -105,6 +137,24 @@ def j_cls(prev: Model, z: np.ndarray, class_id: int) -> float:
     probs = classify_batch(prev, np.asarray(z, dtype=float)[None, :])[0]
     idx = prev.class_index(class_id)
     return float(-np.log(np.clip(probs[idx], 1e-300, None)))
+
+
+def reference_pool_scores(graph: TemporalGraph, n: int, node_ids: Sequence[int], prev: Model):
+    """Embeddings and frozen per-node losses of a selection pool at period
+    ``n``, with one forward for the embeddings and a second, inside
+    ``classify_batch``, for the class probabilities."""
+    z = node_inputs(graph, node_ids, graph.period(n).t_end)
+    emb = embed_batch(prev, z)
+    probs = classify_batch(prev, z)
+    y = np.array([prev.class_index(int(graph.labels([v])[0])) for v in node_ids], dtype=int)
+    return emb, -np.log(np.clip(probs[np.arange(len(node_ids)), y], 1e-300, None))
+
+
+def reference_median_gamma(points: np.ndarray) -> float:
+    """The median-heuristic bandwidth of all ``points``, from ``np.median``
+    of a copy of their pairwise distances."""
+    med = float(np.median(pdist(points)))
+    return 1.0 / med if med > 0 else 1.0
 
 
 def reference_forward(model: Model, z: np.ndarray):
@@ -344,18 +394,13 @@ def greedy_select_sim(pool: SelectionPool, budget_w: int, cfg: SelectionConfig) 
 
 
 def graphs_equal(a: TemporalGraph, b: TemporalGraph) -> bool:
-    """Exact equality of all records, events, and period specs."""
-    if a.periods != b.periods or set(a.nodes) != set(b.nodes):
+    """Exact equality of all node and event columns, and period specs."""
+    if a.periods != b.periods:
         return False
-    for v, ra in a.nodes.items():
-        rb = b.nodes[v]
-        if (ra.class_id, ra.birth_period) != (rb.class_id, rb.birth_period):
-            return False
-        if ra.feature.shape != rb.feature.shape or not np.array_equal(ra.feature, rb.feature):
-            return False
-    return all(
-        np.array_equal(getattr(a.events, col), getattr(b.events, col)) for col in ("src", "dst", "t")
-    )
+    columns = [
+        (getattr(a.nodes, name), getattr(b.nodes, name)) for name in ("id", "class_id", "birth_period", "features")
+    ] + [(getattr(a.events, name), getattr(b.events, name)) for name in ("src", "dst", "t")]
+    return all(ca.shape == cb.shape and np.array_equal(ca, cb) for ca, cb in columns)
 
 
 def period_events(graph: TemporalGraph, n: int) -> list[Event]:
@@ -455,20 +500,19 @@ def reference_graph_fault(
 ) -> str | None:
     """The message of the first broken graph rule, checked row by row: the
     period entries, then each node record and then each event in order
-    (``events`` as stored, so unsorted rows break the order rule)."""
+    (both as stored, so unsorted rows break the order rules)."""
     if not periods:
         return "graph has no periods"
     for i, p in enumerate(periods):
         fault = _period_fault(i, p, periods[:i])
         if fault:
             return f"period {i + 1}: {fault}"
-    dim = nodes[0].feature.size if nodes else 0
-    for rec in nodes:
+    for before, rec in zip([None, *nodes], nodes):
         v = rec.id
-        if not -(2**63) <= v < 2**63:
-            return f"node id {v} does not fit in int64"
-        if rec.feature.shape != (dim,):
-            return f"feature dimension of node {v}: shape {rec.feature.shape} != ({dim},)"
+        if before is not None and v == before.id:
+            return f"duplicate node id {v}"
+        if before is not None and v < before.id:
+            return f"node ids are not sorted: {v} follows {before.id}"
         if not np.isfinite(rec.feature).all():
             return f"node {v} has a non-finite feature"
         if not 1 <= rec.birth_period <= len(periods):

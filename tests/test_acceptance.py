@@ -207,7 +207,7 @@ def test_criterion_05_gradient_correctness():
         graph, model, ids = _toy_instance(seed)
         rng = np.random.default_rng(seed)
         z = build_inputs(build_contexts(graph, ids[:5], 1.0))
-        y = np.array([model.class_index(graph.nodes[v].class_id) for v in ids[:5]])
+        y = np.array([model.class_index(c) for c in graph.labels(ids[:5]).tolist()])
         _, analytic = loss_and_grads_from_inputs(model, z, y)
         numeric = finite_difference_grads(
             lambda: loss_and_grads_from_inputs(model, z, y)[0], model, eps=1e-5
@@ -308,7 +308,7 @@ def test_criterion_07_metric_identities():
     p1, p2 = precision_per_set(
         model,
         node_inputs(graph, test_ids, graph.period(2).t_end),
-        [graph.nodes[v].class_id for v in test_ids],
+        graph.labels(test_ids).tolist(),
         [graph.period(1).classes, graph.period(2).classes],
     )
     assert p1 == 1.0 and p2 == 0.0

@@ -12,6 +12,7 @@ from tgcl.backbone import (
     build_contexts,
     build_inputs,
     classify_batch,
+    classify_embeddings,
     embed_batch,
     from_checkpoint_dict,
     checkpoint_dict,
@@ -23,12 +24,21 @@ from tgcl.backbone import (
     snapshot,
 )
 import tgcl.backbone as backbone_module
-from tgcl.graph import NodeRecord, PeriodSpec, TemporalGraph, split_period
+from tgcl.graph import PeriodSpec, TemporalGraph, split_period
 from tgcl.kernels import KernelParams
 from tgcl.trainer import l_dst_terms
 
 from conftest import finite_difference_grads, max_rel_error, toy_model
-from oracles import Event, event_columns, events_of, reference_inputs, reference_loss_and_grads
+from oracles import (
+    Event,
+    NodeRecord,
+    event_columns,
+    events_of,
+    node_columns,
+    nodes_of,
+    reference_inputs,
+    reference_loss_and_grads,
+)
 
 
 def manual_forward(model, z):
@@ -81,7 +91,7 @@ def random_graph(rng, n=40, dim=3, silent=5, n_events=150):
         a, b = rng.choice(len(active), size=2, replace=False)
         events.append(Event(active[a], active[b], float(rng.integers(0, 9)) / 4))
     periods = [PeriodSpec(1, 0.0, 1.0, (0, 1)), PeriodSpec(2, 1.0, 2.0, (2, 3))]
-    return TemporalGraph.from_parts(nodes, event_columns(events), periods)
+    return TemporalGraph.from_parts(node_columns(nodes), event_columns(events), periods)
 
 
 class TestBuildInputs:
@@ -93,7 +103,7 @@ class TestBuildInputs:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             graph = random_graph(rng, n=30, n_events=int(rng.choice([0, 20, 60, 300])))
-            ids = sorted(graph.nodes)
+            ids = graph.nodes.id.tolist()
             want = [ids[i] for i in rng.choice(len(ids), size=45, replace=True)]  # repeats, unsorted
             for t in self.EVAL_TIMES:
                 got = build_inputs(build_contexts(graph, want, t))
@@ -103,13 +113,13 @@ class TestBuildInputs:
     @pytest.mark.parametrize("k", [1, 3, K_NEIGHBORS + 5])
     def test_equals_reference_for_other_slot_counts(self, k):
         graph = random_graph(np.random.default_rng(k), n_events=200)
-        ids = sorted(graph.nodes)[::-1]
+        ids = graph.nodes.id.tolist()[::-1]
         for t in (0.5, 2.0):
             got = build_inputs(build_contexts(graph, ids, t, k), k)
             assert np.array_equal(got, reference_inputs(graph, ids, t, k))
 
     def test_equals_reference_on_synthetic_graph(self, small_synth):
-        ids = sorted(small_synth.nodes)
+        ids = small_synth.nodes.id.tolist()
         for t in (0.0, 1.0, 1.5, 3.0):
             assert np.array_equal(
                 build_inputs(build_contexts(small_synth, ids, t)), reference_inputs(small_synth, ids, t)
@@ -120,7 +130,7 @@ class TestBuildInputs:
 
     def test_graph_without_events(self):
         graph = random_graph(np.random.default_rng(0), n_events=0)
-        ids = sorted(graph.nodes)
+        ids = graph.nodes.id.tolist()
         ctxs = build_contexts(graph, ids, 2.0)
         assert (ctxs.nbrs == -1).all() and not ctxs.dt.any()
         assert np.array_equal(build_inputs(ctxs), reference_inputs(graph, ids, 2.0))
@@ -129,24 +139,26 @@ class TestBuildInputs:
 class TestNeighborIndex:
     def test_entries_ordered_by_time_then_event_order(self):
         graph = random_graph(np.random.default_rng(0), n_events=400)
-        index = graph.neighbor_index
-        assert list(index.ids) == sorted(graph.nodes)
-        assert np.array_equal(index.features, np.stack([graph.nodes[v].feature for v in index.ids]))
+        index, ids = graph.neighbor_index, graph.nodes.id
         assert index.indptr[0] == 0 and index.indptr[-1] == 2 * len(graph.events)
-        for r, v in enumerate(index.ids):
+        assert len(index.indptr) == len(ids) + 1
+        for r, v in enumerate(ids.tolist()):
             lo, hi = index.indptr[r], index.indptr[r + 1]
-            got = list(zip(index.times[lo:hi].tolist(), index.ids[index.nbr[lo:hi]].tolist()))
+            got = list(zip(index.times[lo:hi].tolist(), ids[index.nbr[lo:hi]].tolist()))
             want = [(e.t, e.dst if e.src == v else e.src) for e in events_of(graph) if v in (e.src, e.dst)]
             assert got == want, v
             assert (np.diff(index.times[lo:hi]) >= 0).all()
 
     def test_rows_of(self):
         graph = random_graph(np.random.default_rng(1))
-        index = graph.neighbor_index
-        assert index.rows_of([7, 1, 7]).tolist() == [2, 0, 2]
-        assert index.rows_of([]).shape == (0,)
-        with pytest.raises(KeyError):
-            index.rows_of([1, 2])
+        assert graph.nodes.rows_of([7, 1, 7]).tolist() == [2, 0, 2]
+        assert graph.nodes.rows_of([]).shape == (0,)
+        for bad in ([1, 2], [0], [10**6], [-5]):
+            with pytest.raises(KeyError):
+                graph.nodes.rows_of(bad)
+            with pytest.raises(KeyError):
+                graph.labels(bad)
+        assert graph.labels([7, 1, 7]).tolist() == [nodes_of(graph)[r].class_id for r in (2, 0, 2)]
 
 
 class TestNodeInputs:
@@ -155,7 +167,7 @@ class TestNodeInputs:
     def test_matches_oracle_over_interleaved_partial_fills(self):
         rng = np.random.default_rng(0)
         graph = random_graph(rng)
-        ids = sorted(graph.nodes)
+        ids = graph.nodes.id.tolist()
         for _ in range(30):
             t = self.EVAL_TIMES[int(rng.integers(len(self.EVAL_TIMES)))]
             want = [ids[i] for i in rng.choice(len(ids), size=int(rng.integers(1, 25)), replace=True)]
@@ -167,15 +179,15 @@ class TestNodeInputs:
 
     def test_nodes_without_events_get_own_feature_only(self):
         graph = random_graph(np.random.default_rng(1))
-        silent = sorted(graph.nodes)[:5]
+        silent = graph.nodes.id.tolist()[:5]
         z = node_inputs(graph, silent, 2.0)
         assert np.array_equal(z, reference_inputs(graph, silent, 2.0))
-        assert np.array_equal(z[:, :3], np.stack([graph.nodes[v].feature for v in silent]))
+        assert np.array_equal(z[:, :3], graph.nodes.features[:5])
         assert not z[:, 3:].any()
 
     def test_each_row_built_once_per_eval_time(self, monkeypatch):
         graph = random_graph(np.random.default_rng(2))
-        ids = sorted(graph.nodes)
+        ids = graph.nodes.id.tolist()
         calls = []
 
         def counting(g, node_ids, eval_time, k=K_NEIGHBORS):
@@ -193,8 +205,8 @@ class TestNodeInputs:
     def test_graphs_sharing_node_ids_do_not_share_rows(self):
         a = random_graph(np.random.default_rng(3))
         b = random_graph(np.random.default_rng(4))
-        assert set(a.nodes) == set(b.nodes)
-        ids = sorted(a.nodes)
+        assert np.array_equal(a.nodes.id, b.nodes.id)
+        ids = a.nodes.id.tolist()
         za = node_inputs(a, ids, 2.0)
         zb = node_inputs(b, ids, 2.0)
         assert np.array_equal(zb, reference_inputs(b, ids, 2.0))
@@ -216,7 +228,7 @@ class TestNodeInputs:
 
     def test_returned_rows_are_copies(self):
         graph = random_graph(np.random.default_rng(7))
-        ids = sorted(graph.nodes)[5:9]
+        ids = graph.nodes.id.tolist()[5:9]
         z = node_inputs(graph, ids, 2.0)
         z[:] = 0.0
         assert np.array_equal(node_inputs(graph, ids, 2.0), reference_inputs(graph, ids, 2.0))
@@ -225,14 +237,14 @@ class TestNodeInputs:
 class TestContexts:
     def test_most_recent_neighbors_first(self, two_period_graph):
         ctxs = build_contexts(two_period_graph, [0], eval_time=2.0)
-        ids = two_period_graph.neighbor_index.ids
+        ids = two_period_graph.nodes.id
         # node 0 touches events at t=0.5 (node 1), 1.2 (node 1), 1.5 (node 2)
         assert np.round(ctxs.dt[0, :3], 6).tolist() == [0.5, 0.8, 1.5]
         assert ids[ctxs.nbrs[0, :3]].tolist() == [2, 1, 1]
         assert (ctxs.nbrs[0, 3:] == -1).all() and not ctxs.dt[0, 3:].any()
 
     def test_neighbor_cap(self, small_synth):
-        ids = list(small_synth.nodes)[:20]
+        ids = small_synth.nodes.id[:20].tolist()
         ctxs = build_contexts(small_synth, ids, eval_time=3.0)
         assert ctxs.nbrs.shape == ctxs.dt.shape == (20, K_NEIGHBORS)
         for v, row in zip(ids, ctxs.nbrs):
@@ -248,7 +260,7 @@ class TestContexts:
         ctxs = build_contexts(two_period_graph, [3], eval_time=1.0)  # first event at 1.8
         assert (ctxs.nbrs == -1).all()
         z = build_inputs(ctxs)[0]
-        f = two_period_graph.nodes[3].feature
+        f = two_period_graph.nodes.features[3]
         assert np.array_equal(z[: len(f)], f)
         assert np.all(z[len(f) :] == 0.0)
 
@@ -313,6 +325,16 @@ class TestClassify:
         model = Backbone(3)
         with pytest.raises(ValueError, match="empty"):
             classify_batch(model, random_inputs(np.random.default_rng(8)))
+        with pytest.raises(ValueError, match="empty"):
+            classify_embeddings(model, np.zeros((1, model.hidden_dim)))
+
+    def test_from_embeddings_equals_from_inputs(self):
+        model = toy_model(seed=9)
+        z = random_inputs(np.random.default_rng(9), n=30)
+        emb = embed_batch(model, z)
+        kept = emb.copy()
+        assert np.array_equal(classify_embeddings(model, emb), classify_batch(model, z))
+        assert np.array_equal(emb, kept)
 
 
 class TestLossAndGrads:
@@ -539,7 +561,7 @@ def test_period_training_data_shapes(small_synth):
     z = build_inputs(ctxs)
     assert z.shape == (len(ids), 2 * 4 + 1)
     model = Backbone(4, hidden_dim=8, seed=0)
-    model.grow_head(sorted({small_synth.nodes[v].class_id for v in ids}))
+    model.grow_head(sorted(set(small_synth.labels(ids).tolist())))
     probs = classify_batch(model, z)
     assert probs.shape == (len(ids), model.num_classes)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
@@ -549,10 +571,10 @@ def test_parameters_finite_after_updates(small_synth):
     view = split_period(small_synth, 1)
     ids = view.nodes_of("all", "train")
     model = Backbone(4, hidden_dim=8, seed=3)
-    model.grow_head(sorted({small_synth.nodes[v].class_id for v in ids}))
+    model.grow_head(sorted(set(small_synth.labels(ids).tolist())))
     ctxs = build_contexts(small_synth, ids, 1.0)
     z = build_inputs(ctxs)
-    y = np.array([model.class_index(small_synth.nodes[v].class_id) for v in ids])
+    y = np.array([model.class_index(c) for c in small_synth.labels(ids).tolist()])
     for _ in range(50):
         _, grads = loss_and_grads_from_inputs(model, z, y)
         model.apply_gradients(grads, 0.5)

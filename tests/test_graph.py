@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from tgcl.graph import (
     EventTable,
     GraphFormatError,
-    NodeRecord,
+    NodeTable,
     PeriodSpec,
     SynthConfig,
     TemporalGraph,
@@ -29,10 +30,13 @@ from tgcl.harness import resolve_config
 from conftest import make_two_period_graph
 from oracles import (
     Event,
+    NodeRecord,
     debut_periods,
     event_columns,
     events_of,
     graphs_equal,
+    node_columns,
+    nodes_of,
     period_events,
     reference_generate_synthetic,
     reference_graph_fault,
@@ -44,34 +48,37 @@ class TestTypes:
         periods = [PeriodSpec(1, 0.0, 1.0, (0,))]
         nodes = [NodeRecord(id=1, class_id=0, birth_period=1, feature=np.zeros(1))]
         with pytest.raises(ValueError):
-            TemporalGraph.from_parts(nodes, event_columns([Event(1, 1, 0.5)]), periods)
+            TemporalGraph.from_parts(node_columns(nodes), event_columns([Event(1, 1, 0.5)]), periods)
 
-    def test_node_feature_readonly(self):
-        rec = NodeRecord(id=0, class_id=0, birth_period=1, feature=np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            rec.feature[0] = 5.0
+    def test_node_feature_readonly(self, two_period_graph):
+        nodes = two_period_graph.nodes
+        assert (nodes.id.dtype, nodes.class_id.dtype, nodes.birth_period.dtype) == (np.int64,) * 3
+        assert nodes.features.dtype == np.float64 and nodes.features.shape == (4, 2)
+        for col in (nodes.id, nodes.class_id, nodes.birth_period, nodes.features):
+            with pytest.raises(ValueError):
+                col[0] = 5
 
     def test_class_must_match_birth_period(self):
         periods = [PeriodSpec(1, 0.0, 1.0, (0,)), PeriodSpec(2, 1.0, 2.0, (1,))]
         nodes = [NodeRecord(id=0, class_id=1, birth_period=1, feature=np.zeros(2))]
         with pytest.raises(ValueError, match="not in period"):
-            TemporalGraph.from_parts(nodes, event_columns([]), periods)
+            TemporalGraph.from_parts(node_columns(nodes), event_columns([]), periods)
 
     def test_disjoint_class_sets_enforced(self):
         periods = [PeriodSpec(1, 0.0, 1.0, (0,)), PeriodSpec(2, 1.0, 2.0, (0,))]
         with pytest.raises(ValueError, match=r"period 2: classes \[0\] appear in an earlier entry"):
-            TemporalGraph.from_parts([], event_columns([]), periods)
+            TemporalGraph.from_parts(node_columns([]), event_columns([]), periods)
 
     def test_non_contiguous_periods_rejected(self):
         periods = [PeriodSpec(1, 0.0, 1.0, (0,)), PeriodSpec(2, 1.5, 2.0, (1,))]
         with pytest.raises(ValueError, match=r"period 2: t_start 1\.5 != previous t_end 1\.0"):
-            TemporalGraph.from_parts([], event_columns([]), periods)
+            TemporalGraph.from_parts(node_columns([]), event_columns([]), periods)
 
     def test_event_with_unknown_endpoint_rejected(self):
         periods = [PeriodSpec(1, 0.0, 1.0, (0,))]
         nodes = [NodeRecord(id=0, class_id=0, birth_period=1, feature=np.zeros(1))]
         with pytest.raises(ValueError, match="unknown node"):
-            TemporalGraph.from_parts(nodes, event_columns([Event(0, 9, 0.5)]), periods)
+            TemporalGraph.from_parts(node_columns(nodes), event_columns([Event(0, 9, 0.5)]), periods)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_feature_rejected(self, bad):
@@ -81,7 +88,7 @@ class TestTypes:
             NodeRecord(id=7, class_id=1, birth_period=1, feature=np.array([1.0, bad])),
         ]
         with pytest.raises(ValueError, match="node 7 has a non-finite feature"):
-            TemporalGraph.from_parts(nodes, event_columns([]), periods)
+            TemporalGraph.from_parts(node_columns(nodes), event_columns([]), periods)
 
     def test_feature_dim_must_agree(self):
         periods = [PeriodSpec(1, 0.0, 1.0, (0, 1))]
@@ -90,7 +97,65 @@ class TestTypes:
             NodeRecord(id=1, class_id=1, birth_period=1, feature=np.zeros(3)),
         ]
         with pytest.raises(ValueError, match="dimension"):
-            TemporalGraph.from_parts(nodes, event_columns([]), periods)
+            TemporalGraph.from_parts(node_columns(nodes), event_columns([]), periods)
+
+
+class TestNodeTable:
+    @pytest.mark.parametrize(
+        "ids, message",
+        [([0, 2, 1, 3], "node ids are not sorted: 1 follows 2"), ([0, 1, 1, 3], "duplicate node id 1")],
+    )
+    def test_direct_graph_needs_sorted_distinct_ids(self, two_period_graph, ids, message):
+        g = two_period_graph
+        nodes = NodeTable(ids, g.nodes.class_id, g.nodes.birth_period, g.nodes.features)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TemporalGraph(nodes, g.events, g.periods)
+
+    def test_from_parts_sorts_by_id_and_names_a_repeat_as_given(self, two_period_graph):
+        g = two_period_graph
+        nodes = nodes_of(g)
+        shuffled = [nodes[i] for i in (2, 0, 3, 1)]
+        assert graphs_equal(TemporalGraph.from_parts(node_columns(shuffled), g.events, g.periods), g)
+        with pytest.raises(ValueError, match="^duplicate node id 0$"):
+            TemporalGraph.from_parts(node_columns(nodes + nodes[:1]), g.events, g.periods)
+
+    def test_loader_names_both_lines_of_a_repeated_id(self, tmp_path):
+        paths = save_graph(make_two_period_graph(), tmp_path)
+        lines = paths["nodes"].read_text().splitlines()
+        lines[2] = lines[2].replace("1,", "3,", 1)  # line 3 now holds node 3, as line 5 does
+        paths["nodes"].write_text("\n".join(lines) + "\n")
+        with pytest.raises(GraphFormatError) as info:
+            load_graph(paths["nodes"], paths["events"], paths["periods"])
+        assert str(info.value) == f"{paths['nodes']}:5: duplicate node id 3, first at nodes.csv:3"
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (([0], [2**70], [1], [[0.0]]), r"node column class_id holds object, not int64"),
+            (([0], [0], [2**64], [[0.0]]), r"node column birth_period holds object, not int64"),
+            (([0.5], [0], [1], [[0.0]]), r"node column id holds float64, not int64"),
+            (([0, 1], [0, 0], [1, 1], [[0.0], [0.0, 1.0]]), r"node column features holds rows of different"),
+            (([0], [0], [1], [["a"]]), r"node column features holds <U1, not float64"),
+            (([0], [0], [1], [0.0]), r"node columns must be 1-d and an n x d feature matrix of n rows"),
+            (([0, 1], [0], [1, 1], [[0.0], [1.0]]), r"node columns must be 1-d and an n x d feature matrix"),
+        ],
+    )
+    def test_node_columns_are_checked(self, columns, message):
+        with pytest.raises(ValueError, match=message):
+            NodeTable(*columns)
+
+    @pytest.mark.parametrize("column, what", [(0, "node id"), (1, "class"), (2, "period")])
+    def test_loader_names_the_line_of_a_label_beyond_int64(self, tmp_path, column, what):
+        paths = save_graph(make_two_period_graph(), tmp_path)
+        lines = paths["nodes"].read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[column] = str(2**64)
+        lines[2] = ",".join(cells)
+        paths["nodes"].write_text("\n".join(lines) + "\n")
+        with pytest.raises(GraphFormatError) as info:
+            load_graph(paths["nodes"], paths["events"], paths["periods"])
+        want = f"{paths['nodes']}:3: malformed node row: {what} {2**64} does not fit in int64"
+        assert str(info.value) == want
 
 
 class TestSplitPeriod:
@@ -103,7 +168,7 @@ class TestSplitPeriod:
         cfg = SynthConfig(num_periods=3, classes_per_period=3, nodes_per_class_per_period=10, seed=7)
         graph = generate_synthetic(cfg)
         view = split_period(graph, 3)
-        old_classes = {graph.nodes[v].class_id for v in view.old_nodes}
+        old_classes = set(graph.labels(view.old_nodes).tolist())
         assert len(old_classes) == cfg.classes_per_period * 2
         assert old_classes == set(range(6))
 
@@ -115,9 +180,7 @@ class TestSplitPeriod:
             active = set()
             for e in period_events(graph, n):
                 active.update(e.endpoints())
-            expected = sorted(
-                v for v in active if graph.nodes[v].class_id in old_classes
-            )
+            expected = sorted(v for v in active if graph.labels([v])[0] in old_classes)
             assert list(view.old_nodes) == expected
 
     def test_groups_are_disjoint(self, small_synth):
@@ -168,7 +231,7 @@ class TestSplitPeriod:
             NodeRecord(id=0, class_id=0, birth_period=1, feature=np.zeros(1)),
             NodeRecord(id=1, class_id=0, birth_period=1, feature=np.zeros(1)),
         ]
-        graph = TemporalGraph.from_parts(nodes, event_columns([Event(0, 1, 0.5)]), periods)
+        graph = TemporalGraph.from_parts(node_columns(nodes), event_columns([Event(0, 1, 0.5)]), periods)
         with pytest.raises(ValueError, match="no events"):
             split_period(graph, 2)
 
@@ -184,8 +247,8 @@ class TestSplitPeriod:
                 continue
             view = split_period(graph, n, split_seed=seed)
             old, new = graph.classes_before(n), set(graph.period(n).classes)
-            assert view.old_nodes == tuple(sorted(v for v in active if graph.nodes[v].class_id in old))
-            assert view.new_nodes == tuple(sorted(v for v in active if graph.nodes[v].class_id in new))
+            assert view.old_nodes == tuple(sorted(v for v in active if graph.labels([v])[0] in old))
+            assert view.new_nodes == tuple(sorted(v for v in active if graph.labels([v])[0] in new))
             assignment = node_splits(graph, seed)
             assert view.splits == {v: assignment[v] for v in view.old_nodes + view.new_nodes}
 
@@ -195,7 +258,7 @@ class TestSplitPeriod:
         periods = [PeriodSpec(1, 0.0, 1.0, (0,)), PeriodSpec(2, 1.0, 2.0, (1,))]
         nodes = [NodeRecord(v, c, c + 1, np.zeros(1)) for v, c in enumerate([0, 0, 1, 0, 1])]
         events = [Event(0, 1, 0.0), Event(1, 2, 1.0), Event(3, 2, 2.0)]
-        graph = TemporalGraph.from_parts(nodes, event_columns(events), periods)
+        graph = TemporalGraph.from_parts(node_columns(nodes), event_columns(events), periods)
         assert graph.debut_period == {0: 1, 1: 1, 2: 2, 3: 2}
         assert split_period(graph, 1).new_nodes == (0, 1)
         view = split_period(graph, 2)
@@ -221,7 +284,7 @@ def _boundary_graph(seed: int) -> TemporalGraph:
         # nodes of a class introduced after period i stay silent until then
         if max(classes[u], classes[w]) // 2 <= i:
             events.append(Event(u, w, t))
-    return TemporalGraph.from_parts(nodes, event_columns(events), periods)
+    return TemporalGraph.from_parts(node_columns(nodes), event_columns(events), periods)
 
 
 #: the shipped ``main`` data, its ``scale-select`` variant (4 periods of 200
@@ -249,11 +312,11 @@ class TestGenerateSynthetic:
         graph = generate_synthetic(cfg)
         records, events, periods = reference_generate_synthetic(cfg)
         assert graph.periods == periods
-        assert list(graph.nodes) == [rec.id for rec in records]
-        for rec in records:
-            got = graph.nodes[rec.id]
-            assert (got.class_id, got.birth_period) == (rec.class_id, rec.birth_period)
-            assert np.array_equal(got.feature, rec.feature)
+        got = nodes_of(graph)
+        assert [(r.id, r.class_id, r.birth_period) for r in got] == [
+            (r.id, r.class_id, r.birth_period) for r in records
+        ]
+        assert np.array_equal(graph.nodes.features, np.stack([r.feature for r in records]))
         want = sorted(events, key=lambda e: e.t)
         assert graph.events.src.tolist() == [e.src for e in want]
         assert graph.events.dst.tolist() == [e.dst for e in want]
@@ -275,7 +338,7 @@ class TestGenerateSynthetic:
         cfg = SynthConfig(num_periods=3, classes_per_period=3, nodes_per_class_per_period=200, seed=0)
         graph = generate_synthetic(cfg)
         assert len(graph.nodes) == 600 + 1200 + 1800
-        assert len({graph.nodes[v].class_id for v in graph.nodes}) == 9
+        assert len(set(graph.nodes.class_id.tolist())) == 9
         # fresh residents per period: every alive class contributes a cohort
         debut_counts = {1: 0, 2: 0, 3: 0}
         for v, debut in graph.debut_period.items():
@@ -298,7 +361,7 @@ class TestGenerateSynthetic:
             seed=5,
         )
         graph = generate_synthetic(cfg)
-        feats = np.stack([graph.nodes[v].feature for v in graph.nodes if graph.nodes[v].class_id == 0])
+        feats = graph.nodes.features[graph.nodes.class_id == 0]
         spread = np.linalg.norm(feats - feats.mean(axis=0), axis=1).max()
         assert spread < 0.1  # all cohorts hug one center when drift is off
 
@@ -312,7 +375,7 @@ class TestGenerateSynthetic:
             seed=5,
         )
         graph = generate_synthetic(SynthConfig(drift_step=2.0, **base))
-        feats = np.stack([graph.nodes[v].feature for v in graph.nodes if graph.nodes[v].class_id == 0])
+        feats = graph.nodes.features[graph.nodes.class_id == 0]
         spread = np.linalg.norm(feats - feats.mean(axis=0), axis=1).max()
         assert spread > 1.0
 
@@ -331,6 +394,24 @@ class TestGenerateSynthetic:
             SynthConfig(intra_class_edge_prob=0.0, inter_class_edge_prob=0.0, events_per_node=0)
         )
         assert len(graph.events) == 0
+
+
+class TestSavedBytes:
+    """The files ``save_graph`` writes for the shipped ``main`` data and its
+    4-period variant, pinned by the first 16 hex digits of their sha256."""
+
+    @pytest.mark.parametrize(
+        "case, digests",
+        [
+            ("main", ("94f93548b44ae05d", "3db73a07f942a5be", "7cc6386f1354bd25")),
+            ("scale-select", ("e402b22a9aea1571", "1a475c19eeaef6c0", "5aeb2c42355de897")),
+        ],
+    )
+    def test_sha256_prefixes(self, tmp_path, case, digests):
+        paths = save_graph(generate_synthetic(SynthConfig.from_dict(_GENERATOR_CASES[case])), tmp_path)
+        kinds = ("nodes", "events", "periods")
+        got = tuple(hashlib.sha256(paths[kind].read_bytes()).hexdigest()[:16] for kind in kinds)
+        assert got == digests
 
 
 class TestPersistence:
@@ -360,7 +441,7 @@ class TestPersistence:
     )
     def test_period_without_events_rejected(self, tmp_path, two_period_graph, events, entry, span):
         graph = TemporalGraph.from_parts(
-            two_period_graph.nodes.values(), event_columns(events), two_period_graph.periods
+            two_period_graph.nodes, event_columns(events), two_period_graph.periods
         )
         paths = save_graph(graph, tmp_path)
         with pytest.raises(GraphFormatError) as info:
@@ -509,12 +590,12 @@ class TestPersistence:
     def test_non_finite_period_bound_rejected_by_graph(self, two_period_graph):
         periods = (PeriodSpec(1, -np.inf, 1.0, (0,)),) + two_period_graph.periods[1:]
         with pytest.raises(ValueError, match=r"period 1: t_start -inf is not finite"):
-            TemporalGraph.from_parts(two_period_graph.nodes.values(), two_period_graph.events, periods)
+            TemporalGraph.from_parts(two_period_graph.nodes, two_period_graph.events, periods)
 
 
 def _two_period_parts():
     g = make_two_period_graph()
-    return list(g.nodes.values()), events_of(g), list(g.periods)
+    return nodes_of(g), events_of(g), list(g.periods)
 
 
 def _with(items, i, **changes):
@@ -582,9 +663,11 @@ _RULE_CASES = {
         r"classes \[0\] appear in an earlier entry",
         r"periods\.json: entry 1",
     ),
+    # the id column's type rejects it in memory, the parser in a file
     "node int64": (
         _edit_nodes(3, id=2**63),
-        r"node id 9223372036854775808 does not fit in int64",
+        r"(node column id holds float64, not int64"
+        r"|malformed node row: node id 9223372036854775808 does not fit in int64)",
         r"nodes\.csv:5",
     ),
     "non-finite feature": (
@@ -631,7 +714,7 @@ class TestRules:
         if place.startswith("periods"):
             text = f"period 2: {text}"
         with pytest.raises(ValueError, match=text):
-            TemporalGraph.from_parts(nodes, event_columns(events), periods)
+            TemporalGraph.from_parts(node_columns(nodes), event_columns(events), periods)
 
     @pytest.mark.parametrize("case", sorted(_RULE_CASES))
     def test_load_graph(self, tmp_path, case):
@@ -700,10 +783,10 @@ def _inject(kind, rng, nodes, events, periods):
     elif kind == "feature shape":
         nodes[j] = dataclasses.replace(rec, feature=pick([np.zeros(4), np.zeros(2), np.zeros((1, 3))]))
     elif kind == "unknown birth period":
-        nodes[j] = dataclasses.replace(rec, birth_period=pick([0, -1, len(periods) + 1, 2**64]))
+        nodes[j] = dataclasses.replace(rec, birth_period=pick([0, -1, len(periods) + 1]))
     elif kind == "class not in birth period":
         other = (rec.class_id + 2) % (2 * len(periods)) if len(periods) > 1 else 2
-        nodes[j] = dataclasses.replace(rec, class_id=pick([other, -1, 2**70]))
+        nodes[j] = dataclasses.replace(rec, class_id=pick([other, -1]))
     elif kind == "id beyond int64":
         nodes[j] = dataclasses.replace(rec, id=pick([2**63, -(2**63) - 1, 10**20]))
     else:
@@ -719,11 +802,18 @@ _FAULT_KINDS = {
     "NaN time": "timestamp nan outside all periods",
     "unsorted times": "events are not sorted by time",
     "non-finite feature": "has a non-finite feature",
-    "feature shape": "feature dimension of node",
+    "feature shape": "node column features holds rows of different dimensions",
     "unknown birth period": "is unknown (have 1..",
     "class not in birth period": "classes",
-    "id beyond int64": "does not fit in int64",
+    "id beyond int64": "node column id holds ",
 }
+
+#: the kinds that a node column's type rejects before any rule runs
+_COLUMN_KINDS = ("feature shape", "id beyond int64")
+
+
+def _id_sorted(nodes):
+    return sorted(nodes, key=lambda r: r.id)
 
 
 class TestRulesMatchRowByRow:
@@ -733,9 +823,10 @@ class TestRulesMatchRowByRow:
     @pytest.mark.parametrize("seed", range(6))
     def test_valid_graph_passes(self, seed):
         nodes, events, periods = _valid_parts(np.random.default_rng(seed))
-        assert reference_graph_fault(nodes, _time_sorted(events), periods) is None
-        graph = TemporalGraph.from_parts(nodes, event_columns(events), periods)
+        assert reference_graph_fault(_id_sorted(nodes), _time_sorted(events), periods) is None
+        graph = TemporalGraph.from_parts(node_columns(nodes), event_columns(events), periods)
         assert events_of(graph) == _time_sorted(events)
+        assert [r.id for r in nodes_of(graph)] == sorted(r.id for r in nodes)
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("kind", sorted(_FAULT_KINDS))
@@ -743,14 +834,20 @@ class TestRulesMatchRowByRow:
         rng = np.random.default_rng(seed)
         nodes, events, periods = _valid_parts(rng)
         nodes, events = _inject(kind, rng, nodes, events, periods)
+        if kind in _COLUMN_KINDS:
+            with pytest.raises(ValueError, match=_FAULT_KINDS[kind]):
+                TemporalGraph.from_parts(node_columns(nodes), event_columns(events), periods)
+            return
+        nodes = _id_sorted(nodes)  # as from_parts sorts them
         if kind == "unsorted times":  # from_parts would sort them
             want = reference_graph_fault(nodes, events, periods)
             with pytest.raises(ValueError) as info:
-                TemporalGraph({r.id: r for r in nodes}, EventTable(*event_columns(events)), tuple(periods))
+                nodes_table, events_table = NodeTable(*node_columns(nodes)), EventTable(*event_columns(events))
+                TemporalGraph(nodes_table, events_table, tuple(periods))
         else:
             want = reference_graph_fault(nodes, _time_sorted(events), periods)
             with pytest.raises(ValueError) as info:
-                TemporalGraph.from_parts(nodes, event_columns(events), periods)
+                TemporalGraph.from_parts(node_columns(nodes), event_columns(events), periods)
         assert want is not None and _FAULT_KINDS[kind] in want
         assert str(info.value) == want
 

@@ -426,6 +426,19 @@ class TestExecution:
         assert other.stat().st_mtime_ns == kept
         assert (out / "results.csv").read_bytes() == (fresh / "results.csv").read_bytes()
 
+    def test_run_directories_not_planned_are_named_and_kept(self, tmp_path):
+        out = tmp_path / "out"
+        execute(load_config(write_config(tmp_path, {**TINY, "seeds": [0, 1]}, "two.json")), out)
+        lines: list[str] = []
+        execute(load_config(write_config(tmp_path, TINY, "one.json")), out, echo=lines.append)
+        assert lines[1] == (
+            "2 run directories not planned by this config were left in place: finetune__seed1, joint__seed1"
+        )
+        assert len(lines) == 4  # the plan, the leftovers and two runs done
+        assert sorted(d.name for d in (out / "runs").iterdir()) == [
+            "finetune__seed0", "finetune__seed1", "joint__seed0", "joint__seed1",
+        ]
+
     def test_jobs_below_one_rejected(self, tmp_path):
         cfg = load_config(write_config(tmp_path, TINY))
         with pytest.raises(ValueError, match="jobs must be an integer >= 1, got 0"):
@@ -584,7 +597,7 @@ class TestCli:
     def test_bad_graph_file_is_a_data_error(self, tmp_path, capsys, fault):
         graph = make_two_period_graph()
         if fault == "empty_period":  # only period 1 holds events
-            graph = TemporalGraph.from_parts(graph.nodes.values(), event_columns([Event(0, 1, 0.5)]), graph.periods)
+            graph = TemporalGraph.from_parts(graph.nodes, event_columns([Event(0, 1, 0.5)]), graph.periods)
         paths = save_graph(graph, tmp_path / "data")
         if fault == "not_utf8":
             paths["nodes"].write_bytes(paths["nodes"].read_bytes().replace(b"\n", b"\n\xff\xfe", 1))
@@ -700,6 +713,21 @@ class TestCli:
         assert err == (
             f"select error: {scorer}: classes {want[::-1]} are not those of periods 1..1: {want}\n"
         )
+
+    @pytest.mark.parametrize("body", ['{"x', "[]"])
+    def test_report_skips_a_record_that_is_not_a_json_object(self, tmp_path, capsys, body):
+        out = tmp_path / "out"
+        assert cli.main(["run", str(write_config(tmp_path, TINY)), "--out", str(out), "--quiet"]) == 0
+        capsys.readouterr()
+        (out / "runs" / "finetune__seed0" / "record.json").write_text(body)
+        skipped = "is not a JSON object or is of a config other than .*: finetune__seed0$"
+        with pytest.warns(UserWarning, match=skipped):
+            assert cli.main(["report", str(out)]) == 0
+        assert "joint" in capsys.readouterr().out
+        (out / "runs" / "joint__seed0" / "record.json").write_text(body)
+        with pytest.warns(UserWarning, match="finetune__seed0, joint__seed0$"):
+            assert cli.main(["report", str(out)]) == 2
+        assert capsys.readouterr().err == f"report error: no run records under {out}\n"
 
     def test_report_without_records_exit_2(self, tmp_path, capsys):
         assert cli.main(["report", str(tmp_path)]) == 2

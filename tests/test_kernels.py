@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from tgcl.kernels import (
     mmd_sq,
 )
 
-from oracles import j_mmd, rbf
+from oracles import j_mmd, rbf, reference_median_gamma
 
 P1 = KernelParams(gamma=1.0)
 
@@ -193,6 +194,39 @@ class TestMedianHeuristic:
         a = median_heuristic_gamma(pts, seed=3).gamma
         b = median_heuristic_gamma(pts, seed=3).gamma
         assert a == b
+
+    # n points give n(n-1)/2 distances: 1, 3, 6, 10, 15, 780 and 820
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 40, 41])
+    @pytest.mark.parametrize("kind", ["normal", "grid", "coincident"])
+    def test_equals_median_of_a_copy_bit_for_bit(self, n, kind):
+        rng = np.random.default_rng(n)
+        if kind == "normal":
+            pts = rng.normal(size=(n, 3))
+        elif kind == "grid":  # few distinct distances, so the middle ones tie
+            pts = rng.integers(0, 3, size=(n, 2)).astype(float)
+        else:
+            pts = np.full((n, 3), 0.7)
+        want = reference_median_gamma(pts)
+        assert median_heuristic_gamma(pts).gamma == want
+        if kind == "coincident":
+            assert want == 1.0
+
+    def test_sample_above_the_cap_equals_oracle(self):
+        pts = np.random.default_rng(9).integers(0, 4, size=(60, 2)).astype(float)
+        sample = np.sort(np.random.default_rng(5).choice(60, size=25, replace=False))
+        assert median_heuristic_gamma(pts, seed=5, sample_cap=25).gamma == reference_median_gamma(pts[sample])
+
+    def test_peak_memory_is_below_two_distance_vectors(self):
+        # the median partitions the distances in place, not a copy of them
+        pts = np.random.default_rng(10).normal(size=(1000, 8))
+        vector = 1000 * 999 // 2 * 8  # bytes of the pdist result
+        tracemalloc.start()
+        try:
+            median_heuristic_gamma(pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vector <= peak < 2 * vector
 
 
 def test_kernel_matrix_offdiag_monotone_in_gamma():

@@ -128,7 +128,7 @@ class TestTimePerEpoch:
 def split_inputs(graph, view, split="test"):
     ids = view.nodes_of("all", split)
     z = node_inputs(graph, ids, graph.period(view.period_index).t_end)
-    return z, [graph.nodes[v].class_id for v in ids]
+    return z, graph.labels(ids).tolist()
 
 
 class TestPrecisionPerSet:

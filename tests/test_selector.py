@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import tgcl.backbone as backbone_module
 import tgcl.selector as selector_module
 from tgcl.backbone import Backbone, input_dim, node_inputs, snapshot
 from tgcl.graph import SynthConfig, generate_synthetic, split_period
@@ -25,7 +26,14 @@ from tgcl.selector import (
 )
 
 from conftest import trained_toy_snapshot
-from oracles import brute_force_select, greedy_reference, greedy_select_sim, greedy_select_sub, j_cls
+from oracles import (
+    brute_force_select,
+    greedy_reference,
+    greedy_select_sim,
+    greedy_select_sub,
+    j_cls,
+    reference_pool_scores,
+)
 
 
 def make_pool(rng, n, dim=2, gamma=1.0, jcls=None, ids=None):
@@ -106,14 +114,15 @@ class TestPartition:
         cfg = self.cfg(p=(len(old_train) + 1) // 2)
         parts = partition(old_train, cfg, seed=4)
         assert all(len(p) >= 1152 for p in parts)
-        classes = sorted({graph.nodes[v].class_id for v in old_train})
+        labels = dict(zip(old_train, graph.labels(old_train).tolist()))
+        classes = sorted(set(labels.values()))
         overall = {
-            c: sum(graph.nodes[v].class_id == c for v in old_train) / len(old_train)
+            c: sum(labels[v] == c for v in old_train) / len(old_train)
             for c in classes
         }
         for part in parts:
             for c in classes:
-                frac = sum(graph.nodes[v].class_id == c for v in part) / len(part)
+                frac = sum(labels[v] == c for v in part) / len(part)
                 assert abs(frac - overall[c]) <= 0.10
 
     @pytest.mark.parametrize("method", ["kmeans", "hierarchical"])
@@ -416,7 +425,23 @@ class TestBuildPool:
         z = node_inputs(graph, old_train, graph.period(2).t_end)
         assert len(pool.jcls) == len(old_train)
         for v, row, jc in zip(old_train, z, pool.jcls):
-            assert jc == pytest.approx(j_cls(prev, row, graph.nodes[v].class_id), rel=1e-12, abs=1e-15)
+            assert jc == pytest.approx(j_cls(prev, row, int(graph.labels([v])[0])), rel=1e-12, abs=1e-15)
+
+    def test_one_forward_gives_the_two_forward_scores(self, sel_setting, monkeypatch):
+        graph, view, prev = sel_setting
+        old_train = list(view.nodes_of("old", "train"))
+        emb, jcls = reference_pool_scores(graph, 2, old_train, prev)
+        rows: list[int] = []
+        forward = backbone_module._forward
+
+        def counting(model, z):
+            rows.append(len(z))
+            return forward(model, z)
+
+        monkeypatch.setattr(backbone_module, "_forward", counting)
+        pool = build_pool(graph, view, old_train, prev)
+        assert rows == [len(old_train)]
+        assert np.array_equal(pool.emb, emb) and np.array_equal(pool.jcls, jcls)
 
     def test_bandwidth_computed_only_by_select(self, sel_setting, monkeypatch):
         graph, view, prev = sel_setting
@@ -508,7 +533,7 @@ class TestSelect:
         buffer = select(graph, view, prev, cfg, seed=5)
         for entry in buffer.sub:
             assert entry.j_cls >= 0.0
-            assert graph.nodes[entry.node_id].class_id == entry.label
+            assert graph.labels([entry.node_id]).tolist() == [entry.label]
 
     def test_json_round_trip(self, sel_setting, tmp_path):
         graph, view, prev = sel_setting
@@ -552,7 +577,7 @@ class TestBaselines:
         pool = build_pool(graph, view, old_train, prev)
         by_class: dict[int, list[int]] = {}
         for v in old_train:
-            by_class.setdefault(graph.nodes[v].class_id, []).append(v)
+            by_class.setdefault(int(graph.labels([v])[0]), []).append(v)
         first_of_class: dict[int, int] = {}
         for entry in buffer.sub:
             first_of_class.setdefault(entry.label, entry.node_id)
@@ -567,7 +592,7 @@ class TestBaselines:
     def test_herding_identical_embeddings(self, sel_setting):
         graph, view, _ = sel_setting
         model = flat_model(feature_dim=4, classes=sorted(
-            {graph.nodes[v].class_id for v in graph.nodes}
+            set(graph.nodes.class_id.tolist())
         ))
         buffer = baseline_select("herding", graph, view, snapshot(model), 4, seed=3)
         assert len(buffer.sub) == 4

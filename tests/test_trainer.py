@@ -234,7 +234,7 @@ class TestTrainPeriod:
         # returned parameters reproduce the best validation AP, not the last
         val_ids = view2.nodes_of("all", "val")
         z_val = build_inputs(build_contexts(graph, val_ids, graph.period(2).t_end))
-        val_labels = [graph.nodes[v].class_id for v in val_ids]
+        val_labels = graph.labels(val_ids).tolist()
         class_sets = [graph.period(i).classes for i in (1, 2)]
         precisions = precision_per_set(model, z_val, val_labels, class_sets)
         assert np.mean(precisions) == pytest.approx(logged_best)
@@ -354,7 +354,7 @@ class TestRunStrategy:
         for strategy in ("joint", "finetune"):
             out = run_strategy(graph, strategy, sel, quick_train_cfg(), seed=3)
             model = out[1].model_snapshot
-            y = np.array([model.class_index(graph.nodes[v].class_id) for v in union_ids])
+            y = np.array([model.class_index(c) for c in graph.labels(union_ids).tolist()])
             losses[strategy], _ = loss_and_grads_from_inputs(model, z, y)
         assert losses["joint"] <= losses["finetune"]
 
