@@ -19,10 +19,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import harness
 from .backbone import load_checkpoint, snapshot
 from .graph import GraphFormatError, generate_synthetic, save_graph, split_period
+from .metrics import format_summary_table
 from .trainer import plan_period, selects
 
 
@@ -38,9 +40,12 @@ def _cmd_run(args) -> int:
     out_dir = args.out or cfg.get("output_dir")
     if not out_dir:
         return _fail("config", "output_dir: set it in the config or pass --out")
+    existing = next(p for p in (Path(out_dir), *Path(out_dir).parents) if p.exists())
+    if not existing.is_dir():
+        return _fail("run", f"{existing}: not a directory")
     echo = print if not args.quiet else None
     records = harness.execute(cfg, out_dir, jobs=args.jobs, resume=args.resume, echo=echo)
-    print(harness.render_table(records))
+    print(format_summary_table(records))
     print(f"results written to {out_dir}")
     return 0
 
@@ -92,7 +97,7 @@ def _cmd_report(args) -> int:
         records = harness.load_records(args.results_dir)
     except FileNotFoundError as exc:
         return _fail("report", exc)
-    print(harness.render_table(records))
+    print(format_summary_table(records))
     return 0
 
 

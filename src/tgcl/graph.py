@@ -68,6 +68,10 @@ def _frozen_column(table, kind: str, name: str, dtype) -> None:
     except ValueError:  # numpy refuses rows of unequal length
         raise ValueError(f"{kind} column {name} holds rows of different dimensions") from None
     if col.size and not np.can_cast(col.dtype, dtype):
+        if dtype is np.int64:  # numpy reads ints beyond int64 as float64, uint64 or object
+            for v in np.asarray(getattr(table, name), dtype=object).ravel():
+                if isinstance(v, int) and not -(2**63) <= v < 2**63:
+                    raise ValueError(f"{kind} column {name} holds {v}, which does not fit in int64")
         raise ValueError(f"{kind} column {name} holds {col.dtype}, not {np.dtype(dtype)}")
     col = col.astype(dtype)  # a copy, so the caller's array stays writable and ours cannot change
     col.setflags(write=False)

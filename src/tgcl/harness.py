@@ -4,10 +4,11 @@ A single JSON config describes the data source, strategies, selection and
 training settings, optional sweep grids, and seeds. Configs may pull in a
 preset (or another file) through an ``include`` key; explicit keys win.
 Every (strategy x sweep-point x seed) combination becomes one run with its
-own directory; completed runs leave a ``record.json`` marker so an
-interrupted invocation can resume. The aggregated ``results.csv`` and
-``summary.json`` are byte-deterministic for fixed config and seeds; wall
-times go to ``timing.jsonl`` instead.
+own directory; a completed run leaves its record, ``RunRecord.to_dict()``,
+in ``record.json``, so an interrupted invocation can resume. Only
+:func:`_read_record` reads that file back. The aggregated ``results.csv``
+and ``summary.json`` are byte-deterministic for fixed config and seeds;
+wall times go to ``timing.jsonl`` instead.
 
 Config keys, each checked at load; any other key, also inside ``data``,
 ``sel``, ``train``, ``kernel`` or ``sweeps``, is rejected by name.
@@ -42,14 +43,7 @@ from time import perf_counter
 from typing import Sequence
 
 from .graph import SynthConfig, TemporalGraph, generate_synthetic, load_graph
-from .metrics import (
-    PeriodMetrics,
-    RunRecord,
-    af as af_metric,
-    format_summary_table,
-    write_results_csv,
-    write_summary_json,
-)
+from .metrics import RunRecord, af as af_metric, format_summary_table, write_results_csv, write_summary_json
 from .selector import SelectionConfig
 from .trainer import ABLATIONS, STRATEGIES, TrainConfig, run_strategy
 
@@ -427,34 +421,8 @@ def _execute_run(run: tuple[RunSpec, Path, str], graph: TemporalGraph, memo: dic
     t0 = perf_counter()
 
     outcomes = run_strategy(
-        graph,
-        spec.strategy,
-        spec.sel,
-        spec.train,
-        seed=spec.seed,
-        hidden_dim=spec.hidden_dim,
-        kernel_squared=spec.kernel_squared,
-        memo=memo,
-    )
-
-    record = RunRecord(
-        strategy=spec.strategy,
-        variant=spec.variant,
-        seed=spec.seed,
-        config_hash=chash,
-        periods=[
-            PeriodMetrics(
-                period=o.period,
-                precisions=o.precisions,
-                ap=o.ap,
-                af=None,
-                epoch_wall_ms=[e["wall_ms"] for e in o.epoch_log],
-                selection_ms=o.selection_ms,
-                epochs_ran=o.epochs_ran,
-                best_epoch=o.best_epoch,
-            )
-            for o in outcomes
-        ],
+        graph, spec.strategy, spec.sel, spec.train,
+        seed=spec.seed, hidden_dim=spec.hidden_dim, kernel_squared=spec.kernel_squared, memo=memo,
     )
 
     with (run_dir / "epochs.jsonl").open("w") as fh:
@@ -463,16 +431,14 @@ def _execute_run(run: tuple[RunSpec, Path, str], graph: TemporalGraph, memo: dic
                 fh.write(json.dumps(entry) + "\n")
     for o in outcomes:
         if o.buffer is not None:
-            o.buffer.save(run_dir / f"buffer_p{o.period}.json")
+            o.buffer.save(run_dir / f"buffer_p{o.metrics.period}.json")
 
-    obj = {
-        **record.to_dict(),
-        "started_at": started,
-        "total_s": perf_counter() - t0,
-        "reused_periods": [o.period for o in outcomes if o.reused],
-    }
+    record = RunRecord(
+        spec.strategy, spec.variant, spec.seed, chash, [o.metrics for o in outcomes], started_at=started,
+        total_s=perf_counter() - t0, reused_periods=[o.metrics.period for o in outcomes if o.reused],
+    )
     tmp = run_dir / "record.json.tmp"
-    tmp.write_text(json.dumps(obj, indent=2) + "\n")
+    tmp.write_text(json.dumps(record.to_dict(), indent=2) + "\n")
     tmp.rename(run_dir / "record.json")
     return spec.run_id
 
@@ -506,11 +472,15 @@ def execute(
     ``total_s``. ``timing.jsonl`` lists each run's ``reused_periods``;
     which runs reuse a period may vary with ``jobs``.
 
-    With ``resume=True`` runs whose ``record.json`` already exists with
-    the current config hash are skipped, so a partially completed output
-    directory is finished rather than redone. A record left by a different
-    config, or one that is not a JSON object, is stale: that run is rerun.
-    Run directories that this config does not plan are left in place, and
+    Each run's ``record.json`` is its :class:`RunRecord`'s ``to_dict()``,
+    and the aggregates are built from the records as :func:`_read_record`
+    reads them back. With ``resume=True`` a run whose record reads back
+    with the current config hash is skipped, so a partially completed
+    output directory is finished rather than redone. Any other
+    ``record.json`` is stale and its run is rerun: one left by a different
+    config, or one that :func:`_read_record` cannot read (not UTF-8, JSON
+    or an object, a field missing or of another type, or no periods). Run
+    directories that this config does not plan are left in place, and
     ``echo`` names them. ``jobs`` below 1 raises ``ValueError``.
     """
     if jobs < 1:
@@ -522,9 +492,9 @@ def execute(
     (out / "config_hash.txt").write_text(chash + "\n")
 
     runs = [(spec, out / "runs" / spec.run_id, chash) for spec in plan_runs(cfg)]
-    recorded = [_recorded_hash(run_dir) if resume else None for _, run_dir, _ in runs]
-    pending = [run for run, h in zip(runs, recorded) if h != chash]
-    stale = sum(h not in (None, chash) for h in recorded)
+    recorded = [_read_record(run_dir) if resume else None for _, run_dir, _ in runs]
+    pending = [run for run, rec in zip(runs, recorded) if rec is None or rec.config_hash != chash]
+    stale = sum((run_dir / "record.json").exists() for _, run_dir, _ in pending) if resume else 0
     if echo:
         echo(f"{len(runs)} runs planned, {len(pending)} to execute (resume={resume})")
         if stale:
@@ -548,102 +518,68 @@ def execute(
             if echo:
                 echo(f"done {run_id}")
 
-    records, extras = [], []
-    for _, run_dir, _ in runs:
-        obj = json.loads((run_dir / "record.json").read_text())
-        records.append(RunRecord.from_dict(obj))
-        extras.append({key: obj.get(key) for key in ("started_at", "total_s", "reused_periods")})
-
+    records = [_read_record(run_dir) for _, run_dir, _ in runs]
     _fill_af(records)
     write_results_csv(records, out / "results.csv")
     write_summary_json(records, out / "summary.json")
-    _write_timing(records, extras, out / "timing.jsonl")
-    (out / "summary.txt").write_text(render_table(records) + "\n")
+    _write_timing(records, out / "timing.jsonl")
+    (out / "summary.txt").write_text(format_summary_table(records) + "\n")
     return records
 
 
-def _read_record(path: Path) -> dict | None:
-    """The JSON object in a ``record.json``; None when it is not one (not
-    UTF-8, not JSON or not an object)."""
+def _read_record(run_dir: Path) -> RunRecord | None:
+    """The record in ``run_dir``'s ``record.json``: None when there is none
+    or it cannot be read, as a file of UTF-8 JSON, or is not a record (see
+    :meth:`RunRecord.from_dict`)."""
     try:
-        obj = json.loads(path.read_text())
-    except ValueError:
+        return RunRecord.from_dict(json.loads((run_dir / "record.json").read_text()))
+    except (OSError, ValueError):  # missing or a directory, not UTF-8 or JSON, not a record
         return None
-    return obj if isinstance(obj, dict) else None
-
-
-def _recorded_hash(run_dir: Path) -> str | None:
-    """Config hash of a run's ``record.json``: ``None`` when there is none,
-    and ``""`` (a stale run) when it is not a JSON object."""
-    path = run_dir / "record.json"
-    if not path.exists():
-        return None
-    return (_read_record(path) or {}).get("config_hash") or ""
 
 
 def _fill_af(records: Sequence[RunRecord]) -> None:
-    joint = {
-        rec.seed: rec for rec in records if rec.strategy == "joint" and rec.variant == ""
-    }
+    """Set the AF of every period from 2 on against the seed's ``joint`` run."""
+    joint = {rec.seed: rec for rec in records if rec.strategy == "joint" and rec.variant == ""}
     for rec in records:
-        ref = joint.get(rec.seed)
-        if rec.strategy == "joint" or ref is None:
+        if rec.strategy == "joint" or rec.seed not in joint:
             continue
+        ref = {pm.period: pm.precisions for pm in joint[rec.seed].periods}
         for pm in rec.periods:
-            if pm.period < 2:
-                continue
-            try:
-                pm.af = af_metric(pm.precisions, ref.period_metrics(pm.period).precisions)
-            except (KeyError, ValueError):
-                pm.af = None
+            if pm.period >= 2:
+                try:
+                    pm.af = af_metric(pm.precisions, ref[pm.period])
+                except (KeyError, ValueError):
+                    pm.af = None
 
 
-def _final_epoch_ms(rec: RunRecord) -> float | None:
-    """Mean epoch wall time of a run's final period; None without epochs."""
-    ms = rec.final.epoch_wall_ms
-    return sum(ms) / len(ms) if ms else None
-
-
-def _write_timing(records, extras, path: Path) -> None:
+def _write_timing(records: Sequence[RunRecord], path: Path) -> None:
+    keys = ("strategy", "variant", "seed", "started_at", "total_s", "reused_periods")
     with path.open("w") as fh:
-        for rec, extra in zip(records, extras):
-            row = {"strategy": rec.strategy, "variant": rec.variant, "seed": rec.seed, **extra}
-            row["final_epoch_ms_mean"] = _final_epoch_ms(rec)
+        for rec in records:
+            row = {key: getattr(rec, key) for key in keys}
+            row["final_epoch_ms_mean"] = rec.final_epoch_ms
             row["selection_ms_per_period"] = [pm.selection_ms for pm in rec.periods]
             fh.write(json.dumps(row) + "\n")
-
-
-def group_timings(records: Sequence[RunRecord]) -> dict[str, float]:
-    groups: dict[str, list[float]] = {}
-    for rec in records:
-        key = rec.strategy if not rec.variant else f"{rec.strategy}|{rec.variant}"
-        if rec.final.epoch_wall_ms:
-            groups.setdefault(key, []).append(_final_epoch_ms(rec))
-    return {k: sum(v) / len(v) for k, v in groups.items()}
-
-
-def render_table(records: Sequence[RunRecord]) -> str:
-    return format_summary_table(records, timings=group_timings(records))
 
 
 def load_records(out_dir: str | Path) -> list[RunRecord]:
     """Rebuild records from a results directory's per-run record files: only
     those of its ``config_hash.txt``, when it has one. One warning names the
-    runs skipped, whose record is not a JSON object (read as
-    :func:`execute` reads it on resume) or is another config's."""
+    runs skipped, whose record :func:`_read_record` cannot read (it is
+    stale, as on resume) or is another config's."""
     out = Path(out_dir)
     hash_file = out / "config_hash.txt"
     chash = hash_file.read_text().strip() if hash_file.exists() else None
     records, skipped = [], []
-    for path in sorted(out.glob("runs/*/record.json")):
-        obj = _read_record(path)
-        if obj is not None and (chash is None or obj.get("config_hash") == chash):
-            records.append(RunRecord.from_dict(obj))
+    for run_dir in sorted(path.parent for path in out.glob("runs/*/record.json")):
+        rec = _read_record(run_dir)
+        if rec is not None and (chash is None or rec.config_hash == chash):
+            records.append(rec)
         else:
-            skipped.append(path.parent.name)
+            skipped.append(run_dir.name)
     if skipped:
         warnings.warn(
-            f"{out}: skipped runs whose record is not a JSON object or is of a config other than {chash}:"
+            f"{out}: skipped runs whose record is not a run record or is of a config other than {chash}:"
             f" {', '.join(skipped)}",
             stacklevel=2,
         )

@@ -12,9 +12,9 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -116,37 +116,62 @@ class PeriodMetrics:
 
 @dataclass
 class RunRecord:
-    """All per-period metrics of one (strategy, variant, seed) run."""
+    """All per-period metrics of one (strategy, variant, seed) run, and its
+    start time, wall time and the periods it took from the period memo.
+    :meth:`to_dict` is the run's ``record.json``."""
 
     strategy: str
     variant: str
     seed: int
     config_hash: str
     periods: list[PeriodMetrics] = field(default_factory=list)
-
-    def period_metrics(self, n: int) -> PeriodMetrics:
-        for pm in self.periods:
-            if pm.period == n:
-                return pm
-        raise KeyError(f"run has no period {n}")
+    started_at: str | None = None
+    total_s: float | None = None
+    reused_periods: list[int] = field(default_factory=list)
 
     @property
     def final(self) -> PeriodMetrics:
         return self.periods[-1]
 
+    @property
+    def final_epoch_ms(self) -> float | None:
+        """Mean epoch wall time of the final period; None without epochs."""
+        ms = self.final.epoch_wall_ms
+        return sum(ms) / len(ms) if ms else None
+
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RunRecord":
-        periods = [PeriodMetrics(**p) for p in d["periods"]]
-        return cls(
-            strategy=d["strategy"],
-            variant=d["variant"],
-            seed=int(d["seed"]),
-            config_hash=d["config_hash"],
-            periods=periods,
-        )
+    def from_dict(cls, d) -> "RunRecord":
+        """The record whose :meth:`to_dict` is ``d``; ``ValueError`` when ``d``
+        is not an object, lacks a field, holds one of another JSON type than
+        its annotation or has no periods."""
+        run = _json_fields(cls, d)
+        if not run["periods"]:
+            raise ValueError("RunRecord: periods is empty")
+        run["periods"] = [PeriodMetrics(**_json_fields(PeriodMetrics, pm)) for pm in run["periods"]]
+        return cls(**run)
+
+
+#: The JSON types of the names in field annotations; any other name is an object.
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "None": type(None)}
+
+
+def _is_json(value, annotation: str) -> bool:
+    if annotation.startswith("list["):
+        return isinstance(value, list) and all(_is_json(v, annotation[5:-1]) for v in value)
+    return isinstance(value, tuple(_JSON_TYPES.get(name, dict) for name in annotation.split(" | ")))
+
+
+def _json_fields(cls, d) -> dict:
+    """The fields of dataclass ``cls`` in ``d``, each checked against its annotation."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{cls.__name__}: not a JSON object")
+    for f in fields(cls):
+        if f.name not in d or not _is_json(d[f.name], f.type):
+            raise ValueError(f"{cls.__name__}: field {f.name} is missing or not of type {f.type}")
+    return {f.name: d[f.name] for f in fields(cls)}
 
 
 RESULT_COLUMNS = ("strategy", "variant", "seed", "period", "ap", "af", "config_hash")
@@ -170,16 +195,22 @@ def write_results_csv(records: Sequence[RunRecord], path: str | Path) -> None:
             w.writerow([strategy, variant, seed, period, _fmt(ap_val), _fmt(af_val), h])
 
 
+def _by_method(records: Sequence[RunRecord]) -> dict[str, list[RunRecord]]:
+    """Records by method, ``strategy`` or ``strategy|variant``, in
+    (strategy, variant) order."""
+    groups: dict[str, list[RunRecord]] = {}
+    for rec in sorted(records, key=lambda r: (r.strategy, r.variant)):
+        key = rec.strategy if not rec.variant else f"{rec.strategy}|{rec.variant}"
+        groups.setdefault(key, []).append(rec)
+    return groups
+
+
 def summarize(records: Sequence[RunRecord]) -> dict:
-    """Per-(strategy, variant) mean and std over seeds at the final period."""
-    groups: dict[tuple[str, str], list[RunRecord]] = {}
-    for rec in records:
-        groups.setdefault((rec.strategy, rec.variant), []).append(rec)
+    """Per-method mean and std over seeds at the final period."""
     out: dict[str, dict] = {}
-    for (strategy, variant), recs in sorted(groups.items()):
+    for key, recs in _by_method(records).items():
         aps = [r.final.ap for r in recs]
         afs = [r.final.af for r in recs if r.final.af is not None]
-        key = strategy if not variant else f"{strategy}|{variant}"
         entry = {
             "n_seeds": len(recs),
             "final_period": recs[0].final.period,
@@ -197,16 +228,15 @@ def write_summary_json(records: Sequence[RunRecord], path: str | Path) -> None:
     Path(path).write_text(json.dumps(summarize(records), indent=2, sort_keys=True) + "\n")
 
 
-def format_summary_table(
-    records: Sequence[RunRecord], timings: Mapping[str, float] | None = None
-) -> str:
-    """Human-readable comparison table (AP up, AF down, Time down)."""
-    summary = summarize(records)
+def format_summary_table(records: Sequence[RunRecord]) -> str:
+    """Human-readable comparison table (AP up, AF down, Time down); Time is
+    the per-method mean of :attr:`RunRecord.final_epoch_ms`."""
     lines = [f"{'method':<28}{'AP^':>16}{'AFv':>16}{'Time(ms)v':>12}"]
-    for key, s in summary.items():
+    groups = _by_method(records)
+    for key, s in summarize(records).items():
         ap_txt = f"{s['ap_mean']:.4f}±{s['ap_std']:.4f}"
         af_txt = f"{s['af_mean']:.4f}±{s['af_std']:.4f}" if "af_mean" in s else "---"
-        t = timings.get(key) if timings else None
-        t_txt = f"{t:.1f}" if t is not None else "---"
+        ms = [r.final_epoch_ms for r in groups[key] if r.final_epoch_ms is not None]
+        t_txt = f"{sum(ms) / len(ms):.1f}" if ms else "---"
         lines.append(f"{key:<28}{ap_txt:>16}{af_txt:>16}{t_txt:>12}")
     return "\n".join(lines)

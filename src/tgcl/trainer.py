@@ -47,8 +47,7 @@ from .backbone import (
 )
 from .graph import TRAIN, VAL, TEST, PeriodView, TemporalGraph, split_period
 from .kernels import KernelParams, _distances
-from .metrics import ap as ap_metric
-from .metrics import precision_per_set
+from .metrics import PeriodMetrics, ap as ap_metric, precision_per_set
 from .selector import (
     ReplayBuffer,
     SelectionConfig,
@@ -341,16 +340,17 @@ def train_period(
 
 @dataclass
 class PeriodOutcome:
-    period: int
-    precisions: list[float | None]
-    ap: float
+    """One period of a run: ``metrics``, the row of the run's record (with
+    ``af`` unset, which needs the reference run), and what the record
+    leaves out: the epoch log, the replay buffer (None when the period
+    selects none), the period-end model and whether the period was trained
+    and scored by an earlier run sharing the memo (``reused``)."""
+
+    metrics: PeriodMetrics
     epoch_log: list[dict]
-    selection_ms: float
-    epochs_ran: int
-    best_epoch: int
     buffer: ReplayBuffer | None
     model_snapshot: Snapshot
-    reused: bool = False  # trained and scored by an earlier run sharing the memo
+    reused: bool = False
 
 
 def _memo_key(model: Backbone, view: PeriodView, plan: PeriodPlan, cfg: TrainConfig, *, seed: int) -> tuple:
@@ -439,18 +439,9 @@ def run_strategy(
             )
             memo[key] = copy.deepcopy((model.parameters(), result, precisions))
         prev = snapshot(model)
-        outcomes.append(
-            PeriodOutcome(
-                period=n,
-                precisions=precisions,
-                ap=ap_metric(precisions),
-                epoch_log=result.log,
-                selection_ms=sel_ms,
-                epochs_ran=result.epochs_ran,
-                best_epoch=result.best_epoch,
-                buffer=buffer,
-                model_snapshot=prev,
-                reused=reused,
-            )
+        metrics = PeriodMetrics(
+            n, precisions, ap_metric(precisions), epoch_wall_ms=[e["wall_ms"] for e in result.log],
+            selection_ms=sel_ms, epochs_ran=result.epochs_ran, best_epoch=result.best_epoch,
         )
+        outcomes.append(PeriodOutcome(metrics, result.log, buffer, prev, reused))
     return outcomes

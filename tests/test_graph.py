@@ -131,8 +131,8 @@ class TestNodeTable:
     @pytest.mark.parametrize(
         "columns, message",
         [
-            (([0], [2**70], [1], [[0.0]]), r"node column class_id holds object, not int64"),
-            (([0], [0], [2**64], [[0.0]]), r"node column birth_period holds object, not int64"),
+            (([0], [2**70], [1], [[0.0]]), rf"node column class_id holds {2**70}, which does not fit in int64"),
+            (([0], [0], [2**64], [[0.0]]), rf"node column birth_period holds {2**64}, which does not fit in int64"),
             (([0.5], [0], [1], [[0.0]]), r"node column id holds float64, not int64"),
             (([0, 1], [0, 0], [1, 1], [[0.0], [0.0, 1.0]]), r"node column features holds rows of different"),
             (([0], [0], [1], [["a"]]), r"node column features holds <U1, not float64"),
@@ -143,6 +143,24 @@ class TestNodeTable:
     def test_node_columns_are_checked(self, columns, message):
         with pytest.raises(ValueError, match=message):
             NodeTable(*columns)
+
+    @pytest.mark.parametrize("table", ["node", "event"])
+    @pytest.mark.parametrize("ids, wide", [([5, 2**63], 2**63), ([-(2**63) - 1, 0], -(2**63) - 1), ([10**20], 10**20)])
+    def test_the_first_id_beyond_int64_is_named(self, table, ids, wide):
+        n = len(ids)
+        build = {
+            "node": lambda: NodeTable(ids, [0] * n, [1] * n, [[0.0]] * n),
+            "event": lambda: EventTable([0] * n, ids, [0.5] * n),
+        }[table]
+        column = "id" if table == "node" else "dst"
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == f"{table} column {column} holds {wide}, which does not fit in int64"
+
+    def test_a_float_id_is_named_by_its_type(self):
+        with pytest.raises(ValueError) as info:
+            NodeTable([1.5], [0], [1], [[0.0]])
+        assert str(info.value) == "node column id holds float64, not int64"
 
     @pytest.mark.parametrize("column, what", [(0, "node id"), (1, "class"), (2, "period")])
     def test_loader_names_the_line_of_a_label_beyond_int64(self, tmp_path, column, what):
@@ -666,7 +684,7 @@ _RULE_CASES = {
     # the id column's type rejects it in memory, the parser in a file
     "node int64": (
         _edit_nodes(3, id=2**63),
-        r"(node column id holds float64, not int64"
+        r"(node column id holds 9223372036854775808, which does not fit in int64"
         r"|malformed node row: node id 9223372036854775808 does not fit in int64)",
         r"nodes\.csv:5",
     ),
@@ -873,8 +891,8 @@ class TestRulesMatchRowByRow:
             (([0, 1], [1, 0], [0.5]), r"must be 1-d and of one length"),
             (([[0, 1]], [[1, 0]], [[0.5, 0.6]]), r"must be 1-d and of one length"),
             (([0.0], [1], [0.5]), r"event column src holds float64, not int64"),
-            (([0], [2**63], [0.5]), r"event column dst holds uint64, not int64"),
-            (([0], [10**20], [0.5]), r"event column dst holds object, not int64"),
+            (([0], [2**63], [0.5]), rf"event column dst holds {2**63}, which does not fit in int64"),
+            (([0], [10**20], [0.5]), rf"event column dst holds {10**20}, which does not fit in int64"),
             (([0], [1], ["0.5"]), r"event column t holds <U3, not float64"),
         ],
     )

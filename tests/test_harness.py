@@ -19,9 +19,9 @@ from tgcl.harness import (
     load_data,
     load_records,
     plan_runs,
-    render_table,
 )
 from tgcl.graph import TemporalGraph, save_graph
+from tgcl.metrics import RunRecord, format_summary_table
 from tgcl.trainer import run_strategy
 
 from conftest import make_two_period_graph
@@ -66,6 +66,38 @@ def write_config(tmp_path, cfg, name="config.json"):
 def read_rows(out_dir):
     with (out_dir / "results.csv").open() as fh:
         return list(csv.DictReader(fh))
+
+
+#: Ways to leave a run's ``record.json`` stale: each maps the record's
+#: object to the text written over it
+STALE_RECORDS = {
+    '{"x': lambda rec: '{"x',
+    "[]": lambda rec: "[]",
+    "hash only": lambda rec: json.dumps({"config_hash": rec["config_hash"]}),
+    "periods a string": lambda rec: json.dumps({**rec, "periods": "x"}),
+    "no periods": lambda rec: json.dumps({**rec, "periods": []}),
+}
+
+
+def spoil_record(run_dir, kind):
+    """Make ``run_dir``'s record stale in the way ``kind`` names: one of
+    :data:`STALE_RECORDS`, or ``directory`` for a directory in its place."""
+    path = run_dir / "record.json"
+    if kind == "directory":
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_text(STALE_RECORDS[kind](json.loads(path.read_text())))
+
+
+#: The key order of a ``record.json``, of each of its periods and of a
+#: ``timing.jsonl`` row
+RECORD_KEYS = ["strategy", "variant", "seed", "config_hash", "periods", "started_at", "total_s", "reused_periods"]
+PERIOD_KEYS = ["period", "precisions", "ap", "af", "epoch_wall_ms", "selection_ms", "epochs_ran", "best_epoch"]
+TIMING_KEYS = [
+    "strategy", "variant", "seed", "started_at", "total_s", "reused_periods",
+    "final_epoch_ms_mean", "selection_ms_per_period",
+]
 
 
 class TestConfigLoading:
@@ -374,7 +406,7 @@ class TestExecution:
 
     def test_report_round_trip(self, tiny_results):
         out, _, records = tiny_results
-        table = render_table(load_records(out))
+        table = format_summary_table(load_records(out))
         assert "finetune" in table and "joint" in table
 
     def test_resume_skips_completed(self, tiny_results, tmp_path):
@@ -425,6 +457,36 @@ class TestExecution:
         assert json.loads(victim.read_text())["config_hash"] == config_hash(cfg)
         assert other.stat().st_mtime_ns == kept
         assert (out / "results.csv").read_bytes() == (fresh / "results.csv").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["hash only", "periods a string", "no periods"])
+    def test_resume_reruns_a_record_that_is_not_a_run_record(self, tiny_results, tmp_path, kind):
+        cfg = load_config(write_config(tmp_path, TINY))
+        out = tmp_path / "out"
+        execute(cfg, out)
+        victim = out / "runs" / "finetune__seed0"
+        spoil_record(victim, kind)
+        lines: list[str] = []
+        execute(cfg, out, resume=True, echo=lines.append)
+        assert lines[:2] == [
+            "2 runs planned, 1 to execute (resume=True)",
+            "1 stale runs from another config hash will be rerun",
+        ]
+        assert list(json.loads((victim / "record.json").read_text())) == RECORD_KEYS
+        fresh = tiny_results[0]
+        assert (out / "results.csv").read_bytes() == (fresh / "results.csv").read_bytes()
+
+    def test_record_and_timing_key_order(self, tiny_results):
+        out, _, _ = tiny_results
+        for rd in sorted((out / "runs").iterdir()):
+            record = json.loads((rd / "record.json").read_text())
+            assert list(record) == RECORD_KEYS
+            assert [list(pm) for pm in record["periods"]] == [PERIOD_KEYS] * 2
+        rows = [json.loads(line) for line in (out / "timing.jsonl").read_text().splitlines()]
+        assert [list(row) for row in rows] == [TIMING_KEYS] * 2
+
+    def test_summary_txt_is_the_table_of_the_records(self, tiny_results):
+        out, _, _ = tiny_results
+        assert (out / "summary.txt").read_text() == format_summary_table(load_records(out)) + "\n"
 
     def test_run_directories_not_planned_are_named_and_kept(self, tmp_path):
         out = tmp_path / "out"
@@ -714,20 +776,32 @@ class TestCli:
             f"select error: {scorer}: classes {want[::-1]} are not those of periods 1..1: {want}\n"
         )
 
-    @pytest.mark.parametrize("body", ['{"x', "[]"])
-    def test_report_skips_a_record_that_is_not_a_json_object(self, tmp_path, capsys, body):
+    @pytest.mark.parametrize("kind", [*STALE_RECORDS, "directory"])
+    def test_report_skips_a_record_that_is_not_a_json_object(self, tmp_path, capsys, kind):
         out = tmp_path / "out"
         assert cli.main(["run", str(write_config(tmp_path, TINY)), "--out", str(out), "--quiet"]) == 0
         capsys.readouterr()
-        (out / "runs" / "finetune__seed0" / "record.json").write_text(body)
-        skipped = "is not a JSON object or is of a config other than .*: finetune__seed0$"
+        spoil_record(out / "runs" / "finetune__seed0", kind)
+        skipped = "is not a run record or is of a config other than .*: finetune__seed0$"
         with pytest.warns(UserWarning, match=skipped):
             assert cli.main(["report", str(out)]) == 0
         assert "joint" in capsys.readouterr().out
-        (out / "runs" / "joint__seed0" / "record.json").write_text(body)
+        spoil_record(out / "runs" / "joint__seed0", kind)
         with pytest.warns(UserWarning, match="finetune__seed0, joint__seed0$"):
             assert cli.main(["report", str(out)]) == 2
         assert capsys.readouterr().err == f"report error: no run records under {out}\n"
+
+    @pytest.mark.parametrize("below", ["", "sub/dir"])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_run_into_a_file_exit_2(self, tmp_path, capsys, via_config, below):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = str(taken / below) if below else str(taken)
+        cfg = {**TINY, "output_dir": out} if via_config else TINY
+        argv = ["run", str(write_config(tmp_path, cfg))] + ([] if via_config else ["--out", out])
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"run error: {taken}: not a directory\n"
+        assert taken.read_text() == "kept\n"
 
     def test_report_without_records_exit_2(self, tmp_path, capsys):
         assert cli.main(["report", str(tmp_path)]) == 2
@@ -903,3 +977,64 @@ def test_period_memo_outputs_do_not_depend_on_jobs(tmp_path):
     execute(cfg, tmp_path / "pool", jobs=2)
     assert memo_outputs(tmp_path / "serial") == memo_outputs(tmp_path / "pool")
     assert all(set(r) <= {1} for r in reused_periods(tmp_path / "pool").values())
+
+
+#: A ``record.json`` as written before the record held its timing fields
+#: (they were added beside ``RunRecord.to_dict()``): it must still resume.
+PARENT_RECORD = """\
+{
+  "strategy": "finetune",
+  "variant": "",
+  "seed": 0,
+  "config_hash": "482055dc1a6b",
+  "periods": [
+    {
+      "period": 1,
+      "precisions": [
+        0.5
+      ],
+      "ap": 0.5,
+      "af": null,
+      "epoch_wall_ms": [
+        0.5534930000976601,
+        0.23411400002260052
+      ],
+      "selection_ms": 0.0,
+      "epochs_ran": 2,
+      "best_epoch": 0
+    },
+    {
+      "period": 2,
+      "precisions": [
+        0.0,
+        1.0
+      ],
+      "ap": 0.5,
+      "af": null,
+      "epoch_wall_ms": [
+        0.45682200016017305,
+        0.25069100001928746
+      ],
+      "selection_ms": 0.0,
+      "epochs_ran": 2,
+      "best_epoch": 0
+    }
+  ],
+  "started_at": "2026-10-19T16:46:12.742154+00:00",
+  "total_s": 0.002121774999977788,
+  "reused_periods": [
+    1
+  ]
+}
+"""
+
+
+def test_a_record_of_the_earlier_format_reads_back_equal(tmp_path):
+    from tgcl import harness
+
+    (tmp_path / "record.json").write_text(PARENT_RECORD)
+    record = harness._read_record(tmp_path)
+    assert (record.total_s, record.reused_periods, record.final_epoch_ms) == (
+        0.002121774999977788, [1], (0.45682200016017305 + 0.25069100001928746) / 2
+    )
+    assert json.dumps(record.to_dict(), indent=2) + "\n" == PARENT_RECORD

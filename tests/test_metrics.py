@@ -10,6 +10,7 @@ from tgcl.metrics import (
     RunRecord,
     af,
     ap,
+    format_summary_table,
     per_set_accuracy,
     precision_per_set,
     summarize,
@@ -184,6 +185,21 @@ def make_record(strategy, seed, aps, afs=None, variant=""):
     )
 
 
+#: Edits of a stored record that leave it no record
+NOT_RECORDS = {
+    "not an object": lambda d: [d],
+    "no seed": lambda d: {k: v for k, v in d.items() if k != "seed"},
+    "seed a string": lambda d: {**d, "seed": "0"},
+    "total_s a string": lambda d: {**d, "total_s": "1.0"},
+    "periods a string": lambda d: {**d, "periods": "x"},
+    "no periods": lambda d: {**d, "periods": []},
+    "period a list": lambda d: {**d, "periods": [[]]},
+    "reused period a float": lambda d: {**d, "reused_periods": [1.0]},
+    "precision a string": lambda d: {**d, "periods": [{**d["periods"][0], "precisions": ["0.5"]}]},
+    "period without af": lambda d: {**d, "periods": [{k: v for k, v in d["periods"][0].items() if k != "af"}]},
+}
+
+
 class TestRecordsAndTables:
     def test_results_csv_layout_and_determinism(self, tmp_path):
         records = [
@@ -219,3 +235,20 @@ class TestRecordsAndTables:
         rec = make_record("er", 3, [0.5, 0.4], [None, 0.1], variant="alpha=2")
         again = RunRecord.from_dict(rec.to_dict())
         assert again == rec
+
+    def test_table_time_is_the_per_method_mean_of_final_epoch_ms(self):
+        records = [make_record("er", seed, [0.5, 0.5]) for seed in (0, 1)] + [make_record("joint", 0, [0.9])]
+        records[0].periods[0].epoch_wall_ms = [100.0]  # an earlier period does not count
+        records[0].final.epoch_wall_ms = [1.0, 3.0]
+        records[1].final.epoch_wall_ms = [5.0]
+        assert [r.final_epoch_ms for r in records] == [2.0, 5.0, None]
+        table = format_summary_table(records).splitlines()
+        assert [line.split()[0] for line in table[1:]] == ["er", "joint"]
+        assert [line.split()[-1] for line in table[1:]] == ["3.5", "---"]
+
+    @pytest.mark.parametrize("edit", sorted(NOT_RECORDS))
+    def test_from_dict_refuses_what_is_not_a_record(self, edit):
+        d = make_record("er", 3, [0.5, 0.4], [None, 0.1]).to_dict()
+        assert RunRecord.from_dict(d).to_dict() == d
+        with pytest.raises(ValueError):
+            RunRecord.from_dict(NOT_RECORDS[edit](d))

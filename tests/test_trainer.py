@@ -322,14 +322,14 @@ class TestRunStrategy:
         aps = {}
         for strategy in ("joint", "finetune", "er", "ltf"):
             out = run_strategy(graph, strategy, sel, quick_train_cfg(), seed=9)
-            aps[strategy] = out[0].ap
+            aps[strategy] = out[0].metrics.ap
         assert len(set(aps.values())) == 1
 
     def test_buffer_nodes_are_current_period_old_nodes(self, drift_graph):
         sel = SelectionConfig(m=8, m_prime=6, p=40)
         out = run_strategy(drift_graph, "ltf", sel, quick_train_cfg(epochs=4), seed=3)
         for outcome in out[1:]:
-            view = split_period(drift_graph, outcome.period, split_seed=3)
+            view = split_period(drift_graph, outcome.metrics.period, split_seed=3)
             assert set(outcome.buffer.sub_ids) <= set(view.nodes_of("old", "train"))
             assert set(outcome.buffer.sim) <= set(view.nodes_of("old", "train"))
 
@@ -338,10 +338,10 @@ class TestRunStrategy:
         joint = run_strategy(drift_graph, "joint", sel, quick_train_cfg(), seed=3)
         fine = run_strategy(drift_graph, "finetune", sel, quick_train_cfg(), seed=3)
         n = drift_graph.num_periods
-        old_joint = np.mean([p for p in joint[-1].precisions[: n - 1] if p is not None])
-        old_fine = np.mean([p for p in fine[-1].precisions[: n - 1] if p is not None])
+        old_joint = np.mean([p for p in joint[-1].metrics.precisions[: n - 1] if p is not None])
+        old_fine = np.mean([p for p in fine[-1].metrics.precisions[: n - 1] if p is not None])
         assert old_fine < old_joint
-        assert fine[-1].ap < joint[-1].ap
+        assert fine[-1].metrics.ap < joint[-1].metrics.ap
 
     def test_joint_train_loss_not_worse_on_union(self, drift_graph):
         graph = drift_graph
@@ -361,8 +361,9 @@ class TestRunStrategy:
     def test_selection_time_excluded_from_epoch_time(self, drift_graph):
         sel = SelectionConfig(m=8, m_prime=6, p=40)
         out = run_strategy(drift_graph, "ltf", sel, quick_train_cfg(epochs=3), seed=3)
-        assert out[1].selection_ms > 0.0
+        assert out[1].metrics.selection_ms > 0.0
         assert all(e["wall_ms"] > 0.0 for o in out for e in o.epoch_log)
+        assert all(o.metrics.epoch_wall_ms == [e["wall_ms"] for e in o.epoch_log] for o in out)
 
     def test_unknown_strategy(self, drift_graph):
         with pytest.raises(ValueError, match="unknown strategy"):
@@ -376,9 +377,9 @@ def without_wall_ms(epoch_log):
 def assert_same_outcomes(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert g.precisions == w.precisions and g.ap == w.ap
+        assert g.metrics.precisions == w.metrics.precisions and g.metrics.ap == w.metrics.ap
         assert without_wall_ms(g.epoch_log) == without_wall_ms(w.epoch_log)
-        assert (g.epochs_ran, g.best_epoch) == (w.epochs_ran, w.best_epoch)
+        assert (g.metrics.epochs_ran, g.metrics.best_epoch) == (w.metrics.epochs_ran, w.metrics.best_epoch)
         assert (g.buffer is None) == (w.buffer is None)
         if g.buffer is not None:
             assert (g.buffer.sub_ids, g.buffer.sim) == (w.buffer.sub_ids, w.buffer.sim)
@@ -425,7 +426,7 @@ class TestPeriodMemo:
             assert_same_outcomes(out, run_strategy(drift_graph, strategy, self.SEL, cfg, seed=3))
         # a reused period is a copy: changing one run's outcome leaves the memo as it was
         shared["er"][0].epoch_log.clear()
-        shared["er"][0].precisions[0] = -1.0
+        shared["er"][0].metrics.precisions[0] = -1.0
         again = run_strategy(drift_graph, "ltf", self.SEL, cfg, seed=3, memo=memo)
         assert_same_outcomes(again, shared["ltf"])
         assert all(o.reused for o in again)
