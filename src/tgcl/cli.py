@@ -44,7 +44,10 @@ def _cmd_run(args) -> int:
     if not existing.is_dir():
         return _fail("run", f"{existing}: not a directory")
     echo = print if not args.quiet else None
-    records = harness.execute(cfg, out_dir, jobs=args.jobs, resume=args.resume, echo=echo)
+    try:
+        records = harness.execute(cfg, out_dir, jobs=args.jobs, resume=args.resume, echo=echo)
+    except IsADirectoryError as exc:
+        return _fail("run", exc)
     print(format_summary_table(records))
     print(f"results written to {out_dir}")
     return 0

@@ -22,7 +22,9 @@ graph also builds, once and on first use, a CSR neighbour index
 neighbour entries: per node row, the incident events as (other
 endpoint's row, time) entries, sorted by time with ties in event order.
 Model inputs, period views and debut periods are all read from it and
-the node table.
+the node table. A period's per-node facts are read-only arrays over node
+rows: debut periods, :func:`node_splits`' codes and, per
+:class:`PeriodView`, its active nodes' ids, old-class mask and codes.
 
 Each validity rule is written once: a check of one period entry, or one
 mask over all node or event rows. A graph reports the first row at fault
@@ -229,13 +231,6 @@ class TemporalGraph:
             raise ValueError(f"unknown period index {n} (have 1..{len(self.periods)})")
         return self.periods[n - 1]
 
-    def classes_before(self, n: int) -> frozenset[int]:
-        """Union of class sets introduced strictly before period ``n``."""
-        out: set[int] = set()
-        for p in self.periods[: n - 1]:
-            out.update(p.classes)
-        return frozenset(out)
-
     # -- cached structure --------------------------------------------------
 
     @cached_property
@@ -256,14 +251,17 @@ class TemporalGraph:
         return NeighborIndex(indptr=indptr, nbr=ends[order ^ 1], times=self.events.t[order // 2])
 
     @cached_property
-    def debut_period(self) -> dict[int, int]:
-        """First period each node is active in (has an event); nodes with no
-        events are absent. A node's first index entry is its earliest event."""
+    def debut_period(self) -> np.ndarray:
+        """Per node row, the first period it is active in (has an event), or
+        0 for a node with no events; read-only int64. A node's first index
+        entry is its earliest event."""
         index = self.neighbor_index
-        active = np.flatnonzero(np.diff(index.indptr))
-        first = index.times[index.indptr[active]]
-        debut = np.searchsorted([p.t_start for p in self.periods], first, side="right")  # 1-based
-        return dict(zip(self.nodes.id[active].tolist(), debut.tolist()))
+        active = np.diff(index.indptr) > 0
+        debut = np.zeros(len(self.nodes), dtype=np.int64)
+        first = index.times[index.indptr[:-1][active]]
+        debut[active] = np.searchsorted([p.t_start for p in self.periods], first, side="right")  # 1-based
+        debut.setflags(write=False)
+        return debut
 
 
 # ---------------------------------------------------------------------------
@@ -372,100 +370,85 @@ def _validate_graph(g: TemporalGraph) -> None:
         raise fault
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodView:
-    """Old/new decomposition of one period, with per-node split assignment.
-
-    ``old_nodes`` and ``new_nodes`` are the nodes of previously-introduced
-    and newly-introduced classes that are active (incident to at least one
-    event) in the period.
-    """
+    """One period's active old- and new-class nodes, as read-only arrays
+    that line up: ``ids`` in id order, ``old`` flags the old-class ones and
+    ``split`` holds each one's :func:`node_splits` code."""
 
     period_index: int
-    old_nodes: tuple[int, ...]
-    new_nodes: tuple[int, ...]
-    splits: Mapping[int, str]
+    ids: np.ndarray
+    old: np.ndarray
+    split: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("ids", np.int64), ("old", np.bool_), ("split", np.int8)):
+            _frozen_column(self, "view", name, dtype)
 
     def nodes_of(self, group: str = "all", split: str | None = None) -> tuple[int, ...]:
-        """Node ids in ``group`` ('old'|'new'|'all'), optionally one split."""
-        if group == "old":
-            ids: Sequence[int] = self.old_nodes
-        elif group == "new":
-            ids = self.new_nodes
-        elif group == "all":
-            ids = tuple(sorted(self.old_nodes + self.new_nodes))
-        else:
+        """Node ids in ``group`` ('old'|'new'|'all'), optionally one split, in id order."""
+        groups = {"old": self.old, "new": ~self.old, "all": np.ones_like(self.old)}
+        if group not in groups:
             raise ValueError(f"unknown group {group!r} (want 'old', 'new' or 'all')")
-        if split is None:
-            return tuple(ids)
-        if split not in SPLIT_NAMES:
+        if split not in (None, *SPLIT_NAMES):
             raise ValueError(f"unknown split {split!r}")
-        return tuple(v for v in ids if self.splits[v] == split)
+        in_split = True if split is None else self.split == SPLIT_NAMES.index(split)
+        return tuple(self.ids[groups[group] & in_split].tolist())
 
 
 def split_period(graph: TemporalGraph, n: int, split_seed: int = 0) -> PeriodView:
     """Decompose period ``n`` into its old-class and new-class parts.
 
-    Membership is decided by class set; only nodes incident to at least one
-    event inside the period's time span are considered active. Node splits
-    are stratified by class at 80/10/10 and deterministic given
-    ``(graph, n, split_seed)``. The view is built once per
-    ``(n, split_seed)`` and kept on the graph, next to :func:`node_splits`'
-    cache; views are frozen, so every caller can share one.
+    Membership is decided by a node's ``birth_period``, the period that
+    introduces its class; only nodes incident to at least one event inside
+    the period's time span are considered active, with their rows of
+    :func:`node_splits`. The view is built once per ``(n, split_seed)``
+    and kept on the graph, next to :func:`node_splits`' cache; views are
+    read-only, so every caller can share one.
     """
     cache: dict[tuple[int, int], PeriodView] = graph.__dict__.setdefault("_view_cache", {})
-    if (n, split_seed) not in cache:
-        cache[(n, split_seed)] = _build_view(graph, n, split_seed)
-    return cache[(n, split_seed)]
-
-
-def _build_view(graph: TemporalGraph, n: int, split_seed: int) -> PeriodView:
+    if (n, split_seed) in cache:
+        return cache[(n, split_seed)]
     spec = graph.period(n)
     index = graph.neighbor_index
     t = index.times  # spans are half-open, except that the last period holds its t_end
     before_end = t <= spec.t_end if n == graph.num_periods else t < spec.t_end
-    active = np.flatnonzero(index.row_counts((t >= spec.t_start) & before_end) > 0)
-    if not active.size:
+    active = index.row_counts((t >= spec.t_start) & before_end) > 0
+    if not active.any():
         raise ValueError(f"period {n} has no events")
-    ids, labels = graph.nodes.id[active], graph.nodes.class_id[active]
-    old_nodes = tuple(ids[np.isin(labels, list(graph.classes_before(n)))].tolist())
-    new_nodes = tuple(ids[np.isin(labels, spec.classes)].tolist())
-
-    assignment = node_splits(graph, split_seed)
-    splits = {v: assignment[v] for v in old_nodes + new_nodes}
-    return PeriodView(period_index=n, old_nodes=old_nodes, new_nodes=new_nodes, splits=splits)
+    birth = graph.nodes.birth_period  # the period that introduces a node's class
+    rows = np.flatnonzero(active & (birth <= n))
+    view = PeriodView(n, graph.nodes.id[rows], birth[rows] < n, node_splits(graph, split_seed)[rows])
+    cache[(n, split_seed)] = view
+    return view
 
 
-def node_splits(graph: TemporalGraph, split_seed: int = 0) -> dict[int, str]:
-    """Stable per-node train/val/test assignment, stratified by class.
+def node_splits(graph: TemporalGraph, split_seed: int = 0) -> np.ndarray:
+    """Stable train/val/test assignment, stratified by class at 80/10/10: a
+    read-only int8 array with, per node row, an index into ``SPLIT_NAMES``,
+    or -1 for a node with no events.
 
-    A node is assigned once, within the cohort of nodes that debut in the
-    same period, and keeps that assignment in every later period it stays
-    active in. This rules out a node being trained on in one period and
-    tested in a later one.
+    A node is assigned once, within the cohort of nodes of its class that
+    debut in the same period, and keeps that assignment in every later
+    period it stays active in. This rules out a node being trained on in
+    one period and tested in a later one. Cohorts go by debut, then class;
+    each draws one permutation of its rows (in id order) from the stream
+    ``(split_seed, debut)``, and its first 10% go to val, the next to test.
     """
-    cache: dict[int, dict[int, str]] = graph.__dict__.setdefault("_split_cache", {})
+    cache: dict[int, np.ndarray] = graph.__dict__.setdefault("_split_cache", {})
     if split_seed in cache:
         return cache[split_seed]
-    cohorts: dict[int, dict[int, list[int]]] = {}
-    debuts = graph.debut_period
-    for (v, debut), c in zip(debuts.items(), graph.labels(list(debuts)).tolist()):
-        cohorts.setdefault(debut, {}).setdefault(c, []).append(v)
-    out: dict[int, str] = {}
-    for debut in sorted(cohorts):
-        rng = np.random.default_rng((split_seed, debut))
-        for c in sorted(cohorts[debut]):
-            ids = sorted(cohorts[debut][c])
-            perm = rng.permutation(len(ids))
-            n_val = int(len(ids) * SPLIT_FRACTIONS[1])
-            n_test = int(len(ids) * SPLIT_FRACTIONS[2])
-            for j, k in enumerate(perm):
-                if j < n_val:
-                    out[ids[k]] = VAL
-                elif j < n_val + n_test:
-                    out[ids[k]] = TEST
-                else:
-                    out[ids[k]] = TRAIN
+    debut, labels = graph.debut_period, graph.nodes.class_id
+    codes = np.int8([SPLIT_NAMES.index(s) for s in (VAL, TEST, TRAIN)])  # in permutation order
+    out = np.full(len(debut), -1, dtype=np.int8)
+    for d in np.unique(debut[debut > 0]).tolist():
+        rng = np.random.default_rng((split_seed, d))
+        for c in np.unique(labels[debut == d]).tolist():
+            members = np.flatnonzero((debut == d) & (labels == c))
+            n_val, n_test = (int(len(members) * f) for f in SPLIT_FRACTIONS[1:])
+            sizes = [n_val, n_test, len(members) - n_val - n_test]
+            out[members[rng.permutation(len(members))]] = np.repeat(codes, sizes)
+    out.setflags(write=False)
     cache[split_seed] = out
     return out
 
@@ -673,11 +656,9 @@ def load_graph(
     The loader only parses; the graph's rules place the first fault.
 
     Files are read as UTF-8. A loaded graph must hold at least one event
-    in every period's span (``[t_start, t_end)``, the last period
-    including its ``t_end``): a period without events is rejected as
-    ``<periods file>: entry i: ...``, because no run could train on it.
-    Graphs built in memory may have empty periods, and
-    :func:`split_period` raises on them.
+    in every period's span: a :func:`first_empty_period` is rejected as
+    ``<periods file>: entry i: ...``. Graphs built in memory may have empty
+    periods, and :func:`split_period` raises on them.
     """
     node_path = Path(node_file)
     event_path = Path(event_file)
@@ -698,19 +679,22 @@ def load_graph(
         first = "" if fault.first is None else f", first at {sources[fault.part].name}:{lines[fault.first]}"
         see = f" (see {sources[fault.other]})" if fault.other else ""
         raise GraphFormatError(f"{place}: {fault.text}{first}{see}") from None
-    t = graph.events.t
-    first = np.searchsorted(t, [p.t_start for p in periods])
-    end = np.searchsorted(t, [p.t_end for p in periods])
-    end[-1] = len(t)  # every event lies at or before the last t_end
-    empty = np.flatnonzero(end == first)
-    if empty.size:
-        i = int(empty[0])
-        p = periods[i]
+    empty = first_empty_period(graph)
+    if empty is not None:
         raise GraphFormatError(
-            f"{period_path}: entry {i}: no events in period {p.index}'s span"
-            f" [{p.t_start}, {p.t_end}{']' if i == len(periods) - 1 else ')'} (see {event_path})"
+            f"{period_path}: entry {empty.index - 1}: no events in period {empty.index}'s span"
+            f" [{empty.t_start}, {empty.t_end}{']' if empty is graph.periods[-1] else ')'} (see {event_path})"
         )
     return graph
+
+
+def first_empty_period(graph: TemporalGraph) -> PeriodSpec | None:
+    """The first period whose span (``[t_start, t_end)``, the last period
+    including its ``t_end``) holds no event, if any; no run can train on it."""
+    # periods are contiguous and hold every event: each span ends where the next starts
+    bounds = np.searchsorted(graph.events.t, [p.t_start for p in graph.periods] + [math.inf])
+    empty = np.flatnonzero(np.diff(bounds) == 0)
+    return graph.periods[int(empty[0])] if empty.size else None
 
 
 #: a JSON number that ``float()`` takes (``type(x) is int`` leaves out JSON booleans)

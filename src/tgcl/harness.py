@@ -42,7 +42,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import Sequence
 
-from .graph import SynthConfig, TemporalGraph, generate_synthetic, load_graph
+from .graph import SynthConfig, TemporalGraph, first_empty_period, generate_synthetic, load_graph
 from .metrics import RunRecord, af as af_metric, format_summary_table, write_results_csv, write_summary_json
 from .selector import SelectionConfig
 from .trainer import ABLATIONS, STRATEGIES, TrainConfig, run_strategy
@@ -391,9 +391,14 @@ def plan_runs(cfg: dict) -> list[RunSpec]:
 def load_data(data_cfg: dict) -> TemporalGraph:
     """The dataset is a benchmark constant: the generator seed comes from the
     config, while per-run seeds drive splits, model init, selection, and
-    training (matching the fixed-corpus, 3-training-seeds protocol)."""
+    training (matching the fixed-corpus, 3-training-seeds protocol). Like
+    :func:`load_graph`, it refuses a graph with a :func:`first_empty_period`."""
     if "synthetic" in data_cfg:
-        return generate_synthetic(SynthConfig.from_dict(data_cfg["synthetic"]))
+        graph = generate_synthetic(SynthConfig.from_dict(data_cfg["synthetic"]))
+        empty = first_empty_period(graph)
+        if empty is not None:
+            raise ConfigError(f"data.synthetic: period {empty.index} holds no events")
+        return graph
     files = data_cfg["files"]
     return load_graph(files["nodes"], files["events"], files.get("periods"))
 
@@ -479,26 +484,34 @@ def execute(
     output directory is finished rather than redone. Any other
     ``record.json`` is stale and its run is rerun: one left by a different
     config, or one that :func:`_read_record` cannot read (not UTF-8, JSON
-    or an object, a field missing or of another type, or no periods). Run
-    directories that this config does not plan are left in place, and
-    ``echo`` names them. ``jobs`` below 1 raises ``ValueError``.
+    or an object, a field missing or of another type, or no periods);
+    ``echo`` counts the two apart. Run directories that this config does
+    not plan are left in place, and ``echo`` names them. ``jobs`` below 1
+    raises ``ValueError``, and a ``record.json`` that is a directory
+    ``IsADirectoryError``, before anything is written.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
+    runs = [(spec, out / "runs" / spec.run_id, chash) for spec in plan_runs(cfg)]
+    for _, run_dir, _ in runs:
+        if (run_dir / "record.json").is_dir():
+            raise IsADirectoryError(f"{run_dir / 'record.json'}: is a directory")
+    out.mkdir(parents=True, exist_ok=True)
     (out / "resolved_config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
     (out / "config_hash.txt").write_text(chash + "\n")
 
-    runs = [(spec, out / "runs" / spec.run_id, chash) for spec in plan_runs(cfg)]
     recorded = [_read_record(run_dir) if resume else None for _, run_dir, _ in runs]
     pending = [run for run, rec in zip(runs, recorded) if rec is None or rec.config_hash != chash]
-    stale = sum((run_dir / "record.json").exists() for _, run_dir, _ in pending) if resume else 0
+    other_hash = sum(rec is not None and rec.config_hash != chash for rec in recorded)
+    unreadable = sum(rec is None and (d / "record.json").exists() for (_, d, _), rec in zip(runs, recorded))
     if echo:
         echo(f"{len(runs)} runs planned, {len(pending)} to execute (resume={resume})")
-        if stale:
-            echo(f"{stale} stale runs from another config hash will be rerun")
+        if other_hash:
+            echo(f"{other_hash} stale runs from another config hash will be rerun")
+        if resume and unreadable:
+            echo(f"{unreadable} stale runs whose record.json cannot be read will be rerun")
         planned = {run_dir.name for _, run_dir, _ in runs}
         unplanned = sorted(d.name for d in (out / "runs").glob("*") if d.is_dir() and d.name not in planned)
         if unplanned:

@@ -179,8 +179,7 @@ def plan_period(
     new_train = view.nodes_of("new", TRAIN)
     if not new_train:
         raise ValueError(f"period {n} has no new-class training nodes")
-    old_train = view.nodes_of("old", TRAIN)
-    main_ids = tuple(sorted(old_train + new_train)) if strategy == "joint" else new_train
+    main_ids = view.nodes_of("all", TRAIN) if strategy == "joint" else new_train
     if not selects(strategy, view):
         return PeriodPlan(main_ids), None, 0.0
 

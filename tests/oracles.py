@@ -421,6 +421,26 @@ def debut_periods(graph: TemporalGraph) -> dict[int, int]:
     return out
 
 
+def reference_node_splits(graph: TemporalGraph, seed: int) -> dict[int, str]:
+    """Per active node id, its split name, assigned node by node: cohorts of
+    one debut period (from :func:`debut_periods`) and class, by debut then
+    class, each permuting its sorted ids with the debut's stream ``(seed,
+    debut)``; the first 10% go to val, the next 10% to test."""
+    cohorts: dict[int, dict[int, list[int]]] = {}
+    for v, debut in debut_periods(graph).items():
+        cohorts.setdefault(debut, {}).setdefault(int(graph.labels([v])[0]), []).append(v)
+    out: dict[int, str] = {}
+    for debut in sorted(cohorts):
+        rng = np.random.default_rng((seed, debut))
+        for c in sorted(cohorts[debut]):
+            ids = sorted(cohorts[debut][c])
+            perm = rng.permutation(len(ids))
+            n_val, n_test = int(len(ids) * 0.1), int(len(ids) * 0.1)
+            for j, k in enumerate(perm):
+                out[ids[k]] = "val" if j < n_val else "test" if j < n_val + n_test else "train"
+    return out
+
+
 def reference_generate_synthetic(
     cfg: SynthConfig,
 ) -> tuple[list[NodeRecord], list[Event], tuple[PeriodSpec, ...]]:

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tgcl.graph import (
+    SPLIT_NAMES,
     EventTable,
     GraphFormatError,
     NodeTable,
@@ -40,7 +41,25 @@ from oracles import (
     period_events,
     reference_generate_synthetic,
     reference_graph_fault,
+    reference_node_splits,
 )
+
+
+def split_names(view) -> dict[int, str]:
+    """A view's split assignment by node id, with the names of its codes."""
+    return {v: SPLIT_NAMES[c] for v, c in zip(view.ids.tolist(), view.split.tolist())}
+
+
+def array_splits(graph, seed: int) -> dict[int, str]:
+    """:func:`node_splits` by node id, for the nodes it assigns."""
+    codes = node_splits(graph, seed).tolist()
+    return {v: SPLIT_NAMES[c] for v, c in zip(graph.nodes.id.tolist(), codes) if c >= 0}
+
+
+def same_view(a, b) -> bool:
+    return a.period_index == b.period_index and all(
+        np.array_equal(getattr(a, name), getattr(b, name)) for name in ("ids", "old", "split")
+    )
 
 
 class TestTypes:
@@ -179,14 +198,14 @@ class TestNodeTable:
 class TestSplitPeriod:
     def test_first_period_has_no_old(self, two_period_graph):
         view = split_period(two_period_graph, 1)
-        assert view.old_nodes == ()
-        assert view.new_nodes == (0, 1)
+        assert view.nodes_of("old") == ()
+        assert view.nodes_of("new") == (0, 1)
 
     def test_old_class_count_on_synthetic(self):
         cfg = SynthConfig(num_periods=3, classes_per_period=3, nodes_per_class_per_period=10, seed=7)
         graph = generate_synthetic(cfg)
         view = split_period(graph, 3)
-        old_classes = set(graph.labels(view.old_nodes).tolist())
+        old_classes = set(graph.labels(view.nodes_of("old")).tolist())
         assert len(old_classes) == cfg.classes_per_period * 2
         assert old_classes == set(range(6))
 
@@ -194,24 +213,25 @@ class TestSplitPeriod:
         graph = small_synth
         for n in (2, 3):
             view = split_period(graph, n)
-            old_classes = graph.classes_before(n)
+            old_classes = {c for p in graph.periods[: n - 1] for c in p.classes}
             active = set()
             for e in period_events(graph, n):
                 active.update(e.endpoints())
             expected = sorted(v for v in active if graph.labels([v])[0] in old_classes)
-            assert list(view.old_nodes) == expected
+            assert list(view.nodes_of("old")) == expected
 
     def test_groups_are_disjoint(self, small_synth):
         view = split_period(small_synth, 3)
-        assert not set(view.old_nodes) & set(view.new_nodes)
+        assert not set(view.nodes_of("old")) & set(view.nodes_of("new"))
 
     def test_split_fractions(self):
         cfg = SynthConfig(num_periods=2, classes_per_period=2, nodes_per_class_per_period=100, seed=3)
         view = split_period(generate_synthetic(cfg), 2)
-        total = len(view.splits)
-        n_train = sum(1 for s in view.splits.values() if s == "train")
-        n_val = sum(1 for s in view.splits.values() if s == "val")
-        n_test = sum(1 for s in view.splits.values() if s == "test")
+        splits = split_names(view)
+        total = len(splits)
+        n_train = sum(1 for s in splits.values() if s == "train")
+        n_val = sum(1 for s in splits.values() if s == "val")
+        n_test = sum(1 for s in splits.values() if s == "test")
         assert n_train + n_val + n_test == total
         assert abs(n_train / total - 0.8) < 0.05
         assert abs(n_val / total - 0.1) < 0.05
@@ -220,7 +240,7 @@ class TestSplitPeriod:
     def test_deterministic(self, small_synth):
         a = split_period(small_synth, 2, split_seed=5)
         b = split_period(small_synth, 2, split_seed=5)
-        assert a.splits == b.splits and a.old_nodes == b.old_nodes
+        assert same_view(a, b)
 
     def test_view_built_once_per_period_and_seed(self, two_period_graph):
         view = split_period(two_period_graph, 2, split_seed=5)
@@ -228,16 +248,16 @@ class TestSplitPeriod:
         assert split_period(two_period_graph, 2, split_seed=6) is not view
         assert split_period(two_period_graph, 1, split_seed=5) is not view
         other = split_period(make_two_period_graph(), 2, split_seed=5)
-        assert other is not view and other == view
+        assert other is not view and same_view(other, view)
 
     def test_split_assignment_stable_across_periods(self, small_synth):
         # a node active in several periods keeps one assignment: no node
         # trained on in an early period can appear in a later test split
-        views = [split_period(small_synth, n, split_seed=3) for n in (1, 2, 3)]
-        for v in views[0].splits:
+        views = [split_names(split_period(small_synth, n, split_seed=3)) for n in (1, 2, 3)]
+        for v in views[0]:
             for later in views[1:]:
-                if v in later.splits:
-                    assert later.splits[v] == views[0].splits[v]
+                if v in later:
+                    assert later[v] == views[0][v]
 
     def test_unknown_period(self, two_period_graph):
         with pytest.raises(ValueError, match="unknown period"):
@@ -256,7 +276,9 @@ class TestSplitPeriod:
     @pytest.mark.parametrize("seed", range(40))
     def test_views_and_debuts_match_an_event_scan(self, seed):
         graph = _boundary_graph(seed)
-        assert graph.debut_period == debut_periods(graph)
+        debut = graph.debut_period.tolist()
+        assert {v: d for v, d in zip(graph.nodes.id.tolist(), debut) if d} == debut_periods(graph)
+        assert array_splits(graph, seed) == reference_node_splits(graph, seed)
         for n in range(1, graph.num_periods + 1):
             active = {v for e in period_events(graph, n) for v in e.endpoints()}
             if not active:
@@ -264,11 +286,27 @@ class TestSplitPeriod:
                     split_period(graph, n, split_seed=seed)
                 continue
             view = split_period(graph, n, split_seed=seed)
-            old, new = graph.classes_before(n), set(graph.period(n).classes)
-            assert view.old_nodes == tuple(sorted(v for v in active if graph.labels([v])[0] in old))
-            assert view.new_nodes == tuple(sorted(v for v in active if graph.labels([v])[0] in new))
-            assignment = node_splits(graph, seed)
-            assert view.splits == {v: assignment[v] for v in view.old_nodes + view.new_nodes}
+            old = {c for p in graph.periods[: n - 1] for c in p.classes}
+            new = set(graph.period(n).classes)
+            assert view.nodes_of("old") == tuple(sorted(v for v in active if graph.labels([v])[0] in old))
+            assert view.nodes_of("new") == tuple(sorted(v for v in active if graph.labels([v])[0] in new))
+            assignment = reference_node_splits(graph, seed)
+            assert split_names(view) == {v: assignment[v] for v in view.nodes_of()}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_node_splits_match_the_reference_on_the_main_graph(self, seed):
+        graph = generate_synthetic(SynthConfig.from_dict(_MAIN_SYNTH))
+        assert array_splits(graph, seed) == reference_node_splits(graph, seed)
+
+    def test_views_splits_and_debuts_are_read_only_rows(self, small_synth):
+        view = split_period(small_synth, 2)
+        assert (view.ids.dtype, view.old.dtype, view.split.dtype) == (np.int64, np.bool_, np.int8)
+        codes, debut = node_splits(small_synth), small_synth.debut_period
+        assert (codes.dtype, debut.dtype) == (np.int8, np.int64)
+        assert codes.shape == debut.shape == small_synth.nodes.id.shape
+        for col in (view.ids, view.old, view.split, codes, debut):
+            with pytest.raises(ValueError):
+                col[0] = 1
 
     def test_boundary_events_belong_to_the_later_period(self):
         # events at t_start, at the inner boundary and at the last t_end;
@@ -277,10 +315,11 @@ class TestSplitPeriod:
         nodes = [NodeRecord(v, c, c + 1, np.zeros(1)) for v, c in enumerate([0, 0, 1, 0, 1])]
         events = [Event(0, 1, 0.0), Event(1, 2, 1.0), Event(3, 2, 2.0)]
         graph = TemporalGraph.from_parts(node_columns(nodes), event_columns(events), periods)
-        assert graph.debut_period == {0: 1, 1: 1, 2: 2, 3: 2}
-        assert split_period(graph, 1).new_nodes == (0, 1)
+        assert graph.debut_period.tolist() == [1, 1, 2, 2, 0]
+        assert split_period(graph, 1).nodes_of("new") == (0, 1)
         view = split_period(graph, 2)
-        assert view.old_nodes == (1, 3) and view.new_nodes == (2,)
+        assert view.nodes_of("old") == (1, 3) and view.nodes_of("new") == (2,)
+        assert node_splits(graph)[4] == -1
 
 
 def _boundary_graph(seed: int) -> TemporalGraph:
@@ -358,10 +397,7 @@ class TestGenerateSynthetic:
         assert len(graph.nodes) == 600 + 1200 + 1800
         assert len(set(graph.nodes.class_id.tolist())) == 9
         # fresh residents per period: every alive class contributes a cohort
-        debut_counts = {1: 0, 2: 0, 3: 0}
-        for v, debut in graph.debut_period.items():
-            debut_counts[debut] += 1
-        assert debut_counts == {1: 600, 2: 1200, 3: 1800}
+        assert np.bincount(graph.debut_period).tolist() == [0, 600, 1200, 1800]
         # nodes persist, so the active population accumulates
         active3 = set()
         for e in period_events(graph, 3):

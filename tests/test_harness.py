@@ -452,7 +452,7 @@ class TestExecution:
         execute(cfg, out, resume=True, echo=lines.append)
         assert lines[:2] == [
             "2 runs planned, 1 to execute (resume=True)",
-            "1 stale runs from another config hash will be rerun",
+            "1 stale runs whose record.json cannot be read will be rerun",
         ]
         assert json.loads(victim.read_text())["config_hash"] == config_hash(cfg)
         assert other.stat().st_mtime_ns == kept
@@ -469,11 +469,26 @@ class TestExecution:
         execute(cfg, out, resume=True, echo=lines.append)
         assert lines[:2] == [
             "2 runs planned, 1 to execute (resume=True)",
-            "1 stale runs from another config hash will be rerun",
+            "1 stale runs whose record.json cannot be read will be rerun",
         ]
         assert list(json.loads((victim / "record.json").read_text())) == RECORD_KEYS
         fresh = tiny_results[0]
         assert (out / "results.csv").read_bytes() == (fresh / "results.csv").read_bytes()
+
+    def test_resume_counts_records_of_another_config_apart_from_unreadable_ones(self, tmp_path):
+        out = tmp_path / "out"
+        execute(load_config(write_config(tmp_path, TINY)), out)
+        changed = load_config(
+            write_config(tmp_path, {**TINY, "train": {**TINY["train"], "epochs": 3}}, "c2.json")
+        )
+        spoil_record(out / "runs" / "finetune__seed0", '{"x')
+        lines: list[str] = []
+        execute(changed, out, resume=True, echo=lines.append)
+        assert lines[:3] == [
+            "2 runs planned, 2 to execute (resume=True)",
+            "1 stale runs from another config hash will be rerun",
+            "1 stale runs whose record.json cannot be read will be rerun",
+        ]
 
     def test_record_and_timing_key_order(self, tiny_results):
         out, _, _ = tiny_results
@@ -707,6 +722,36 @@ class TestCli:
             f"data error: {paths['periods']}: entry 0: no events in period 1's span [0.0, 1.0)"
             f" (see {paths['events']})\n"
         )
+        assert not (out / "runs").exists()
+
+    @pytest.mark.parametrize("resume", [[], ["--resume"]])
+    def test_a_record_that_is_a_directory_is_named_before_any_run(self, tmp_path, capsys, resume):
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, TINY)
+        assert cli.main(["run", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+        capsys.readouterr()
+        spoil_record(out / "runs" / "joint__seed0", "directory")
+        before = {path: path.stat().st_mtime_ns for path in out.rglob("*")}
+        assert cli.main(["run", str(cfg_path), "--out", str(out), *resume, "--quiet"]) == 2
+        record = out / "runs" / "joint__seed0" / "record.json"
+        assert capsys.readouterr().err == f"run error: {record}: is a directory\n"
+        assert {path: path.stat().st_mtime_ns for path in out.rglob("*")} == before
+
+    @pytest.mark.parametrize(
+        "synth",
+        [
+            {"events_per_node": 0},
+            {"classes_per_period": 1, "nodes_per_class_per_period": 1},
+        ],
+    )
+    @pytest.mark.parametrize("command", ["run", "select"])
+    def test_a_synthetic_period_without_events_is_a_config_error(self, tmp_path, capsys, synth, command):
+        out = tmp_path / "out"
+        data = {"synthetic": {**TINY_DATA["synthetic"], **synth}}
+        cfg_path = write_config(tmp_path, {**TINY, "data": data, "strategies": ["ltf"], "output_dir": str(out)})
+        argv = {"run": [], "select": ["--run", "ltf__seed0", "--period", "2", "--model", "model_p1.json"]}
+        assert cli.main([command, str(cfg_path), *argv[command]]) == 2
+        assert capsys.readouterr().err == "config error: data.synthetic: period 1 holds no events\n"
         assert not (out / "runs").exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -241,7 +241,7 @@ class TestTrainPeriod:
 
     def test_empty_new_train_rejected(self, setting):
         graph, _, view2, prev = setting
-        empty_view = dataclasses.replace(view2, new_nodes=())
+        empty_view = dataclasses.replace(view2, old=np.ones_like(view2.old))  # every node old-class
         cfg = TrainConfig(epochs=2)
         with pytest.raises(ValueError, match="no new-class training nodes"):
             plan_period(graph, empty_view, prev, "finetune", LTF_SEL, cfg, seed=0)
