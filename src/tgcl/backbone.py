@@ -13,10 +13,10 @@ in two array stages. :func:`build_contexts` gathers, per node, its row of
 the node table and the rows and ages ``dt`` of its ``k`` most recent
 neighbours, newest first, with empty slots marked. :func:`build_inputs`
 pools them into input rows, reading features from the node table's
-feature matrix.
-:func:`node_inputs` is the one path from a graph to model inputs: per
-``(graph, eval_time)`` it builds every node's row once and keeps the
-matrix on the graph.
+feature matrix. :func:`node_inputs` builds every node's row once per
+``(graph, eval_time)``, in the graph's cache. :func:`period_inputs` is the
+one path from a period's node ids to model inputs and class ids, which a
+head's :meth:`~_Head.head_rows` maps to head rows.
 
 All gradients are hand-derived closed forms; the test suite checks every
 parameter tensor against central finite differences.
@@ -31,6 +31,7 @@ whole gradient before it updates the parameters in place.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -104,32 +105,38 @@ def build_inputs(ctxs: Contexts, k: int = K_NEIGHBORS) -> np.ndarray:
 def node_inputs(graph: TemporalGraph, node_ids: Sequence[int], eval_time: float) -> np.ndarray:
     """Model inputs of ``node_ids`` at ``eval_time``: one row per id, in order.
 
-    This is the one input path of training, validation, selection and
-    scoring. The first call per ``(graph, eval_time)`` builds every node's
-    row with one ``build_inputs(build_contexts(...))`` call and keeps the
-    matrix in ``graph.__dict__``; each call returns copies of the requested
-    rows. Empty ``node_ids`` give shape ``(0, input_dim)``; an unknown id
-    raises ``KeyError``.
+    The first call per ``(graph, eval_time)`` builds every node's row with
+    one ``build_inputs(build_contexts(...))`` call and keeps the matrix in
+    ``graph.cache``; each call returns copies of the requested rows. Empty
+    ``node_ids`` give shape ``(0, input_dim)``; an unknown id raises
+    ``KeyError``.
     """
-    per_time = graph.__dict__.setdefault("_input_cache", {})
-    if eval_time not in per_time:
-        per_time[eval_time] = build_inputs(build_contexts(graph, graph.nodes.id, eval_time))
-    return per_time[eval_time][graph.nodes.rows_of(node_ids)]
+    rows = graph.cache.inputs
+    if eval_time not in rows:
+        rows[eval_time] = build_inputs(build_contexts(graph, graph.nodes.id, eval_time))
+    return rows[eval_time][graph.nodes.rows_of(node_ids)]
+
+
+def period_inputs(graph: TemporalGraph, n: int, node_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Model inputs of ``node_ids`` at the end of period ``n``, where every
+    use of the period reads them, and their class ids."""
+    return node_inputs(graph, node_ids, graph.period(n).t_end), graph.labels(node_ids)
 
 
 class _Head:
-    """Class lookups of a live or frozen model, from its ``classes`` (in
-    head-row order) and ``_class_index`` (each class's row)."""
+    """Class lookups of a live or frozen model, from its ``classes`` (in head-row order)."""
 
     @property
     def num_classes(self) -> int:
         return len(self.classes)
 
-    def class_index(self, class_id: int) -> int:
-        try:
-            return self._class_index[class_id]
-        except KeyError:
-            raise ValueError(f"class {class_id} unknown to this head") from None
+    def head_rows(self, class_ids: Sequence[int]) -> np.ndarray:
+        """Head row of each class id, in order; ``ValueError`` names the first unknown class."""
+        ids = np.asarray(class_ids, dtype=np.int64)
+        hit = ids[:, None] == np.asarray(self.classes, dtype=np.int64)
+        if not hit.any(axis=1).all():
+            raise ValueError(f"class {ids[~hit.any(axis=1)][0]} unknown to this head")
+        return hit.nonzero()[1]  # one hit per row: a head's classes are distinct
 
 
 class Backbone(_Head):
@@ -159,7 +166,6 @@ class Backbone(_Head):
         self.b_hid = np.zeros(self.hidden_dim)
         self.w_head = np.zeros((0, self.hidden_dim))
         self.classes: list[int] = []
-        self._class_index: dict[int, int] = {}
 
     def grow_head(self, new_classes: Iterable[int]) -> None:
         """Append one seeded small-uniform row per class; old rows untouched."""
@@ -175,7 +181,6 @@ class Backbone(_Head):
         rows = self._rng.uniform(-s, s, size=(len(new_list), self.hidden_dim))
         self.w_head = np.vstack([self.w_head, rows])
         self.classes.extend(int(c) for c in new_list)
-        self._class_index = {c: i for i, c in enumerate(self.classes)}
 
     # -- parameter access ------------------------------------------------------
 
@@ -216,7 +221,6 @@ class Snapshot(_Head):
             arr.setflags(write=False)
             setattr(self, name, arr)
         self.classes = tuple(src.classes)
-        self._class_index = {c: i for i, c in enumerate(self.classes)}
         self.feature_dim = src.feature_dim
         self.hidden_dim = src.hidden_dim
 
@@ -375,8 +379,24 @@ def _pack(arr: np.ndarray) -> dict:
     return {"shape": list(arr.shape), "data": [float(x) for x in arr.ravel()]}
 
 
-def _unpack(d: dict) -> np.ndarray:
-    return np.array(d["data"], dtype=float).reshape(d["shape"])
+def _unpack(params: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Checkpoint tensor ``name``, which must have ``shape`` and finite values."""
+    packed = params.get(name)
+    if not isinstance(packed, dict) or not {"shape", "data"} <= packed.keys():
+        raise ValueError(f"params.{name}: missing, or without shape and data")
+    if packed["shape"] != list(shape):
+        raise ValueError(
+            f"params.{name}: shape {packed['shape']} does not fit feature_dim, hidden_dim and classes,"
+            f" which want {list(shape)}"
+        )
+    if not isinstance(packed["data"], list) or any(type(x) not in (int, float) for x in packed["data"]):
+        raise ValueError(f"params.{name}: data is not a list of numbers")
+    arr = np.array(packed["data"], dtype=float)
+    if arr.shape != (math.prod(shape),):
+        raise ValueError(f"params.{name}: {arr.size} values do not fill shape {list(shape)}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"params.{name}: holds non-finite values")
+    return arr.reshape(shape)
 
 
 def checkpoint_dict(model: Model) -> dict:
@@ -397,22 +417,48 @@ def checkpoint_dict(model: Model) -> dict:
 
 
 def from_checkpoint_dict(d: dict) -> Model:
+    """The model that :func:`checkpoint_dict` wrote ``d`` from.
+
+    Every field must be present, each tensor's shape must fit
+    ``feature_dim``, ``hidden_dim`` and ``classes``, and every value must
+    be finite; otherwise ``ValueError`` names the first field at fault.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"a checkpoint is a JSON object, not a {type(d).__name__}")
     if d.get("format") != CHECKPOINT_FORMAT:
         raise ValueError("not a model checkpoint")
     if d.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {d.get('version')}")
-    model = Backbone(
-        feature_dim=d["feature_dim"],
-        hidden_dim=d["hidden_dim"],
-        head_init_scale=d.get("head_init_scale", 0.01),
-    )
-    for name in PARAM_NAMES:
-        setattr(model, name, _unpack(d["params"][name]))
-    model.classes = [int(c) for c in d["classes"]]
-    model._class_index = {c: i for i, c in enumerate(model.classes)}
-    if d["kind"] == "snapshot":
+    if d.get("kind") not in ("backbone", "snapshot"):
+        raise ValueError(f"kind: must be 'backbone' or 'snapshot', got {d.get('kind')!r}")
+    live = d["kind"] == "backbone"
+    required = ("feature_dim", "hidden_dim", "classes", "params") + (("head_init_scale", "rng_state") if live else ())
+    missing = [name for name in required if name not in d]
+    if missing:
+        raise ValueError(f"{missing[0]}: missing")
+    for name in ("feature_dim", "hidden_dim"):
+        if type(d[name]) is not int or d[name] < 1:
+            raise ValueError(f"{name}: must be an integer >= 1, got {d[name]!r}")
+    classes, h = d["classes"], d["hidden_dim"]
+    if not (isinstance(classes, list) and all(type(c) is int for c in classes) and len(set(classes)) == len(classes)):
+        raise ValueError(f"classes: must be a list of distinct integers, got {classes!r}")
+    if not isinstance(d["params"], dict):
+        raise ValueError("params: must be an object")
+    shapes = dict(zip(PARAM_NAMES, [(h, input_dim(d["feature_dim"])), (h, h), (h,), (len(classes), h)]))
+    params = {name: _unpack(d["params"], name, shapes[name]) for name in PARAM_NAMES}
+    scale = d.get("head_init_scale", 0.01)
+    if type(scale) not in (int, float) or not 0 <= scale < math.inf:
+        raise ValueError(f"head_init_scale: must be a finite number >= 0, got {scale!r}")
+    model = Backbone(d["feature_dim"], hidden_dim=h, head_init_scale=scale)
+    for name, arr in params.items():
+        setattr(model, name, arr)
+    model.classes = list(classes)
+    if not live:
         return Snapshot(model)
-    model._rng.bit_generator.state = d["rng_state"]
+    try:
+        model._rng.bit_generator.state = d["rng_state"]
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ValueError(f"rng_state: not a generator state ({exc})") from None
     return model
 
 

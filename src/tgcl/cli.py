@@ -10,8 +10,15 @@ Subcommands:
 
 ``select`` loads the config as ``run`` does (``TGCL_SEED`` too), so a run's
 ``<out>/resolved_config.json`` will do; ``CKPT`` is the model frozen after
-period N-1 (``backbone.save_checkpoint``). A user error prints one
-``<kind> error: ...`` line and exits with status 2.
+period N-1 (``backbone.save_checkpoint``).
+
+A config, data file or checkpoint that cannot be used, an ``--out`` path
+below a file or in a missing directory, and a ``--jobs``, ``--run`` or
+``--period`` out of range each print one ``<kind> error: ...`` line naming
+it (kind ``config``, ``data``, ``run``, ``gen``, ``select`` or ``report``)
+and exit with status 2, before any run starts. argparse reports a
+malformed command line itself (usage line, status 2); other failures, such
+as a disk that fills up, end in a traceback.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from pathlib import Path
 
 from . import harness
 from .backbone import load_checkpoint, snapshot
-from .graph import GraphFormatError, generate_synthetic, save_graph, split_period
+from .graph import GraphFormatError, first_empty_period, generate_synthetic, save_graph, split_period
 from .metrics import format_summary_table
 from .trainer import plan_period, selects
 
@@ -33,6 +40,12 @@ def _fail(kind: str, message) -> int:
     return 2
 
 
+def _not_a_directory(out: Path) -> Path | None:
+    """The nearest of ``out`` and its parents that exists, if it is not a directory."""
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    return None if existing.is_dir() else existing
+
+
 def _cmd_run(args) -> int:
     if args.jobs < 1:
         return _fail("run", f"--jobs {args.jobs}: must be at least 1")
@@ -40,9 +53,9 @@ def _cmd_run(args) -> int:
     out_dir = args.out or cfg.get("output_dir")
     if not out_dir:
         return _fail("config", "output_dir: set it in the config or pass --out")
-    existing = next(p for p in (Path(out_dir), *Path(out_dir).parents) if p.exists())
-    if not existing.is_dir():
-        return _fail("run", f"{existing}: not a directory")
+    blocked = _not_a_directory(Path(out_dir))
+    if blocked:
+        return _fail("run", f"{blocked}: not a directory")
     echo = print if not args.quiet else None
     try:
         records = harness.execute(cfg, out_dir, jobs=args.jobs, resume=args.resume, echo=echo)
@@ -54,7 +67,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    graph = generate_synthetic(harness.synth_config(harness.read_config_file(args.synth_config)))
+    synth = harness.synth_config(harness.read_config_file(args.synth_config))
+    blocked = _not_a_directory(Path(args.out))
+    if blocked:
+        return _fail("gen", f"{blocked}: not a directory")
+    graph = generate_synthetic(synth)
+    empty = first_empty_period(graph)
+    if empty is not None:
+        return _fail("config", f"{args.synth_config}: period {empty.index} holds no events")
     paths = save_graph(graph, args.out)
     for kind, path in paths.items():
         print(f"{kind}: {path}")
@@ -62,6 +82,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_select(args) -> int:
+    if args.out and not Path(args.out).parent.is_dir():
+        return _fail("select", f"{Path(args.out).parent}: no such directory")
     cfg = harness.load_config(args.config, preset=args.preset)
     specs = {s.run_id: s for s in harness.plan_runs(cfg)}
     spec = specs.get(args.run)
@@ -88,7 +110,10 @@ def _cmd_select(args) -> int:
         seed=spec.seed, kernel_squared=spec.kernel_squared,
     )
     if args.out:
-        buffer.save(args.out)
+        try:
+            buffer.save(args.out)
+        except OSError as exc:
+            return _fail("select", f"{args.out}: {exc.strerror}")
         print(f"buffer written to {args.out}")
     else:
         print(json.dumps(buffer.to_json_dict(), indent=2))

@@ -41,7 +41,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -170,14 +170,26 @@ class NeighborIndex:
         return seen[self.indptr[1:]] - seen[self.indptr[:-1]]
 
 
+@dataclass(frozen=True)
+class GraphCache:
+    """What a graph keeps from first use for its whole life (it is immutable):
+    :func:`node_splits`' codes per split seed, :func:`split_period`'s views per
+    ``(period, split seed)`` and :func:`tgcl.backbone.node_inputs`' rows per time."""
+
+    splits: dict[int, np.ndarray] = field(default_factory=dict)
+    views: dict[tuple[int, int], PeriodView] = field(default_factory=dict)
+    inputs: dict[float, np.ndarray] = field(default_factory=dict)
+
+
 @dataclass(frozen=True, eq=False)
 class TemporalGraph:
     """Immutable temporal graph: a node table sorted by id, an event table
-    sorted by time (:meth:`from_parts` sorts both) and period specs."""
+    sorted by time (:meth:`from_parts` sorts both), period specs and a cache."""
 
     nodes: NodeTable
     events: EventTable
     periods: tuple[PeriodSpec, ...]
+    cache: GraphCache = field(default_factory=GraphCache, init=False, repr=False)
 
     def __post_init__(self):
         _validate_graph(self)
@@ -402,13 +414,11 @@ def split_period(graph: TemporalGraph, n: int, split_seed: int = 0) -> PeriodVie
     Membership is decided by a node's ``birth_period``, the period that
     introduces its class; only nodes incident to at least one event inside
     the period's time span are considered active, with their rows of
-    :func:`node_splits`. The view is built once per ``(n, split_seed)``
-    and kept on the graph, next to :func:`node_splits`' cache; views are
-    read-only, so every caller can share one.
+    :func:`node_splits`. Views are read-only: the graph's cache keeps one.
     """
-    cache: dict[tuple[int, int], PeriodView] = graph.__dict__.setdefault("_view_cache", {})
-    if (n, split_seed) in cache:
-        return cache[(n, split_seed)]
+    key, views = (n, split_seed), graph.cache.views
+    if key in views:
+        return views[key]
     spec = graph.period(n)
     index = graph.neighbor_index
     t = index.times  # spans are half-open, except that the last period holds its t_end
@@ -418,9 +428,8 @@ def split_period(graph: TemporalGraph, n: int, split_seed: int = 0) -> PeriodVie
         raise ValueError(f"period {n} has no events")
     birth = graph.nodes.birth_period  # the period that introduces a node's class
     rows = np.flatnonzero(active & (birth <= n))
-    view = PeriodView(n, graph.nodes.id[rows], birth[rows] < n, node_splits(graph, split_seed)[rows])
-    cache[(n, split_seed)] = view
-    return view
+    views[key] = PeriodView(n, graph.nodes.id[rows], birth[rows] < n, node_splits(graph, split_seed)[rows])
+    return views[key]
 
 
 def node_splits(graph: TemporalGraph, split_seed: int = 0) -> np.ndarray:
@@ -435,9 +444,9 @@ def node_splits(graph: TemporalGraph, split_seed: int = 0) -> np.ndarray:
     each draws one permutation of its rows (in id order) from the stream
     ``(split_seed, debut)``, and its first 10% go to val, the next to test.
     """
-    cache: dict[int, np.ndarray] = graph.__dict__.setdefault("_split_cache", {})
-    if split_seed in cache:
-        return cache[split_seed]
+    splits = graph.cache.splits
+    if split_seed in splits:
+        return splits[split_seed]
     debut, labels = graph.debut_period, graph.nodes.class_id
     codes = np.int8([SPLIT_NAMES.index(s) for s in (VAL, TEST, TRAIN)])  # in permutation order
     out = np.full(len(debut), -1, dtype=np.int8)
@@ -449,7 +458,7 @@ def node_splits(graph: TemporalGraph, split_seed: int = 0) -> np.ndarray:
             sizes = [n_val, n_test, len(members) - n_val - n_test]
             out[members[rng.permutation(len(members))]] = np.repeat(codes, sizes)
     out.setflags(write=False)
-    cache[split_seed] = out
+    splits[split_seed] = out
     return out
 
 

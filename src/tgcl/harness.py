@@ -458,14 +458,14 @@ def execute(
     """Execute all planned runs and write the aggregated artifacts.
 
     The graph is built once per call, in the caller and only when runs are
-    pending, so a data error is raised before any run starts. The serial
-    path hands that graph to every run, and a process pool to each worker's
-    initializer. Runs sharing a graph share its caches, among them the
-    period views of :func:`tgcl.graph.split_period` and the per-period
-    input rows of :func:`tgcl.backbone.node_inputs`, so each node's model
-    input is built once per period end. A run's ``total_s`` in
-    ``record.json`` therefore leaves out the graph load. Graphs are not
-    cached across calls, because data files may change between them.
+    pending, so a data error is raised before any run starts, and a run's
+    ``total_s`` in ``record.json`` leaves out the graph load. The serial
+    path hands that graph to every run, and a process pool a copy to each
+    worker's initializer. The runs of one process share the graph's
+    :class:`tgcl.graph.GraphCache` (split codes, period views and input
+    rows), so each node's model input is built once per period end in each
+    process. Graphs are not cached across calls, because data files may
+    change between them.
 
     Runs also share one period memo per call (one per worker with
     ``jobs > 1``), so a period that several runs train identically, such

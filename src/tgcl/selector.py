@@ -43,7 +43,7 @@ import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import cdist
 
-from .backbone import Model, classify_embeddings, embed_batch, node_inputs
+from .backbone import Model, classify_embeddings, embed_batch, period_inputs
 from .graph import TRAIN, PeriodView, TemporalGraph
 from .kernels import KernelParams, _kernel, kernel_matrix, median_heuristic_gamma, mmd_sq
 
@@ -178,11 +178,10 @@ def build_pool(
     """Embed the candidates under ``prev`` and freeze their losses."""
     if not node_ids:
         raise ValueError("empty candidate set")
-    z = node_inputs(graph, node_ids, graph.period(view.period_index).t_end)
+    z, labels = period_inputs(graph, view.period_index, node_ids)
     emb = embed_batch(prev, z)
     probs = classify_embeddings(prev, emb)
-    y = np.array([prev.class_index(c) for c in graph.labels(node_ids).tolist()], dtype=int)
-    jc = -np.log(np.clip(probs[np.arange(len(node_ids)), y], 1e-300, None))
+    jc = -np.log(np.clip(probs[np.arange(len(node_ids)), prev.head_rows(labels)], 1e-300, None))
     return SelectionPool(ids=tuple(node_ids), emb=emb, jcls=jc)
 
 

@@ -28,7 +28,6 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .backbone import (
     build_contexts,
     embed_batch,
     loss_and_grads_from_inputs,
-    node_inputs,
+    period_inputs,
     snapshot,
 )
 from .graph import TRAIN, VAL, TEST, PeriodView, TemporalGraph, split_period
@@ -199,12 +198,6 @@ def plan_period(
     return plan, buffer, sel_ms
 
 
-def _node_inputs(graph: TemporalGraph, view: PeriodView, ids: Sequence[int], model: Model):
-    z = node_inputs(graph, ids, graph.period(view.period_index).t_end)
-    y = np.array([model.class_index(c) for c in graph.labels(ids).tolist()], dtype=int)
-    return z, y
-
-
 def train_period(
     model: Backbone,
     graph: TemporalGraph,
@@ -225,21 +218,21 @@ def train_period(
     draws from the stream ``(seed, n)``.
     """
     n = view.period_index
-    z_main, y_main = _node_inputs(graph, view, plan.main_ids, model)
+    z_main, labels_main = period_inputs(graph, n, plan.main_ids)
+    y_main = model.head_rows(labels_main)
     n_main = len(plan.main_ids)
     n_steps = -(-n_main // cfg.batch_size)
 
     if plan.replay_ids:
-        z_sub, y_sub = _node_inputs(graph, view, plan.replay_ids, model)
+        z_sub, labels_sub = period_inputs(graph, n, plan.replay_ids)
+        y_sub = model.head_rows(labels_sub)
         n_sub = len(plan.replay_ids)
         take = min(cfg.batch_size, n_sub)
     if plan.anchor_ids:
-        z_sim, _ = _node_inputs(graph, view, plan.anchor_ids, model)
+        z_sim, _ = period_inputs(graph, n, plan.anchor_ids)
 
     # validation inputs, and the class sets seen so far that have any
-    val_ids = view.nodes_of("all", VAL)
-    z_val = node_inputs(graph, val_ids, graph.period(n).t_end)
-    val_labels = graph.labels(val_ids)
+    z_val, val_labels = period_inputs(graph, n, view.nodes_of("all", VAL))
     val_sets = [
         cs for cs in (graph.period(i).classes for i in range(1, n + 1))
         if np.isin(val_labels, list(cs)).any()
@@ -429,12 +422,9 @@ def run_strategy(
             model.set_parameters(params)
         else:
             result = train_period(model, graph, view, plan, train_cfg, seed=seed)
-            test_ids = view.nodes_of("all", TEST)
+            z_test, test_labels = period_inputs(graph, n, view.nodes_of("all", TEST))
             precisions = precision_per_set(
-                model,
-                node_inputs(graph, test_ids, graph.period(n).t_end),
-                graph.labels(test_ids).tolist(),
-                [graph.period(i).classes for i in range(1, n + 1)],
+                model, z_test, test_labels, [graph.period(i).classes for i in range(1, n + 1)]
             )
             memo[key] = copy.deepcopy((model.parameters(), result, precisions))
         prev = snapshot(model)

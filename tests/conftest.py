@@ -96,7 +96,7 @@ def trained_toy_snapshot(graph, view, seed=0, steps=40, lr=0.2, hidden_dim=16):
     ids = view.nodes_of("all", "train")
     eval_t = graph.period(view.period_index).t_end
     z = build_inputs(build_contexts(graph, ids, eval_t))
-    y = np.array([model.class_index(c) for c in graph.labels(ids).tolist()])
+    y = model.head_rows(graph.labels(ids))
     for _ in range(steps):
         _, grads = loss_and_grads_from_inputs(model, z, y)
         model.apply_gradients(grads, lr)

@@ -135,7 +135,9 @@ def reference_inputs(
 def j_cls(prev: Model, z: np.ndarray, class_id: int) -> float:
     """Cross-entropy of the frozen model's prediction for one input row."""
     probs = classify_batch(prev, np.asarray(z, dtype=float)[None, :])[0]
-    idx = prev.class_index(class_id)
+    if class_id not in prev.classes:
+        raise ValueError(f"class {class_id} unknown to the model")
+    idx = list(prev.classes).index(class_id)
     return float(-np.log(np.clip(probs[idx], 1e-300, None)))
 
 
@@ -146,7 +148,7 @@ def reference_pool_scores(graph: TemporalGraph, n: int, node_ids: Sequence[int],
     z = node_inputs(graph, node_ids, graph.period(n).t_end)
     emb = embed_batch(prev, z)
     probs = classify_batch(prev, z)
-    y = np.array([prev.class_index(int(graph.labels([v])[0])) for v in node_ids], dtype=int)
+    y = np.array([list(prev.classes).index(int(graph.labels([v])[0])) for v in node_ids], dtype=int)
     return emb, -np.log(np.clip(probs[np.arange(len(node_ids)), y], 1e-300, None))
 
 

@@ -207,7 +207,7 @@ def test_criterion_05_gradient_correctness():
         graph, model, ids = _toy_instance(seed)
         rng = np.random.default_rng(seed)
         z = build_inputs(build_contexts(graph, ids[:5], 1.0))
-        y = np.array([model.class_index(c) for c in graph.labels(ids[:5]).tolist()])
+        y = model.head_rows(graph.labels(ids[:5]))
         _, analytic = loss_and_grads_from_inputs(model, z, y)
         numeric = finite_difference_grads(
             lambda: loss_and_grads_from_inputs(model, z, y)[0], model, eps=1e-5

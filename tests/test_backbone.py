@@ -20,6 +20,7 @@ from tgcl.backbone import (
     load_checkpoint,
     loss_and_grads_from_inputs,
     node_inputs,
+    period_inputs,
     save_checkpoint,
     snapshot,
 )
@@ -232,6 +233,15 @@ class TestNodeInputs:
         z = node_inputs(graph, ids, 2.0)
         z[:] = 0.0
         assert np.array_equal(node_inputs(graph, ids, 2.0), reference_inputs(graph, ids, 2.0))
+
+    def test_period_inputs_read_at_period_end_with_class_ids(self, small_synth):
+        for n in (1, 2, 3):
+            ids = split_period(small_synth, n).nodes_of("all")[::-1]
+            z, labels = period_inputs(small_synth, n, ids)
+            t_end = small_synth.period(n).t_end
+            assert np.array_equal(z, reference_inputs(small_synth, ids, t_end))
+            assert labels.tolist() == [int(small_synth.labels([v])[0]) for v in ids]
+        assert set(small_synth.cache.inputs) == {1.0, 2.0, 3.0}
 
 
 class TestContexts:
@@ -504,6 +514,28 @@ class TestGrowHead:
             model.grow_head([1])
 
 
+class TestHeadRows:
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_matches_position_in_classes(self, frozen):
+        model = Backbone(3, hidden_dim=4, seed=0)
+        model.grow_head([7, 2])
+        model.grow_head([11, 0, 5])
+        head = snapshot(model) if frozen else model
+        ids = [5, 7, 7, 0, 11, 2, 5]
+        rows = head.head_rows(ids)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [list(model.classes).index(c) for c in ids]
+        assert head.head_rows(np.array(ids)).tolist() == rows.tolist()
+        assert head.head_rows([]).tolist() == []
+
+    @pytest.mark.parametrize("classes", [(), (0, 1, 3)])
+    def test_unknown_class_named(self, classes):
+        model = toy_model(classes=classes)
+        for head in (model, snapshot(model)):
+            with pytest.raises(ValueError, match="^class 2 unknown to this head$"):
+                head.head_rows([0, 2, 4] if classes else [2])
+
+
 class TestSnapshot:
     def test_training_leaves_snapshot_unchanged(self):
         rng = np.random.default_rng(11)
@@ -543,6 +575,32 @@ class TestSnapshot:
         z = random_inputs(rng, n=100)
         assert np.array_equal(embed_batch(snap, z), embed_batch(loaded, z))
 
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda d: d.pop("rng_state"), "rng_state: missing"),
+            (lambda d: d.update(rng_state=[1]), "rng_state: not a generator state"),
+            (lambda d: d.update(kind="frozen"), "kind: must be 'backbone' or 'snapshot'"),
+            (lambda d: d.update(hidden_dim=True), "hidden_dim: must be an integer >= 1, got True"),
+            (lambda d: d.update(classes=[0, 0]), "classes: must be a list of distinct integers"),
+            (lambda d: d.update(classes=[0]), r"params\.w_head: shape \[2, 4\] does not fit"),
+            (lambda d: d["params"]["b_hid"]["data"].pop(), r"params\.b_hid: 3 values do not fill shape \[4\]"),
+            (lambda d: d["params"]["w_head"].update(data="x"), r"params\.w_head: data is not a list of numbers"),
+            (lambda d: d["params"]["w_hid"]["data"].__setitem__(0, "1.5"), r"params\.w_hid: data is not a list"),
+            (lambda d: d["params"]["b_hid"]["data"].__setitem__(0, True), r"params\.b_hid: data is not a list"),
+            (lambda d: d["params"].pop("w_hid"), r"params\.w_hid: missing"),
+            (lambda d: d.update(head_init_scale=math.inf), "head_init_scale: must be a finite number"),
+        ],
+    )
+    def test_malformed_checkpoint_names_the_field(self, edit, reason):
+        model = Backbone(3, hidden_dim=4, seed=21)
+        model.grow_head([0, 1])
+        d = checkpoint_dict(model)
+        assert isinstance(from_checkpoint_dict(d), Backbone)
+        edit(d)
+        with pytest.raises(ValueError, match=f"^{reason}"):
+            from_checkpoint_dict(d)
+
     def test_backbone_checkpoint_preserves_grow_stream(self, tmp_path):
         a = Backbone(3, hidden_dim=4, seed=21)
         a.grow_head([0, 1])
@@ -574,7 +632,7 @@ def test_parameters_finite_after_updates(small_synth):
     model.grow_head(sorted(set(small_synth.labels(ids).tolist())))
     ctxs = build_contexts(small_synth, ids, 1.0)
     z = build_inputs(ctxs)
-    y = np.array([model.class_index(c) for c in small_synth.labels(ids).tolist()])
+    y = model.head_rows(small_synth.labels(ids))
     for _ in range(50):
         _, grads = loss_and_grads_from_inputs(model, z, y)
         model.apply_gradients(grads, 0.5)

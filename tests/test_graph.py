@@ -242,6 +242,13 @@ class TestSplitPeriod:
         b = split_period(small_synth, 2, split_seed=5)
         assert same_view(a, b)
 
+    def test_views_and_splits_live_in_the_declared_cache(self, two_period_graph):
+        view = split_period(two_period_graph, 2, split_seed=5)
+        cache = two_period_graph.cache
+        assert cache.views == {(2, 5): view} and list(cache.splits) == [5]
+        assert cache.inputs == {}
+        assert make_two_period_graph().cache.views == {}  # one cache per graph
+
     def test_view_built_once_per_period_and_seed(self, two_period_graph):
         view = split_period(two_period_graph, 2, split_seed=5)
         assert split_period(two_period_graph, 2, split_seed=5) is view

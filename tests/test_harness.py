@@ -821,6 +821,67 @@ class TestCli:
             f"select error: {scorer}: classes {want[::-1]} are not those of periods 1..1: {want}\n"
         )
 
+    @pytest.mark.parametrize(
+        "fault, reason",
+        [
+            ("no_params", "params: missing"),
+            ("list", "a checkpoint is a JSON object, not a list"),
+            ("w_agg_shape", "params.w_agg: shape [64, 3] does not fit feature_dim, hidden_dim and classes"),
+            ("w_hid_nan", "params.w_hid: holds non-finite values"),
+        ],
+    )
+    def test_select_rejects_a_malformed_checkpoint(self, tmp_path, capsys, fault, reason):
+        cfg_path = write_config(tmp_path, {**TINY, "strategies": ["ltf"]})
+        scorer = tmp_path / "model_p1.json"
+        save_checkpoint(period_one_scorer(load_data(TINY_DATA)), scorer)
+        body = json.loads(scorer.read_text())
+        if fault == "no_params":
+            del body["params"]
+        elif fault == "list":
+            body = [body]
+        elif fault == "w_agg_shape":
+            body["params"]["w_agg"]["shape"] = [64, 3]
+        else:
+            body["params"]["w_hid"]["data"][7] = math.nan
+        scorer.write_text(json.dumps(body))
+        code = cli.main(["select", str(cfg_path), "--run", "ltf__seed0", "--period", "2", "--model", str(scorer)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"select error: {scorer}: cannot load the model checkpoint: {reason}")
+        assert err.count("\n") == 1
+
+    def test_gen_refuses_a_graph_with_an_empty_period(self, tmp_path, capsys):
+        synth = {"num_periods": 2, "classes_per_period": 2, "nodes_per_class_per_period": 4, "events_per_node": 0}
+        path = write_config(tmp_path, synth, "synth.json")
+        out = tmp_path / "data"
+        assert cli.main(["gen", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: period 1 holds no events\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_gen_out_below_a_file_is_an_error(self, tmp_path, capsys, below):
+        synth = write_config(tmp_path, TINY_DATA["synthetic"], "synth.json")
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert cli.main(["gen", str(synth), "--out", str(blocker / below)]) == 2
+        assert capsys.readouterr().err == f"gen error: {blocker}: not a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "synth.json"]
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_select_out_that_cannot_be_written_is_an_error(self, tmp_path, capsys, kind):
+        cfg_path = write_config(tmp_path, {**TINY, "strategies": ["ltf"]})
+        scorer = tmp_path / "model_p1.json"
+        save_checkpoint(period_one_scorer(load_data(TINY_DATA)), scorer)
+        out = tmp_path / "no_dir" / "b.json" if kind == "missing" else tmp_path
+        code = cli.main(
+            ["select", str(cfg_path), "--run", "ltf__seed0", "--period", "2", "--model", str(scorer),
+             "--out", str(out)]
+        )
+        assert code == 2
+        want = f"{out.parent}: no such directory" if kind == "missing" else f"{out}: Is a directory"
+        assert capsys.readouterr().err == f"select error: {want}\n"
+        assert not (tmp_path / "no_dir").exists()
+
     @pytest.mark.parametrize("kind", [*STALE_RECORDS, "directory"])
     def test_report_skips_a_record_that_is_not_a_json_object(self, tmp_path, capsys, kind):
         out = tmp_path / "out"

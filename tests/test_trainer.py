@@ -354,7 +354,7 @@ class TestRunStrategy:
         for strategy in ("joint", "finetune"):
             out = run_strategy(graph, strategy, sel, quick_train_cfg(), seed=3)
             model = out[1].model_snapshot
-            y = np.array([model.class_index(c) for c in graph.labels(union_ids).tolist()])
+            y = model.head_rows(graph.labels(union_ids))
             losses[strategy], _ = loss_and_grads_from_inputs(model, z, y)
         assert losses["joint"] <= losses["finetune"]
 
