@@ -7,6 +7,13 @@ Two rectified linear layers produce the embedding; a per-class weight row
 produces each logit. The head grows as new class sets arrive, leaving
 existing rows untouched.
 
+A frozen model is the :func:`snapshot` of a live one: a :class:`Backbone`
+whose four parameter arrays are read-only copies and whose ``classes`` is
+a tuple. The frozen copy scores and embeds as the live model did when it
+was copied; :meth:`~Backbone.grow_head`, :meth:`~Backbone.set_parameters`
+and :meth:`~Backbone.apply_gradients` raise ``ValueError`` on it and
+leave it unchanged.
+
 Inputs are built from the graph's CSR neighbour index
 (``TemporalGraph.neighbor_index``) and its node table (``graph.nodes``)
 in two array stages. :func:`build_contexts` gathers, per node, its row of
@@ -16,7 +23,7 @@ pools them into input rows, reading features from the node table's
 feature matrix. :func:`node_inputs` builds every node's row once per
 ``(graph, eval_time)``, in the graph's cache. :func:`period_inputs` is the
 one path from a period's node ids to model inputs and class ids, which a
-head's :meth:`~_Head.head_rows` maps to head rows.
+model's :meth:`~Backbone.head_rows` maps to head rows.
 
 All gradients are hand-derived closed forms; the test suite checks every
 parameter tensor against central finite differences.
@@ -30,6 +37,7 @@ whole gradient before it updates the parameters in place.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from collections.abc import Mapping
@@ -123,28 +131,13 @@ def period_inputs(graph: TemporalGraph, n: int, node_ids: Sequence[int]) -> tupl
     return node_inputs(graph, node_ids, graph.period(n).t_end), graph.labels(node_ids)
 
 
-class _Head:
-    """Class lookups of a live or frozen model, from its ``classes`` (in head-row order)."""
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.classes)
-
-    def head_rows(self, class_ids: Sequence[int]) -> np.ndarray:
-        """Head row of each class id, in order; ``ValueError`` names the first unknown class."""
-        ids = np.asarray(class_ids, dtype=np.int64)
-        hit = ids[:, None] == np.asarray(self.classes, dtype=np.int64)
-        if not hit.any(axis=1).all():
-            raise ValueError(f"class {ids[~hit.any(axis=1)][0]} unknown to this head")
-        return hit.nonzero()[1]  # one hit per row: a head's classes are distinct
-
-
-class Backbone(_Head):
+class Backbone:
     """Trainable embedding + class-incremental classifier.
 
     The head starts empty and is grown with :meth:`grow_head` as class
     sets arrive; new rows draw from a persistent seeded stream, so two
-    successive grows equal one combined grow.
+    successive grows equal one combined grow. ``classes`` lists the class
+    of each head row.
     """
 
     def __init__(
@@ -165,10 +158,24 @@ class Backbone(_Head):
         self.w_hid = self._rng.uniform(-b, b, size=(self.hidden_dim, self.hidden_dim))
         self.b_hid = np.zeros(self.hidden_dim)
         self.w_head = np.zeros((0, self.hidden_dim))
-        self.classes: list[int] = []
+        self.classes: list[int] | tuple[int, ...] = []
+
+    @property
+    def num_classes(self) -> int:
+        return len(self.classes)
+
+    def head_rows(self, class_ids: Sequence[int]) -> np.ndarray:
+        """Head row of each class id, in order; ``ValueError`` names the first unknown class."""
+        ids = np.asarray(class_ids, dtype=np.int64)
+        hit = ids[:, None] == np.asarray(self.classes, dtype=np.int64)
+        if not hit.any(axis=1).all():
+            raise ValueError(f"class {ids[~hit.any(axis=1)][0]} unknown to this head")
+        return hit.nonzero()[1]  # one hit per row: a head's classes are distinct
 
     def grow_head(self, new_classes: Iterable[int]) -> None:
         """Append one seeded small-uniform row per class; old rows untouched."""
+        if not self.w_head.flags.writeable:
+            raise ValueError("cannot grow the head of a frozen model")
         new_list = list(new_classes)
         dup = set(new_list) & set(self.classes)
         if dup:
@@ -188,18 +195,20 @@ class Backbone(_Head):
         return {name: getattr(self, name).copy() for name in PARAM_NAMES}
 
     def set_parameters(self, params: dict[str, np.ndarray]) -> None:
+        """Copy ``params`` into the parameter arrays (read-only in a frozen copy)."""
         for name in PARAM_NAMES:
             cur = getattr(self, name)
             new = np.asarray(params[name], dtype=float)
             if new.shape != cur.shape:
                 raise ValueError(f"shape mismatch for {name}: {new.shape} vs {cur.shape}")
-            setattr(self, name, new.copy())
+            cur[...] = new
 
     def apply_gradients(self, grads: Grads, lr: float) -> None:
         """One descent step, ``param -= lr * grad``, in place per tensor.
 
         All or nothing: the whole gradient is checked before any parameter
-        changes. A buffer built for other shapes raises ``ValueError``; a
+        changes. A buffer built for other shapes raises ``ValueError``, as
+        does the first write into a frozen copy's read-only arrays; a
         non-finite entry raises ``FloatingPointError`` naming the first bad
         tensor in ``PARAM_NAMES`` order.
         """
@@ -212,31 +221,23 @@ class Backbone(_Head):
             param -= lr * grads[name]
 
 
-class Snapshot(_Head):
-    """Frozen, read-only copy of a model's parameters and class list."""
-
-    def __init__(self, src: "Backbone | Snapshot"):
-        for name in PARAM_NAMES:
-            arr = np.array(getattr(src, name), copy=True)
-            arr.setflags(write=False)
-            setattr(self, name, arr)
-        self.classes = tuple(src.classes)
-        self.feature_dim = src.feature_dim
-        self.hidden_dim = src.hidden_dim
-
-
-def snapshot(model: Backbone | Snapshot) -> Snapshot:
-    return Snapshot(model)
-
-
-Model = Backbone | Snapshot
+def snapshot(model: Backbone) -> Backbone:
+    """A frozen copy of ``model``, which the live model's updates leave unchanged."""
+    frozen = copy.copy(model)
+    for name in PARAM_NAMES:
+        arr = getattr(model, name).copy()
+        arr.setflags(write=False)
+        setattr(frozen, name, arr)
+    frozen.classes = tuple(model.classes)
+    frozen._rng = copy.deepcopy(model._rng)
+    return frozen
 
 
 # ---------------------------------------------------------------------------
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-def _forward(model: Model, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _forward(model: Backbone, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hidden activations and embeddings; each rectifier acts in place, so
     a unit's mask ``act > 0`` equals ``pre-activation > 0``."""
     a1 = z @ model.w_agg.T
@@ -247,7 +248,7 @@ def _forward(model: Model, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a1, emb
 
 
-def embed_batch(model: Model, z: np.ndarray) -> np.ndarray:
+def embed_batch(model: Backbone, z: np.ndarray) -> np.ndarray:
     z = np.atleast_2d(np.asarray(z, dtype=float))
     if z.shape[1] != input_dim(model.feature_dim):
         raise ValueError(
@@ -264,7 +265,7 @@ def _softmax_inplace(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def classify_embeddings(model: Model, emb: np.ndarray) -> np.ndarray:
+def classify_embeddings(model: Backbone, emb: np.ndarray) -> np.ndarray:
     """Class probabilities of embedding rows ``emb`` (from :func:`embed_batch`),
     so a caller that needs both runs the forward once."""
     if model.num_classes == 0:
@@ -272,7 +273,7 @@ def classify_embeddings(model: Model, emb: np.ndarray) -> np.ndarray:
     return _softmax_inplace(emb @ model.w_head.T)
 
 
-def classify_batch(model: Model, z: np.ndarray) -> np.ndarray:
+def classify_batch(model: Backbone, z: np.ndarray) -> np.ndarray:
     return classify_embeddings(model, embed_batch(model, z))
 
 
@@ -283,7 +284,7 @@ class Grads(Mapping):
     ``name``, in ``PARAM_NAMES`` order; a new buffer is all zeros.
     """
 
-    def __init__(self, model: Model):
+    def __init__(self, model: Backbone):
         self.shapes = tuple(getattr(model, name).shape for name in PARAM_NAMES)
         self.flat = np.zeros(sum(int(np.prod(shape)) for shape in self.shapes))
         self._views, lo = {}, 0
@@ -292,7 +293,7 @@ class Grads(Mapping):
             self._views[name] = self.flat[lo:hi].reshape(shape)
             lo = hi
 
-    def check_fits(self, model: Model) -> None:
+    def check_fits(self, model: Backbone) -> None:
         """Raise ``ValueError`` unless ``model``'s parameters have these shapes."""
         shapes = tuple(getattr(model, name).shape for name in PARAM_NAMES)
         if shapes != self.shapes:
@@ -309,7 +310,7 @@ class Grads(Mapping):
 
 
 def loss_and_grads_from_inputs(
-    model: Model,
+    model: Backbone,
     z: np.ndarray,
     labels_idx: np.ndarray,
     aux: AuxTerm | None = None,
@@ -399,29 +400,30 @@ def _unpack(params: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
     return arr.reshape(shape)
 
 
-def checkpoint_dict(model: Model) -> dict:
-    is_live = isinstance(model, Backbone)
-    out = {
+def checkpoint_dict(model: Backbone) -> dict:
+    """The model as a JSON object. A frozen copy writes the same fields as
+    a live model, so it reloads live, as the model it was copied from."""
+    return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "kind": "backbone" if is_live else "snapshot",
+        "kind": "backbone",
         "feature_dim": model.feature_dim,
         "hidden_dim": model.hidden_dim,
         "classes": list(model.classes),
         "params": {name: _pack(getattr(model, name)) for name in PARAM_NAMES},
+        "head_init_scale": model.head_init_scale,
+        "rng_state": model._rng.bit_generator.state,
     }
-    if is_live:
-        out["head_init_scale"] = model.head_init_scale
-        out["rng_state"] = model._rng.bit_generator.state
-    return out
 
 
-def from_checkpoint_dict(d: dict) -> Model:
+def from_checkpoint_dict(d: dict) -> Backbone:
     """The model that :func:`checkpoint_dict` wrote ``d`` from.
 
     Every field must be present, each tensor's shape must fit
     ``feature_dim``, ``hidden_dim`` and ``classes``, and every value must
-    be finite; otherwise ``ValueError`` names the first field at fault.
+    be finite; otherwise ``ValueError`` names the first field at fault. A
+    ``"snapshot"`` checkpoint, which earlier versions wrote for a frozen
+    copy, has no ``head_init_scale`` or ``rng_state`` and loads frozen.
     """
     if not isinstance(d, dict):
         raise ValueError(f"a checkpoint is a JSON object, not a {type(d).__name__}")
@@ -454,7 +456,7 @@ def from_checkpoint_dict(d: dict) -> Model:
         setattr(model, name, arr)
     model.classes = list(classes)
     if not live:
-        return Snapshot(model)
+        return snapshot(model)
     try:
         model._rng.bit_generator.state = d["rng_state"]
     except (TypeError, ValueError, KeyError) as exc:
@@ -462,9 +464,9 @@ def from_checkpoint_dict(d: dict) -> Model:
     return model
 
 
-def save_checkpoint(model: Model, path: str | Path) -> None:
+def save_checkpoint(model: Backbone, path: str | Path) -> None:
     Path(path).write_text(json.dumps(checkpoint_dict(model)) + "\n")
 
 
-def load_checkpoint(path: str | Path) -> Model:
+def load_checkpoint(path: str | Path) -> Backbone:
     return from_checkpoint_dict(json.loads(Path(path).read_text()))

@@ -10,7 +10,8 @@ Subcommands:
 
 ``select`` loads the config as ``run`` does (``TGCL_SEED`` too), so a run's
 ``<out>/resolved_config.json`` will do; ``CKPT`` is the model frozen after
-period N-1 (``backbone.save_checkpoint``).
+period N-1, written by ``backbone.save_checkpoint(snapshot(model), path)``,
+whose ``feature_dim``, ``hidden_dim`` and classes must be the run's.
 
 A config, data file or checkpoint that cannot be used, an ``--out`` path
 below a file or in a missing directory, and a ``--jobs``, ``--run`` or
@@ -100,6 +101,9 @@ def _cmd_select(args) -> int:
         prev = snapshot(load_checkpoint(args.model))
     except (OSError, ValueError) as exc:
         return _fail("select", f"{args.model}: cannot load the model checkpoint: {exc}")
+    for name, run_value in (("feature_dim", graph.feature_dim), ("hidden_dim", spec.hidden_dim)):
+        if getattr(prev, name) != run_value:
+            return _fail("select", f"{args.model}: {name} {getattr(prev, name)} is not the run's {run_value}")
     want = [c for i in range(1, n) for c in sorted(graph.period(i).classes)]
     if list(prev.classes) != want:
         return _fail(

@@ -16,7 +16,8 @@ Integers and numbers are JSON integers and numbers, never booleans.
 
 * ``data``: exactly one of ``synthetic`` (:class:`SynthConfig` fields) or
   ``files`` (path strings ``nodes`` and ``events``, and ``periods``, a
-  path string or null, which may be left out).
+  path string or null, which may be left out). A relative path is read
+  against the directory of the config file that names it.
 * ``strategies``: a nonempty list of ``trainer.STRATEGIES`` names.
 * ``sel``, ``train``: fields of :class:`SelectionConfig` and
   :class:`TrainConfig`; an ``int`` field takes an integer, a ``float``
@@ -201,10 +202,17 @@ def _load_include(name, base_dir: Path | None) -> dict:
 
 
 def resolve_config(raw: dict, base_dir: Path | None = None) -> dict:
-    """``raw`` layered over what its ``include`` names, recursively."""
+    """``raw`` layered over what its ``include`` names, recursively. With a
+    ``base_dir`` (the directory of the file that holds ``raw``), each
+    ``data.files`` path string in ``raw`` becomes that path read against
+    it, made absolute."""
     raw = dict(raw)
     inc = raw.pop("include", None)
     base = _load_include(inc, base_dir) if inc is not None else {}
+    files = raw["data"].get("files") if isinstance(raw.get("data"), dict) else None
+    if base_dir is not None and isinstance(files, dict):
+        files = {k: os.path.abspath(base_dir / v) if isinstance(v, str) else v for k, v in files.items()}
+        raw["data"] = {**raw["data"], "files": files}
     return merge_config(base, raw)
 
 
@@ -223,9 +231,12 @@ def load_config(path: str | Path | None = None, preset: str | None = None) -> di
     env_seed = os.environ.get(ENV_SEED)
     if env_seed is not None:
         try:
-            resolved["seeds"] = [int(env_seed)]
+            seed = int(env_seed)
+            if seed < 0:
+                raise ValueError
         except ValueError:
-            raise ConfigError(f"{ENV_SEED} must be an integer, got {env_seed!r}") from None
+            raise ConfigError(f"{ENV_SEED} must be an integer >= 0, got {env_seed!r}") from None
+        resolved["seeds"] = [seed]
     validate_config(resolved)
     return resolved
 
@@ -293,9 +304,23 @@ def validate_config(cfg: dict) -> None:
 
 
 def config_hash(cfg: dict) -> str:
+    """Digest of ``cfg`` without ``output_dir``. For a ``files`` config it
+    also covers the sha256 of each data file's bytes, so an output
+    directory answers for its data; a file that cannot be read counts as
+    None here, and :func:`load_data` names it."""
     scrubbed = {k: v for k, v in cfg.items() if k != "output_dir"}
+    files = cfg.get("data", {}).get("files")
+    if files:
+        scrubbed["data_sha256"] = {kind: _file_sha256(path) for kind, path in files.items() if path is not None}
     blob = json.dumps(scrubbed, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def _file_sha256(path: str) -> str | None:
+    try:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    except OSError:
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .backbone import Model, classify_batch
+from .backbone import Backbone, classify_batch
 
 
 def per_set_accuracy(
@@ -46,7 +46,7 @@ def per_set_accuracy(
 
 
 def precision_per_set(
-    model: Model, z: np.ndarray, labels: Sequence[int], class_sets: Sequence[Sequence[int]]
+    model: Backbone, z: np.ndarray, labels: Sequence[int], class_sets: Sequence[Sequence[int]]
 ) -> list[float | None]:
     """Per-set accuracy of the rows ``z`` (true class ids ``labels``), with
     one argmax over all known classes for every set."""

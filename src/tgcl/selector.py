@@ -43,7 +43,7 @@ import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import cdist
 
-from .backbone import Model, classify_embeddings, embed_batch, period_inputs
+from .backbone import Backbone, classify_embeddings, embed_batch, period_inputs
 from .graph import TRAIN, PeriodView, TemporalGraph
 from .kernels import KernelParams, _kernel, kernel_matrix, median_heuristic_gamma, mmd_sq
 
@@ -173,7 +173,7 @@ def build_pool(
     graph: TemporalGraph,
     view: PeriodView,
     node_ids: Sequence[int],
-    prev: Model,
+    prev: Backbone,
 ) -> SelectionPool:
     """Embed the candidates under ``prev`` and freeze their losses."""
     if not node_ids:
@@ -489,7 +489,7 @@ def _ids_of(pool: SelectionPool, rows: Sequence[int]) -> list[int]:
     return [int(pool.ids[r]) for r in rows]
 
 
-def _candidate_pool(graph: TemporalGraph, view: PeriodView, prev: Model) -> SelectionPool:
+def _candidate_pool(graph: TemporalGraph, view: PeriodView, prev: Backbone) -> SelectionPool:
     """What every selector draws from: the period's old-class training nodes."""
     old_train = list(view.nodes_of("old", TRAIN))
     if not old_train:
@@ -514,7 +514,7 @@ def _entries(graph: TemporalGraph, pool: SelectionPool, node_ids: Sequence[int])
 def select(
     graph: TemporalGraph,
     view: PeriodView,
-    prev: Model,
+    prev: Backbone,
     cfg: SelectionConfig,
     *,
     seed: int,
@@ -594,7 +594,7 @@ def baseline_select(
     kind: str,
     graph: TemporalGraph,
     view: PeriodView,
-    prev: Model,
+    prev: Backbone,
     m: int,
     seed: int = 0,
 ) -> ReplayBuffer:

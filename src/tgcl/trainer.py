@@ -35,8 +35,6 @@ from .backbone import (
     PARAM_NAMES,
     Backbone,
     Grads,
-    Model,
-    Snapshot,
     # unused here: perfbench/tests/test_perfbench.py reads tgcl.trainer.build_contexts
     build_contexts,
     embed_batch,
@@ -153,7 +151,7 @@ def selects(strategy: str, view: PeriodView) -> bool:
 def plan_period(
     graph: TemporalGraph,
     view: PeriodView,
-    prev: Model | None,
+    prev: Backbone | None,
     strategy: str,
     sel_cfg: SelectionConfig,
     train_cfg: TrainConfig,
@@ -341,7 +339,7 @@ class PeriodOutcome:
     metrics: PeriodMetrics
     epoch_log: list[dict]
     buffer: ReplayBuffer | None
-    model_snapshot: Snapshot
+    model_snapshot: Backbone
     reused: bool = False
 
 
@@ -406,7 +404,7 @@ def run_strategy(
     memo = {} if memo is None else memo
     model = Backbone(graph.feature_dim, hidden_dim=hidden_dim, seed=seed)
 
-    prev: Snapshot | None = None
+    prev: Backbone | None = None
     outcomes: list[PeriodOutcome] = []
     for n in range(1, graph.num_periods + 1):
         view = split_period(graph, n, seed)

@@ -33,7 +33,7 @@ from tgcl.backbone import (
     K_NEIGHBORS,
     PARAM_NAMES,
     AuxTerm,
-    Model,
+    Backbone,
     classify_batch,
     embed_batch,
     input_dim,
@@ -132,7 +132,7 @@ def reference_inputs(
     return np.stack(rows)
 
 
-def j_cls(prev: Model, z: np.ndarray, class_id: int) -> float:
+def j_cls(prev: Backbone, z: np.ndarray, class_id: int) -> float:
     """Cross-entropy of the frozen model's prediction for one input row."""
     probs = classify_batch(prev, np.asarray(z, dtype=float)[None, :])[0]
     if class_id not in prev.classes:
@@ -141,7 +141,7 @@ def j_cls(prev: Model, z: np.ndarray, class_id: int) -> float:
     return float(-np.log(np.clip(probs[idx], 1e-300, None)))
 
 
-def reference_pool_scores(graph: TemporalGraph, n: int, node_ids: Sequence[int], prev: Model):
+def reference_pool_scores(graph: TemporalGraph, n: int, node_ids: Sequence[int], prev: Backbone):
     """Embeddings and frozen per-node losses of a selection pool at period
     ``n``, with one forward for the embeddings and a second, inside
     ``classify_batch``, for the class probabilities."""
@@ -159,7 +159,7 @@ def reference_median_gamma(points: np.ndarray) -> float:
     return 1.0 / med if med > 0 else 1.0
 
 
-def reference_forward(model: Model, z: np.ndarray):
+def reference_forward(model: Backbone, z: np.ndarray):
     """Pre-activations and activations of both layers, each a new array."""
     a1p = z @ model.w_agg.T
     a1 = np.maximum(a1p, 0.0)
@@ -175,7 +175,7 @@ def reference_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def reference_loss_and_grads(
-    model: Model,
+    model: Backbone,
     z: np.ndarray,
     labels_idx: np.ndarray,
     aux: AuxTerm | None = None,
@@ -215,7 +215,7 @@ def reference_loss_and_grads(
 
 
 def reference_precision_per_set(
-    model: Model, z: np.ndarray, labels: Sequence[int], class_set: Sequence[int]
+    model: Backbone, z: np.ndarray, labels: Sequence[int], class_set: Sequence[int]
 ) -> float | None:
     """Per-set accuracy of one class set, with the class id of each argmax
     looked up one prediction at a time and the set's members listed one
@@ -230,7 +230,7 @@ def reference_precision_per_set(
     return hits / len(idx)
 
 
-def embedding_grads(model: Model, z: np.ndarray, d_emb: np.ndarray) -> dict[str, np.ndarray]:
+def embedding_grads(model: Backbone, z: np.ndarray, d_emb: np.ndarray) -> dict[str, np.ndarray]:
     """Backpropagate a gradient w.r.t. the embeddings into parameter space."""
     z = np.atleast_2d(np.asarray(z, dtype=float))
     a1p, a1, ep, _ = reference_forward(model, z)
@@ -247,7 +247,7 @@ def embedding_grads(model: Model, z: np.ndarray, d_emb: np.ndarray) -> dict[str,
 
 
 def l_dst(
-    model: Model, z_sub: np.ndarray, sim_embeddings: np.ndarray, kp: KernelParams
+    model: Backbone, z_sub: np.ndarray, sim_embeddings: np.ndarray, kp: KernelParams
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Alignment loss of live input rows against frozen anchor embeddings,
     with its gradients w.r.t. the model parameters."""

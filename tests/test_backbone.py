@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from tgcl.backbone import (
     Backbone,
     Grads,
     K_NEIGHBORS,
-    Snapshot,
     build_contexts,
     build_inputs,
     classify_batch,
@@ -571,7 +571,7 @@ class TestSnapshot:
         path = tmp_path / "snap.json"
         save_checkpoint(snap, path)
         loaded = load_checkpoint(path)
-        assert isinstance(loaded, Snapshot)
+        assert isinstance(loaded, Backbone)
         z = random_inputs(rng, n=100)
         assert np.array_equal(embed_batch(snap, z), embed_batch(loaded, z))
 
@@ -610,6 +610,75 @@ class TestSnapshot:
         a.grow_head([2])
         b.grow_head([2])
         assert np.array_equal(a.w_head, b.w_head)
+
+
+def _nudged(model):
+    return {name: arr + 1.0 for name, arr in model.parameters().items()}
+
+
+def _descent_step(model):
+    rng = np.random.default_rng(15)
+    _, grads = loss_and_grads_from_inputs(model, random_inputs(rng, n=6), rng.integers(0, 3, size=6))
+    model.apply_gradients(grads, 0.1)
+
+
+class TestFrozenCopy:
+    @pytest.mark.parametrize(
+        "mutate, reason",
+        [
+            (_descent_step, "read-only"),
+            (lambda m: m.set_parameters(_nudged(m)), "read-only"),
+            (lambda m: m.grow_head([7]), "^cannot grow the head of a frozen model$"),
+        ],
+        ids=["apply_gradients", "set_parameters", "grow_head"],
+    )
+    def test_mutators_raise_and_leave_it_unchanged(self, mutate, reason):
+        frozen = snapshot(toy_model(seed=14))
+        params, classes, state = frozen.parameters(), frozen.classes, frozen._rng.bit_generator.state
+        with pytest.raises(ValueError, match=reason):
+            mutate(frozen)
+        assert all(np.array_equal(getattr(frozen, name), params[name]) for name in PARAM_NAMES)
+        assert frozen.classes == classes == (0, 1, 2)
+        assert frozen._rng.bit_generator.state == state
+        live = toy_model(seed=14)
+        mutate(live)  # the same call on the live model goes through
+        assert live.classes != [0, 1, 2] or not np.array_equal(live.w_agg, params["w_agg"])
+
+    def test_a_frozen_copy_is_a_backbone_with_read_only_arrays(self):
+        model = toy_model(seed=16)
+        frozen = snapshot(model)
+        assert type(frozen) is Backbone and frozen.classes == (0, 1, 2)
+        assert not any(getattr(frozen, name).flags.writeable for name in PARAM_NAMES)
+        assert all(getattr(model, name).flags.writeable for name in PARAM_NAMES)
+
+    def test_a_snapshot_checkpoint_of_the_earlier_format_loads_frozen(self):
+        rng = np.random.default_rng(17)
+        model = toy_model(seed=17)
+        model.b_hid += 0.5
+        d = checkpoint_dict(model)
+        del d["rng_state"], d["head_init_scale"]
+        d["kind"] = "snapshot"
+        loaded = from_checkpoint_dict(d)
+        assert not any(getattr(loaded, name).flags.writeable for name in PARAM_NAMES)
+        assert loaded.classes == (0, 1, 2)
+        z = random_inputs(rng, n=50)
+        assert np.array_equal(embed_batch(loaded, z), embed_batch(model, z))
+        with pytest.raises(ValueError, match="frozen"):
+            loaded.grow_head([3])
+
+    def test_a_checkpoint_of_a_frozen_copy_reloads_with_equal_embeddings(self, tmp_path):
+        rng = np.random.default_rng(18)
+        model = toy_model(seed=18)
+        model.b_hid += 0.5
+        path = tmp_path / "frozen.json"
+        save_checkpoint(snapshot(model), path)
+        assert json.loads(path.read_text()) == checkpoint_dict(model)
+        loaded = load_checkpoint(path)
+        z = random_inputs(rng, n=50)
+        assert np.array_equal(embed_batch(loaded, z), embed_batch(model, z))
+        model.grow_head([5])
+        loaded.grow_head([5])  # the copy carried the head-growth stream
+        assert np.array_equal(loaded.w_head, model.w_head)
 
 
 def test_period_training_data_shapes(small_synth):

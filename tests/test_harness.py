@@ -142,6 +142,29 @@ class TestConfigLoading:
         cfg = load_config(write_config(tmp_path, TINY))
         assert cfg["seeds"] == [7]
 
+    @pytest.mark.parametrize("value", ["-1", "1.5"])
+    def test_env_seed_must_be_a_nonnegative_integer(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("TGCL_SEED", value)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(write_config(tmp_path, TINY)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: TGCL_SEED must be an integer >= 0, got {value!r}\n"
+        assert not out.exists()
+
+    def test_relative_data_files_are_read_against_the_config_file(self, tmp_path, monkeypatch):
+        (tmp_path / "cfgs").mkdir()
+        files = {"nodes": "data/n.csv", "events": "../e.csv", "periods": str(tmp_path / "p.json")}
+        write_config(tmp_path / "cfgs", {"include": "../base.json"}, "top.json")
+        write_config(tmp_path, {**TINY, "data": {"files": files}}, "base.json")
+        write_config(tmp_path / "cfgs", {**TINY, "data": {"files": files}}, "own.json")
+        monkeypatch.chdir(tmp_path / "cfgs")
+        for name, where in (("top.json", tmp_path), ("own.json", tmp_path / "cfgs")):
+            cfg = load_config(name)
+            assert cfg["data"]["files"] == {
+                "nodes": str(where / "data" / "n.csv"),
+                "events": str(where.parent / "e.csv"),
+                "periods": str(tmp_path / "p.json"),
+            }
+
     def test_unknown_strategy_diagnostic(self, tmp_path):
         with pytest.raises(ConfigError, match="strategies"):
             load_config(write_config(tmp_path, {**TINY, "strategies": ["sgd"]}))
@@ -273,7 +296,8 @@ class TestConfigLoading:
     def test_files_periods_may_be_null(self, tmp_path):
         files = {"nodes": "n.csv", "events": "e.csv", "periods": None}
         cfg = load_config(write_config(tmp_path, {**TINY, "data": {"files": files}}))
-        assert cfg["data"] == {"files": files}
+        read = {"nodes": str(tmp_path / "n.csv"), "events": str(tmp_path / "e.csv"), "periods": None}
+        assert cfg["data"] == {"files": read}
 
     def test_files_data_replaces_default_synthetic(self, tmp_path):
         cfg = load_config(
@@ -797,6 +821,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"select error: {message}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "feature_dim, hidden_dim, message",
+        [(8, 16, "feature_dim 8 is not the run's 3"), (3, 16, "hidden_dim 16 is not the run's 64")],
+    )
+    def test_select_rejects_a_checkpoint_of_another_size(self, tmp_path, capsys, feature_dim, hidden_dim, message):
+        cfg_path = write_config(tmp_path, {**TINY, "strategies": ["ltf"]})
+        model = Backbone(feature_dim, hidden_dim=hidden_dim, seed=0)
+        model.grow_head(sorted(load_data(TINY_DATA).period(1).classes))
+        scorer = tmp_path / "model_p1.json"
+        save_checkpoint(model, scorer)
+        code = cli.main(["select", str(cfg_path), "--run", "ltf__seed0", "--period", "2", "--model", str(scorer)])
+        assert code == 2
+        assert capsys.readouterr().err == f"select error: {scorer}: {message}\n"
+
     def test_select_rejects_a_checkpoint_of_other_classes_before_selecting(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -930,6 +968,54 @@ class TestCli:
         out = tmp_path / "file_out"
         assert cli.main(["run", str(write_config(tmp_path, cfg, "f.json")), "--out", str(out), "--quiet"]) == 0
         assert len(read_rows(out)) == 4
+
+
+def gen_files(tmp_path, data_dir, seed):
+    """``tgcl gen`` the tiny graph of generator seed ``seed`` into ``data_dir``."""
+    synth = write_config(tmp_path, {**TINY_DATA["synthetic"], "seed": seed}, "synth.json")
+    assert cli.main(["gen", str(synth), "--out", str(data_dir)]) == 0
+
+
+#: data.files of a config beside a ``data/`` directory
+RELATIVE_FILES = {kind: f"data/{kind}.{ext}" for kind, ext in FILE_KINDS}
+
+
+def test_resume_reruns_runs_whose_data_files_changed(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("TGCL_SEED", raising=False)
+    cfgs = tmp_path / "cfgs"
+    gen_files(tmp_path, cfgs / "data", seed=1)
+    write_config(cfgs, {**TINY, "data": {"files": RELATIVE_FILES}}, "c.json")
+    monkeypatch.chdir(cfgs)
+    assert cli.main(["run", "c.json", "--out", "../o2", "--quiet"]) == 0
+    stale = (tmp_path / "o2" / "results.csv").read_bytes()
+    gen_files(tmp_path, cfgs / "data", seed=2)
+    capsys.readouterr()
+    assert cli.main(["run", "c.json", "--out", "../o2", "--resume"]) == 0
+    echo = capsys.readouterr().out
+    assert "2 runs planned, 2 to execute (resume=True)\n" in echo
+    assert "2 stale runs from another config hash will be rerun\n" in echo
+    assert cli.main(["run", "c.json", "--out", "../fresh", "--quiet"]) == 0
+    resumed = (tmp_path / "o2" / "results.csv").read_bytes()
+    assert resumed == (tmp_path / "fresh" / "results.csv").read_bytes() != stale
+
+
+def test_a_config_names_the_same_data_from_any_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("TGCL_SEED", raising=False)
+    cfgs = tmp_path / "cfgs"
+    gen_files(tmp_path, cfgs / "data", seed=1)
+    write_config(cfgs, {**TINY, "data": {"files": RELATIVE_FILES}, "strategies": ["ltf"]}, "c.json")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", "cfgs/c.json", "--out", "o", "--quiet"]) == 0
+    resolved = tmp_path / "o" / "resolved_config.json"
+    files = json.loads(resolved.read_text())["data"]["files"]
+    assert files == {kind: str(cfgs / path) for kind, path in RELATIVE_FILES.items()}
+    scorer = tmp_path / "model_p1.json"
+    save_checkpoint(period_one_scorer(load_data({"files": files})), scorer)
+    monkeypatch.chdir(cfgs / "data")
+    capsys.readouterr()
+    argv = ["select", str(resolved), "--run", "ltf__seed0", "--period", "2", "--model", str(scorer)]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["period"] == 2
 
 
 def test_deep_merge_nested():
