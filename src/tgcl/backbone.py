@@ -194,14 +194,23 @@ class Backbone:
     def parameters(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name).copy() for name in PARAM_NAMES}
 
-    def set_parameters(self, params: dict[str, np.ndarray]) -> None:
-        """Copy ``params`` into the parameter arrays (read-only in a frozen copy)."""
+    def set_parameters(self, params: Mapping[str, np.ndarray]) -> None:
+        """Copy ``params`` into the parameter arrays (read-only in a frozen copy).
+
+        All or nothing: every tensor is checked before the first write, and
+        ``ValueError`` names the first one in ``PARAM_NAMES`` order that is
+        missing or of another shape.
+        """
+        new = {}
         for name in PARAM_NAMES:
-            cur = getattr(self, name)
-            new = np.asarray(params[name], dtype=float)
-            if new.shape != cur.shape:
-                raise ValueError(f"shape mismatch for {name}: {new.shape} vs {cur.shape}")
-            cur[...] = new
+            if name not in params:
+                raise ValueError(f"missing tensor {name}")
+            new[name] = np.asarray(params[name], dtype=float)
+            shape = getattr(self, name).shape
+            if new[name].shape != shape:
+                raise ValueError(f"shape mismatch for {name}: {new[name].shape} vs {shape}")
+        for name, arr in new.items():
+            getattr(self, name)[...] = arr
 
     def apply_gradients(self, grads: Grads, lr: float) -> None:
         """One descent step, ``param -= lr * grad``, in place per tensor.

@@ -14,12 +14,16 @@ period N-1, written by ``backbone.save_checkpoint(snapshot(model), path)``,
 whose ``feature_dim``, ``hidden_dim`` and classes must be the run's.
 
 A config, data file or checkpoint that cannot be used, an ``--out`` path
-below a file or in a missing directory, and a ``--jobs``, ``--run`` or
-``--period`` out of range each print one ``<kind> error: ...`` line naming
-it (kind ``config``, ``data``, ``run``, ``gen``, ``select`` or ``report``)
-and exit with status 2, before any run starts. argparse reports a
-malformed command line itself (usage line, status 2); other failures, such
-as a disk that fills up, end in a traceback.
+below a file or in a missing directory, a ``gen --out`` directory where
+``nodes.csv``, ``events.csv`` or ``periods.json`` is a directory (refused
+before any file is written), a ``report`` directory without run records
+or whose ``config_hash.txt`` cannot be read as UTF-8 text, and a
+``--jobs``, ``--run`` or ``--period`` out of range each print one
+``<kind> error: ...`` line naming it (kind ``config``, ``data``, ``run``,
+``gen``, ``select`` or ``report``) and exit with status 2, before any run
+starts. argparse reports a malformed command line itself (usage line,
+status 2); other failures, such as a disk that fills up, end in a
+traceback.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from pathlib import Path
 
 from . import harness
 from .backbone import load_checkpoint, snapshot
-from .graph import GraphFormatError, first_empty_period, generate_synthetic, save_graph, split_period
+from .graph import GraphFormatError, first_empty_period, generate_synthetic, graph_paths, save_graph, split_period
 from .metrics import format_summary_table
 from .trainer import plan_period, selects
 
@@ -72,6 +76,9 @@ def _cmd_gen(args) -> int:
     blocked = _not_a_directory(Path(args.out))
     if blocked:
         return _fail("gen", f"{blocked}: not a directory")
+    taken = next((p for p in graph_paths(args.out).values() if p.is_dir()), None)
+    if taken:
+        return _fail("gen", f"{taken}: Is a directory")
     graph = generate_synthetic(synth)
     empty = first_empty_period(graph)
     if empty is not None:
@@ -127,7 +134,7 @@ def _cmd_select(args) -> int:
 def _cmd_report(args) -> int:
     try:
         records = harness.load_records(args.results_dir)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return _fail("report", exc)
     print(format_summary_table(records))
     return 0

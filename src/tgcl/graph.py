@@ -621,13 +621,17 @@ EVENT_BASENAME = "events.csv"
 PERIOD_BASENAME = "periods.json"
 
 
+def graph_paths(out_dir: str | Path) -> dict[str, Path]:
+    """The node, event and period files that :func:`save_graph` writes under ``out_dir``."""
+    out = Path(out_dir)
+    return {"nodes": out / NODE_BASENAME, "events": out / EVENT_BASENAME, "periods": out / PERIOD_BASENAME}
+
+
 def save_graph(graph: TemporalGraph, out_dir: str | Path) -> dict[str, Path]:
     """Write ``nodes.csv``, ``events.csv``, ``periods.json`` under ``out_dir``."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    node_path = out / NODE_BASENAME
-    event_path = out / EVENT_BASENAME
-    period_path = out / PERIOD_BASENAME
+    paths = graph_paths(out_dir)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    node_path, event_path, period_path = paths.values()
 
     dim = graph.feature_dim
     with node_path.open("w", newline="") as fh:
@@ -653,7 +657,7 @@ def save_graph(graph: TemporalGraph, out_dir: str | Path) -> dict[str, Path]:
             indent=2,
         )
         fh.write("\n")
-    return {"nodes": node_path, "events": event_path, "periods": period_path}
+    return paths
 
 
 def load_graph(

@@ -36,7 +36,6 @@ import hashlib
 import json
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -546,6 +545,8 @@ def execute(
     graph = load_data(cfg["data"]) if pending else None
     memo: dict = {}
     if jobs > 1 and len(pending) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(graph,)) as pool:
             for run_id in pool.map(_execute_in_worker, pending):
                 if echo:
@@ -604,10 +605,15 @@ def load_records(out_dir: str | Path) -> list[RunRecord]:
     """Rebuild records from a results directory's per-run record files: only
     those of its ``config_hash.txt``, when it has one. One warning names the
     runs skipped, whose record :func:`_read_record` cannot read (it is
-    stale, as on resume) or is another config's."""
+    stale, as on resume) or is another config's. A ``config_hash.txt`` that
+    cannot be read as UTF-8 text raises ``OSError`` naming it, as does a
+    directory without records."""
     out = Path(out_dir)
     hash_file = out / "config_hash.txt"
-    chash = hash_file.read_text().strip() if hash_file.exists() else None
+    try:
+        chash = hash_file.read_text(encoding="utf-8").strip() if hash_file.exists() else None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise OSError(f"{hash_file}: cannot read the config hash: {getattr(exc, 'strerror', None) or exc}") from exc
     records, skipped = [], []
     for run_dir in sorted(path.parent for path in out.glob("runs/*/record.json")):
         rec = _read_record(run_dir)

@@ -4,6 +4,12 @@ bound check.
 The kernel is ``exp(-gamma * ||x - y||)`` on the *unsquared* Euclidean
 distance. Set ``squared=True`` on :class:`KernelParams` for the
 conventional ``exp(-gamma * ||x - y||^2)`` variant.
+
+This module is the one home of the scipy distance calls: ``_distances``
+imports ``cdist`` and ``median_heuristic_gamma`` imports ``pdist`` at first
+use, not at import time. Loading ``scipy.spatial`` takes a large share of
+the package's start-up time, and commands such as ``tgcl --help``,
+``tgcl gen`` and ``tgcl report`` never compute a distance.
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 
 @dataclass(frozen=True)
@@ -49,6 +54,8 @@ def _kernel(xp: np.ndarray, yp: np.ndarray, params: KernelParams) -> np.ndarray:
 
 def _distances(xp: np.ndarray, yp: np.ndarray, squared: bool) -> np.ndarray:
     """The pairwise distances that the kernel exponentiates."""
+    from scipy.spatial.distance import cdist
+
     return cdist(xp, yp, "sqeuclidean" if squared else "euclidean")
 
 
@@ -118,6 +125,8 @@ def median_heuristic_gamma(
         rng = np.random.default_rng(seed)
         idx = rng.choice(pts.shape[0], size=sample_cap, replace=False)
         pts = pts[np.sort(idx)]
+    from scipy.spatial.distance import pdist
+
     # the distances are ours alone, so the median may partition them in
     # place instead of a copy: the same value, half the peak memory
     med = float(np.median(pdist(pts), overwrite_input=True))

@@ -10,7 +10,9 @@ training nodes, scored under the frozen previous-period model:
 Scoring runs in ``witness`` mode (the cheap cached-sum witness) or
 ``exact-marginal`` mode (the true objective increase, used as the
 verification oracle). Random, k-means, and hierarchical partitioners are
-provided, along with random and herding baseline selectors.
+provided, along with random and herding baseline selectors. The
+``hierarchical`` partitioner loads ``scipy.cluster`` when it runs (on more
+than one part), so the package does not pay that import at start-up.
 
 Each part's kernel is evaluated at most once and never held whole. Both
 scoring modes need only the column means of the part's kernel, its
@@ -40,12 +42,10 @@ from typing import NamedTuple, Sequence
 import json
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
-from scipy.spatial.distance import cdist
 
 from .backbone import Backbone, classify_embeddings, embed_batch, period_inputs
 from .graph import TRAIN, PeriodView, TemporalGraph
-from .kernels import KernelParams, _kernel, kernel_matrix, median_heuristic_gamma, mmd_sq
+from .kernels import KernelParams, _distances, _kernel, kernel_matrix, median_heuristic_gamma, mmd_sq
 
 PARTITIONERS = ("random", "kmeans", "hierarchical")
 SCORING_MODES = ("witness", "exact-marginal")
@@ -264,6 +264,8 @@ def partition(
     if cfg.partitioner == "kmeans":
         labels, centers = _kmeans(emb, w, rng)
     else:
+        from scipy.cluster.hierarchy import fcluster, linkage
+
         link = linkage(emb, method="average")
         labels = fcluster(link, t=w, criterion="maxclust") - 1
         centers = np.stack([
@@ -279,7 +281,7 @@ def _kmeans(emb: np.ndarray, w: int, rng: np.random.Generator, iters: int = 100)
     centers = emb[init].copy()
     labels = np.full(emb.shape[0], -1, dtype=int)
     for _ in range(iters):
-        new_labels = cdist(emb, centers).argmin(axis=1)
+        new_labels = _distances(emb, centers, False).argmin(axis=1)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels

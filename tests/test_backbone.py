@@ -612,6 +612,26 @@ class TestSnapshot:
         assert np.array_equal(a.w_head, b.w_head)
 
 
+class TestSetParameters:
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p.update(w_head=np.zeros((3, 4))), r"^shape mismatch for w_head: \(3, 4\) vs \(2, 4\)$"),
+            (lambda p: p.pop("w_head"), "^missing tensor w_head$"),
+        ],
+        ids=["wrong_shape", "missing_tensor"],
+    )
+    def test_a_bad_tensor_leaves_every_array_unchanged(self, edit, message):
+        model = Backbone(3, hidden_dim=4, seed=18)
+        model.grow_head([0, 1])
+        before = model.parameters()
+        params = _nudged(model)
+        edit(params)
+        with pytest.raises(ValueError, match=message):
+            model.set_parameters(params)
+        assert all(np.array_equal(getattr(model, name), before[name]) for name in PARAM_NAMES)
+
+
 def _nudged(model):
     return {name: arr + 1.0 for name, arr in model.parameters().items()}
 

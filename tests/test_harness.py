@@ -905,6 +905,15 @@ class TestCli:
         assert capsys.readouterr().err == f"gen error: {blocker}: not a directory\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "synth.json"]
 
+    @pytest.mark.parametrize("name", ["nodes.csv", "events.csv", "periods.json"])
+    def test_gen_onto_a_directory_is_an_error(self, tmp_path, capsys, name):
+        synth = write_config(tmp_path, TINY_DATA["synthetic"], "synth.json")
+        out = tmp_path / "data"
+        (out / name).mkdir(parents=True)
+        assert cli.main(["gen", str(synth), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"gen error: {out / name}: Is a directory\n"
+        assert [p.name for p in out.iterdir()] == [name]
+
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     def test_select_out_that_cannot_be_written_is_an_error(self, tmp_path, capsys, kind):
         cfg_path = write_config(tmp_path, {**TINY, "strategies": ["ltf"]})
@@ -946,6 +955,24 @@ class TestCli:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"run error: {taken}: not a directory\n"
         assert taken.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_report_with_an_unreadable_config_hash_exit_2(self, tmp_path, capsys, kind):
+        out = tmp_path / "out"
+        assert cli.main(["run", str(write_config(tmp_path, TINY)), "--out", str(out), "--quiet"]) == 0
+        capsys.readouterr()
+        hash_file = out / "config_hash.txt"
+        hash_file.unlink()
+        if kind == "directory":
+            hash_file.mkdir()
+        else:
+            hash_file.write_bytes(b"\xff\xfe")
+        assert cli.main(["report", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"report error: {hash_file}: cannot read the config hash: ")
+        assert err.count("\n") == 1
+        if kind == "directory":
+            assert err.endswith(": Is a directory\n")
 
     def test_report_without_records_exit_2(self, tmp_path, capsys):
         assert cli.main(["report", str(tmp_path)]) == 2
