@@ -13,7 +13,9 @@ Subcommands:
 period N-1, written by ``backbone.save_checkpoint(snapshot(model), path)``,
 whose ``feature_dim``, ``hidden_dim`` and classes must be the run's.
 
-A config, data file or checkpoint that cannot be used, an ``--out`` path
+A config, data file or checkpoint that cannot be used, data that no run
+can score (a period without new-class training nodes or without test
+nodes under a planned seed; ``gen`` checks split seed 0), an ``--out`` path
 below a file or in a missing directory, a ``gen --out`` directory where
 ``nodes.csv``, ``events.csv`` or ``periods.json`` is a directory (refused
 before any file is written), a ``report`` directory without run records
@@ -83,6 +85,9 @@ def _cmd_gen(args) -> int:
     empty = first_empty_period(graph)
     if empty is not None:
         return _fail("config", f"{args.synth_config}: period {empty.index} holds no events")
+    fault = harness.unscorable_period(graph, [0])
+    if fault:
+        return _fail("config", f"{args.synth_config}: {fault}")
     paths = save_graph(graph, args.out)
     for kind, path in paths.items():
         print(f"{kind}: {path}")
@@ -98,6 +103,7 @@ def _cmd_select(args) -> int:
     if spec is None:
         return _fail("select", f"--run {args.run}: not planned by the config (planned: {', '.join(specs)})")
     graph = harness.load_data(cfg["data"])
+    harness.check_scorable(graph, cfg["data"], [spec.seed])
     n = args.period
     if not 1 <= n <= graph.num_periods:
         return _fail("select", f"--period {n}: outside 1..{graph.num_periods}")

@@ -42,7 +42,8 @@ from pathlib import Path
 from time import perf_counter
 from typing import Sequence
 
-from .graph import SynthConfig, TemporalGraph, first_empty_period, generate_synthetic, load_graph
+from .graph import TEST, TRAIN, GraphFormatError, SynthConfig, TemporalGraph, first_empty_period, generate_synthetic
+from .graph import load_graph, split_period
 from .metrics import RunRecord, af as af_metric, format_summary_table, write_results_csv, write_summary_json
 from .selector import SelectionConfig
 from .trainer import ABLATIONS, STRATEGIES, TrainConfig, run_strategy
@@ -427,6 +428,31 @@ def load_data(data_cfg: dict) -> TemporalGraph:
     return load_graph(files["nodes"], files["events"], files.get("periods"))
 
 
+def unscorable_period(graph: TemporalGraph, seeds: Sequence[int]) -> str | None:
+    """Why no run can score ``graph``, if so: the first period that holds no
+    new-class training nodes (nothing to train) or no test nodes (nothing
+    to score) under one of the split ``seeds``. The graph caches the views,
+    so the runs reuse them."""
+    for seed in seeds:
+        for n in range(1, graph.num_periods + 1):
+            view = split_period(graph, n, seed)
+            for group, split, what in (("new", TRAIN, "new-class training"), ("all", TEST, "test")):
+                if not view.nodes_of(group, split):
+                    return f"period {n} has no {what} nodes under seed {seed}"
+    return None
+
+
+def check_scorable(graph: TemporalGraph, data_cfg: dict, seeds: Sequence[int]) -> None:
+    """Refuse an :func:`unscorable_period`: a ``ConfigError`` on
+    ``data.synthetic``, or a ``GraphFormatError`` naming the nodes file."""
+    fault = unscorable_period(graph, seeds)
+    if fault is None:
+        return
+    if "synthetic" in data_cfg:
+        raise ConfigError(f"data.synthetic: {fault}")
+    raise GraphFormatError(f"{data_cfg['files']['nodes']}: {fault}")
+
+
 #: The graph of a pool worker, handed over once by :func:`_init_worker`,
 #: and the worker's period memo (see :func:`tgcl.trainer.run_strategy`).
 _WORKER_GRAPH: TemporalGraph | None = None
@@ -482,7 +508,8 @@ def execute(
     """Execute all planned runs and write the aggregated artifacts.
 
     The graph is built once per call, in the caller and only when runs are
-    pending, so a data error is raised before any run starts, and a run's
+    pending, and :func:`check_scorable` checks it under every planned seed,
+    so a data error is raised before any run starts, and a run's
     ``total_s`` in ``record.json`` leaves out the graph load. The serial
     path hands that graph to every run, and a process pool a copy to each
     worker's initializer. The runs of one process share the graph's
@@ -543,6 +570,8 @@ def execute(
                  + ", ".join(unplanned))
 
     graph = load_data(cfg["data"]) if pending else None
+    if pending:
+        check_scorable(graph, cfg["data"], cfg["seeds"])
     memo: dict = {}
     if jobs > 1 and len(pending) > 1:
         from concurrent.futures import ProcessPoolExecutor

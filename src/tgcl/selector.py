@@ -14,6 +14,12 @@ provided, along with random and herding baseline selectors. The
 ``hierarchical`` partitioner loads ``scipy.cluster`` when it runs (on more
 than one part), so the package does not pay that import at start-up.
 
+Selection works on rows of the candidate pool. The pool holds the
+old-class training nodes in id order, so row order is id order: parts
+are ascending arrays of pool rows, picks are rows, and every tie that
+breaks to the smallest row breaks to the smallest node id. Node ids
+appear only where the :class:`ReplayBuffer` is written.
+
 Each part's kernel is evaluated at most once and never held whole. Both
 scoring modes need only the column means of the part's kernel, its
 diagonal (exactly 1 for both kernel variants) and one kernel column per
@@ -162,10 +168,10 @@ class SelectionPool:
     def rows_of(self, node_ids: Sequence[int]) -> list[int]:
         return [self._row[v] for v in node_ids]
 
-    def take(self, node_ids: Sequence[int]) -> "SelectionPool":
-        rows = self.rows_of(node_ids)
+    def take(self, rows: np.ndarray) -> "SelectionPool":
+        """The candidates at pool ``rows``, in that order."""
         return SelectionPool(
-            ids=tuple(node_ids), emb=self.emb[rows], jcls=self.jcls[rows], kp=self.kp
+            ids=tuple(self.ids[r] for r in rows), emb=self.emb[rows], jcls=self.jcls[rows], kp=self.kp
         )
 
 
@@ -220,46 +226,26 @@ def _even_sizes(n: int, w: int) -> list[int]:
     return [base + (1 if i < n % w else 0) for i in range(w)]
 
 
-def partition(
-    old_nodes: Sequence[int],
-    cfg: SelectionConfig,
-    *,
-    seed: int,
-    embeddings: np.ndarray | None = None,
-) -> list[list[int]]:
-    """Split candidates into ``ceil(n / p)`` parts.
+def partition(emb: np.ndarray, cfg: SelectionConfig, *, seed: int) -> list[np.ndarray]:
+    """Split candidates into ``ceil(n / p)`` parts of ascending row arrays.
 
-    ``random`` shuffles then chunks evenly (size difference at most 1);
-    ``kmeans`` and ``hierarchical`` cluster on the given embeddings, keeping
-    natural cluster sizes but spilling members beyond ``p`` to the nearest
-    cluster with room. Deterministic given ``seed``, which keys the stream
-    ``(seed, _STREAM_PARTITION)``.
+    The rows of ``emb`` are the candidates in id order, and each part
+    holds positions into them. ``random`` shuffles then chunks evenly (size
+    difference at most 1); ``kmeans`` and ``hierarchical`` cluster the
+    rows, keeping natural cluster sizes but spilling members beyond ``p``
+    to the nearest cluster with room. Deterministic given ``seed``, which
+    keys the stream ``(seed, _STREAM_PARTITION)``.
     """
-    ids = list(old_nodes)
-    if not ids:
-        raise ValueError("cannot partition an empty node list")
-    n = len(ids)
+    n = len(emb)
+    if not n:
+        raise ValueError("cannot partition an empty candidate set")
     w = -(-n // cfg.p)  # ceil
     if w == 1:
-        return [sorted(ids)]
-    sizes = _even_sizes(n, w)
+        return [np.arange(n)]
     rng = np.random.default_rng((seed, _STREAM_PARTITION))
     if cfg.partitioner == "random":
-        perm = rng.permutation(np.array(sorted(ids)))
-        parts, pos = [], 0
-        for s in sizes:
-            parts.append(sorted(int(v) for v in perm[pos : pos + s]))
-            pos += s
-        return parts
-
-    if embeddings is None:
-        raise ValueError(f"{cfg.partitioner} partitioner needs candidate embeddings")
-    emb = np.asarray(embeddings, dtype=float)
-    if emb.shape[0] != n:
-        raise ValueError("embeddings must align with old_nodes")
-    order = np.argsort(np.array(ids))
-    ids_arr = np.array(ids)[order]
-    emb = emb[order]
+        chunks = np.split(rng.permutation(n), np.cumsum(_even_sizes(n, w))[:-1])
+        return [np.sort(c) for c in chunks]
 
     if cfg.partitioner == "kmeans":
         labels, centers = _kmeans(emb, w, rng)
@@ -272,7 +258,7 @@ def partition(
             emb[labels == j].mean(axis=0) if np.any(labels == j) else emb.mean(axis=0)
             for j in range(w)
         ])
-    return _balance_clusters(ids_arr, emb, labels, centers, cap=cfg.p, w=w)
+    return _balance_clusters(emb, labels, centers, cap=cfg.p, w=w)
 
 
 def _kmeans(emb: np.ndarray, w: int, rng: np.random.Generator, iters: int = 100):
@@ -292,28 +278,25 @@ def _kmeans(emb: np.ndarray, w: int, rng: np.random.Generator, iters: int = 100)
     return labels, centers
 
 
-def _balance_clusters(ids_arr, emb, labels, centers, cap, w) -> list[list[int]]:
+def _balance_clusters(emb, labels, centers, cap, w) -> list[np.ndarray]:
     """Cap clusters at size ``cap``; overflow members spill to the nearest
     cluster with room. Cluster sizes stay natural below the cap, unlike the
-    evenly chunked random partitioner."""
-    parts: list[list[int]] = [[] for _ in range(w)]
+    evenly chunked random partitioner. Ties break to the smaller row."""
+    parts: list[list[int]] = []
     spill: list[int] = []
     for j in range(w):
         members = np.flatnonzero(labels == j)
-        if len(members) == 0:
-            continue
         d = np.linalg.norm(emb[members] - centers[j], axis=1)
-        order = members[np.lexsort((ids_arr[members], d))]
-        parts[j] = [int(ids_arr[r]) for r in order[:cap]]
-        spill.extend(int(r) for r in order[cap:])
-    spill.sort(key=lambda r: int(ids_arr[r]))
-    for r in spill:
+        order = members[np.argsort(d, kind="stable")].tolist()
+        parts.append(order[:cap])
+        spill.extend(order[cap:])
+    for r in sorted(spill):
         dists = np.linalg.norm(centers - emb[r], axis=1)
         for j in sorted(range(w), key=lambda j: (dists[j], j)):
             if len(parts[j]) < cap:
-                parts[j].append(int(ids_arr[r]))
+                parts[j].append(r)
                 break
-    return [sorted(p) for p in parts]
+    return [np.sort(np.array(p, dtype=np.intp)) for p in parts]
 
 
 def _share(total: int, sizes: Sequence[int]) -> list[int]:
@@ -487,10 +470,6 @@ def _mmd_from_col_mean(col_mean: np.ndarray, picks: _Picks) -> float:
     )
 
 
-def _ids_of(pool: SelectionPool, rows: Sequence[int]) -> list[int]:
-    return [int(pool.ids[r]) for r in rows]
-
-
 def _candidate_pool(graph: TemporalGraph, view: PeriodView, prev: Backbone) -> SelectionPool:
     """What every selector draws from: the period's old-class training nodes."""
     old_train = list(view.nodes_of("old", TRAIN))
@@ -506,11 +485,9 @@ def _clamp(name: str, budget: int, n: int) -> int:
     return min(budget, n)
 
 
-def _entries(graph: TemporalGraph, pool: SelectionPool, node_ids: Sequence[int]) -> list[SubEntry]:
-    return [
-        SubEntry(node_id=v, label=c, j_cls=float(pool.jcls[r]))
-        for v, c, r in zip(node_ids, graph.labels(node_ids).tolist(), pool.rows_of(node_ids))
-    ]
+def _entries(graph: TemporalGraph, pool: SelectionPool, rows: Sequence[int]) -> list[SubEntry]:
+    ids = [pool.ids[r] for r in rows]
+    return [SubEntry(*e) for e in zip(ids, graph.labels(ids).tolist(), pool.jcls[rows].tolist())]
 
 
 def select(
@@ -542,13 +519,13 @@ def select(
     else:
         kp = KernelParams(gamma=1.0, squared=squared_kernel)
     pool = replace(pool, kp=kp)
-    parts = partition(pool.ids, cfg, seed=seed, embeddings=pool.emb)
+    parts = partition(pool.emb, cfg, seed=seed)
     sizes = [len(p) for p in parts]
     quotas_sub = _share(m, sizes)
     quotas_sim = _share(m_prime, sizes)
 
-    sub_ids: list[int] = []
-    sim_ids: list[int] = []
+    sub_rows: list[int] = []
+    sim_rows: list[int] = []
     part_ms: list[float] = []
     part_objectives: list[dict] = []
     for w, part in enumerate(parts):
@@ -560,8 +537,8 @@ def select(
         sub = _greedy(part_pool, quotas_sub[w], cfg.alpha, terms, cfg.scoring_mode, col_mean)
         sim = _greedy(part_pool, quotas_sim[w], 0.0, ("dist",), cfg.scoring_mode, col_mean)
         part_ms.append((perf_counter() - t0) * 1000.0)
-        sub_ids.extend(_ids_of(part_pool, sub.rows))
-        sim_ids.extend(_ids_of(part_pool, sim.rows))
+        sub_rows.extend(part[sub.rows].tolist())
+        sim_rows.extend(part[sim.rows].tolist())
         part_objectives.append({
             "err": float(np.mean(part_pool.jcls[sub.rows])) if sub.rows else 0.0,
             "mmd": _mmd_from_col_mean(col_mean, sub),
@@ -584,8 +561,8 @@ def select(
         "part_ms": part_ms,
         "part_objectives": part_objectives,
     }
-    entries = _entries(graph, pool, sub_ids)
-    return ReplayBuffer(view.period_index, entries, sim_ids, meta, kp if sim_ids else None)
+    sim_ids = [pool.ids[r] for r in sim_rows]
+    return ReplayBuffer(view.period_index, _entries(graph, pool, sub_rows), sim_ids, meta, kp if sim_ids else None)
 
 
 # ---------------------------------------------------------------------------
@@ -608,44 +585,37 @@ def baseline_select(
         raise ValueError(f"unknown baseline kind {kind!r}")
     pool = _candidate_pool(graph, view, prev)
     m_eff = _clamp("m", m, len(pool.ids))
-    by_class: dict[int, list[int]] = {}
-    for v, c in zip(pool.ids, graph.labels(pool.ids).tolist()):
-        by_class.setdefault(c, []).append(v)
-    classes = sorted(by_class)
-    quotas = _share(m_eff, [len(by_class[c]) for c in classes])
+    labels = graph.labels(pool.ids)
+    by_class = [np.flatnonzero(labels == c) for c in np.unique(labels)]
+    quotas = _share(m_eff, [len(rows) for rows in by_class])
 
     rng = np.random.default_rng((seed, view.period_index, _STREAM_BASELINE))
     chosen: list[int] = []
-    for c, quota in zip(classes, quotas):
-        ids = sorted(by_class[c])
+    for rows, quota in zip(by_class, quotas):
         if quota == 0:
             continue
         if kind == "random":
-            picks = rng.choice(len(ids), size=quota, replace=False)
-            chosen.extend(ids[i] for i in sorted(int(i) for i in picks))
+            chosen.extend(rows[np.sort(rng.choice(len(rows), size=quota, replace=False))].tolist())
         else:
-            chosen.extend(_herd_class(pool, ids, quota))
+            chosen.extend(rows[_herd_class(pool.emb[rows], quota)].tolist())
 
     meta = {"kind": kind, "m": m_eff, "seed": seed}
     return ReplayBuffer(view.period_index, _entries(graph, pool, chosen), [], meta)
 
 
-def _herd_class(pool: SelectionPool, ids: list[int], quota: int) -> list[int]:
-    rows = pool.rows_of(ids)
-    emb = pool.emb[rows]
+def _herd_class(emb: np.ndarray, quota: int) -> list[int]:
+    """Rows of ``emb`` picked by mean-matching herding; ties break to the
+    smallest row (``argmin`` returns the first)."""
     mu = emb.mean(axis=0)
-    ids_arr = np.array(ids)
     picked: list[int] = []
     running = np.zeros_like(mu)
-    mask = np.zeros(len(ids), dtype=bool)
+    mask = np.zeros(len(emb), dtype=bool)
     for step in range(quota):
         cand_means = (running + emb) / (step + 1)
         dists = np.linalg.norm(cand_means - mu, axis=1)
         dists[mask] = np.inf
-        best = dists.min()
-        tied = np.flatnonzero(dists == best)
-        pick = int(tied[np.argmin(ids_arr[tied])])
+        pick = int(dists.argmin())
         mask[pick] = True
         running += emb[pick]
-        picked.append(int(ids_arr[pick]))
+        picked.append(pick)
     return picked

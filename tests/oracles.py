@@ -11,10 +11,10 @@ class lookup, the alignment loss with model gradients (backpropagated
 from the embeddings on their own), a period's events and each node's
 debut period by a scan of the events, the synthetic generator with one
 object per node and per event and ``rng.uniform`` times, and the graph
-rules checked row by row. None of them is used by the pipeline. The
-module also holds helpers only tests use: nodes and events as row
-objects and back, greedy picks of one part by node id, exact graph
-equality and the mean epoch time of a log.
+rules checked row by row, and the partitioner on node ids. None of them
+is used by the pipeline. The module also holds helpers only tests use:
+nodes and events as row objects and back, greedy picks of one part by
+node id, exact graph equality and the mean epoch time of a log.
 """
 
 from __future__ import annotations
@@ -45,9 +45,11 @@ from tgcl.selector import (
     SCORE_TERMS,
     SelectionConfig,
     SelectionPool,
+    _STREAM_PARTITION,
     _col_mean,
+    _even_sizes,
     _greedy,
-    _ids_of,
+    _kmeans,
     subset_objective,
 )
 from tgcl.trainer import l_dst_terms
@@ -376,6 +378,63 @@ def brute_force_select(
             best_ids = ids
     assert best_ids is not None
     return best_ids, float(best_val)
+
+
+def reference_partition(
+    ids: Sequence[int], emb: np.ndarray, cfg: SelectionConfig, seed: int
+) -> list[list[int]]:
+    """Parts of the candidates ``ids`` (rows of ``emb`` align with them, in
+    any order) as sorted id lists, with every permutation, sort and
+    tie-break keyed on node ids."""
+    ids = list(ids)
+    n = len(ids)
+    w = -(-n // cfg.p)
+    if w == 1:
+        return [sorted(ids)]
+    rng = np.random.default_rng((seed, _STREAM_PARTITION))
+    if cfg.partitioner == "random":
+        perm = rng.permutation(np.array(sorted(ids)))
+        parts, pos = [], 0
+        for size in _even_sizes(n, w):
+            parts.append(sorted(int(v) for v in perm[pos : pos + size]))
+            pos += size
+        return parts
+
+    order = np.argsort(np.array(ids))
+    ids_arr = np.array(ids)[order]
+    emb = np.asarray(emb, dtype=float)[order]
+    if cfg.partitioner == "kmeans":
+        labels, centers = _kmeans(emb, w, rng)
+    else:
+        from scipy.cluster.hierarchy import fcluster, linkage
+
+        labels = fcluster(linkage(emb, method="average"), t=w, criterion="maxclust") - 1
+        centers = np.stack([
+            emb[labels == j].mean(axis=0) if np.any(labels == j) else emb.mean(axis=0)
+            for j in range(w)
+        ])
+    parts: list[list[int]] = [[] for _ in range(w)]
+    spill: list[int] = []
+    for j in range(w):
+        members = np.flatnonzero(labels == j)
+        if len(members) == 0:
+            continue
+        d = np.linalg.norm(emb[members] - centers[j], axis=1)
+        by_distance = members[np.lexsort((ids_arr[members], d))]
+        parts[j] = [int(ids_arr[r]) for r in by_distance[: cfg.p]]
+        spill.extend(int(r) for r in by_distance[cfg.p :])
+    spill.sort(key=lambda r: int(ids_arr[r]))
+    for r in spill:
+        dists = np.linalg.norm(centers - emb[r], axis=1)
+        for j in sorted(range(w), key=lambda j: (dists[j], j)):
+            if len(parts[j]) < cfg.p:
+                parts[j].append(int(ids_arr[r]))
+                break
+    return [sorted(part) for part in parts]
+
+
+def _ids_of(pool: SelectionPool, rows: Sequence[int]) -> list[int]:
+    return [int(pool.ids[r]) for r in rows]
 
 
 def greedy_select_sub(

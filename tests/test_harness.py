@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+import tgcl.harness as harness_module
 from tgcl import cli
 from tgcl.backbone import Backbone, save_checkpoint, snapshot
 from tgcl.harness import (
@@ -20,7 +21,7 @@ from tgcl.harness import (
     load_records,
     plan_runs,
 )
-from tgcl.graph import TemporalGraph, save_graph
+from tgcl.graph import PeriodSpec, TemporalGraph, save_graph
 from tgcl.metrics import RunRecord, format_summary_table
 from tgcl.trainer import run_strategy
 
@@ -55,6 +56,24 @@ def period_one_scorer(graph):
     model = Backbone(graph.feature_dim, seed=0)
     model.grow_head(sorted(graph.period(1).classes))
     return snapshot(model)
+
+
+#: generator settings under which every (debut, class) cohort has 4 < 10
+#: nodes, so no node is drawn for test
+NO_TEST_SYNTH = {"num_periods": 2, "classes_per_period": 2, "nodes_per_class_per_period": 4, "events_per_node": 3}
+
+
+def save_graph_without_new_class_events(data_dir):
+    """Files of a 2-period graph whose period-2 class has 20 nodes and no
+    events (period 2 still holds the period-1 class's events); returns the
+    ``data.files`` entry."""
+    ids = list(range(40))
+    nodes = (ids, [0] * 20 + [1] * 20, [1] * 20 + [2] * 20, [[i / 40, 1.0, 0.0] for i in ids])
+    events = ([i for i in range(20)] * 2, [(i + 1) % 20 for i in range(20)] * 2,
+              [0.1 + i / 40 for i in range(20)] + [1.1 + i / 40 for i in range(20)])
+    periods = [PeriodSpec(1, 0.0, 1.0, (0,)), PeriodSpec(2, 1.0, 2.0, (1,))]
+    paths = save_graph(TemporalGraph.from_parts(nodes, events, periods), data_dir)
+    return {kind: str(path) for kind, path in paths.items()}
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -894,6 +913,47 @@ class TestCli:
         out = tmp_path / "data"
         assert cli.main(["gen", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {path}: period 1 holds no events\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("data", ["synthetic", "files"])
+    @pytest.mark.parametrize("command", ["run", "select"])
+    def test_data_that_no_run_can_score_is_refused_before_any_run(self, tmp_path, capsys, data, command):
+        out = tmp_path / "out"
+        if data == "synthetic":
+            data_cfg = {"synthetic": NO_TEST_SYNTH}
+            message = "config error: data.synthetic: period 1 has no test nodes under seed 0\n"
+        else:
+            data_cfg = {"files": save_graph_without_new_class_events(tmp_path / "data")}
+            message = f"data error: {data_cfg['files']['nodes']}: period 2 has no new-class training nodes under seed 0\n"
+        cfg = {**TINY, "data": data_cfg, "strategies": ["ltf"], "seeds": [0, 1], "output_dir": str(out)}
+        cfg_path = write_config(tmp_path, cfg)
+        argv = {"run": [], "select": ["--run", "ltf__seed0", "--period", "2", "--model", "model_p1.json"]}
+        assert cli.main([command, str(cfg_path), *argv[command]]) == 2
+        assert capsys.readouterr().err == message
+        assert not (out / "runs").exists()
+
+    def test_select_checks_only_its_runs_seed(self, tmp_path, capsys, monkeypatch):
+        # a fault under seed 1 alone: select of a seed-0 run passes, run refuses
+        real = harness_module.unscorable_period
+        monkeypatch.setattr(
+            harness_module, "unscorable_period",
+            lambda graph, seeds: "period 2 has no test nodes under seed 1" if 1 in seeds else real(graph, seeds),
+        )
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, {**TINY, "strategies": ["ltf"], "seeds": [0, 1], "output_dir": str(out)})
+        scorer = tmp_path / "model_p1.json"
+        save_checkpoint(period_one_scorer(load_data(TINY_DATA)), scorer)
+        argv = ["select", str(cfg_path), "--run", "ltf__seed0", "--period", "2", "--model", str(scorer)]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert cli.main(["run", str(cfg_path), "--quiet"]) == 2
+        assert capsys.readouterr().err == "config error: data.synthetic: period 2 has no test nodes under seed 1\n"
+
+    def test_gen_refuses_a_graph_without_test_nodes(self, tmp_path, capsys):
+        path = write_config(tmp_path, NO_TEST_SYNTH, "synth.json")
+        out = tmp_path / "data"
+        assert cli.main(["gen", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: period 1 has no test nodes under seed 0\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("below", ["", "sub"])

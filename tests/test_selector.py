@@ -32,6 +32,7 @@ from oracles import (
     greedy_select_sim,
     greedy_select_sub,
     j_cls,
+    reference_partition,
     reference_pool_scores,
 )
 
@@ -84,16 +85,24 @@ class TestJCls:
             j_cls(snapshot(model), zero_input(), 9)
 
 
+def as_lists(parts):
+    """Parts as lists of rows, after checking that each is an ascending
+    integer array."""
+    for part in parts:
+        assert part.dtype.kind == "i" and np.all(np.diff(part) > 0)
+    return [part.tolist() for part in parts]
+
+
 class TestPartition:
     def cfg(self, p, partitioner="random", m=1):
         return SelectionConfig(m=m, m_prime=0, p=p, partitioner=partitioner)
 
     def test_single_part_when_small(self):
-        parts = partition(list(range(8)), self.cfg(p=10), seed=0)
-        assert parts == [list(range(8))]
+        parts = partition(np.zeros((8, 2)), self.cfg(p=10), seed=0)
+        assert as_lists(parts) == [list(range(8))]
 
     def test_even_chunking_25_by_10(self):
-        parts = partition(list(range(25)), self.cfg(p=10), seed=0)
+        parts = as_lists(partition(np.zeros((25, 2)), self.cfg(p=10), seed=0))
         assert sorted(len(p) for p in parts) == [8, 8, 9]
         assert sorted(v for part in parts for v in part) == list(range(25))
 
@@ -112,7 +121,8 @@ class TestPartition:
         old_train = list(view.nodes_of("old", "train"))
         assert len(old_train) >= 2304
         cfg = self.cfg(p=(len(old_train) + 1) // 2)
-        parts = partition(old_train, cfg, seed=4)
+        features = graph.nodes.features[graph.nodes.rows_of(old_train)]
+        parts = [[old_train[r] for r in part] for part in as_lists(partition(features, cfg, seed=4))]
         assert all(len(p) >= 1152 for p in parts)
         labels = dict(zip(old_train, graph.labels(old_train).tolist()))
         classes = sorted(set(labels.values()))
@@ -128,28 +138,50 @@ class TestPartition:
     @pytest.mark.parametrize("method", ["kmeans", "hierarchical"])
     def test_clustering_partitioners_cap_sizes(self, method):
         rng = np.random.default_rng(5)
-        ids = list(range(40))
         emb = rng.normal(size=(40, 3))
         cfg = self.cfg(p=12, partitioner=method)
-        parts = partition(ids, cfg, seed=5, embeddings=emb)
+        parts = as_lists(partition(emb, cfg, seed=5))
         sizes = [len(p) for p in parts]
         assert sum(sizes) == 40
         assert max(sizes) <= 12  # capped at p, natural sizes below the cap
-        assert sorted(v for part in parts for v in part) == ids
-        again = partition(ids, cfg, seed=5, embeddings=emb)
+        assert sorted(v for part in parts for v in part) == list(range(40))
+        again = as_lists(partition(emb, cfg, seed=5))
         assert parts == again
 
-    def test_clustering_requires_embeddings(self):
-        with pytest.raises(ValueError, match="embeddings"):
-            partition(list(range(30)), self.cfg(p=10, partitioner="kmeans"), seed=0)
-
     def test_deterministic_given_seed(self):
-        ids = list(range(30))
-        a = partition(ids, self.cfg(p=7), seed=9)
-        b = partition(ids, self.cfg(p=7), seed=9)
-        c = partition(ids, self.cfg(p=7), seed=10)
+        emb = np.zeros((30, 2))
+        a = as_lists(partition(emb, self.cfg(p=7), seed=9))
+        b = as_lists(partition(emb, self.cfg(p=7), seed=9))
+        c = as_lists(partition(emb, self.cfg(p=7), seed=10))
         assert a == b
         assert a != c
+
+    @staticmethod
+    def candidates(case):
+        """Sorted, gapped node ids and their embeddings for ``case``:
+        ``spread`` (distinct points), ``spill`` (30 identical points, one
+        cluster beyond any cap of 12) or ``few`` (two distinct points, so
+        ``fcluster`` finds fewer clusters than parts)."""
+        rng = np.random.default_rng(11)
+        if case == "spread":
+            emb = rng.normal(size=(95, 3))
+        elif case == "spill":
+            emb = np.vstack([np.zeros((30, 3)), rng.normal(loc=4.0, size=(10, 3))])
+        else:
+            emb = np.repeat(np.array([[0.0, 0.0], [1.0, 1.0]]), [23, 17], axis=0)
+        ids = np.sort(rng.choice(10_000, size=len(emb), replace=False)).tolist()
+        order = rng.permutation(len(emb))  # ids in order, embeddings in no cluster order
+        return ids, emb[order]
+
+    @pytest.mark.parametrize("case,p", [("spread", 20), ("spill", 12), ("few", 10)])
+    @pytest.mark.parametrize("method", ["random", "kmeans", "hierarchical"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_rows_match_reference_partition(self, case, p, method, seed):
+        ids, emb = self.candidates(case)
+        cfg = self.cfg(p=p, partitioner=method)
+        parts = as_lists(partition(emb, cfg, seed=seed))
+        assert len(parts) == -(-len(ids) // p) > 1
+        assert [[ids[r] for r in part] for part in parts] == reference_partition(ids, emb, cfg, seed)
 
 
 class TestShare:
@@ -504,21 +536,21 @@ class TestSelect:
         cfg = SelectionConfig(alpha=0.5, m=8, m_prime=6, p=30)
         buffer = select(graph, view, prev, cfg, seed=7)
         pool = with_median_kernel(build_pool(graph, view, list(view.nodes_of("old", "train")), prev), 7)
-        parts = partition(list(view.nodes_of("old", "train")), cfg, seed=7, embeddings=pool.emb)
+        parts = partition(pool.emb, cfg, seed=7)
         objectives = buffer.meta["part_objectives"]
         assert len(objectives) == len(parts) == len(buffer.meta["part_ms"])
         sub, sim = set(buffer.sub_ids), set(buffer.sim)
         for part, obj in zip(parts, objectives):
             part_pool = pool.take(part)
-            sub_rows = part_pool.rows_of([v for v in part if v in sub])
-            sim_rows = part_pool.rows_of([v for v in part if v in sim])
+            sub_rows = part_pool.rows_of([v for v in part_pool.ids if v in sub])
+            sim_rows = part_pool.rows_of([v for v in part_pool.ids if v in sim])
             expected = subset_objective(part_pool, sub_rows, cfg.alpha)
             assert obj["err"] == pytest.approx(expected.err, rel=1e-12)
             assert obj["mmd"] == pytest.approx(expected.dist, rel=1e-10, abs=1e-14)
             assert obj["mmd_sim"] == pytest.approx(
                 mmd_sq(part_pool.emb, part_pool.emb[sim_rows], pool.kp), rel=1e-10, abs=1e-14
             )
-            assert obj["overlap"] == len(sub & sim & set(part))
+            assert obj["overlap"] == len(sub & sim & set(part_pool.ids))
         assert all(ms > 0 for ms in buffer.meta["part_ms"])
 
     def test_part_objectives_zero_without_anchors(self, sel_setting):
