@@ -42,7 +42,7 @@ import json
 import math
 from collections.abc import Mapping
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -286,7 +286,7 @@ def classify_batch(model: Backbone, z: np.ndarray) -> np.ndarray:
     return classify_embeddings(model, embed_batch(model, z))
 
 
-class Grads(Mapping):
+class Grads:
     """Gradients of every parameter tensor in one flat float64 vector.
 
     ``grads[name]`` is a view of ``flat`` shaped like the parameter
@@ -310,12 +310,6 @@ class Grads(Mapping):
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._views[name]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._views)
-
-    def __len__(self) -> int:
-        return len(self._views)
 
 
 def loss_and_grads_from_inputs(
@@ -430,9 +424,8 @@ def from_checkpoint_dict(d: dict) -> Backbone:
 
     Every field must be present, each tensor's shape must fit
     ``feature_dim``, ``hidden_dim`` and ``classes``, and every value must
-    be finite; otherwise ``ValueError`` names the first field at fault. A
-    ``"snapshot"`` checkpoint, which earlier versions wrote for a frozen
-    copy, has no ``head_init_scale`` or ``rng_state`` and loads frozen.
+    be finite; otherwise ``ValueError`` names the first field at fault.
+    The kind must be ``"backbone"``: a frozen copy's checkpoint is one too.
     """
     if not isinstance(d, dict):
         raise ValueError(f"a checkpoint is a JSON object, not a {type(d).__name__}")
@@ -440,10 +433,9 @@ def from_checkpoint_dict(d: dict) -> Backbone:
         raise ValueError("not a model checkpoint")
     if d.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {d.get('version')}")
-    if d.get("kind") not in ("backbone", "snapshot"):
-        raise ValueError(f"kind: must be 'backbone' or 'snapshot', got {d.get('kind')!r}")
-    live = d["kind"] == "backbone"
-    required = ("feature_dim", "hidden_dim", "classes", "params") + (("head_init_scale", "rng_state") if live else ())
+    if d.get("kind") != "backbone":
+        raise ValueError(f"kind: must be 'backbone', got {d.get('kind')!r}")
+    required = ("feature_dim", "hidden_dim", "classes", "params", "head_init_scale", "rng_state")
     missing = [name for name in required if name not in d]
     if missing:
         raise ValueError(f"{missing[0]}: missing")
@@ -457,15 +449,13 @@ def from_checkpoint_dict(d: dict) -> Backbone:
         raise ValueError("params: must be an object")
     shapes = dict(zip(PARAM_NAMES, [(h, input_dim(d["feature_dim"])), (h, h), (h,), (len(classes), h)]))
     params = {name: _unpack(d["params"], name, shapes[name]) for name in PARAM_NAMES}
-    scale = d.get("head_init_scale", 0.01)
+    scale = d["head_init_scale"]
     if type(scale) not in (int, float) or not 0 <= scale < math.inf:
         raise ValueError(f"head_init_scale: must be a finite number >= 0, got {scale!r}")
     model = Backbone(d["feature_dim"], hidden_dim=h, head_init_scale=scale)
     for name, arr in params.items():
         setattr(model, name, arr)
     model.classes = list(classes)
-    if not live:
-        return snapshot(model)
     try:
         model._rng.bit_generator.state = d["rng_state"]
     except (TypeError, ValueError, KeyError) as exc:

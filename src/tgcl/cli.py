@@ -13,19 +13,22 @@ Subcommands:
 period N-1, written by ``backbone.save_checkpoint(snapshot(model), path)``,
 whose ``feature_dim``, ``hidden_dim`` and classes must be the run's.
 
-A config, data file or checkpoint that cannot be used, data that no run
-can score (a period without new-class training nodes or without test
-nodes under a planned seed; ``gen`` checks split seed 0), an ``--out`` path
-below a file or in a missing directory, a ``gen --out`` directory where
-``nodes.csv``, ``events.csv`` or ``periods.json`` is a directory (refused
-before any file is written), a ``report`` directory without run records
-or whose ``config_hash.txt`` cannot be read as UTF-8 text, and a
-``--jobs``, ``--run`` or ``--period`` out of range each print one
-``<kind> error: ...`` line naming it (kind ``config``, ``data``, ``run``,
-``gen``, ``select`` or ``report``) and exit with status 2, before any run
-starts. argparse reports a malformed command line itself (usage line,
-status 2); other failures, such as a disk that fills up, end in a
-traceback.
+A config, data file or checkpoint that cannot be used (a checkpoint of a
+kind other than ``backbone`` too), data that no run can score (a period
+without new-class training nodes or without test nodes under a planned
+seed; ``gen`` checks split seed 0), an ``--out`` path below a file or in
+a missing directory, a ``run`` output path in the way (a file where a
+directory goes, or a directory where ``run`` writes a file), a
+``gen --out`` directory where ``nodes.csv``, ``events.csv`` or
+``periods.json`` is a directory (both refused before any file is
+written), a ``report`` directory without run records or whose
+``config_hash.txt`` cannot be read as UTF-8 text, and a ``--jobs``,
+``--run`` or ``--period`` out of range each print one
+``<kind> error: ...`` line naming it (kind ``config``, ``data``,
+``run``, ``gen``, ``select`` or ``report``) and exit with status 2,
+before any run starts. argparse reports a malformed command line itself
+(usage line, status 2); other failures, such as a disk that fills up,
+end in a traceback.
 """
 
 from __future__ import annotations
@@ -60,13 +63,10 @@ def _cmd_run(args) -> int:
     out_dir = args.out or cfg.get("output_dir")
     if not out_dir:
         return _fail("config", "output_dir: set it in the config or pass --out")
-    blocked = _not_a_directory(Path(out_dir))
-    if blocked:
-        return _fail("run", f"{blocked}: not a directory")
     echo = print if not args.quiet else None
     try:
         records = harness.execute(cfg, out_dir, jobs=args.jobs, resume=args.resume, echo=echo)
-    except IsADirectoryError as exc:
+    except (IsADirectoryError, NotADirectoryError) as exc:
         return _fail("run", exc)
     print(format_summary_table(records))
     print(f"results written to {out_dir}")

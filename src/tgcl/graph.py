@@ -525,10 +525,6 @@ class SynthConfig:
                 "intra_class_edge_prob and inter_class_edge_prob cannot both be 0 when events_per_node > 0"
             )
 
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "SynthConfig":
-        return cls(**dict(d))
-
 
 def generate_synthetic(cfg: SynthConfig) -> TemporalGraph:
     """Generate a drifting-cluster temporal graph, deterministic per seed.
@@ -708,6 +704,20 @@ def first_empty_period(graph: TemporalGraph) -> PeriodSpec | None:
     bounds = np.searchsorted(graph.events.t, [p.t_start for p in graph.periods] + [math.inf])
     empty = np.flatnonzero(np.diff(bounds) == 0)
     return graph.periods[int(empty[0])] if empty.size else None
+
+
+def unscorable_period(graph: TemporalGraph, seeds: Sequence[int]) -> str | None:
+    """Why no run can score ``graph``, if so: the first period that holds no
+    new-class training nodes (nothing to train) or no test nodes (nothing
+    to score) under one of the split ``seeds``. The graph caches the views,
+    so the runs reuse them."""
+    for seed in seeds:
+        for n in range(1, graph.num_periods + 1):
+            view = split_period(graph, n, seed)
+            for group, split, what in (("new", TRAIN, "new-class training"), ("all", TEST, "test")):
+                if not view.nodes_of(group, split):
+                    return f"period {n} has no {what} nodes under seed {seed}"
+    return None
 
 
 #: a JSON number that ``float()`` takes (``type(x) is int`` leaves out JSON booleans)

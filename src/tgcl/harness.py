@@ -42,8 +42,8 @@ from pathlib import Path
 from time import perf_counter
 from typing import Sequence
 
-from .graph import TEST, TRAIN, GraphFormatError, SynthConfig, TemporalGraph, first_empty_period, generate_synthetic
-from .graph import load_graph, split_period
+from .graph import GraphFormatError, SynthConfig, TemporalGraph, first_empty_period, generate_synthetic
+from .graph import load_graph, unscorable_period
 from .metrics import RunRecord, af as af_metric, format_summary_table, write_results_csv, write_summary_json
 from .selector import SelectionConfig
 from .trainer import ABLATIONS, STRATEGIES, TrainConfig, run_strategy
@@ -246,7 +246,7 @@ def synth_config(body, where: str = "") -> SynthConfig:
     names the field at fault, after the prefix ``where``."""
     _check_keys(where, body, [f.name for f in fields(SynthConfig)])
     try:
-        return SynthConfig.from_dict(body)
+        return SynthConfig(**body)
     except ValueError as exc:  # the message starts with the field's name
         raise ConfigError(f"{where}{exc}") from exc
 
@@ -419,27 +419,13 @@ def load_data(data_cfg: dict) -> TemporalGraph:
     training (matching the fixed-corpus, 3-training-seeds protocol). Like
     :func:`load_graph`, it refuses a graph with a :func:`first_empty_period`."""
     if "synthetic" in data_cfg:
-        graph = generate_synthetic(SynthConfig.from_dict(data_cfg["synthetic"]))
+        graph = generate_synthetic(SynthConfig(**data_cfg["synthetic"]))
         empty = first_empty_period(graph)
         if empty is not None:
             raise ConfigError(f"data.synthetic: period {empty.index} holds no events")
         return graph
     files = data_cfg["files"]
     return load_graph(files["nodes"], files["events"], files.get("periods"))
-
-
-def unscorable_period(graph: TemporalGraph, seeds: Sequence[int]) -> str | None:
-    """Why no run can score ``graph``, if so: the first period that holds no
-    new-class training nodes (nothing to train) or no test nodes (nothing
-    to score) under one of the split ``seeds``. The graph caches the views,
-    so the runs reuse them."""
-    for seed in seeds:
-        for n in range(1, graph.num_periods + 1):
-            view = split_period(graph, n, seed)
-            for group, split, what in (("new", TRAIN, "new-class training"), ("all", TEST, "test")):
-                if not view.nodes_of(group, split):
-                    return f"period {n} has no {what} nodes under seed {seed}"
-    return None
 
 
 def check_scorable(graph: TemporalGraph, data_cfg: dict, seeds: Sequence[int]) -> None:
@@ -538,7 +524,8 @@ def execute(
     or an object, a field missing or of another type, or no periods);
     ``echo`` counts the two apart. Run directories that this config does
     not plan are left in place, and ``echo`` names them. ``jobs`` below 1
-    raises ``ValueError``, and a ``record.json`` that is a directory
+    raises ``ValueError``, and an output path in the way (see
+    :func:`_check_output_paths`) ``NotADirectoryError`` or
     ``IsADirectoryError``, before anything is written.
     """
     if jobs < 1:
@@ -546,9 +533,7 @@ def execute(
     out = Path(out_dir)
     chash = config_hash(cfg)
     runs = [(spec, out / "runs" / spec.run_id, chash) for spec in plan_runs(cfg)]
-    for _, run_dir, _ in runs:
-        if (run_dir / "record.json").is_dir():
-            raise IsADirectoryError(f"{run_dir / 'record.json'}: is a directory")
+    _check_output_paths(out, [run_dir for _, run_dir, _ in runs])
     out.mkdir(parents=True, exist_ok=True)
     (out / "resolved_config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
     (out / "config_hash.txt").write_text(chash + "\n")
@@ -593,6 +578,23 @@ def execute(
     _write_timing(records, out / "timing.jsonl")
     (out / "summary.txt").write_text(format_summary_table(records) + "\n")
     return records
+
+
+def _check_output_paths(out: Path, run_dirs: Sequence[Path]) -> None:
+    """Raise ``NotADirectoryError`` for the first of ``out``, its parents,
+    ``out/runs`` and ``run_dirs`` that exists and is not a directory, or
+    ``IsADirectoryError`` for the first file that :func:`execute` would
+    write (or a ``buffer_p<n>.json`` it would overwrite) that is one."""
+    dirs = [*reversed(out.parents), out, out / "runs", *run_dirs]
+    top = ("resolved_config.json", "config_hash.txt", "results.csv", "summary.json", "timing.jsonl", "summary.txt")
+    files = [out / name for name in top]
+    for d in run_dirs:
+        files += [d / "record.json", d / "record.json.tmp", d / "epochs.jsonl", *sorted(d.glob("buffer_p*.json"))]
+    for path, want_dir in [(d, True) for d in dirs] + [(f, False) for f in files]:
+        if want_dir and path.exists() and not path.is_dir():
+            raise NotADirectoryError(f"{path}: not a directory")
+        if not want_dir and path.is_dir():
+            raise IsADirectoryError(f"{path}: is a directory")
 
 
 def _read_record(run_dir: Path) -> RunRecord | None:

@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from pathlib import Path
 from time import perf_counter
 from typing import NamedTuple, Sequence
@@ -160,13 +159,6 @@ class SelectionPool:
     emb: np.ndarray
     jcls: np.ndarray
     kp: KernelParams | None = None
-
-    @cached_property
-    def _row(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.ids)}
-
-    def rows_of(self, node_ids: Sequence[int]) -> list[int]:
-        return [self._row[v] for v in node_ids]
 
     def take(self, rows: np.ndarray) -> "SelectionPool":
         """The candidates at pool ``rows``, in that order."""

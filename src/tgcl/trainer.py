@@ -14,16 +14,14 @@ which :func:`plan_period` builds from the strategy:
 * ``ltf``      - replay the greedy error+distribution subset, with anchors
   for the alignment term under ablation ``both_plus_ldst`` and ``beta > 0``
 
-Since a period's update is set by the model it starts from and its plan,
-:func:`run_strategy` can take a memo shared by the runs of one graph and
-train each distinct period once.
+Since a period's update is set by its run's history (seed, hidden size,
+plans and step settings so far), :func:`run_strategy` can take a memo
+shared by the runs of one graph and train each distinct period once.
 """
 
 from __future__ import annotations
 
 import copy
-import hashlib
-import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -32,7 +30,6 @@ from time import perf_counter
 import numpy as np
 
 from .backbone import (
-    PARAM_NAMES,
     Backbone,
     Grads,
     # unused here: perfbench/tests/test_perfbench.py reads tgcl.trainer.build_contexts
@@ -42,7 +39,7 @@ from .backbone import (
     period_inputs,
     snapshot,
 )
-from .graph import TRAIN, VAL, TEST, PeriodView, TemporalGraph, split_period
+from .graph import TRAIN, VAL, TEST, PeriodView, TemporalGraph, split_period, unscorable_period
 from .kernels import KernelParams, _distances
 from .metrics import PeriodMetrics, ap as ap_metric, precision_per_set
 from .selector import (
@@ -124,7 +121,6 @@ def l_dst_terms(
 class TrainResult:
     log: list[dict] = field(default_factory=list)
     best_epoch: int = 0
-    best_val_ap: float = 0.0
     epochs_ran: int = 0
 
 
@@ -319,7 +315,6 @@ def train_period(
 
     model.set_parameters(best_params)
     result.best_epoch = max(best_epoch, 0)
-    result.best_val_ap = float(best_ap) if np.isfinite(best_ap) else 0.0
     result.epochs_ran = len(result.log)
     return result
 
@@ -343,23 +338,12 @@ class PeriodOutcome:
     reused: bool = False
 
 
-def _memo_key(model: Backbone, view: PeriodView, plan: PeriodPlan, cfg: TrainConfig, *, seed: int) -> tuple:
-    """Everything that :func:`train_period` and the test scoring of period
-    ``view.period_index`` read, besides the graph: the period and the run's
-    seed (which fix the view and the batch order), a digest of the live
-    model (parameters, classes and head-growth stream), the plan and the
-    step settings. ``beta`` counts only with anchors: without them the
-    alignment term is not computed."""
-    digest = hashlib.sha256()
-    for name in PARAM_NAMES:
-        param = getattr(model, name)
-        digest.update(f"{name}{param.shape}{param.dtype}".encode())
-        digest.update(param.tobytes())
-    digest.update(repr(model.classes).encode())
-    digest.update(json.dumps(model._rng.bit_generator.state, sort_keys=True).encode())
+def _memo_key(history: tuple, n: int, plan: PeriodPlan, cfg: TrainConfig) -> tuple:
+    """Period ``n``'s key after ``history``: the previous period's key, or
+    ``(seed, hidden_dim)``. ``beta`` counts only with anchors: without them
+    the alignment term is not computed."""
     return (
-        view.period_index, seed, digest.hexdigest(), plan,
-        cfg.lr, cfg.epochs, cfg.batch_size, cfg.patience,
+        history, n, plan, cfg.lr, cfg.epochs, cfg.batch_size, cfg.patience,
         cfg.beta if plan.anchor_ids else None,
     )
 
@@ -384,14 +368,18 @@ def run_strategy(
     separately from epoch time, and each outcome keeps its period-end
     snapshot.
 
+    Data that no run can score (see :func:`unscorable_period`) raises
+    ``ValueError`` before any period is planned or trained.
+
     ``seed`` is the run's one seed: the split seed of :func:`split_period`,
     the seed of the model's initialization and head growth, and the seed
     passed to :func:`plan_period` and :func:`train_period`, which say which
     streams it keys.
 
     ``memo`` (a dict, empty at first) lets runs on the same ``graph`` share
-    periods: a period whose live model, plan, seed and step settings an
-    earlier run already met (see :func:`_memo_key`) is not trained again.
+    periods: a period whose history (seed, ``hidden_dim``, and the plans
+    and step settings of it and every earlier period; see
+    :func:`_memo_key`) an earlier run already met is not trained again.
     The model takes that run's best-validation parameters, and the outcome
     copies of its training result and test precisions, marked ``reused``.
     Selection still runs in every run. A reused period copies the other
@@ -401,9 +389,12 @@ def run_strategy(
     memo only to runs on one graph. Without one, the call keeps its own,
     which never hits, since a run's periods never repeat.
     """
+    fault = unscorable_period(graph, [seed])
+    if fault:
+        raise ValueError(fault)
     memo = {} if memo is None else memo
     model = Backbone(graph.feature_dim, hidden_dim=hidden_dim, seed=seed)
-
+    key: tuple = (seed, hidden_dim)
     prev: Backbone | None = None
     outcomes: list[PeriodOutcome] = []
     for n in range(1, graph.num_periods + 1):
@@ -413,7 +404,7 @@ def run_strategy(
             graph, view, prev, strategy, sel_cfg, train_cfg,
             seed=seed, kernel_squared=kernel_squared,
         )
-        key = _memo_key(model, view, plan, train_cfg, seed=seed)
+        key = _memo_key(key, n, plan, train_cfg)
         reused = key in memo
         if reused:
             params, result, precisions = copy.deepcopy(memo[key])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tgcl.backbone import Backbone, snapshot
+from tgcl.backbone import PARAM_NAMES, Backbone, snapshot
 from tgcl.graph import PeriodSpec, SynthConfig, TemporalGraph, generate_synthetic
 
 from oracles import Event, NodeRecord, event_columns, node_columns
@@ -29,6 +29,23 @@ def make_two_period_graph():
         PeriodSpec(index=2, t_start=1.0, t_end=2.0, classes=(1,)),
     ]
     return TemporalGraph.from_parts(node_columns(nodes), event_columns(events), periods)
+
+
+def make_graph_without_new_class_events():
+    """A 2-period graph whose period-2 class has 20 nodes and no events
+    (period 2 still holds the period-1 class's events): period 2 has no
+    new-class training nodes."""
+    ids = list(range(40))
+    nodes = (ids, [0] * 20 + [1] * 20, [1] * 20 + [2] * 20, [[i / 40, 1.0, 0.0] for i in ids])
+    events = ([i for i in range(20)] * 2, [(i + 1) % 20 for i in range(20)] * 2,
+              [0.1 + i / 40 for i in range(20)] + [1.1 + i / 40 for i in range(20)])
+    periods = [PeriodSpec(1, 0.0, 1.0, (0,)), PeriodSpec(2, 1.0, 2.0, (1,))]
+    return TemporalGraph.from_parts(nodes, events, periods)
+
+
+#: generator settings under which every (debut, class) cohort has 4 < 10
+#: nodes, so no node is drawn for test
+NO_TEST_SYNTH = {"num_periods": 2, "classes_per_period": 2, "nodes_per_class_per_period": 4, "events_per_node": 3}
 
 
 @pytest.fixture
@@ -78,7 +95,7 @@ def finite_difference_grads(loss_fn, model, eps=1e-5):
 def max_rel_error(a, b, floor=1e-6):
     """Max elementwise |a-b| / max(|a|, |b|, floor) over two grad dicts."""
     worst = 0.0
-    for name in a:
+    for name in PARAM_NAMES:
         num = np.abs(a[name] - b[name])
         den = np.maximum(np.maximum(np.abs(a[name]), np.abs(b[name])), floor)
         if num.size:

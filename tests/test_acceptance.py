@@ -99,7 +99,7 @@ def test_criterion_02_witness_and_exact_marginal():
         picked: list[int] = []
         remaining = set(range(12))
         for v in chosen:
-            row = pool.rows_of([v])[0]
+            row = int(np.searchsorted(pool.ids, v))
             best = min(subset_objective(pool, picked + [r], 1.0).total for r in remaining)
             mine = subset_objective(pool, picked + [row], 1.0).total
             assert mine <= best + 1e-9, f"seed {seed}: non-minimal pick"
@@ -112,7 +112,7 @@ def test_criterion_02_witness_and_exact_marginal():
     for seed in range(50):
         pool = make_pool(np.random.default_rng(1000 + seed), 12)
         chosen = greedy_select_sub(pool, 4, witness_cfg)
-        greedy_obj = subset_objective(pool, pool.rows_of(chosen), 1.0).total
+        greedy_obj = subset_objective(pool, np.searchsorted(pool.ids, chosen), 1.0).total
         _, optimum = brute_force_select(pool, 4, witness_cfg)
         if greedy_obj <= optimum * 1.25 + 1e-12:
             good += 1
@@ -133,7 +133,7 @@ def test_criterion_03_greedy_dominates_random():
         rng = np.random.default_rng(2000 + seed)
         pool = make_pool(rng, 50, dim=3)
         chosen = greedy_select_sub(pool, 8, cfg)
-        greedy_obj = subset_objective(pool, pool.rows_of(chosen), 1.0).total
+        greedy_obj = subset_objective(pool, np.searchsorted(pool.ids, chosen), 1.0).total
         # independent subset scoring from the raw kernel matrix
         from tgcl.kernels import kernel_matrix
 
@@ -167,7 +167,7 @@ def test_criterion_04_sim_subset_quality():
         rng = np.random.default_rng(3000 + seed)
         pool = make_pool(rng, 30, dim=3)
         sim = greedy_select_sim(pool, 6, cfg)
-        ours = mmd_sq(pool.emb, pool.emb[pool.rows_of(sim)], pool.kp)
+        ours = mmd_sq(pool.emb, pool.emb[np.searchsorted(pool.ids, sim)], pool.kp)
         beaten = 0
         for _ in range(1000):
             rows = rng.choice(30, size=6, replace=False)
@@ -432,7 +432,7 @@ def test_criterion_10_partition_study(partition_results):
 
     # timing half: mean per-part selection time strictly decreases as W doubles
     cfg = load_config(None, preset="main")
-    graph = generate_synthetic(SynthConfig.from_dict(cfg["data"]["synthetic"]))
+    graph = generate_synthetic(SynthConfig(**cfg["data"]["synthetic"]))
     view1 = split_period(graph, 1, split_seed=0)
     model = Backbone(graph.feature_dim, hidden_dim=64, seed=0)
     model.grow_head(sorted(graph.period(1).classes))

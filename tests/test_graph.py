@@ -302,7 +302,7 @@ class TestSplitPeriod:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_node_splits_match_the_reference_on_the_main_graph(self, seed):
-        graph = generate_synthetic(SynthConfig.from_dict(_MAIN_SYNTH))
+        graph = generate_synthetic(SynthConfig(**_MAIN_SYNTH))
         assert array_splits(graph, seed) == reference_node_splits(graph, seed)
 
     def test_views_splits_and_debuts_are_read_only_rows(self, small_synth):
@@ -372,7 +372,7 @@ class TestGenerateSynthetic:
     def test_matches_reference_generator(self, case):
         # the reference draws times with rng.uniform and sorts its event
         # objects by time; the columns must hold the same rows in that order
-        cfg = SynthConfig.from_dict(_GENERATOR_CASES[case])
+        cfg = SynthConfig(**_GENERATOR_CASES[case])
         graph = generate_synthetic(cfg)
         records, events, periods = reference_generate_synthetic(cfg)
         assert graph.periods == periods
@@ -469,7 +469,7 @@ class TestSavedBytes:
         ],
     )
     def test_sha256_prefixes(self, tmp_path, case, digests):
-        paths = save_graph(generate_synthetic(SynthConfig.from_dict(_GENERATOR_CASES[case])), tmp_path)
+        paths = save_graph(generate_synthetic(SynthConfig(**_GENERATOR_CASES[case])), tmp_path)
         kinds = ("nodes", "events", "periods")
         got = tuple(hashlib.sha256(paths[kind].read_bytes()).hexdigest()[:16] for kind in kinds)
         assert got == digests

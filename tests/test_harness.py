@@ -21,11 +21,11 @@ from tgcl.harness import (
     load_records,
     plan_runs,
 )
-from tgcl.graph import PeriodSpec, TemporalGraph, save_graph
+from tgcl.graph import TemporalGraph, save_graph
 from tgcl.metrics import RunRecord, format_summary_table
 from tgcl.trainer import run_strategy
 
-from conftest import make_two_period_graph
+from conftest import NO_TEST_SYNTH, make_graph_without_new_class_events, make_two_period_graph
 from oracles import Event, event_columns
 
 TINY_DATA = {
@@ -58,21 +58,10 @@ def period_one_scorer(graph):
     return snapshot(model)
 
 
-#: generator settings under which every (debut, class) cohort has 4 < 10
-#: nodes, so no node is drawn for test
-NO_TEST_SYNTH = {"num_periods": 2, "classes_per_period": 2, "nodes_per_class_per_period": 4, "events_per_node": 3}
-
-
 def save_graph_without_new_class_events(data_dir):
-    """Files of a 2-period graph whose period-2 class has 20 nodes and no
-    events (period 2 still holds the period-1 class's events); returns the
+    """Files of :func:`make_graph_without_new_class_events`; returns the
     ``data.files`` entry."""
-    ids = list(range(40))
-    nodes = (ids, [0] * 20 + [1] * 20, [1] * 20 + [2] * 20, [[i / 40, 1.0, 0.0] for i in ids])
-    events = ([i for i in range(20)] * 2, [(i + 1) % 20 for i in range(20)] * 2,
-              [0.1 + i / 40 for i in range(20)] + [1.1 + i / 40 for i in range(20)])
-    periods = [PeriodSpec(1, 0.0, 1.0, (0,)), PeriodSpec(2, 1.0, 2.0, (1,))]
-    paths = save_graph(TemporalGraph.from_parts(nodes, events, periods), data_dir)
+    paths = save_graph(make_graph_without_new_class_events(), data_dir)
     return {kind: str(path) for kind, path in paths.items()}
 
 
@@ -781,6 +770,32 @@ class TestCli:
         assert {path: path.stat().st_mtime_ns for path in out.rglob("*")} == before
 
     @pytest.mark.parametrize(
+        "blocked, kind",
+        [
+            ("runs", "file"),
+            ("runs/ltf__seed0", "file"),
+            ("runs/ltf__seed0/epochs.jsonl", "directory"),
+            ("runs/ltf__seed0/buffer_p2.json", "directory"),
+            ("results.csv", "directory"),
+        ],
+    )
+    def test_an_output_path_in_the_way_is_named_before_anything_is_written(self, tmp_path, capsys, blocked, kind):
+        out = tmp_path / "out"
+        path = out / blocked
+        path.parent.mkdir(parents=True)
+        if kind == "file":
+            path.write_text("kept\n")
+        else:
+            path.mkdir()
+        before = sorted(p.name for p in out.iterdir())
+        cfg_path = write_config(tmp_path, {**TINY, "strategies": ["ltf"]})
+        assert cli.main(["run", str(cfg_path), "--out", str(out), "--quiet"]) == 2
+        what = "not a directory" if kind == "file" else "is a directory"
+        assert capsys.readouterr().err == f"run error: {path}: {what}\n"
+        assert sorted(p.name for p in out.iterdir()) == before
+        assert not list(out.rglob("record.json"))
+
+    @pytest.mark.parametrize(
         "synth",
         [
             {"events_per_node": 0},
@@ -885,6 +900,7 @@ class TestCli:
             ("list", "a checkpoint is a JSON object, not a list"),
             ("w_agg_shape", "params.w_agg: shape [64, 3] does not fit feature_dim, hidden_dim and classes"),
             ("w_hid_nan", "params.w_hid: holds non-finite values"),
+            ("snapshot_kind", "kind: must be 'backbone', got 'snapshot'"),
         ],
     )
     def test_select_rejects_a_malformed_checkpoint(self, tmp_path, capsys, fault, reason):
@@ -898,6 +914,9 @@ class TestCli:
             body = [body]
         elif fault == "w_agg_shape":
             body["params"]["w_agg"]["shape"] = [64, 3]
+        elif fault == "snapshot_kind":  # the frozen-copy kind of earlier versions
+            del body["head_init_scale"], body["rng_state"]
+            body["kind"] = "snapshot"
         else:
             body["params"]["w_hid"]["data"][7] = math.nan
         scorer.write_text(json.dumps(body))

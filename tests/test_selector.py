@@ -229,7 +229,7 @@ class TestGreedy:
             rng = np.random.default_rng(seed)
             pool = make_pool(rng, 10)
             chosen = greedy_select_sub(pool, 3, cfg)
-            greedy_obj = subset_objective(pool, pool.rows_of(chosen), 1.0).total
+            greedy_obj = subset_objective(pool, np.searchsorted(pool.ids, chosen), 1.0).total
             all_objs = [
                 subset_objective(pool, comb, 1.0).total
                 for comb in itertools.combinations(range(10), 3)
@@ -246,7 +246,7 @@ class TestGreedy:
             picked_rows = []
             remaining = set(range(10))
             for v in chosen:
-                row = pool.rows_of([v])[0]
+                row = int(np.searchsorted(pool.ids, v))
                 best = min(
                     subset_objective(pool, picked_rows + [r], 1.0).total for r in remaining
                 )
@@ -273,7 +273,7 @@ class TestGreedy:
         pool = SelectionPool(ids=tuple(range(5)), emb=emb, jcls=np.ones(5), kp=kp)
         chosen = greedy_select_sub(pool, 5, self.cfg(m=4, p=100))
         objs = [
-            subset_objective(pool, pool.rows_of(chosen[: t + 1]), 1.0).total
+            subset_objective(pool, np.searchsorted(pool.ids, chosen[: t + 1]), 1.0).total
             for t in range(5)
         ]
         gains = [objs[t] - objs[t + 1] for t in range(4)]
@@ -289,13 +289,13 @@ class TestGreedy:
         pool = SelectionPool(ids=(0, 1), emb=emb, jcls=np.zeros(2), kp=KernelParams(1.0))
         chosen = greedy_select_sim(pool, 1, self.cfg())
         assert len(chosen) == 1
-        assert mmd_sq(emb, emb[pool.rows_of(chosen)], pool.kp) == pytest.approx(0.0, abs=1e-12)
+        assert mmd_sq(emb, emb[np.searchsorted(pool.ids, chosen)], pool.kp) == pytest.approx(0.0, abs=1e-12)
 
     def test_sim_beats_random_subsets(self):
         rng = np.random.default_rng(3)
         pool = make_pool(rng, 12)
         chosen = greedy_select_sim(pool, 4, self.cfg())
-        ours = mmd_sq(pool.emb, pool.emb[pool.rows_of(chosen)], pool.kp)
+        ours = mmd_sq(pool.emb, pool.emb[np.searchsorted(pool.ids, chosen)], pool.kp)
         wins = 0
         for _ in range(1000):
             rows = rng.choice(12, size=4, replace=False)
@@ -419,7 +419,7 @@ class TestBruteForce:
             pool = make_pool(np.random.default_rng(seed), 6)
             _, best = brute_force_select(pool, 2, cfg)
             greedy = greedy_select_sub(pool, 2, cfg)
-            greedy_obj = subset_objective(pool, pool.rows_of(greedy), cfg.alpha).total
+            greedy_obj = subset_objective(pool, np.searchsorted(pool.ids, greedy), cfg.alpha).total
             assert best <= greedy_obj + 1e-12
 
     def test_instance_too_large(self):
@@ -542,8 +542,8 @@ class TestSelect:
         sub, sim = set(buffer.sub_ids), set(buffer.sim)
         for part, obj in zip(parts, objectives):
             part_pool = pool.take(part)
-            sub_rows = part_pool.rows_of([v for v in part_pool.ids if v in sub])
-            sim_rows = part_pool.rows_of([v for v in part_pool.ids if v in sim])
+            sub_rows = [r for r, v in enumerate(part_pool.ids) if v in sub]
+            sim_rows = [r for r, v in enumerate(part_pool.ids) if v in sim]
             expected = subset_objective(part_pool, sub_rows, cfg.alpha)
             assert obj["err"] == pytest.approx(expected.err, rel=1e-12)
             assert obj["mmd"] == pytest.approx(expected.dist, rel=1e-10, abs=1e-14)
@@ -614,7 +614,7 @@ class TestBaselines:
         for entry in buffer.sub:
             first_of_class.setdefault(entry.label, entry.node_id)
         for c, ids in sorted(by_class.items()):
-            rows = pool.rows_of(sorted(ids))
+            rows = np.searchsorted(pool.ids, sorted(ids))
             emb = pool.emb[rows]
             mu = emb.mean(axis=0)
             dists = np.linalg.norm(emb - mu, axis=1)

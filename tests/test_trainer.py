@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tgcl.backbone import (
+    PARAM_NAMES,
     Backbone,
     build_contexts,
     build_inputs,
@@ -30,7 +31,13 @@ from tgcl.trainer import (
     train_period,
 )
 
-from conftest import finite_difference_grads, max_rel_error, trained_toy_snapshot
+from conftest import (
+    NO_TEST_SYNTH,
+    finite_difference_grads,
+    make_graph_without_new_class_events,
+    max_rel_error,
+    trained_toy_snapshot,
+)
 from oracles import l_dst
 
 
@@ -161,7 +168,7 @@ class TestLdstModelGrads:
             ce, ce_grads = loss_and_grads_from_inputs(model, z_sub, y)
             ld, ld_grads = l_dst(model, z_sub, sim_emb, kp)
             assert total == pytest.approx(ce + beta * ld, rel=1e-12)
-            for name in grads:
+            for name in PARAM_NAMES:
                 want = ce_grads[name] + beta * ld_grads[name]
                 assert np.allclose(grads[name], want, rtol=1e-10, atol=1e-12), name
 
@@ -230,7 +237,7 @@ class TestTrainPeriod:
         assert result.epochs_ran <= cfg.epochs
         assert result.epochs_ran - 1 - result.best_epoch <= cfg.patience
         logged_best = max(e["val_ap"] for e in result.log)
-        assert result.best_val_ap == logged_best
+        assert result.log[result.best_epoch]["val_ap"] == logged_best
         # returned parameters reproduce the best validation AP, not the last
         val_ids = view2.nodes_of("all", "val")
         z_val = build_inputs(build_contexts(graph, val_ids, graph.period(2).t_end))
@@ -314,6 +321,19 @@ def quick_train_cfg(**kw):
 
 
 class TestRunStrategy:
+    @pytest.mark.parametrize(
+        "make_graph, message",
+        [
+            (make_graph_without_new_class_events, "period 2 has no new-class training nodes under seed 0"),
+            (lambda: generate_synthetic(SynthConfig(**NO_TEST_SYNTH)), "period 1 has no test nodes under seed 0"),
+        ],
+        ids=["no_new_class_training_nodes", "no_test_nodes"],
+    )
+    def test_data_that_no_run_can_score_is_refused_before_training(self, train_calls, make_graph, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_strategy(make_graph(), "finetune", SelectionConfig(m=2, p=10), quick_train_cfg(), seed=0)
+        assert train_calls == []
+
     def test_single_period_graph_equalizes_strategies(self):
         graph = generate_synthetic(
             SynthConfig(num_periods=1, classes_per_period=2, nodes_per_class_per_period=20, seed=9)
@@ -439,73 +459,80 @@ class TestPeriodMemo:
 
 
 class TestMemoKey:
-    """Changing any one input of a period's training or test scoring misses."""
+    """A period's key is its run's history: the root ``(seed, hidden_dim)``
+    and every period's plan and step settings so far. Changing any one of
+    them misses."""
+
+    ROOT = (0, 12)
 
     @pytest.fixture
     def inputs(self, setting):
-        graph, _, view2, prev = setting
         cfg = TrainConfig(beta=0.7, lr=0.05, epochs=5, batch_size=16, patience=5)
         plan = ltf_plan(setting, cfg)
         assert plan.replay_ids and plan.anchor_ids and plan.kp is not None
-        return graph, view2, plan, cfg
+        return plan, cfg
 
-    @staticmethod
-    def key(graph, view, plan, cfg, seed=0, model=None):
-        return _memo_key(model or grown_model(graph, 2), view, plan, cfg, seed=seed)
+    @classmethod
+    def key(cls, plan, cfg, history=None, n=2):
+        return _memo_key(cls.ROOT if history is None else history, n, plan, cfg)
 
     def test_same_inputs_hit(self, inputs):
-        graph, view, plan, cfg = inputs
-        assert self.key(*inputs) == self.key(graph, view, dataclasses.replace(plan), dataclasses.replace(cfg))
+        plan, cfg = inputs
+        assert self.key(*inputs) == self.key(dataclasses.replace(plan), dataclasses.replace(cfg), history=(0, 12))
 
-    def test_period_and_seed(self, inputs, setting):
-        graph, view, plan, cfg = inputs
+    def test_period_and_seed(self, inputs):
         base = self.key(*inputs)
-        assert self.key(graph, setting[1], plan, cfg) != base
-        assert self.key(graph, view, plan, cfg, seed=1) != base
+        assert self.key(*inputs, n=1) != base
+        assert self.key(*inputs, history=(1, 12)) != base
 
-    @pytest.mark.parametrize("name", ["w_agg", "w_hid", "b_hid", "w_head"])
-    def test_one_parameter_bit(self, inputs, name):
-        graph = inputs[0]
-        model = grown_model(graph, 2)
-        getattr(model, name).reshape(-1)[1:2].view(np.int64)[0] ^= 1
-        assert self.key(*inputs, model=model) != self.key(*inputs)
-
-    def test_classes_and_head_growth_stream(self, inputs):
-        graph = inputs[0]
-        base = self.key(*inputs)
-        model = grown_model(graph, 2)
-        model.classes = model.classes[::-1]  # same parameters, other head order
-        assert self.key(*inputs, model=model) != base
-        model = grown_model(graph, 2)
-        model._rng.random()
-        assert self.key(*inputs, model=model) != base
+    def test_seed_and_hidden_dim_miss_in_runs(self, drift_graph, train_calls):
+        memo: dict = {}
+        for seed, hidden_dim in ((3, 12), (4, 12), (3, 8)):
+            out = run_strategy(
+                drift_graph, "finetune", TestPeriodMemo.SEL, quick_train_cfg(epochs=2),
+                seed=seed, hidden_dim=hidden_dim, memo=memo,
+            )
+            assert not any(o.reused for o in out)
+        assert train_calls == [1, 2, 3] * 3
 
     @pytest.mark.parametrize("field", ["main_ids", "replay_ids", "anchor_ids", "kp"])
     def test_each_plan_field(self, inputs, field):
-        graph, view, plan, cfg = inputs
+        plan, cfg = inputs
         value = getattr(plan, field)
         other = KernelParams(value.gamma * 2, value.squared) if field == "kp" else value[:-1]
-        assert self.key(graph, view, dataclasses.replace(plan, **{field: other}), cfg) != self.key(*inputs)
+        assert self.key(dataclasses.replace(plan, **{field: other}), cfg) != self.key(*inputs)
         if field == "kp":
             squared = KernelParams(value.gamma, not value.squared)
-            assert self.key(graph, view, dataclasses.replace(plan, kp=squared), cfg) != self.key(*inputs)
+            assert self.key(dataclasses.replace(plan, kp=squared), cfg) != self.key(*inputs)
 
     @pytest.mark.parametrize("field, value", [("lr", 0.06), ("epochs", 6), ("batch_size", 17), ("patience", 4)])
     def test_each_step_setting(self, inputs, field, value):
-        graph, view, plan, cfg = inputs
-        assert self.key(graph, view, plan, dataclasses.replace(cfg, **{field: value})) != self.key(*inputs)
+        plan, cfg = inputs
+        assert self.key(plan, dataclasses.replace(cfg, **{field: value})) != self.key(*inputs)
 
     def test_beta_counts_only_with_anchors(self, inputs):
-        graph, view, plan, cfg = inputs
+        plan, cfg = inputs
         other = dataclasses.replace(cfg, beta=0.8)
-        assert self.key(graph, view, plan, other) != self.key(graph, view, plan, cfg)
+        assert self.key(plan, other) != self.key(plan, cfg)
         no_anchors = PeriodPlan(plan.main_ids, plan.replay_ids)
-        assert self.key(graph, view, no_anchors, other) == self.key(graph, view, no_anchors, cfg)
+        assert self.key(no_anchors, other) == self.key(no_anchors, cfg)
 
     def test_ablation_alone_does_not_count(self, inputs):
         # the ablation acts through the plan (the selection terms), which the key holds
-        graph, view, plan, cfg = inputs
-        assert self.key(graph, view, plan, dataclasses.replace(cfg, ablation="both")) == self.key(*inputs)
+        plan, cfg = inputs
+        assert self.key(plan, dataclasses.replace(cfg, ablation="both")) == self.key(*inputs)
+
+    def test_earlier_history_misses(self, inputs):
+        # equal period-2 plans and settings, after period-1 plans or settings that differ
+        plan, cfg = inputs
+        first = PeriodPlan(plan.main_ids)
+        base = self.key(plan, cfg, history=self.key(first, cfg, n=1))
+        assert self.key(plan, cfg, history=self.key(first, cfg, n=1)) == base
+        for other_plan, other_cfg in (
+            (PeriodPlan(plan.main_ids[:-1]), cfg),
+            (first, dataclasses.replace(cfg, lr=0.06)),
+        ):
+            assert self.key(plan, cfg, history=self.key(other_plan, other_cfg, n=1)) != base
 
 
 class TestTrainConfigValidation:

@@ -15,9 +15,13 @@ of ``results.csv``, ``summary.json``, ``config_hash.txt`` and
 ``resolved_config.json`` as written, of every ``buffer_p<n>.json`` without
 its ``part_ms`` and of every ``epochs.jsonl`` without its ``wall_ms``
 (timings that vary from call to call), plus the numpy, scipy and BLAS
-versions. ``--check`` exits 1 and names the first file whose digest
-differs, is missing or is new; digests taken under other library versions
-may differ for that reason alone, and the check says so. It takes about a
+versions. For each ``jobs=1`` output it also digests the period memo's
+reuse: one line per run of ``timing.jsonl`` with its ``strategy``,
+``variant``, ``seed`` and ``reused_periods`` (with ``jobs=2``, which runs
+reuse a period varies with scheduling, so it is left out). ``--check``
+exits 1 and names the first file whose digest differs, is missing or is
+new; digests taken under other library versions may differ for that
+reason alone, and the check says so. It takes about a
 minute on two cores.
 """
 
@@ -39,6 +43,8 @@ PRESET_RUNS = [(preset, jobs) for preset in ("main", "ablation", "partition") fo
 DIGESTED = ("results.csv", "summary.json", "config_hash.txt", "resolved_config.json")
 #: the timing key dropped from each JSON file kind before it is digested
 UNTIMED = {"buffer_p*.json": "part_ms", "epochs.jsonl": "wall_ms"}
+#: the fields of each ``timing.jsonl`` row that say which periods a run reused
+REUSE_KEYS = ("strategy", "variant", "seed", "reused_periods")
 
 
 def _drop(value, key: str):
@@ -55,8 +61,9 @@ def _untimed(path: Path, key: str) -> bytes:
     return "\n".join(json.dumps(_drop(json.loads(line), key)) for line in lines if line).encode()
 
 
-def digest_outputs(out: Path, label: str) -> dict[str, str]:
-    """``{"<label>/<relative path>": sha256}`` of an output directory."""
+def digest_outputs(out: Path, label: str, reuse: bool) -> dict[str, str]:
+    """``{"<label>/<relative path>": sha256}`` of an output directory, plus
+    ``"<label>/reused_periods"`` with ``reuse``."""
     found = {name: out / name for name in DIGESTED}
     for pattern in UNTIMED:
         found.update((str(p.relative_to(out)), p) for p in out.glob(f"runs/*/{pattern}"))
@@ -65,6 +72,10 @@ def digest_outputs(out: Path, label: str) -> dict[str, str]:
         key = next((k for pattern, k in UNTIMED.items() if path.match(pattern)), None)
         data = path.read_bytes() if key is None else _untimed(path, key)
         digests[f"{label}/{rel}"] = hashlib.sha256(data).hexdigest()
+    if reuse:
+        rows = [json.loads(line) for line in (out / "timing.jsonl").read_text().splitlines() if line]
+        data = "\n".join(json.dumps([row[k] for k in REUSE_KEYS]) for row in rows).encode()
+        digests[f"{label}/reused_periods"] = hashlib.sha256(data).hexdigest()
     return digests
 
 
@@ -99,7 +110,7 @@ def collect(work: Path) -> dict[str, str]:
     for label, cfg, jobs in runs:
         print(f"running {label}", file=sys.stderr, flush=True)
         harness.execute(cfg, work / label, jobs=jobs)
-        digests.update(digest_outputs(work / label, label))
+        digests.update(digest_outputs(work / label, label, reuse=jobs == 1))
     return digests
 
 
