@@ -14,21 +14,19 @@ period N-1, written by ``backbone.save_checkpoint(snapshot(model), path)``,
 whose ``feature_dim``, ``hidden_dim`` and classes must be the run's.
 
 A config, data file or checkpoint that cannot be used (a checkpoint of a
-kind other than ``backbone`` too), data that no run can score (a period
-without new-class training nodes or without test nodes under a planned
-seed; ``gen`` checks split seed 0), an ``--out`` path below a file or in
-a missing directory, a ``run`` output path in the way (a file where a
-directory goes, or a directory where ``run`` writes a file), a
-``gen --out`` directory where ``nodes.csv``, ``events.csv`` or
-``periods.json`` is a directory (both refused before any file is
-written), a ``report`` directory without run records or whose
-``config_hash.txt`` cannot be read as UTF-8 text, and a ``--jobs``,
+kind other than ``backbone`` too), data that no run can score (a
+``graph.period_fault`` under a planned seed; ``gen`` checks split seed 0),
+an ``--out`` path below a file or in a missing directory, a ``run`` or
+``gen`` output path in the way (``harness.check_output_paths``, before
+any file is written), a ``report`` directory without run records or
+whose ``config_hash.txt`` cannot be read as UTF-8 text, and a ``--jobs``,
 ``--run`` or ``--period`` out of range each print one
 ``<kind> error: ...`` line naming it (kind ``config``, ``data``,
 ``run``, ``gen``, ``select`` or ``report``) and exit with status 2,
-before any run starts. argparse reports a malformed command line itself
-(usage line, status 2); other failures, such as a disk that fills up,
-end in a traceback.
+before any run starts; so does a run whose training diverges
+(``run error: <run id>: ...``). argparse reports a malformed command
+line itself (usage line, status 2); other failures, such as a disk that
+fills up, end in a traceback.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from pathlib import Path
 
 from . import harness
 from .backbone import load_checkpoint, snapshot
-from .graph import GraphFormatError, first_empty_period, generate_synthetic, graph_paths, save_graph, split_period
+from .graph import GraphFormatError, generate_synthetic, graph_paths, period_fault, save_graph, split_period
 from .metrics import format_summary_table
 from .trainer import plan_period, selects
 
@@ -48,12 +46,6 @@ from .trainer import plan_period, selects
 def _fail(kind: str, message) -> int:
     print(f"{kind} error: {message}", file=sys.stderr)
     return 2
-
-
-def _not_a_directory(out: Path) -> Path | None:
-    """The nearest of ``out`` and its parents that exists, if it is not a directory."""
-    existing = next(p for p in (out, *out.parents) if p.exists())
-    return None if existing.is_dir() else existing
 
 
 def _cmd_run(args) -> int:
@@ -66,7 +58,7 @@ def _cmd_run(args) -> int:
     echo = print if not args.quiet else None
     try:
         records = harness.execute(cfg, out_dir, jobs=args.jobs, resume=args.resume, echo=echo)
-    except (IsADirectoryError, NotADirectoryError) as exc:
+    except (IsADirectoryError, NotADirectoryError, FloatingPointError) as exc:
         return _fail("run", exc)
     print(format_summary_table(records))
     print(f"results written to {out_dir}")
@@ -75,19 +67,14 @@ def _cmd_run(args) -> int:
 
 def _cmd_gen(args) -> int:
     synth = harness.synth_config(harness.read_config_file(args.synth_config))
-    blocked = _not_a_directory(Path(args.out))
-    if blocked:
-        return _fail("gen", f"{blocked}: not a directory")
-    taken = next((p for p in graph_paths(args.out).values() if p.is_dir()), None)
-    if taken:
-        return _fail("gen", f"{taken}: Is a directory")
+    try:
+        harness.check_output_paths(Path(args.out), graph_paths(args.out).values())
+    except (IsADirectoryError, NotADirectoryError) as exc:
+        return _fail("gen", exc)
     graph = generate_synthetic(synth)
-    empty = first_empty_period(graph)
-    if empty is not None:
-        return _fail("config", f"{args.synth_config}: period {empty.index} holds no events")
-    fault = harness.unscorable_period(graph, [0])
+    fault = period_fault(graph, [0])
     if fault:
-        return _fail("config", f"{args.synth_config}: {fault}")
+        return _fail("config", f"{args.synth_config}: {fault[1]}")
     paths = save_graph(graph, args.out)
     for kind, path in paths.items():
         print(f"{kind}: {path}")
@@ -102,8 +89,7 @@ def _cmd_select(args) -> int:
     spec = specs.get(args.run)
     if spec is None:
         return _fail("select", f"--run {args.run}: not planned by the config (planned: {', '.join(specs)})")
-    graph = harness.load_data(cfg["data"])
-    harness.check_scorable(graph, cfg["data"], [spec.seed])
+    graph = harness.load_data(cfg["data"], [spec.seed])
     n = args.period
     if not 1 <= n <= graph.num_periods:
         return _fail("select", f"--period {n}: outside 1..{graph.num_periods}")

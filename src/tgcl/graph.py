@@ -665,9 +665,9 @@ def load_graph(
     The loader only parses; the graph's rules place the first fault.
 
     Files are read as UTF-8. A loaded graph must hold at least one event
-    in every period's span: a :func:`first_empty_period` is rejected as
-    ``<periods file>: entry i: ...``. Graphs built in memory may have empty
-    periods, and :func:`split_period` raises on them.
+    in every period's span: the empty period that :func:`period_fault`
+    reports is rejected as ``<periods file>: entry i: ...``. Graphs built in
+    memory may have empty periods, and :func:`split_period` raises on them.
     """
     node_path = Path(node_file)
     event_path = Path(event_file)
@@ -688,35 +688,31 @@ def load_graph(
         first = "" if fault.first is None else f", first at {sources[fault.part].name}:{lines[fault.first]}"
         see = f" (see {sources[fault.other]})" if fault.other else ""
         raise GraphFormatError(f"{place}: {fault.text}{first}{see}") from None
-    empty = first_empty_period(graph)
-    if empty is not None:
-        raise GraphFormatError(
-            f"{period_path}: entry {empty.index - 1}: no events in period {empty.index}'s span"
-            f" [{empty.t_start}, {empty.t_end}{']' if empty is graph.periods[-1] else ')'} (see {event_path})"
-        )
+    fault = period_fault(graph)
+    if fault:
+        raise GraphFormatError(f"{period_path}: entry {fault[0] - 1}: {fault[1]} (see {event_path})")
     return graph
 
 
-def first_empty_period(graph: TemporalGraph) -> PeriodSpec | None:
-    """The first period whose span (``[t_start, t_end)``, the last period
-    including its ``t_end``) holds no event, if any; no run can train on it."""
+def period_fault(graph: TemporalGraph, seeds: Sequence[int] = ()) -> tuple[int, str] | None:
+    """Why no run can train and score ``graph`` under the split ``seeds``,
+    as ``(n, text)`` for the period ``n`` at fault, or None: first a period
+    whose span (``[t_start, t_end)``, the last one including its ``t_end``)
+    holds no event, else, by seed in the order given, the first period with
+    no new-class training nodes (nothing to train) or no test nodes
+    (nothing to score). The graph caches the views, so the runs reuse them."""
     # periods are contiguous and hold every event: each span ends where the next starts
     bounds = np.searchsorted(graph.events.t, [p.t_start for p in graph.periods] + [math.inf])
-    empty = np.flatnonzero(np.diff(bounds) == 0)
-    return graph.periods[int(empty[0])] if empty.size else None
-
-
-def unscorable_period(graph: TemporalGraph, seeds: Sequence[int]) -> str | None:
-    """Why no run can score ``graph``, if so: the first period that holds no
-    new-class training nodes (nothing to train) or no test nodes (nothing
-    to score) under one of the split ``seeds``. The graph caches the views,
-    so the runs reuse them."""
+    for p, count in zip(graph.periods, np.diff(bounds).tolist()):
+        if not count:
+            span = f"[{p.t_start}, {p.t_end}{']' if p is graph.periods[-1] else ')'}"
+            return p.index, f"no events in period {p.index}'s span {span}"
     for seed in seeds:
         for n in range(1, graph.num_periods + 1):
             view = split_period(graph, n, seed)
             for group, split, what in (("new", TRAIN, "new-class training"), ("all", TEST, "test")):
                 if not view.nodes_of(group, split):
-                    return f"period {n} has no {what} nodes under seed {seed}"
+                    return n, f"period {n} has no {what} nodes under seed {seed}"
     return None
 
 

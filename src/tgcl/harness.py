@@ -40,10 +40,9 @@ from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from time import perf_counter
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .graph import GraphFormatError, SynthConfig, TemporalGraph, first_empty_period, generate_synthetic
-from .graph import load_graph, unscorable_period
+from .graph import GraphFormatError, SynthConfig, TemporalGraph, generate_synthetic, load_graph, period_fault
 from .metrics import RunRecord, af as af_metric, format_summary_table, write_results_csv, write_summary_json
 from .selector import SelectionConfig
 from .trainer import ABLATIONS, STRATEGIES, TrainConfig, run_strategy
@@ -413,30 +412,24 @@ def plan_runs(cfg: dict) -> list[RunSpec]:
 # Run execution
 # ---------------------------------------------------------------------------
 
-def load_data(data_cfg: dict) -> TemporalGraph:
+def load_data(data_cfg: dict, seeds: Sequence[int] = ()) -> TemporalGraph:
     """The dataset is a benchmark constant: the generator seed comes from the
     config, while per-run seeds drive splits, model init, selection, and
-    training (matching the fixed-corpus, 3-training-seeds protocol). Like
-    :func:`load_graph`, it refuses a graph with a :func:`first_empty_period`."""
+    training (matching the fixed-corpus, 3-training-seeds protocol). A
+    :func:`period_fault` under the split ``seeds`` raises ``ConfigError`` on
+    ``data.synthetic``, or ``GraphFormatError`` naming the nodes file (an
+    empty period: the periods file, as :func:`load_graph` raises)."""
     if "synthetic" in data_cfg:
         graph = generate_synthetic(SynthConfig(**data_cfg["synthetic"]))
-        empty = first_empty_period(graph)
-        if empty is not None:
-            raise ConfigError(f"data.synthetic: period {empty.index} holds no events")
-        return graph
-    files = data_cfg["files"]
-    return load_graph(files["nodes"], files["events"], files.get("periods"))
-
-
-def check_scorable(graph: TemporalGraph, data_cfg: dict, seeds: Sequence[int]) -> None:
-    """Refuse an :func:`unscorable_period`: a ``ConfigError`` on
-    ``data.synthetic``, or a ``GraphFormatError`` naming the nodes file."""
-    fault = unscorable_period(graph, seeds)
-    if fault is None:
-        return
-    if "synthetic" in data_cfg:
-        raise ConfigError(f"data.synthetic: {fault}")
-    raise GraphFormatError(f"{data_cfg['files']['nodes']}: {fault}")
+        error, source = ConfigError, "data.synthetic"
+    else:
+        files = data_cfg["files"]
+        graph = load_graph(files["nodes"], files["events"], files.get("periods"))
+        error, source = GraphFormatError, files["nodes"]
+    fault = period_fault(graph, seeds)
+    if fault:
+        raise error(f"{source}: {fault[1]}")
+    return graph
 
 
 #: The graph of a pool worker, handed over once by :func:`_init_worker`,
@@ -455,16 +448,20 @@ def _execute_in_worker(run: tuple[RunSpec, Path, str]) -> str:
 
 
 def _execute_run(run: tuple[RunSpec, Path, str], graph: TemporalGraph, memo: dict) -> str:
-    """Run ``spec`` of ``run = (spec, run_dir, config_hash)``; ``record.json`` is written last."""
+    """Run ``spec`` of ``run = (spec, run_dir, config_hash)``; ``record.json`` is written last.
+    Training that diverges raises ``FloatingPointError`` naming the run id."""
     spec, run_dir, chash = run
     run_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
     t0 = perf_counter()
 
-    outcomes = run_strategy(
-        graph, spec.strategy, spec.sel, spec.train,
-        seed=spec.seed, hidden_dim=spec.hidden_dim, kernel_squared=spec.kernel_squared, memo=memo,
-    )
+    try:
+        outcomes = run_strategy(
+            graph, spec.strategy, spec.sel, spec.train,
+            seed=spec.seed, hidden_dim=spec.hidden_dim, kernel_squared=spec.kernel_squared, memo=memo,
+        )
+    except FloatingPointError as exc:  # training diverged: a non-finite loss or gradient
+        raise FloatingPointError(f"{spec.run_id}: {exc}") from None
 
     with (run_dir / "epochs.jsonl").open("w") as fh:
         for o in outcomes:
@@ -494,11 +491,12 @@ def execute(
     """Execute all planned runs and write the aggregated artifacts.
 
     The graph is built once per call, in the caller and only when runs are
-    pending, and :func:`check_scorable` checks it under every planned seed,
-    so a data error is raised before any run starts, and a run's
-    ``total_s`` in ``record.json`` leaves out the graph load. The serial
-    path hands that graph to every run, and a process pool a copy to each
-    worker's initializer. The runs of one process share the graph's
+    pending, by :func:`load_data`, which refuses a
+    :func:`tgcl.graph.period_fault` under every planned seed, so a data
+    error is raised before any run starts, and a run's ``total_s`` in
+    ``record.json`` leaves out the graph load. The serial path hands that
+    graph to every run, and a process pool a copy to each worker's
+    initializer. The runs of one process share the graph's
     :class:`tgcl.graph.GraphCache` (split codes, period views and input
     rows), so each node's model input is built once per period end in each
     process. Graphs are not cached across calls, because data files may
@@ -525,7 +523,7 @@ def execute(
     ``echo`` counts the two apart. Run directories that this config does
     not plan are left in place, and ``echo`` names them. ``jobs`` below 1
     raises ``ValueError``, and an output path in the way (see
-    :func:`_check_output_paths`) ``NotADirectoryError`` or
+    :func:`check_output_paths`) ``NotADirectoryError`` or
     ``IsADirectoryError``, before anything is written.
     """
     if jobs < 1:
@@ -533,7 +531,13 @@ def execute(
     out = Path(out_dir)
     chash = config_hash(cfg)
     runs = [(spec, out / "runs" / spec.run_id, chash) for spec in plan_runs(cfg)]
-    _check_output_paths(out, [run_dir for _, run_dir, _ in runs])
+    run_dirs = [run_dir for _, run_dir, _ in runs]
+    top = ("resolved_config.json", "config_hash.txt", "results.csv", "summary.json", "timing.jsonl", "summary.txt")
+    files = [out / name for name in top] + [  # and each buffer_p<n>.json it would overwrite
+        f for d in run_dirs
+        for f in (d / "record.json", d / "record.json.tmp", d / "epochs.jsonl", *sorted(d.glob("buffer_p*.json")))
+    ]
+    check_output_paths(out, files, [out / "runs", *run_dirs])
     out.mkdir(parents=True, exist_ok=True)
     (out / "resolved_config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
     (out / "config_hash.txt").write_text(chash + "\n")
@@ -554,9 +558,7 @@ def execute(
             echo(f"{len(unplanned)} run directories not planned by this config were left in place: "
                  + ", ".join(unplanned))
 
-    graph = load_data(cfg["data"]) if pending else None
-    if pending:
-        check_scorable(graph, cfg["data"], cfg["seeds"])
+    graph = load_data(cfg["data"], cfg["seeds"]) if pending else None
     memo: dict = {}
     if jobs > 1 and len(pending) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -580,20 +582,16 @@ def execute(
     return records
 
 
-def _check_output_paths(out: Path, run_dirs: Sequence[Path]) -> None:
-    """Raise ``NotADirectoryError`` for the first of ``out``, its parents,
-    ``out/runs`` and ``run_dirs`` that exists and is not a directory, or
-    ``IsADirectoryError`` for the first file that :func:`execute` would
-    write (or a ``buffer_p<n>.json`` it would overwrite) that is one."""
-    dirs = [*reversed(out.parents), out, out / "runs", *run_dirs]
-    top = ("resolved_config.json", "config_hash.txt", "results.csv", "summary.json", "timing.jsonl", "summary.txt")
-    files = [out / name for name in top]
-    for d in run_dirs:
-        files += [d / "record.json", d / "record.json.tmp", d / "epochs.jsonl", *sorted(d.glob("buffer_p*.json"))]
-    for path, want_dir in [(d, True) for d in dirs] + [(f, False) for f in files]:
-        if want_dir and path.exists() and not path.is_dir():
+def check_output_paths(out: Path, files: Iterable[Path], dirs: Iterable[Path] = ()) -> None:
+    """Raise ``NotADirectoryError`` for the first of ``out``'s parents,
+    ``out`` and ``dirs`` that exists and is not a directory, or
+    ``IsADirectoryError`` for the first of ``files`` that is one: a writer
+    calls it before it writes anything."""
+    for path in [*reversed(out.parents), out, *dirs]:
+        if path.exists() and not path.is_dir():
             raise NotADirectoryError(f"{path}: not a directory")
-        if not want_dir and path.is_dir():
+    for path in files:
+        if path.is_dir():
             raise IsADirectoryError(f"{path}: is a directory")
 
 

@@ -39,7 +39,7 @@ from .backbone import (
     period_inputs,
     snapshot,
 )
-from .graph import TRAIN, VAL, TEST, PeriodView, TemporalGraph, split_period, unscorable_period
+from .graph import TRAIN, VAL, TEST, PeriodView, TemporalGraph, period_fault, split_period
 from .kernels import KernelParams, _distances
 from .metrics import PeriodMetrics, ap as ap_metric, precision_per_set
 from .selector import (
@@ -368,8 +368,8 @@ def run_strategy(
     separately from epoch time, and each outcome keeps its period-end
     snapshot.
 
-    Data that no run can score (see :func:`unscorable_period`) raises
-    ``ValueError`` before any period is planned or trained.
+    A graph with a :func:`tgcl.graph.period_fault` under ``seed`` raises
+    ``ValueError`` with its text before any period is planned or trained.
 
     ``seed`` is the run's one seed: the split seed of :func:`split_period`,
     the seed of the model's initialization and head growth, and the seed
@@ -389,9 +389,9 @@ def run_strategy(
     memo only to runs on one graph. Without one, the call keeps its own,
     which never hits, since a run's periods never repeat.
     """
-    fault = unscorable_period(graph, [seed])
+    fault = period_fault(graph, [seed])
     if fault:
-        raise ValueError(fault)
+        raise ValueError(fault[1])
     memo = {} if memo is None else memo
     model = Backbone(graph.feature_dim, hidden_dim=hidden_dim, seed=seed)
     key: tuple = (seed, hidden_dim)

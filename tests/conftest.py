@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tgcl.backbone import PARAM_NAMES, Backbone, snapshot
-from tgcl.graph import PeriodSpec, SynthConfig, TemporalGraph, generate_synthetic
+from tgcl.graph import SPLIT_NAMES, TEST, TRAIN, PeriodSpec, SynthConfig, TemporalGraph, generate_synthetic, node_splits
 
 from oracles import Event, NodeRecord, event_columns, node_columns
 
@@ -41,6 +41,23 @@ def make_graph_without_new_class_events():
               [0.1 + i / 40 for i in range(20)] + [1.1 + i / 40 for i in range(20)])
     periods = [PeriodSpec(1, 0.0, 1.0, (0,)), PeriodSpec(2, 1.0, 2.0, (1,))]
     return TemporalGraph.from_parts(nodes, events, periods)
+
+
+def make_graph_without_test_nodes_under_seed_1():
+    """A 2-period graph that split seed 1 leaves without test nodes and
+    seed 0 does not: period 2's class has 5 < 10 nodes, so none is drawn
+    for test, and of period 1's 20 nodes, period 2 holds only those that
+    seed 0 tests or that both seeds train."""
+    old, new = list(range(20)), list(range(20, 25))
+    nodes = (old + new, [0] * 20 + [1] * 5, [1] * 20 + [2] * 5, [[v / 25, 1.0, 0.0] for v in old + new])
+    periods = [PeriodSpec(1, 0.0, 1.0, (0,)), PeriodSpec(2, 1.0, 2.0, (1,))]
+    first = (old, [(v + 1) % 20 for v in old], [0.1 + v / 40 for v in old])
+    # period 1's cohort splits do not depend on period 2's events
+    seed0, seed1 = (node_splits(TemporalGraph.from_parts(nodes, first, periods), s) for s in (0, 1))
+    test, train = SPLIT_NAMES.index(TEST), SPLIT_NAMES.index(TRAIN)
+    kept = [v for v in old if seed0[v] == test or seed0[v] == seed1[v] == train]
+    second = (kept, [new[j % 5] for j in range(len(kept))], [1.1 + j / 40 for j in range(len(kept))])
+    return TemporalGraph.from_parts(nodes, tuple(a + b for a, b in zip(first, second)), periods)
 
 
 #: generator settings under which every (debut, class) cohort has 4 < 10

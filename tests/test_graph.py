@@ -23,12 +23,18 @@ from tgcl.graph import (
     generate_synthetic,
     load_graph,
     node_splits,
+    period_fault,
     save_graph,
     split_period,
 )
 from tgcl.harness import resolve_config
 
-from conftest import make_two_period_graph
+from conftest import (
+    NO_TEST_SYNTH,
+    make_graph_without_new_class_events,
+    make_graph_without_test_nodes_under_seed_1,
+    make_two_period_graph,
+)
 from oracles import (
     Event,
     NodeRecord,
@@ -327,6 +333,36 @@ class TestSplitPeriod:
         view = split_period(graph, 2)
         assert view.nodes_of("old") == (1, 3) and view.nodes_of("new") == (2,)
         assert node_splits(graph)[4] == -1
+
+
+class TestPeriodFault:
+    @pytest.mark.parametrize("seeds", [(), [0], [1, 0]])
+    def test_an_empty_period_comes_before_any_scoring_fault(self, seeds):
+        # period 1 has no test nodes under any seed; period 2 loses its
+        # events, and is reported without a split_period raise
+        graph = generate_synthetic(SynthConfig(**NO_TEST_SYNTH))
+        first = graph.events.t < graph.period(2).t_start
+        events = EventTable(graph.events.src[first], graph.events.dst[first], graph.events.t[first])
+        graph = TemporalGraph.from_parts(graph.nodes, events, graph.periods)
+        assert period_fault(graph, seeds) == (2, "no events in period 2's span [1.0, 2.0]")
+
+    def test_periods_are_checked_in_order(self):
+        graph = generate_synthetic(SynthConfig(**NO_TEST_SYNTH))  # no period has test nodes
+        assert period_fault(graph, [0]) == (1, "period 1 has no test nodes under seed 0")
+
+    @pytest.mark.parametrize("seeds, seed", [([3, 1], 3), ([1, 3], 1)])
+    def test_seeds_are_checked_in_the_order_given(self, seeds, seed):
+        graph = make_graph_without_new_class_events()  # a fault under every seed
+        assert period_fault(graph, seeds) == (2, f"period 2 has no new-class training nodes under seed {seed}")
+
+    def test_only_a_seed_at_fault_is_reported(self):
+        graph = make_graph_without_test_nodes_under_seed_1()
+        assert period_fault(graph, [0, 2]) is None
+        assert period_fault(graph, [0, 2, 1]) == (2, "period 2 has no test nodes under seed 1")
+
+    def test_no_seeds_checks_only_for_empty_periods(self):
+        assert period_fault(generate_synthetic(SynthConfig(**NO_TEST_SYNTH))) is None
+        assert period_fault(make_graph_without_new_class_events(), ()) is None
 
 
 def _boundary_graph(seed: int) -> TemporalGraph:

@@ -3,10 +3,10 @@ import json
 import math
 import os
 import re
+import warnings
 
 import pytest
 
-import tgcl.harness as harness_module
 from tgcl import cli
 from tgcl.backbone import Backbone, save_checkpoint, snapshot
 from tgcl.harness import (
@@ -25,7 +25,12 @@ from tgcl.graph import TemporalGraph, save_graph
 from tgcl.metrics import RunRecord, format_summary_table
 from tgcl.trainer import run_strategy
 
-from conftest import NO_TEST_SYNTH, make_graph_without_new_class_events, make_two_period_graph
+from conftest import (
+    NO_TEST_SYNTH,
+    make_graph_without_new_class_events,
+    make_graph_without_test_nodes_under_seed_1,
+    make_two_period_graph,
+)
 from oracles import Event, event_columns
 
 TINY_DATA = {
@@ -62,6 +67,13 @@ def save_graph_without_new_class_events(data_dir):
     """Files of :func:`make_graph_without_new_class_events`; returns the
     ``data.files`` entry."""
     paths = save_graph(make_graph_without_new_class_events(), data_dir)
+    return {kind: str(path) for kind, path in paths.items()}
+
+
+def save_graph_without_test_nodes_under_seed_1(data_dir):
+    """Files of :func:`make_graph_without_test_nodes_under_seed_1`; returns
+    the ``data.files`` entry."""
+    paths = save_graph(make_graph_without_test_nodes_under_seed_1(), data_dir)
     return {kind: str(path) for kind, path in paths.items()}
 
 
@@ -742,6 +754,17 @@ class TestCli:
         assert capsys.readouterr().err == f"config error: {where}: lr must be a finite number > 0, got inf\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_run_whose_training_diverges_is_a_run_error(self, tmp_path, capsys, jobs):
+        # a finite lr is a valid config; only training shows that it diverges
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, {**TINY, "strategies": ["ltf"], "train": {**TINY["train"], "lr": 1e308}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow on the way
+            assert cli.main(["run", str(cfg_path), "--out", str(out), "--jobs", jobs, "--quiet"]) == 2
+        assert capsys.readouterr().err == "run error: joint__seed0: non-finite loss at period 1 epoch 1\n"
+        assert not list(out.rglob("record.json"))
+
     def test_run_rejects_a_graph_without_events(self, tmp_path, capsys):
         paths = save_graph(make_two_period_graph(), tmp_path / "data")
         paths["events"].write_text("src,dst,t\n")
@@ -809,7 +832,7 @@ class TestCli:
         cfg_path = write_config(tmp_path, {**TINY, "data": data, "strategies": ["ltf"], "output_dir": str(out)})
         argv = {"run": [], "select": ["--run", "ltf__seed0", "--period", "2", "--model", "model_p1.json"]}
         assert cli.main([command, str(cfg_path), *argv[command]]) == 2
-        assert capsys.readouterr().err == "config error: data.synthetic: period 1 holds no events\n"
+        assert capsys.readouterr().err == "config error: data.synthetic: no events in period 1's span [0.0, 1.0)\n"
         assert not (out / "runs").exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -931,7 +954,7 @@ class TestCli:
         path = write_config(tmp_path, synth, "synth.json")
         out = tmp_path / "data"
         assert cli.main(["gen", str(path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"config error: {path}: period 1 holds no events\n"
+        assert capsys.readouterr().err == f"config error: {path}: no events in period 1's span [0.0, 1.0)\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("data", ["synthetic", "files"])
@@ -951,22 +974,21 @@ class TestCli:
         assert capsys.readouterr().err == message
         assert not (out / "runs").exists()
 
-    def test_select_checks_only_its_runs_seed(self, tmp_path, capsys, monkeypatch):
+    def test_select_checks_only_its_runs_seed(self, tmp_path, capsys):
         # a fault under seed 1 alone: select of a seed-0 run passes, run refuses
-        real = harness_module.unscorable_period
-        monkeypatch.setattr(
-            harness_module, "unscorable_period",
-            lambda graph, seeds: "period 2 has no test nodes under seed 1" if 1 in seeds else real(graph, seeds),
-        )
         out = tmp_path / "out"
-        cfg_path = write_config(tmp_path, {**TINY, "strategies": ["ltf"], "seeds": [0, 1], "output_dir": str(out)})
+        data_cfg = {"files": save_graph_without_test_nodes_under_seed_1(tmp_path / "data")}
+        cfg = {**TINY, "data": data_cfg, "strategies": ["ltf"], "seeds": [0, 1], "output_dir": str(out)}
+        cfg_path = write_config(tmp_path, cfg)
         scorer = tmp_path / "model_p1.json"
-        save_checkpoint(period_one_scorer(load_data(TINY_DATA)), scorer)
+        save_checkpoint(period_one_scorer(load_data(data_cfg)), scorer)
         argv = ["select", str(cfg_path), "--run", "ltf__seed0", "--period", "2", "--model", str(scorer)]
         assert cli.main(argv) == 0
         capsys.readouterr()
         assert cli.main(["run", str(cfg_path), "--quiet"]) == 2
-        assert capsys.readouterr().err == "config error: data.synthetic: period 2 has no test nodes under seed 1\n"
+        nodes = data_cfg["files"]["nodes"]
+        assert capsys.readouterr().err == f"data error: {nodes}: period 2 has no test nodes under seed 1\n"
+        assert not (out / "runs").exists()
 
     def test_gen_refuses_a_graph_without_test_nodes(self, tmp_path, capsys):
         path = write_config(tmp_path, NO_TEST_SYNTH, "synth.json")
@@ -990,7 +1012,7 @@ class TestCli:
         out = tmp_path / "data"
         (out / name).mkdir(parents=True)
         assert cli.main(["gen", str(synth), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"gen error: {out / name}: Is a directory\n"
+        assert capsys.readouterr().err == f"gen error: {out / name}: is a directory\n"
         assert [p.name for p in out.iterdir()] == [name]
 
     @pytest.mark.parametrize("kind", ["missing", "directory"])
@@ -1146,9 +1168,9 @@ def test_execute_builds_the_graph_once_and_not_for_a_finished_resume(tmp_path, m
     calls = []
     real = harness.load_data
 
-    def counting(data_cfg):
+    def counting(data_cfg, seeds=()):
         calls.append(data_cfg)
-        return real(data_cfg)
+        return real(data_cfg, seeds)
 
     monkeypatch.setattr(harness, "load_data", counting)
     cfg = load_config_dict({**TINY, "strategies": ["finetune", "er"], "seeds": [0, 1]})
