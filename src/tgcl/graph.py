@@ -466,6 +466,12 @@ def node_splits(graph: TemporalGraph, split_seed: int = 0) -> np.ndarray:
 # Synthetic generation
 # ---------------------------------------------------------------------------
 
+#: The most nodes, node feature entries or events a synthetic config may
+#: ask for (:class:`SynthConfig`), and the most hidden-layer weights a
+#: model may have; a larger one is refused before anything is allocated.
+MAX_ENTRIES = 10**8
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Knobs for the drifting-cluster synthetic generator.
@@ -474,7 +480,9 @@ class SynthConfig:
     Gaussian feature centers, and every class alive at a period (old or
     new) receives ``nodes_per_class_per_period`` fresh nodes. Old-class
     centers move by ``drift_step`` along a fixed per-class random direction
-    at each new period, so old-class data keeps evolving.
+    at each new period, so old-class data keeps evolving. A config that
+    makes more than :data:`MAX_ENTRIES` nodes, node feature entries or
+    events is refused, named by its largest factor.
     """
 
     num_periods: int = 3
@@ -524,6 +532,20 @@ class SynthConfig:
             raise ValueError(
                 "intra_class_edge_prob and inter_class_edge_prob cannot both be 0 when events_per_node > 0"
             )
+        # period p adds a cohort to each of its p * classes_per_period classes,
+        # and each of its nodes draws events_per_node events
+        cohorts = self.num_periods * (self.num_periods + 1) // 2 * self.classes_per_period
+        nodes = cohorts * self.nodes_per_class_per_period
+        events = nodes * (self.num_periods + 2) // 3 * self.events_per_node
+        sizes = ("num_periods", "classes_per_period", "nodes_per_class_per_period")
+        for what, size, factors in (
+            ("nodes", nodes, sizes),
+            ("node feature entries", nodes * self.feature_dim, (*sizes, "feature_dim")),
+            ("events", events, (*sizes, "events_per_node")),
+        ):
+            if size > MAX_ENTRIES:
+                name = max(factors, key=lambda f: getattr(self, f))
+                raise ValueError(f"{name} {getattr(self, name)} makes {size} {what}, more than {MAX_ENTRIES}")
 
 
 def generate_synthetic(cfg: SynthConfig) -> TemporalGraph:
@@ -535,6 +557,19 @@ def generate_synthetic(cfg: SynthConfig) -> TemporalGraph:
     events per period against intra/inter-class mixture weights, so a
     class's active population at a later period is a mixture of cohorts
     along its drift trail.
+
+    An event is drawn as three scalar calls on the seed's generator: a
+    ``random()`` that picks the intra- or inter-class pool, an
+    ``integers(0, pool size)`` that picks the partner and a ``random()``
+    for the time (see :func:`_draw_event`). Most events are replayed as
+    arrays from the generator's raw outputs instead (:func:`_replay`),
+    which compute what those calls return, in the same order, so the graph
+    and the generator's final state are those of the scalar calls. Two
+    kinds of event run the scalar calls: an event of a class with at most
+    one node in either pool, whose pool can be empty or of one node, which
+    changes what is drawn, and an event whose partner draw numpy redraws
+    (a Lemire rejection, under ``L`` in ``2**32`` draws from a pool of
+    ``L`` nodes).
     """
     rng = np.random.default_rng(cfg.seed)
     n_per = cfg.nodes_per_class_per_period
@@ -553,7 +588,7 @@ def generate_synthetic(cfg: SynthConfig) -> TemporalGraph:
     drift_dir: dict[int, np.ndarray] = {}
     class_period: dict[int, int] = {}
     classes, births, features = [], [], []  # node columns but the ids, one cohort at a time
-    src, dst, times = [], [], []  # the event columns
+    event_columns = ([], [], [])  # src, dst and t, one period at a time
 
     w_intra = cfg.intra_class_edge_prob
     w_inter = cfg.inter_class_edge_prob
@@ -578,34 +613,150 @@ def generate_synthetic(cfg: SynthConfig) -> TemporalGraph:
         # period mixes fresh drifted cohorts with earlier ones; ids count up
         # from 0 in cohort order
         alive_class = np.concatenate(classes)
-        alive = np.arange(len(alive_class))
-        partners = {  # each class's intra and inter partner pools, in id order
-            c: (alive[alive_class == c].tolist(), alive[alive_class != c].tolist()) for c in class_period
-        }
-        # rng.uniform(t_start, t_end) as numpy computes it, kept inside the period
-        t_start, t_span = spec.t_start, spec.t_end - spec.t_start
-        t_hi = math.nextafter(spec.t_end, spec.t_start)
-        for u, c in zip(alive.tolist(), alive_class.tolist()):
-            same, others = partners[c]
-            for _ in range(cfg.events_per_node):
-                want_intra = rng.random() < q_intra
-                pool = same if want_intra else others
-                if want_intra and len(same) <= 1:
-                    pool = others
-                elif not want_intra and not others:
-                    pool = same
-                if not pool or (pool is same and len(same) <= 1):
-                    continue
-                idx = int(rng.integers(0, len(pool)))
-                partner = pool[idx]
-                if partner == u:  # same-class pool contains u; deterministic re-pick
-                    partner = pool[(idx + 1) % len(pool)]
-                src.append(u)
-                dst.append(partner)
-                times.append(min(t_start + t_span * rng.random(), t_hi))
+        period_columns = _period_events(rng, alive_class, cfg.events_per_node, q_intra, spec)
+        for column, part in zip(event_columns, period_columns):
+            column.append(part)
 
-    nodes = (alive, alive_class, np.concatenate(births), np.concatenate(features))
-    return TemporalGraph.from_parts(nodes, (src, dst, times), periods)
+    nodes = (np.arange(len(alive_class)), alive_class, np.concatenate(births), np.concatenate(features))
+    return TemporalGraph.from_parts(nodes, tuple(map(np.concatenate, event_columns)), periods)
+
+
+class _Pools:
+    """The partner pools of one period's alive nodes, whose ids are their
+    rows ``0 .. n - 1`` of ``alive_class``: a class's intra pool is its own
+    nodes and its inter pool every other node, both in id order."""
+
+    def __init__(self, alive_class: np.ndarray):
+        self.n = len(alive_class)
+        self.size = np.bincount(alive_class)  # intra pool size per class
+        self.start = np.cumsum(self.size) - self.size
+        self.members = np.argsort(alive_class, kind="stable")  # ids by class, in id order
+        # per member of class c, c * (n + 1) plus the count of non-members
+        # before it, an ascending key: entry j of c's inter pool is j plus
+        # the count of c's members whose key is at most c * (n + 1) + j
+        member_class = alive_class[self.members]
+        rank = np.arange(self.n) - self.start[member_class]
+        self.key = member_class * (self.n + 1) + self.members - rank
+
+    def partners(self, u: np.ndarray, c: np.ndarray, intra: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Entry ``idx`` of the intra pool (where ``intra``) or the inter pool
+        of class ``c``, or the next intra entry where that entry is ``u``."""
+        out = np.empty(len(u), dtype=np.int64)
+        out[intra] = self.members[self.start[c[intra]] + idx[intra]]
+        inter = ~intra
+        at = np.searchsorted(self.key, c[inter] * (self.n + 1) + idx[inter], side="right")
+        out[inter] = idx[inter] + at - self.start[c[inter]]
+        again = np.flatnonzero(out == u)  # only an intra pool holds u; deterministic re-pick
+        nxt = (idx[again] + 1) % self.size[c[again]]
+        out[again] = self.members[self.start[c[again]] + nxt]
+        return out
+
+
+#: The most events :func:`_replay` replays from one draw of raw outputs:
+#: it bounds the arrays it holds, and the draws a rejection discards.
+_REPLAY_BLOCK = 1 << 16
+
+
+def _period_events(rng, alive_class: np.ndarray, events_per_node: int, q_intra: float, spec: PeriodSpec):
+    """The ``src``, ``dst`` and ``t`` columns of one period's events, in
+    draw order: ``events_per_node`` draws for each alive node in id order,
+    less those that find no partner. An event's draws pick a pool, an entry
+    of it and a time. An event of a class with at least two nodes in both
+    pools is replayed in blocks (:func:`_replay`); any other, and the first
+    event that a block cannot replay, is drawn by the scalar calls
+    (:func:`_draw_event`). The partners are looked up from the picks at the
+    end, since the lookup draws nothing."""
+    pools = _Pools(alive_class)
+    src = np.repeat(np.arange(len(alive_class)), events_per_node)
+    cls = alive_class[src]
+    intra = np.empty(len(src), dtype=bool)
+    idx = np.empty(len(src), dtype=np.int64)
+    t = np.empty(len(src))
+    drawn = np.ones(len(src), dtype=bool)
+    regular = ((pools.size >= 2) & (pools.n - pools.size >= 2))[cls]
+    scalar = np.append(np.flatnonzero(~regular), len(src))  # ascending, with an end mark
+    k = 0
+    while k < len(src):
+        if regular[k]:
+            block = slice(k, min(k + _REPLAY_BLOCK, int(scalar[np.searchsorted(scalar, k)])))
+            k += _replay(rng, pools, cls[block], q_intra, spec, intra[block], idx[block], t[block])
+            if k == block.stop:
+                continue
+        event = _draw_event(rng, pools, int(cls[k]), q_intra, spec)
+        if event is None:
+            drawn[k] = False
+        else:
+            intra[k], idx[k], t[k] = event
+        k += 1
+    src, cls, intra, idx = (col[drawn] for col in (src, cls, intra, idx))
+    return src, pools.partners(src, cls, intra, idx), t[drawn]
+
+
+def _event_time(spec: PeriodSpec, unit):
+    """``rng.uniform(t_start, t_end)`` as numpy computes it from the unit
+    draw ``unit``, kept inside the period."""
+    return np.minimum(
+        spec.t_start + (spec.t_end - spec.t_start) * unit, math.nextafter(spec.t_end, spec.t_start)
+    )
+
+
+def _draw_event(rng, pools: _Pools, c: int, q_intra: float, spec: PeriodSpec):
+    """The next event of a node of class ``c`` by the scalar calls, as its
+    picks ``(intra, idx, t)`` (see :meth:`_Pools.partners`); None for an
+    event without a partner to draw, which makes only the first call."""
+    same = int(pools.size[c])
+    others = pools.n - same
+    want_intra = rng.random() < q_intra
+    intra = same > 1 if want_intra else others == 0  # the wanted pool, or else the other
+    size = same if intra else others
+    if size < (2 if intra else 1):  # no pool, or an intra pool of the node alone
+        return None
+    idx = int(rng.integers(0, size))
+    return intra, idx, _event_time(spec, rng.random())
+
+
+def _replay(rng, pools: _Pools, cls, q_intra: float, spec: PeriodSpec, intra, idx, t) -> int:
+    """Replay the scalar calls of events of classes ``cls`` (each with at
+    least two nodes in both pools) from one draw of the generator's raw
+    64-bit outputs, fill their picks ``intra``, ``idx`` and ``t`` and return
+    how many it replayed: all, or those before the first whose partner draw
+    numpy would redraw. The generator is left as the scalar calls of those
+    events leave it, including the buffered half of its last 32-bit draw.
+
+    ``random()`` is ``(x >> 11) * 2**-53`` of an output ``x``. ``integers(0,
+    L)``, for ``L`` below ``2**32`` (the node count is), is Lemire's
+    ``(u * L) >> 32`` of a 32-bit ``u``: the lower half of a fresh output,
+    whose upper half the generator keeps for the next such draw. numpy
+    redraws ``u`` when ``(u * L) mod 2**32 < 2**32 mod L``.
+    """
+    bits = rng.bit_generator
+    start = bits.state
+    has = start["has_uint32"]  # 1: the first partner draw takes the kept half
+    e = len(cls)
+    i = np.arange(e)
+    fresh = (i + has) % 2 == 0  # partner draw i takes a fresh output
+    at = 2 * i + (i + 1 - has) // 2  # the output of event i's first random()
+    x = bits.random_raw(2 * e + (e + 1 - has) // 2)
+    upper = x[at + 1] >> 32  # the half a fresh draw keeps
+    kept = np.roll(upper, 1)
+    kept[0] = start["uinteger"]
+    u32 = np.where(fresh, x[at + 1] & 0xFFFFFFFF, kept)
+    want_intra = (x[at] >> 11) * 2.0**-53 < q_intra  # both pools hold two nodes: the wanted one is used
+    size = np.where(want_intra, pools.size[cls], pools.n - pools.size[cls]).astype(np.uint64)
+    m = u32 * size
+    redraw = (m & 0xFFFFFFFF) < (1 << 32) % size
+    j = int(np.argmax(redraw)) if redraw.any() else e
+    intra[:j] = want_intra[:j]
+    idx[:j] = m[:j] >> 32
+    t[:j] = _event_time(spec, (x[at + 1 + fresh][:j] >> 11) * 2.0**-53)
+    if j < e:  # rewind to event j, for the scalar calls to make it
+        bits.state = start
+        bits.random_raw(at[j])
+    state = bits.state
+    state["has_uint32"] = (has + j) % 2
+    state["uinteger"] = int(np.where(fresh, upper, u32)[j - 1]) if j else start["uinteger"]
+    bits.state = state
+    return j
 
 
 # ---------------------------------------------------------------------------

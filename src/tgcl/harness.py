@@ -25,7 +25,8 @@ Integers and numbers are JSON integers and numbers, never booleans.
 * ``sweeps``: null, or ``mode`` (``grid`` or ``axes``) and ``params``,
   mapping ``sel``/``train`` fields to nonempty lists of values.
 * ``seeds``: a nonempty list of distinct integers >= 0.
-* ``hidden_dim``: an integer >= 1.
+* ``hidden_dim``: an integer >= 1 whose square is at most
+  :data:`tgcl.graph.MAX_ENTRIES`.
 * ``kernel``: ``squared_distance``, a boolean.
 * ``output_dir``: a path string, left out of the config hash.
 """
@@ -42,7 +43,9 @@ from pathlib import Path
 from time import perf_counter
 from typing import Iterable, Sequence
 
-from .graph import GraphFormatError, SynthConfig, TemporalGraph, generate_synthetic, load_graph, period_fault
+from .graph import (
+    MAX_ENTRIES, GraphFormatError, SynthConfig, TemporalGraph, generate_synthetic, load_graph, period_fault,
+)
 from .metrics import RunRecord, af as af_metric, format_summary_table, write_results_csv, write_summary_json
 from .selector import SelectionConfig
 from .trainer import ABLATIONS, STRATEGIES, TrainConfig, run_strategy
@@ -293,6 +296,10 @@ def validate_config(cfg: dict) -> None:
     hidden_dim = cfg.get("hidden_dim", 64)
     if type(hidden_dim) is not int or hidden_dim < 1:
         raise ConfigError(f"hidden_dim: must be a positive integer, got {hidden_dim!r}")
+    if hidden_dim**2 > MAX_ENTRIES:
+        raise ConfigError(
+            f"hidden_dim: {hidden_dim} makes {hidden_dim**2} hidden-layer weights, more than {MAX_ENTRIES}"
+        )
     kernel = cfg.get("kernel", {})
     _check_keys("kernel.", kernel, ["squared_distance"])
     if not isinstance(kernel.get("squared_distance", False), bool):

@@ -34,6 +34,7 @@ from .backbone import (
     Grads,
     # unused here: perfbench/tests/test_perfbench.py reads tgcl.trainer.build_contexts
     build_contexts,
+    classify_batch,
     embed_batch,
     loss_and_grads_from_inputs,
     period_inputs,
@@ -41,7 +42,7 @@ from .backbone import (
 )
 from .graph import TRAIN, VAL, TEST, PeriodView, TemporalGraph, period_fault, split_period
 from .kernels import KernelParams, _distances
-from .metrics import PeriodMetrics, ap as ap_metric, precision_per_set
+from .metrics import PeriodMetrics, ap as ap_metric, per_set_accuracy, precision_per_set
 from .selector import (
     ReplayBuffer,
     SelectionConfig,
@@ -192,6 +193,7 @@ def plan_period(
     return plan, buffer, sel_ms
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence raises below instead
 def train_period(
     model: Backbone,
     graph: TemporalGraph,
@@ -210,6 +212,13 @@ def train_period(
     and the returned model carries the best-validation parameters, not the
     last ones. ``seed`` is the run's seed: the batch order of period ``n``
     draws from the stream ``(seed, n)``.
+
+    Divergence raises ``FloatingPointError``: a non-finite loss before a
+    step, or non-finite parameters or validation scores after an epoch's
+    updates (parameters can stay finite and still overflow the scores),
+    each naming the period and epoch, or a non-finite gradient (see
+    :meth:`Backbone.apply_gradients`). numpy's overflow and invalid-value
+    warnings are silenced here, since these checks report divergence.
     """
     n = view.period_index
     z_main, labels_main = period_inputs(graph, n, plan.main_ids)
@@ -290,9 +299,13 @@ def train_period(
             acc_ldst += raw_ldst
             acc_tot += step_tot
 
+        scores = classify_batch(model, z_val) if val_sets else np.zeros(0)
+        if not all(np.isfinite(a).all() for a in (scores, *model.parameters().values())):
+            raise FloatingPointError(f"non-finite parameters or validation scores at period {n} epoch {epoch}")
         val_ap = 0.0
         if val_sets:
-            val_ap = float(np.mean(precision_per_set(model, z_val, val_labels, val_sets)))
+            predictions = np.asarray(model.classes)[scores.argmax(axis=1)]
+            val_ap = float(np.mean(per_set_accuracy(val_labels, predictions, val_sets)))
         wall_ms = (perf_counter() - t0) * 1000.0
         result.log.append(
             {

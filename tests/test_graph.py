@@ -6,6 +6,7 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tgcl.graph import (
+    MAX_ENTRIES,
     SPLIT_NAMES,
     EventTable,
     GraphFormatError,
@@ -400,6 +402,10 @@ _GENERATOR_CASES = {
     "no intra-class edges": {**_SMALL_SYNTH, "intra_class_edge_prob": 0.0},
     "no inter-class edges": {**_SMALL_SYNTH, "inter_class_edge_prob": 0.0},
     "no events": {**_SMALL_SYNTH, "events_per_node": 0},
+    # numpy redraws one of its 30,000 bounded partner draws (a Lemire rejection)
+    "lemire rejection": dict(
+        num_periods=1, classes_per_period=2, nodes_per_class_per_period=3000, feature_dim=1, events_per_node=5, seed=63
+    ),
 }
 
 
@@ -491,6 +497,84 @@ class TestGenerateSynthetic:
             SynthConfig(intra_class_edge_prob=0.0, inter_class_edge_prob=0.0, events_per_node=0)
         )
         assert len(graph.events) == 0
+
+
+def with_final_state(make, cfg: SynthConfig):
+    """``make(cfg)`` and the final state of the one generator it draws from."""
+    made = []
+    real = np.random.default_rng
+
+    def spy(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    with mock.patch("numpy.random.default_rng", spy):
+        out = make(cfg)
+    assert len(made) == 1
+    return out, made[0].bit_generator.state
+
+
+def assert_reference_graph(graph, cfg: SynthConfig) -> dict:
+    """Check that ``graph`` holds the nodes, events and periods of the scalar
+    reference generator at ``cfg``; returns the reference's final generator state."""
+    (records, events, periods), state = with_final_state(reference_generate_synthetic, cfg)
+    assert graph.periods == periods
+    got = (graph.nodes.id, graph.nodes.class_id, graph.nodes.birth_period)
+    assert node_columns(records)[:3] == tuple(col.tolist() for col in got)
+    assert np.array_equal(graph.nodes.features, np.stack([r.feature for r in records]))
+    want = sorted(events, key=lambda e: e.t)
+    assert (graph.events.src.tolist(), graph.events.dst.tolist(), graph.events.t.tolist()) == event_columns(want)
+    return state
+
+
+class TestArrayReplay:
+    """The array replay of the event draws gives the scalar reference's
+    graph and leaves the generator in the reference's final state, the
+    32-bit half it keeps for the next bounded draw included."""
+
+    @pytest.mark.parametrize("case", sorted(_GENERATOR_CASES))
+    def test_final_generator_state(self, case):
+        cfg = SynthConfig(**_GENERATOR_CASES[case])
+        graph, state = with_final_state(generate_synthetic, cfg)
+        assert assert_reference_graph(graph, cfg) == state
+
+    @pytest.mark.parametrize("seed, redraws", [(0, 0), (1, 0), (63, 1), (77, 1), (181, 1)])
+    def test_a_rejected_partner_draw_is_redrawn(self, seed, redraws):
+        # 30,000 bounded draws take an even count of 32-bit halves, and a
+        # redraw one more, which leaves a half kept
+        cfg = SynthConfig(**{**_GENERATOR_CASES["lemire rejection"], "seed": seed})
+        graph, state = with_final_state(generate_synthetic, cfg)
+        assert state["has_uint32"] == redraws
+        assert assert_reference_graph(graph, cfg) == state
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        num_periods=st.integers(1, 3),
+        classes_per_period=st.integers(1, 3),
+        nodes_per_class_per_period=st.integers(1, 3),
+        events_per_node=st.integers(0, 3),
+        probs=st.sampled_from([(0.9, 0.1), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_on_small_configs(self, probs, **sizes):
+        # pools of one or two nodes take the scalar draws, and an odd count
+        # of bounded draws carries a kept half into the next period
+        cfg = SynthConfig(feature_dim=1, intra_class_edge_prob=probs[0], inter_class_edge_prob=probs[1], **sizes)
+        graph, state = with_final_state(generate_synthetic, cfg)
+        assert assert_reference_graph(graph, cfg) == state
+
+
+class TestSynthSizes:
+    def test_the_limit_itself_is_allowed(self):
+        one = dict(num_periods=1, classes_per_period=1, feature_dim=1, events_per_node=1)
+        SynthConfig(**one, nodes_per_class_per_period=MAX_ENTRIES)
+        with pytest.raises(ValueError, match=r"^nodes_per_class_per_period \d+ makes 100000001 nodes"):
+            SynthConfig(**one, nodes_per_class_per_period=MAX_ENTRIES + 1)
+        # 2 periods of 3 classes make 9 cohorts, which draw 12 cohorts' events
+        two = dict(num_periods=2, classes_per_period=3, nodes_per_class_per_period=1)
+        SynthConfig(**two, events_per_node=MAX_ENTRIES // 12)
+        with pytest.raises(ValueError, match=rf"^events_per_node \d+ makes {MAX_ENTRIES + 8} events"):
+            SynthConfig(**two, events_per_node=MAX_ENTRIES // 12 + 1)
 
 
 class TestSavedBytes:

@@ -3,7 +3,10 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +46,21 @@ TINY_DATA = {
         "seed": 0,
     }
 }
+
+#: one period, one epoch, and a step size whose one update leaves
+#: finite parameters that overflow the model's scores
+LAST_UPDATE_DIVERGES = {
+    "include": "main",
+    "strategies": ["joint", "ltf"],
+    "seeds": [0],
+    "data": {"synthetic": {"num_periods": 1, "nodes_per_class_per_period": 30}},
+    "train": {"epochs": 1, "lr": 1e308},
+    "sweeps": None,
+}
+
+#: runs ``python -m tgcl.cli`` from this checkout's sources
+SRC = Path(__file__).resolve().parent.parent / "src"
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
 TINY = {
     "data": TINY_DATA,
@@ -762,8 +780,72 @@ class TestCli:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow on the way
             assert cli.main(["run", str(cfg_path), "--out", str(out), "--jobs", jobs, "--quiet"]) == 2
-        assert capsys.readouterr().err == "run error: joint__seed0: non-finite loss at period 1 epoch 1\n"
+        assert capsys.readouterr().err == (
+            "run error: joint__seed0: non-finite parameters or validation scores at period 1 epoch 0\n"
+        )
         assert not list(out.rglob("record.json"))
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_divergence_in_a_runs_last_update_is_a_run_error(self, tmp_path, capsys, jobs):
+        # one step at lr 1e308 leaves the parameters finite, at up to about
+        # 1e307, and the validation scores they give are not
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, LAST_UPDATE_DIVERGES)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # training silences numpy's overflow warnings
+            assert cli.main(["run", str(cfg_path), "--out", str(out), "--jobs", jobs, "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "run error: joint__seed0: non-finite parameters or validation scores at period 1 epoch 0\n"
+        )
+        assert not (out / "results.csv").exists()
+        assert not list(out.rglob("record.json"))
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_diverging_run_prints_one_line(self, tmp_path, jobs):
+        # in a fresh interpreter, whose warnings (pool workers' too) reach stderr
+        cfg_path = write_config(tmp_path, LAST_UPDATE_DIVERGES)
+        argv = ["run", str(cfg_path), "--out", str(tmp_path / "out"), "--jobs", jobs, "--quiet"]
+        proc = subprocess.run([sys.executable, "-m", "tgcl.cli", *argv], capture_output=True, text=True, env=SRC_ENV)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "run error: joint__seed0: non-finite parameters or validation scores at period 1 epoch 0"
+        ]
+
+    @pytest.mark.parametrize(
+        "command, field, what",
+        [
+            (command, field, what)
+            for field, what in [
+                ("num_periods", "nodes"),
+                ("classes_per_period", "nodes"),
+                ("nodes_per_class_per_period", "nodes"),
+                ("feature_dim", "node feature entries"),
+                ("events_per_node", "events"),
+                ("hidden_dim", "hidden-layer weights"),
+            ]
+            for command in ["run", "select", "gen"]
+            if (command, field) != ("gen", "hidden_dim")  # the generator has no model
+        ],
+    )
+    def test_a_size_that_cannot_be_built_is_a_config_error(self, tmp_path, capsys, command, field, what):
+        huge = 2**70
+        out = tmp_path / "out"
+        if field == "hidden_dim":
+            body, where = {**TINY, "hidden_dim": huge}, "hidden_dim:"
+        elif command == "gen":
+            body, where = {field: huge}, field
+        else:
+            body, where = {**TINY, "data": {"synthetic": {field: huge}}}, f"data.synthetic.{field}"
+        cfg_path = write_config(tmp_path, body)
+        argv = {
+            "run": ["run", str(cfg_path), "--out", str(out)],
+            "select": ["select", str(cfg_path), "--run", "finetune__seed0", "--period", "2", "--model", "model.json"],
+            "gen": ["gen", str(cfg_path), "--out", str(out)],
+        }[command]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"config error: {where} {huge} makes \d+ {what}, more than 100000000\n", err)
+        assert not out.exists()
 
     def test_run_rejects_a_graph_without_events(self, tmp_path, capsys):
         paths = save_graph(make_two_period_graph(), tmp_path / "data")
