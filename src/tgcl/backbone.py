@@ -46,7 +46,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import TemporalGraph
+from .graph import TemporalGraph, check_int, check_number
 
 #: neighbor slots per context; missing slots are zero-feature, dt = 0
 K_NEIGHBORS = 10
@@ -393,13 +393,13 @@ def _unpack(params: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
             f"params.{name}: shape {packed['shape']} does not fit feature_dim, hidden_dim and classes,"
             f" which want {list(shape)}"
         )
-    if not isinstance(packed["data"], list) or any(type(x) not in (int, float) for x in packed["data"]):
+    if not isinstance(packed["data"], list):
         raise ValueError(f"params.{name}: data is not a list of numbers")
+    for i, x in enumerate(packed["data"]):
+        check_number(f"params.{name}: data[{i}]", x)
     arr = np.array(packed["data"], dtype=float)
     if arr.shape != (math.prod(shape),):
         raise ValueError(f"params.{name}: {arr.size} values do not fill shape {list(shape)}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"params.{name}: holds non-finite values")
     return arr.reshape(shape)
 
 
@@ -440,8 +440,7 @@ def from_checkpoint_dict(d: dict) -> Backbone:
     if missing:
         raise ValueError(f"{missing[0]}: missing")
     for name in ("feature_dim", "hidden_dim"):
-        if type(d[name]) is not int or d[name] < 1:
-            raise ValueError(f"{name}: must be an integer >= 1, got {d[name]!r}")
+        check_int(name, d[name], 1)
     classes, h = d["classes"], d["hidden_dim"]
     if not (isinstance(classes, list) and all(type(c) is int for c in classes) and len(set(classes)) == len(classes)):
         raise ValueError(f"classes: must be a list of distinct integers, got {classes!r}")
@@ -449,9 +448,7 @@ def from_checkpoint_dict(d: dict) -> Backbone:
         raise ValueError("params: must be an object")
     shapes = dict(zip(PARAM_NAMES, [(h, input_dim(d["feature_dim"])), (h, h), (h,), (len(classes), h)]))
     params = {name: _unpack(d["params"], name, shapes[name]) for name in PARAM_NAMES}
-    scale = d["head_init_scale"]
-    if type(scale) not in (int, float) or not 0 <= scale < math.inf:
-        raise ValueError(f"head_init_scale: must be a finite number >= 0, got {scale!r}")
+    scale = check_number("head_init_scale", d["head_init_scale"], ">= 0")
     model = Backbone(d["feature_dim"], hidden_dim=h, head_init_scale=scale)
     for name, arr in params.items():
         setattr(model, name, arr)

@@ -14,19 +14,19 @@ period N-1, written by ``backbone.save_checkpoint(snapshot(model), path)``,
 whose ``feature_dim``, ``hidden_dim`` and classes must be the run's.
 
 A config, data file or checkpoint that cannot be used (a checkpoint of a
-kind other than ``backbone`` too), data that no run can score (a
-``graph.period_fault`` under a planned seed; ``gen`` checks split seed 0),
-an ``--out`` path below a file or in a missing directory, a ``run`` or
-``gen`` output path in the way (``harness.check_output_paths``, before
-any file is written), a ``report`` directory without run records or
-whose ``config_hash.txt`` cannot be read as UTF-8 text, and a ``--jobs``,
-``--run`` or ``--period`` out of range each print one
-``<kind> error: ...`` line naming it (kind ``config``, ``data``,
-``run``, ``gen``, ``select`` or ``report``) and exit with status 2,
-before any run starts; so does a run whose training diverges
-(``run error: <run id>: ...``). argparse reports a malformed command
-line itself (usage line, status 2); other failures, such as a disk that
-fills up, end in a traceback.
+kind other than ``backbone``, or a generated graph whose features
+overflow, too), data that no run can score (a ``graph.period_fault``
+under a planned seed; ``gen`` checks split seed 0), an ``--out`` path
+below a file or in a missing directory, a ``run`` or ``gen`` output path
+in the way (``harness.check_output_paths``, before any file is written),
+a ``report`` directory without run records or whose ``config_hash.txt``
+cannot be read as UTF-8 text, and a ``--jobs``, ``--run`` or
+``--period`` out of range each print one ``<kind> error: ...`` line
+naming it (kind ``config``, ``data``, ``run``, ``gen``, ``select`` or
+``report``) and exit with status 2, before any run starts; so does a run
+whose training diverges (``run error: <run id>: ...``). argparse reports
+a malformed command line itself (usage line, status 2); other failures,
+such as a disk that fills up, end in a traceback.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from pathlib import Path
 
 from . import harness
 from .backbone import load_checkpoint, snapshot
-from .graph import GraphFormatError, generate_synthetic, graph_paths, period_fault, save_graph, split_period
+from .graph import GraphFormatError, graph_paths, save_graph, split_period
 from .metrics import format_summary_table
 from .trainer import plan_period, selects
 
@@ -71,11 +71,7 @@ def _cmd_gen(args) -> int:
         harness.check_output_paths(Path(args.out), graph_paths(args.out).values())
     except (IsADirectoryError, NotADirectoryError) as exc:
         return _fail("gen", exc)
-    graph = generate_synthetic(synth)
-    fault = period_fault(graph, [0])
-    if fault:
-        return _fail("config", f"{args.synth_config}: {fault[1]}")
-    paths = save_graph(graph, args.out)
+    paths = save_graph(harness.synthetic_graph(synth, args.synth_config, [0]), args.out)
     for kind, path in paths.items():
         print(f"{kind}: {path}")
     return 0

@@ -471,6 +471,28 @@ def node_splits(graph: TemporalGraph, split_seed: int = 0) -> np.ndarray:
 #: model may have; a larger one is refused before anything is allocated.
 MAX_ENTRIES = 10**8
 
+# The two rules for the numeric fields of configs, periods files and
+# checkpoints; a fault raises ValueError("<name> must be <kind>, got <value!r>").
+
+
+def check_int(name: str, value, low: int | None = None) -> int:
+    """``value`` if it is an integer (never a boolean) of at least ``low``."""
+    if type(value) is not int or low is not None and value < low:
+        raise ValueError(f"{name} must be an integer{'' if low is None else f' >= {low}'}, got {value!r}")
+    return value
+
+
+_RANGES = {"": lambda x: True, ">= 0": lambda x: x >= 0, "> 0": lambda x: x > 0, "in [0, 1]": lambda x: 0 <= x <= 1}
+
+
+def check_number(name: str, value, bound: str = "") -> float:
+    """``value`` if it is a finite JSON number (a float, or an int that a
+    float can hold; never a boolean) within ``bound``, a key of ``_RANGES``."""
+    number = type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
+    if not (number and math.isfinite(value) and _RANGES[bound](value)):
+        raise ValueError(f"{name} must be {f'a finite number {bound}'.rstrip()}, got {value!r}")
+    return value
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -507,27 +529,15 @@ class SynthConfig:
             ("events_per_node", 0),
             ("seed", 0),
         ):
-            value = getattr(self, name)
-            if type(value) is not int or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        for name in (
-            "class_center_scale",
-            "drift_step",
-            "noise_sigma",
-            "intra_class_edge_prob",
-            "inter_class_edge_prob",
+            check_int(name, getattr(self, name), low)
+        for name, bound in (
+            ("class_center_scale", ">= 0"),
+            ("drift_step", ">= 0"),
+            ("noise_sigma", "> 0"),
+            ("intra_class_edge_prob", "in [0, 1]"),
+            ("inter_class_edge_prob", "in [0, 1]"),
         ):
-            value = getattr(self, name)
-            if type(value) not in (int, float):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if self.drift_step < 0:
-            raise ValueError(f"drift_step must be >= 0, got {self.drift_step!r}")
-        if not self.noise_sigma > 0:
-            raise ValueError(f"noise_sigma must be > 0, got {self.noise_sigma!r}")
-        for name in ("intra_class_edge_prob", "inter_class_edge_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
+            check_number(name, getattr(self, name), bound)
         if self.events_per_node > 0 and self.intra_class_edge_prob + self.inter_class_edge_prob == 0:
             raise ValueError(
                 "intra_class_edge_prob and inter_class_edge_prob cannot both be 0 when events_per_node > 0"
@@ -867,14 +877,12 @@ def period_fault(graph: TemporalGraph, seeds: Sequence[int] = ()) -> tuple[int, 
     return None
 
 
-#: a JSON number that ``float()`` takes (``type(x) is int`` leaves out JSON booleans)
-_NUMBER = ("a number", lambda x: type(x) is float or type(x) is int and abs(x) <= sys.float_info.max)
-_PERIOD_FIELDS = {
-    "index": ("an integer", lambda x: type(x) is int),
-    "t_start": _NUMBER,
-    "t_end": _NUMBER,
-    "classes": ("a list of integers", lambda x: type(x) is list and all(type(c) is int for c in x)),
-}
+def _check_classes(name: str, value) -> None:
+    if type(value) is not list or not all(type(c) is int for c in value):
+        raise ValueError(f"{name} must be a list of integers, got {value!r}")
+
+
+_PERIOD_FIELDS = {"index": check_int, "t_start": check_number, "t_end": check_number, "classes": _check_classes}
 
 
 def _read_text(path: Path) -> str:
@@ -900,11 +908,13 @@ def _load_periods(path: Path) -> tuple[PeriodSpec, ...]:
     specs: list[PeriodSpec] = []
     for i, d in enumerate(raw):
         where = f"{path}: entry {i}"
-        for name, (kind, ok) in _PERIOD_FIELDS.items():
+        for name, check in _PERIOD_FIELDS.items():
             if not isinstance(d, dict) or name not in d:
                 raise GraphFormatError(f"{where}: {name} is missing")
-            if not ok(d[name]):
-                raise GraphFormatError(f"{where}: {name} {d[name]!r} is not {kind}")
+            try:
+                check(name, d[name])
+            except ValueError as exc:
+                raise GraphFormatError(f"{where}: {exc}") from None
         specs.append(PeriodSpec(d["index"], float(d["t_start"]), float(d["t_end"]), tuple(d["classes"])))
     return tuple(specs)
 

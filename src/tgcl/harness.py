@@ -11,8 +11,9 @@ and ``summary.json`` are byte-deterministic for fixed config and seeds;
 wall times go to ``timing.jsonl`` instead.
 
 Config keys, each checked at load; any other key, also inside ``data``,
-``sel``, ``train``, ``kernel`` or ``sweeps``, is rejected by name.
-Integers and numbers are JSON integers and numbers, never booleans.
+``sel``, ``train``, ``kernel`` or ``sweeps``, is rejected by name. Integer
+and number fields pass :func:`tgcl.graph.check_int` (JSON integers) and
+:func:`tgcl.graph.check_number` (finite JSON numbers), never booleans.
 
 * ``data``: exactly one of ``synthetic`` (:class:`SynthConfig` fields) or
   ``files`` (path strings ``nodes`` and ``events``, and ``periods``, a
@@ -20,11 +21,11 @@ Integers and numbers are JSON integers and numbers, never booleans.
   against the directory of the config file that names it.
 * ``strategies``: a nonempty list of ``trainer.STRATEGIES`` names.
 * ``sel``, ``train``: fields of :class:`SelectionConfig` and
-  :class:`TrainConfig`; an ``int`` field takes an integer, a ``float``
-  field a number and a ``str`` field a name (ranges: ``__post_init__``).
+  :class:`TrainConfig`; a ``str`` field takes a name (``__post_init__``).
 * ``sweeps``: null, or ``mode`` (``grid`` or ``axes``) and ``params``,
   mapping ``sel``/``train`` fields to nonempty lists of values.
-* ``seeds``: a nonempty list of distinct integers >= 0.
+* ``seeds``: a nonempty list of distinct integers >= 0. A run id (see
+  :class:`RunSpec`) names a directory, so it may have at most 255 bytes.
 * ``hidden_dim``: an integer >= 1 whose square is at most
   :data:`tgcl.graph.MAX_ENTRIES`.
 * ``kernel``: ``squared_distance``, a boolean.
@@ -33,7 +34,9 @@ Integers and numbers are JSON integers and numbers, never booleans.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
+import itertools
 import json
 import os
 import warnings
@@ -44,7 +47,8 @@ from time import perf_counter
 from typing import Iterable, Sequence
 
 from .graph import (
-    MAX_ENTRIES, GraphFormatError, SynthConfig, TemporalGraph, generate_synthetic, load_graph, period_fault,
+    MAX_ENTRIES, GraphFormatError, SynthConfig, TemporalGraph, check_int, generate_synthetic, load_graph,
+    period_fault,
 )
 from .metrics import RunRecord, af as af_metric, format_summary_table, write_results_csv, write_summary_json
 from .selector import SelectionConfig
@@ -170,7 +174,7 @@ def merge_config(base: dict, override: dict) -> dict:
     """Config-aware merge: the data source named by the override replaces
     the other one (``synthetic`` and ``files`` are mutually exclusive)."""
     out = deep_merge(base, override)
-    named = {"synthetic", "files"} & set(override.get("data", {}))
+    named = {"synthetic", "files"} & set(override["data"] if isinstance(override.get("data"), dict) else ())
     if named:
         other = {"synthetic", "files"} - named
         out["data"] = {k: v for k, v in out["data"].items() if k not in other}
@@ -233,12 +237,9 @@ def load_config(path: str | Path | None = None, preset: str | None = None) -> di
     env_seed = os.environ.get(ENV_SEED)
     if env_seed is not None:
         try:
-            seed = int(env_seed)
-            if seed < 0:
-                raise ValueError
-        except ValueError:
+            resolved["seeds"] = [check_int(ENV_SEED, int(env_seed), 0)]
+        except ValueError:  # the message shows the variable's text
             raise ConfigError(f"{ENV_SEED} must be an integer >= 0, got {env_seed!r}") from None
-        resolved["seeds"] = [seed]
     validate_config(resolved)
     return resolved
 
@@ -279,8 +280,15 @@ def validate_config(cfg: dict) -> None:
         if s not in STRATEGIES:
             raise ConfigError(f"strategies: unknown strategy {s!r}")
     seeds = cfg.get("seeds")
-    if not isinstance(seeds, list) or not seeds or not all(type(x) is int and x >= 0 for x in seeds):
+    if not isinstance(seeds, list) or not seeds:
         raise ConfigError(f"seeds: need a nonempty list of nonnegative integers, got {seeds!r}")
+    hidden_dim = cfg.get("hidden_dim", 64)
+    try:
+        for i, seed in enumerate(seeds):
+            check_int(f"seeds[{i}]", seed, 0)
+        check_int("hidden_dim", hidden_dim, 1)
+    except ValueError as exc:
+        raise ConfigError(exc) from None
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds: duplicate seeds")
     sweeps = cfg.get("sweeps")
@@ -293,9 +301,6 @@ def validate_config(cfg: dict) -> None:
         for k, vals in params.items():
             if not isinstance(vals, list) or not vals:
                 raise ConfigError(f"sweeps.params.{k}: need a nonempty list of values")
-    hidden_dim = cfg.get("hidden_dim", 64)
-    if type(hidden_dim) is not int or hidden_dim < 1:
-        raise ConfigError(f"hidden_dim: must be a positive integer, got {hidden_dim!r}")
     if hidden_dim**2 > MAX_ENTRIES:
         raise ConfigError(
             f"hidden_dim: {hidden_dim} makes {hidden_dim**2} hidden-layer weights, more than {MAX_ENTRIES}"
@@ -361,21 +366,11 @@ def expand_sweeps(sweeps: dict | None) -> list[tuple[str, dict]]:
     if not sweeps or not sweeps.get("params"):
         return [("", {})]
     params = sweeps["params"]
-    mode = sweeps.get("mode", "grid")
-    points: list[tuple[str, dict]] = []
-    if mode == "axes":
-        for k, vals in params.items():
-            for v in vals:
-                points.append((f"{k}={v}", {k: v}))
-        return points
-    keys = list(params)
-    combos: list[dict] = [{}]
-    for k in keys:
-        combos = [dict(c, **{k: v}) for c in combos for v in params[k]]
-    for c in combos:
-        label = ",".join(f"{k}={c[k]}" for k in keys)
-        points.append((label, c))
-    return points
+    if sweeps.get("mode", "grid") == "axes":
+        points = [{k: v} for k, vals in params.items() for v in vals]
+    else:
+        points = [dict(zip(params, vals)) for vals in itertools.product(*params.values())]
+    return [(",".join(f"{k}={v}" for k, v in point.items()), point) for point in points]
 
 
 def plan_runs(cfg: dict) -> list[RunSpec]:
@@ -383,7 +378,8 @@ def plan_runs(cfg: dict) -> list[RunSpec]:
     run per seed whenever another strategy will need forgetting scores: the
     one place that builds a run's configs. A :class:`ConfigError` names a
     fault by its section (``sel: ...``, ``sel.foo: unknown key ...``) or by
-    the run's sweep values (``sweeps.params.p=2: ...``)."""
+    the run's sweep values (``sweeps.params.p=2: ...``); a run id longer
+    than 255 bytes by ``seeds`` or by those values, whichever is longer in it."""
     base = {}
     for section, cls in _SECTIONS.items():
         body = cfg.get(section, {})
@@ -403,14 +399,17 @@ def plan_runs(cfg: dict) -> list[RunSpec]:
         for label, overrides in points if strategy != "joint" else [("", {})]:
             sel_over = tuple(sorted((k, v) for k, v in overrides.items() if k in _KEYS["sel"]))
             train_over = tuple(sorted((k, v) for k, v in overrides.items() if k not in _KEYS["sel"]))
+            point = ", ".join(f"sweeps.params.{k}={v!r}" for k, v in sel_over + train_over)
             try:
                 sel = replace(base["sel"], **dict(sel_over))
                 train = replace(base["train"], **dict(train_over))
             except (TypeError, ValueError) as exc:
-                point = ", ".join(f"sweeps.params.{k}={v!r}" for k, v in sel_over + train_over)
                 raise ConfigError(f"{point}: {exc}") from exc
             for seed in cfg["seeds"]:
                 spec = RunSpec(strategy, label, seed, sel_over, train_over, sel, train, hidden_dim, kernel_squared)
+                if len(spec.run_id.encode()) > 255:  # a run id names a directory: at most 255 bytes
+                    where = "seeds" if len(str(seed)) > len(label) else point
+                    raise ConfigError(f"{where}: run id {spec.run_id} is longer than 255 bytes")
                 specs.setdefault(spec.run_id, spec)
     return list(specs.values())
 
@@ -423,19 +422,31 @@ def load_data(data_cfg: dict, seeds: Sequence[int] = ()) -> TemporalGraph:
     """The dataset is a benchmark constant: the generator seed comes from the
     config, while per-run seeds drive splits, model init, selection, and
     training (matching the fixed-corpus, 3-training-seeds protocol). A
-    :func:`period_fault` under the split ``seeds`` raises ``ConfigError`` on
-    ``data.synthetic``, or ``GraphFormatError`` naming the nodes file (an
+    generated graph is built by :func:`synthetic_graph` on
+    ``data.synthetic``; for data files, a :func:`period_fault` under the
+    split ``seeds`` raises ``GraphFormatError`` naming the nodes file (an
     empty period: the periods file, as :func:`load_graph` raises)."""
     if "synthetic" in data_cfg:
-        graph = generate_synthetic(SynthConfig(**data_cfg["synthetic"]))
-        error, source = ConfigError, "data.synthetic"
-    else:
-        files = data_cfg["files"]
-        graph = load_graph(files["nodes"], files["events"], files.get("periods"))
-        error, source = GraphFormatError, files["nodes"]
+        return synthetic_graph(SynthConfig(**data_cfg["synthetic"]), "data.synthetic", seeds)
+    files = data_cfg["files"]
+    graph = load_graph(files["nodes"], files["events"], files.get("periods"))
     fault = period_fault(graph, seeds)
     if fault:
-        raise error(f"{source}: {fault[1]}")
+        raise GraphFormatError(f"{files['nodes']}: {fault[1]}")
+    return graph
+
+
+def synthetic_graph(synth: SynthConfig, source: str, seeds: Sequence[int]) -> TemporalGraph:
+    """The graph that ``synth`` generates. ``ConfigError`` names ``source``
+    when the graph's rules refuse it (a feature that overflowed a float) or
+    it has a :func:`period_fault` under the split ``seeds``."""
+    try:
+        graph = generate_synthetic(synth)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
+    fault = period_fault(graph, seeds)
+    if fault:
+        raise ConfigError(f"{source}: {fault[1]}")
     return graph
 
 
@@ -446,8 +457,16 @@ _WORKER_MEMO: dict = {}
 
 
 def _init_worker(graph: TemporalGraph) -> None:
+    """Set up a pool worker, with the OpenBLAS of numpy's wheel, if any, at one
+    thread: ``jobs`` workers with a BLAS thread per CPU each oversubscribe the CPUs."""
     global _WORKER_GRAPH, _WORKER_MEMO
     _WORKER_GRAPH, _WORKER_MEMO = graph, {}
+    import numpy
+
+    for path in (Path(numpy.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"):
+        set_threads = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
 
 
 def _execute_in_worker(run: tuple[RunSpec, Path, str]) -> str:
@@ -533,8 +552,7 @@ def execute(
     :func:`check_output_paths`) ``NotADirectoryError`` or
     ``IsADirectoryError``, before anything is written.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
+    check_int("jobs", jobs, 1)
     out = Path(out_dir)
     chash = config_hash(cfg)
     runs = [(spec, out / "runs" / spec.run_id, chash) for spec in plan_runs(cfg)]

@@ -37,7 +37,6 @@ own and adding the block sums would round differently.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -49,7 +48,7 @@ import json
 import numpy as np
 
 from .backbone import Backbone, classify_embeddings, embed_batch, period_inputs
-from .graph import TRAIN, PeriodView, TemporalGraph
+from .graph import TRAIN, PeriodView, TemporalGraph, check_int, check_number
 from .kernels import KernelParams, _distances, _kernel, kernel_matrix, median_heuristic_gamma, mmd_sq
 
 PARTITIONERS = ("random", "kmeans", "hierarchical")
@@ -81,12 +80,9 @@ class SelectionConfig:
     scoring_mode: str = "witness"
 
     def __post_init__(self):
-        if type(self.alpha) not in (int, float) or not 0 <= self.alpha < math.inf:
-            raise ValueError(f"alpha must be a finite number >= 0, got {self.alpha!r}")
+        check_number("alpha", self.alpha, ">= 0")
         for name, low in (("m", 1), ("m_prime", 0), ("p", 1)):
-            value = getattr(self, name)
-            if type(value) is not int or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            check_int(name, getattr(self, name), low)
         if self.p <= self.m:
             raise ValueError(f"partition size p={self.p} must exceed budget m={self.m}")
         if self.partitioner not in PARTITIONERS:
@@ -125,22 +121,8 @@ class ReplayBuffer:
             "config": self.meta,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ReplayBuffer":
-        return cls(
-            period_built=int(d["period"]),
-            sub=[SubEntry(int(e["id"]), int(e["label"]), float(e["j_cls"])) for e in d["sub"]],
-            sim=[int(v) for v in d["sim"]],
-            meta=dict(d.get("config", {})),
-            kp=KernelParams(d["config"]["gamma"], d["config"]["squared_kernel"]) if d["sim"] else None,
-        )
-
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ReplayBuffer":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ shared by the runs of one graph and train each distinct period once.
 from __future__ import annotations
 
 import copy
-import math
 import warnings
 from dataclasses import dataclass, field, replace
 from time import perf_counter
@@ -40,7 +39,7 @@ from .backbone import (
     period_inputs,
     snapshot,
 )
-from .graph import TRAIN, VAL, TEST, PeriodView, TemporalGraph, period_fault, split_period
+from .graph import TRAIN, VAL, TEST, PeriodView, TemporalGraph, check_int, check_number, period_fault, split_period
 from .kernels import KernelParams, _distances
 from .metrics import PeriodMetrics, ap as ap_metric, per_set_accuracy, precision_per_set
 from .selector import (
@@ -65,14 +64,10 @@ class TrainConfig:
     ablation: str = "both_plus_ldst"
 
     def __post_init__(self):
-        if type(self.beta) not in (int, float) or not 0 <= self.beta < math.inf:
-            raise ValueError(f"beta must be a finite number >= 0, got {self.beta!r}")
-        if type(self.lr) not in (int, float) or not 0 < self.lr < math.inf:
-            raise ValueError(f"lr must be a finite number > 0, got {self.lr!r}")
+        check_number("beta", self.beta, ">= 0")
+        check_number("lr", self.lr, "> 0")
         for name in ("epochs", "batch_size", "patience"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            check_int(name, getattr(self, name), 1)
         if self.ablation not in ABLATIONS:
             raise ValueError(f"unknown ablation {self.ablation!r}")
 

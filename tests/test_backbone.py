@@ -581,15 +581,21 @@ class TestSnapshot:
             (lambda d: d.pop("rng_state"), "rng_state: missing"),
             (lambda d: d.update(rng_state=[1]), "rng_state: not a generator state"),
             (lambda d: d.update(kind="frozen"), "kind: must be 'backbone', got 'frozen'$"),
-            (lambda d: d.update(hidden_dim=True), "hidden_dim: must be an integer >= 1, got True"),
+            (lambda d: d.update(hidden_dim=True), "hidden_dim must be an integer >= 1, got True$"),
             (lambda d: d.update(classes=[0, 0]), "classes: must be a list of distinct integers"),
             (lambda d: d.update(classes=[0]), r"params\.w_head: shape \[2, 4\] does not fit"),
             (lambda d: d["params"]["b_hid"]["data"].pop(), r"params\.b_hid: 3 values do not fill shape \[4\]"),
             (lambda d: d["params"]["w_head"].update(data="x"), r"params\.w_head: data is not a list of numbers"),
-            (lambda d: d["params"]["w_hid"]["data"].__setitem__(0, "1.5"), r"params\.w_hid: data is not a list"),
-            (lambda d: d["params"]["b_hid"]["data"].__setitem__(0, True), r"params\.b_hid: data is not a list"),
+            (
+                lambda d: d["params"]["w_hid"]["data"].__setitem__(0, "1.5"),
+                r"params\.w_hid: data\[0\] must be a finite number, got '1\.5'$",
+            ),
+            (
+                lambda d: d["params"]["b_hid"]["data"].__setitem__(0, True),
+                r"params\.b_hid: data\[0\] must be a finite number, got True$",
+            ),
             (lambda d: d["params"].pop("w_hid"), r"params\.w_hid: missing"),
-            (lambda d: d.update(head_init_scale=math.inf), "head_init_scale: must be a finite number"),
+            (lambda d: d.update(head_init_scale=math.inf), "head_init_scale must be a finite number >= 0, got inf$"),
         ],
     )
     def test_malformed_checkpoint_names_the_field(self, edit, reason):

@@ -1,0 +1,129 @@
+"""The command line's error contract, tested generatively: a config that
+differs from a tiny valid one in one leaf either runs (exit 0) or is
+refused with exactly one ``<kind> error: ...`` line on stderr (exit 2),
+never a traceback. ``tgcl run`` is tested on a sample of the changes,
+``tgcl gen`` on all of its own."""
+
+import contextlib
+import copy
+import io
+import json
+import math
+import re
+import tempfile
+import warnings
+from dataclasses import fields
+from pathlib import Path
+
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from tgcl import cli
+from tgcl.graph import SynthConfig
+from tgcl.harness import ENV_SEED
+from tgcl.selector import SelectionConfig
+from tgcl.trainer import TrainConfig
+
+#: two periods of 30 nodes per class, two epochs, one seed; the sweep has
+#: one point, so that its leaves can be changed too
+BASE = {
+    "include": "main",
+    "strategies": ["ltf", "er"],
+    "seeds": [0],
+    "sweeps": {"mode": "axes", "params": {"patience": [2]}},
+    "data": {"synthetic": {"num_periods": 2, "nodes_per_class_per_period": 30}},
+    "sel": {"m": 4, "m_prime": 8, "p": 40},
+    "train": {"epochs": 2},
+    "hidden_dim": 64,
+    "kernel": {"squared_distance": False},
+}
+
+#: every leaf of BASE, every field its sections may set, every section
+#: itself, and an unknown key in each object
+PATHS = [
+    ("include",), ("strategies", 0), ("strategies", 1), ("seeds", 0), ("hidden_dim",),
+    ("sweeps", "mode"), ("sweeps", "params", "patience", 0), ("kernel", "squared_distance"),
+    *[("data", "synthetic", f.name) for f in fields(SynthConfig)],
+    *[("sel", f.name) for f in fields(SelectionConfig)],
+    *[("train", f.name) for f in fields(TrainConfig)],
+    ("data",), ("data", "synthetic"), ("sel",), ("train",), ("sweeps",), ("sweeps", "params"), ("kernel",),
+    *[(*where, "bogus") for where in [(), ("data",), ("data", "synthetic"), ("sel",), ("train",),
+                                      ("sweeps",), ("sweeps", "params"), ("kernel",)]],
+]
+
+#: wrong types, non-finite, zero, negative, huge and empty values; the
+#: integer 10**400 is written as a 401-digit JSON literal
+VALUES = ["x", True, math.nan, math.inf, -math.inf, 0, -1, 2**70, 1e308, 10**400, [], {}]
+
+ONE_ERROR_LINE = re.compile(r"(config|data|run|gen) error: [^\n]+\n")
+
+
+def changed(path, value) -> dict:
+    cfg = copy.deepcopy(BASE)
+    *parents, leaf = path
+    body = cfg
+    for key in parents:
+        body = body[key]
+    body[leaf] = value
+    return cfg
+
+
+def run_cli(cfg: dict, command: str = "run") -> tuple[int, str, list]:
+    """``tgcl <command>`` on ``cfg`` in a fresh directory: the exit status,
+    stderr and the warnings it raised, which a real run would print to
+    stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([command, str(path), "--out", str(Path(tmp) / "out")])
+    return code, err.getvalue(), caught
+
+
+@settings(
+    max_examples=300, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(path=st.sampled_from(PATHS), value=st.sampled_from(VALUES))
+# non-finite and huge generator scales, which overflowed a feature
+@example(path=("data", "synthetic", "class_center_scale"), value=math.nan)
+@example(path=("data", "synthetic", "class_center_scale"), value=math.inf)
+@example(path=("data", "synthetic", "class_center_scale"), value=-math.inf)
+@example(path=("data", "synthetic", "class_center_scale"), value=1e308)
+@example(path=("data", "synthetic", "class_center_scale"), value=-1e308)
+@example(path=("data", "synthetic", "drift_step"), value=math.nan)
+@example(path=("data", "synthetic", "drift_step"), value=math.inf)
+@example(path=("data", "synthetic", "noise_sigma"), value=math.inf)
+@example(path=("data", "synthetic", "noise_sigma"), value=1e308)
+# an integer beyond float range in a number field
+@example(path=("train", "lr"), value=10**400)
+@example(path=("train", "beta"), value=10**400)
+@example(path=("sel", "alpha"), value=10**400)
+@example(path=("data", "synthetic", "class_center_scale"), value=10**400)
+@example(path=("data", "synthetic", "drift_step"), value=10**400)
+@example(path=("data", "synthetic", "noise_sigma"), value=10**400)
+# run ids too long to name a directory
+@example(path=("seeds", 0), value=10**300)
+@example(path=("sweeps", "params", "patience", 0), value=10**260)
+# a data section that is not an object, which the include merge iterated
+@example(path=("data",), value=True)
+def test_one_changed_leaf_runs_or_prints_one_error_line(monkeypatch, path, value):
+    monkeypatch.delenv(ENV_SEED, raising=False)
+    code, err, caught = run_cli(changed(path, value))
+    if code != 0:
+        assert code == 2 and ONE_ERROR_LINE.fullmatch(err), (code, err)
+        assert not caught, [str(w.message) for w in caught]
+
+
+def test_the_base_config_runs():
+    code, err, _ = run_cli(BASE)
+    assert (code, err) == (0, "")
+
+
+def test_one_changed_generator_field_generates_or_prints_one_error_line():
+    for name in [f.name for f in fields(SynthConfig)] + ["bogus"]:
+        for value in VALUES:
+            code, err, caught = run_cli({**BASE["data"]["synthetic"], name: value}, "gen")
+            if code != 0:
+                assert code == 2 and ONE_ERROR_LINE.fullmatch(err) and not caught, (name, value, code, err)

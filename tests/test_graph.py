@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -22,6 +23,8 @@ from tgcl.graph import (
     PeriodSpec,
     SynthConfig,
     TemporalGraph,
+    check_int,
+    check_number,
     generate_synthetic,
     load_graph,
     node_splits,
@@ -564,6 +567,59 @@ class TestArrayReplay:
         assert assert_reference_graph(graph, cfg) == state
 
 
+FLOAT_MAX_INT = int(sys.float_info.max)  # the largest integer a float holds exactly
+
+
+class TestNumericRules:
+    """The two rules that every numeric field of a config, periods file or
+    checkpoint goes through."""
+
+    @pytest.mark.parametrize("value, low", [(0, None), (-(10**400), None), (0, 0), (10**400, 1)])
+    def test_integer_accepted(self, value, low):
+        assert check_int("f", value, low) is value
+
+    @pytest.mark.parametrize(
+        "value, low, kind",
+        [(True, None, "an integer"), (1.0, None, "an integer"), ("1", 0, "an integer >= 0"), (0, 1, "an integer >= 1")],
+    )
+    def test_integer_refused(self, value, low, kind):
+        with pytest.raises(ValueError, match=f"^f must be {kind}, got {re.escape(repr(value))}$"):
+            check_int("f", value, low)
+
+    @pytest.mark.parametrize(
+        "value, bound",
+        [(-5, ""), (-FLOAT_MAX_INT, ""), (0, ">= 0"), (5e-324, "> 0"), (0.0, "in [0, 1]"), (1, "in [0, 1]")],
+    )
+    def test_number_accepted(self, value, bound):
+        assert check_number("f", value, bound) is value
+
+    @pytest.mark.parametrize(
+        "value, bound",
+        [
+            (True, ""), ("1", ""), (None, ""), (math.nan, ""), (math.inf, ">= 0"), (-math.inf, ""),
+            (FLOAT_MAX_INT + 1, ""), (-(10**400), ""), (-5e-324, ">= 0"), (0, "> 0"), (1.5, "in [0, 1]"),
+        ],
+    )
+    def test_number_refused(self, value, bound):
+        kind = f"a finite number {bound}".rstrip()
+        with pytest.raises(ValueError, match=f"^f must be {re.escape(kind)}, got {re.escape(repr(value))}$"):
+            check_number("f", value, bound)
+
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("class_center_scale", -1.0, "a finite number >= 0"),
+            ("drift_step", math.nan, "a finite number >= 0"),
+            ("noise_sigma", 0.0, "a finite number > 0"),
+            ("noise_sigma", 10**400, "a finite number > 0"),
+            ("intra_class_edge_prob", 1.5, "a finite number in [0, 1]"),
+        ],
+    )
+    def test_synthetic_number_fields_have_ranges(self, field, value, kind):
+        with pytest.raises(ValueError, match=f"^{field} must be {re.escape(kind)}, got "):
+            SynthConfig(**{field: value})
+
+
 class TestSynthSizes:
     def test_the_limit_itself_is_allowed(self):
         one = dict(num_periods=1, classes_per_period=1, feature_dim=1, events_per_node=1)
@@ -737,20 +793,20 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "entry, field, value, message",
         [
-            (0, "t_end", "NaN", r"periods\.json: entry 0: t_end nan is not finite"),
-            (0, "t_start", "-Infinity", r"periods\.json: entry 0: t_start -inf is not finite"),
+            (0, "t_end", "NaN", r"periods\.json: entry 0: t_end must be a finite number, got nan$"),
+            (0, "t_start", "-Infinity", r"periods\.json: entry 0: t_start must be a finite number, got -inf$"),
             (1, "t_end", "1.0", r"periods\.json: entry 1: t_end 1\.0 must exceed t_start 1\.0"),
             (1, "t_start", "0.5", r"periods\.json: entry 1: t_start 0\.5 != previous t_end 1\.0"),
             (1, "index", "3", r"periods\.json: entry 1: index 3 != 2"),
             (1, "classes", "[]", r"periods\.json: entry 1: classes is empty"),
             (1, "classes", "[1, 0]", r"periods\.json: entry 1: classes \[0\] appear in an earlier entry"),
-            (1, "index", "true", r"periods\.json: entry 1: index True is not an integer"),
-            (1, "index", "2.0", r"periods\.json: entry 1: index 2\.0 is not an integer"),
-            (1, "classes", "[0, 1.7]", r"periods\.json: entry 1: classes \[0, 1\.7\] is not a list of integers"),
-            (1, "classes", '"01"', r"periods\.json: entry 1: classes '01' is not a list of integers"),
-            (1, "t_end", '"2"', r"periods\.json: entry 1: t_end '2' is not a number"),
-            (0, "t_start", "false", r"periods\.json: entry 0: t_start False is not a number"),
-            (0, "t_start", "1" + "0" * 400, r"periods\.json: entry 0: t_start 10+ is not a number"),
+            (1, "index", "true", r"periods\.json: entry 1: index must be an integer, got True$"),
+            (1, "index", "2.0", r"periods\.json: entry 1: index must be an integer, got 2\.0$"),
+            (1, "classes", "[0, 1.7]", r"periods\.json: entry 1: classes must be a list of integers, got \[0, 1\.7\]$"),
+            (1, "classes", '"01"', r"periods\.json: entry 1: classes must be a list of integers, got '01'$"),
+            (1, "t_end", '"2"', r"periods\.json: entry 1: t_end must be a finite number, got '2'$"),
+            (0, "t_start", "false", r"periods\.json: entry 0: t_start must be a finite number, got False$"),
+            (0, "t_start", "1" + "0" * 400, r"periods\.json: entry 0: t_start must be a finite number, got 10+$"),
         ],
     )
     def test_bad_period_entry_names_entry(self, tmp_path, two_period_graph, entry, field, value, message):
@@ -820,8 +876,11 @@ def _add_event(event):
 #: text, and where the loader must place it (file, plus line or entry)
 _RULE_CASES = {
     "index": (_edit_periods(1, index=3), r"index 3 != 2", r"periods\.json: entry 1"),
+    # the graph's rule rejects it in memory, the number rule of the loader in a file
     "finite": (
-        _edit_periods(1, t_end=math.nan), r"t_end nan is not finite", r"periods\.json: entry 1"
+        _edit_periods(1, t_end=math.nan),
+        r"(t_end nan is not finite|t_end must be a finite number, got nan)",
+        r"periods\.json: entry 1",
     ),
     "span": (
         _edit_periods(1, t_end=1.0),

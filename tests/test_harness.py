@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tgcl import cli
@@ -15,6 +17,7 @@ from tgcl.backbone import Backbone, save_checkpoint, snapshot
 from tgcl.harness import (
     ConfigError,
     PRESETS,
+    _init_worker,
     config_hash,
     deep_merge,
     execute,
@@ -93,6 +96,17 @@ def save_graph_without_test_nodes_under_seed_1(data_dir):
     the ``data.files`` entry."""
     paths = save_graph(make_graph_without_test_nodes_under_seed_1(), data_dir)
     return {kind: str(path) for kind, path in paths.items()}
+
+
+#: the OpenBLAS that numpy's wheel ships, if any
+OPENBLAS = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+
+
+def blas_threads() -> int:
+    """The thread count of numpy's OpenBLAS in this process."""
+    get_threads = ctypes.CDLL(str(OPENBLAS[0])).scipy_openblas_get_num_threads64_
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    return get_threads()
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -256,7 +270,7 @@ class TestConfigLoading:
     )
     def test_integer_and_number_fields_typed(self, tmp_path, section, key, value):
         if section is None:
-            bad, where = {**TINY, key: value}, rf"^{key}: "
+            bad, where = {**TINY, key: value}, rf"^{key}(\[0\])? must be an integer >= \d, got "
         else:
             bad, where = {**TINY, section: {**TINY[section], key: value}}, rf"^{section}: {key} must be"
         with pytest.raises(ConfigError, match=where):
@@ -400,6 +414,26 @@ class TestPlanning:
         specs = plan_runs(cfg)
         assert len([s for s in specs if s.strategy == "joint"]) == 1
         assert len([s for s in specs if s.strategy == "ltf"]) == 2
+
+    def test_the_longest_run_id_is_planned(self):
+        specs = plan_runs(load_config_dict({**TINY, "seeds": [10**240]}))  # finetune__seed and 241 digits
+        assert max(len(s.run_id.encode()) for s in specs) == 255
+
+    @pytest.mark.parametrize(
+        "change, where",
+        [
+            ({"seeds": [10**300]}, "seeds"),
+            ({"sweeps": {"mode": "axes", "params": {"patience": [10**260]}}}, rf"sweeps\.params\.patience={10**260}"),
+        ],
+        ids=["seeds", "sweep"],
+    )
+    def test_a_run_id_that_cannot_name_a_directory_is_refused(self, tmp_path, capsys, change, where):
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, {**TINY, **change})
+        assert cli.main(["run", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"config error: {where}: run id \S+ is longer than 255 bytes\n", err), err
+        assert not out.exists()
 
     def test_axes_vs_grid(self):
         axes = expand_sweeps({"mode": "axes", "params": {"a": [1, 2], "b": [3]}})
@@ -578,6 +612,15 @@ class TestExecution:
             "finetune__seed0", "finetune__seed1", "joint__seed0", "joint__seed1",
         ]
 
+    @pytest.mark.skipif(not OPENBLAS, reason="numpy ships no scipy-openblas library")
+    def test_a_pool_worker_runs_one_blas_thread(self):
+        from concurrent.futures import ProcessPoolExecutor
+
+        before = blas_threads()
+        with ProcessPoolExecutor(max_workers=1, initializer=_init_worker, initargs=(None,)) as pool:
+            assert pool.submit(blas_threads).result(timeout=60) == 1
+        assert blas_threads() == before  # the caller's own BLAS is left alone
+
     def test_jobs_below_one_rejected(self, tmp_path):
         cfg = load_config(write_config(tmp_path, TINY))
         with pytest.raises(ValueError, match="jobs must be an integer >= 1, got 0"):
@@ -647,6 +690,7 @@ class TestCli:
         [
             ({"bogus": 1}, "config error: bogus: unknown key (known: num_periods, "),
             ({"num_periods": True}, "config error: num_periods must be an integer >= 1, got True\n"),
+            ({"class_center_scale": -1.0}, "config error: class_center_scale must be a finite number >= 0, got -1.0\n"),
         ],
     )
     def test_gen_invalid_config_exit_2(self, tmp_path, capsys, synth, message):
@@ -847,6 +891,28 @@ class TestCli:
         assert re.fullmatch(rf"config error: {where} {huge} makes \d+ {what}, more than 100000000\n", err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", ["class_center_scale", "noise_sigma"])
+    @pytest.mark.parametrize("command", ["run", "select", "gen"])
+    def test_a_generated_non_finite_feature_is_a_config_error(self, tmp_path, capsys, command, field):
+        synth = {**TINY_DATA["synthetic"], field: 1e308}  # finite, but a feature overflows
+        out = tmp_path / "out"
+        if command == "gen":
+            cfg_path = write_config(tmp_path, synth, "synth.json")
+            where = re.escape(str(cfg_path))
+        else:
+            cfg_path, where = write_config(tmp_path, {**TINY, "data": {"synthetic": synth}}), r"data\.synthetic"
+        argv = {
+            "run": ["run", str(cfg_path), "--out", str(out)],
+            "select": ["select", str(cfg_path), "--run", "finetune__seed0", "--period", "2", "--model", "model.json"],
+            "gen": ["gen", str(cfg_path), "--out", str(out)],
+        }[command]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"config error: {where}: node \d+ has a non-finite feature\n", err), err
+        # run builds the graph once it has written the config, before any run starts
+        written = ["config_hash.txt", "resolved_config.json"] if command == "run" else []
+        assert sorted(p.name for p in out.glob("*")) == written
+
     def test_run_rejects_a_graph_without_events(self, tmp_path, capsys):
         paths = save_graph(make_two_period_graph(), tmp_path / "data")
         paths["events"].write_text("src,dst,t\n")
@@ -1004,7 +1070,7 @@ class TestCli:
             ("no_params", "params: missing"),
             ("list", "a checkpoint is a JSON object, not a list"),
             ("w_agg_shape", "params.w_agg: shape [64, 3] does not fit feature_dim, hidden_dim and classes"),
-            ("w_hid_nan", "params.w_hid: holds non-finite values"),
+            ("w_hid_nan", "params.w_hid: data[7] must be a finite number, got nan"),
             ("snapshot_kind", "kind: must be 'backbone', got 'snapshot'"),
         ],
     )
