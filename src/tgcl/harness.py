@@ -2,7 +2,8 @@
 
 A single JSON config describes the data source, strategies, selection and
 training settings, optional sweep grids, and seeds. Configs may pull in a
-preset (or another file) through an ``include`` key; explicit keys win.
+preset (or another file) through an ``include`` key; explicit keys win,
+and a file that includes itself, directly or not, is refused.
 Every (strategy x sweep-point x seed) combination becomes one run with its
 own directory; a completed run leaves its record, ``RunRecord.to_dict()``,
 in ``record.json``, so an interrupted invocation can resume. Only
@@ -10,9 +11,10 @@ in ``record.json``, so an interrupted invocation can resume. Only
 and ``summary.json`` are byte-deterministic for fixed config and seeds;
 wall times go to ``timing.jsonl`` instead.
 
-Config keys, each checked at load; any other key, also inside ``data``,
-``sel``, ``train``, ``kernel`` or ``sweeps``, is rejected by name. Integer
-and number fields pass :func:`tgcl.graph.check_int` (JSON integers) and
+Config keys, each checked at load by :func:`plan_runs`, the one check of a
+config; any other key, also inside ``data``, ``sel``, ``train``,
+``kernel`` or ``sweeps``, is rejected by name. Integer and number fields
+pass :func:`tgcl.graph.check_int` (JSON integers) and
 :func:`tgcl.graph.check_number` (finite JSON numbers), never booleans.
 
 * ``data``: exactly one of ``synthetic`` (:class:`SynthConfig` fields) or
@@ -193,31 +195,35 @@ def read_config_file(path: str | Path) -> dict:
     return body
 
 
-def _load_include(name, base_dir: Path | None) -> dict:
+def _load_include(name, chain: tuple[Path, ...]) -> dict:
     """The resolved config that an ``include`` value names: a preset, or a
-    file, whose relative path is read against ``base_dir`` (the including
-    file's directory) when there is one."""
+    file, whose relative path is read against the directory of the
+    including file, the last of ``chain``, when there is one. A file
+    already in ``chain`` is an include cycle."""
     if isinstance(name, str) and name in PRESETS:
         return resolve_config(PRESETS[name])
     path = Path(name) if isinstance(name, str) else None
-    if path is not None and base_dir is not None and not path.is_absolute():
-        path = base_dir / path
+    if path is not None and chain and not path.is_absolute():
+        path = chain[-1].parent / path
     if path is None or not path.exists():
         raise ConfigError(f"include: unknown preset or missing file {name!r}")
-    return resolve_config(read_config_file(path), path.parent)
+    if path.resolve() in {p.resolve() for p in chain}:
+        raise ConfigError(f"include: {' -> '.join(map(str, (*chain, path)))}: include cycle")
+    return resolve_config(read_config_file(path), (*chain, path))
 
 
-def resolve_config(raw: dict, base_dir: Path | None = None) -> dict:
-    """``raw`` layered over what its ``include`` names, recursively. With a
-    ``base_dir`` (the directory of the file that holds ``raw``), each
-    ``data.files`` path string in ``raw`` becomes that path read against
-    it, made absolute."""
+def resolve_config(raw: dict, chain: tuple[Path, ...] = ()) -> dict:
+    """``raw`` layered over what its ``include`` names, recursively.
+    ``chain`` lists the config files whose includes led to ``raw``, the
+    last one holding it; with one, each ``data.files`` path string in
+    ``raw`` becomes that path read against the last file's directory, made
+    absolute."""
     raw = dict(raw)
     inc = raw.pop("include", None)
-    base = _load_include(inc, base_dir) if inc is not None else {}
+    base = _load_include(inc, chain) if inc is not None else {}
     files = raw["data"].get("files") if isinstance(raw.get("data"), dict) else None
-    if base_dir is not None and isinstance(files, dict):
-        files = {k: os.path.abspath(base_dir / v) if isinstance(v, str) else v for k, v in files.items()}
+    if chain and isinstance(files, dict):
+        files = {k: os.path.abspath(chain[-1].parent / v) if isinstance(v, str) else v for k, v in files.items()}
         raw["data"] = {**raw["data"], "files": files}
     return merge_config(base, raw)
 
@@ -228,9 +234,11 @@ def load_config(path: str | Path | None = None, preset: str | None = None) -> di
     Precedence, lowest first: built-in defaults, preset, the file's own
     includes, the file itself. ``TGCL_SEED`` overrides the seed list. An
     ``include`` is a preset name or a path; a relative path is read against
-    the directory of the file that holds it.
+    the directory of the file that holds it, and a file that includes
+    itself, directly or not, is refused. :func:`plan_runs` checks the
+    result, the one check of a config.
     """
-    resolved = resolve_config(read_config_file(path), Path(path).parent) if path else {}
+    resolved = resolve_config(read_config_file(path), (Path(path),)) if path else {}
     if preset:
         resolved = merge_config(resolve_config({"include": preset}), resolved)
     resolved = merge_config(DEFAULT_CONFIG, resolved)
@@ -240,7 +248,7 @@ def load_config(path: str | Path | None = None, preset: str | None = None) -> di
             resolved["seeds"] = [check_int(ENV_SEED, int(env_seed), 0)]
         except ValueError:  # the message shows the variable's text
             raise ConfigError(f"{ENV_SEED} must be an integer >= 0, got {env_seed!r}") from None
-    validate_config(resolved)
+    plan_runs(resolved)
     return resolved
 
 
@@ -252,66 +260,6 @@ def synth_config(body, where: str = "") -> SynthConfig:
         return SynthConfig(**body)
     except ValueError as exc:  # the message starts with the field's name
         raise ConfigError(f"{where}{exc}") from exc
-
-
-def validate_config(cfg: dict) -> None:
-    """Check a resolved config, planning every run (see :func:`plan_runs`);
-    :class:`ConfigError` names the field at fault."""
-    _check_keys("", cfg, [*DEFAULT_CONFIG, "output_dir"])
-    data = cfg.get("data")
-    _check_keys("data.", data, ["synthetic", "files"])
-    if len(data) != 1:
-        raise ConfigError("data: need exactly one of 'synthetic' or 'files'")
-    if "synthetic" in data:
-        synth_config(data["synthetic"], "data.synthetic.")
-    else:
-        files = data["files"]
-        _check_keys("data.files.", files, ["nodes", "events", "periods"])
-        for key in ("nodes", "events"):
-            if key not in files:
-                raise ConfigError(f"data.files.{key}: required path missing")
-        for key, value in files.items():
-            if not isinstance(value, str) and not (key == "periods" and value is None):
-                raise ConfigError(f"data.files.{key}: must be a path string, got {value!r}")
-    strategies = cfg.get("strategies")
-    if not isinstance(strategies, list) or not strategies:
-        raise ConfigError("strategies: need a nonempty list")
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise ConfigError(f"strategies: unknown strategy {s!r}")
-    seeds = cfg.get("seeds")
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError(f"seeds: need a nonempty list of nonnegative integers, got {seeds!r}")
-    hidden_dim = cfg.get("hidden_dim", 64)
-    try:
-        for i, seed in enumerate(seeds):
-            check_int(f"seeds[{i}]", seed, 0)
-        check_int("hidden_dim", hidden_dim, 1)
-    except ValueError as exc:
-        raise ConfigError(exc) from None
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("seeds: duplicate seeds")
-    sweeps = cfg.get("sweeps")
-    if sweeps is not None:
-        _check_keys("sweeps.", sweeps, ["mode", "params"])
-        if sweeps.get("mode", "grid") not in ("grid", "axes"):
-            raise ConfigError(f"sweeps.mode: must be 'grid' or 'axes'")
-        params = sweeps.get("params", {})
-        _check_keys("sweeps.params.", params, _KEYS["sel"] + _KEYS["train"])
-        for k, vals in params.items():
-            if not isinstance(vals, list) or not vals:
-                raise ConfigError(f"sweeps.params.{k}: need a nonempty list of values")
-    if hidden_dim**2 > MAX_ENTRIES:
-        raise ConfigError(
-            f"hidden_dim: {hidden_dim} makes {hidden_dim**2} hidden-layer weights, more than {MAX_ENTRIES}"
-        )
-    kernel = cfg.get("kernel", {})
-    _check_keys("kernel.", kernel, ["squared_distance"])
-    if not isinstance(kernel.get("squared_distance", False), bool):
-        raise ConfigError("kernel.squared_distance: must be a boolean")
-    if not isinstance(cfg.get("output_dir", ""), str):
-        raise ConfigError("output_dir: must be a path string")
-    plan_runs(cfg)
 
 
 def config_hash(cfg: dict) -> str:
@@ -374,12 +322,70 @@ def expand_sweeps(sweeps: dict | None) -> list[tuple[str, dict]]:
 
 
 def plan_runs(cfg: dict) -> list[RunSpec]:
-    """All (strategy x sweep-point x seed) runs, plus the reference ``joint``
-    run per seed whenever another strategy will need forgetting scores: the
-    one place that builds a run's configs. A :class:`ConfigError` names a
-    fault by its section (``sel: ...``, ``sel.foo: unknown key ...``) or by
-    the run's sweep values (``sweeps.params.p=2: ...``); a run id longer
-    than 255 bytes by ``seeds`` or by those values, whichever is longer in it."""
+    """All (strategy x sweep-point x seed) runs of a resolved config, plus
+    the reference ``joint`` run per seed whenever another strategy will
+    need forgetting scores: the one check of a config (see the module
+    docstring), which :func:`load_config` calls, and the one place that
+    builds a run's configs. A :class:`ConfigError` names the field at
+    fault; in ``sel`` or ``train``, by its section (``sel: ...``,
+    ``sel.foo: unknown key ...``) or by the run's sweep values
+    (``sweeps.params.p=2: ...``); a run id longer than 255 bytes by
+    ``seeds`` or by those values, whichever is longer in it."""
+    _check_keys("", cfg, [*DEFAULT_CONFIG, "output_dir"])
+    data = cfg.get("data")
+    _check_keys("data.", data, ["synthetic", "files"])
+    if len(data) != 1:
+        raise ConfigError("data: need exactly one of 'synthetic' or 'files'")
+    if "synthetic" in data:
+        synth_config(data["synthetic"], "data.synthetic.")
+    else:
+        files = data["files"]
+        _check_keys("data.files.", files, ["nodes", "events", "periods"])
+        for key in ("nodes", "events"):
+            if key not in files:
+                raise ConfigError(f"data.files.{key}: required path missing")
+        for key, value in files.items():
+            if not isinstance(value, str) and not (key == "periods" and value is None):
+                raise ConfigError(f"data.files.{key}: must be a path string, got {value!r}")
+    strategies = cfg.get("strategies")
+    if not isinstance(strategies, list) or not strategies:
+        raise ConfigError("strategies: need a nonempty list")
+    for s in strategies:
+        if s not in STRATEGIES:
+            raise ConfigError(f"strategies: unknown strategy {s!r}")
+    seeds = cfg.get("seeds")
+    if not isinstance(seeds, list) or not seeds:
+        raise ConfigError(f"seeds: need a nonempty list of nonnegative integers, got {seeds!r}")
+    hidden_dim = cfg.get("hidden_dim", 64)
+    try:
+        for i, seed in enumerate(seeds):
+            check_int(f"seeds[{i}]", seed, 0)
+        check_int("hidden_dim", hidden_dim, 1)
+    except ValueError as exc:
+        raise ConfigError(exc) from None
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError("seeds: duplicate seeds")
+    sweeps = cfg.get("sweeps")
+    if sweeps is not None:
+        _check_keys("sweeps.", sweeps, ["mode", "params"])
+        if sweeps.get("mode", "grid") not in ("grid", "axes"):
+            raise ConfigError(f"sweeps.mode: must be 'grid' or 'axes'")
+        params = sweeps.get("params", {})
+        _check_keys("sweeps.params.", params, _KEYS["sel"] + _KEYS["train"])
+        for k, vals in params.items():
+            if not isinstance(vals, list) or not vals:
+                raise ConfigError(f"sweeps.params.{k}: need a nonempty list of values")
+    if hidden_dim**2 > MAX_ENTRIES:
+        raise ConfigError(
+            f"hidden_dim: {hidden_dim} makes {hidden_dim**2} hidden-layer weights, more than {MAX_ENTRIES}"
+        )
+    kernel = cfg.get("kernel", {})
+    _check_keys("kernel.", kernel, ["squared_distance"])
+    kernel_squared = kernel.get("squared_distance", False)
+    if not isinstance(kernel_squared, bool):
+        raise ConfigError("kernel.squared_distance: must be a boolean")
+    if not isinstance(cfg.get("output_dir", ""), str):
+        raise ConfigError("output_dir: must be a path string")
     base = {}
     for section, cls in _SECTIONS.items():
         body = cfg.get(section, {})
@@ -388,10 +394,8 @@ def plan_runs(cfg: dict) -> list[RunSpec]:
             base[section] = cls(**body)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{section}: {exc}") from exc
-    hidden_dim = cfg.get("hidden_dim", 64)
-    kernel_squared = cfg.get("kernel", {}).get("squared_distance", False)
     points = expand_sweeps(cfg.get("sweeps"))
-    strategies = list(cfg["strategies"])
+    strategies = list(strategies)
     if any(s != "joint" for s in strategies) and "joint" not in strategies:
         strategies.insert(0, "joint")
     specs: dict[str, RunSpec] = {}  # the first of each run id (e.g. joint listed and auto-added)
@@ -405,7 +409,7 @@ def plan_runs(cfg: dict) -> list[RunSpec]:
                 train = replace(base["train"], **dict(train_over))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{point}: {exc}") from exc
-            for seed in cfg["seeds"]:
+            for seed in seeds:
                 spec = RunSpec(strategy, label, seed, sel_over, train_over, sel, train, hidden_dim, kernel_squared)
                 if len(spec.run_id.encode()) > 255:  # a run id names a directory: at most 255 bytes
                     where = "seeds" if len(str(seed)) > len(label) else point
@@ -474,7 +478,8 @@ def _execute_in_worker(run: tuple[RunSpec, Path, str]) -> str:
 
 
 def _execute_run(run: tuple[RunSpec, Path, str], graph: TemporalGraph, memo: dict) -> str:
-    """Run ``spec`` of ``run = (spec, run_dir, config_hash)``; ``record.json`` is written last.
+    """Run ``spec`` of ``run = (spec, run_dir, config_hash)``; ``record.json`` is written last,
+    and ``run_dir``'s earlier ``buffer_p<n>.json`` files are removed before its own are written.
     Training that diverges raises ``FloatingPointError`` naming the run id."""
     spec, run_dir, chash = run
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -493,6 +498,8 @@ def _execute_run(run: tuple[RunSpec, Path, str], graph: TemporalGraph, memo: dic
         for o in outcomes:
             for entry in o.epoch_log:
                 fh.write(json.dumps(entry) + "\n")
+    for stale in run_dir.glob("buffer_p*.json"):  # a buffer of another config, or of a stale run
+        stale.unlink()
     for o in outcomes:
         if o.buffer is not None:
             o.buffer.save(run_dir / f"buffer_p{o.metrics.period}.json")
@@ -546,9 +553,12 @@ def execute(
     ``record.json`` is stale and its run is rerun: one left by a different
     config, or one that :func:`_read_record` cannot read (not UTF-8, JSON
     or an object, a field missing or of another type, or no periods);
-    ``echo`` counts the two apart. Run directories that this config does
-    not plan are left in place, and ``echo`` names them. ``jobs`` below 1
-    raises ``ValueError``, and an output path in the way (see
+    ``echo`` counts the two apart. A run that executes, a rerun too,
+    removes the ``buffer_p<n>.json`` files its directory held before it
+    writes its own, so it leaves no buffer of a period its record does not
+    list. Run directories that this config does not plan are left in
+    place, and ``echo`` names them. ``jobs`` below 1 raises
+    ``ValueError``, and an output path in the way (see
     :func:`check_output_paths`) ``NotADirectoryError`` or
     ``IsADirectoryError``, before anything is written.
     """

@@ -195,11 +195,6 @@ def subset_objective(
 # Partitioning
 # ---------------------------------------------------------------------------
 
-def _even_sizes(n: int, w: int) -> list[int]:
-    base = n // w
-    return [base + (1 if i < n % w else 0) for i in range(w)]
-
-
 def partition(emb: np.ndarray, cfg: SelectionConfig, *, seed: int) -> list[np.ndarray]:
     """Split candidates into ``ceil(n / p)`` parts of ascending row arrays.
 
@@ -218,8 +213,7 @@ def partition(emb: np.ndarray, cfg: SelectionConfig, *, seed: int) -> list[np.nd
         return [np.arange(n)]
     rng = np.random.default_rng((seed, _STREAM_PARTITION))
     if cfg.partitioner == "random":
-        chunks = np.split(rng.permutation(n), np.cumsum(_even_sizes(n, w))[:-1])
-        return [np.sort(c) for c in chunks]
+        return [np.sort(c) for c in np.array_split(rng.permutation(n), w)]  # the first n % w one longer
 
     if cfg.partitioner == "kmeans":
         labels, centers = _kmeans(emb, w, rng)

@@ -242,14 +242,19 @@ def train_period(
     grads = Grads(model)  # the step's gradient; the replay batch's is added into it
     sub_grads = Grads(model) if plan.replay_ids else None
     result = TrainResult()
-    best_params = model.parameters()
-    best_ap = -np.inf
-    best_epoch = -1
+    best_ap = -np.inf  # so epoch 0, whose val_ap is >= 0, sets the best
 
     for epoch in range(cfg.epochs):
         t0 = perf_counter()
+        aux = None
         if plan.anchor_ids:  # the anchors are re-embedded once per epoch
             sim_emb = embed_batch(model, z_sim)
+
+            def aux(emb):  # the replay batch's alignment term; keeps its raw value for the log
+                nonlocal raw_ldst
+                raw_ldst, grad = l_dst_terms(emb, sim_emb, plan.kp)
+                return cfg.beta * raw_ldst, cfg.beta * grad
+
         perm = rng.permutation(n_main)
         z_epoch, y_epoch = z_main[perm], y_main[perm]
         if plan.replay_ids:
@@ -265,24 +270,12 @@ def train_period(
                 model, z_epoch[batch], y_epoch[batch], out=grads
             )
             step_tot = loss_new
-            ce_sub = 0.0
-            raw_ldst = 0.0
+            ce_sub = raw_ldst = 0.0
             if plan.replay_ids:
-                aux = None
-                if plan.anchor_ids:
-                    cell: list[float] = []
-
-                    def aux(e, _sim=sim_emb, _cell=cell):
-                        val, g = l_dst_terms(e, _sim, plan.kp)
-                        _cell.append(val)
-                        return cfg.beta * val, cfg.beta * g
-
                 rep = slice(k * take, (k + 1) * take)
                 loss_sub, _ = loss_and_grads_from_inputs(
                     model, z_rep[rep], y_rep[rep], aux=aux, out=sub_grads
                 )
-                if plan.anchor_ids:
-                    raw_ldst = cell[0]
                 ce_sub = loss_sub - cfg.beta * raw_ldst
                 grads.flat += sub_grads.flat
                 step_tot += loss_sub
@@ -322,7 +315,7 @@ def train_period(
             break
 
     model.set_parameters(best_params)
-    result.best_epoch = max(best_epoch, 0)
+    result.best_epoch = best_epoch
     result.epochs_ran = len(result.log)
     return result
 

@@ -47,7 +47,6 @@ from tgcl.selector import (
     SelectionPool,
     _STREAM_PARTITION,
     _col_mean,
-    _even_sizes,
     _greedy,
     _kmeans,
     subset_objective,
@@ -395,7 +394,7 @@ def reference_partition(
     if cfg.partitioner == "random":
         perm = rng.permutation(np.array(sorted(ids)))
         parts, pos = [], 0
-        for size in _even_sizes(n, w):
+        for size in [n // w + 1] * (n % w) + [n // w] * (w - n % w):
             parts.append(sorted(int(v) for v in perm[pos : pos + size]))
             pos += size
         return parts

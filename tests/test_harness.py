@@ -612,6 +612,17 @@ class TestExecution:
             "finetune__seed0", "finetune__seed1", "joint__seed0", "joint__seed1",
         ]
 
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_a_rerun_leaves_no_buffer_of_another_config(self, tmp_path, resume):
+        two = {**TINY, "strategies": ["er"]}
+        three = {**two, "data": {"synthetic": {**TINY_DATA["synthetic"], "num_periods": 3}}}
+        out, run_dir = tmp_path / "out", tmp_path / "out" / "runs" / "er__seed0"
+        execute(load_config(write_config(tmp_path, three, "three.json")), out)
+        assert json.loads((run_dir / "buffer_p3.json").read_text())["period"] == 3
+        execute(load_config(write_config(tmp_path, two, "two.json")), out, resume=resume)
+        assert [pm["period"] for pm in json.loads((run_dir / "record.json").read_text())["periods"]] == [1, 2]
+        assert sorted(path.name for path in run_dir.glob("buffer_p*.json")) == ["buffer_p2.json"]
+
     @pytest.mark.skipif(not OPENBLAS, reason="numpy ships no scipy-openblas library")
     def test_a_pool_worker_runs_one_blas_thread(self):
         from concurrent.futures import ProcessPoolExecutor
@@ -753,6 +764,24 @@ class TestCli:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert str(bad) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "select"])
+    @pytest.mark.parametrize(
+        "includes, chain",
+        [
+            ({"a.json": "b.json", "b.json": "a.json"}, "a.json -> b.json -> a.json"),
+            ({"a.json": "a.json"}, "a.json -> a.json"),
+        ],
+        ids=["two_files", "itself"],
+    )
+    def test_an_include_cycle_is_one_config_error(self, tmp_path, capsys, monkeypatch, command, includes, chain):
+        for name, included in includes.items():
+            write_config(tmp_path, {"include": included}, name)
+        monkeypatch.chdir(tmp_path)
+        args = ["--out", "out"] if command == "run" else ["--run", "ltf__seed0", "--period", "2", "--model", "m.json"]
+        assert cli.main([command, "a.json", *args]) == 2
+        assert capsys.readouterr().err == f"config error: include: {chain}: include cycle\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(includes)
 
     @pytest.mark.parametrize(
         "argv",

@@ -19,10 +19,10 @@ versions. For each ``jobs=1`` output it also digests the period memo's
 reuse: one line per run of ``timing.jsonl`` with its ``strategy``,
 ``variant``, ``seed`` and ``reused_periods`` (with ``jobs=2``, which runs
 reuse a period varies with scheduling, so it is left out). ``--check``
-exits 1 and names the first file whose digest differs, is missing or is
-new; digests taken under other library versions may differ for that
-reason alone, and the check says so. It takes about a
-minute on two cores.
+exits 1, names every file whose digest differs, is missing or is new, and
+counts them; digests taken under other library versions may differ for
+that reason alone, and the check says so. It takes about a minute on two
+cores.
 """
 
 from __future__ import annotations
@@ -114,16 +114,17 @@ def collect(work: Path) -> dict[str, str]:
     return digests
 
 
-def compare(want: dict, got: dict) -> str | None:
-    """The first difference between two digest maps, in file order, or None."""
+def compare(want: dict, got: dict) -> list[str]:
+    """Every difference between two digest maps, in file order."""
+    diffs = []
     for name in sorted(set(want) | set(got)):
         if name not in got:
-            return f"{name}: missing"
-        if name not in want:
-            return f"{name}: not in the recorded digests"
-        if want[name] != got[name]:
-            return f"{name}: differs"
-    return None
+            diffs.append(f"{name}: missing")
+        elif name not in want:
+            diffs.append(f"{name}: not in the recorded digests")
+        elif want[name] != got[name]:
+            diffs.append(f"{name}: differs")
+    return diffs
 
 
 def main(argv=None) -> int:
@@ -147,9 +148,11 @@ def main(argv=None) -> int:
     want = json.loads(Path(args.check).read_text())
     if want["versions"] != got["versions"]:
         print(f"note: recorded under {want['versions']}, checked under {got['versions']}")
-    diff = compare(want["digests"], got["digests"])
-    if diff:
-        print(f"identity check failed: {diff}")
+    diffs = compare(want["digests"], got["digests"])
+    if diffs:
+        print(f"identity check failed: {len(diffs)} files missing, new or differing")
+        for diff in diffs:
+            print(f"  {diff}")
         return 1
     print(f"identity check passed: {len(got['digests'])} files match {args.check}")
     return 0
