@@ -104,10 +104,7 @@ def _cmd_select(args) -> int:
         return _fail(
             "select", f"{args.model}: classes {list(prev.classes)} are not those of periods 1..{n - 1}: {want}"
         )
-    _, buffer, _ = plan_period(
-        graph, view, prev, spec.strategy, spec.sel, spec.train,
-        seed=spec.seed, kernel_squared=spec.kernel_squared,
-    )
+    _, buffer, _ = plan_period(graph, view, prev, spec.strategy, spec.sel, spec.train, seed=spec.seed)
     if args.out:
         try:
             buffer.save(args.out)

@@ -56,6 +56,12 @@ SPLIT_NAMES = (TRAIN, VAL, TEST)
 #: train / val / test fractions used when splitting each period's nodes.
 SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
 
+#: The largest feature magnitude a graph may hold, far above any shipped or
+#: generated graph's (below 10). One feature of 1e81 in a 96-node graph
+#: already drives training to a non-finite loss, a fault that would
+#: otherwise surface only as a run error naming no file.
+MAX_FEATURE = 1e12
+
 
 class GraphFormatError(ValueError):
     """A graph file violates the on-disk format (message carries file:line)."""
@@ -344,9 +350,10 @@ def _node_fault(nodes: NodeTable, periods: Sequence[PeriodSpec]) -> _Fault | Non
         (repeat, "duplicate node id {id}", None),
         (later & (ids < before), "node ids are not sorted: {id} follows {before}", None),
         (~np.isfinite(nodes.features).all(axis=1), "node {id} has a non-finite feature", None),
+        ((abs(nodes.features) > MAX_FEATURE).any(axis=1), "node {id} has a feature of magnitude above {max:g}", None),
         (~known, "period {birth} of node {id} is unknown (have 1..{n})", "periods"),
         (known & (owner != birth), "class {cls} of node {id} not in period {birth} classes", "periods"),
-    ], dict(id=ids, before=before, cls=cls, birth=birth), n=len(periods))
+    ], dict(id=ids, before=before, cls=cls, birth=birth), n=len(periods), max=MAX_FEATURE)
     if fault is not None and repeat[fault.pos]:
         fault.first = fault.pos - 1
     return fault

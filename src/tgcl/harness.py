@@ -12,9 +12,9 @@ and ``summary.json`` are byte-deterministic for fixed config and seeds;
 wall times go to ``timing.jsonl`` instead.
 
 Config keys, each checked at load by :func:`plan_runs`, the one check of a
-config; any other key, also inside ``data``, ``sel``, ``train``,
-``kernel`` or ``sweeps``, is rejected by name. Integer and number fields
-pass :func:`tgcl.graph.check_int` (JSON integers) and
+config; any other key, also inside ``data``, ``sel``, ``train`` or
+``sweeps``, is rejected by name. Integer and number fields pass
+:func:`tgcl.graph.check_int` (JSON integers) and
 :func:`tgcl.graph.check_number` (finite JSON numbers), never booleans.
 
 * ``data``: exactly one of ``synthetic`` (:class:`SynthConfig` fields) or
@@ -30,7 +30,6 @@ pass :func:`tgcl.graph.check_int` (JSON integers) and
   :class:`RunSpec`) names a directory, so it may have at most 255 bytes.
 * ``hidden_dim``: an integer >= 1 whose square is at most
   :data:`tgcl.graph.MAX_ENTRIES`.
-* ``kernel``: ``squared_distance``, a boolean.
 * ``output_dir``: a path string, left out of the config hash.
 """
 
@@ -110,7 +109,6 @@ _BENCH_BASE = {
     "train": _BENCH_TRAIN,
     "seeds": [0, 1, 2],
     "hidden_dim": 64,
-    "kernel": {"squared_distance": False},
 }
 
 PRESETS: dict[str, dict] = {
@@ -290,7 +288,7 @@ def _file_sha256(path: str) -> str | None:
 class RunSpec:
     """One planned run and all it is given besides the graph: ``sel`` and
     ``train`` are the config's sections with the overrides of its sweep
-    point (``variant``) applied, ``kernel_squared`` is ``kernel.squared_distance``."""
+    point (``variant``) applied."""
 
     strategy: str
     variant: str
@@ -300,7 +298,6 @@ class RunSpec:
     sel: SelectionConfig
     train: TrainConfig
     hidden_dim: int
-    kernel_squared: bool
 
     @property
     def run_id(self) -> str:
@@ -379,11 +376,6 @@ def plan_runs(cfg: dict) -> list[RunSpec]:
         raise ConfigError(
             f"hidden_dim: {hidden_dim} makes {hidden_dim**2} hidden-layer weights, more than {MAX_ENTRIES}"
         )
-    kernel = cfg.get("kernel", {})
-    _check_keys("kernel.", kernel, ["squared_distance"])
-    kernel_squared = kernel.get("squared_distance", False)
-    if not isinstance(kernel_squared, bool):
-        raise ConfigError("kernel.squared_distance: must be a boolean")
     if not isinstance(cfg.get("output_dir", ""), str):
         raise ConfigError("output_dir: must be a path string")
     base = {}
@@ -410,7 +402,7 @@ def plan_runs(cfg: dict) -> list[RunSpec]:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{point}: {exc}") from exc
             for seed in seeds:
-                spec = RunSpec(strategy, label, seed, sel_over, train_over, sel, train, hidden_dim, kernel_squared)
+                spec = RunSpec(strategy, label, seed, sel_over, train_over, sel, train, hidden_dim)
                 if len(spec.run_id.encode()) > 255:  # a run id names a directory: at most 255 bytes
                     where = "seeds" if len(str(seed)) > len(label) else point
                     raise ConfigError(f"{where}: run id {spec.run_id} is longer than 255 bytes")
@@ -488,8 +480,7 @@ def _execute_run(run: tuple[RunSpec, Path, str], graph: TemporalGraph, memo: dic
 
     try:
         outcomes = run_strategy(
-            graph, spec.strategy, spec.sel, spec.train,
-            seed=spec.seed, hidden_dim=spec.hidden_dim, kernel_squared=spec.kernel_squared, memo=memo,
+            graph, spec.strategy, spec.sel, spec.train, seed=spec.seed, hidden_dim=spec.hidden_dim, memo=memo
         )
     except FloatingPointError as exc:  # training diverged: a non-finite loss or gradient
         raise FloatingPointError(f"{spec.run_id}: {exc}") from None

@@ -2,8 +2,7 @@
 bound check.
 
 The kernel is ``exp(-gamma * ||x - y||)`` on the *unsquared* Euclidean
-distance. Set ``squared=True`` on :class:`KernelParams` for the
-conventional ``exp(-gamma * ||x - y||^2)`` variant.
+distance.
 
 This module is the one home of the scipy distance calls: ``_distances``
 imports ``cdist`` and ``median_heuristic_gamma`` imports ``pdist`` at first
@@ -23,7 +22,6 @@ import numpy as np
 @dataclass(frozen=True)
 class KernelParams:
     gamma: float
-    squared: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.gamma) and self.gamma > 0):
@@ -49,14 +47,14 @@ def kernel_matrix(x, y, params: KernelParams) -> np.ndarray:
 def _kernel(xp: np.ndarray, yp: np.ndarray, params: KernelParams) -> np.ndarray:
     """:func:`kernel_matrix` without its checks, for 2-d float arrays that a
     checked call has already seen."""
-    return np.exp(-params.gamma * _distances(xp, yp, params.squared))
+    return np.exp(-params.gamma * _distances(xp, yp))
 
 
-def _distances(xp: np.ndarray, yp: np.ndarray, squared: bool) -> np.ndarray:
-    """The pairwise distances that the kernel exponentiates."""
+def _distances(xp: np.ndarray, yp: np.ndarray) -> np.ndarray:
+    """The pairwise Euclidean distances that the kernel exponentiates."""
     from scipy.spatial.distance import cdist
 
-    return cdist(xp, yp, "sqeuclidean" if squared else "euclidean")
+    return cdist(xp, yp, "euclidean")
 
 
 def mmd_sq(a, b, params: KernelParams) -> float:
@@ -106,12 +104,7 @@ def kernel_bound_check(embeddings, params: KernelParams, n_ref: int) -> KernelBo
     return KernelBoundReport(max_offdiag=max_offdiag, bound=bound, satisfied=max_offdiag <= bound)
 
 
-def median_heuristic_gamma(
-    embeddings,
-    seed: int = 0,
-    sample_cap: int = 1000,
-    squared: bool = False,
-) -> KernelParams:
+def median_heuristic_gamma(embeddings, seed: int = 0, sample_cap: int = 1000) -> KernelParams:
     """Bandwidth rule: gamma = 1 / median pairwise distance.
 
     At most ``sample_cap`` points are used (seeded subsample), so the rule
@@ -131,4 +124,4 @@ def median_heuristic_gamma(
     # place instead of a copy: the same value, half the peak memory
     med = float(np.median(pdist(pts), overwrite_input=True))
     gamma = 1.0 / med if med > 0 else 1.0
-    return KernelParams(gamma=gamma, squared=squared)
+    return KernelParams(gamma=gamma)

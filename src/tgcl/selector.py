@@ -101,7 +101,7 @@ class SubEntry(NamedTuple):
 class ReplayBuffer:
     """Selected subsets with frozen selection-time scores and metadata.
     ``kp`` is the anchors' kernel (None without anchors); ``meta`` records
-    it as ``gamma`` and ``squared_kernel``."""
+    it as ``gamma``."""
 
     period_built: int
     sub: list[SubEntry]
@@ -235,7 +235,7 @@ def _kmeans(emb: np.ndarray, w: int, rng: np.random.Generator, iters: int = 100)
     centers = emb[init].copy()
     labels = np.full(emb.shape[0], -1, dtype=int)
     for _ in range(iters):
-        new_labels = _distances(emb, centers, False).argmin(axis=1)
+        new_labels = _distances(emb, centers).argmin(axis=1)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -466,7 +466,6 @@ def select(
     *,
     seed: int,
     terms: Sequence[str] = SCORE_TERMS,
-    squared_kernel: bool = False,
 ) -> ReplayBuffer:
     """Partition the period's old-class training nodes and select both
     subsets, with per-part quotas summing exactly to the budgets.
@@ -476,16 +475,12 @@ def select(
     the result is deterministic given (graph, snapshot, config, seed).
     ``seed`` keys the partition stream ``(seed, _STREAM_PARTITION)`` and
     the sample of the median heuristic, which sets the kernel bandwidth
-    (``gamma=1.0`` for a single candidate); ``squared_kernel`` switches to
-    the squared-distance kernel.
+    (``gamma=1.0`` for a single candidate).
     """
     pool = _candidate_pool(graph, view, prev)
     n = len(pool.ids)
     m, m_prime = _clamp("m", cfg.m, n), _clamp("m_prime", cfg.m_prime, n)
-    if n >= 2:
-        kp = median_heuristic_gamma(pool.emb, seed=seed, squared=squared_kernel)
-    else:
-        kp = KernelParams(gamma=1.0, squared=squared_kernel)
+    kp = median_heuristic_gamma(pool.emb, seed=seed) if n >= 2 else KernelParams(gamma=1.0)
     pool = replace(pool, kp=kp)
     parts = partition(pool.emb, cfg, seed=seed)
     sizes = [len(p) for p in parts]
@@ -516,7 +511,6 @@ def select(
 
     meta = {
         "gamma": kp.gamma,
-        "squared_kernel": kp.squared,
         "alpha": cfg.alpha,
         "m": m,
         "m_prime": m_prime,

@@ -100,10 +100,10 @@ def l_dst_terms(
     if sub.shape[0] == 0 or sim.shape[0] == 0:
         raise ValueError("alignment loss requires nonempty subsets on both sides")
     s = 2.0 / (sub.shape[0] * sim.shape[0])
-    d = _distances(sub, sim, kp.squared)
+    d = _distances(sub, sim)
     k = np.exp(-kp.gamma * d)
-    # d k / d sub = -gamma * w * (sub - sim): w = 2k squared, k / d (0 at d = 0) unsquared
-    w = 2.0 * k if kp.squared else np.where(d > 0.0, k / np.where(d > 0.0, d, 1.0), 0.0)
+    # d k / d sub = -gamma * w * (sub - sim) with w = k / d (0 at d = 0)
+    w = np.where(d > 0.0, k / np.where(d > 0.0, d, 1.0), 0.0)
     value = -s * float(k.sum())
     grad = s * kp.gamma * (sub * w.sum(axis=1, keepdims=True) - w @ sim)
     return value, grad
@@ -149,7 +149,6 @@ def plan_period(
     train_cfg: TrainConfig,
     *,
     seed: int,
-    kernel_squared: bool = False,
 ) -> tuple[PeriodPlan, ReplayBuffer | None, float]:
     """Decide a period's training data under ``strategy``: the one code
     that decides what a period selects, which ``tgcl select`` reruns.
@@ -176,10 +175,7 @@ def plan_period(
     if strategy == "ltf":
         if not (train_cfg.ablation == "both_plus_ldst" and train_cfg.beta > 0):
             sel_cfg = replace(sel_cfg, m_prime=0)  # no alignment term, so no anchors
-        buffer = select(
-            graph, view, prev, sel_cfg, seed=seed, terms=ablation_terms(train_cfg.ablation),
-            squared_kernel=kernel_squared,
-        )
+        buffer = select(graph, view, prev, sel_cfg, seed=seed, terms=ablation_terms(train_cfg.ablation))
     else:
         kind = "random" if strategy == "er" else "herding"
         buffer = baseline_select(kind, graph, view, prev, sel_cfg.m, seed=seed)
@@ -357,7 +353,6 @@ def run_strategy(
     *,
     seed: int,
     hidden_dim: int = 64,
-    kernel_squared: bool = False,
     memo: dict | None = None,
 ) -> list[PeriodOutcome]:
     """Run one strategy over all periods and score each period's test split.
@@ -401,10 +396,7 @@ def run_strategy(
     for n in range(1, graph.num_periods + 1):
         view = split_period(graph, n, seed)
         model.grow_head(sorted(graph.period(n).classes))
-        plan, buffer, sel_ms = plan_period(
-            graph, view, prev, strategy, sel_cfg, train_cfg,
-            seed=seed, kernel_squared=kernel_squared,
-        )
+        plan, buffer, sel_ms = plan_period(graph, view, prev, strategy, sel_cfg, train_cfg, seed=seed)
         key = _memo_key(key, n, plan, train_cfg)
         reused = key in memo
         if reused:

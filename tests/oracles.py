@@ -39,7 +39,7 @@ from tgcl.backbone import (
     input_dim,
     node_inputs,
 )
-from tgcl.graph import PeriodSpec, SynthConfig, TemporalGraph, _period_fault
+from tgcl.graph import MAX_FEATURE, PeriodSpec, SynthConfig, TemporalGraph, _period_fault
 from tgcl.kernels import KernelParams, _as_points, kernel_matrix
 from tgcl.selector import (
     SCORE_TERMS,
@@ -268,8 +268,6 @@ def rbf(x, y, params: KernelParams) -> float:
     if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
         raise ValueError("non-finite input")
     d = float(np.linalg.norm(xv - yv))
-    if params.squared:
-        d = d * d
     return float(np.exp(-params.gamma * d))
 
 
@@ -595,6 +593,8 @@ def reference_graph_fault(
             return f"node ids are not sorted: {v} follows {before.id}"
         if not np.isfinite(rec.feature).all():
             return f"node {v} has a non-finite feature"
+        if (np.abs(rec.feature) > MAX_FEATURE).any():
+            return f"node {v} has a feature of magnitude above {MAX_FEATURE:g}"
         if not 1 <= rec.birth_period <= len(periods):
             return f"period {rec.birth_period} of node {v} is unknown (have 1..{len(periods)})"
         if rec.class_id not in periods[rec.birth_period - 1].classes:

@@ -6,9 +6,12 @@ temporal graph (data seed pinned in the preset) evaluated over three
 run seeds that drive splits, model init, selection, and training.
 """
 
+import importlib.util
 import itertools
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -373,11 +376,11 @@ def ablation_results(tmp_path_factory):
     out = tmp_path_factory.mktemp("accept_ablation")
     cfg = load_config(None, preset="ablation")
     records = execute(cfg, out)
-    return records
+    return out, records
 
 
 def test_criterion_09_ablation_structure(ablation_results):
-    runs = by_run(ablation_results)
+    runs = by_run(ablation_results[1])
     clause1 = clause2 = 0
     lines = []
     for seed in (0, 1, 2):
@@ -410,11 +413,11 @@ def partition_results(tmp_path_factory):
     cfg = load_config(None, preset="partition")
     t0 = time.perf_counter()
     records = execute(cfg, out)
-    return records, time.perf_counter() - t0
+    return out, records, time.perf_counter() - t0
 
 
 def test_criterion_10_partition_study(partition_results):
-    records, elapsed = partition_results
+    _, records, elapsed = partition_results
     runs = by_run(records)
     wins = 0
     lines = []
@@ -474,3 +477,48 @@ def test_criterion_11_determinism(main_results, tmp_path_factory):
     same_summary = (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
     report(11, "determinism", same_csv and same_summary,
            f"results.csv identical={same_csv}, summary.json identical={same_summary}")
+
+
+# ---------------------------------------------------------------------------
+# Byte identity: the jobs=1 half of ``tools/identity.py --check``
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_spec = importlib.util.spec_from_file_location("_identity", ROOT / "tools" / "identity.py")
+identity = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(identity)
+
+
+def recorded_digests(path: Path) -> dict:
+    """The digests recorded in ``path``; skips when they were taken under
+    other library versions, whose digests may differ for that reason alone."""
+    recorded = json.loads(path.read_text())
+    if recorded["versions"] != identity.versions():
+        pytest.skip(f"digests recorded under {recorded['versions']}, this run has {identity.versions()}")
+    return recorded["digests"]
+
+
+def identity_diffs(digests: dict, out: Path, preset: str) -> list[str]:
+    """Every file of a ``jobs=1`` run of ``preset`` in ``out`` whose digest
+    is not the recorded one, as ``identity.py --check`` names it."""
+    label = f"{preset}/jobs1"
+    want = {name: digest for name, digest in digests.items() if name.startswith(f"{label}/")}
+    return identity.compare(want, identity.digest_outputs(out, label, reuse=True))
+
+
+@pytest.mark.parametrize("preset", ["main", "ablation", "partition"])
+def test_outputs_match_the_recorded_digests(request, preset):
+    out = request.getfixturevalue(f"{preset}_results")[0]
+    diffs = identity_diffs(recorded_digests(ROOT / "IDENTITY.json"), out, preset)
+    assert not diffs, "\n".join(diffs)
+
+
+def test_a_changed_digest_is_named(main_results, tmp_path):
+    recorded = json.loads((ROOT / "IDENTITY.json").read_text())
+    name = "main/jobs1/runs/ltf__seed0/buffer_p2.json"
+    digest = recorded["digests"][name]
+    recorded["digests"][name] = ("0" if digest[0] != "0" else "1") + digest[1:]
+    changed = tmp_path / "IDENTITY.json"
+    changed.write_text(json.dumps(recorded))
+    assert identity_diffs(recorded_digests(changed), main_results[0], "main") == [f"{name}: differs"]

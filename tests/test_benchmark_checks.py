@@ -5,6 +5,7 @@ a fresh interpreter: both suites import a module named ``conftest``, so
 they cannot share one pytest session.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -20,3 +21,15 @@ def test_benchmark_tests_pass():
         cwd=ROOT, capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
+
+
+def test_every_traced_function_resolves():
+    """A traced function that is renamed away reads as absent and the
+    benchmark run still succeeds, so its per-layer metrics would silently
+    turn to None."""
+    spec = importlib.util.spec_from_file_location("_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    with spans.Tracer() as tracer:
+        pass
+    assert tracer.absent == set()

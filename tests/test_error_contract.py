@@ -19,7 +19,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tgcl import cli
-from tgcl.graph import SynthConfig, generate_synthetic, graph_paths, save_graph
+from tgcl.graph import MAX_FEATURE, SynthConfig, generate_synthetic, graph_paths, save_graph
 from tgcl.harness import ENV_SEED
 from tgcl.selector import SelectionConfig
 from tgcl.trainer import TrainConfig
@@ -35,21 +35,20 @@ BASE = {
     "sel": {"m": 4, "m_prime": 8, "p": 40},
     "train": {"epochs": 2},
     "hidden_dim": 64,
-    "kernel": {"squared_distance": False},
 }
 
 #: every leaf of BASE, every field its sections may set, every section
 #: itself, and an unknown key in each object
 PATHS = [
     ("include",), ("strategies", 0), ("strategies", 1), ("seeds", 0), ("hidden_dim",),
-    ("sweeps", "mode"), ("sweeps", "params", "patience", 0), ("kernel", "squared_distance"),
+    ("sweeps", "mode"), ("sweeps", "params", "patience", 0),
     *[("data", "synthetic", f.name) for f in fields(SynthConfig)],
     *[("sel", f.name) for f in fields(SelectionConfig)],
     *[("train", f.name) for f in fields(TrainConfig)],
-    ("data",), ("data", "synthetic"), ("sel",), ("train",), ("sweeps",), ("sweeps", "params"), ("kernel",),
+    ("data",), ("data", "synthetic"), ("sel",), ("train",), ("sweeps",), ("sweeps", "params"),
     ("strategies",), ("seeds",), ("output_dir",), ("sweeps", "params", "patience"),
     *[(*where, "bogus") for where in [(), ("data",), ("data", "synthetic"), ("sel",), ("train",),
-                                      ("sweeps",), ("sweeps", "params"), ("kernel",)]],
+                                      ("sweeps",), ("sweeps", "params")]],
 ]
 
 #: wrong types, non-finite, zero, negative, huge and empty values; the
@@ -203,12 +202,29 @@ def run_on_files(files: dict[str, str]) -> tuple[int, str, list]:
     st.tuples(st.sampled_from(CELLS), st.sampled_from(CELL_VALUES)),
     st.tuples(st.sampled_from(PERIOD_FIELDS), st.sampled_from(PERIOD_VALUES)),
 ))
+# finite features above MAX_FEATURE, which can drive training to non-finite values
+@example(change=(("nodes", 2, 4), "1e36"))
+@example(change=(("nodes", 2, 4), "1e200"))
 def test_one_changed_data_cell_runs_or_prints_one_error_line(monkeypatch, change):
     monkeypatch.delenv(ENV_SEED, raising=False)
     code, err, caught = run_on_files(changed_files(*change))
     if code != 0:
         assert code == 2 and ONE_ERROR_LINE.fullmatch(err), (code, err)
         assert not caught, [str(w.message) for w in caught]
+    if huge_feature(*change):
+        where = rf"nodes\.csv:{change[0][1] + 1}"
+        assert re.fullmatch(rf"data error: [^\n]*{where}: node \d+ has a feature of magnitude above 1e\+12\n", err), err
+
+
+def huge_feature(where, value) -> bool:
+    """Whether the change sets a feature cell of ``nodes.csv`` (the columns
+    after id, class and period) to a finite number above ``MAX_FEATURE``."""
+    if where[0] != "nodes" or where[2] < 3:
+        return False
+    try:
+        return MAX_FEATURE < abs(float(value)) < math.inf
+    except ValueError:
+        return False
 
 
 def test_the_base_data_files_run(monkeypatch):

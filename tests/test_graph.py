@@ -915,6 +915,11 @@ _RULE_CASES = {
         r"node 1 has a non-finite feature",
         r"nodes\.csv:3",
     ),
+    "huge feature": (
+        _edit_nodes(1, feature=np.array([0.0, -1e36])),
+        r"node 1 has a feature of magnitude above 1e\+12",
+        r"nodes\.csv:3",
+    ),
     "unknown period": (
         _edit_nodes(1, birth_period=3),
         r"period 3 of node 1 is unknown \(have 1\.\.2\)",
@@ -1020,6 +1025,10 @@ def _inject(kind, rng, nodes, events, periods):
         feat = rec.feature.copy()
         feat[int(rng.integers(0, feat.size))] = pick([math.nan, math.inf, -math.inf])
         nodes[j] = dataclasses.replace(rec, feature=feat)
+    elif kind == "huge feature":
+        feat = rec.feature.copy()
+        feat[int(rng.integers(0, feat.size))] = pick([1.5e12, -1e36, 1e300])
+        nodes[j] = dataclasses.replace(rec, feature=feat)
     elif kind == "feature shape":
         nodes[j] = dataclasses.replace(rec, feature=pick([np.zeros(4), np.zeros(2), np.zeros((1, 3))]))
     elif kind == "unknown birth period":
@@ -1042,6 +1051,7 @@ _FAULT_KINDS = {
     "NaN time": "timestamp nan outside all periods",
     "unsorted times": "events are not sorted by time",
     "non-finite feature": "has a non-finite feature",
+    "huge feature": "has a feature of magnitude above",
     "feature shape": "node column features holds rows of different dimensions",
     "unknown birth period": "is unknown (have 1..",
     "class not in birth period": "classes",

@@ -304,7 +304,7 @@ class TestConfigLoading:
         "extra, match",
         [
             ({"seed": 3}, r"^seed: unknown key"),
-            ({"kernel": {"squared": True}}, r"^kernel\.squared: unknown key"),
+            ({"kernel": {"squared": True}}, r"^kernel: unknown key"),
             ({"data": {"synthetic": {"periods": 2}}}, r"^data\.synthetic\.periods: unknown key"),
         ],
     )
@@ -370,10 +370,10 @@ class TestConfigLoading:
 #: Each shipped preset's config hash (a column of results.csv); a change
 #: here means the resolved config format changed.
 PRESET_HASHES = {
-    "main": "e4d1244e95b5",
-    "ablation": "e50d0a1a096a",
-    "sensitivity": "476820d52896",
-    "partition": "925beb63a6fd",
+    "main": "bb989d008edf",
+    "ablation": "3d347bb26a8e",
+    "sensitivity": "eb4ee9f01e3e",
+    "partition": "d8a140731a3e",
 }
 
 
@@ -783,6 +783,25 @@ class TestCli:
         assert capsys.readouterr().err == f"config error: include: {chain}: include cycle\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(includes)
 
+    @pytest.mark.parametrize("command", ["run", "select"])
+    @pytest.mark.parametrize("written", ["empty_section", "resolved_with_squared_distance"])
+    def test_a_kernel_section_is_an_unknown_key(self, tmp_path, capsys, command, written):
+        """The kernel takes no settings, so a ``kernel`` section is refused by
+        name, also in a ``resolved_config.json`` of the earlier format, which
+        held ``"kernel": {"squared_distance": false}``."""
+        if written == "empty_section":
+            cfg = {**TINY, "kernel": {}}
+        else:
+            cfg = {**load_config_dict(TINY), "kernel": {"squared_distance": False}}
+        path = tmp_path / "resolved_config.json"
+        path.write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+        out = tmp_path / "out"
+        args = {"run": ["--out", str(out)], "select": ["--run", "ltf__seed0", "--period", "2", "--model", "m.json"]}
+        assert cli.main([command, str(path), *args[command]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: kernel: unknown key (known: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -923,7 +942,7 @@ class TestCli:
     @pytest.mark.parametrize("field", ["class_center_scale", "noise_sigma"])
     @pytest.mark.parametrize("command", ["run", "select", "gen"])
     def test_a_generated_non_finite_feature_is_a_config_error(self, tmp_path, capsys, command, field):
-        synth = {**TINY_DATA["synthetic"], field: 1e308}  # finite, but a feature overflows
+        synth = {**TINY_DATA["synthetic"], field: 1e308}  # finite, but features overflow or exceed MAX_FEATURE
         out = tmp_path / "out"
         if command == "gen":
             cfg_path = write_config(tmp_path, synth, "synth.json")
@@ -937,7 +956,8 @@ class TestCli:
         }[command]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert re.fullmatch(rf"config error: {where}: node \d+ has a non-finite feature\n", err), err
+        fault = {"class_center_scale": r"a feature of magnitude above 1e\+12", "noise_sigma": "a non-finite feature"}
+        assert re.fullmatch(rf"config error: {where}: node \d+ has {fault[field]}\n", err), err
         # run builds the graph once it has written the config, before any run starts
         written = ["config_hash.txt", "resolved_config.json"] if command == "run" else []
         assert sorted(p.name for p in out.glob("*")) == written
@@ -1370,7 +1390,6 @@ def test_select_reproduces_every_buffer_of_a_run(tmp_path, monkeypatch):
             "strategies": ["ltf", "icarl"],
             "sel": {"m": 3, "m_prime": 2, "p": 8, "partitioner": "kmeans"},
             "sweeps": {"mode": "grid", "params": {"ablation": ["dist_only", "both_plus_ldst"]}},
-            "kernel": {"squared_distance": True},
         }
     )
     out = tmp_path / "out"
@@ -1380,10 +1399,7 @@ def test_select_reproduces_every_buffer_of_a_run(tmp_path, monkeypatch):
     for spec in plan_runs(cfg):
         if spec.strategy == "joint":
             continue
-        outcomes = run_strategy(
-            graph, spec.strategy, spec.sel, spec.train, seed=spec.seed,
-            hidden_dim=spec.hidden_dim, kernel_squared=spec.kernel_squared,
-        )
+        outcomes = run_strategy(graph, spec.strategy, spec.sel, spec.train, seed=spec.seed, hidden_dim=spec.hidden_dim)
         for n in (2, 3):
             scorer = tmp_path / f"{spec.run_id}_model_p{n - 1}.json"
             save_checkpoint(outcomes[n - 2].model_snapshot, scorer)
@@ -1402,7 +1418,7 @@ def test_select_reproduces_every_buffer_of_a_run(tmp_path, monkeypatch):
     assert len(reselected) == 8
     ltf = [b for b in reselected if "part_sizes" in b["config"]]
     assert len(ltf) == 4 and all(len(b["config"]["part_sizes"]) > 1 for b in ltf)
-    assert all(b["config"]["squared_kernel"] for b in ltf) and any(b["sim"] for b in ltf)
+    assert any(b["sim"] for b in ltf)
 
 
 def memo_outputs(out):

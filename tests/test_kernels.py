@@ -58,11 +58,6 @@ class TestRbf:
         with pytest.raises(ValueError):
             rbf([np.nan], [1.0], P1)
 
-    def test_squared_variant(self):
-        assert rbf([0.0], [2.0], KernelParams(1.0, squared=True)) == pytest.approx(
-            math.exp(-4.0), abs=1e-15
-        )
-
     @given(
         st.lists(st.floats(-5, 5), min_size=2, max_size=4),
         st.lists(st.floats(-5, 5), min_size=2, max_size=4),

@@ -310,7 +310,7 @@ class TestGreedy:
             greedy_select_sub(pool, 1, self.cfg())
 
 
-def pool_with_duplicates(rng, n, squared, dim=3):
+def pool_with_duplicates(rng, n, dim=3):
     """Random pool in which about a third of the points (and their losses)
     repeat earlier ones, so candidates tie exactly."""
     emb = rng.normal(size=(n, dim))
@@ -320,14 +320,13 @@ def pool_with_duplicates(rng, n, squared, dim=3):
     emb[dup], jc[dup] = emb[src], jc[src]
     ids = tuple(int(v) for v in rng.permutation(10 * n)[:n])
     gamma = float(rng.uniform(0.3, 2.0))
-    return SelectionPool(ids=ids, emb=emb, jcls=jc, kp=KernelParams(gamma, squared=squared))
+    return SelectionPool(ids=ids, emb=emb, jcls=jc, kp=KernelParams(gamma))
 
 
 class TestKernelColumn:
-    @pytest.mark.parametrize("squared", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 257])
-    def test_equals_kernel_matrix_column(self, n, squared):
-        pool = pool_with_duplicates(np.random.default_rng(n), n, squared)
+    def test_equals_kernel_matrix_column(self, n):
+        pool = pool_with_duplicates(np.random.default_rng(n), n)
         pool.emb[-1] = pool.emb[0]  # a duplicate at every size but 1
         for row in range(n):
             want = kernel_matrix(pool.emb, pool.emb[row : row + 1], pool.kp)[:, 0]
@@ -337,14 +336,13 @@ class TestKernelColumn:
 class TestOnePassGreedy:
     """The blocked one-pass greedy against the full-matrix reference."""
 
-    @pytest.mark.parametrize("squared", [False, True])
     @pytest.mark.parametrize("mode", SCORING_MODES)
     @pytest.mark.parametrize("terms", [SCORE_TERMS, ("dist",), ("err",)])
-    def test_picks_equal_full_matrix_reference(self, squared, mode, terms):
+    def test_picks_equal_full_matrix_reference(self, mode, terms):
         for seed in range(12):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(2, 40))
-            pool = pool_with_duplicates(rng, n, squared)
+            pool = pool_with_duplicates(rng, n)
             alpha = float(rng.uniform(0.0, 2.0))
             for budget in sorted({1, n // 2, n - 1, n} - {0}):
                 cfg = SelectionConfig(alpha=alpha, m=1, p=n + 1, scoring_mode=mode)
@@ -354,7 +352,7 @@ class TestOnePassGreedy:
     @pytest.mark.parametrize("mode", SCORING_MODES)
     def test_picks_equal_reference_across_blocks(self, mode):
         rng = np.random.default_rng(7)
-        pool = pool_with_duplicates(rng, 2 * _BLOCK + 37, squared=False, dim=4)
+        pool = pool_with_duplicates(rng, 2 * _BLOCK + 37, dim=4)
         cfg = SelectionConfig(alpha=0.3, m=1, p=len(pool.ids) + 1, scoring_mode=mode)
         assert greedy_select_sub(pool, 40, cfg) == greedy_reference(
             pool, 40, 0.3, SCORE_TERMS, mode
@@ -363,12 +361,11 @@ class TestOnePassGreedy:
             pool, 40, 0.0, ("dist",), mode
         )
 
-    @pytest.mark.parametrize("squared", [False, True])
     @pytest.mark.parametrize(
         "n", [1, 2, 3, _BLOCK, _BLOCK + 1, _BLOCK + 5, 2 * _BLOCK + 1, 3 * _BLOCK + 37]
     )
-    def test_column_means_bit_identical_to_full_matrix(self, n, squared):
-        pool = pool_with_duplicates(np.random.default_rng(n), n, squared=squared, dim=8)
+    def test_column_means_bit_identical_to_full_matrix(self, n):
+        pool = pool_with_duplicates(np.random.default_rng(n), n, dim=8)
         full = kernel_matrix(pool.emb, pool.emb, pool.kp).mean(axis=0)
         assert np.array_equal(selector_module._col_mean(pool), full)
 

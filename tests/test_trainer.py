@@ -101,9 +101,8 @@ class TestLdstTerms:
         with pytest.raises(ValueError):
             l_dst_terms(np.ones((2, 2)), np.zeros((0, 2)), KernelParams(1.0))
 
-    @pytest.mark.parametrize("squared", [False, True])
-    def test_embedding_gradient_matches_fd(self, squared):
-        kp = KernelParams(0.9, squared=squared)
+    def test_embedding_gradient_matches_fd(self):
+        kp = KernelParams(0.9)
         rng = np.random.default_rng(3)
         sub = rng.normal(size=(3, 4))
         sim = rng.normal(size=(5, 4))
@@ -499,11 +498,8 @@ class TestMemoKey:
     def test_each_plan_field(self, inputs, field):
         plan, cfg = inputs
         value = getattr(plan, field)
-        other = KernelParams(value.gamma * 2, value.squared) if field == "kp" else value[:-1]
+        other = KernelParams(value.gamma * 2) if field == "kp" else value[:-1]
         assert self.key(dataclasses.replace(plan, **{field: other}), cfg) != self.key(*inputs)
-        if field == "kp":
-            squared = KernelParams(value.gamma, not value.squared)
-            assert self.key(dataclasses.replace(plan, kp=squared), cfg) != self.key(*inputs)
 
     @pytest.mark.parametrize("field, value", [("lr", 0.06), ("epochs", 6), ("batch_size", 17), ("patience", 4)])
     def test_each_step_setting(self, inputs, field, value):
