@@ -21,11 +21,11 @@ config; any other key, also inside ``data``, ``sel``, ``train`` or
   ``files`` (path strings ``nodes`` and ``events``, and ``periods``, a
   path string or null, which may be left out). A relative path is read
   against the directory of the config file that names it.
-* ``strategies``: a nonempty list of ``trainer.STRATEGIES`` names.
+* ``strategies``: a nonempty list of distinct ``trainer.STRATEGIES`` names.
 * ``sel``, ``train``: fields of :class:`SelectionConfig` and
   :class:`TrainConfig`; a ``str`` field takes a name (``__post_init__``).
-* ``sweeps``: null, or ``mode`` (``grid`` or ``axes``) and ``params``,
-  mapping ``sel``/``train`` fields to nonempty lists of values.
+* ``sweeps``: null, or ``params``, mapping ``sel``/``train`` fields to
+  nonempty lists of distinct values; the runs take their full product.
 * ``seeds``: a nonempty list of distinct integers >= 0. A run id (see
   :class:`RunSpec`) names a directory, so it may have at most 255 bytes.
 * ``hidden_dim``: an integer >= 1 whose square is at most
@@ -83,8 +83,7 @@ _BENCH_DATA = {
 }
 
 # The per-node loss spans [0, ~8] on this benchmark while witness increments
-# sit around 1e-2, so the error weight is scale-reconciled accordingly (the
-# sensitivity preset sweeps far larger alphas).
+# sit around 1e-2, so the error weight is scale-reconciled accordingly.
 _BENCH_SEL = {
     "alpha": 0.005,
     "m": 24,
@@ -119,28 +118,12 @@ PRESETS: dict[str, dict] = {
     "ablation": {
         **_BENCH_BASE,
         "strategies": ["ltf"],
-        "sweeps": {"mode": "grid", "params": {"ablation": list(ABLATIONS)}},
-    },
-    "sensitivity": {
-        **_BENCH_BASE,
-        "strategies": ["ltf"],
-        "sweeps": {
-            "mode": "axes",
-            "params": {
-                "alpha": [0.25, 0.5, 1, 2, 4],
-                "beta": [0.25, 0.5, 1, 2, 4],
-                "m": [12, 24, 36],
-                "m_prime": [120, 240, 360],
-            },
-        },
+        "sweeps": {"params": {"ablation": list(ABLATIONS)}},
     },
     "partition": {
         **_BENCH_BASE,
         "strategies": ["ltf"],
-        "sweeps": {
-            "mode": "grid",
-            "params": {"partitioner": ["random", "kmeans", "hierarchical"], "p": [600, 1200, 2400]},
-        },
+        "sweeps": {"params": {"partitioner": ["random", "kmeans", "hierarchical"], "p": [600, 1200, 2400]}},
     },
 }
 
@@ -306,15 +289,9 @@ class RunSpec:
 
 
 def expand_sweeps(sweeps: dict | None) -> list[tuple[str, dict]]:
-    """Sweep points as (label, overrides). ``axes`` varies one parameter at
-    a time; ``grid`` takes the full product."""
-    if not sweeps or not sweeps.get("params"):
-        return [("", {})]
-    params = sweeps["params"]
-    if sweeps.get("mode", "grid") == "axes":
-        points = [{k: v} for k, vals in params.items() for v in vals]
-    else:
-        points = [dict(zip(params, vals)) for vals in itertools.product(*params.values())]
+    """Sweep points as (label, overrides): the full product of ``params``."""
+    params = (sweeps or {}).get("params") or {}
+    points = [dict(zip(params, vals)) for vals in itertools.product(*params.values())]
     return [(",".join(f"{k}={v}" for k, v in point.items()), point) for point in points]
 
 
@@ -350,6 +327,8 @@ def plan_runs(cfg: dict) -> list[RunSpec]:
     for s in strategies:
         if s not in STRATEGIES:
             raise ConfigError(f"strategies: unknown strategy {s!r}")
+    if len(set(strategies)) != len(strategies):
+        raise ConfigError("strategies: duplicate strategies")
     seeds = cfg.get("seeds")
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError(f"seeds: need a nonempty list of nonnegative integers, got {seeds!r}")
@@ -364,14 +343,14 @@ def plan_runs(cfg: dict) -> list[RunSpec]:
         raise ConfigError("seeds: duplicate seeds")
     sweeps = cfg.get("sweeps")
     if sweeps is not None:
-        _check_keys("sweeps.", sweeps, ["mode", "params"])
-        if sweeps.get("mode", "grid") not in ("grid", "axes"):
-            raise ConfigError(f"sweeps.mode: must be 'grid' or 'axes'")
+        _check_keys("sweeps.", sweeps, ["params"])
         params = sweeps.get("params", {})
         _check_keys("sweeps.params.", params, _KEYS["sel"] + _KEYS["train"])
         for k, vals in params.items():
             if not isinstance(vals, list) or not vals:
                 raise ConfigError(f"sweeps.params.{k}: need a nonempty list of values")
+            if any(v in vals[:i] for i, v in enumerate(vals)):  # by ==, so 1 and 1.0 are one value
+                raise ConfigError(f"sweeps.params.{k}: duplicate values")
     if hidden_dim**2 > MAX_ENTRIES:
         raise ConfigError(
             f"hidden_dim: {hidden_dim} makes {hidden_dim**2} hidden-layer weights, more than {MAX_ENTRIES}"
@@ -390,7 +369,7 @@ def plan_runs(cfg: dict) -> list[RunSpec]:
     strategies = list(strategies)
     if any(s != "joint" for s in strategies) and "joint" not in strategies:
         strategies.insert(0, "joint")
-    specs: dict[str, RunSpec] = {}  # the first of each run id (e.g. joint listed and auto-added)
+    specs = []
     for strategy in strategies:
         for label, overrides in points if strategy != "joint" else [("", {})]:
             sel_over = tuple(sorted((k, v) for k, v in overrides.items() if k in _KEYS["sel"]))
@@ -406,8 +385,8 @@ def plan_runs(cfg: dict) -> list[RunSpec]:
                 if len(spec.run_id.encode()) > 255:  # a run id names a directory: at most 255 bytes
                     where = "seeds" if len(str(seed)) > len(label) else point
                     raise ConfigError(f"{where}: run id {spec.run_id} is longer than 255 bytes")
-                specs.setdefault(spec.run_id, spec)
-    return list(specs.values())
+                specs.append(spec)
+    return specs
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""RBF kernel matrices, the biased squared-MMD estimator, and the kernel
-bound check.
+"""RBF kernel matrices, the biased squared-MMD estimator, and the
+median-heuristic bandwidth.
 
 The kernel is ``exp(-gamma * ||x - y||)`` on the *unsquared* Euclidean
 distance.
@@ -71,37 +71,6 @@ def mmd_sq(a, b, params: KernelParams) -> float:
     kbb = float(kernel_matrix(bp, bp, params).mean())
     kab = float(kernel_matrix(ap, bp, params).mean())
     return kaa + kbb - 2.0 * kab
-
-
-@dataclass(frozen=True)
-class KernelBoundReport:
-    """Result of the sufficient-condition check for diminishing returns."""
-
-    max_offdiag: float
-    bound: float
-    satisfied: bool
-
-
-def kernel_bound_check(embeddings, params: KernelParams, n_ref: int) -> KernelBoundReport:
-    """Check ``max k(v,u) <= 1 / (n^3 - 2n^2 - 2n - 3)`` over distinct pairs.
-
-    The bound is the sufficient condition under which greedy selection on
-    the squared-MMD objective enjoys diminishing returns. It is advisory:
-    selection proceeds regardless of the outcome, because for realistic
-    ``n`` the bound forces a nearly degenerate kernel.
-    """
-    denom = n_ref**3 - 2 * n_ref**2 - 2 * n_ref - 3
-    if denom <= 0:
-        raise ValueError(f"n_ref={n_ref} gives nonpositive bound denominator {denom}; need n_ref >= 4")
-    bound = 1.0 / denom
-    pts = _as_points(embeddings, "embeddings")
-    if pts.shape[0] < 2:
-        max_offdiag = 0.0
-    else:
-        k = kernel_matrix(pts, pts, params)
-        np.fill_diagonal(k, -np.inf)
-        max_offdiag = float(k.max())
-    return KernelBoundReport(max_offdiag=max_offdiag, bound=bound, satisfied=max_offdiag <= bound)
 
 
 def median_heuristic_gamma(embeddings, seed: int = 0, sample_cap: int = 1000) -> KernelParams:

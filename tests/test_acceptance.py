@@ -507,7 +507,7 @@ def identity_diffs(digests: dict, out: Path, preset: str) -> list[str]:
     return identity.compare(want, identity.digest_outputs(out, label, reuse=True))
 
 
-@pytest.mark.parametrize("preset", ["main", "ablation", "partition"])
+@pytest.mark.parametrize("preset", list(PRESETS))
 def test_outputs_match_the_recorded_digests(request, preset):
     out = request.getfixturevalue(f"{preset}_results")[0]
     diffs = identity_diffs(recorded_digests(ROOT / "IDENTITY.json"), out, preset)

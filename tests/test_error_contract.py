@@ -30,7 +30,7 @@ BASE = {
     "include": "main",
     "strategies": ["ltf", "er"],
     "seeds": [0],
-    "sweeps": {"mode": "axes", "params": {"patience": [2]}},
+    "sweeps": {"params": {"patience": [2]}},
     "data": {"synthetic": {"num_periods": 2, "nodes_per_class_per_period": 30}},
     "sel": {"m": 4, "m_prime": 8, "p": 40},
     "train": {"epochs": 2},
@@ -41,7 +41,7 @@ BASE = {
 #: itself, and an unknown key in each object
 PATHS = [
     ("include",), ("strategies", 0), ("strategies", 1), ("seeds", 0), ("hidden_dim",),
-    ("sweeps", "mode"), ("sweeps", "params", "patience", 0),
+    ("sweeps", "params", "patience", 0),
     *[("data", "synthetic", f.name) for f in fields(SynthConfig)],
     *[("sel", f.name) for f in fields(SelectionConfig)],
     *[("train", f.name) for f in fields(TrainConfig)],
@@ -111,6 +111,8 @@ def run_cli(cfg: dict, command: str = "run") -> tuple[int, str, list]:
 @example(path=("data",), value=True)
 # guards that a tiny config's leaves do not reach
 @example(path=("seeds",), value=[0, 0])
+@example(path=("strategies",), value=["ltf", "ltf"])
+@example(path=("sweeps", "params", "patience"), value=[2, 2.0])
 @example(path=("data",), value={"files": {"events": "e.csv"}})
 def test_one_changed_leaf_runs_or_prints_one_error_line(monkeypatch, path, value):
     monkeypatch.delenv(ENV_SEED, raising=False)

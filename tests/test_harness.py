@@ -371,18 +371,20 @@ class TestConfigLoading:
 #: here means the resolved config format changed.
 PRESET_HASHES = {
     "main": "bb989d008edf",
-    "ablation": "3d347bb26a8e",
-    "sensitivity": "eb4ee9f01e3e",
-    "partition": "d8a140731a3e",
+    "ablation": "a64a2914d803",
+    "partition": "db3e90d8e7d6",
 }
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_presets_resolve_build_and_keep_their_hash(preset, monkeypatch):
     monkeypatch.delenv("TGCL_SEED", raising=False)
+    assert set(PRESET_HASHES) == set(PRESETS)  # no stale row, no preset without one
     cfg = load_config(preset=preset)
     assert config_hash(cfg) == PRESET_HASHES[preset]
-    for spec in plan_runs(cfg):
+    specs = plan_runs(cfg)
+    assert len({spec.run_id for spec in specs}) == len(specs)
+    for spec in specs:
         sel, train = spec.sel, spec.train
         for key, value in spec.sel_overrides:
             assert getattr(sel, key) == value
@@ -423,7 +425,7 @@ class TestPlanning:
         "change, where",
         [
             ({"seeds": [10**300]}, "seeds"),
-            ({"sweeps": {"mode": "axes", "params": {"patience": [10**260]}}}, rf"sweeps\.params\.patience={10**260}"),
+            ({"sweeps": {"params": {"patience": [10**260]}}}, rf"sweeps\.params\.patience={10**260}"),
         ],
         ids=["seeds", "sweep"],
     )
@@ -435,12 +437,16 @@ class TestPlanning:
         assert re.fullmatch(rf"config error: {where}: run id \S+ is longer than 255 bytes\n", err), err
         assert not out.exists()
 
-    def test_axes_vs_grid(self):
-        axes = expand_sweeps({"mode": "axes", "params": {"a": [1, 2], "b": [3]}})
-        assert [lbl for lbl, _ in axes] == ["a=1", "a=2", "b=3"]
-        grid = expand_sweeps({"mode": "grid", "params": {"a": [1, 2], "b": [3, 4]}})
-        assert len(grid) == 4
-        assert ("a=1,b=3", {"a": 1, "b": 3}) in grid
+    def test_grid_is_the_full_product(self):
+        grid = expand_sweeps({"params": {"a": [1, 2], "b": [3, 4]}})
+        assert grid == [
+            ("a=1,b=3", {"a": 1, "b": 3}), ("a=1,b=4", {"a": 1, "b": 4}),
+            ("a=2,b=3", {"a": 2, "b": 3}), ("a=2,b=4", {"a": 2, "b": 4}),
+        ]
+        # one parameter varies alone, one point per value
+        assert expand_sweeps({"params": {"a": [1, 2]}}) == [("a=1", {"a": 1}), ("a=2", {"a": 2})]
+        for empty in (None, {}, {"params": {}}):
+            assert expand_sweeps(empty) == [("", {})]
 
 
 def load_config_dict(d):
@@ -676,13 +682,6 @@ class TestPresetStructure:
             "ablation=both_plus_ldst",
         }
 
-    def test_sensitivity_preset_alpha_points(self, tmp_path):
-        rows = self.run_preset(tmp_path, "sensitivity")
-        alphas = {
-            r["variant"] for r in rows if r["variant"].startswith("alpha=")
-        }
-        assert alphas == {"alpha=0.25", "alpha=0.5", "alpha=1", "alpha=2", "alpha=4"}
-
 
 class TestCli:
     def test_run_exit_codes(self, tmp_path):
@@ -802,6 +801,62 @@ class TestCli:
         assert err.startswith("config error: kernel: unknown key (known: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "select"])
+    @pytest.mark.parametrize("written", ["grid", "axes", "ablation_resolved_with_grid"])
+    def test_a_sweeps_mode_is_an_unknown_key(self, tmp_path, capsys, monkeypatch, command, written):
+        """A sweep is always the full product of its values, so ``sweeps.mode``
+        is refused by name, also in an ``ablation`` ``resolved_config.json``
+        of the earlier format, which held ``"mode": "grid"``."""
+        monkeypatch.delenv("TGCL_SEED", raising=False)
+        if written == "ablation_resolved_with_grid":
+            cfg = load_config(preset="ablation")
+            cfg["sweeps"] = {"mode": "grid", **cfg["sweeps"]}
+        else:
+            cfg = {**TINY, "strategies": ["ltf"], "sweeps": {"mode": written, "params": {"alpha": [0.5, 1.0]}}}
+        path = tmp_path / "resolved_config.json"
+        path.write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+        out = tmp_path / "out"
+        args = {"run": ["--out", str(out)], "select": ["--run", "ltf__seed0", "--period", "2", "--model", "m.json"]}
+        assert cli.main([command, str(path), *args[command]]) == 2
+        assert capsys.readouterr().err == "config error: sweeps.mode: unknown key (known: params)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "select"])
+    @pytest.mark.parametrize("via", ["include", "flag"])
+    def test_an_unknown_preset_is_refused(self, tmp_path, capsys, command, via):
+        out = tmp_path / "out"
+        args = {"run": ["--out", str(out)], "select": ["--run", "ltf__seed0", "--period", "2", "--model", "m.json"]}
+        if via == "include":
+            path = write_config(tmp_path, {"include": "sensitivity"})
+            assert cli.main([command, str(path), *args[command]]) == 2
+            assert capsys.readouterr().err == "config error: include: unknown preset or missing file 'sensitivity'\n"
+        else:
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, "--preset", "sensitivity", *args[command]])
+            assert exc.value.code == 2
+            assert "--preset: invalid choice: 'sensitivity'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"strategies": ["ltf", "ltf", "er"]}, "strategies: duplicate strategies"),
+            ({"strategies": ["joint", "joint"]}, "strategies: duplicate strategies"),
+            ({"strategies": ["ltf", "er"]}, "sweeps.params.p: duplicate values"),
+            ({"strategies": ["ltf"], "sweeps": {"params": {"p": [8, 16], "alpha": [1, 1.0]}}},
+             "sweeps.params.alpha: duplicate values"),
+        ],
+        ids=["strategy", "joint", "sweep_value", "equal_int_and_float"],
+    )
+    def test_duplicates_are_refused(self, tmp_path, capsys, change, message):
+        """A repeated strategy or sweep value, compared by ``==``, would plan
+        one run twice or two run ids for one config."""
+        cfg = {**TINY, "sweeps": {"params": {"p": [8, 8], "alpha": [1, 1.0]}}, **change}
+        out = tmp_path / "out"
+        assert cli.main(["run", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -854,7 +909,7 @@ class TestCli:
         "extra, where",
         [
             ({"train": {**TINY["train"], "lr": math.inf}}, "train"),
-            ({"sweeps": {"mode": "grid", "params": {"lr": [0.1, math.inf]}}}, "sweeps.params.lr=inf"),
+            ({"sweeps": {"params": {"lr": [0.1, math.inf]}}}, "sweeps.params.lr=inf"),
         ],
     )
     def test_run_rejects_infinite_lr(self, tmp_path, capsys, extra, where):
@@ -1389,7 +1444,7 @@ def test_select_reproduces_every_buffer_of_a_run(tmp_path, monkeypatch):
             "data": {"synthetic": {**TINY_DATA["synthetic"], "num_periods": 3}},
             "strategies": ["ltf", "icarl"],
             "sel": {"m": 3, "m_prime": 2, "p": 8, "partitioner": "kmeans"},
-            "sweeps": {"mode": "grid", "params": {"ablation": ["dist_only", "both_plus_ldst"]}},
+            "sweeps": {"params": {"ablation": ["dist_only", "both_plus_ldst"]}},
         }
     )
     out = tmp_path / "out"
@@ -1458,7 +1513,7 @@ MEMO_CONFIGS = {
     "partition": {
         **TINY,
         "strategies": ["ltf"],
-        "sweeps": {"mode": "grid", "params": {"partitioner": ["random", "kmeans"], "p": [8, 64]}},
+        "sweeps": {"params": {"partitioner": ["random", "kmeans"], "p": [8, 64]}},
     },
 }
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from tgcl.kernels import (
     KernelParams,
-    kernel_bound_check,
     kernel_matrix,
     median_heuristic_gamma,
     mmd_sq,
@@ -132,28 +131,6 @@ class TestJMmd:
     def test_empty_old_rejected(self):
         with pytest.raises(ValueError):
             j_mmd(np.ones(2), np.ones((1, 2)), np.zeros((0, 2)), P1)
-
-
-class TestKernelBoundCheck:
-    def test_identical_embeddings_fail(self):
-        pts = np.ones((5, 2))
-        for n_ref in (4, 10, 50):
-            report = kernel_bound_check(pts, P1, n_ref)
-            assert report.max_offdiag == pytest.approx(1.0)
-            assert not report.satisfied
-
-    def test_bound_value_n4(self):
-        report = kernel_bound_check(np.ones((2, 2)), P1, 4)
-        assert report.bound == pytest.approx(1.0 / 21.0, abs=1e-15)
-
-    def test_separated_points_pass(self):
-        pts = np.array([[0.0], [100.0], [200.0], [300.0]])
-        report = kernel_bound_check(pts, KernelParams(5.0), 4)
-        assert report.satisfied
-
-    def test_small_n_ref_rejected(self):
-        with pytest.raises(ValueError):
-            kernel_bound_check(np.ones((2, 2)), P1, 3)
 
 
 class TestMedianHeuristic:

@@ -9,7 +9,7 @@ import tgcl.backbone as backbone_module
 import tgcl.selector as selector_module
 from tgcl.backbone import Backbone, input_dim, node_inputs, snapshot
 from tgcl.graph import SynthConfig, generate_synthetic, split_period
-from tgcl.kernels import KernelParams, kernel_bound_check, kernel_matrix, median_heuristic_gamma, mmd_sq
+from tgcl.kernels import KernelParams, kernel_matrix, median_heuristic_gamma, mmd_sq
 from tgcl.selector import (
     SCORE_TERMS,
     SCORING_MODES,
@@ -267,10 +267,14 @@ class TestGreedy:
 
     def test_diminishing_returns_when_bound_holds(self):
         # 5 far-apart points with a kernel satisfying the sufficient
-        # condition, equal per-node losses: objective gains shrink
+        # condition max k(v, u) <= 1 / (n^3 - 2n^2 - 2n - 3), which is 1/62
+        # for n = 5, and equal per-node losses: objective gains shrink
         emb = np.array([[0.0], [5.0], [10.0], [15.0], [20.0]])
         kp = KernelParams(1.0)
-        assert kernel_bound_check(emb, kp, 5).satisfied
+        n = len(emb)
+        max_offdiag = kernel_matrix(emb, emb, kp)[~np.eye(n, dtype=bool)].max()
+        assert max_offdiag == pytest.approx(math.exp(-5.0), rel=1e-15)  # about 0.0067
+        assert n**3 - 2 * n**2 - 2 * n - 3 == 62 and max_offdiag <= 1 / 62
         pool = SelectionPool(ids=tuple(range(5)), emb=emb, jcls=np.ones(5), kp=kp)
         chosen = greedy_select_sub(pool, 5, self.cfg(m=4, p=100))
         objs = [

@@ -6,23 +6,23 @@ Run from anywhere in a checkout::
     python tools/identity.py --write IDENTITY.json   # record the digests
     python tools/identity.py --check IDENTITY.json   # compare against them
 
-Runs the ``main``, ``ablation`` and ``partition`` presets through
-``harness.execute`` with ``jobs=1`` and ``jobs=2``, and the ``scale-select``
-workload of ``perfbench/workloads.py`` (read, not edited) with ``jobs=1``,
-each into a fresh temporary directory, with BLAS pinned to one thread as
-``perfbench/run.py`` pins it. Per output directory it records the sha256
-of ``results.csv``, ``summary.json``, ``config_hash.txt`` and
-``resolved_config.json`` as written, of every ``buffer_p<n>.json`` without
-its ``part_ms`` and of every ``epochs.jsonl`` without its ``wall_ms``
-(timings that vary from call to call), plus the numpy, scipy and BLAS
-versions. For each ``jobs=1`` output it also digests the period memo's
-reuse: one line per run of ``timing.jsonl`` with its ``strategy``,
-``variant``, ``seed`` and ``reused_periods`` (with ``jobs=2``, which runs
-reuse a period varies with scheduling, so it is left out). ``--check``
-exits 1, names every file whose digest differs, is missing or is new, and
-counts them; digests taken under other library versions may differ for
-that reason alone, and the check says so. It takes about a minute on two
-cores.
+Runs every preset of ``harness.PRESETS`` (``main``, ``ablation`` and
+``partition``) through ``harness.execute`` with ``jobs=1`` and ``jobs=2``,
+and the ``scale-select`` workload of ``perfbench/workloads.py`` (read, not
+edited) with ``jobs=1``, each into a fresh temporary directory, with BLAS
+pinned to one thread as ``perfbench/run.py`` pins it. Per output directory
+it records the sha256 of ``results.csv``, ``summary.json``,
+``config_hash.txt`` and ``resolved_config.json`` as written, of every
+``buffer_p<n>.json`` without its ``part_ms`` and of every ``epochs.jsonl``
+without its ``wall_ms`` (timings that vary from call to call), plus the
+numpy, scipy and BLAS versions. For each ``jobs=1`` output it also
+digests the period memo's reuse: one line per run of ``timing.jsonl``
+with its ``strategy``, ``variant``, ``seed`` and ``reused_periods`` (with
+``jobs=2``, which runs reuse a period varies with scheduling, so it is
+left out). ``--check`` exits 1, names every file whose digest differs, is
+missing or is new, and counts them; digests taken under other library
+versions may differ for that reason alone, and the check says so. It
+takes about a minute on two cores.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_PINS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-PRESET_RUNS = [(preset, jobs) for preset in ("main", "ablation", "partition") for jobs in (1, 2)]
 #: the files of an output directory digested as written
 DIGESTED = ("results.csv", "summary.json", "config_hash.txt", "resolved_config.json")
 #: the timing key dropped from each JSON file kind before it is digested
@@ -105,7 +104,7 @@ def collect(work: Path) -> dict[str, str]:
     from tgcl import harness
 
     digests: dict[str, str] = {}
-    runs = [(f"{p}/jobs{j}", harness.load_config(preset=p), j) for p, j in PRESET_RUNS]
+    runs = [(f"{p}/jobs{j}", harness.load_config(preset=p), j) for p in harness.PRESETS for j in (1, 2)]
     runs.append(("scale-select/jobs1", _scale_select_config(harness, work), 1))
     for label, cfg, jobs in runs:
         print(f"running {label}", file=sys.stderr, flush=True)
