@@ -7,9 +7,9 @@ and a file that includes itself, directly or not, is refused.
 Every (strategy x sweep-point x seed) combination becomes one run with its
 own directory; a completed run leaves its record, ``RunRecord.to_dict()``,
 in ``record.json``, so an interrupted invocation can resume. Only
-:func:`_read_record` reads that file back. The aggregated ``results.csv``
-and ``summary.json`` are byte-deterministic for fixed config and seeds;
-wall times go to ``timing.jsonl`` instead.
+:func:`_read_record` reads that file back. Every output file but
+``record.json``, ``timing.jsonl`` and ``summary.txt``, which hold the wall
+times, is byte-deterministic for fixed config and seeds.
 
 Config keys, each checked at load by :func:`plan_runs`, the one check of a
 config; any other key, also inside ``data``, ``sel``, ``train`` or
@@ -509,11 +509,12 @@ def execute(
     ``jobs > 1``), so a period that several runs train identically, such
     as period 1 of every strategy of a seed, is trained and scored once
     (see :func:`tgcl.trainer.run_strategy`). Outputs are the same as
-    without it, except for timing fields: a reused period copies the epoch
-    log of the run that trained it, ``wall_ms`` included, and repeats none
-    of its training warnings, and a run with reused periods has a shorter
-    ``total_s``. ``timing.jsonl`` lists each run's ``reused_periods``;
-    which runs reuse a period may vary with ``jobs``.
+    without it, except for timing fields: a reused period's
+    ``epoch_wall_ms`` in ``record.json`` copies the epoch wall times of the
+    run that trained it, a reused period repeats none of its training
+    warnings, and a run with reused periods has a shorter ``total_s``.
+    ``timing.jsonl`` lists each run's ``reused_periods``; which runs reuse
+    a period may vary with ``jobs``.
 
     Each run's ``record.json`` is its :class:`RunRecord`'s ``to_dict()``,
     and the aggregates are built from the records as :func:`_read_record`

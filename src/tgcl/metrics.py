@@ -230,13 +230,15 @@ def write_summary_json(records: Sequence[RunRecord], path: str | Path) -> None:
 
 def format_summary_table(records: Sequence[RunRecord]) -> str:
     """Human-readable comparison table (AP up, AF down, Time down); Time is
-    the per-method mean of :attr:`RunRecord.final_epoch_ms`."""
-    lines = [f"{'method':<28}{'AP^':>16}{'AFv':>16}{'Time(ms)v':>12}"]
+    the per-method mean of :attr:`RunRecord.final_epoch_ms`. The method
+    column is 28 characters wide, or one more than the longest method."""
     groups = _by_method(records)
+    width = max([28, *(len(key) + 1 for key in groups)])
+    lines = [f"{'method':<{width}}{'AP^':>16}{'AFv':>16}{'Time(ms)v':>12}"]
     for key, s in summarize(records).items():
         ap_txt = f"{s['ap_mean']:.4f}±{s['ap_std']:.4f}"
         af_txt = f"{s['af_mean']:.4f}±{s['af_std']:.4f}" if "af_mean" in s else "---"
         ms = [r.final_epoch_ms for r in groups[key] if r.final_epoch_ms is not None]
         t_txt = f"{sum(ms) / len(ms):.1f}" if ms else "---"
-        lines.append(f"{key:<28}{ap_txt:>16}{af_txt:>16}{t_txt:>12}")
+        lines.append(f"{key:<{width}}{ap_txt:>16}{af_txt:>16}{t_txt:>12}")
     return "\n".join(lines)

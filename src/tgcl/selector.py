@@ -22,17 +22,17 @@ appear only where the :class:`ReplayBuffer` is written.
 
 Each part's kernel is evaluated at most once and never held whole. Both
 scoring modes need only the column means of the part's kernel, its
-diagonal (exactly 1 for both kernel variants) and one kernel column per
-pick. ``select`` computes the column means in one pass over the
-``_BLOCK`` x ``_BLOCK`` blocks on and above the diagonal (the kernel is
-symmetric bit for bit, so each block serves two column blocks), shares
-them between the rehearsal and anchor greedy calls and the per-part MMD
-metadata, and fetches a column per pick, so selection memory is
-O(n + _BLOCK^2) rather than O(n^2). Every column sum is accumulated in row
-order, one row at a time, because that is how numpy sums the full matrix
-down axis 0: the means then equal ``k.mean(axis=0)`` bit for bit and the
-picks match the full-matrix greedy exactly. Summing each row block on its
-own and adding the block sums would round differently.
+diagonal (exactly 1) and one kernel column per pick. ``select`` computes
+the column means in one pass over the ``_BLOCK`` x ``_BLOCK`` blocks on
+and above the diagonal (the kernel is symmetric bit for bit, so each
+block serves two column blocks), shares them between the rehearsal and
+anchor greedy calls and the per-part MMD metadata, and fetches a column
+per pick, so selection memory is O(n + _BLOCK^2) rather than O(n^2).
+Every column sum is accumulated in row order, one row at a time, because
+that is how numpy sums the full matrix down axis 0: the means then equal
+``k.mean(axis=0)`` bit for bit and the picks match the full-matrix greedy
+exactly. Summing each row block on its own and adding the block sums
+would round differently.
 """
 
 from __future__ import annotations
@@ -101,13 +101,15 @@ class SubEntry(NamedTuple):
 class ReplayBuffer:
     """Selected subsets with frozen selection-time scores and metadata.
     ``kp`` is the anchors' kernel (None without anchors); ``meta`` records
-    it as ``gamma``."""
+    it as ``gamma``. ``part_ms`` is the wall time of each part's selection
+    in ms; it is not saved, so a saved buffer is the same on every call."""
 
     period_built: int
     sub: list[SubEntry]
     sim: list[int]
     meta: dict = field(default_factory=dict)
     kp: KernelParams | None = None
+    part_ms: list[float] = field(default_factory=list, compare=False)
 
     @property
     def sub_ids(self) -> list[int]:
@@ -372,11 +374,10 @@ def _greedy(
     Both scoring modes need only the part's kernel column means
     ``col_mean`` (from :func:`_col_mean`, which ``select`` shares between
     its two calls and the part metadata; None only for a zero budget), the
-    diagonal (exactly 1: ``cdist(x, x)`` is 0 there for both kernel
-    variants) and one kernel column per pick, fetched on demand, so memory
-    is O(n). Those means equal the full matrix's ``k.mean(axis=0)`` bit for
-    bit, so the picks equal those of the full-matrix greedy. Ties break to
-    the smallest node id.
+    diagonal (exactly 1: ``cdist(x, x)`` is 0 there) and one kernel column
+    per pick, fetched on demand, so memory is O(n). Those means equal the
+    full matrix's ``k.mean(axis=0)`` bit for bit, so the picks equal those
+    of the full-matrix greedy. Ties break to the smallest node id.
     """
     n = len(pool.ids)
     if budget == 0:
@@ -520,11 +521,12 @@ def select(
         "terms": list(terms),
         "seed": seed,
         "part_sizes": sizes,
-        "part_ms": part_ms,
         "part_objectives": part_objectives,
     }
     sim_ids = [pool.ids[r] for r in sim_rows]
-    return ReplayBuffer(view.period_index, _entries(graph, pool, sub_rows), sim_ids, meta, kp if sim_ids else None)
+    return ReplayBuffer(
+        view.period_index, _entries(graph, pool, sub_rows), sim_ids, meta, kp if sim_ids else None, part_ms
+    )
 
 
 # ---------------------------------------------------------------------------

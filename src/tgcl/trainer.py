@@ -115,7 +115,11 @@ def l_dst_terms(
 
 @dataclass
 class TrainResult:
+    """One ``log`` entry per epoch; each epoch's wall time goes in
+    ``wall_ms``, not in the log, so the log is the same on every call."""
+
     log: list[dict] = field(default_factory=list)
+    wall_ms: list[float] = field(default_factory=list)
     best_epoch: int = 0
     epochs_ran: int = 0
 
@@ -290,7 +294,7 @@ def train_period(
         if val_sets:
             predictions = np.asarray(model.classes)[scores.argmax(axis=1)]
             val_ap = float(np.mean(per_set_accuracy(val_labels, predictions, val_sets)))
-        wall_ms = (perf_counter() - t0) * 1000.0
+        result.wall_ms.append((perf_counter() - t0) * 1000.0)
         result.log.append(
             {
                 "period": n,
@@ -300,7 +304,6 @@ def train_period(
                 "l_dst": acc_ldst / n_steps,
                 "l_tot": acc_tot / n_steps,
                 "val_ap": val_ap,
-                "wall_ms": wall_ms,
             }
         )
         if val_ap > best_ap:
@@ -379,11 +382,12 @@ def run_strategy(
     The model takes that run's best-validation parameters, and the outcome
     copies of its training result and test precisions, marked ``reused``.
     Selection still runs in every run. A reused period copies the other
-    run's epoch log, ``wall_ms`` included, and emits none of
-    :func:`train_period`'s warnings, so a run with reused periods takes
-    less time than its epoch log shows. ``memo`` holds no graph: pass one
-    memo only to runs on one graph. Without one, the call keeps its own,
-    which never hits, since a run's periods never repeat.
+    run's epoch log and its epoch wall times, which ``record.json`` holds
+    as ``epoch_wall_ms``, and emits none of :func:`train_period`'s
+    warnings, so a run with reused periods takes less time than its epoch
+    wall times add up to. ``memo`` holds no graph: pass one memo only to
+    runs on one graph. Without one, the call keeps its own, which never
+    hits, since a run's periods never repeat.
     """
     fault = period_fault(graph, [seed])
     if fault:
@@ -411,7 +415,7 @@ def run_strategy(
             memo[key] = copy.deepcopy((model.parameters(), result, precisions))
         prev = snapshot(model)
         metrics = PeriodMetrics(
-            n, precisions, ap_metric(precisions), epoch_wall_ms=[e["wall_ms"] for e in result.log],
+            n, precisions, ap_metric(precisions), epoch_wall_ms=result.wall_ms,
             selection_ms=sel_ms, epochs_ran=result.epochs_ran, best_epoch=result.best_epoch,
         )
         outcomes.append(PeriodOutcome(metrics, result.log, buffer, prev, reused))

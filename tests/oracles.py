@@ -14,7 +14,7 @@ object per node and per event and ``rng.uniform`` times, and the graph
 rules checked row by row, and the partitioner on node ids. None of them
 is used by the pipeline. The module also holds helpers only tests use:
 nodes and events as row objects and back, greedy picks of one part by
-node id, exact graph equality and the mean epoch time of a log.
+node id and exact graph equality.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -615,11 +615,3 @@ def reference_graph_fault(
         prev_t = e.t
     return None
 
-
-def time_per_epoch(epoch_log: Sequence[Mapping]) -> float:
-    """Mean wall ms per epoch at the final period present in the log."""
-    if not epoch_log:
-        raise ValueError("empty epoch log")
-    last = max(int(e["period"]) for e in epoch_log)
-    times = [float(e["wall_ms"]) for e in epoch_log if int(e["period"]) == last]
-    return float(np.mean(times))

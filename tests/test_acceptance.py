@@ -452,7 +452,7 @@ def test_criterion_10_partition_study(partition_results):
                 graph, view3, prev,
                 SelectionConfig(alpha=0.005, m=24, m_prime=240, p=p_size), seed=0,
             )
-            reps.append(float(np.mean(buf.meta["part_ms"])))
+            reps.append(float(np.mean(buf.part_ms)))
         means.append(float(np.mean(reps)))
     timing_ok = means[0] > means[1] > means[2]
 
@@ -522,3 +522,33 @@ def test_a_changed_digest_is_named(main_results, tmp_path):
     changed = tmp_path / "IDENTITY.json"
     changed.write_text(json.dumps(recorded))
     assert identity_diffs(recorded_digests(changed), main_results[0], "main") == [f"{name}: differs"]
+
+
+def test_run_files_do_not_depend_on_jobs(tmp_path):
+    """Every file of a run directory but ``record.json`` holds no wall time,
+    so it is the same byte for byte with ``jobs=1`` and ``jobs=2``, and
+    ``digest_outputs`` digests it as written."""
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({
+        "data": {"synthetic": {
+            "num_periods": 3, "classes_per_period": 2, "nodes_per_class_per_period": 16,
+            "feature_dim": 3, "events_per_node": 3, "seed": 0,
+        }},
+        "strategies": ["ltf", "er"],
+        "sel": {"m": 3, "m_prime": 2, "p": 8},
+        "train": {"epochs": 2, "batch_size": 32, "patience": 2, "lr": 0.1},
+        "seeds": [0],
+    }))
+    cfg = load_config(path)
+    files = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        execute(cfg, out, jobs=jobs)
+        files[jobs] = {
+            p.relative_to(out).as_posix(): p.read_bytes()
+            for p in sorted(out.glob("runs/*/*")) if p.name != "record.json"
+        }
+    assert files[1] == files[2]
+    assert {rel.rpartition("/")[2] for rel in files[1]} == {"epochs.jsonl", "buffer_p2.json", "buffer_p3.json"}
+    digests = identity.digest_outputs(tmp_path / "jobs1", "tiny", reuse=False)
+    assert {f"tiny/{rel}" for rel in files[1]} <= set(digests)

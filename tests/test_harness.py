@@ -1464,12 +1464,9 @@ def test_select_reproduces_every_buffer_of_a_run(tmp_path, monkeypatch):
                 "--period", str(n), "--model", str(scorer), "--out", str(got_path),
             ]
             assert cli.main(argv) == 0
-            got = json.loads(got_path.read_text())
-            want = json.loads((out / "runs" / spec.run_id / f"buffer_p{n}.json").read_text())
-            got["config"].pop("part_ms", None)
-            want["config"].pop("part_ms", None)
-            assert got == want, (spec.run_id, n)
-            reselected.append(want)
+            want = (out / "runs" / spec.run_id / f"buffer_p{n}.json").read_bytes()
+            assert got_path.read_bytes() == want, (spec.run_id, n)
+            reselected.append(json.loads(want))
     assert len(reselected) == 8
     ltf = [b for b in reselected if "part_sizes" in b["config"]]
     assert len(ltf) == 4 and all(len(b["config"]["part_sizes"]) > 1 for b in ltf)
@@ -1477,24 +1474,13 @@ def test_select_reproduces_every_buffer_of_a_run(tmp_path, monkeypatch):
 
 
 def memo_outputs(out):
-    """What the period memo must leave as it is: the aggregate files byte for
-    byte, every buffer but its ``part_ms`` and every epoch log but its
-    ``wall_ms``."""
-    got = {}
-    for path in sorted(out.rglob("*")):
-        rel = path.relative_to(out).as_posix()
-        if path.name in ("results.csv", "summary.json", "resolved_config.json", "config_hash.txt"):
-            got[rel] = path.read_bytes()
-        elif path.name.startswith("buffer_p"):
-            buf = json.loads(path.read_text())
-            buf["config"].pop("part_ms", None)
-            got[rel] = buf
-        elif path.name == "epochs.jsonl":
-            got[rel] = [
-                {k: v for k, v in json.loads(line).items() if k != "wall_ms"}
-                for line in path.read_text().splitlines()
-            ]
-    return got
+    """What the period memo must leave as it is: every output file byte for
+    byte but the three that hold wall times."""
+    return {
+        path.relative_to(out).as_posix(): path.read_bytes()
+        for path in sorted(out.rglob("*"))
+        if path.is_file() and path.name not in ("record.json", "timing.jsonl", "summary.txt")
+    }
 
 
 def reused_periods(out):

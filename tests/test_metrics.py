@@ -18,7 +18,7 @@ from tgcl.metrics import (
 )
 
 from conftest import trained_toy_snapshot
-from oracles import reference_precision_per_set, time_per_epoch
+from oracles import reference_precision_per_set
 
 
 class TestPerSetAccuracy:
@@ -103,27 +103,6 @@ class TestAf:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             af([0.5, 0.5], [0.5])
-
-
-class TestTimePerEpoch:
-    def test_single_epoch(self):
-        assert time_per_epoch([{"period": 1, "wall_ms": 12.5}]) == 12.5
-
-    def test_constant_log(self):
-        log = [{"period": 2, "wall_ms": 10.0} for _ in range(3)]
-        assert time_per_epoch(log) == 10.0
-
-    def test_final_period_only(self):
-        log = [
-            {"period": 1, "wall_ms": 100.0},
-            {"period": 2, "wall_ms": 10.0},
-            {"period": 2, "wall_ms": 20.0},
-        ]
-        assert time_per_epoch(log) == 15.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            time_per_epoch([])
 
 
 def split_inputs(graph, view, split="test"):
@@ -245,6 +224,17 @@ class TestRecordsAndTables:
         table = format_summary_table(records).splitlines()
         assert [line.split()[0] for line in table[1:]] == ["er", "joint"]
         assert [line.split()[-1] for line in table[1:]] == ["3.5", "---"]
+
+    @pytest.mark.parametrize(
+        "variant, width",
+        [("ablation=both_plus_ldst", 28), ("partitioner=hierarchical,p=1200", 36)],
+    )
+    def test_table_columns_line_up_with_a_long_method(self, variant, width):
+        records = [make_record("ltf", 0, [0.9], variant=variant), make_record("joint", 0, [0.95])]
+        table = format_summary_table(records).splitlines()
+        assert len({len(line) for line in table}) == 1
+        assert table[0].index("AP^") == width + 16 - 3
+        assert table[2].startswith(f"ltf|{variant} ")
 
     @pytest.mark.parametrize("edit", sorted(NOT_RECORDS))
     def test_from_dict_refuses_what_is_not_a_record(self, edit):

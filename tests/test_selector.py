@@ -529,9 +529,7 @@ class TestSelect:
         cfg = SelectionConfig(m=8, m_prime=5, p=30)
         a = select(graph, view, prev, cfg, seed=4)
         b = select(graph, view, prev, cfg, seed=4)
-        da, db = a.to_json_dict(), b.to_json_dict()
-        da["config"].pop("part_ms"), db["config"].pop("part_ms")
-        assert da == db
+        assert a.to_json_dict() == b.to_json_dict()
 
     def test_part_objectives_match_oracles(self, sel_setting):
         graph, view, prev = sel_setting
@@ -540,7 +538,7 @@ class TestSelect:
         pool = with_median_kernel(build_pool(graph, view, list(view.nodes_of("old", "train")), prev), 7)
         parts = partition(pool.emb, cfg, seed=7)
         objectives = buffer.meta["part_objectives"]
-        assert len(objectives) == len(parts) == len(buffer.meta["part_ms"])
+        assert len(objectives) == len(parts) == len(buffer.part_ms)
         sub, sim = set(buffer.sub_ids), set(buffer.sim)
         for part, obj in zip(parts, objectives):
             part_pool = pool.take(part)
@@ -553,7 +551,8 @@ class TestSelect:
                 mmd_sq(part_pool.emb, part_pool.emb[sim_rows], pool.kp), rel=1e-10, abs=1e-14
             )
             assert obj["overlap"] == len(sub & sim & set(part_pool.ids))
-        assert all(ms > 0 for ms in buffer.meta["part_ms"])
+        assert all(ms > 0 for ms in buffer.part_ms)
+        assert "part_ms" not in buffer.to_json_dict()["config"]
 
     def test_part_objectives_zero_without_anchors(self, sel_setting):
         graph, view, prev = sel_setting

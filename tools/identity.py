@@ -12,12 +12,13 @@ and the ``scale-select`` workload of ``perfbench/workloads.py`` (read, not
 edited) with ``jobs=1``, each into a fresh temporary directory, with BLAS
 pinned to one thread as ``perfbench/run.py`` pins it. Per output directory
 it records the sha256 of ``results.csv``, ``summary.json``,
-``config_hash.txt`` and ``resolved_config.json`` as written, of every
-``buffer_p<n>.json`` without its ``part_ms`` and of every ``epochs.jsonl``
-without its ``wall_ms`` (timings that vary from call to call), plus the
-numpy, scipy and BLAS versions. For each ``jobs=1`` output it also
-digests the period memo's reuse: one line per run of ``timing.jsonl``
-with its ``strategy``, ``variant``, ``seed`` and ``reused_periods`` (with
+``config_hash.txt``, ``resolved_config.json`` and every file under
+``runs/*/`` but ``record.json``, each as written, plus the numpy, scipy
+and BLAS versions. Only ``record.json``, ``timing.jsonl`` and
+``summary.txt`` carry wall times, which vary from call to call, so none
+of them is digested whole. For each ``jobs=1`` output the period memo's
+reuse is digested: one line per run of ``timing.jsonl`` with its
+``strategy``, ``variant``, ``seed`` and ``reused_periods`` (with
 ``jobs=2``, which runs reuse a period varies with scheduling, so it is
 left out). ``--check`` exits 1, names every file whose digest differs, is
 missing or is new, and counts them; digests taken under other library
@@ -38,39 +39,21 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_PINS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-#: the files of an output directory digested as written
+#: the top-level files of an output directory that are digested; so is
+#: every file of ``runs/*/`` but ``record.json``, which holds wall times
 DIGESTED = ("results.csv", "summary.json", "config_hash.txt", "resolved_config.json")
-#: the timing key dropped from each JSON file kind before it is digested
-UNTIMED = {"buffer_p*.json": "part_ms", "epochs.jsonl": "wall_ms"}
 #: the fields of each ``timing.jsonl`` row that say which periods a run reused
 REUSE_KEYS = ("strategy", "variant", "seed", "reused_periods")
-
-
-def _drop(value, key: str):
-    if isinstance(value, dict):
-        return {k: _drop(v, key) for k, v in value.items() if k != key}
-    if isinstance(value, list):
-        return [_drop(v, key) for v in value]
-    return value
-
-
-def _untimed(path: Path, key: str) -> bytes:
-    """The JSON (or JSON-lines) file without ``key`` anywhere, re-serialized."""
-    lines = path.read_text().splitlines() if path.suffix == ".jsonl" else [path.read_text()]
-    return "\n".join(json.dumps(_drop(json.loads(line), key)) for line in lines if line).encode()
 
 
 def digest_outputs(out: Path, label: str, reuse: bool) -> dict[str, str]:
     """``{"<label>/<relative path>": sha256}`` of an output directory, plus
     ``"<label>/reused_periods"`` with ``reuse``."""
     found = {name: out / name for name in DIGESTED}
-    for pattern in UNTIMED:
-        found.update((str(p.relative_to(out)), p) for p in out.glob(f"runs/*/{pattern}"))
-    digests = {}
-    for rel, path in sorted(found.items()):
-        key = next((k for pattern, k in UNTIMED.items() if path.match(pattern)), None)
-        data = path.read_bytes() if key is None else _untimed(path, key)
-        digests[f"{label}/{rel}"] = hashlib.sha256(data).hexdigest()
+    found.update((p.relative_to(out).as_posix(), p) for p in out.glob("runs/*/*") if p.name != "record.json")
+    digests = {
+        f"{label}/{rel}": hashlib.sha256(path.read_bytes()).hexdigest() for rel, path in sorted(found.items())
+    }
     if reuse:
         rows = [json.loads(line) for line in (out / "timing.jsonl").read_text().splitlines() if line]
         data = "\n".join(json.dumps([row[k] for k in REUSE_KEYS]) for row in rows).encode()
