@@ -51,6 +51,9 @@ from .graph import TemporalGraph, check_int, check_number
 #: neighbor slots per context; missing slots are zero-feature, dt = 0
 K_NEIGHBORS = 10
 
+#: the width of every run's hidden layers
+HIDDEN_DIM = 64
+
 PARAM_NAMES = ("w_agg", "w_hid", "b_hid", "w_head")
 
 AuxTerm = Callable[[np.ndarray], tuple[float, np.ndarray]]
@@ -143,7 +146,7 @@ class Backbone:
     def __init__(
         self,
         feature_dim: int,
-        hidden_dim: int = 64,
+        hidden_dim: int = HIDDEN_DIM,
         seed: int = 0,
         head_init_scale: float = 0.01,
     ):

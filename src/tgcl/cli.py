@@ -2,22 +2,26 @@
 
 Subcommands:
 
-* ``tgcl run <config.json> [--preset NAME] [--out DIR] [--jobs K] [--resume]``
+* ``tgcl run <config.json> [--preset NAME] --out DIR [--jobs K] [--resume]``
 * ``tgcl gen <synth.json> --out DIR``  - emit graph files from a generator config
 * ``tgcl select <config.json> [--preset NAME] --run ID --period N --model CKPT [--out FILE]``
   - rebuild run ``ID``'s period-N buffer through ``trainer.plan_period``
 * ``tgcl report <DIR>``                - re-render the summary table from results
 
-``select`` loads the config as ``run`` does (``TGCL_SEED`` too), so a run's
-``<out>/resolved_config.json`` will do; ``CKPT`` is the model frozen after
-period N-1, written by ``backbone.save_checkpoint(snapshot(model), path)``,
-whose ``feature_dim``, ``hidden_dim`` and classes must be the run's.
+``run`` and ``select`` take a config file, a preset, or both (the file
+over the preset). ``select`` loads the config as ``run`` does
+(``TGCL_SEED`` too), so a run's ``<out>/resolved_config.json`` will do;
+``CKPT`` is the model frozen after period N-1, written by
+``backbone.save_checkpoint(snapshot(model), path)``, whose ``feature_dim``
+and classes must be the run's and whose ``hidden_dim`` must be
+``backbone.HIDDEN_DIM``.
 
-A config, data file or checkpoint that cannot be used (a checkpoint of a
-kind other than ``backbone``, or a generated graph whose features
-overflow, too), data that no run can score (a ``graph.period_fault``
-under a planned seed; ``gen`` checks split seed 0), an ``--out`` path
-below a file or in a missing directory, a ``run`` or ``gen`` output path
+Neither a config file nor a preset, a config, data file or checkpoint
+that cannot be used (a checkpoint of a kind other than ``backbone``, or
+a generated graph whose features overflow, too), data that no run can
+score (a ``graph.period_fault`` under a planned seed; ``gen`` checks
+split seed 0), an ``--out`` path below a file or in a missing
+directory, a ``run`` or ``gen`` output path
 in the way (``harness.check_output_paths``, before any file is written),
 a ``report`` directory without run records or whose ``config_hash.txt``
 cannot be read as UTF-8 text, and a ``--jobs``, ``--run`` or
@@ -37,7 +41,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .backbone import load_checkpoint, snapshot
+from .backbone import HIDDEN_DIM, load_checkpoint, snapshot
 from .graph import GraphFormatError, graph_paths, save_graph, split_period
 from .metrics import format_summary_table
 from .trainer import plan_period, selects
@@ -52,16 +56,13 @@ def _cmd_run(args) -> int:
     if args.jobs < 1:
         return _fail("run", f"--jobs {args.jobs}: must be at least 1")
     cfg = harness.load_config(args.config, preset=args.preset)
-    out_dir = args.out or cfg.get("output_dir")
-    if not out_dir:
-        return _fail("config", "output_dir: set it in the config or pass --out")
     echo = print if not args.quiet else None
     try:
-        records = harness.execute(cfg, out_dir, jobs=args.jobs, resume=args.resume, echo=echo)
+        records = harness.execute(cfg, args.out, jobs=args.jobs, resume=args.resume, echo=echo)
     except (IsADirectoryError, NotADirectoryError, FloatingPointError) as exc:
         return _fail("run", exc)
     print(format_summary_table(records))
-    print(f"results written to {out_dir}")
+    print(f"results written to {args.out}")
     return 0
 
 
@@ -96,7 +97,7 @@ def _cmd_select(args) -> int:
         prev = snapshot(load_checkpoint(args.model))
     except (OSError, ValueError) as exc:
         return _fail("select", f"{args.model}: cannot load the model checkpoint: {exc}")
-    for name, run_value in (("feature_dim", graph.feature_dim), ("hidden_dim", spec.hidden_dim)):
+    for name, run_value in (("feature_dim", graph.feature_dim), ("hidden_dim", HIDDEN_DIM)):
         if getattr(prev, name) != run_value:
             return _fail("select", f"{args.model}: {name} {getattr(prev, name)} is not the run's {run_value}")
     want = [c for i in range(1, n) for c in sorted(graph.period(i).classes)]
@@ -132,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute an experiment config")
     p_run.add_argument("config", nargs="?", default=None, help="JSON config path")
     p_run.add_argument("--preset", choices=sorted(harness.PRESETS), default=None)
-    p_run.add_argument("--out", default=None, help="output directory (overrides config)")
+    p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--jobs", type=int, default=1, help="concurrent runs")
     p_run.add_argument("--resume", action="store_true", help="skip completed runs")
     p_run.add_argument("--quiet", action="store_true")

@@ -791,6 +791,12 @@ def graph_paths(out_dir: str | Path) -> dict[str, Path]:
     return {"nodes": out / NODE_BASENAME, "events": out / EVENT_BASENAME, "periods": out / PERIOD_BASENAME}
 
 
+def period_file_of(node_file: str | Path, period_file: str | Path | None = None) -> Path:
+    """The periods file read with ``node_file``: ``period_file``, or else
+    the ``periods.json`` beside ``node_file``."""
+    return Path(period_file) if period_file else Path(node_file).parent / PERIOD_BASENAME
+
+
 def save_graph(graph: TemporalGraph, out_dir: str | Path) -> dict[str, Path]:
     """Write ``nodes.csv``, ``events.csv``, ``periods.json`` under ``out_dir``."""
     paths = graph_paths(out_dir)
@@ -830,7 +836,8 @@ def load_graph(
     period_file: str | Path | None = None,
 ) -> TemporalGraph:
     """Load and validate a graph; errors name the offending file and line.
-    The loader only parses; the graph's rules place the first fault.
+    The loader only parses; the graph's rules place the first fault. The
+    periods file is the one :func:`period_file_of` names.
 
     Files are read as UTF-8. A loaded graph must hold at least one event
     in every period's span: the empty period that :func:`period_fault`
@@ -839,7 +846,7 @@ def load_graph(
     """
     node_path = Path(node_file)
     event_path = Path(event_file)
-    period_path = Path(period_file) if period_file else node_path.parent / PERIOD_BASENAME
+    period_path = period_file_of(node_path, period_file)
     sources = {"nodes": node_path, "events": event_path, "periods": period_path}
 
     periods = _load_periods(period_path)

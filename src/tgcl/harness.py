@@ -1,9 +1,8 @@
 """Experiment orchestration: configs, presets, seeded runs, persistence.
 
 A single JSON config describes the data source, strategies, selection and
-training settings, optional sweep grids, and seeds. Configs may pull in a
-preset (or another file) through an ``include`` key; explicit keys win,
-and a file that includes itself, directly or not, is refused.
+training settings, optional sweep grids, and seeds. A config may name a
+preset through an ``include`` key; its own keys win.
 Every (strategy x sweep-point x seed) combination becomes one run with its
 own directory; a completed run leaves its record, ``RunRecord.to_dict()``,
 in ``record.json``, so an interrupted invocation can resume. Only
@@ -17,10 +16,12 @@ config; any other key, also inside ``data``, ``sel``, ``train`` or
 :func:`tgcl.graph.check_int` (JSON integers) and
 :func:`tgcl.graph.check_number` (finite JSON numbers), never booleans.
 
+* ``include``: a name in :data:`PRESETS`, resolved away at load.
 * ``data``: exactly one of ``synthetic`` (:class:`SynthConfig` fields) or
   ``files`` (path strings ``nodes`` and ``events``, and ``periods``, a
-  path string or null, which may be left out). A relative path is read
-  against the directory of the config file that names it.
+  path string or null, which may be left out; see
+  :func:`tgcl.graph.period_file_of`). A relative path is read against the
+  directory of the config file that names it.
 * ``strategies``: a nonempty list of distinct ``trainer.STRATEGIES`` names.
 * ``sel``, ``train``: fields of :class:`SelectionConfig` and
   :class:`TrainConfig`; a ``str`` field takes a name (``__post_init__``).
@@ -28,9 +29,8 @@ config; any other key, also inside ``data``, ``sel``, ``train`` or
   nonempty lists of distinct values; the runs take their full product.
 * ``seeds``: a nonempty list of distinct integers >= 0. A run id (see
   :class:`RunSpec`) names a directory, so it may have at most 255 bytes.
-* ``hidden_dim``: an integer >= 1 whose square is at most
-  :data:`tgcl.graph.MAX_ENTRIES`.
-* ``output_dir``: a path string, left out of the config hash.
+
+Every run's model has :data:`tgcl.backbone.HIDDEN_DIM` hidden units.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ from time import perf_counter
 from typing import Iterable, Sequence
 
 from .graph import (
-    MAX_ENTRIES, GraphFormatError, SynthConfig, TemporalGraph, check_int, generate_synthetic, load_graph,
-    period_fault,
+    GraphFormatError, SynthConfig, TemporalGraph, check_int, generate_synthetic, load_graph, period_fault,
+    period_file_of,
 )
 from .metrics import RunRecord, af as af_metric, format_summary_table, write_results_csv, write_summary_json
 from .selector import SelectionConfig
@@ -107,7 +107,6 @@ _BENCH_BASE = {
     "sel": _BENCH_SEL,
     "train": _BENCH_TRAIN,
     "seeds": [0, 1, 2],
-    "hidden_dim": 64,
 }
 
 PRESETS: dict[str, dict] = {
@@ -176,50 +175,34 @@ def read_config_file(path: str | Path) -> dict:
     return body
 
 
-def _load_include(name, chain: tuple[Path, ...]) -> dict:
-    """The resolved config that an ``include`` value names: a preset, or a
-    file, whose relative path is read against the directory of the
-    including file, the last of ``chain``, when there is one. A file
-    already in ``chain`` is an include cycle."""
-    if isinstance(name, str) and name in PRESETS:
-        return resolve_config(PRESETS[name])
-    path = Path(name) if isinstance(name, str) else None
-    if path is not None and chain and not path.is_absolute():
-        path = chain[-1].parent / path
-    if path is None or not path.exists():
-        raise ConfigError(f"include: unknown preset or missing file {name!r}")
-    if path.resolve() in {p.resolve() for p in chain}:
-        raise ConfigError(f"include: {' -> '.join(map(str, (*chain, path)))}: include cycle")
-    return resolve_config(read_config_file(path), (*chain, path))
-
-
-def resolve_config(raw: dict, chain: tuple[Path, ...] = ()) -> dict:
-    """``raw`` layered over what its ``include`` names, recursively.
-    ``chain`` lists the config files whose includes led to ``raw``, the
-    last one holding it; with one, each ``data.files`` path string in
-    ``raw`` becomes that path read against the last file's directory, made
-    absolute."""
+def resolve_config(raw: dict, base_dir: Path | None = None) -> dict:
+    """``raw`` layered over the preset its ``include`` names. With
+    ``base_dir``, each ``data.files`` path string in ``raw`` becomes that
+    path read against ``base_dir``, made absolute."""
     raw = dict(raw)
     inc = raw.pop("include", None)
-    base = _load_include(inc, chain) if inc is not None else {}
+    if inc is not None and not (isinstance(inc, str) and inc in PRESETS):
+        raise ConfigError(f"include: unknown preset {inc!r} (known: {', '.join(PRESETS)})")
     files = raw["data"].get("files") if isinstance(raw.get("data"), dict) else None
-    if chain and isinstance(files, dict):
-        files = {k: os.path.abspath(chain[-1].parent / v) if isinstance(v, str) else v for k, v in files.items()}
+    if base_dir is not None and isinstance(files, dict):
+        files = {k: os.path.abspath(base_dir / v) if isinstance(v, str) else v for k, v in files.items()}
         raw["data"] = {**raw["data"], "files": files}
-    return merge_config(base, raw)
+    return merge_config(PRESETS[inc] if inc is not None else {}, raw)
 
 
 def load_config(path: str | Path | None = None, preset: str | None = None) -> dict:
-    """Load and resolve a config file, optionally layered over a preset.
+    """Load and resolve a config file, a preset, or a file over a preset.
 
-    Precedence, lowest first: built-in defaults, preset, the file's own
-    includes, the file itself. ``TGCL_SEED`` overrides the seed list. An
-    ``include`` is a preset name or a path; a relative path is read against
-    the directory of the file that holds it, and a file that includes
-    itself, directly or not, is refused. :func:`plan_runs` checks the
-    result, the one check of a config.
+    Precedence, lowest first: built-in defaults, ``preset``, the preset
+    that the file's ``include`` names, the file itself. ``TGCL_SEED``
+    overrides the seed list. Relative ``data.files`` paths are read
+    against the directory of the file. With neither a file nor a preset
+    there is nothing to run: :class:`ConfigError`. :func:`plan_runs`
+    checks the result, the one check of a config.
     """
-    resolved = resolve_config(read_config_file(path), (Path(path),)) if path else {}
+    if not path and not preset:
+        raise ConfigError(f"no config: name a config file or a preset (known: {', '.join(PRESETS)})")
+    resolved = resolve_config(read_config_file(path), Path(path).parent) if path else {}
     if preset:
         resolved = merge_config(resolve_config({"include": preset}), resolved)
     resolved = merge_config(DEFAULT_CONFIG, resolved)
@@ -244,15 +227,16 @@ def synth_config(body, where: str = "") -> SynthConfig:
 
 
 def config_hash(cfg: dict) -> str:
-    """Digest of ``cfg`` without ``output_dir``. For a ``files`` config it
-    also covers the sha256 of each data file's bytes, so an output
-    directory answers for its data; a file that cannot be read counts as
-    None here, and :func:`load_data` names it."""
-    scrubbed = {k: v for k, v in cfg.items() if k != "output_dir"}
+    """Digest of ``cfg``. For a ``files`` config it also covers the sha256
+    of the bytes of each data file that :func:`load_data` reads, so an
+    output directory answers for its data; a file that cannot be read
+    counts as None here, and :func:`load_data` names it."""
+    hashed = dict(cfg)
     files = cfg.get("data", {}).get("files")
     if files:
-        scrubbed["data_sha256"] = {kind: _file_sha256(path) for kind, path in files.items() if path is not None}
-    blob = json.dumps(scrubbed, sort_keys=True, separators=(",", ":"))
+        paths = {**files, "periods": period_file_of(files["nodes"], files.get("periods"))}
+        hashed["data_sha256"] = {kind: _file_sha256(path) for kind, path in paths.items()}
+    blob = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
@@ -280,7 +264,6 @@ class RunSpec:
     train_overrides: tuple[tuple[str, object], ...]
     sel: SelectionConfig
     train: TrainConfig
-    hidden_dim: int
 
     @property
     def run_id(self) -> str:
@@ -305,7 +288,7 @@ def plan_runs(cfg: dict) -> list[RunSpec]:
     ``sel.foo: unknown key ...``) or by the run's sweep values
     (``sweeps.params.p=2: ...``); a run id longer than 255 bytes by
     ``seeds`` or by those values, whichever is longer in it."""
-    _check_keys("", cfg, [*DEFAULT_CONFIG, "output_dir"])
+    _check_keys("", cfg, list(DEFAULT_CONFIG))
     data = cfg.get("data")
     _check_keys("data.", data, ["synthetic", "files"])
     if len(data) != 1:
@@ -332,11 +315,9 @@ def plan_runs(cfg: dict) -> list[RunSpec]:
     seeds = cfg.get("seeds")
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError(f"seeds: need a nonempty list of nonnegative integers, got {seeds!r}")
-    hidden_dim = cfg.get("hidden_dim", 64)
     try:
         for i, seed in enumerate(seeds):
             check_int(f"seeds[{i}]", seed, 0)
-        check_int("hidden_dim", hidden_dim, 1)
     except ValueError as exc:
         raise ConfigError(exc) from None
     if len(set(seeds)) != len(seeds):
@@ -351,12 +332,6 @@ def plan_runs(cfg: dict) -> list[RunSpec]:
                 raise ConfigError(f"sweeps.params.{k}: need a nonempty list of values")
             if any(v in vals[:i] for i, v in enumerate(vals)):  # by ==, so 1 and 1.0 are one value
                 raise ConfigError(f"sweeps.params.{k}: duplicate values")
-    if hidden_dim**2 > MAX_ENTRIES:
-        raise ConfigError(
-            f"hidden_dim: {hidden_dim} makes {hidden_dim**2} hidden-layer weights, more than {MAX_ENTRIES}"
-        )
-    if not isinstance(cfg.get("output_dir", ""), str):
-        raise ConfigError("output_dir: must be a path string")
     base = {}
     for section, cls in _SECTIONS.items():
         body = cfg.get(section, {})
@@ -381,7 +356,7 @@ def plan_runs(cfg: dict) -> list[RunSpec]:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{point}: {exc}") from exc
             for seed in seeds:
-                spec = RunSpec(strategy, label, seed, sel_over, train_over, sel, train, hidden_dim)
+                spec = RunSpec(strategy, label, seed, sel_over, train_over, sel, train)
                 if len(spec.run_id.encode()) > 255:  # a run id names a directory: at most 255 bytes
                     where = "seeds" if len(str(seed)) > len(label) else point
                     raise ConfigError(f"{where}: run id {spec.run_id} is longer than 255 bytes")
@@ -458,9 +433,7 @@ def _execute_run(run: tuple[RunSpec, Path, str], graph: TemporalGraph, memo: dic
     t0 = perf_counter()
 
     try:
-        outcomes = run_strategy(
-            graph, spec.strategy, spec.sel, spec.train, seed=spec.seed, hidden_dim=spec.hidden_dim, memo=memo
-        )
+        outcomes = run_strategy(graph, spec.strategy, spec.sel, spec.train, seed=spec.seed, memo=memo)
     except FloatingPointError as exc:  # training diverged: a non-finite loss or gradient
         raise FloatingPointError(f"{spec.run_id}: {exc}") from None
 
@@ -535,8 +508,9 @@ def execute(
     """
     check_int("jobs", jobs, 1)
     out = Path(out_dir)
+    specs = plan_runs(cfg)
     chash = config_hash(cfg)
-    runs = [(spec, out / "runs" / spec.run_id, chash) for spec in plan_runs(cfg)]
+    runs = [(spec, out / "runs" / spec.run_id, chash) for spec in specs]
     run_dirs = [run_dir for _, run_dir, _ in runs]
     top = ("resolved_config.json", "config_hash.txt", "results.csv", "summary.json", "timing.jsonl", "summary.txt")
     files = [out / name for name in top] + [  # and each buffer_p<n>.json it would overwrite

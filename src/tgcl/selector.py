@@ -271,7 +271,8 @@ def _balance_clusters(emb, labels, centers, cap, w) -> list[np.ndarray]:
 
 def _share(total: int, sizes: Sequence[int]) -> list[int]:
     """Even per-part quotas summing to ``total``; earlier parts take the
-    remainder, overflow beyond a part's size spills to later parts."""
+    remainder, and overflow beyond a part's size goes to the first parts
+    with room, earlier parts included."""
     w = len(sizes)
     quotas = [total // w] * w
     for i in range(total % w):

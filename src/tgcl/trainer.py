@@ -14,9 +14,9 @@ which :func:`plan_period` builds from the strategy:
 * ``ltf``      - replay the greedy error+distribution subset, with anchors
   for the alignment term under ablation ``both_plus_ldst`` and ``beta > 0``
 
-Since a period's update is set by its run's history (seed, hidden size,
-plans and step settings so far), :func:`run_strategy` can take a memo
-shared by the runs of one graph and train each distinct period once.
+Since a period's update is set by its run's history (seed, plans and
+step settings so far), :func:`run_strategy` can take a memo shared by
+the runs of one graph and train each distinct period once.
 """
 
 from __future__ import annotations
@@ -340,7 +340,7 @@ class PeriodOutcome:
 
 def _memo_key(history: tuple, n: int, plan: PeriodPlan, cfg: TrainConfig) -> tuple:
     """Period ``n``'s key after ``history``: the previous period's key, or
-    ``(seed, hidden_dim)``. ``beta`` counts only with anchors: without them
+    ``(seed,)``. ``beta`` counts only with anchors: without them
     the alignment term is not computed."""
     return (
         history, n, plan, cfg.lr, cfg.epochs, cfg.batch_size, cfg.patience,
@@ -355,7 +355,6 @@ def run_strategy(
     train_cfg: TrainConfig,
     *,
     seed: int,
-    hidden_dim: int = 64,
     memo: dict | None = None,
 ) -> list[PeriodOutcome]:
     """Run one strategy over all periods and score each period's test split.
@@ -376,9 +375,9 @@ def run_strategy(
     streams it keys.
 
     ``memo`` (a dict, empty at first) lets runs on the same ``graph`` share
-    periods: a period whose history (seed, ``hidden_dim``, and the plans
-    and step settings of it and every earlier period; see
-    :func:`_memo_key`) an earlier run already met is not trained again.
+    periods: a period whose history (seed, and the plans and step
+    settings of it and every earlier period; see :func:`_memo_key`) an
+    earlier run already met is not trained again.
     The model takes that run's best-validation parameters, and the outcome
     copies of its training result and test precisions, marked ``reused``.
     Selection still runs in every run. A reused period copies the other
@@ -393,8 +392,8 @@ def run_strategy(
     if fault:
         raise ValueError(fault[1])
     memo = {} if memo is None else memo
-    model = Backbone(graph.feature_dim, hidden_dim=hidden_dim, seed=seed)
-    key: tuple = (seed, hidden_dim)
+    model = Backbone(graph.feature_dim, seed=seed)
+    key: tuple = (seed,)
     prev: Backbone | None = None
     outcomes: list[PeriodOutcome] = []
     for n in range(1, graph.num_periods + 1):

@@ -34,11 +34,11 @@ BASE = {
     "data": {"synthetic": {"num_periods": 2, "nodes_per_class_per_period": 30}},
     "sel": {"m": 4, "m_prime": 8, "p": 40},
     "train": {"epochs": 2},
-    "hidden_dim": 64,
 }
 
 #: every leaf of BASE, every field its sections may set, every section
-#: itself, and an unknown key in each object
+#: itself, and an unknown key in each object, ``hidden_dim`` and
+#: ``output_dir`` among them
 PATHS = [
     ("include",), ("strategies", 0), ("strategies", 1), ("seeds", 0), ("hidden_dim",),
     ("sweeps", "params", "patience", 0),

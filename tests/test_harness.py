@@ -1,5 +1,6 @@
 import csv
 import ctypes
+import hashlib
 import json
 import math
 import os
@@ -163,26 +164,6 @@ class TestConfigLoading:
         assert cfg["strategies"] == ["joint", "finetune", "er", "icarl", "ltf"]
         assert cfg["seeds"] == [1]
 
-    def test_include_other_file(self, tmp_path):
-        base = write_config(tmp_path, TINY, "base.json")
-        cfg = load_config(write_config(tmp_path, {"include": str(base), "seeds": [4]}))
-        assert cfg["strategies"] == ["finetune"]
-        assert cfg["seeds"] == [4]
-
-    def test_relative_include_is_read_against_the_including_file(self, tmp_path, monkeypatch):
-        cfgs = tmp_path / "cfgs"
-        (cfgs / "sub").mkdir(parents=True)
-        write_config(cfgs, {"include": "sub/mid.json", "seeds": [4]}, "top.json")
-        write_config(cfgs / "sub", {"include": "base.json", "sel": {"m": 5}}, "mid.json")
-        write_config(cfgs / "sub", {"include": "main", "sel": {"m": 6, "p": 30}}, "base.json")
-        for decoy in (tmp_path, cfgs):  # a base.json beside the caller or the top file is not read
-            write_config(decoy, {"strategies": ["joint"]}, "base.json")
-        for cwd, path in ((tmp_path, "cfgs/top.json"), (cfgs / "sub", cfgs / "top.json")):
-            monkeypatch.chdir(cwd)
-            cfg = load_config(path)
-            assert cfg["strategies"] == PRESETS["main"]["strategies"]
-            assert (cfg["seeds"], cfg["sel"]["m"], cfg["sel"]["p"]) == ([4], 5, 30)
-
     def test_preset_flag_lower_precedence_than_file(self, tmp_path):
         path = write_config(tmp_path, {"strategies": ["ltf"]})
         cfg = load_config(path, preset="main")
@@ -205,11 +186,10 @@ class TestConfigLoading:
     def test_relative_data_files_are_read_against_the_config_file(self, tmp_path, monkeypatch):
         (tmp_path / "cfgs").mkdir()
         files = {"nodes": "data/n.csv", "events": "../e.csv", "periods": str(tmp_path / "p.json")}
-        write_config(tmp_path / "cfgs", {"include": "../base.json"}, "top.json")
         write_config(tmp_path, {**TINY, "data": {"files": files}}, "base.json")
-        write_config(tmp_path / "cfgs", {**TINY, "data": {"files": files}}, "own.json")
+        write_config(tmp_path / "cfgs", {**TINY, "include": "main", "data": {"files": files}}, "own.json")
         monkeypatch.chdir(tmp_path / "cfgs")
-        for name, where in (("top.json", tmp_path), ("own.json", tmp_path / "cfgs")):
+        for name, where in (("../base.json", tmp_path), ("own.json", tmp_path / "cfgs")):
             cfg = load_config(name)
             assert cfg["data"]["files"] == {
                 "nodes": str(where / "data" / "n.csv"),
@@ -260,8 +240,6 @@ class TestConfigLoading:
         [
             (None, "seeds", [True]),
             (None, "seeds", [1.0]),
-            (None, "hidden_dim", True),
-            (None, "hidden_dim", 8.0),
             *[("sel", k, v) for k in ("m", "m_prime", "p") for v in (True, 4.5, 4.0, "4")],
             *[("train", k, v) for k in ("epochs", "batch_size", "patience") for v in (True, 4.5, 4.0)],
             *[(section, k, True) for section, k in (("sel", "alpha"), ("train", "beta"), ("train", "lr"))],
@@ -360,19 +338,13 @@ class TestConfigLoading:
         )
         assert set(cfg["data"]) == {"files"}
 
-    def test_hash_ignores_output_dir(self):
-        a = config_hash({**TINY, "output_dir": "/tmp/a"})
-        b = config_hash({**TINY, "output_dir": "/tmp/b"})
-        assert a == b
-        assert a != config_hash({**TINY, "seeds": [1]})
-
 
 #: Each shipped preset's config hash (a column of results.csv); a change
 #: here means the resolved config format changed.
 PRESET_HASHES = {
-    "main": "bb989d008edf",
-    "ablation": "a64a2914d803",
-    "partition": "db3e90d8e7d6",
+    "main": "bf8142de65f2",
+    "ablation": "db395b4afea4",
+    "partition": "b9c0ca25c4ac",
 }
 
 
@@ -709,9 +681,12 @@ class TestCli:
         assert capsys.readouterr().err.startswith(message)
         assert not (tmp_path / "data").exists()
 
-    def test_run_requires_output_dir(self, tmp_path):
+    def test_run_requires_output_dir(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, TINY)
-        assert cli.main(["run", str(cfg_path)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", str(cfg_path)])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --out" in capsys.readouterr().err
 
     def test_gen_select_report_pipeline(self, tmp_path, capsys):
         synth = write_config(tmp_path, TINY_DATA["synthetic"], "synth.json")
@@ -740,47 +715,67 @@ class TestCli:
         assert "finetune" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "command, fault, via_include",
-        [
-            ("run", "missing", False),
-            ("gen", "missing", False),
-            ("run", "not_json", False),
-            ("gen", "not_json", False),
-            ("run", "missing", True),
-            ("run", "not_json", True),
-            ("run", "list_root", True),
-        ],
+        "command, fault",
+        [("run", "missing"), ("gen", "missing"), ("run", "not_json"), ("gen", "not_json"),
+         ("run", "list_root"), ("gen", "list_root")],
+        ids=["run-missing-False", "gen-missing-False", "run-not_json-False", "gen-not_json-False",
+             "run-list_root", "gen-list_root"],
     )
-    def test_unreadable_config_file_exit_2(self, tmp_path, capsys, command, fault, via_include):
+    def test_unreadable_config_file_exit_2(self, tmp_path, capsys, command, fault):
         bad = tmp_path / "bad.json"
         body = {"missing": None, "not_json": '{"num_periods": 2,', "list_root": "[1, 2]"}[fault]
         if body is not None:
             bad.write_text(body)
-        path = write_config(tmp_path, {"include": str(bad)}) if via_include else bad
         out = tmp_path / "out"
-        assert cli.main([command, str(path), "--out", str(out)]) == 2
+        assert cli.main([command, str(bad), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert str(bad) in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "select"])
-    @pytest.mark.parametrize(
-        "includes, chain",
-        [
-            ({"a.json": "b.json", "b.json": "a.json"}, "a.json -> b.json -> a.json"),
-            ({"a.json": "a.json"}, "a.json -> a.json"),
-        ],
-        ids=["two_files", "itself"],
-    )
-    def test_an_include_cycle_is_one_config_error(self, tmp_path, capsys, monkeypatch, command, includes, chain):
-        for name, included in includes.items():
-            write_config(tmp_path, {"include": included}, name)
-        monkeypatch.chdir(tmp_path)
-        args = ["--out", "out"] if command == "run" else ["--run", "ltf__seed0", "--period", "2", "--model", "m.json"]
-        assert cli.main([command, "a.json", *args]) == 2
-        assert capsys.readouterr().err == f"config error: include: {chain}: include cycle\n"
-        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(includes)
+    def test_no_config_file_or_preset_is_one_config_error(self, tmp_path, capsys, command):
+        """Without a config file or a preset, only the dataclass defaults
+        would set the runs, which no preset uses."""
+        out = tmp_path / "out"
+        args = {"run": ["--out", str(out)], "select": ["--run", "ltf__seed0", "--period", "2", "--model", "m.json"]}
+        assert cli.main([command, *args[command]]) == 2
+        assert capsys.readouterr().err == (
+            "config error: no config: name a config file or a preset (known: main, ablation, partition)\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "select"])
+    @pytest.mark.parametrize("written", ["hidden_dim", "output_dir", "file_include", "resolved_with_hidden_dim"])
+    def test_a_dropped_setting_is_one_config_error(self, tmp_path, capsys, command, written):
+        """Every model has ``backbone.HIDDEN_DIM`` hidden units, ``--out``
+        names the output directory and ``include`` names a preset, so
+        ``hidden_dim``, ``output_dir`` and an ``include`` of a file are
+        refused, also in a ``resolved_config.json`` of the earlier format,
+        which held ``"hidden_dim": 64``."""
+        out = tmp_path / "out"
+        base = write_config(tmp_path, TINY, "base.json")
+        cfg = {
+            "hidden_dim": {**TINY, "hidden_dim": 64},
+            "output_dir": {**TINY, "output_dir": str(out)},
+            "file_include": {"include": str(base)},
+            "resolved_with_hidden_dim": {**load_config_dict(TINY), "hidden_dim": 64},
+        }[written]
+        path = tmp_path / "resolved_config.json"
+        path.write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+        if written == "resolved_with_hidden_dim":  # the bytes the earlier format wrote for TINY
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+                "9ab972ea716bda3a8a2bea67326a1c0c7a5eec051f401ec7f48d0eb85263b186"
+            )
+        args = {"run": ["--out", str(out)], "select": ["--run", "ltf__seed0", "--period", "2", "--model", "m.json"]}
+        assert cli.main([command, str(path), *args[command]]) == 2
+        if written == "file_include":
+            want = f"include: unknown preset {str(base)!r} (known: main, ablation, partition)"
+        else:
+            key = written.removeprefix("resolved_with_")
+            want = f"{key}: unknown key (known: data, sel, train, seeds, strategies, sweeps)"
+        assert capsys.readouterr().err == f"config error: {want}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "select"])
     @pytest.mark.parametrize("written", ["empty_section", "resolved_with_squared_distance"])
@@ -829,7 +824,9 @@ class TestCli:
         if via == "include":
             path = write_config(tmp_path, {"include": "sensitivity"})
             assert cli.main([command, str(path), *args[command]]) == 2
-            assert capsys.readouterr().err == "config error: include: unknown preset or missing file 'sensitivity'\n"
+            assert capsys.readouterr().err == (
+                "config error: include: unknown preset 'sensitivity' (known: main, ablation, partition)\n"
+            )
         else:
             with pytest.raises(SystemExit) as exc:
                 cli.main([command, "--preset", "sensitivity", *args[command]])
@@ -873,8 +870,9 @@ class TestCli:
         files["nodes"] = str(tmp_path / "no_nodes.csv")
         cfg = {**TINY, "data": {"files": files}, "strategies": ["finetune", "er"]}
         out = tmp_path / "out"
-        cfg_path = write_config(tmp_path, {**cfg, "output_dir": str(out)})
-        assert cli.main([argv[0], str(cfg_path), *argv[1:]]) == 2
+        cfg_path = write_config(tmp_path, cfg)
+        out_args = ["--out", str(out)] if argv[0] == "run" else []
+        assert cli.main([argv[0], str(cfg_path), *argv[1:], *out_args]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {files['nodes']}: ") and err.count("\n") == 1
         assert not (out / "runs").exists()
@@ -889,8 +887,8 @@ class TestCli:
             paths["nodes"].write_bytes(paths["nodes"].read_bytes().replace(b"\n", b"\n\xff\xfe", 1))
         files = {kind: str(path) for kind, path in paths.items()}
         out = tmp_path / "out"
-        cfg_path = write_config(tmp_path, {**TINY, "data": {"files": files}, "output_dir": str(out)})
-        assert cli.main(["run", str(cfg_path)]) == 2
+        cfg_path = write_config(tmp_path, {**TINY, "data": {"files": files}})
+        assert cli.main(["run", str(cfg_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         want = {
             "not_utf8": f"data error: {paths['nodes']}:2: not valid UTF-8 (",
@@ -968,18 +966,14 @@ class TestCli:
                 ("nodes_per_class_per_period", "nodes"),
                 ("feature_dim", "node feature entries"),
                 ("events_per_node", "events"),
-                ("hidden_dim", "hidden-layer weights"),
             ]
             for command in ["run", "select", "gen"]
-            if (command, field) != ("gen", "hidden_dim")  # the generator has no model
         ],
     )
     def test_a_size_that_cannot_be_built_is_a_config_error(self, tmp_path, capsys, command, field, what):
         huge = 2**70
         out = tmp_path / "out"
-        if field == "hidden_dim":
-            body, where = {**TINY, "hidden_dim": huge}, "hidden_dim:"
-        elif command == "gen":
+        if command == "gen":
             body, where = {field: huge}, field
         else:
             body, where = {**TINY, "data": {"synthetic": {field: huge}}}, f"data.synthetic.{field}"
@@ -1022,8 +1016,8 @@ class TestCli:
         paths["events"].write_text("src,dst,t\n")
         files = {kind: str(path) for kind, path in paths.items()}
         out = tmp_path / "out"
-        cfg_path = write_config(tmp_path, {**TINY, "data": {"files": files}, "output_dir": str(out)})
-        assert cli.main(["run", str(cfg_path)]) == 2
+        cfg_path = write_config(tmp_path, {**TINY, "data": {"files": files}})
+        assert cli.main(["run", str(cfg_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == (
             f"data error: {paths['periods']}: entry 0: no events in period 1's span [0.0, 1.0)"
@@ -1081,8 +1075,8 @@ class TestCli:
     def test_a_synthetic_period_without_events_is_a_config_error(self, tmp_path, capsys, synth, command):
         out = tmp_path / "out"
         data = {"synthetic": {**TINY_DATA["synthetic"], **synth}}
-        cfg_path = write_config(tmp_path, {**TINY, "data": data, "strategies": ["ltf"], "output_dir": str(out)})
-        argv = {"run": [], "select": ["--run", "ltf__seed0", "--period", "2", "--model", "model_p1.json"]}
+        cfg_path = write_config(tmp_path, {**TINY, "data": data, "strategies": ["ltf"]})
+        argv = {"run": ["--out", str(out)], "select": ["--run", "ltf__seed0", "--period", "2", "--model", "model_p1.json"]}
         assert cli.main([command, str(cfg_path), *argv[command]]) == 2
         assert capsys.readouterr().err == "config error: data.synthetic: no events in period 1's span [0.0, 1.0)\n"
         assert not (out / "runs").exists()
@@ -1219,9 +1213,9 @@ class TestCli:
         else:
             data_cfg = {"files": save_graph_without_new_class_events(tmp_path / "data")}
             message = f"data error: {data_cfg['files']['nodes']}: period 2 has no new-class training nodes under seed 0\n"
-        cfg = {**TINY, "data": data_cfg, "strategies": ["ltf"], "seeds": [0, 1], "output_dir": str(out)}
+        cfg = {**TINY, "data": data_cfg, "strategies": ["ltf"], "seeds": [0, 1]}
         cfg_path = write_config(tmp_path, cfg)
-        argv = {"run": [], "select": ["--run", "ltf__seed0", "--period", "2", "--model", "model_p1.json"]}
+        argv = {"run": ["--out", str(out)], "select": ["--run", "ltf__seed0", "--period", "2", "--model", "model_p1.json"]}
         assert cli.main([command, str(cfg_path), *argv[command]]) == 2
         assert capsys.readouterr().err == message
         assert not (out / "runs").exists()
@@ -1230,14 +1224,14 @@ class TestCli:
         # a fault under seed 1 alone: select of a seed-0 run passes, run refuses
         out = tmp_path / "out"
         data_cfg = {"files": save_graph_without_test_nodes_under_seed_1(tmp_path / "data")}
-        cfg = {**TINY, "data": data_cfg, "strategies": ["ltf"], "seeds": [0, 1], "output_dir": str(out)}
+        cfg = {**TINY, "data": data_cfg, "strategies": ["ltf"], "seeds": [0, 1]}
         cfg_path = write_config(tmp_path, cfg)
         scorer = tmp_path / "model_p1.json"
         save_checkpoint(period_one_scorer(load_data(data_cfg)), scorer)
         argv = ["select", str(cfg_path), "--run", "ltf__seed0", "--period", "2", "--model", str(scorer)]
         assert cli.main(argv) == 0
         capsys.readouterr()
-        assert cli.main(["run", str(cfg_path), "--quiet"]) == 2
+        assert cli.main(["run", str(cfg_path), "--out", str(out), "--quiet"]) == 2
         nodes = data_cfg["files"]["nodes"]
         assert capsys.readouterr().err == f"data error: {nodes}: period 2 has no test nodes under seed 1\n"
         assert not (out / "runs").exists()
@@ -1298,14 +1292,13 @@ class TestCli:
         assert capsys.readouterr().err == f"report error: no run records under {out}\n"
 
     @pytest.mark.parametrize("below", ["", "sub/dir"])
-    @pytest.mark.parametrize("via_config", [False, True])
-    def test_run_into_a_file_exit_2(self, tmp_path, capsys, via_config, below):
+    @pytest.mark.parametrize("preset_only", [False, True])
+    def test_run_into_a_file_exit_2(self, tmp_path, capsys, preset_only, below):
         taken = tmp_path / "taken"
         taken.write_text("kept\n")
         out = str(taken / below) if below else str(taken)
-        cfg = {**TINY, "output_dir": out} if via_config else TINY
-        argv = ["run", str(write_config(tmp_path, cfg))] + ([] if via_config else ["--out", out])
-        assert cli.main(argv) == 2
+        config = ["--preset", "main"] if preset_only else [str(write_config(tmp_path, TINY))]
+        assert cli.main(["run", *config, "--out", out]) == 2
         assert capsys.readouterr().err == f"run error: {taken}: not a directory\n"
         assert taken.read_text() == "kept\n"
 
@@ -1377,6 +1370,31 @@ def test_resume_reruns_runs_whose_data_files_changed(tmp_path, capsys, monkeypat
     assert cli.main(["run", "c.json", "--out", "../fresh", "--quiet"]) == 0
     resumed = (tmp_path / "o2" / "results.csv").read_bytes()
     assert resumed == (tmp_path / "fresh" / "results.csv").read_bytes() != stale
+
+
+@pytest.mark.parametrize("periods", ["left_out", "null"])
+def test_resume_reruns_runs_whose_sibling_periods_file_changed(tmp_path, capsys, monkeypatch, periods):
+    """A ``files`` config without a periods path reads the ``periods.json``
+    beside the nodes file, and its config hash covers that file."""
+    monkeypatch.delenv("TGCL_SEED", raising=False)
+    data_dir = tmp_path / "data"
+    gen_files(tmp_path, data_dir, seed=1)
+    files = {"nodes": str(data_dir / "nodes.csv"), "events": str(data_dir / "events.csv")}
+    if periods == "null":
+        files["periods"] = None
+    cfg = load_config(write_config(tmp_path, {**TINY, "data": {"files": files}}))
+    out = tmp_path / "out"
+    execute(cfg, out)
+    chash = config_hash(cfg)
+    period_file = data_dir / "periods.json"
+    period_file.write_text(json.dumps(json.loads(period_file.read_text())))  # the same periods, other bytes
+    assert config_hash(cfg) != chash
+    capsys.readouterr()
+    execute(cfg, out, resume=True, echo=print)
+    echo = capsys.readouterr().out
+    assert "2 runs planned, 2 to execute (resume=True)\n" in echo
+    assert "2 stale runs from another config hash will be rerun\n" in echo
+    assert (out / "config_hash.txt").read_text() == config_hash(cfg) + "\n"
 
 
 def test_a_config_names_the_same_data_from_any_directory(tmp_path, capsys, monkeypatch):
@@ -1454,7 +1472,7 @@ def test_select_reproduces_every_buffer_of_a_run(tmp_path, monkeypatch):
     for spec in plan_runs(cfg):
         if spec.strategy == "joint":
             continue
-        outcomes = run_strategy(graph, spec.strategy, spec.sel, spec.train, seed=spec.seed, hidden_dim=spec.hidden_dim)
+        outcomes = run_strategy(graph, spec.strategy, spec.sel, spec.train, seed=spec.seed)
         for n in (2, 3):
             scorer = tmp_path / f"{spec.run_id}_model_p{n - 1}.json"
             save_checkpoint(outcomes[n - 2].model_snapshot, scorer)

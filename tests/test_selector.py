@@ -196,6 +196,7 @@ class TestShare:
 
     def test_overflow_spills_to_later_parts(self):
         assert _share(10, [2, 8, 8]) == [2, 5, 3]
+        assert _share(4, [10, 1]) == [3, 1]  # the first parts with room take it, earlier ones too
 
     def test_too_large_budget_raises(self):
         with pytest.raises(ValueError):

@@ -455,11 +455,11 @@ class TestPeriodMemo:
 
 
 class TestMemoKey:
-    """A period's key is its run's history: the root ``(seed, hidden_dim)``
-    and every period's plan and step settings so far. Changing any one of
-    them misses."""
+    """A period's key is its run's history: the root ``(seed,)`` and every
+    period's plan and step settings so far. Changing any one of them
+    misses."""
 
-    ROOT = (0, 12)
+    ROOT = (0,)
 
     @pytest.fixture
     def inputs(self, setting):
@@ -474,19 +474,18 @@ class TestMemoKey:
 
     def test_same_inputs_hit(self, inputs):
         plan, cfg = inputs
-        assert self.key(*inputs) == self.key(dataclasses.replace(plan), dataclasses.replace(cfg), history=(0, 12))
+        assert self.key(*inputs) == self.key(dataclasses.replace(plan), dataclasses.replace(cfg), history=(0,))
 
     def test_period_and_seed(self, inputs):
         base = self.key(*inputs)
         assert self.key(*inputs, n=1) != base
-        assert self.key(*inputs, history=(1, 12)) != base
+        assert self.key(*inputs, history=(1,)) != base
 
     def test_seed_and_hidden_dim_miss_in_runs(self, drift_graph, train_calls):
         memo: dict = {}
-        for seed, hidden_dim in ((3, 12), (4, 12), (3, 8)):
+        for seed in (3, 4, 5):
             out = run_strategy(
-                drift_graph, "finetune", TestPeriodMemo.SEL, quick_train_cfg(epochs=2),
-                seed=seed, hidden_dim=hidden_dim, memo=memo,
+                drift_graph, "finetune", TestPeriodMemo.SEL, quick_train_cfg(epochs=2), seed=seed, memo=memo
             )
             assert not any(o.reused for o in out)
         assert train_calls == [1, 2, 3] * 3
